@@ -6,6 +6,9 @@
 // of addresses of the distinct prefixes in its cone, so the metric captures
 // how much of the considered address space pays the AS — directly or
 // through customers of customers — for transit.
+//
+// "Distinct" comes from visiting the view's records prefix by prefix (see
+// ComputeFrom), never from materializing and sorting (AS, prefix) pairs.
 package cone
 
 import (
@@ -24,9 +27,6 @@ type Scores struct {
 	// Addresses[a] is the total address weight of distinct prefixes in a's
 	// customer cone, restricted to the view's prefixes.
 	Addresses map[asn.ASN]uint64
-	// ASes[a] is the number of distinct ASes in a's customer cone
-	// (including itself), the unit CAIDA's AS Rank orders by.
-	ASes map[asn.ASN]int
 	// Total is the address weight of all distinct prefixes in the view:
 	// the denominator for Share.
 	Total uint64
@@ -49,37 +49,43 @@ func (s Scores) Shares() map[asn.ASN]float64 {
 	return out
 }
 
-// scratch holds the dense kernel's reusable pair buffers: cone membership
-// is collected as packed (AS id, prefix) and (AS id, member id) pairs, then
-// sorted and deduplicated, which replaces the per-AS set maps with two flat
-// sorts. Nothing in it escapes Compute.
+// scratch is the kernel's reusable flat state. Records are counting-sorted
+// by prefix, then each prefix's run is walked once while stamp remembers
+// which ASes the current prefix has already credited, so an (AS, prefix)
+// pair adds the prefix's weight exactly once without ever being
+// materialized. Nothing in it escapes ComputeFrom.
+//
+// Pool invariant: byPrefix.Cnt, stamp and addr are all-zero between calls;
+// every write is undone through the byPrefix.Used/idsUsed dirty lists, which
+// keeps a call O(records × chain) rather than O(prefixes + ASes) — stability
+// trials run it over tiny VP subsets.
 type scratch struct {
-	pairPfx []uint64 // id<<32 | prefix index
-	pairAS  []uint64 // id<<32 | member id
-	pfxSeen []bool   // per prefix: already counted toward Total
-	pfxUsed []int32  // prefixes marked in pfxSeen, for O(touched) reset
+	byPrefix sanitize.Groups
+	stamp    []int32  // per AS id: 1 + byPrefix.Used position of the last prefix credited
+	addr     []uint64 // per AS id: address weight credited so far
+	idsUsed  []int32  // AS ids credited by any prefix this call
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// Starts precomputes, for every accepted record, the index where the
-// retained provider→customer chain begins (len(path)-1 when only the
-// origin's self-membership survives). The result depends only on (ds, rels)
-// — never on the view — so callers that compute cones over many views or
-// VP subsets of the same dataset can pay the relationship lookups once and
-// pass the result to ComputeFrom.
+// Starts precomputes, for every collection path, the index in its clean
+// form where the retained provider→customer chain begins (len(path)-1 when
+// only the origin's self-membership survives, negative for an empty path).
+// The chain rule reads nothing but the path, so the result is indexed by
+// sanitize.Dataset.PathIndex and shared by every record on that path; it
+// depends only on (ds, rels) — never on the view — so callers that compute
+// cones over many views or VP subsets of the same dataset pay the
+// relationship lookups once and pass the result to ComputeFrom.
 func Starts(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
-	starts := make([]int32, ds.Len())
-	for i := range starts {
-		_, _, path := ds.Record(i)
-		starts[i] = recordStart(path, rels)
+	starts := make([]int32, ds.NumPaths())
+	for q := range starts {
+		starts[q] = pathStart(ds.CleanPath(q), rels)
 	}
 	return starts
 }
 
-// recordStart resolves one record's retained-chain start (see Starts); a
-// negative value means the record contributes nothing.
-func recordStart(path bgp.Path, rels relation.Oracle) int32 {
+// pathStart resolves one clean path's retained-chain start (see Starts).
+func pathStart(path bgp.Path, rels relation.Oracle) int32 {
 	start := chainStart(path, rels)
 	if start < 0 {
 		return -1
@@ -99,129 +105,96 @@ func recordStart(path bgp.Path, rels relation.Oracle) int32 {
 // Compute calculates cones over the given accepted-record positions of ds
 // (pass nil for all records). rels supplies relationship labels — the
 // ground-truth graph or an inferred table.
-//
-// The dense-id kernel is bit-identical to the retained map-based reference
-// (computeMapRef), which the property tests enforce.
 func Compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Scores {
 	return ComputeFrom(ds, recs, rels, nil)
 }
 
-// ComputeFrom is Compute with optionally precomputed chain starts (see
-// Starts); pass nil to resolve them on the fly.
+// ComputeFrom is Compute with precomputed chain starts (see Starts); nil
+// resolves them here.
+//
+// The result is bit-identical to the retained map-based reference
+// (computeMapRef), which the property tests enforce: every sum is a uint64,
+// so neither the order prefixes are visited in nor the order of records
+// inside a prefix's run can show. A position repeated in recs changes nothing, and
+// a record with an empty clean path still counts its prefix toward Total.
 func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, starts []int32) Scores {
-	return compute(ds, recs, rels, starts, true)
-}
-
-// ComputeAddresses is ComputeFrom without the ASes (cone-membership count)
-// map. Membership pairs are quadratic in chain length and their sort
-// dominates the kernel, so rankings that only consume address shares —
-// every CC* metric, including each stability trial — use this form.
-func ComputeAddresses(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, starts []int32) Scores {
-	return compute(ds, recs, rels, starts, false)
-}
-
-func compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, starts []int32, wantASes bool) Scores {
+	if starts == nil {
+		starts = Starts(ds, rels)
+	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.pairPfx = sc.pairPfx[:0]
-	sc.pairAS = sc.pairAS[:0]
-	// pfxSeen is all-false between calls (reset below via pfxUsed), so
-	// sizing it costs O(touched prefixes), not O(total prefixes), per call.
-	if cap(sc.pfxSeen) < len(ds.Weight) {
-		sc.pfxSeen = make([]bool, len(ds.Weight))
-	}
-	sc.pfxSeen = sc.pfxSeen[:len(ds.Weight)]
-	sc.pfxUsed = sc.pfxUsed[:0]
-	defer func() {
-		for _, p := range sc.pfxUsed {
-			sc.pfxSeen[p] = false
-		}
-	}()
+
+	ds.GroupByPrefix(&sc.byPrefix, recs)
+	sc.stamp = sanitize.Grow(sc.stamp, ds.NumAS())
+	sc.addr = sanitize.Grow(sc.addr, ds.NumAS())
+	sc.idsUsed = sc.idsUsed[:0]
 
 	s := Scores{}
-	each(ds, recs, func(i int) {
-		_, pfxIdx, path := ds.Record(i)
-		ids := ds.PathIDs[i]
-		if !sc.pfxSeen[pfxIdx] {
-			sc.pfxSeen[pfxIdx] = true
-			sc.pfxUsed = append(sc.pfxUsed, pfxIdx)
-			s.Total += ds.Weight[pfxIdx]
-		}
-		var start int
-		if starts != nil {
-			start = int(starts[i])
-		} else {
-			start = int(recordStart(path, rels))
-		}
-		if start < 0 {
-			return
-		}
-		for j := start; j < len(path); j++ {
-			hi := uint64(uint32(ids[j])) << 32
-			sc.pairPfx = append(sc.pairPfx, hi|uint64(uint32(pfxIdx)))
-			if !wantASes {
+	for k, p := range sc.byPrefix.Used {
+		mark, w := int32(k+1), ds.Weight[p]
+		s.Total += w
+		for _, i := range sc.byPrefix.Run(p) {
+			start := starts[ds.PathIndex(int(i))]
+			if start < 0 {
 				continue
 			}
-			// An AS's cone contains itself and every AS observed
-			// downstream of it on the retained chain.
-			for k := j; k < len(path); k++ {
-				sc.pairAS = append(sc.pairAS, hi|uint64(uint32(ids[k])))
+			_, _, ids := ds.RecordIDs(int(i))
+			for _, id := range ids[start:] {
+				if sc.stamp[id] == mark {
+					continue
+				}
+				if sc.stamp[id] == 0 {
+					sc.idsUsed = append(sc.idsUsed, id)
+				}
+				sc.stamp[id] = mark
+				sc.addr[id] += w
 			}
 		}
-	})
+		sc.byPrefix.Cnt[p] = 0 // restore the pool invariant
+	}
 
-	slices.Sort(sc.pairPfx)
-
-	s.Addresses = make(map[asn.ASN]uint64, distinctHigh(sc.pairPfx))
-	var sum uint64
-	flushPairs(sc.pairPfx, func(pair uint64) {
-		sum += ds.Weight[int32(uint32(pair))]
-	}, func(id int32) {
-		s.Addresses[ds.ASNOf[id]] = sum
-		sum = 0
-	})
-
-	if wantASes {
-		slices.Sort(sc.pairAS)
-		s.ASes = make(map[asn.ASN]int, distinctHigh(sc.pairAS))
-		members := 0
-		flushPairs(sc.pairAS, func(pair uint64) {
-			members++
-		}, func(id int32) {
-			s.ASes[ds.ASNOf[id]] = members
-			members = 0
-		})
+	s.Addresses = make(map[asn.ASN]uint64, len(sc.idsUsed))
+	for _, id := range sc.idsUsed {
+		s.Addresses[ds.ASNOf[id]] = sc.addr[id]
+		sc.stamp[id], sc.addr[id] = 0, 0 // likewise
 	}
 	return s
 }
 
-// flushPairs walks sorted packed pairs, calling visit once per distinct
-// pair and flush(id) at the end of each distinct high-word (AS id) run.
-func flushPairs(pairs []uint64, visit func(pair uint64), flush func(id int32)) {
-	for k := 0; k < len(pairs); k++ {
-		if k == 0 || pairs[k] != pairs[k-1] {
-			visit(pairs[k])
+// ASCounts returns, per AS, the number of distinct ASes in its customer
+// cone (including itself) — the unit CAIDA's AS Rank orders by. No ranking
+// here consumes it; it exists so the cone rule can be checked in AS terms.
+// Membership pairs are quadratic in chain length, which is why it is not
+// part of ComputeFrom.
+func ASCounts(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) map[asn.ASN]int {
+	starts := Starts(ds, rels)
+	var pairs []uint64 // AS id<<32 | member id
+	each(ds, recs, func(i int) {
+		start := starts[ds.PathIndex(i)]
+		if start < 0 {
+			return
 		}
-		if k+1 == len(pairs) || pairs[k+1]>>32 != pairs[k]>>32 {
-			flush(int32(pairs[k] >> 32))
+		// An AS's cone contains itself and every AS observed downstream of
+		// it on the retained chain.
+		_, _, ids := ds.RecordIDs(i)
+		for j := int(start); j < len(ids); j++ {
+			for _, member := range ids[j:] {
+				pairs = append(pairs, uint64(ids[j])<<32|uint64(member))
+			}
 		}
+	})
+	slices.Sort(pairs)
+	counts := map[asn.ASN]int{}
+	for _, pair := range slices.Compact(pairs) {
+		counts[ds.ASNOf[pair>>32]]++
 	}
-}
-
-// distinctHigh counts distinct high words in sorted packed pairs.
-func distinctHigh(pairs []uint64) int {
-	n := 0
-	for k := range pairs {
-		if k == 0 || pairs[k]>>32 != pairs[k-1]>>32 {
-			n++
-		}
-	}
-	return n
+	return counts
 }
 
 // computeMapRef is the original ASN-keyed map implementation, retained as
-// the executable specification the dense kernel is property-tested against.
-func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Scores {
+// the executable specification ComputeFrom and ASCounts are property-tested
+// against.
+func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) (Scores, map[asn.ASN]int) {
 	// conePrefixes[a] tracks distinct prefix indexes per AS; coneASes[a]
 	// tracks the distinct downstream ASes (cone membership).
 	conePrefixes := map[asn.ASN]map[int32]struct{}{}
@@ -260,10 +233,8 @@ func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Sco
 		}
 	})
 
-	s := Scores{
-		Addresses: make(map[asn.ASN]uint64, len(conePrefixes)),
-		ASes:      make(map[asn.ASN]int, len(coneASes)),
-	}
+	s := Scores{Addresses: make(map[asn.ASN]uint64, len(conePrefixes))}
+	asCounts := make(map[asn.ASN]int, len(coneASes))
 	for p := range seenPrefix {
 		s.Total += ds.Weight[p]
 	}
@@ -275,9 +246,9 @@ func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Sco
 		s.Addresses[a] = sum
 	}
 	for a, members := range coneASes {
-		s.ASes[a] = len(members)
+		asCounts[a] = len(members)
 	}
-	return s
+	return s, asCounts
 }
 
 // ComputeRecursive is the ablation variant §1.1 warns against: instead of

@@ -142,21 +142,21 @@ func TestDistinctPrefixDedup(t *testing.T) {
 }
 
 func TestASLevelCones(t *testing.T) {
-	s := Compute(fig1Dataset(), nil, fig1Rels)
+	ases := ASCounts(fig1Dataset(), nil, fig1Rels)
 	// C's cone: {C, D, E, F} = 4 ASes; D's: {D, E, F}; origins: themselves.
-	if got := s.ASes[30]; got != 4 {
+	if got := ases[30]; got != 4 {
 		t.Errorf("AS-cone(C) = %d, want 4", got)
 	}
-	if got := s.ASes[40]; got != 3 {
+	if got := ases[40]; got != 3 {
 		t.Errorf("AS-cone(D) = %d, want 3", got)
 	}
 	for _, origin := range []uint32{50, 60, 70, 80} {
-		if got := s.ASes[asn.ASN(origin)]; got != 1 {
+		if got := ases[asn.ASN(origin)]; got != 1 {
 			t.Errorf("AS-cone(%d) = %d, want 1 (itself)", origin, got)
 		}
 	}
 	// A and B each hold themselves plus their single observed customer.
-	if s.ASes[10] != 2 || s.ASes[20] != 2 {
-		t.Errorf("AS-cones of A/B = %d/%d, want 2/2", s.ASes[10], s.ASes[20])
+	if ases[10] != 2 || ases[20] != 2 {
+		t.Errorf("AS-cones of A/B = %d/%d, want 2/2", ases[10], ases[20])
 	}
 }

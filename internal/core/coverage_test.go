@@ -164,4 +164,25 @@ func TestDegradedIngestEndToEnd(t *testing.T) {
 	if !strings.Contains(ccg.Metric, "degraded") {
 		t.Fatalf("degraded-import ranking %q not labelled", ccg.Metric)
 	}
+
+	// A partial dataset keeps the per-path layout: records on one collection
+	// path share one id slice (sanitize's TestInternerInvariants pins the
+	// rest of the contract on the same kind of import).
+	idsOf := map[int32][]int32{}
+	shared := 0
+	for i := 0; i < p.DS.Len(); i++ {
+		_, _, ids := p.DS.RecordIDs(i)
+		if len(ids) == 0 {
+			continue
+		}
+		q := p.DS.PathIndex(i)
+		if prev, ok := idsOf[q]; !ok {
+			idsOf[q] = ids
+		} else if shared++; len(prev) != len(ids) || &prev[0] != &ids[0] {
+			t.Fatalf("record %d does not alias the ids of path index %d", i, q)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two records of the partial dataset share a path index")
+	}
 }

@@ -159,10 +159,12 @@ type Pipeline struct {
 	// full dataset.
 	byVP         [][]int32
 	vpsByCountry map[countries.Code][]int32
-	// coneStarts / ctiDepths hold each record's precomputed chain
+	// coneStarts / ctiDepths hold each collection path's precomputed chain
 	// resolution against Rels (view-independent), so per-trial kernel runs
-	// skip the relationship oracle entirely.
+	// skip the relationship oracle entirely. Only CTI reads ctiDepths, and
+	// most runs never ask for CTI, so it is resolved on first use.
 	coneStarts []int32
+	ctiOnce    sync.Once
 	ctiDepths  []int32
 
 	// viewCache memoizes ViewRecords per (kind, country): the experiment
@@ -286,7 +288,6 @@ func process(w *topology.World, col *routing.Collection, opt Options, sp *obs.Sp
 	xs.End()
 	cs := sp.Child("precompute")
 	p.coneStarts = cone.Starts(ds, p.Rels)
-	p.ctiDepths = cti.Depths(ds, p.Rels)
 	cs.End()
 	return p
 }
@@ -432,9 +433,8 @@ const (
 
 // CountryRankings bundles the four country-specific rankings.
 type CountryRankings struct {
-	Country                countries.Code
-	CCI, CCN, AHI, AHN     *rank.Ranking
-	ConeIntl, ConeNational cone.Scores
+	Country            countries.Code
+	CCI, CCN, AHI, AHN *rank.Ranking
 }
 
 // Country computes the paper's four metrics for one country.
@@ -454,13 +454,11 @@ func (p *Pipeline) Country(c countries.Code) *CountryRankings {
 	)
 
 	return &CountryRankings{
-		Country:      c,
-		CCI:          rank.New(p.label(string(CCI)+" "+string(c)), coneI.Shares(), info, true),
-		CCN:          rank.New(p.label(string(CCN)+" "+string(c)), coneN.Shares(), info, true),
-		AHI:          rank.New(p.label(string(AHI)+" "+string(c)), ahI.Hegemony, info, true),
-		AHN:          rank.New(p.label(string(AHN)+" "+string(c)), ahN.Hegemony, info, true),
-		ConeIntl:     coneI,
-		ConeNational: coneN,
+		Country: c,
+		CCI:     rank.New(p.label(string(CCI)+" "+string(c)), coneI.Shares(), info, true),
+		CCN:     rank.New(p.label(string(CCN)+" "+string(c)), coneN.Shares(), info, true),
+		AHI:     rank.New(p.label(string(AHI)+" "+string(c)), ahI.Hegemony, info, true),
+		AHN:     rank.New(p.label(string(AHN)+" "+string(c)), ahN.Hegemony, info, true),
 	}
 }
 
@@ -513,9 +511,10 @@ func (p *Pipeline) AHC(c countries.Code) *rank.Ranking {
 }
 
 // CTI computes the country-level transit influence baseline for c over its
-// international view.
+// international view. Safe for concurrent use.
 func (p *Pipeline) CTI(c countries.Code) *rank.Ranking {
 	recs := p.ViewRecords(International, c)
+	p.ctiOnce.Do(func() { p.ctiDepths = cti.Depths(p.DS, p.Rels) })
 	defer timeKernel(mKernelCTI)()
 	s := cti.ComputeFrom(p.DS, recs, p.Rels, p.ctiDepths, p.Opt.Trim)
 	return rank.New(p.label(string(CTI)+" "+string(c)), s.CTI, p.Info(), true)
@@ -526,7 +525,7 @@ func (p *Pipeline) CTI(c countries.Code) *rank.Ranking {
 func (p *Pipeline) rankFor(m Metric, recs []int32) *rank.Ranking {
 	switch m {
 	case CCI, CCN, CCG:
-		return rank.New(string(m), cone.ComputeAddresses(p.DS, recs, p.Rels, p.coneStarts).Shares(), nil, true)
+		return rank.New(string(m), cone.ComputeFrom(p.DS, recs, p.Rels, p.coneStarts).Shares(), nil, true)
 	case AHI, AHN, AHG:
 		return rank.New(string(m), hegemony.Compute(p.DS, recs, p.Opt.Trim).Hegemony, nil, true)
 	}
@@ -541,7 +540,7 @@ func (p *Pipeline) rankFor(m Metric, recs []int32) *rank.Ranking {
 func (p *Pipeline) sampleTop(m Metric, recs []int32, k int) []asn.ASN {
 	switch m {
 	case CCI, CCN, CCG:
-		return topK(cone.ComputeAddresses(p.DS, recs, p.Rels, p.coneStarts).Addresses, k)
+		return topK(cone.ComputeFrom(p.DS, recs, p.Rels, p.coneStarts).Addresses, k)
 	case AHI, AHN, AHG:
 		return topK(hegemony.Compute(p.DS, recs, p.Opt.Trim).Hegemony, k)
 	}

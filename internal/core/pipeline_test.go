@@ -1,8 +1,13 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
+	"countryrank/internal/countries"
+	"countryrank/internal/cti"
+	"countryrank/internal/rank"
 	"countryrank/internal/topology"
 )
 
@@ -164,6 +169,34 @@ func TestAHCAndCTI(t *testing.T) {
 	// not out-rank transit ASes here; check Vocus (transit) is present.
 	if _, ok := cti.RankOf(4826); !ok {
 		t.Error("CTI should rank Vocus")
+	}
+}
+
+// TestCTILazyDepthsConcurrent: the transit depths are resolved on the first
+// CTI call, and experiment worker pools make that call from several
+// goroutines at once; every caller must see the ranking the kernel gives
+// when it resolves the depths itself.
+func TestCTILazyDepthsConcurrent(t *testing.T) {
+	p := NewPipeline(smallOpts())
+	if p.ctiDepths != nil {
+		t.Fatal("CTI depths resolved before any CTI call")
+	}
+	ccs := []countries.Code{"AU", "JP", "RU", "US"}
+	got := make([]*rank.Ranking, len(ccs))
+	var wg sync.WaitGroup
+	for i, c := range ccs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = p.CTI(c)
+		}()
+	}
+	wg.Wait()
+	for i, c := range ccs {
+		want := rank.New("", cti.Compute(p.DS, p.ViewRecords(International, c), p.Rels, p.Opt.Trim).CTI, nil, true)
+		if got[i].Len() == 0 || !reflect.DeepEqual(got[i].Values(), want.Values()) {
+			t.Errorf("CTI %s differs from the kernel run without precomputed depths", c)
+		}
 	}
 }
 

@@ -29,14 +29,11 @@ func (s Scores) Value(a asn.ASN) float64 { return s.CTI[a] }
 // scratch is the dense kernel's reusable flat state, mirroring the
 // hegemony kernel: per-VP accumulation into id-indexed slices, then a
 // counting sort of (id, value) pairs into per-AS runs. The same pool
-// invariant applies: vpCnt, seen, asF, and counts are zeroed between calls
-// through the vpsUsed/touched/idsUsed dirty lists, keeping each call
+// invariant applies: byVP.Cnt, seen, asF, and counts are zeroed between calls
+// through the byVP.Used/touched/idsUsed dirty lists, keeping each call
 // O(records + touched entries).
 type scratch struct {
-	vpCnt    []int32
-	vpOff    []int32
-	vpsUsed  []int32
-	order    []int32
+	byVP     sanitize.Groups
 	asF      []float64 // per AS id: score accumulated for the current VP
 	seen     []bool
 	touched  []int32
@@ -50,22 +47,16 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func grow[T int32 | uint64 | float64 | bool](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// Depths precomputes, for every accepted record, how many hops of the
-// origin-side provider→customer chain score (the transit portion's length).
-// It depends only on (ds, rels), never on the view, so callers computing
-// CTI over many views or VP subsets can pay the relationship lookups once
-// and pass the result to ComputeFrom.
+// Depths precomputes, for every collection path, how many hops of its clean
+// form's origin-side provider→customer chain score (the transit portion's
+// length). The result is indexed by sanitize.Dataset.PathIndex and shared by
+// every record on that path; it depends only on (ds, rels), never on the
+// view, so callers computing CTI over many views or VP subsets can pay the
+// relationship lookups once and pass the result to ComputeFrom.
 func Depths(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
-	depths := make([]int32, ds.Len())
-	for i := range depths {
-		_, _, path := ds.Record(i)
+	depths := make([]int32, ds.NumPaths())
+	for q := range depths {
+		path := ds.CleanPath(q)
 		var d int32
 		for j := len(path) - 2; j >= 0; j-- {
 			if rels.Rel(path[j], path[j+1]) != topology.RelP2C {
@@ -73,7 +64,7 @@ func Depths(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
 			}
 			d++
 		}
-		depths[i] = d
+		depths[q] = d
 	}
 	return depths
 }
@@ -90,47 +81,43 @@ func Compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, trim floa
 	return ComputeFrom(ds, recs, rels, nil, trim)
 }
 
-// ComputeFrom is Compute with optionally precomputed transit depths (see
-// Depths); pass nil to resolve them on the fly.
+// ComputeFrom is Compute with precomputed transit depths (see Depths); nil
+// resolves them here.
 func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depths []int32, trim float64) Scores {
 	if trim < 0 {
 		trim = 0.10
+	}
+	if depths == nil {
+		depths = Depths(ds, rels)
 	}
 	nAS := ds.NumAS()
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 
-	order := bucketByVP(ds, recs, sc)
+	ds.GroupByVP(&sc.byVP, recs)
 
-	sc.asF = grow(sc.asF, nAS)
-	sc.seen = grow(sc.seen, nAS)
-	sc.counts = grow(sc.counts, nAS)
+	sc.asF = sanitize.Grow(sc.asF, nAS)
+	sc.seen = sanitize.Grow(sc.seen, nAS)
+	sc.counts = sanitize.Grow(sc.counts, nAS)
 	sc.idsUsed = sc.idsUsed[:0]
 	sc.pairIDs = sc.pairIDs[:0]
 	sc.pairVals = sc.pairVals[:0]
 
 	vpCount := 0
-	for _, v := range sc.vpsUsed {
-		bucket := order[sc.vpOff[v]:][:sc.vpCnt[v]]
+	for _, v := range sc.byVP.Used {
 		sc.touched = sc.touched[:0]
 		var total uint64
-		for _, i := range bucket {
-			_, pfxIdx, path := ds.Record(int(i))
-			ids := ds.PathIDs[i]
+		for _, i := range sc.byVP.Run(v) {
+			_, pfxIdx, ids := ds.RecordIDs(int(i))
 			w := ds.Weight[pfxIdx]
 			total += w
 			// Walk the transit (provider→customer) chain from the origin
-			// side: path[len-1] is the origin (k=0); moving toward the VP,
-			// an AS at distance k scores w/k while the link below is p2c.
-			last := 0
-			if depths != nil {
-				last = len(path) - 1 - int(depths[i])
-			}
-			for j := len(path) - 2; j >= last; j-- {
-				if depths == nil && rels.Rel(path[j], path[j+1]) != topology.RelP2C {
-					break
-				}
-				k := len(path) - 1 - j
+			// side: ids[len-1] is the origin (k=0); moving toward the VP,
+			// an AS at distance k scores w/k for as many hops as the link
+			// below is p2c.
+			last := len(ids) - 1 - int(depths[ds.PathIndex(int(i))])
+			for j := len(ids) - 2; j >= last; j-- {
+				k := len(ids) - 1 - j
 				id := ids[j]
 				if !sc.seen[id] {
 					sc.seen[id] = true
@@ -156,17 +143,17 @@ func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depth
 			sc.seen[id] = false
 			sc.asF[id] = 0
 		}
-		sc.vpCnt[v] = 0 // likewise
+		sc.byVP.Cnt[v] = 0 // likewise
 	}
 
-	sc.offsets = grow(sc.offsets, nAS)
+	sc.offsets = sanitize.Grow(sc.offsets, nAS)
 	var off int32
 	for _, id := range sc.idsUsed {
 		sc.offsets[id] = off
 		off += sc.counts[id]
 		sc.counts[id] = 0 // becomes the scatter cursor
 	}
-	sc.vals = grow(sc.vals, len(sc.pairVals))
+	sc.vals = sanitize.Grow(sc.vals, len(sc.pairVals))
 	for k, id := range sc.pairIDs {
 		sc.vals[sc.offsets[id]+sc.counts[id]] = sc.pairVals[k]
 		sc.counts[id]++
@@ -180,39 +167,6 @@ func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depth
 		sc.counts[id] = 0 // restore the pool invariant
 	}
 	return s
-}
-
-// bucketByVP groups the requested record positions by VP, preserving record
-// order inside each bucket (see the hegemony kernel).
-func bucketByVP(ds *sanitize.Dataset, recs []int32, sc *scratch) []int32 {
-	nVP := len(ds.VPCountry)
-	sc.vpCnt = grow(sc.vpCnt, nVP)
-	sc.vpsUsed = sc.vpsUsed[:0]
-	n := len(recs)
-	if recs == nil {
-		n = ds.Len()
-	}
-	each(ds, recs, func(i int) {
-		vpIdx, _, _ := ds.RecordIDs(i)
-		if sc.vpCnt[vpIdx] == 0 {
-			sc.vpsUsed = append(sc.vpsUsed, vpIdx)
-		}
-		sc.vpCnt[vpIdx]++
-	})
-	sc.vpOff = grow(sc.vpOff, nVP)
-	var off int32
-	for _, v := range sc.vpsUsed {
-		sc.vpOff[v] = off
-		off += sc.vpCnt[v]
-		sc.vpCnt[v] = 0 // becomes the scatter cursor
-	}
-	sc.order = grow(sc.order, n)
-	each(ds, recs, func(i int) {
-		vpIdx, _, _ := ds.RecordIDs(i)
-		sc.order[sc.vpOff[vpIdx]+sc.vpCnt[vpIdx]] = int32(i)
-		sc.vpCnt[vpIdx]++
-	})
-	return sc.order
 }
 
 func each(ds *sanitize.Dataset, recs []int32, f func(i int)) {

@@ -34,16 +34,14 @@ func (s Scores) Value(a asn.ASN) float64 { return s.Hegemony[a] }
 // lazily; the pool keeps them across calls so steady-state Compute does not
 // allocate per-VP maps. Nothing in it escapes Compute.
 //
-// Pool invariant: vpCnt is all-zero, seen all-false, asW and counts all-zero
-// between calls; every write is undone via the vpsUsed/touched/idsUsed dirty
-// lists. That keeps each call O(records + touched entries) rather than
-// O(total ASes + total VPs), which matters for stability trials over tiny
-// VP subsets.
+// Pool invariant: byVP.Cnt is all-zero, seen all-false, asW and counts
+// all-zero between calls; every write is undone via the byVP.Used/touched/
+// idsUsed dirty lists. That keeps each call O(records + touched entries)
+// rather than O(total ASes + total VPs), which matters for stability trials
+// over tiny VP subsets.
 type scratch struct {
-	vpCnt    []int32  // per VP: bucket size (doubles as scatter cursor)
-	vpOff    []int32  // per VP: bucket offset into order (used VPs only)
-	vpsUsed  []int32  // VPs with records, in first-appearance order
-	order    []int32  // record positions grouped by VP, record order kept
+	// byVP groups the record positions by VP, record order kept inside a VP.
+	byVP     sanitize.Groups
 	asW      []uint64 // per AS id: weight containing it, for the current VP
 	seen     []bool   // per AS id: marker for the current VP
 	touched  []int32  // AS ids touched by the current VP
@@ -56,16 +54,6 @@ type scratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// grow returns s resized to n. A reallocation is zeroed by make; a resize
-// within capacity exposes only entries the reset discipline already zeroed,
-// so the pool invariant holds across either path.
-func grow[T int32 | uint64 | float64 | bool](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
 
 // Compute calculates hegemony over the given accepted-record positions of
 // ds (nil means every record). trim is the per-side trim fraction; negative
@@ -82,25 +70,24 @@ func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 
-	order := bucketByVP(ds, recs, sc)
+	ds.GroupByVP(&sc.byVP, recs)
 
 	// Per-VP accumulation over the VP's bucket: asW[id] is the weight of
 	// the VP's paths containing id. The per-AS value lists end up sorted
 	// before summing, so visiting VPs in first-appearance order (not VP
 	// index order) still reproduces the reference bit for bit.
-	sc.asW = grow(sc.asW, nAS)
-	sc.seen = grow(sc.seen, nAS)
-	sc.counts = grow(sc.counts, nAS)
+	sc.asW = sanitize.Grow(sc.asW, nAS)
+	sc.seen = sanitize.Grow(sc.seen, nAS)
+	sc.counts = sanitize.Grow(sc.counts, nAS)
 	sc.idsUsed = sc.idsUsed[:0]
 	sc.pairIDs = sc.pairIDs[:0]
 	sc.pairVals = sc.pairVals[:0]
 
 	vpCount := 0
-	for _, v := range sc.vpsUsed {
-		bucket := order[sc.vpOff[v]:][:sc.vpCnt[v]]
+	for _, v := range sc.byVP.Used {
 		sc.touched = sc.touched[:0]
 		var total uint64
-		for _, i := range bucket {
+		for _, i := range sc.byVP.Run(v) {
 			_, pfxIdx, ids := ds.RecordIDs(int(i))
 			w := ds.Weight[pfxIdx]
 			total += w
@@ -135,18 +122,18 @@ func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
 			sc.seen[id] = false
 			sc.asW[id] = 0
 		}
-		sc.vpCnt[v] = 0 // likewise
+		sc.byVP.Cnt[v] = 0 // likewise
 	}
 
 	// Counting-sort the (id, value) pairs into per-AS value runs.
-	sc.offsets = grow(sc.offsets, nAS)
+	sc.offsets = sanitize.Grow(sc.offsets, nAS)
 	var off int32
 	for _, id := range sc.idsUsed {
 		sc.offsets[id] = off
 		off += sc.counts[id]
 		sc.counts[id] = 0 // becomes the scatter cursor
 	}
-	sc.vals = grow(sc.vals, len(sc.pairVals))
+	sc.vals = sanitize.Grow(sc.vals, len(sc.pairVals))
 	for k, id := range sc.pairIDs {
 		sc.vals[sc.offsets[id]+sc.counts[id]] = sc.pairVals[k]
 		sc.counts[id]++
@@ -160,42 +147,6 @@ func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
 		sc.counts[id] = 0 // restore the pool invariant
 	}
 	return s
-}
-
-// bucketByVP groups the requested record positions by VP, preserving record
-// order inside each bucket, using sc's reusable slices. It returns the
-// grouped positions; sc.vpsUsed lists the non-empty VPs in first-appearance
-// order and sc.vpOff/vpCnt describe each one's run. Only touched vpCnt
-// entries are ever written, keeping the call O(records).
-func bucketByVP(ds *sanitize.Dataset, recs []int32, sc *scratch) []int32 {
-	nVP := len(ds.VPCountry)
-	sc.vpCnt = grow(sc.vpCnt, nVP)
-	sc.vpsUsed = sc.vpsUsed[:0]
-	n := len(recs)
-	if recs == nil {
-		n = ds.Len()
-	}
-	each(ds, recs, func(i int) {
-		vpIdx, _, _ := ds.RecordIDs(i)
-		if sc.vpCnt[vpIdx] == 0 {
-			sc.vpsUsed = append(sc.vpsUsed, vpIdx)
-		}
-		sc.vpCnt[vpIdx]++
-	})
-	sc.vpOff = grow(sc.vpOff, nVP)
-	var off int32
-	for _, v := range sc.vpsUsed {
-		sc.vpOff[v] = off
-		off += sc.vpCnt[v]
-		sc.vpCnt[v] = 0 // becomes the scatter cursor
-	}
-	sc.order = grow(sc.order, n)
-	each(ds, recs, func(i int) {
-		vpIdx, _, _ := ds.RecordIDs(i)
-		sc.order[sc.vpOff[vpIdx]+sc.vpCnt[vpIdx]] = int32(i)
-		sc.vpCnt[vpIdx]++
-	})
-	return sc.order
 }
 
 // each visits the requested accepted-record positions, or all of them when

@@ -165,17 +165,15 @@ type Config struct {
 // the input to every ranking metric.
 type Dataset struct {
 	Col *routing.Collection
-	// Accepted[i] is the canonical-order index of the i-th accepted record;
-	// CleanPath[i] is its path after route-server removal and prepend
-	// collapsing.
-	Accepted  []int32
-	CleanPath []bgp.Path
-	// recVP / recPrefix are the accepted records' VP and prefix columns,
-	// copied out during the filtering stream so the dataset never needs
-	// random access into the collection's record store (which may be
-	// out-of-core).
+	// Accepted[i] is the canonical-order index of the i-th accepted record.
+	Accepted []int32
+	// recVP / recPrefix / recPath are the accepted records' VP, prefix and
+	// collection-path columns, copied out during the filtering stream so the
+	// dataset never needs random access into the collection's record store
+	// (which may be out-of-core).
 	recVP     []int32
 	recPrefix []int32
+	recPath   []int32
 	// VPCountry[v] is VP v's country, or "" when unlocatable.
 	VPCountry []countries.Code
 	// PrefixCountry[p] is prefix p's country, or "" when filtered.
@@ -192,9 +190,17 @@ type Dataset struct {
 	// ASNOf[id] resolves an id back to its ASN; IDOf inverts it.
 	ASNOf []asn.ASN
 	IDOf  map[asn.ASN]int32
-	// PathIDs[i] is CleanPath[i] with every hop resolved to its dense id.
-	// All PathIDs share one backing array; callers must not mutate them.
-	PathIDs [][]int32
+
+	// Clean paths are stored once per collection path, not per record:
+	// pathOff[q]:pathOff[q+1] bounds path q's clean form (after route-server
+	// removal and prepend collapsing) in cleanHops and, hop for hop, its
+	// dense ids in idHops. A path no accepted record uses has an empty range.
+	// The clean form is a pure function of (Col.Paths[q], Config), so
+	// anything derived from it alone can be computed once per path index (see
+	// PathIndex).
+	pathOff   []int32
+	cleanHops []asn.ASN
+	idHops    []int32
 }
 
 // NewDataset wraps a collection directly into a Dataset without filtering:
@@ -213,21 +219,7 @@ func NewDataset(col *routing.Collection, vpCountry, prefixCountry []countries.Co
 	}
 	ds.Stats.Total = col.NumRecords()
 	ds.Stats.Counts[Accepted] = col.NumRecords()
-	err := col.ForEachRecord(func(base int, recs []routing.Record) error {
-		for k, r := range recs {
-			ds.Accepted = append(ds.Accepted, int32(base+k))
-			ds.recVP = append(ds.recVP, r.VP)
-			ds.recPrefix = append(ds.recPrefix, r.Prefix)
-			ds.CleanPath = append(ds.CleanPath, col.Paths[r.Path])
-		}
-		return nil
-	})
-	if err != nil {
-		// Streaming only fails on spilled collections with unreadable run
-		// files; that is not recoverable mid-build.
-		panic(fmt.Sprintf("sanitize: record stream: %v", err))
-	}
-	ds.buildInterner()
+	ds.fill(col.Paths, func(routing.Record) bool { return true })
 	return ds
 }
 
@@ -254,38 +246,50 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 		}
 	}
 
-	// Cache per-path verdicts and cleaned forms: the same path index backs
+	// Judge and clean each collection path once: the same path index backs
 	// many records (one per prefix of its origin).
-	type pathVerdict struct {
-		reason Reason // Accepted, Unallocated, Loop or Poisoned
-		clean  bgp.Path
-	}
-	verdicts := make([]pathVerdict, len(col.Paths))
-	for i, p := range col.Paths {
-		verdicts[i] = judgePath(p, cfg)
+	reasons := make([]Reason, len(col.Paths)) // Accepted, Unallocated, Loop or Poisoned
+	clean := make([]bgp.Path, len(col.Paths))
+	for q, p := range col.Paths {
+		v := judgePath(p, cfg)
+		reasons[q], clean[q] = v.reason, v.clean
 	}
 
 	ds.Stats.Total = col.NumRecords()
-	err := col.ForEachRecord(func(base int, recs []routing.Record) error {
+	ds.fill(clean, func(r routing.Record) bool {
+		reason := reasons[r.Path]
+		switch {
+		case !col.Stable[r.Prefix]:
+			reason = Unstable
+		case reason != Accepted: // the path's own verdict stands
+		case ds.VPCountry[r.VP] == "":
+			reason = VPNoLocation
+		case ds.PrefixCountry[r.Prefix] == "":
+			reason = PrefixNoLocation
+		}
+		ds.Stats.Counts[reason]++
+		return reason == Accepted
+	})
+	ds.Stats.observe(time.Since(start))
+	return ds
+}
+
+// fill streams the collection's records, copies the ones keep accepts into
+// the record columns, then lays the clean form of every collection path an
+// accepted record uses into the arenas (clean is indexed like Col.Paths) and
+// assigns dense ids to the ASNs on them. Ids are handed out in
+// first-appearance order over the accepted records, so they are
+// deterministic for a fixed collection; a path index met again contributes
+// no new ASN, so resolving each path only at its first record gives the ids
+// resolving every record would.
+func (d *Dataset) fill(clean []bgp.Path, keep func(routing.Record) bool) {
+	err := d.Col.ForEachRecord(func(base int, recs []routing.Record) error {
 		for k, r := range recs {
-			reason := Accepted
-			v := verdicts[r.Path]
-			switch {
-			case !col.Stable[r.Prefix]:
-				reason = Unstable
-			case v.reason != Accepted:
-				reason = v.reason
-			case ds.VPCountry[r.VP] == "":
-				reason = VPNoLocation
-			case ds.PrefixCountry[r.Prefix] == "":
-				reason = PrefixNoLocation
-			}
-			ds.Stats.Counts[reason]++
-			if reason == Accepted {
-				ds.Accepted = append(ds.Accepted, int32(base+k))
-				ds.recVP = append(ds.recVP, r.VP)
-				ds.recPrefix = append(ds.recPrefix, r.Prefix)
-				ds.CleanPath = append(ds.CleanPath, v.clean)
+			if keep(r) {
+				d.Accepted = append(d.Accepted, int32(base+k))
+				d.recVP = append(d.recVP, r.VP)
+				d.recPrefix = append(d.recPrefix, r.Prefix)
+				d.recPath = append(d.recPath, r.Path)
 			}
 		}
 		return nil
@@ -295,35 +299,40 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 		// files; that is not recoverable mid-run.
 		panic(fmt.Sprintf("sanitize: record stream: %v", err))
 	}
-	ds.buildInterner()
-	ds.Stats.observe(time.Since(start))
-	return ds
-}
 
-// buildInterner assigns dense ids to every ASN on a clean path and
-// pre-resolves each accepted record's path to ids. Ids are assigned in
-// first-appearance order over the accepted records, so they are
-// deterministic for a fixed collection.
-func (d *Dataset) buildInterner() {
-	total := 0
-	for _, p := range d.CleanPath {
-		total += len(p)
+	pending := make([]bool, len(clean)) // used by a record, ids not yet resolved
+	hops := 0
+	for _, q := range d.recPath {
+		if !pending[q] {
+			pending[q] = true
+			hops += len(clean[q])
+		}
+	}
+	d.cleanHops = make([]asn.ASN, 0, hops)
+	d.pathOff = make([]int32, 1, len(clean)+1)
+	for q, p := range clean {
+		if pending[q] {
+			d.cleanHops = append(d.cleanHops, p...)
+		}
+		d.pathOff = append(d.pathOff, int32(len(d.cleanHops)))
 	}
 	d.IDOf = make(map[asn.ASN]int32)
-	buf := make([]int32, 0, total)
-	d.PathIDs = make([][]int32, len(d.CleanPath))
-	for i, p := range d.CleanPath {
-		start := len(buf)
-		for _, a := range p {
+	d.idHops = make([]int32, hops)
+	for _, q := range d.recPath {
+		if !pending[q] {
+			continue
+		}
+		pending[q] = false
+		for k := d.pathOff[q]; k < d.pathOff[q+1]; k++ {
+			a := d.cleanHops[k]
 			id, ok := d.IDOf[a]
 			if !ok {
 				id = int32(len(d.ASNOf))
 				d.IDOf[a] = id
 				d.ASNOf = append(d.ASNOf, a)
 			}
-			buf = append(buf, id)
+			d.idHops[k] = id
 		}
-		d.PathIDs[i] = buf[start:len(buf):len(buf)]
 	}
 }
 
@@ -389,14 +398,32 @@ func poisoned(p bgp.Path, clique map[asn.ASN]bool) bool {
 // Len returns the number of accepted records.
 func (d *Dataset) Len() int { return len(d.Accepted) }
 
-// Record returns the i-th accepted record's essentials.
+// Record returns the i-th accepted record's essentials. The path aliases
+// the shared per-path arena: records with one PathIndex return the same
+// slice, and callers must not mutate it.
 func (d *Dataset) Record(i int) (vpIdx int32, prefixIdx int32, path bgp.Path) {
-	return d.recVP[i], d.recPrefix[i], d.CleanPath[i]
+	return d.recVP[i], d.recPrefix[i], d.CleanPath(int(d.recPath[i]))
 }
 
-// RecordIDs is Record with the path resolved to dense ids.
+// RecordIDs is Record with the path resolved to dense ids, aliased likewise.
 func (d *Dataset) RecordIDs(i int) (vpIdx int32, prefixIdx int32, ids []int32) {
-	return d.recVP[i], d.recPrefix[i], d.PathIDs[i]
+	lo, hi := d.pathOff[d.recPath[i]], d.pathOff[d.recPath[i]+1]
+	return d.recVP[i], d.recPrefix[i], d.idHops[lo:hi:hi]
+}
+
+// PathIndex returns accepted record i's collection path index, the key
+// under which per-path results (chain starts, transit depths) are shared by
+// every record on that path.
+func (d *Dataset) PathIndex(i int) int32 { return d.recPath[i] }
+
+// NumPaths returns the number of collection paths, the bound of PathIndex.
+func (d *Dataset) NumPaths() int { return len(d.pathOff) - 1 }
+
+// CleanPath returns collection path q's clean form; empty when no accepted
+// record uses it.
+func (d *Dataset) CleanPath(q int) bgp.Path {
+	lo, hi := d.pathOff[q], d.pathOff[q+1]
+	return bgp.Path(d.cleanHops[lo:hi:hi])
 }
 
 // PrefixOf returns the prefix of accepted record i.

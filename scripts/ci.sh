@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: formatting, vet, build, race-enabled tests, a one-iteration
-# benchmark smoke run so the perf path (dense kernels + parallel stability)
-# is exercised under the race detector's shadow, and an observability smoke
+# benchmark smoke run so the perf paths (dense kernels over VP subsets and
+# full views, the per-path interner, parallel stability) are exercised beside
+# the race-enabled tests, and an observability smoke
 # test that scrapes a live /metrics endpoint after a real pipeline run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,8 +24,10 @@ go build ./...
 echo '--- go test -race'
 go test -race ./...
 
-echo '--- bench smoke (Figure4, 1 iteration)'
-go test -run '^$' -bench Figure4 -benchtime 1x .
+echo '--- bench smoke (Figure4, Table9GlobalContrast, PipelineBuild, 1 iteration)'
+# Figure4 drives the kernels over VP subsets; Table9 drives the full-view
+# Global path and PipelineBuild the per-path interner and chain starts.
+go test -run '^$' -bench 'Figure4|Table9GlobalContrast|PipelineBuild' -benchtime 1x .
 
 echo '--- shard/spill determinism under -race'
 # The sharded-propagation merge and the chunk-parallel MRT importer are the
@@ -33,6 +36,13 @@ echo '--- shard/spill determinism under -race'
 go test -race -count=1 \
     -run 'TestShardedBuildDeterministic|TestSpilled|TestImportMRTFilesMatchesStreams|TestOrderedMap|TestRoundTripMultiRun|TestBucketsPartitionPreservesOrder' \
     ./internal/routing ./internal/par ./internal/ribstore
+# The cone kernel's pooled scratch and the lazily resolved CTI depths are
+# shared between concurrent kernel runs, and the per-path dataset layout must
+# leave every served byte where it was: the reference-equivalence tests run
+# from several goroutines, and the fixed-seed golden, under the detector.
+go test -race -count=1 \
+    -run 'TestKernelMatchesMapReference|TestInternerInvariants|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs' \
+    ./internal/cone ./internal/sanitize ./internal/core ./internal/snapshot
 
 echo '--- scale smoke (sharded topogen -> crank -mrt -> asrank, spilled)'
 # A medium world driven through the full out-of-core path: generate with
