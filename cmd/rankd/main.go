@@ -32,7 +32,8 @@
 // SIGHUP — or -refresh at an interval — requests a rebuild; the new
 // snapshot publishes with an atomic pointer swap and requests in flight
 // finish on the snapshot they loaded. SIGINT/SIGTERM cancel any in-flight
-// build and drain promptly.
+// build and drain promptly — also during a cold start, before there is
+// anything to serve: the build is cancelled and rankd exits 0.
 //
 // Usage:
 //
@@ -234,6 +235,13 @@ func main() {
 	})
 	obs.SetDefaultReady(sup.Ready)
 	obs.SetDefaultHistory(func() any { return store.HistoryData() })
+
+	// Handlers go in before the first build starts: a daemon signalled
+	// during its cold start must drain like any other, not die by signal.
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	sup.Trigger("boot")
 
 	// Assemble the serving instrumentation from the observability flags.
@@ -282,7 +290,14 @@ func main() {
 	// persisted snapshot immediately and lets the rebuild land whenever it
 	// lands.
 	if !warmStarted {
-		<-firstPub
+		select {
+		case <-firstPub:
+		case sig := <-stop:
+			slog.Info("shutting down during cold start", "signal", sig.String())
+			sup.Close() // cancels the build in flight
+			ofl.Done()
+			return
+		}
 	}
 	first := store.Load()
 
@@ -326,11 +341,6 @@ func main() {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
 	var tick <-chan time.Time
 	if *refresh > 0 {

@@ -84,8 +84,30 @@ func (p Path) DedupAdjacent() Path {
 
 // HasNonAdjacentLoop reports whether any ASN reappears after an intervening
 // different ASN (the "A C A" pattern the sanitizer rejects as a loop).
-// Adjacent duplicates from prepending do not count.
+// Adjacent duplicates from prepending do not count. Paths of ordinary length
+// are checked by comparing hops pairwise, which allocates nothing; the long
+// ones an MRT attribute can carry (255 hops per segment) keep a set, so the
+// check stays linear in the path.
 func (p Path) HasNonAdjacentLoop() bool {
+	const pairwiseMax = 32
+	if len(p) > pairwiseMax {
+		return p.hasNonAdjacentLoopSet()
+	}
+	for i := 2; i < len(p); i++ {
+		if p[i] == p[i-1] {
+			continue
+		}
+		// p[i-1] differs from p[i], so any earlier occurrence is a loop.
+		for _, a := range p[:i-1] {
+			if a == p[i] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (p Path) hasNonAdjacentLoopSet() bool {
 	seen := make(map[asn.ASN]bool, len(p))
 	var prev asn.ASN
 	for i, a := range p {

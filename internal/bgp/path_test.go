@@ -85,6 +85,41 @@ func TestHasNonAdjacentLoop(t *testing.T) {
 	}
 }
 
+// TestHasNonAdjacentLoopBothRegimes checks the allocation-free pairwise scan
+// against the set-based one on random paths (few distinct ASNs, so loops and
+// prepending runs are common) on both sides of the length threshold, and pins
+// the short regime at zero allocations.
+func TestHasNonAdjacentLoopBothRegimes(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 5000; i++ {
+		p := make(Path, rng.Intn(70))
+		for j := range p {
+			p[j] = asn.ASN(1 + rng.Intn(90))
+			if j > 0 && rng.Intn(4) == 0 {
+				p[j] = p[j-1]
+			}
+		}
+		if got, want := p.HasNonAdjacentLoop(), p.hasNonAdjacentLoopSet(); got != want {
+			t.Fatalf("HasNonAdjacentLoop(%v) = %v, set-based check says %v", p, got, want)
+		}
+	}
+	long := make(Path, 255)
+	for j := range long {
+		long[j] = asn.ASN(j/2 + 1) // prepending only
+	}
+	if long.HasNonAdjacentLoop() {
+		t.Error("255-hop prepended path reported as a loop")
+	}
+	long[254] = long[0]
+	if !long.HasNonAdjacentLoop() {
+		t.Error("255-hop path closing on its first hop not reported as a loop")
+	}
+	short := path(1, 2, 2, 3, 4, 5, 6, 7)
+	if n := testing.AllocsPerRun(100, func() { short.HasNonAdjacentLoop() }); n != 0 {
+		t.Errorf("HasNonAdjacentLoop allocates %.0f objects on an 8-hop path", n)
+	}
+}
+
 func TestStringAndKey(t *testing.T) {
 	p := path(3356, 1221)
 	if p.String() != "AS3356 AS1221" {

@@ -77,6 +77,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // cones over many views or VP subsets of the same dataset pay the
 // relationship lookups once and pass the result to ComputeFrom.
 func Starts(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
+	rels = relation.NewMemo(rels)
 	starts := make([]int32, ds.NumPaths())
 	for q := range starts {
 		starts[q] = pathStart(ds.CleanPath(q), rels)

@@ -54,6 +54,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // view, so callers computing CTI over many views or VP subsets can pay the
 // relationship lookups once and pass the result to ComputeFrom.
 func Depths(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
+	rels = relation.NewMemo(rels)
 	depths := make([]int32, ds.NumPaths())
 	for q := range depths {
 		path := ds.CleanPath(q)

@@ -30,6 +30,33 @@ type Oracle interface {
 	Rel(a, b asn.ASN) topology.Rel
 }
 
+// Memo is an Oracle that asks the oracle behind it about each ordered AS
+// pair once. A dataset's paths cross the same few thousand links over and
+// over, and a ground-truth answer costs two index lookups and two adjacency
+// scans, so the kernels that resolve every path (cone.Starts, cti.Depths)
+// put one in front of whatever oracle they are given. Not safe for
+// concurrent use.
+type Memo struct {
+	oracle Oracle
+	rels   map[uint64]topology.Rel // a<<32|b → Rel(a, b)
+}
+
+// NewMemo returns an empty memo in front of o.
+func NewMemo(o Oracle) *Memo {
+	return &Memo{oracle: o, rels: make(map[uint64]topology.Rel)}
+}
+
+// Rel implements Oracle.
+func (m *Memo) Rel(a, b asn.ASN) topology.Rel {
+	k := uint64(a)<<32 | uint64(b)
+	r, ok := m.rels[k]
+	if !ok {
+		r = m.oracle.Rel(a, b)
+		m.rels[k] = r
+	}
+	return r
+}
+
 // Table holds inferred relationships.
 type Table struct {
 	rels   map[[2]asn.ASN]topology.Rel // canonical key: a < b, rel from a's view

@@ -341,17 +341,21 @@ func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, erro
 	statePool := sync.Pool{New: func() any { return newPropState(g) }}
 
 	// One shard's routes, grouped by origin: counts[k] routes belong to the
-	// k-th origin of the shard, flattened into vpIdxs/paths.
+	// k-th origin of the shard, flattened into vpIdxs/pathOf. pathOf numbers
+	// the shard's distinct paths in first-appearance order; path l is
+	// hops[off[l]:off[l+1]] in the shard's arena.
 	type shardRoutes struct {
 		counts []int32
 		vpIdxs []int32
-		paths  []bgp.Path
+		pathOf []int32
+		hops   []asn.ASN
+		off    []int32
 	}
 	produce := func(si int) shardRoutes {
 		lo, hi := si*len(active)/shards, (si+1)*len(active)/shards
 		st := statePool.Get().(*propState)
 		defer statePool.Put(st)
-		var out shardRoutes
+		out := shardRoutes{off: []int32{0}}
 		for _, origin := range active[lo:hi] {
 			propagate(g, origin, st)
 			n0 := len(out.vpIdxs)
@@ -365,24 +369,39 @@ func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, erro
 				if v.feed == vp.CustomerFeed && cls > classCustomer {
 					continue
 				}
+				l := st.pathAt[v.node]
+				if l < 0 {
+					l = int32(len(out.off) - 1)
+					st.pathAt[v.node] = l
+					out.hops = appendPath(g, st, v.node, out.hops)
+					out.off = append(out.off, int32(len(out.hops)))
+				}
 				out.vpIdxs = append(out.vpIdxs, v.vpIdx)
-				out.paths = append(out.paths, extractPath(g, st, v.node))
+				out.pathOf = append(out.pathOf, l)
 			}
 			out.counts = append(out.counts, int32(len(out.vpIdxs)-n0))
 		}
 		return out
 	}
 
-	// The merge runs on this goroutine in strict shard order: intern each
-	// route's path, fan it out across the origin's prefixes, inject the
-	// per-record anomalies (rng draws stay in record order), and hand each
-	// origin's batch to the sink. Peak resident record state is one
-	// origin's batch plus the bounded window of produced-but-unmerged
-	// shards — never the whole collection.
+	// The merge runs on this goroutine in strict shard order: number each
+	// path at its first route, fan the route out across the origin's
+	// prefixes, inject the per-record anomalies (rng draws stay in record
+	// order), and hand each origin's batch to the sink. Peak resident record
+	// state is one origin's batch plus the bounded window of
+	// produced-but-unmerged shards — never the whole collection.
+	//
+	// Numbering needs no hashing: a routing tree holds one path per node and
+	// every path ends in its origin, so tree paths are pairwise distinct
+	// across (origin, VP node), and a mutated path carries a loop, a
+	// reserved ASN or a valley, which no tree path does. Only mutated paths
+	// can repeat (two records of one route drawing the same corruption);
+	// they are rare and deduplicated through mutated.
 	an := newAnomalizer(w, rng, opt)
-	it := bgp.NewInterner(0)
+	mutated := map[string]int32{}
 	var nRoutes int64
 	var recBuf []Record
+	var global []int32 // shard-local path number → index in col.Paths
 	consume := func(si int, rt shardRoutes) {
 		if sink.err != nil {
 			return
@@ -391,18 +410,42 @@ func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, erro
 			return
 		}
 		lo, hi := si*len(active)/shards, (si+1)*len(active)/shards
+		if si == 0 {
+			// The shards hold equal shares of the origins and every origin
+			// is seen from much the same vantage points, so the first
+			// shard's path count sizes the table, mutated paths included,
+			// to within a few percent; append covers the rest.
+			n := len(rt.off) - 1
+			col.Paths = make([]bgp.Path, 0, shards*(n+n/32))
+		}
+		global = global[:0]
 		k := 0
 		for oi, origin := range active[lo:hi] {
 			pfxs := byOrigin[origin]
 			recBuf = recBuf[:0]
 			for j := int32(0); j < rt.counts[oi]; j++ {
-				vpIdx, path := rt.vpIdxs[k], rt.paths[k]
+				vpIdx, l := rt.vpIdxs[k], rt.pathOf[k]
 				k++
-				pi := it.InternOwned(path)
+				if int(l) == len(global) {
+					// The header aliases the shard's arena, capped so an
+					// append by a consumer cannot reach the next path.
+					a, b := rt.off[l], rt.off[l+1]
+					global = append(global, int32(len(col.Paths)))
+					col.Paths = append(col.Paths, bgp.Path(rt.hops[a:b:b]))
+				}
+				pi := global[l]
+				path := col.Paths[pi]
 				for _, pfx := range pfxs {
 					rec := Record{VP: vpIdx, Prefix: pfx, Path: pi}
-					if mutated := an.maybeMutate(path); mutated != nil {
-						rec.Path = it.InternOwned(mutated)
+					if m := an.maybeMutate(path); m != nil {
+						key := m.Key()
+						mi, seen := mutated[key]
+						if !seen {
+							mi = int32(len(col.Paths))
+							mutated[key] = mi
+							col.Paths = append(col.Paths, m)
+						}
+						rec.Path = mi
 					}
 					recBuf = append(recBuf, rec)
 				}
@@ -416,7 +459,6 @@ func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, erro
 		sp.AddItems(1, "")
 	}
 	par.OrderedMap(shards, 0, produce, consume)
-	col.Paths = it.Paths()
 	if err := sink.finish(); err != nil {
 		return nil, err
 	}

@@ -4,16 +4,20 @@
 // assumption the paper's metrics rely on: routes learned from customers are
 // exported to everyone, routes learned from peers or providers only to
 // customers, and each AS prefers customer routes over peer routes over
-// provider routes, breaking ties by shortest AS path and then lowest
-// next-hop ASN.
+// provider routes, breaking ties by shortest AS path and then by a stable
+// per-(AS, neighbor) hash.
+//
+// The per-origin routing tree is the unit of work. propagate fills it in
+// three breadth-first phases and never orders a frontier: within a class an
+// AS keeps the minimum of the offers it receives under better, which is a
+// strict total order over (distance, tie hash, neighbor ASN), so class, dist
+// and parent are functions of the offer sets, not of the order offers arrive
+// in (TestPropagateFrontierOrderFree). appendPath then reads a vantage
+// point's path straight off the tree into a caller-owned arena.
 package routing
 
 import (
-	"cmp"
-	"slices"
-
 	"countryrank/internal/asn"
-	"countryrank/internal/bgp"
 	"countryrank/internal/topology"
 )
 
@@ -37,9 +41,13 @@ type propState struct {
 	class  []uint8
 	dist   []int32
 	parent []int32
-	// asns caches g.ASNs() so the tie-break hot path (better, sortByASN)
-	// does not re-fetch the slice per comparison.
+	// asns caches g.ASNs() so the tie-break and path-extraction hot paths
+	// (better, appendPath) do not re-fetch the slice per hop.
 	asns []asn.ASN
+	// pathAt[v] is the number the current origin's path from node v was
+	// given by BuildCollection's producer, or -1: vantage points that share
+	// an AS export the same path, which is laid into the arena once.
+	pathAt []int32
 	// cur / next are phase 1's ping-pong BFS queues; offers is phase 2's
 	// deferred offer list; buckets are phase 3's distance buckets.
 	cur, next []int32
@@ -54,6 +62,7 @@ func newPropState(g *topology.Graph) *propState {
 		dist:   make([]int32, n),
 		parent: make([]int32, n),
 		asns:   g.ASNs(),
+		pathAt: make([]int32, n),
 	}
 }
 
@@ -62,6 +71,7 @@ func (s *propState) reset() {
 		s.class[i] = classNone
 		s.dist[i] = 0
 		s.parent[i] = -1
+		s.pathAt[i] = -1
 	}
 	s.cur = s.cur[:0]
 	s.next = s.next[:0]
@@ -135,7 +145,6 @@ func propagate(g *topology.Graph, origin int32, s *propState) {
 	// queues ping-pong over the state's reusable backing arrays.
 	cur, next := append(s.cur[:0], origin), s.next[:0]
 	for len(cur) > 0 {
-		sortByASN(s.asns, cur)
 		next = next[:0]
 		for _, u := range cur {
 			du := s.dist[u]
@@ -206,9 +215,7 @@ func propagate(g *topology.Graph, origin int32, s *propState) {
 		}
 	}
 	for d := int32(0); d < int32(len(s.buckets)); d++ {
-		bucket := s.buckets[d]
-		sortByASN(s.asns, bucket)
-		for _, u := range bucket {
+		for _, u := range s.buckets[d] {
 			if s.dist[u] != d {
 				continue // re-bucketed at a smaller distance already
 			}
@@ -234,39 +241,34 @@ func propagate(g *topology.Graph, origin int32, s *propState) {
 	}
 }
 
-func sortByASN(asns []asn.ASN, nodes []int32) {
-	slices.SortFunc(nodes, func(a, b int32) int {
-		return cmp.Compare(asns[a], asns[b])
-	})
-}
-
-// extractPath returns the AS path from node v toward the origin of the
-// routing tree in s: v's ASN first, origin last. Route-server hops are
+// appendPath appends to hops the AS path from node v toward the origin of
+// the routing tree in s: v's ASN first, origin last. Route-server hops are
 // materialized in the path (real collectors see RS ASNs too), and origin
-// prepending is applied. Returns nil when v has no route.
-func extractPath(g *topology.Graph, s *propState, v int32) bgp.Path {
+// prepending is applied. hops is returned unchanged when v has no route.
+func appendPath(g *topology.Graph, s *propState, v int32, hops []asn.ASN) []asn.ASN {
 	if s.class[v] == classNone {
-		return nil
+		return hops
 	}
-	var path bgp.Path
-	for cur := v; ; {
-		path = append(path, g.Node(cur).ASN)
+	cur := v
+	for {
+		hops = append(hops, s.asns[cur])
 		next := s.parent[cur]
 		if next < 0 {
 			break
 		}
-		// Peering sessions through an IXP route server leak the RS ASN into
-		// the path; the sanitizer must strip it later.
-		if rs := g.ViaRS(cur, next); rs != 0 && g.RelIdx(cur, next) == topology.RelP2P {
-			path = append(path, rs)
+		// A peer-class route is the only one learned across a peering, so it
+		// is the only hop a route server can sit on. The session leaks the RS
+		// ASN into the path; the sanitizer must strip it later.
+		if s.class[cur] == classPeer {
+			if rs := g.ViaRS(cur, next); rs != 0 {
+				hops = append(hops, rs)
+			}
 		}
 		cur = next
 	}
-	origin := path[len(path)-1]
-	if n, ok := g.ByASN(origin); ok && n.Prepend > 0 {
-		for i := 0; i < n.Prepend; i++ {
-			path = append(path, origin)
-		}
+	// The walk ends at the tree's root, the origin.
+	for i := g.Node(cur).Prepend; i > 0; i-- {
+		hops = append(hops, s.asns[cur])
 	}
-	return path
+	return hops
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math/rand"
 	"testing"
 
 	"countryrank/internal/asn"
@@ -45,7 +46,7 @@ func pathAt(t *testing.T, g *topology.Graph, st *propState, a asn.ASN) bgp.Path 
 	if !ok {
 		t.Fatalf("no node %v", a)
 	}
-	return extractPath(g, st, i)
+	return appendPath(g, st, i, nil)
 }
 
 func TestFigure1Paths(t *testing.T) {
@@ -277,7 +278,87 @@ func TestNoRouteForDisconnected(t *testing.T) {
 	origin, _ := g.Index(2)
 	propagate(g, origin, st)
 	i1, _ := g.Index(1)
-	if p := extractPath(g, st, i1); p != nil {
+	arena := []asn.ASN{7}
+	if p := appendPath(g, st, i1, arena); len(p) != 1 || p[0] != 7 {
 		t.Errorf("disconnected AS got a path: %v", p)
+	}
+}
+
+// shuffledCopy rebuilds g with the same ASes and edges inserted in a random
+// order: node indexes, adjacency orders and therefore every BFS frontier and
+// offer order differ, while the ASN-level topology is the same.
+func shuffledCopy(t *testing.T, g *topology.Graph, rng *rand.Rand) *topology.Graph {
+	t.Helper()
+	n := int32(g.NumASes())
+	type edge struct {
+		a, b, rs asn.ASN
+		p2c      bool
+	}
+	var edges []edge
+	for u := int32(0); u < n; u++ {
+		for _, c := range g.CustomersIdx(u) {
+			edges = append(edges, edge{a: g.Node(u).ASN, b: g.Node(c).ASN, p2c: true})
+		}
+		for _, v := range g.PeersIdx(u) {
+			if u < v {
+				edges = append(edges, edge{a: g.Node(u).ASN, b: g.Node(v).ASN, rs: g.ViaRS(u, v)})
+			}
+		}
+	}
+	out := topology.NewGraph()
+	for _, i := range rng.Perm(int(n)) {
+		out.MustAddAS(g.Node(int32(i)))
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	for _, e := range edges {
+		var err error
+		switch {
+		case e.p2c:
+			err = out.AddP2C(e.a, e.b)
+		case rng.Intn(2) == 0:
+			err = out.AddP2P(e.a, e.b, e.rs)
+		default:
+			err = out.AddP2P(e.b, e.a, e.rs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestPropagateFrontierOrderFree pins what lets propagate leave its
+// frontiers unsorted: the routing tree is a function of the offer sets, so
+// two graphs that differ only in node numbering and adjacency order (and
+// hence in every frontier and offer order) route every AS identically.
+func TestPropagateFrontierOrderFree(t *testing.T) {
+	g := testWorld(t).Graph
+	rng := rand.New(rand.NewSource(42))
+	for round := 0; round < 2; round++ {
+		g2 := shuffledCopy(t, g, rng)
+		st, st2 := newPropState(g), newPropState(g2)
+		for origin := int32(0); origin < int32(g.NumASes()); origin++ {
+			origin2, _ := g2.Index(g.Node(origin).ASN)
+			propagate(g, origin, st)
+			propagate(g2, origin2, st2)
+			for v := int32(0); v < int32(g.NumASes()); v++ {
+				v2, _ := g2.Index(g.Node(v).ASN)
+				if st.class[v] != st2.class[v2] || st.dist[v] != st2.dist[v2] {
+					t.Fatalf("origin %v, %v: class/dist %d/%d vs %d/%d after reordering",
+						g.Node(origin).ASN, g.Node(v).ASN, st.class[v], st.dist[v], st2.class[v2], st2.dist[v2])
+				}
+				parent, parent2 := asn.ASN(0), asn.ASN(0)
+				if p := st.parent[v]; p >= 0 {
+					parent = g.Node(p).ASN
+				}
+				if p := st2.parent[v2]; p >= 0 {
+					parent2 = g2.Node(p).ASN
+				}
+				if parent != parent2 {
+					t.Fatalf("origin %v, %v: parent %v vs %v after reordering",
+						g.Node(origin).ASN, g.Node(v).ASN, parent, parent2)
+				}
+			}
+		}
 	}
 }

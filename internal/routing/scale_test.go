@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"countryrank/internal/bgp"
 	"countryrank/internal/topology"
 )
 
@@ -96,6 +97,70 @@ func TestShardedBuildDeterministic(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestPathNumberingEqualsHashConsing states what BuildCollection's merge
+// must do without hashing tree paths: hand out path indexes exactly as
+// hash-consing every route's path, then every mutated record's path, in
+// record order would. Re-interning col.Paths over the record stream into a
+// fresh interner must therefore give each record its own index back. One
+// allowance: a route is numbered before its records are corrupted, so a path
+// whose every record was mutated is in col.Paths with no record naming it;
+// such paths are interned when the stream steps over their index, and must be
+// new there too. Corruption is cranked up so mutated paths (the only ones
+// that can repeat) and fully mutated routes are both common.
+func TestPathNumberingEqualsHashConsing(t *testing.T) {
+	for _, seed := range []int64{5, 23} {
+		w := topology.Build(topology.Config{Seed: seed, StubScale: 0.1, VPScale: 0.1})
+		for _, shards := range []int{1, 3, 4 * runtime.GOMAXPROCS(0)} {
+			for _, spill := range []bool{false, true} {
+				opt := BuildOptions{Shards: shards, LoopFrac: 0.05, PoisonFrac: 0.05, UnallocFrac: 0.05}
+				if spill {
+					opt.SpillDir = t.TempDir()
+				}
+				col, err := BuildCollectionWith(w, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				it := bgp.NewInterner(0)
+				unnamed := 0
+				// internBelow interns the paths below index q that no record
+				// has named yet.
+				internBelow := func(q int32) {
+					for next := int32(it.Len()); next < q; next++ {
+						if got := it.Intern(col.Paths[next]); got != next {
+							t.Fatalf("seed %d shards %d spill %v: path %d, named by no record, repeats path %d",
+								seed, shards, spill, next, got)
+						}
+						unnamed++
+					}
+				}
+				err = col.ForEachRecord(func(base int, recs []Record) error {
+					for k, r := range recs {
+						internBelow(r.Path)
+						if got := it.Intern(col.Paths[r.Path]); got != r.Path {
+							t.Fatalf("seed %d shards %d spill %v: record %d carries path %d, hash-consing numbers it %d",
+								seed, shards, spill, base+k, r.Path, got)
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				internBelow(int32(len(col.Paths)))
+				if it.Len() != len(col.Paths) {
+					t.Fatalf("seed %d shards %d spill %v: %d paths, %d distinct",
+						seed, shards, spill, len(col.Paths), it.Len())
+				}
+				if len(col.Paths) < col.NumRecords()/10 || unnamed == 0 || unnamed > len(col.Paths)/5 {
+					t.Fatalf("implausible build: %d records, %d paths, %d named by no record",
+						col.NumRecords(), len(col.Paths), unnamed)
+				}
+				col.Close()
+			}
+		}
 	}
 }
 

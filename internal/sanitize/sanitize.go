@@ -250,9 +250,9 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 	// many records (one per prefix of its origin).
 	reasons := make([]Reason, len(col.Paths)) // Accepted, Unallocated, Loop or Poisoned
 	clean := make([]bgp.Path, len(col.Paths))
+	j := newJudge(cfg)
 	for q, p := range col.Paths {
-		v := judgePath(p, cfg)
-		reasons[q], clean[q] = v.reason, v.clean
+		reasons[q], clean[q] = j.judge(p)
 	}
 
 	ds.Stats.Total = col.NumRecords()
@@ -338,62 +338,6 @@ func (d *Dataset) fill(clean []bgp.Path, keep func(routing.Record) bool) {
 
 // NumAS returns the number of distinct interned ASNs.
 func (d *Dataset) NumAS() int { return len(d.ASNOf) }
-
-// judgePath applies the path-content filters and cleaning of §3.1.
-func judgePath(p bgp.Path, cfg Config) struct {
-	reason Reason
-	clean  bgp.Path
-} {
-	out := struct {
-		reason Reason
-		clean  bgp.Path
-	}{reason: Accepted}
-
-	for _, a := range p {
-		if cfg.Registry != nil && !cfg.Registry.Allocated(a) {
-			out.reason = Unallocated
-			return out
-		}
-	}
-	dedup := p.DedupAdjacent()
-	if dedup.HasNonAdjacentLoop() {
-		out.reason = Loop
-		return out
-	}
-	if cfg.Clique != nil && poisoned(dedup, cfg.Clique) {
-		out.reason = Poisoned
-		return out
-	}
-	// Clean: drop route-server hops, then collapse any prepending.
-	clean := dedup
-	if len(cfg.RouteServers) > 0 {
-		filtered := make(bgp.Path, 0, len(dedup))
-		for _, a := range dedup {
-			if !cfg.RouteServers[a] {
-				filtered = append(filtered, a)
-			}
-		}
-		clean = filtered.DedupAdjacent()
-	}
-	out.clean = clean
-	return out
-}
-
-// poisoned reports whether a non-clique AS sits between two clique ASes,
-// the signature of path poisoning under the valley-free assumption (§3.1).
-func poisoned(p bgp.Path, clique map[asn.ASN]bool) bool {
-	last := -1 // index of the previous clique AS
-	for i, a := range p {
-		if !clique[a] {
-			continue
-		}
-		if last >= 0 && i-last > 1 {
-			return true
-		}
-		last = i
-	}
-	return false
-}
 
 // Len returns the number of accepted records.
 func (d *Dataset) Len() int { return len(d.Accepted) }

@@ -121,23 +121,19 @@ func TestJudgePathDirect(t *testing.T) {
 		{"poisoned", bgp.Path{3356, 2, 1299, 3}, Poisoned},
 		{"adjacent-clique-ok", bgp.Path{3356, 1299, 3}, Accepted},
 	}
+	j := newJudge(cfg)
 	for _, c := range cases {
-		got := judgePath(c.path, cfg)
-		if got.reason != c.want {
-			t.Errorf("%s: reason = %v, want %v", c.name, got.reason, c.want)
+		if got, _ := j.judge(c.path); got != c.want {
+			t.Errorf("%s: reason = %v, want %v", c.name, got, c.want)
 		}
 	}
-	// Route-server removal with prepend collapse across the removed hop.
-	got := judgePath(bgp.Path{1, 9, 1, 2}, cfg)
-	// 1 9 1 2 has a non-adjacent loop before cleaning... actually 1,9,1 is a
-	// loop, so it is rejected; use a path where the RS sits between two
-	// different ASes.
-	if got.reason != Loop {
-		t.Errorf("RS loop path: %v", got.reason)
+	// A route server between two equal hops is a loop before it is a hop to
+	// drop: loops are judged on the path as announced.
+	if got, _ := j.judge(bgp.Path{1, 9, 1, 2}); got != Loop {
+		t.Errorf("RS loop path: %v", got)
 	}
-	got = judgePath(bgp.Path{1, 9, 2, 3}, cfg)
-	if got.reason != Accepted || !got.clean.Equal(bgp.Path{1, 2, 3}) {
-		t.Errorf("RS removal: %+v", got)
+	if got, clean := j.judge(bgp.Path{1, 9, 2, 3}); got != Accepted || !clean.Equal(bgp.Path{1, 2, 3}) {
+		t.Errorf("RS removal: %v %v", got, clean)
 	}
 }
 

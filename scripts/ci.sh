@@ -24,24 +24,30 @@ go build ./...
 echo '--- go test -race'
 go test -race ./...
 
-echo '--- bench smoke (Figure4, Table9GlobalContrast, PipelineBuild, 1 iteration)'
+echo '--- bench smoke (Figure4, Table9GlobalContrast, PipelineBuild, Propagation, Table1Sanitize, 1 iteration)'
 # Figure4 drives the kernels over VP subsets; Table9 drives the full-view
-# Global path and PipelineBuild the per-path interner and chain starts.
-go test -run '^$' -bench 'Figure4|Table9GlobalContrast|PipelineBuild' -benchtime 1x .
+# Global path, PipelineBuild the path judge, the per-path interner and the
+# chain starts, Propagation the sharded path arenas and the merge's
+# numbering, Table1Sanitize the accounting over a built dataset.
+go test -run '^$' -bench 'Figure4|Table9GlobalContrast|PipelineBuild|Propagation$|Table1Sanitize' -benchtime 1x .
 
 echo '--- shard/spill determinism under -race'
 # The sharded-propagation merge and the chunk-parallel MRT importer are the
 # two places a scheduling race could silently corrupt output; run their
 # byte-identity tests with the race detector watching the worker pools.
+# Beside them, the two invariants the hash-free merge rests on: frontier
+# order cannot show in a routing tree, and numbering paths by first
+# appearance hands out exactly the indexes hash-consing would.
 go test -race -count=1 \
-    -run 'TestShardedBuildDeterministic|TestSpilled|TestImportMRTFilesMatchesStreams|TestOrderedMap|TestRoundTripMultiRun|TestBucketsPartitionPreservesOrder' \
+    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestSpilled|TestImportMRTFilesMatchesStreams|TestOrderedMap|TestRoundTripMultiRun|TestBucketsPartitionPreservesOrder' \
     ./internal/routing ./internal/par ./internal/ribstore
 # The cone kernel's pooled scratch and the lazily resolved CTI depths are
 # shared between concurrent kernel runs, and the per-path dataset layout must
 # leave every served byte where it was: the reference-equivalence tests run
-# from several goroutines, and the fixed-seed golden, under the detector.
+# from several goroutines, the reusable path judge against its allocating
+# reference, and the fixed-seed golden, under the detector.
 go test -race -count=1 \
-    -run 'TestKernelMatchesMapReference|TestInternerInvariants|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs' \
+    -run 'TestKernelMatchesMapReference|TestInternerInvariants|TestJudgeMatchesReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs' \
     ./internal/cone ./internal/sanitize ./internal/core ./internal/snapshot
 
 echo '--- scale smoke (sharded topogen -> crank -mrt -> asrank, spilled)'
@@ -62,8 +68,11 @@ ls "$scale_dir"/spill-gen/run-*.crib >/dev/null
 ls "$scale_dir"/spill-import/run-*.crib >/dev/null
 rm -rf "$scale_dir"
 
-echo '--- fuzz smoke (MRT reader, 10s)'
+echo '--- fuzz smoke (MRT reader, path judge, 10s each)'
 go test -run '^$' -fuzz FuzzReaderNext -fuzztime 10s ./internal/mrt
+# AS paths reach the judge straight from MRT bytes: same verdict and clean
+# form as the retained reference, never a panic.
+go test -run '^$' -fuzz FuzzJudge -fuzztime 10s ./internal/sanitize
 
 echo '--- chaos soak (collector under injected faults, -race, bounded)'
 # The soak feeds a live collector over transports that reset, truncate,
@@ -401,6 +410,27 @@ require_nonzero countryrank_rankd_snapshot_saves_total
 
 kill "$crash_pid" 2>/dev/null || true
 wait "$crash_pid" 2>/dev/null || true
+
+# A daemon signalled during its cold start — first build in flight, nothing
+# to serve yet — must cancel the build and exit 0, not die by signal. The
+# world is large enough that the build outlasts the 100 ms by a wide margin.
+"$rankd_dir/rankd" -addr "127.0.0.1:$crash_port" -scale 0.5 -vpscale 0.5 \
+    -topn 10 >"$crash_dir/rankd-cold.log" 2>&1 &
+crash_pid=$!
+sleep 0.1
+kill -TERM "$crash_pid"
+cold_status=0
+timeout 5 tail --pid="$crash_pid" -f /dev/null || cold_status=$?
+if [[ "$cold_status" != 0 ]]; then
+    echo "rankd still running 5s after SIGTERM during its cold start" >&2
+    exit 1
+fi
+wait "$crash_pid" || cold_status=$?
+if [[ "$cold_status" != 0 ]] || ! grep -q 'shutting down during cold start' "$crash_dir/rankd-cold.log"; then
+    echo "rankd exited $cold_status on SIGTERM during its cold start, want a drained exit 0:" >&2
+    cat "$crash_dir/rankd-cold.log" >&2
+    exit 1
+fi
 
 echo '--- rankd drift smoke (seed-step rollover, drift metrics, history, rankdiff)'
 # Roll rankd between two genuinely different worlds (-seed-step bumps the
