@@ -14,7 +14,7 @@ import (
 // TestGoldenPipelineOutputs pins, for one fixed-seed reduced-scale world,
 // the three outputs the data plane feeds: the served snapshot's content
 // digest (core.NewPipeline → Build), crank's rendering of the paper's four
-// case-study countries, and one Stability curve. A refactor of the dataset
+// case-study countries, and six Stability curves. A refactor of the dataset
 // layout or a kernel is behaviour-preserving exactly when this file's
 // golden stays untouched (ROADMAP 4a).
 func TestGoldenPipelineOutputs(t *testing.T) {
@@ -33,10 +33,27 @@ func TestGoldenPipelineOutputs(t *testing.T) {
 			b.WriteString(r.Render(10))
 		}
 	}
-	b.WriteString("stability CCI AU seed 7\n")
-	for _, pt := range p.Stability(core.CCI, "AU", []int{1, 2, 4, 8, 16}, 6, 7) {
-		fmt.Fprintf(&b, "%3d VPs  ndcg %.17g  tau %.17g  jaccard %.17g  trials %d\n",
-			pt.VPs, pt.MeanNDCG, pt.MeanTau, pt.MeanJaccard, pt.Trials)
+	// One curve per (kernel, view kind) a trial can combine: cone and
+	// hegemony over international, national and global (full == nil) VPs.
+	top := p.World.VPs.Census()[0].Country
+	for _, s := range []struct {
+		m     core.Metric
+		c     countries.Code
+		sizes []int
+		seed  int64
+	}{
+		{core.CCI, "AU", []int{1, 2, 4, 8, 16}, 7},
+		{core.AHI, "AU", []int{1, 2, 3, 5, 9, 17}, 8},
+		{core.AHN, top, []int{1, 2, 3, 4, 6, p.ViewVPCount(core.National, top)}, 9},
+		{core.CCN, top, []int{1, 2, 3, 4, 6, p.ViewVPCount(core.National, top)}, 10},
+		{core.AHG, "", []int{1, 3, 10, 30, 64, 65}, 11},
+		{core.CCG, "", []int{1, 3, 10, 30, 64, 65}, 12},
+	} {
+		fmt.Fprintf(&b, "stability %s %s seed %d\n", s.m, s.c, s.seed)
+		for _, pt := range p.Stability(s.m, s.c, s.sizes, 6, s.seed) {
+			fmt.Fprintf(&b, "%3d VPs  ndcg %.17g  tau %.17g  jaccard %.17g  trials %d\n",
+				pt.VPs, pt.MeanNDCG, pt.MeanTau, pt.MeanJaccard, pt.Trials)
+		}
 	}
 
 	const golden = "testdata/golden_pipeline.txt"
