@@ -7,8 +7,10 @@
 //	            [-progress] [-v LEVEL] [-debug-addr HOST:PORT] [-debug-linger D]
 //	            [-trace-out FILE] [-manifest FILE] [-timeline D]
 //
-// -quick runs a reduced world and fewer stability trials; -only selects a
-// comma-separated subset (e.g. -only table1,figure4,table10). -progress
+// -quick runs a reduced world and fewer stability trials (an explicit
+// -scale, -vpscale or -trials wins over it); -only selects a comma-separated
+// subset (e.g. -only table1,figure4,table10). An unknown -only name or
+// -trials below 1 is a usage error (exit 2). -progress
 // streams per-experiment start/finish lines (with wall time and stability
 // trial counts) to stderr and prints the stage tree at the end; -v raises
 // the structured-log verbosity (0 info, 1 debug stage logs); -debug-addr
@@ -26,6 +28,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -84,34 +87,83 @@ func writeArtifacts(p *core.Pipeline, dir string) error {
 	})
 }
 
-func main() {
-	seed := flag.Int64("seed", 1, "world seed")
-	scale := flag.Float64("scale", 1, "stub-count scale factor")
-	vpscale := flag.Float64("vpscale", 1, "VP-count scale factor")
-	trials := flag.Int("trials", 8, "downsampling trials per sample size")
-	quick := flag.Bool("quick", false, "small world, few trials")
-	only := flag.String("only", "", "comma-separated experiment subset")
-	artifacts := flag.String("artifacts", "", "directory for the shareable dataset (CSV)")
-	progress := flag.Bool("progress", false, "stream per-experiment start/finish lines to stderr")
-	ofl := obs.Flags("experiments")
-	flag.Parse()
-	ofl.Init()
+// drivers lists the names -only accepts, in print order.
+var drivers = []string{
+	"table1", "table2", "table4", "figure4", "figure5", "casestudies", "table9",
+	"table10", "table11", "table12", "figure7", "figure8", "figure9", "figure10",
+	"table13", "table14", "table13_14", "extensions",
+}
 
-	if *quick {
-		*scale, *vpscale, *trials = 0.3, 0.4, 3
+// config is the command line after parsing and checking.
+type config struct {
+	seed           int64
+	scale, vpscale float64
+	trials         int
+	only           map[string]bool // empty runs every driver
+	artifacts      string
+	progress       bool
+}
+
+// parseFlags registers the command's flags on fs, parses args and rejects
+// what no run could honour. -quick only moves the defaults of -scale,
+// -vpscale and -trials: a flag given explicitly wins.
+func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) {
+	c := config{only: map[string]bool{}}
+	fs.Int64Var(&c.seed, "seed", 1, "world seed")
+	fs.Float64Var(&c.scale, "scale", 1, "stub-count scale factor")
+	fs.Float64Var(&c.vpscale, "vpscale", 1, "VP-count scale factor")
+	fs.IntVar(&c.trials, "trials", 8, "downsampling trials per sample size (at least 1)")
+	quick := fs.Bool("quick", false, "small world, few trials (-scale 0.3 -vpscale 0.4 -trials 3 unless given)")
+	only := fs.String("only", "", "comma-separated experiment subset of "+strings.Join(drivers, ","))
+	fs.StringVar(&c.artifacts, "artifacts", "", "directory for the shareable dataset (CSV)")
+	fs.BoolVar(&c.progress, "progress", false, "stream per-experiment start/finish lines to stderr")
+	ofl := obs.FlagsOn(fs, "experiments")
+	if err := fs.Parse(args); err != nil {
+		return c, ofl, err
 	}
-	want := map[string]bool{}
-	for _, s := range strings.Split(*only, ",") {
-		if s = strings.TrimSpace(strings.ToLower(s)); s != "" {
-			want[s] = true
+	if *quick {
+		given := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		if !given["scale"] {
+			c.scale = 0.3
+		}
+		if !given["vpscale"] {
+			c.vpscale = 0.4
+		}
+		if !given["trials"] {
+			c.trials = 3
 		}
 	}
-	run := func(name string) bool { return len(want) == 0 || want[name] }
+	if c.trials < 1 {
+		return c, ofl, fmt.Errorf("-trials %d: a stability curve needs at least one trial", c.trials)
+	}
+	for _, s := range strings.Split(*only, ",") {
+		if s = strings.TrimSpace(strings.ToLower(s)); s == "" {
+			continue
+		}
+		if !slices.Contains(drivers, s) {
+			return c, ofl, fmt.Errorf("-only %s: no such experiment (have %s)", s, strings.Join(drivers, ", "))
+		}
+		c.only[s] = true
+	}
+	return c, ofl, nil
+}
+
+func main() {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	cfg, ofl, err := parseFlags(fs, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		os.Exit(2)
+	}
+	ofl.Init()
+	run := func(name string) bool { return len(cfg.only) == 0 || cfg.only[name] }
 
 	// With -progress, every top-level span — each experiment plus the
 	// pipeline builds — streams a start line and a finish line carrying the
 	// wall time and the rolled-up stability-trial count of its children.
-	if *progress {
+	if cfg.progress {
 		obs.DefaultTrace.OnStart = func(s *obs.Span) {
 			if s.Depth() == 0 {
 				fmt.Fprintf(os.Stderr, "[progress] %s started\n", s.Name)
@@ -140,12 +192,12 @@ func main() {
 	}
 
 	start := time.Now()
-	slog.Info("building April 2021 pipeline", "seed", *seed, "scale", *scale, "vpscale", *vpscale)
-	p21 := core.NewPipeline(core.Options{Seed: *seed, StubScale: *scale, VPScale: *vpscale})
+	slog.Info("building April 2021 pipeline", "seed", cfg.seed, "scale", cfg.scale, "vpscale", cfg.vpscale)
+	p21 := core.NewPipeline(core.Options{Seed: cfg.seed, StubScale: cfg.scale, VPScale: cfg.vpscale})
 	slog.Info("pipeline ready", "elapsed", time.Since(start).Round(time.Millisecond), "accepted", p21.DS.Len())
-	ofl.Manifest.Seed("world", *seed)
-	ofl.Manifest.Seed("figure4_trials", *seed+100)
-	ofl.Manifest.Seed("figure5_trials", *seed+200)
+	ofl.Manifest.Seed("world", cfg.seed)
+	ofl.Manifest.Seed("figure4_trials", cfg.seed+100)
+	ofl.Manifest.Seed("figure5_trials", cfg.seed+200)
 	ofl.Manifest.SetCoverage(p21.CoverageInfo())
 	ofl.Manifest.SetDrops(p21.DS.Stats.Drops())
 
@@ -172,13 +224,13 @@ func main() {
 	if run("figure4") {
 		timed("figure4", func() {
 			section("Figure 4")
-			fmt.Print(experiments.RunFigure4(p21, *trials, *seed+100).Render())
+			fmt.Print(experiments.RunFigure4(p21, cfg.trials, cfg.seed+100).Render())
 		})
 	}
 	if run("figure5") {
 		timed("figure5", func() {
 			section("Figure 5")
-			fmt.Print(experiments.RunFigure5(p21, *trials, *seed+200).Render())
+			fmt.Print(experiments.RunFigure5(p21, cfg.trials, cfg.seed+200).Render())
 		})
 	}
 	if run("casestudies") {
@@ -202,7 +254,7 @@ func main() {
 	if need23 {
 		slog.Info("building March 2023 pipeline")
 		p23 = core.NewPipeline(core.Options{
-			Seed: *seed, Scenario: topology.Mar2023, StubScale: *scale, VPScale: *vpscale,
+			Seed: cfg.seed, Scenario: topology.Mar2023, StubScale: cfg.scale, VPScale: cfg.vpscale,
 		})
 	}
 	if run("table10") {
@@ -247,7 +299,7 @@ func main() {
 			fmt.Print(experiments.RunFigure10(p21).Render())
 		})
 	}
-	if run("table13") || run("table14") || run("table13_14") || len(want) == 0 {
+	if run("table13") || run("table14") || run("table13_14") {
 		timed("table13_14", func() {
 			section("Tables 13/14")
 			fmt.Print(experiments.RunTable13_14(p21).Render())
@@ -266,17 +318,17 @@ func main() {
 			fmt.Print(experiments.RunInferenceValidation(p21).Render())
 		})
 	}
-	if *artifacts != "" {
+	if cfg.artifacts != "" {
 		timed("artifacts", func() {
-			if err := writeArtifacts(p21, *artifacts); err != nil {
-				slog.Error("artifacts failed", "dir", *artifacts, "err", err)
+			if err := writeArtifacts(p21, cfg.artifacts); err != nil {
+				slog.Error("artifacts failed", "dir", cfg.artifacts, "err", err)
 				os.Exit(1)
 			}
-			slog.Info("artifacts written", "dir", *artifacts)
+			slog.Info("artifacts written", "dir", cfg.artifacts)
 		})
 	}
 	slog.Info("done", "elapsed", time.Since(start).Round(time.Millisecond))
-	if *progress {
+	if cfg.progress {
 		fmt.Fprint(os.Stderr, "\nstage report:\n"+obs.DefaultTrace.Render())
 	}
 	ofl.Done()

@@ -9,6 +9,13 @@
 //
 // "Distinct" comes from visiting the view's records prefix by prefix (see
 // ComputeFrom), never from materializing and sorting (AS, prefix) pairs.
+//
+// There are two entry points, chosen by the caller. ComputeFrom scores a
+// view once and only stamps each (AS, prefix) membership. Witness
+// materializes a view's memberships with the vantage points that witness
+// each, so that Addresses can score any subset of the view's VPs without
+// walking a record — worth it when many subsets of one view follow
+// (core.Pipeline.Stability), not for one pass over a large view.
 package cone
 
 import (
@@ -64,6 +71,7 @@ type scratch struct {
 	stamp    []int32  // per AS id: 1 + byPrefix.Used position of the last prefix credited
 	addr     []uint64 // per AS id: address weight credited so far
 	idsUsed  []int32  // AS ids credited by any prefix this call
+	sel      []uint64 // Witnesses.Addresses: the chosen VP positions as a bitset
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -113,11 +121,11 @@ func Compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Scores {
 // ComputeFrom is Compute with precomputed chain starts (see Starts); nil
 // resolves them here.
 //
-// The result is bit-identical to the retained map-based reference
-// (computeMapRef), which the property tests enforce: every sum is a uint64,
-// so neither the order prefixes are visited in nor the order of records
-// inside a prefix's run can show. A position repeated in recs changes nothing, and
-// a record with an empty clean path still counts its prefix toward Total.
+// The result is bit-identical to the map-based reference the property tests
+// keep: every sum is a uint64, so neither the order prefixes are visited in
+// nor the order of records inside a prefix's run can show. A position
+// repeated in recs changes nothing, and a record with an empty clean path
+// still counts its prefix toward Total.
 func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, starts []int32) Scores {
 	if starts == nil {
 		starts = Starts(ds, rels)
@@ -190,66 +198,6 @@ func ASCounts(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) map[asn.
 		counts[ds.ASNOf[pair>>32]]++
 	}
 	return counts
-}
-
-// computeMapRef is the original ASN-keyed map implementation, retained as
-// the executable specification ComputeFrom and ASCounts are property-tested
-// against.
-func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) (Scores, map[asn.ASN]int) {
-	// conePrefixes[a] tracks distinct prefix indexes per AS; coneASes[a]
-	// tracks the distinct downstream ASes (cone membership).
-	conePrefixes := map[asn.ASN]map[int32]struct{}{}
-	coneASes := map[asn.ASN]map[asn.ASN]struct{}{}
-	seenPrefix := map[int32]struct{}{}
-
-	each(ds, recs, func(i int) {
-		_, pfxIdx, path := ds.Record(i)
-		seenPrefix[pfxIdx] = struct{}{}
-		start := chainStart(path, rels)
-		if start < 0 {
-			return
-		}
-		// See Compute: a broken chain keeps only the origin in scope.
-		for j := start; j+1 < len(path); j++ {
-			if rels.Rel(path[j], path[j+1]) != topology.RelP2C {
-				start = len(path) - 1
-				break
-			}
-		}
-		for j := start; j < len(path); j++ {
-			set := conePrefixes[path[j]]
-			if set == nil {
-				set = map[int32]struct{}{}
-				conePrefixes[path[j]] = set
-			}
-			set[pfxIdx] = struct{}{}
-			members := coneASes[path[j]]
-			if members == nil {
-				members = map[asn.ASN]struct{}{}
-				coneASes[path[j]] = members
-			}
-			for k := j; k < len(path); k++ {
-				members[path[k]] = struct{}{}
-			}
-		}
-	})
-
-	s := Scores{Addresses: make(map[asn.ASN]uint64, len(conePrefixes))}
-	asCounts := make(map[asn.ASN]int, len(coneASes))
-	for p := range seenPrefix {
-		s.Total += ds.Weight[p]
-	}
-	for a, set := range conePrefixes {
-		var sum uint64
-		for p := range set {
-			sum += ds.Weight[p]
-		}
-		s.Addresses[a] = sum
-	}
-	for a, members := range coneASes {
-		asCounts[a] = len(members)
-	}
-	return s, asCounts
 }
 
 // ComputeRecursive is the ablation variant §1.1 warns against: instead of

@@ -48,37 +48,19 @@ func (c kernelCase) check(report func(format string, args ...any)) {
 	}
 }
 
-// vpSubset mirrors core's recordsInView: the records of a random subset of
-// the view's VPs, grouped by VP in draw order with each VP's records in
-// ascending record order — not sorted overall. recs nil means every record.
+// vpSubset returns the records of a random nonempty subset of the view's
+// VPs, grouped by VP in draw order with each VP's records in view order —
+// not sorted overall. recs nil means every record.
 func vpSubset(ds *sanitize.Dataset, recs []int32, rng *rand.Rand) []int32 {
-	byVP := map[int32][]int32{}
-	var vps []int32
-	add := func(i int32) {
-		vp, _, _ := ds.Record(int(i))
-		if byVP[vp] == nil {
-			vps = append(vps, vp)
-		}
-		byVP[vp] = append(byVP[vp], i)
+	runs := metrictest.VPRuns(ds, recs)
+	if len(runs) == 0 {
+		return []int32{}
 	}
-	if recs == nil {
-		for i := 0; i < ds.Len(); i++ {
-			add(int32(i))
-		}
-	} else {
-		for _, i := range recs {
-			add(i)
-		}
+	sel := make([]int32, 1+rng.Intn(len(runs)))
+	for k, j := range rng.Perm(len(runs))[:len(sel)] {
+		sel[k] = int32(j)
 	}
-	out := []int32{}
-	if len(vps) == 0 {
-		return out
-	}
-	rng.Shuffle(len(vps), func(a, b int) { vps[a], vps[b] = vps[b], vps[a] })
-	for _, vp := range vps[:1+rng.Intn(len(vps))] {
-		out = append(out, byVP[vp]...)
-	}
-	return out
+	return metrictest.RecordsOf(runs, sel)
 }
 
 // pipelineCases draws random countries × view kinds × VP subsets from a

@@ -21,6 +21,13 @@ func TestStabilityDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical Stability curves; sub-seeding looks broken")
 	}
+	// A curve of no trials has no mean to report (it used to print NaN for
+	// zero trials and panic for a negative count).
+	for _, trials := range []int{0, -1} {
+		if pts := p.Stability(CCI, "AU", sizes, trials, 7); pts != nil {
+			t.Errorf("Stability with %d trials = %v, want nil", trials, pts)
+		}
+	}
 }
 
 // TestOptionSentinels covers the Trim/Threshold zero-value design: the zero

@@ -180,10 +180,6 @@ type Pipeline struct {
 	// must treat them as immutable.
 	rankMu    sync.RWMutex
 	rankCache map[rankKey]*rank.Ranking
-
-	// inViewPool recycles Stability's per-call view-membership buffers
-	// (kept all-false between uses; see Stability).
-	inViewPool sync.Pool
 }
 
 // viewKey identifies one cached country view.
@@ -386,26 +382,6 @@ func (p *Pipeline) computeView(kind ViewKind, country countries.Code) []int32 {
 	return out
 }
 
-// recordsInView collects, via the VP index, the records of the given VPs
-// that belong to the view marked in inView (nil means every record). The result is grouped by VP
-// with each VP's records in ascending record order — not globally sorted:
-// every metric kernel either buckets by VP (preserving within-VP order,
-// which is what their bit-identity proofs rely on) or accumulates
-// order-free sums, so the global interleaving is irrelevant and the sort
-// would only burn time in the per-trial hot path. Never nil (see
-// computeView).
-func (p *Pipeline) recordsInView(inView []bool, vps []int32) []int32 {
-	out := []int32{}
-	for _, vpIdx := range vps {
-		for _, i := range p.byVP[vpIdx] {
-			if inView == nil || inView[i] {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
 // Info returns the presentation metadata resolver for rankings.
 func (p *Pipeline) Info() rank.InfoFunc {
 	return func(a asn.ASN) rank.ASInfo {
@@ -532,17 +508,20 @@ func (p *Pipeline) rankFor(m Metric, recs []int32) *rank.Ranking {
 	panic(fmt.Sprintf("core: metric %q has no subset form", m))
 }
 
-// sampleTop computes a trial's top-k ASNs without building a full Ranking:
-// the stability loop only consumes the top list, so sorting and indexing
-// the whole sample would be wasted. Cone trials select on raw address
-// weights — the exact uint64 values whose shares rank.New would sort by —
-// keeping the selection deterministic.
-func (p *Pipeline) sampleTop(m Metric, recs []int32, k int) []asn.ASN {
+// sampler builds the (metric, view) state every stability trial combines
+// and returns the view's VP population size with a function from chosen VP
+// positions to the trial's top-k ASNs. A trial only consumes the top list,
+// so no Ranking is built; cone trials select on raw address weights — the
+// exact uint64 values whose shares rank.New would sort by. The function is
+// safe for concurrent use.
+func (p *Pipeline) sampler(m Metric, full []int32, k int) (vps int, top func(sel []int32) []asn.ASN) {
 	switch m {
 	case CCI, CCN, CCG:
-		return topK(cone.ComputeFrom(p.DS, recs, p.Rels, p.coneStarts).Addresses, k)
+		ws := cone.Witness(p.DS, full, p.coneStarts)
+		return ws.VPs(), func(sel []int32) []asn.ASN { return topK(ws.Addresses(sel), k) }
 	case AHI, AHN, AHG:
-		return topK(hegemony.Compute(p.DS, recs, p.Opt.Trim).Hegemony, k)
+		pv := hegemony.Accumulate(p.DS, full)
+		return pv.VPs(), func(sel []int32) []asn.ASN { return topK(pv.Scores(sel, p.Opt.Trim).Hegemony, k) }
 	}
 	panic(fmt.Sprintf("core: metric %q has no subset form", m))
 }
@@ -634,6 +613,9 @@ type StabilityPoint struct {
 // VPs are removed (§4): for each requested sample size it draws trials
 // random VP subsets, recomputes the metric, and averages NDCG (plus the
 // Kendall-tau and Jaccard ablation measures) against the full-view ranking.
+// Recomputing never walks records: the view's per-VP state is built once per
+// call and each trial combines it over its subset (see sampler). Fewer than
+// one trial yields nil.
 //
 // Trials fan out across a bounded worker pool. Each (size, trial) cell
 // draws its VP subset from its own sub-seed derived from seed, and the
@@ -643,57 +625,20 @@ func (p *Pipeline) Stability(m Metric, c countries.Code, sizes []int, trials int
 	sp := obs.StartSpan("stability " + string(m) + " " + string(c))
 	sp.AddItems(0, "trials")
 	defer sp.End()
+	if trials < 1 {
+		return nil
+	}
 	kind := viewKindOf(m)
 	full := p.ViewRecords(kind, c)
 	fullRank := p.fullRankFor(m, c, full)
 	fullVals := fullRank.Values()
 	fullOrder := fullRank.TopASNs(ndcg.DefaultK)
 
-	// Mark the view for recordsInView; a nil marker means every record.
-	// The buffer is pooled and kept all-false between uses, so marking
-	// costs O(view), not O(dataset), per call.
-	var inView []bool
-	if full != nil {
-		buf := p.inViewPool.Get()
-		if buf == nil || cap(buf.([]bool)) < p.DS.Len() {
-			inView = make([]bool, p.DS.Len())
-		} else {
-			inView = buf.([]bool)[:p.DS.Len()]
-		}
-		for _, i := range full {
-			inView[i] = true
-		}
-		defer func() {
-			for _, i := range full {
-				inView[i] = false
-			}
-			p.inViewPool.Put(inView) //nolint:staticcheck // slice header boxing is fine here
-		}()
-	}
-
-	// The view's VP population, in first-appearance order.
-	var vps []int32
-	seen := make([]bool, len(p.DS.VPCountry))
-	collect := func(i int32) {
-		vpIdx, _, _ := p.DS.Record(int(i))
-		if !seen[vpIdx] {
-			seen[vpIdx] = true
-			vps = append(vps, vpIdx)
-		}
-	}
-	if full == nil {
-		for i := 0; i < p.DS.Len(); i++ {
-			collect(int32(i))
-		}
-	} else {
-		for _, i := range full {
-			collect(i)
-		}
-	}
+	vps, trialTop := p.sampler(m, full, ndcg.DefaultK)
 
 	var valid []int
 	for _, n := range sizes {
-		if n > 0 && n <= len(vps) {
+		if n > 0 && n <= vps {
 			valid = append(valid, n)
 		}
 	}
@@ -707,13 +652,12 @@ func (p *Pipeline) Stability(m Metric, c countries.Code, sizes []int, trials int
 		si, trial := job/trials, job%trials
 		n := valid[si]
 		rng := rand.New(rand.NewSource(subSeed(seed, si, trial)))
-		perm := rng.Perm(len(vps))
+		perm := rng.Perm(vps)
 		keep := make([]int32, n)
 		for k, j := range perm[:n] {
-			keep[k] = vps[j]
+			keep[k] = int32(j)
 		}
-		recs := p.recordsInView(inView, keep)
-		top := p.sampleTop(m, recs, ndcg.DefaultK)
+		top := trialTop(keep)
 		results[si][trial] = cell{
 			ndcgV: ndcg.NDCG(top, fullVals, fullOrder, ndcg.DefaultK),
 			tau:   ndcg.KendallTau(top, fullOrder, ndcg.DefaultK),

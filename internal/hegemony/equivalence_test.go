@@ -1,16 +1,25 @@
 package hegemony_test
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
+	"countryrank/internal/asn"
 	"countryrank/internal/core"
+	"countryrank/internal/countries"
 	"countryrank/internal/hegemony"
+	"countryrank/internal/metrictest"
+	"countryrank/internal/sanitize"
 )
 
-// TestDenseMatchesMapReference is the tentpole equivalence property: over
+var trims = []float64{-1, 0, 0.10, 0.25}
+
+// TestDenseMatchesMapReference is the kernel's equivalence property: over
 // several generated worlds, views, and trim settings, the dense-id kernel
-// must produce byte-identical Scores to the retained map-based reference.
+// must produce byte-identical Scores to the map-based reference.
 func TestDenseMatchesMapReference(t *testing.T) {
 	for _, seed := range []int64{1, 5} {
 		p := core.NewPipeline(core.Options{Seed: seed, StubScale: 0.15, VPScale: 0.2})
@@ -23,7 +32,7 @@ func TestDenseMatchesMapReference(t *testing.T) {
 			"empty-natl-none": p.ViewRecords(core.National, "ZZ"),
 		}
 		for name, recs := range views {
-			for _, trim := range []float64{-1, 0, 0.10, 0.25} {
+			for _, trim := range trims {
 				got := hegemony.Compute(p.DS, recs, trim)
 				want := hegemony.ComputeMapRef(p.DS, recs, trim)
 				if got.VPCount != want.VPCount {
@@ -35,6 +44,160 @@ func TestDenseMatchesMapReference(t *testing.T) {
 						seed, name, trim, len(got.Hegemony), len(want.Hegemony))
 				}
 			}
+		}
+	}
+}
+
+// perVPCase is one view with the VP selections its PerVP must combine as
+// Compute would score the selected VPs' records.
+type perVPCase struct {
+	name string
+	ds   *sanitize.Dataset
+	view []int32
+	pv   *hegemony.PerVP
+	runs [][]int32 // metrictest.VPRuns(ds, view)
+	sels [][]int32 // nil selects every VP
+}
+
+func newPerVPCase(name string, ds *sanitize.Dataset, view []int32, rng *rand.Rand) perVPCase {
+	c := perVPCase{name: name, ds: ds, view: view,
+		pv: hegemony.Accumulate(ds, view), runs: metrictest.VPRuns(ds, view)}
+	c.sels = [][]int32{nil, {}}
+	if n := len(c.runs); n > 0 {
+		all := make([]int32, n)
+		for k, j := range rng.Perm(n) {
+			all[k] = int32(j)
+		}
+		c.sels = append(c.sels, all, all[:1], all[:1+rng.Intn(n)], all[rng.Intn(n):])
+	}
+	return c
+}
+
+// check scores every selection at every trim twice back to back — a count
+// the first call left behind in the pooled scratch would skew the second —
+// against Compute (and, with ref, the map reference) over the selected VPs'
+// records.
+func (c perVPCase) check(report func(format string, args ...any), ref bool) {
+	if c.pv.VPs() != len(c.runs) {
+		report("%s: PerVP holds %d VPs, the view has %d", c.name, c.pv.VPs(), len(c.runs))
+		return
+	}
+	for _, sel := range c.sels {
+		recs := c.view
+		if sel != nil {
+			recs = metrictest.RecordsOf(c.runs, sel)
+		}
+		for _, trim := range trims {
+			want := hegemony.Compute(c.ds, recs, trim)
+			if ref && !reflect.DeepEqual(want, hegemony.ComputeMapRef(c.ds, recs, trim)) {
+				report("%s sel %v trim %v: Compute diverges from the map reference", c.name, sel, trim)
+			}
+			for run := 0; run < 2; run++ {
+				if got := c.pv.Scores(sel, trim); !reflect.DeepEqual(got, want) {
+					report("%s sel %v trim %v run %d: Scores (%d VPs, %d ASes) diverges from Compute over the VPs' records (%d VPs, %d ASes)",
+						c.name, sel, trim, run, got.VPCount, len(got.Hegemony), want.VPCount, len(want.Hegemony))
+				}
+			}
+		}
+	}
+}
+
+// weightlessVPCases: VP 1 only sees prefixes of weight 0, so it is one of
+// the view's VPs — selectable, numbered — but never one of the mean's.
+func weightlessVPCases(rng *rand.Rand) []perVPCase {
+	ds := metrictest.Dataset([]countries.Code{"US", "US", "US", "US"}, []metrictest.Rec{
+		{VP: 0, Prefix: "9.0.0.0/24", PrefixCountry: "US", Path: []uint32{1, 2, 3}},
+		{VP: 1, Prefix: "9.0.1.0/24", PrefixCountry: "US", Path: []uint32{4, 2, 5}},
+		{VP: 2, Prefix: "9.0.0.0/24", PrefixCountry: "US", Path: []uint32{6, 6, 2, 3}},
+		{VP: 1, Prefix: "9.0.3.0/24", PrefixCountry: "US", Path: []uint32{4, 7}},
+		{VP: 2, Prefix: "9.0.1.0/24", PrefixCountry: "US", Path: []uint32{6, 5}},
+		{VP: 3, Prefix: "9.0.2.0/23", PrefixCountry: "US", Path: nil},
+		{VP: 0, Prefix: "9.0.2.0/23", PrefixCountry: "US", Path: []uint32{1, 8}},
+	})
+	ds.Weight[1], ds.Weight[2] = 0, 0 // 9.0.1.0/24 and 9.0.3.0/24
+	return []perVPCase{
+		newPerVPCase("weightless VP, all records", ds, nil, rng),
+		newPerVPCase("weightless VP, only it", ds, []int32{1, 3}, rng),
+		newPerVPCase("weightless VP, reordered view", ds, []int32{4, 3, 6, 1, 0}, rng),
+	}
+}
+
+// TestPerVPScoresMatchCompute: combining a view's per-VP runs over a VP
+// selection is Compute over those VPs' records, bit for bit — the property
+// core.Stability's trials rest on — serially, then from four goroutines on
+// the shared PerVPs, which under -race also shows Scores only reads them.
+func TestPerVPScoresMatchCompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(20230424))
+	cases := weightlessVPCases(rng)
+	for _, seed := range []int64{1, 5} {
+		p := core.NewPipeline(core.Options{Seed: seed, StubScale: 0.15, VPScale: 0.2})
+		cases = append(cases, newPerVPCase(fmt.Sprintf("seed %d global", seed), p.DS, nil, rng))
+		all := countries.All()
+		picked := []countries.Code{"AU", "US", "ZZ"} // two well-populated views and an empty one
+		for len(picked) < 7 {
+			picked = append(picked, all[rng.Intn(len(all))])
+		}
+		for _, c := range picked {
+			for _, kind := range []core.ViewKind{core.National, core.International} {
+				cases = append(cases, newPerVPCase(fmt.Sprintf("seed %d %s %s", seed, kind, c),
+					p.DS, p.ViewRecords(kind, c), rng))
+			}
+		}
+	}
+
+	for _, c := range cases {
+		c.check(t.Fatalf, true)
+		if err := hegemony.CheckPooledScratch(); err != nil {
+			t.Fatalf("after %s: %v", c.name, err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range cases {
+				cases[(k+g*len(cases)/4)%len(cases)].check(t.Errorf, false) // the map reference is serial work
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := hegemony.CheckPooledScratch(); err != nil {
+		t.Fatalf("after the concurrent pass: %v", err)
+	}
+}
+
+var sink map[asn.ASN]float64
+
+// TestWarmComputeAllocatesOnlyItsResult pins the scratch contract from the
+// allocator's side: once the pool is warm, a Compute — the per-VP runs it
+// accumulates included — performs exactly the allocations of building its
+// result map.
+func TestWarmComputeAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	p := core.NewPipeline(core.Options{Seed: 1, StubScale: 0.15, VPScale: 0.2})
+	for name, recs := range map[string][]int32{"global": nil, "intl-US": p.ViewRecords(core.International, "US")} {
+		full := hegemony.Compute(p.DS, recs, -1) // warms the pool
+		if len(full.Hegemony) == 0 {
+			t.Fatalf("%s scored nothing", name)
+		}
+		asns := make([]asn.ASN, 0, len(full.Hegemony))
+		for a := range full.Hegemony {
+			asns = append(asns, a)
+		}
+		mapOnly := testing.AllocsPerRun(20, func() {
+			m := make(map[asn.ASN]float64, len(asns))
+			for _, a := range asns {
+				m[a] = 1
+			}
+			sink = m // on the heap, like a returned result
+		})
+		kernel := testing.AllocsPerRun(20, func() { sink = hegemony.Compute(p.DS, recs, -1).Hegemony })
+		if kernel != mapOnly {
+			t.Errorf("warm %s Compute allocates %.0f objects, its result map alone %.0f", name, kernel, mapOnly)
 		}
 	}
 }

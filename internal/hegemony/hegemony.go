@@ -4,6 +4,11 @@
 // paths that contain it; the final score is the mean of the per-VP values
 // after trimming the top and bottom 10%, which damps the bias of VPs that
 // are topologically very near or very far from the AS.
+//
+// The definition is the kernel's seam: Accumulate builds the per-VP vectors
+// of a view (PerVP), Scores takes the trimmed mean over any subset of its
+// VPs, and Compute is the two back to back. Callers scoring many VP subsets
+// of one view (core.Pipeline.Stability) accumulate once.
 package hegemony
 
 import (
@@ -29,28 +34,48 @@ type Scores struct {
 // Value returns a's hegemony (0 when unseen).
 func (s Scores) Value(a asn.ASN) float64 { return s.Hegemony[a] }
 
+// PerVP is a view's hegemony state before the trimmed mean: for each vantage
+// point of the view, the ASes on its paths with the address-weighted share of
+// its paths containing each. A VP's run depends on nothing but its own
+// records, so one PerVP serves every VP subset of the view (Scores). It is
+// immutable once built and safe for concurrent use.
+type PerVP struct {
+	asnOf []asn.ASN // the dataset's dense id → ASN column
+	// VP position p (first-appearance order over the view's records, the
+	// order sanitize.Groups.Used lists) owns ids/shares[off[p]:off[p+1]].
+	off    []int32
+	ids    []int32
+	shares []float64
+	// scored[p]: the VP's prefixes carry weight. Only such VPs count toward
+	// the mean's denominator; the others have empty runs.
+	scored []bool
+}
+
+// VPs returns the number of vantage points in the view, scored or not.
+func (pv *PerVP) VPs() int { return len(pv.scored) }
+
 // scratch is the reusable flat working state of the dense kernel. All
 // slices are indexed by the dataset's dense ids (or VP indexes) and sized
 // lazily; the pool keeps them across calls so steady-state Compute does not
-// allocate per-VP maps. Nothing in it escapes Compute.
+// allocate per-VP maps. Nothing in it escapes a call.
 //
 // Pool invariant: byVP.Cnt is all-zero, seen all-false, asW and counts
 // all-zero between calls; every write is undone via the byVP.Used/touched/
 // idsUsed dirty lists. That keeps each call O(records + touched entries)
 // rather than O(total ASes + total VPs), which matters for stability trials
-// over tiny VP subsets.
+// over tiny VP subsets. pv.asnOf is nil between calls, so an idle pool pins
+// no dataset.
 type scratch struct {
 	// byVP groups the record positions by VP, record order kept inside a VP.
-	byVP     sanitize.Groups
-	asW      []uint64 // per AS id: weight containing it, for the current VP
-	seen     []bool   // per AS id: marker for the current VP
-	touched  []int32  // AS ids touched by the current VP
-	counts   []int32  // per AS id: contributing VPs (then scatter cursor)
-	idsUsed  []int32  // AS ids scored by any VP this call
-	offsets  []int32  // per AS id: start into vals (used ids only)
-	pairIDs  []int32  // (id, value) pairs in VP-major order
-	pairVals []float64
-	vals     []float64 // per-AS value lists after counting-sort
+	byVP    sanitize.Groups
+	asW     []uint64  // per AS id: weight containing it, for the current VP
+	seen    []bool    // per AS id: marker for the current VP
+	touched []int32   // AS ids touched by the current VP
+	pv      PerVP     // Compute's per-VP runs
+	counts  []int32   // per AS id: contributing VPs (then scatter cursor)
+	idsUsed []int32   // AS ids scored by any chosen VP
+	offsets []int32   // per AS id: start into vals (used ids only)
+	vals    []float64 // per-AS value lists after counting-sort
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -59,32 +84,48 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // ds (nil means every record). trim is the per-side trim fraction; negative
 // values select DefaultTrim, zero disables trimming (the ablation case).
 //
-// The kernel accumulates into flat dense-id slices drawn from a pool; its
-// result is bit-identical to the retained map-based reference
-// (computeMapRef), which the property tests enforce.
+// It is Accumulate followed by Scores(nil, trim) with the per-VP runs kept
+// in pooled scratch; the result is bit-identical to the map-based reference
+// the property tests keep.
 func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
-	if trim < 0 {
-		trim = DefaultTrim
-	}
-	nAS := ds.NumAS()
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	sc.accumulate(ds, recs, &sc.pv)
+	s := sc.pv.scores(sc, nil, trim)
+	sc.pv.asnOf = nil
+	return s
+}
 
+// Accumulate builds the per-VP state of the view made of the given
+// accepted-record positions of ds (nil means every record).
+func Accumulate(ds *sanitize.Dataset, recs []int32) *PerVP {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	pv := new(PerVP)
+	sc.accumulate(ds, recs, pv)
+	return pv
+}
+
+// Scores calculates hegemony over the records of the VPs at the given
+// distinct positions (nil means every VP of the view): exactly what Compute
+// returns for those VPs' records of the view. trim is as in Compute.
+func (pv *PerVP) Scores(sel []int32, trim float64) Scores {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return pv.scores(sc, sel, trim)
+}
+
+// accumulate fills pv, reusing its slices, with one run per VP of the view.
+func (sc *scratch) accumulate(ds *sanitize.Dataset, recs []int32, pv *PerVP) {
 	ds.GroupByVP(&sc.byVP, recs)
+	sc.asW = sanitize.Grow(sc.asW, ds.NumAS())
+	sc.seen = sanitize.Grow(sc.seen, ds.NumAS())
 
-	// Per-VP accumulation over the VP's bucket: asW[id] is the weight of
-	// the VP's paths containing id. The per-AS value lists end up sorted
-	// before summing, so visiting VPs in first-appearance order (not VP
-	// index order) still reproduces the reference bit for bit.
-	sc.asW = sanitize.Grow(sc.asW, nAS)
-	sc.seen = sanitize.Grow(sc.seen, nAS)
-	sc.counts = sanitize.Grow(sc.counts, nAS)
-	sc.idsUsed = sc.idsUsed[:0]
-	sc.pairIDs = sc.pairIDs[:0]
-	sc.pairVals = sc.pairVals[:0]
-
-	vpCount := 0
+	pv.asnOf = ds.ASNOf
+	pv.off = append(pv.off[:0], 0)
+	pv.ids, pv.shares, pv.scored = pv.ids[:0], pv.shares[:0], pv.scored[:0]
 	for _, v := range sc.byVP.Used {
+		// asW[id] becomes the weight of the VP's paths containing id.
 		sc.touched = sc.touched[:0]
 		var total uint64
 		for _, i := range sc.byVP.Run(v) {
@@ -107,124 +148,95 @@ func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
 			}
 		}
 		if total > 0 {
-			vpCount++
 			ft := float64(total)
 			for _, id := range sc.touched {
-				sc.pairIDs = append(sc.pairIDs, id)
-				sc.pairVals = append(sc.pairVals, float64(sc.asW[id])/ft)
-				if sc.counts[id] == 0 {
-					sc.idsUsed = append(sc.idsUsed, id)
-				}
-				sc.counts[id]++
+				pv.ids = append(pv.ids, id)
+				pv.shares = append(pv.shares, float64(sc.asW[id])/ft)
 			}
 		}
+		pv.scored = append(pv.scored, total > 0)
+		pv.off = append(pv.off, int32(len(pv.ids)))
 		for _, id := range sc.touched { // restore the pool invariant
 			sc.seen[id] = false
 			sc.asW[id] = 0
 		}
 		sc.byVP.Cnt[v] = 0 // likewise
 	}
+}
 
-	// Counting-sort the (id, value) pairs into per-AS value runs.
-	sc.offsets = sanitize.Grow(sc.offsets, nAS)
+// scores counting-sorts the chosen VPs' (id, share) pairs into per-AS value
+// runs and takes each run's trimmed mean. The runs are sorted before summing,
+// so the order VPs are visited in cannot show in the result.
+func (pv *PerVP) scores(sc *scratch, sel []int32, trim float64) Scores {
+	if trim < 0 {
+		trim = DefaultTrim
+	}
+	n := len(sel)
+	if sel == nil {
+		n = pv.VPs()
+	}
+	at := func(k int) int32 {
+		if sel == nil {
+			return int32(k)
+		}
+		return sel[k]
+	}
+
+	sc.counts = sanitize.Grow(sc.counts, len(pv.asnOf))
+	sc.offsets = sanitize.Grow(sc.offsets, len(pv.asnOf))
+	sc.idsUsed = sc.idsUsed[:0]
+	vpCount, pairs := 0, 0
+	for k := 0; k < n; k++ {
+		p := at(k)
+		if !pv.scored[p] {
+			continue
+		}
+		vpCount++
+		run := pv.ids[pv.off[p]:pv.off[p+1]]
+		pairs += len(run)
+		for _, id := range run {
+			if sc.counts[id] == 0 {
+				sc.idsUsed = append(sc.idsUsed, id)
+			}
+			sc.counts[id]++
+		}
+	}
 	var off int32
 	for _, id := range sc.idsUsed {
 		sc.offsets[id] = off
 		off += sc.counts[id]
 		sc.counts[id] = 0 // becomes the scatter cursor
 	}
-	sc.vals = sanitize.Grow(sc.vals, len(sc.pairVals))
-	for k, id := range sc.pairIDs {
-		sc.vals[sc.offsets[id]+sc.counts[id]] = sc.pairVals[k]
-		sc.counts[id]++
+	sc.vals = sanitize.Grow(sc.vals, pairs)
+	for k := 0; k < n; k++ {
+		p := at(k)
+		for j := pv.off[p]; j < pv.off[p+1]; j++ { // empty for an unscored VP
+			id := pv.ids[j]
+			sc.vals[sc.offsets[id]+sc.counts[id]] = pv.shares[j]
+			sc.counts[id]++
+		}
 	}
 
 	s := Scores{Hegemony: make(map[asn.ASN]float64, len(sc.idsUsed)), VPCount: vpCount}
 	for _, id := range sc.idsUsed {
 		vs := sc.vals[sc.offsets[id]:][:sc.counts[id]]
 		sort.Float64s(vs)
-		s.Hegemony[ds.ASNOf[id]] = trimmedMeanSorted(vs, vpCount, trim)
+		s.Hegemony[pv.asnOf[id]] = trimmedMeanSorted(vs, vpCount, trim)
 		sc.counts[id] = 0 // restore the pool invariant
 	}
 	return s
 }
 
-// each visits the requested accepted-record positions, or all of them when
-// recs is nil.
-func each(ds *sanitize.Dataset, recs []int32, f func(i int)) {
-	if recs == nil {
-		for i := 0; i < ds.Len(); i++ {
-			f(i)
-		}
-		return
-	}
-	for _, i := range recs {
-		f(int(i))
-	}
-}
-
-// computeMapRef is the original ASN-keyed map implementation, retained as
-// the executable specification the dense kernel is property-tested against.
-func computeMapRef(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
-	if trim < 0 {
-		trim = DefaultTrim
-	}
-
-	// Per-VP accumulation. VP indexes are dense and small.
-	nVP := len(ds.VPCountry)
-	totals := make([]uint64, nVP)            // total path weight per VP
-	perVP := make([]map[asn.ASN]uint64, nVP) // per VP, per AS, weight containing it
-
-	each(ds, recs, func(i int) {
-		vpIdx, pfxIdx, path := ds.Record(i)
-		w := ds.Weight[pfxIdx]
-		totals[vpIdx] += w
-		m := perVP[vpIdx]
-		if m == nil {
-			m = map[asn.ASN]uint64{}
-			perVP[vpIdx] = m
-		}
-		// Count each AS once per path even if prepending survived.
-		var last asn.ASN
-		for j, a := range path {
-			if j > 0 && a == last {
-				continue
-			}
-			m[a] += w
-			last = a
-		}
-	})
-
-	// Gather the contributing VPs and per-AS value lists.
-	var vps []int
-	for v := 0; v < nVP; v++ {
-		if totals[v] > 0 {
-			vps = append(vps, v)
-		}
-	}
-	values := map[asn.ASN][]float64{}
-	for _, v := range vps {
-		for a, w := range perVP[v] {
-			values[a] = append(values[a], float64(w)/float64(totals[v]))
-		}
-	}
-
-	s := Scores{Hegemony: make(map[asn.ASN]float64, len(values)), VPCount: len(vps)}
-	for a, vals := range values {
-		s.Hegemony[a] = trimmedMean(vals, len(vps), trim)
-	}
-	return s
-}
-
-// trimmedMean pads vals with zeros up to n (VPs that never saw the AS),
-// sorts, trims floor(trim*n) entries from each end, and averages the rest.
-func trimmedMean(vals []float64, n int, trim float64) float64 {
+// trimmedMeanSorted pads the sorted vals with zeros up to n (VPs that never
+// saw the AS), trims floor(trim*n) entries from each end, and averages the
+// rest. The padding stays implicit: the padded distribution is
+// (n - len(vals)) zeros followed by vals, and summing in that order keeps the
+// float result bit-identical to a materialized pad (leading zeros add
+// exactly nothing).
+func trimmedMeanSorted(vals []float64, n int, trim float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	padded := make([]float64, n)
-	copy(padded, vals)
-	sort.Float64s(padded)
 	k := int(trim * float64(n))
 	if k == 0 && trim > 0 && n >= 3 {
 		// Figure 2's worked example drops one value from each end even with
@@ -234,31 +246,6 @@ func trimmedMean(vals []float64, n int, trim float64) float64 {
 	lo, hi := k, n-k
 	if lo >= hi {
 		// Degenerate tiny-VP case: fall back to the plain mean.
-		lo, hi = 0, n
-	}
-	var sum float64
-	for _, v := range padded[lo:hi] {
-		sum += v
-	}
-	return sum / float64(hi-lo)
-}
-
-// trimmedMeanSorted is trimmedMean over an already-sorted value list whose
-// zero padding up to n entries stays implicit: the padded distribution is
-// (n - len(vals)) zeros followed by vals. Summing in padded order keeps the
-// float result bit-identical to trimmedMean (leading zeros add exactly
-// nothing), without materializing the pad.
-func trimmedMeanSorted(vals []float64, n int, trim float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	k := int(trim * float64(n))
-	if k == 0 && trim > 0 && n >= 3 {
-		// Figure 2's small-view convention, as in trimmedMean.
-		k = 1
-	}
-	lo, hi := k, n-k
-	if lo >= hi {
 		lo, hi = 0, n
 	}
 	zeros := n - len(vals)

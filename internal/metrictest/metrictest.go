@@ -84,3 +84,42 @@ func (r Rels) Rel(a, b asn.ASN) topology.Rel {
 	}
 	return topology.RelNone
 }
+
+// VPRuns splits a view — accepted-record positions of ds, nil meaning every
+// record — by vantage point: one run per VP, VPs in first-appearance order
+// (the positions hegemony.PerVP and cone.Witnesses number them by), each
+// run keeping the view's record order.
+func VPRuns(ds *sanitize.Dataset, recs []int32) [][]int32 {
+	pos := map[int32]int{}
+	var runs [][]int32
+	add := func(i int32) {
+		vp, _, _ := ds.RecordIDs(int(i))
+		p, ok := pos[vp]
+		if !ok {
+			p = len(runs)
+			pos[vp] = p
+			runs = append(runs, nil)
+		}
+		runs[p] = append(runs[p], i)
+	}
+	if recs == nil {
+		for i := 0; i < ds.Len(); i++ {
+			add(int32(i))
+		}
+	}
+	for _, i := range recs {
+		add(i)
+	}
+	return runs
+}
+
+// RecordsOf concatenates the runs at the given positions, in that order:
+// the view restricted to those VPs. Never nil, since the metric packages
+// read a nil record list as "every record".
+func RecordsOf(runs [][]int32, sel []int32) []int32 {
+	out := []int32{}
+	for _, p := range sel {
+		out = append(out, runs[p]...)
+	}
+	return out
+}

@@ -24,12 +24,13 @@ go build ./...
 echo '--- go test -race'
 go test -race ./...
 
-echo '--- bench smoke (Figure4, Table9GlobalContrast, PipelineBuild, Propagation, Table1Sanitize, 1 iteration)'
-# Figure4 drives the kernels over VP subsets; Table9 drives the full-view
-# Global path, PipelineBuild the path judge, the per-path interner and the
-# chain starts, Propagation the sharded path arenas and the merge's
-# numbering, Table1Sanitize the accounting over a built dataset.
-go test -run '^$' -bench 'Figure4|Table9GlobalContrast|PipelineBuild|Propagation$|Table1Sanitize' -benchtime 1x .
+echo '--- bench smoke (Figure4, Figure5, Table9GlobalContrast, PipelineBuild, Propagation, Table1Sanitize, 1 iteration)'
+# Figure4 and Figure5 combine per-view trial state over VP subsets (national
+# and international views); Table9 drives the full-view Global path,
+# PipelineBuild the path judge, the per-path interner and the chain starts,
+# Propagation the sharded path arenas and the merge's numbering,
+# Table1Sanitize the accounting over a built dataset.
+go test -run '^$' -bench 'Figure4|Figure5|Table9GlobalContrast|PipelineBuild|Propagation$|Table1Sanitize' -benchtime 1x .
 
 echo '--- shard/spill determinism under -race'
 # The sharded-propagation merge and the chunk-parallel MRT importer are the
@@ -41,14 +42,27 @@ echo '--- shard/spill determinism under -race'
 go test -race -count=1 \
     -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestSpilled|TestImportMRTFilesMatchesStreams|TestOrderedMap|TestRoundTripMultiRun|TestBucketsPartitionPreservesOrder' \
     ./internal/routing ./internal/par ./internal/ribstore
-# The cone kernel's pooled scratch and the lazily resolved CTI depths are
-# shared between concurrent kernel runs, and the per-path dataset layout must
-# leave every served byte where it was: the reference-equivalence tests run
-# from several goroutines, the reusable path judge against its allocating
-# reference, and the fixed-seed golden, under the detector.
+# The kernels' pooled scratch, the lazily resolved CTI depths and the
+# per-view trial state (hegemony.PerVP, cone.Witnesses) are shared between
+# concurrent kernel runs and stability workers, and the per-path dataset
+# layout must leave every served byte where it was: the reference-equivalence
+# tests run from several goroutines, the reusable path judge against its
+# allocating reference, and the fixed-seed golden with its six stability
+# curves, under the detector.
 go test -race -count=1 \
-    -run 'TestKernelMatchesMapReference|TestInternerInvariants|TestJudgeMatchesReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs' \
-    ./internal/cone ./internal/sanitize ./internal/core ./internal/snapshot
+    -run 'TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestInternerInvariants|TestJudgeMatchesReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs' \
+    ./internal/cone ./internal/hegemony ./internal/sanitize ./internal/core ./internal/snapshot
+
+echo '--- stability determinism (experiments -quick -only figure4,figure5, twice)'
+# Trials fan out over a worker pool and combine shared per-view state; the
+# printed curves may depend on the seed alone.
+stab_dir=$(mktemp -d)
+go build -o "$stab_dir/experiments" ./cmd/experiments
+"$stab_dir/experiments" -quick -only figure4,figure5 >"$stab_dir/a.out" 2>/dev/null
+"$stab_dir/experiments" -quick -only figure4,figure5 >"$stab_dir/b.out" 2>/dev/null
+grep -q '^Figure 5' "$stab_dir/a.out"
+cmp "$stab_dir/a.out" "$stab_dir/b.out"
+rm -rf "$stab_dir"
 
 echo '--- scale smoke (sharded topogen -> crank -mrt -> asrank, spilled)'
 # A medium world driven through the full out-of-core path: generate with
