@@ -95,3 +95,13 @@ func (r *Registry) Allocated(a ASN) bool {
 
 // Len returns the number of allocated ASNs.
 func (r *Registry) Len() int { return len(r.allocated) }
+
+// ForEach calls fn for every ASN Allocated reports true for, in no
+// particular order.
+func (r *Registry) ForEach(fn func(ASN)) {
+	for a := range r.allocated {
+		if !a.Reserved() {
+			fn(a)
+		}
+	}
+}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"countryrank/internal/countries"
 	"countryrank/internal/hegemony"
 )
 
@@ -56,9 +58,37 @@ func TestOptionSentinels(t *testing.T) {
 
 // TestViewIndexMatchesFullScan checks that the VP-indexed Outbound view and
 // the cached country views equal a brute-force scan over every accepted
-// record, and that the cache hands back one canonical slice.
+// record, and that the cache hands back one canonical slice; that the
+// counting-sorted prefix-country index and the VP grouping hold, element for
+// element, what appending each record to its key's slice builds; and that
+// the VP grouping is only built once an Outbound view asks for it.
 func TestViewIndexMatchesFullScan(t *testing.T) {
 	p := NewPipeline(smallOpts())
+	appendedByCountry := map[countries.Code][]int32{}
+	appendedByVP := make([][]int32, len(p.DS.VPCountry))
+	for i := 0; i < p.DS.Len(); i++ {
+		vpIdx, pfxIdx, _ := p.DS.Record(i)
+		c := p.DS.PrefixCountry[pfxIdx]
+		appendedByCountry[c] = append(appendedByCountry[c], int32(i))
+		appendedByVP[vpIdx] = append(appendedByVP[vpIdx], int32(i))
+	}
+	if !reflect.DeepEqual(p.byPrefixCountry, appendedByCountry) {
+		t.Fatalf("counting-sorted index (%d countries) != per-record appends (%d countries)",
+			len(p.byPrefixCountry), len(appendedByCountry))
+	}
+	p.Country("AU")
+	p.Global()
+	p.CTI("AU")
+	p.Stability(CCI, "AU", []int{2}, 1, 7)
+	if p.byVP.Order != nil {
+		t.Fatal("byVP was grouped although no Outbound view was asked for")
+	}
+	p.ViewRecords(Outbound, "AU")
+	for v, want := range appendedByVP {
+		if got := p.byVP.Run(int32(v)); !slices.Equal(got, want) {
+			t.Fatalf("VP %d: grouped run (%d recs) != per-record appends (%d recs)", v, len(got), len(want))
+		}
+	}
 	for _, c := range p.DS.CountriesWithPrefixes() {
 		for _, kind := range []ViewKind{National, International, Outbound} {
 			got := p.ViewRecords(kind, c)

@@ -150,14 +150,16 @@ type Pipeline struct {
 	// degradation, every ranking name carries the report as a label.
 	Coverage *Coverage
 
-	// byPrefixCountry indexes accepted-record positions by the destination
-	// prefix's country, the common slicing key of all views.
+	// byPrefixCountry indexes accepted-record positions (ascending) by the
+	// destination prefix's country, the common slicing key of all views; the
+	// per-country slices partition one array.
 	byPrefixCountry map[countries.Code][]int32
-	// byVP indexes accepted-record positions by vantage point (ascending),
-	// and vpsByCountry groups located VP indexes by country; together they
-	// serve the Outbound view and VP-subset filtering without scanning the
-	// full dataset.
-	byVP         [][]int32
+	// byVP groups accepted-record positions by vantage point (ascending
+	// inside a VP), and vpsByCountry groups located VP indexes by country;
+	// together they serve the Outbound view without scanning the full
+	// dataset. Only that view reads byVP, so it is grouped on first use.
+	byVPOnce     sync.Once
+	byVP         sanitize.Groups
 	vpsByCountry map[countries.Code][]int32
 	// coneStarts / ctiDepths hold each collection path's precomputed chain
 	// resolution against Rels (view-independent), so per-trial kernel runs
@@ -241,16 +243,15 @@ func process(w *topology.World, col *routing.Collection, opt Options, sp *obs.Sp
 	ss.AddItems(int64(ds.Len()), "accepted")
 	ss.End()
 	p := &Pipeline{
-		Opt:             opt,
-		World:           w,
-		Col:             col,
-		DS:              ds,
-		Geo:             geoTable,
-		Rels:            w.Graph,
-		byPrefixCountry: map[countries.Code][]int32{},
-		vpsByCountry:    map[countries.Code][]int32{},
-		viewCache:       map[viewKey][]int32{},
-		rankCache:       map[rankKey]*rank.Ranking{},
+		Opt:          opt,
+		World:        w,
+		Col:          col,
+		DS:           ds,
+		Geo:          geoTable,
+		Rels:         w.Graph,
+		vpsByCountry: map[countries.Code][]int32{},
+		viewCache:    map[viewKey][]int32{},
+		rankCache:    map[rankKey]*rank.Ranking{},
 	}
 	if opt.InferRelationships {
 		is := sp.Child("infer-relationships")
@@ -269,13 +270,7 @@ func process(w *topology.World, col *routing.Collection, opt Options, sp *obs.Sp
 		is.End()
 	}
 	xs := sp.Child("index")
-	p.byVP = make([][]int32, len(ds.VPCountry))
-	for i := 0; i < ds.Len(); i++ {
-		vpIdx, pfxIdx, _ := ds.Record(i)
-		c := ds.PrefixCountry[pfxIdx]
-		p.byPrefixCountry[c] = append(p.byPrefixCountry[c], int32(i))
-		p.byVP[vpIdx] = append(p.byVP[vpIdx], int32(i))
-	}
+	p.byPrefixCountry = indexByPrefixCountry(ds)
 	for v, c := range ds.VPCountry {
 		if c != "" {
 			p.vpsByCountry[c] = append(p.vpsByCountry[c], int32(v))
@@ -286,6 +281,45 @@ func process(w *topology.World, col *routing.Collection, opt Options, sp *obs.Sp
 	p.coneStarts = cone.Starts(ds, p.Rels)
 	cs.End()
 	return p
+}
+
+// indexByPrefixCountry counting-sorts the accepted-record positions by the
+// country of their prefix: the country is resolved once per prefix into a
+// small slot number, the records are counted per slot, and one array of
+// positions is filled and sliced per country — no map access and no slice
+// growth per record. Positions stay ascending inside a country.
+func indexByPrefixCountry(ds *sanitize.Dataset) map[countries.Code][]int32 {
+	slotOf := map[countries.Code]int32{}
+	prefixSlot := make([]int32, len(ds.PrefixCountry))
+	for p, c := range ds.PrefixCountry {
+		slot, ok := slotOf[c]
+		if !ok {
+			slot = int32(len(slotOf))
+			slotOf[c] = slot
+		}
+		prefixSlot[p] = slot
+	}
+	off := make([]int32, len(slotOf)+1) // slot's run is order[off[slot]:off[slot+1]]
+	for i := 0; i < ds.Len(); i++ {
+		off[prefixSlot[ds.PrefixIndex(i)]+1]++
+	}
+	for slot := range len(slotOf) {
+		off[slot+1] += off[slot]
+	}
+	order := make([]int32, ds.Len())
+	next := slices.Clone(off)
+	for i := range order {
+		slot := prefixSlot[ds.PrefixIndex(i)]
+		order[next[slot]] = int32(i)
+		next[slot]++
+	}
+	index := make(map[countries.Code][]int32, len(slotOf))
+	for c, slot := range slotOf {
+		if off[slot] < off[slot+1] { // a country is listed for its records, not for its prefixes
+			index[c] = order[off[slot]:off[slot+1]]
+		}
+	}
+	return index
 }
 
 // ViewKind selects which VPs a country view uses (§3.2, Table 2).
@@ -354,10 +388,10 @@ func (p *Pipeline) computeView(kind ViewKind, country countries.Code) []int32 {
 		// In-country VPs toward everyone else's prefixes, served by the
 		// VP index (the prefix-country index cannot serve this view);
 		// sorted back to record order, the order a full scan would give.
+		p.byVPOnce.Do(func() { p.DS.GroupByVP(&p.byVP, nil) })
 		for _, vpIdx := range p.vpsByCountry[country] {
-			for _, i := range p.byVP[vpIdx] {
-				_, pfxIdx, _ := p.DS.Record(int(i))
-				if p.DS.PrefixCountry[pfxIdx] != country {
+			for _, i := range p.byVP.Run(vpIdx) {
+				if p.DS.PrefixCountry[p.DS.PrefixIndex(int(i))] != country {
 					out = append(out, i)
 				}
 			}
@@ -366,8 +400,7 @@ func (p *Pipeline) computeView(kind ViewKind, country countries.Code) []int32 {
 		return out
 	}
 	for _, i := range p.byPrefixCountry[country] {
-		vpIdx, _, _ := p.DS.Record(int(i))
-		vc := p.DS.VPCountry[vpIdx]
+		vc := p.DS.VPCountry[p.DS.VPIndex(int(i))]
 		switch kind {
 		case National:
 			if vc == country {

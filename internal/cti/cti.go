@@ -74,8 +74,8 @@ func Depths(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
 // caller passes an international view: out-of-country VPs toward in-country
 // prefixes). trim < 0 selects the canonical 10%.
 //
-// The dense-id kernel is bit-identical to the retained map-based reference
-// (computeMapRef): records are processed grouped by VP but in record order
+// The dense-id kernel is bit-identical to the map-based reference the
+// property tests keep (reference_test.go): records are processed grouped by VP but in record order
 // inside each group, so every float accumulation happens in the reference's
 // order.
 func Compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, trim float64) Scores {
@@ -170,90 +170,11 @@ func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depth
 	return s
 }
 
-func each(ds *sanitize.Dataset, recs []int32, f func(i int)) {
-	if recs == nil {
-		for i := 0; i < ds.Len(); i++ {
-			f(i)
-		}
-		return
-	}
-	for _, i := range recs {
-		f(int(i))
-	}
-}
-
-// computeMapRef is the original ASN-keyed map implementation, retained as
-// the executable specification the dense kernel is property-tested against.
-func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, trim float64) Scores {
-	if trim < 0 {
-		trim = 0.10
-	}
-	nVP := len(ds.VPCountry)
-	totals := make([]uint64, nVP)
-	perVP := make([]map[asn.ASN]float64, nVP)
-
-	each(ds, recs, func(i int) {
-		vpIdx, pfxIdx, path := ds.Record(i)
-		w := ds.Weight[pfxIdx]
-		totals[vpIdx] += w
-		m := perVP[vpIdx]
-		if m == nil {
-			m = map[asn.ASN]float64{}
-			perVP[vpIdx] = m
-		}
-		for j := len(path) - 2; j >= 0; j-- {
-			if rels.Rel(path[j], path[j+1]) != topology.RelP2C {
-				break
-			}
-			k := len(path) - 1 - j
-			m[path[j]] += float64(w) / float64(k)
-		}
-	})
-
-	var vps []int
-	for v := 0; v < nVP; v++ {
-		if totals[v] > 0 {
-			vps = append(vps, v)
-		}
-	}
-	values := map[asn.ASN][]float64{}
-	for _, v := range vps {
-		for a, sc := range perVP[v] {
-			values[a] = append(values[a], sc/float64(totals[v]))
-		}
-	}
-	s := Scores{CTI: make(map[asn.ASN]float64, len(values)), VPCount: len(vps)}
-	for a, vals := range values {
-		s.CTI[a] = trimmedMean(vals, len(vps), trim)
-	}
-	return s
-}
-
-func trimmedMean(vals []float64, n int, trim float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	padded := make([]float64, n)
-	copy(padded, vals)
-	sort.Float64s(padded)
-	k := int(trim * float64(n))
-	if k == 0 && trim > 0 && n >= 3 {
-		k = 1 // same small-view convention as hegemony (Figure 2)
-	}
-	lo, hi := k, n-k
-	if lo >= hi {
-		lo, hi = 0, n
-	}
-	var sum float64
-	for _, v := range padded[lo:hi] {
-		sum += v
-	}
-	return sum / float64(hi-lo)
-}
-
-// trimmedMeanSorted is trimmedMean over already-sorted values with the zero
-// padding left implicit; see the hegemony kernel for the bit-identity
-// argument.
+// trimmedMeanSorted pads the sorted vals with zeros up to n (VPs that never
+// saw the AS), trims floor(trim*n) entries from each end — one even from
+// three, hegemony's small-view convention (Figure 2) — and averages the
+// rest, with the zero padding left implicit; see the hegemony kernel for the
+// bit-identity argument.
 func trimmedMeanSorted(vals []float64, n int, trim float64) float64 {
 	if n <= 0 {
 		return 0

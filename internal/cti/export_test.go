@@ -1,5 +1,5 @@
 package cti
 
-// ComputeMapRef exposes the retained map-based reference implementation to
-// the equivalence property tests.
+// ComputeMapRef exposes the map-based reference implementation
+// (reference_test.go) to the equivalence property tests.
 var ComputeMapRef = computeMapRef

@@ -1,9 +1,12 @@
 package hegemony_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,6 +15,7 @@ import (
 	"countryrank/internal/countries"
 	"countryrank/internal/hegemony"
 	"countryrank/internal/metrictest"
+	"countryrank/internal/routing"
 	"countryrank/internal/sanitize"
 )
 
@@ -199,5 +203,111 @@ func TestWarmComputeAllocatesOnlyItsResult(t *testing.T) {
 		if kernel != mapOnly {
 			t.Errorf("warm %s Compute allocates %.0f objects, its result map alone %.0f", name, kernel, mapOnly)
 		}
+	}
+}
+
+// pathRuns counts the maximal stretches of records that share a VP and a
+// path index in view order, VP by VP: the hop walks accumulate makes.
+func pathRuns(ds *sanitize.Dataset, view []int32) int {
+	n := 0
+	for _, run := range metrictest.VPRuns(ds, view) {
+		for k, i := range run {
+			if k == 0 || ds.PathIndex(int(i)) != ds.PathIndex(int(run[k-1])) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestPathRunsMatchMapReference: accumulate sums the weights of consecutive
+// records on one path and walks the path once, and nothing about how records
+// are ordered may show in the scores. So Compute and Accumulate + Scores
+// equal the per-record map reference where every path's records are
+// adjacent (the generator's order), where they are as an MRT dump lists them
+// (a round trip of the same world), where they are not adjacent at all
+// (views shuffled, with records repeated), and where a run has nothing to
+// walk or nothing to weigh (an empty clean path, weightless prefixes) — from
+// four goroutines at once, leaving the pooled scratch zeroed.
+func TestPathRunsMatchMapReference(t *testing.T) {
+	type view struct {
+		name string
+		ds   *sanitize.Dataset
+		recs []int32
+	}
+	rng := rand.New(rand.NewSource(16))
+	opt := core.Options{Seed: 5, StubScale: 0.1, VPScale: 0.15}
+	p := core.NewPipeline(opt)
+
+	var streams []io.Reader
+	for _, coll := range p.World.VPs.Collectors() {
+		var b bytes.Buffer
+		if err := routing.ExportMRT(&b, p.Col, coll.Name, 1617235200); err != nil {
+			t.Fatalf("export %s: %v", coll.Name, err)
+		}
+		streams = append(streams, &b)
+	}
+	imported, err := routing.ImportMRT(p.World, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mrt := core.NewPipelineFrom(p.World, imported, opt)
+
+	var views []view
+	for _, src := range []struct {
+		name string
+		p    *core.Pipeline
+	}{{"generator", p}, {"MRT round trip", mrt}} {
+		for name, recs := range map[string][]int32{
+			"global":  nil,
+			"intl-US": src.p.ViewRecords(core.International, "US"),
+			"natl-AU": src.p.ViewRecords(core.National, "AU"),
+		} {
+			views = append(views, view{src.name + " " + name, src.p.DS, recs})
+		}
+	}
+	for _, v := range views[:3] { // the generator's, scrambled
+		recs := v.recs
+		if recs == nil {
+			recs = make([]int32, v.ds.Len())
+			for i := range recs {
+				recs[i] = int32(i)
+			}
+		}
+		mixed := append(slices.Clone(recs), recs[:len(recs)/10]...) // a tenth of the records twice
+		rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+		if len(recs) > 0 && pathRuns(v.ds, mixed) <= pathRuns(v.ds, recs) {
+			t.Fatalf("%s: shuffling left %d path runs of %d; non-adjacent runs go unexercised",
+				v.name, pathRuns(v.ds, mixed), pathRuns(v.ds, recs))
+		}
+		views = append(views, view{v.name + " shuffled", v.ds, mixed})
+	}
+	for _, c := range weightlessVPCases(rng) { // an empty clean path; a VP whose prefixes all weigh 0
+		views = append(views, view{c.name, c.ds, c.view})
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range views {
+				v := views[(k+g)%len(views)]
+				for _, trim := range []float64{-1, 0} {
+					want := hegemony.ComputeMapRef(v.ds, v.recs, trim)
+					if got := hegemony.Compute(v.ds, v.recs, trim); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s trim %v: Compute (%d VPs, %d ASes) diverges from the map reference (%d VPs, %d ASes)",
+							v.name, trim, got.VPCount, len(got.Hegemony), want.VPCount, len(want.Hegemony))
+					}
+					if got := hegemony.Accumulate(v.ds, v.recs).Scores(nil, trim); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s trim %v: Accumulate + Scores diverges from the map reference", v.name, trim)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := hegemony.CheckPooledScratch(); err != nil {
+		t.Fatal(err)
 	}
 }

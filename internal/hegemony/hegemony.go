@@ -125,13 +125,24 @@ func (sc *scratch) accumulate(ds *sanitize.Dataset, recs []int32, pv *PerVP) {
 	pv.off = append(pv.off[:0], 0)
 	pv.ids, pv.shares, pv.scored = pv.ids[:0], pv.shares[:0], pv.scored[:0]
 	for _, v := range sc.byVP.Used {
-		// asW[id] becomes the weight of the VP's paths containing id.
+		// asW[id] becomes the weight of the VP's paths containing id. A
+		// route fans out over its origin's prefixes, so consecutive records
+		// of one VP mostly share a path index: their weights are summed
+		// first and the path's hops walked once. The sums are exact
+		// integers, so how the records happen to be ordered — whether equal
+		// paths sit next to each other or not — cannot show in asW.
 		sc.touched = sc.touched[:0]
 		var total uint64
-		for _, i := range sc.byVP.Run(v) {
-			_, pfxIdx, ids := ds.RecordIDs(int(i))
-			w := ds.Weight[pfxIdx]
+		for run := sc.byVP.Run(v); len(run) > 0; {
+			first := int(run[0])
+			q := ds.PathIndex(first)
+			var w uint64
+			for len(run) > 0 && ds.PathIndex(int(run[0])) == q {
+				w += ds.Weight[ds.PrefixIndex(int(run[0]))]
+				run = run[1:]
+			}
 			total += w
+			_, _, ids := ds.RecordIDs(first)
 			// Count each AS once per path even if prepending survived.
 			var last int32 = -1
 			for j, id := range ids {

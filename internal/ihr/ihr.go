@@ -88,8 +88,8 @@ func groupQualifyingOrigins(ds *sanitize.Dataset, g *topology.Graph, country cou
 // ComputeWeighted calculates AHC with the chosen origin weighting. The
 // per-origin hegemony computations fan out over a bounded worker pool and
 // merge into a flat dense-id accumulator in ascending origin order, so the
-// result is deterministic and bit-identical to the retained sequential
-// map-based reference (computeMapRef).
+// result is deterministic and bit-identical to the sequential map-based
+// reference the property tests keep (reference_test.go).
 func ComputeWeighted(ds *sanitize.Dataset, g *topology.Graph, country countries.Code, trim float64, weighting Weighting) Scores {
 	groups := groupQualifyingOrigins(ds, g, country, weighting)
 	perOrigin := make([]hegemony.Scores, len(groups))
@@ -122,31 +122,6 @@ func ComputeWeighted(ds *sanitize.Dataset, g *topology.Graph, country countries.
 		if ok {
 			s.AHC[ds.ASNOf[id]] = sum[id] / totalWeight
 		}
-	}
-	return s
-}
-
-// computeMapRef is the original sequential map-based implementation,
-// retained as the executable specification ComputeWeighted is
-// property-tested against. Origins merge in ascending order, the same
-// fixed float-accumulation order the parallel version uses.
-func computeMapRef(ds *sanitize.Dataset, g *topology.Graph, country countries.Code, trim float64, weighting Weighting) Scores {
-	groups := groupQualifyingOrigins(ds, g, country, weighting)
-	sum := map[asn.ASN]float64{}
-	var totalWeight float64
-	for _, grp := range groups {
-		totalWeight += grp.w
-		hs := hegemony.Compute(ds, grp.recs, trim)
-		for a, v := range hs.Hegemony {
-			sum[a] += grp.w * v
-		}
-	}
-	s := Scores{AHC: make(map[asn.ASN]float64, len(sum)), Origins: len(groups)}
-	if totalWeight == 0 {
-		return s
-	}
-	for a, v := range sum {
-		s.AHC[a] = v / totalWeight
 	}
 	return s
 }

@@ -6,10 +6,9 @@ import (
 )
 
 // What the judge needs to know about one ASN, folded out of Config's
-// registry and two sets into one byte so each hop costs one lookup.
+// registry and two sets into one byte so each hop costs one array read.
 const (
-	flagKnown uint8 = 1 << iota // set on every memoised entry: 0 means "not looked up yet"
-	flagUnallocated
+	flagAllocated uint8 = 1 << iota
 	flagClique
 	flagRouteServer
 )
@@ -17,8 +16,13 @@ const (
 // judge applies the path-content filters and cleaning of §3.1 to one path
 // at a time, reusing its buffers between paths. Not safe for concurrent use.
 type judge struct {
-	cfg   Config
-	flags map[asn.ASN]uint8
+	// flags is filled once from Config and only read afterwards: a hop is
+	// looked up, never entered, so path bytes from an MRT file cannot grow
+	// it. An ASN it has no entry for is unallocated and in neither set.
+	flags asn.Table[uint8]
+	// every is or-ed into each hop's flags: flagAllocated when Config has no
+	// registry (nothing is unallocated then), else nothing.
+	every uint8
 	// hops/hopFlags hold the current path with prepending collapsed, and
 	// each surviving hop's flags; kept holds it again without route servers.
 	hops     bgp.Path
@@ -30,25 +34,23 @@ type judge struct {
 }
 
 func newJudge(cfg Config) *judge {
-	return &judge{cfg: cfg, flags: make(map[asn.ASN]uint8)}
-}
-
-func (j *judge) flagsOf(a asn.ASN) uint8 {
-	f := j.flags[a]
-	if f == 0 {
-		f = flagKnown
-		if j.cfg.Registry != nil && !j.cfg.Registry.Allocated(a) {
-			f |= flagUnallocated
-		}
-		if j.cfg.Clique[a] {
-			f |= flagClique
-		}
-		if j.cfg.RouteServers[a] {
-			f |= flagRouteServer
-		}
-		j.flags[a] = f
+	j := new(judge)
+	if cfg.Registry == nil {
+		j.every = flagAllocated
+	} else {
+		cfg.Registry.ForEach(func(a asn.ASN) { *j.flags.At(a) |= flagAllocated })
 	}
-	return f
+	for a, in := range cfg.Clique {
+		if in {
+			*j.flags.At(a) |= flagClique
+		}
+	}
+	for a, in := range cfg.RouteServers {
+		if in {
+			*j.flags.At(a) |= flagRouteServer
+		}
+	}
+	return j
 }
 
 // judge returns p's verdict — Accepted, Unallocated, Loop or Poisoned,
@@ -62,8 +64,8 @@ func (j *judge) judge(p bgp.Path) (Reason, bgp.Path) {
 	j.hops, j.hopFlags = j.hops[:0], j.hopFlags[:0]
 	var routeServers uint8
 	for i, a := range p {
-		f := j.flagsOf(a)
-		if f&flagUnallocated != 0 {
+		f := j.flags.Get(a) | j.every
+		if f&flagAllocated == 0 {
 			return Unallocated, nil
 		}
 		if i > 0 && a == p[i-1] {

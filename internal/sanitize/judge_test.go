@@ -85,13 +85,19 @@ func judgeTestConfig() Config {
 }
 
 // checkJudge compares one verdict of j with the reference's and checks the
-// aliasing contract: an unchanged clean form is the input itself and a
-// changed one shares no storage with it.
+// aliasing contract — an unchanged clean form is the input itself and a
+// changed one shares no storage with it — and the trust boundary: judging a
+// path only looks its ASNs up, so the flag table keeps the pages newJudge
+// gave it.
 func checkJudge(t testing.TB, j *judge, cfg Config, p bgp.Path) (Reason, bgp.Path) {
 	t.Helper()
 	want := judgePath(p, cfg)
 	in := p.Clone()
+	pages := j.flags.Pages()
 	reason, clean := j.judge(p)
+	if got := j.flags.Pages(); got != pages {
+		t.Fatalf("judge(%v) grew the flag table from %d to %d pages", p, pages, got)
+	}
 	if !p.Equal(in) {
 		t.Fatalf("judge(%v) changed its input to %v", in, p)
 	}
@@ -218,6 +224,29 @@ func TestJudgeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestJudgeLookupsCreateNoPages is the flag table's trust boundary: 65,536
+// paths, one per table page, made of ASNs an MRT file could carry but the
+// registry does not allocate, are all Unallocated, and judging them leaves
+// the table at the pages the registry, clique and route servers filled — an
+// input cannot make the judge allocate 64 Ki entries per number it invents.
+func TestJudgeLookupsCreateNoPages(t *testing.T) {
+	cfg := judgeTestConfig()
+	j := newJudge(cfg)
+	pages := j.flags.Pages()
+	if pages != 1 { // every configured ASN is below 65536
+		t.Fatalf("judgeTestConfig fills %d pages, want 1", pages)
+	}
+	for page := 0; page < 1<<16; page++ {
+		a := asn.ASN(page<<16 | 50000) // slot 50000 is allocated on no page
+		if reason, clean := j.judge(bgp.Path{7, a, a + 1, 8}); reason != Unallocated || clean != nil {
+			t.Fatalf("path through %v: %v with clean form %v, want unallocated", a, reason, clean)
+		}
+	}
+	if got := j.flags.Pages(); got != pages {
+		t.Fatalf("judging grew the flag table from %d to %d pages", pages, got)
+	}
+}
+
 // TestWarmJudgeAllocatesNothing pins the steady state: once the judge has
 // met a path's ASNs and sized its buffers, judging a path that needs no
 // cleaning allocates nothing, and neither does rejecting one.
@@ -240,19 +269,22 @@ func TestWarmJudgeAllocatesNothing(t *testing.T) {
 }
 
 // FuzzJudge feeds the judge what MRT decoding can: arbitrary ASN sequences.
-// Same verdict and same clean form as the reference, and never a panic.
+// Same verdict and same clean form as the reference, no page created by a
+// lookup (checkJudge), and never a panic.
 func FuzzJudge(f *testing.F) {
 	f.Add([]byte{7, 8, 9})
 	f.Add([]byte{31, 7, 7, 32, 8, 33})
 	f.Add([]byte{1, 9, 2, 7, 8, 7})
 	f.Add([]byte{200, 7, 0})
+	f.Add([]byte{7, 250, 8})
 	f.Add([]byte{})
 	cfg := judgeTestConfig()
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// One byte per hop keeps the fuzzer inside the small universe where
 		// the rules interact: 0 is reserved, 1..40 hold the clique and the
 		// route servers, 41..199 map into the wide allocated range (so long
-		// loop-free paths exist) and the rest is private use.
+		// loop-free paths exist), 200..239 is private use and the rest are
+		// 4-byte ASNs on sixteen table pages the config never wrote.
 		p := make(bgp.Path, len(raw))
 		for i, b := range raw {
 			switch a := asn.ASN(b); {
@@ -260,8 +292,10 @@ func FuzzJudge(f *testing.F) {
 				p[i] = a
 			case b < 200:
 				p[i] = 1000 + a
-			default:
+			case b < 240:
 				p[i] = 64512 + a
+			default:
+				p[i] = a << 24
 			}
 		}
 		j := newJudge(cfg)

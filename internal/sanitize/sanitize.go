@@ -165,12 +165,11 @@ type Config struct {
 // the input to every ranking metric.
 type Dataset struct {
 	Col *routing.Collection
-	// Accepted[i] is the canonical-order index of the i-th accepted record.
-	Accepted []int32
 	// recVP / recPrefix / recPath are the accepted records' VP, prefix and
-	// collection-path columns, copied out during the filtering stream so the
-	// dataset never needs random access into the collection's record store
-	// (which may be out-of-core).
+	// collection-path columns in canonical record order, copied out of the
+	// record stream so the dataset never needs random access into the
+	// collection's record store (which may be out-of-core). The three share
+	// one allocation sized by the verdict pass's accepted count.
 	recVP     []int32
 	recPrefix []int32
 	recPath   []int32
@@ -187,7 +186,9 @@ type Dataset struct {
 	// the metric kernels can accumulate into flat slices indexed by id
 	// instead of ASN-keyed maps.
 	//
-	// ASNOf[id] resolves an id back to its ASN; IDOf inverts it.
+	// ASNOf[id] resolves an id back to its ASN. IDOf inverts it for callers
+	// holding ASN-keyed results; it is derived from ASNOf once the ids are
+	// final, and nothing per hop or per record reads it.
 	ASNOf []asn.ASN
 	IDOf  map[asn.ASN]int32
 
@@ -217,10 +218,30 @@ func NewDataset(col *routing.Collection, vpCountry, prefixCountry []countries.Co
 	for p, pfx := range col.Prefixes {
 		ds.Weight[p] = netx.AddressWeight(pfx)
 	}
-	ds.Stats.Total = col.NumRecords()
-	ds.Stats.Counts[Accepted] = col.NumRecords()
-	ds.fill(col.Paths, func(routing.Record) bool { return true })
+	ds.fill(col.Paths, verdicts{ // all zero: Accepted
+		byPrefix: make([]Reason, len(col.Prefixes)),
+		byPath:   make([]Reason, len(col.Paths)),
+		byVP:     make([]Reason, len(vpCountry)),
+	})
 	return ds
+}
+
+// verdicts holds what decides a record's outcome, one byte per prefix, per
+// collection path and per VP: Accepted, or the reason that part of the
+// record gives for rejecting it.
+type verdicts struct {
+	byPrefix []Reason // Unstable, else PrefixNoLocation
+	byPath   []Reason // Unallocated, Loop or Poisoned
+	byVP     []Reason // VPNoLocation
+}
+
+// of returns r's outcome: the lowest-numbered reason among its three parts,
+// Accepted when none has one. Reason's numbering is Table 1's precedence
+// (unstable > path verdict > VP > prefix); Accepted is 0, so each byte is
+// shifted down by one — Accepted wraps to the largest — and the minimum
+// shifted back.
+func (v verdicts) of(r routing.Record) Reason {
+	return min(v.byPrefix[r.Prefix]-1, v.byPath[r.Path]-1, v.byVP[r.VP]-1) + 1
 }
 
 // Run sanitizes the collection.
@@ -232,9 +253,16 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 		PrefixCountry: make([]countries.Code, len(col.Prefixes)),
 		Weight:        make([]uint64, len(col.Prefixes)),
 	}
-	for v := 0; v < col.World.VPs.Len(); v++ {
-		if c, ok := col.World.VPs.Country(v); ok {
-			ds.VPCountry[v] = c
+	v := verdicts{
+		byPrefix: make([]Reason, len(col.Prefixes)),
+		byPath:   make([]Reason, len(col.Paths)),
+		byVP:     make([]Reason, len(ds.VPCountry)),
+	}
+	for i := range ds.VPCountry {
+		if c, ok := col.World.VPs.Country(i); ok {
+			ds.VPCountry[i] = c
+		} else {
+			v.byVP[i] = VPNoLocation
 		}
 	}
 	for p, pfx := range col.Prefixes {
@@ -244,61 +272,56 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 				ds.PrefixCountry[p] = c
 			}
 		}
+		switch {
+		case !col.Stable[p]:
+			v.byPrefix[p] = Unstable
+		case ds.PrefixCountry[p] == "":
+			v.byPrefix[p] = PrefixNoLocation
+		}
 	}
 
 	// Judge and clean each collection path once: the same path index backs
 	// many records (one per prefix of its origin).
-	reasons := make([]Reason, len(col.Paths)) // Accepted, Unallocated, Loop or Poisoned
 	clean := make([]bgp.Path, len(col.Paths))
 	j := newJudge(cfg)
 	for q, p := range col.Paths {
-		reasons[q], clean[q] = j.judge(p)
+		v.byPath[q], clean[q] = j.judge(p)
 	}
 
-	ds.Stats.Total = col.NumRecords()
-	ds.fill(clean, func(r routing.Record) bool {
-		reason := reasons[r.Path]
-		switch {
-		case !col.Stable[r.Prefix]:
-			reason = Unstable
-		case reason != Accepted: // the path's own verdict stands
-		case ds.VPCountry[r.VP] == "":
-			reason = VPNoLocation
-		case ds.PrefixCountry[r.Prefix] == "":
-			reason = PrefixNoLocation
-		}
-		ds.Stats.Counts[reason]++
-		return reason == Accepted
-	})
+	ds.fill(clean, v)
 	ds.Stats.observe(time.Since(start))
 	return ds
 }
 
-// fill streams the collection's records, copies the ones keep accepts into
-// the record columns, then lays the clean form of every collection path an
-// accepted record uses into the arenas (clean is indexed like Col.Paths) and
-// assigns dense ids to the ASNs on them. Ids are handed out in
-// first-appearance order over the accepted records, so they are
+// fill streams the collection's records twice — once only counting outcomes
+// into Stats, which sizes the record columns exactly, once copying the
+// accepted ones into them — then lays the clean form of every collection
+// path an accepted record uses into the arenas (clean is indexed like
+// Col.Paths) and assigns dense ids to the ASNs on them. Ids are handed out
+// in first-appearance order over the accepted records, so they are
 // deterministic for a fixed collection; a path index met again contributes
 // no new ASN, so resolving each path only at its first record gives the ids
 // resolving every record would.
-func (d *Dataset) fill(clean []bgp.Path, keep func(routing.Record) bool) {
-	err := d.Col.ForEachRecord(func(base int, recs []routing.Record) error {
-		for k, r := range recs {
-			if keep(r) {
-				d.Accepted = append(d.Accepted, int32(base+k))
-				d.recVP = append(d.recVP, r.VP)
-				d.recPrefix = append(d.recPrefix, r.Prefix)
-				d.recPath = append(d.recPath, r.Path)
+func (d *Dataset) fill(clean []bgp.Path, v verdicts) {
+	d.stream(func(recs []routing.Record) {
+		for _, r := range recs {
+			d.Stats.Counts[v.of(r)]++
+		}
+	})
+	d.Stats.Total = d.Col.NumRecords()
+
+	n := d.Stats.Counts[Accepted]
+	cols := make([]int32, 3*n)
+	d.recVP, d.recPrefix, d.recPath = cols[:n:n], cols[n:2*n:2*n], cols[2*n:]
+	i := 0
+	d.stream(func(recs []routing.Record) {
+		for _, r := range recs {
+			if v.of(r) == Accepted {
+				d.recVP[i], d.recPrefix[i], d.recPath[i] = r.VP, r.Prefix, r.Path
+				i++
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		// Streaming only fails on spilled collections with unreadable run
-		// files; that is not recoverable mid-run.
-		panic(fmt.Sprintf("sanitize: record stream: %v", err))
-	}
 
 	pending := make([]bool, len(clean)) // used by a record, ids not yet resolved
 	hops := 0
@@ -316,7 +339,10 @@ func (d *Dataset) fill(clean []bgp.Path, keep func(routing.Record) bool) {
 		}
 		d.pathOff = append(d.pathOff, int32(len(d.cleanHops)))
 	}
-	d.IDOf = make(map[asn.ASN]int32)
+	// idOf holds id+1, so 0 reads "no id yet". It gets a page only for ASNs
+	// on accepted paths, which under a Config with a registry are allocated
+	// ones: input cannot size it beyond the registry's pages.
+	var idOf asn.Table[int32]
 	d.idHops = make([]int32, hops)
 	for _, q := range d.recPath {
 		if !pending[q] {
@@ -325,14 +351,31 @@ func (d *Dataset) fill(clean []bgp.Path, keep func(routing.Record) bool) {
 		pending[q] = false
 		for k := d.pathOff[q]; k < d.pathOff[q+1]; k++ {
 			a := d.cleanHops[k]
-			id, ok := d.IDOf[a]
-			if !ok {
-				id = int32(len(d.ASNOf))
-				d.IDOf[a] = id
+			id := idOf.At(a)
+			if *id == 0 {
 				d.ASNOf = append(d.ASNOf, a)
+				*id = int32(len(d.ASNOf))
 			}
-			d.idHops[k] = id
+			d.idHops[k] = *id - 1
 		}
+	}
+	d.IDOf = make(map[asn.ASN]int32, len(d.ASNOf))
+	for id, a := range d.ASNOf {
+		d.IDOf[a] = int32(id)
+	}
+}
+
+// stream hands fn the collection's records in canonical order, a chunk at a
+// time; fn may not keep the slice.
+func (d *Dataset) stream(fn func([]routing.Record)) {
+	err := d.Col.ForEachRecord(func(_ int, recs []routing.Record) error {
+		fn(recs)
+		return nil
+	})
+	if err != nil {
+		// Streaming only fails on spilled collections with unreadable run
+		// files; that is not recoverable mid-run.
+		panic(fmt.Sprintf("sanitize: record stream: %v", err))
 	}
 }
 
@@ -340,7 +383,7 @@ func (d *Dataset) fill(clean []bgp.Path, keep func(routing.Record) bool) {
 func (d *Dataset) NumAS() int { return len(d.ASNOf) }
 
 // Len returns the number of accepted records.
-func (d *Dataset) Len() int { return len(d.Accepted) }
+func (d *Dataset) Len() int { return len(d.recVP) }
 
 // Record returns the i-th accepted record's essentials. The path aliases
 // the shared per-path arena: records with one PathIndex return the same
@@ -354,6 +397,12 @@ func (d *Dataset) RecordIDs(i int) (vpIdx int32, prefixIdx int32, ids []int32) {
 	lo, hi := d.pathOff[d.recPath[i]], d.pathOff[d.recPath[i]+1]
 	return d.recVP[i], d.recPrefix[i], d.idHops[lo:hi:hi]
 }
+
+// VPIndex returns accepted record i's vantage point index.
+func (d *Dataset) VPIndex(i int) int32 { return d.recVP[i] }
+
+// PrefixIndex returns accepted record i's prefix index.
+func (d *Dataset) PrefixIndex(i int) int32 { return d.recPrefix[i] }
 
 // PathIndex returns accepted record i's collection path index, the key
 // under which per-path results (chain starts, transit depths) are shared by

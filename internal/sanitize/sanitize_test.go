@@ -45,7 +45,7 @@ func TestRunAccounting(t *testing.T) {
 	if sum != s.Total {
 		t.Fatalf("reason counts sum to %d, want %d", sum, s.Total)
 	}
-	if s.Counts[Accepted] != len(ds.Accepted) || len(ds.Accepted) != len(ds.recPath) {
+	if s.Counts[Accepted] != ds.Len() || ds.Len() != len(ds.recPath) || ds.Len() != len(ds.recPrefix) {
 		t.Fatal("accepted bookkeeping inconsistent")
 	}
 	// Table 1 shape checks: every reject class is exercised, acceptance in a

@@ -26,8 +26,10 @@ go test -race ./...
 
 echo '--- bench smoke (Figure4, Figure5, Table9GlobalContrast, PipelineBuild, Propagation, Table1Sanitize, 1 iteration)'
 # Figure4 and Figure5 combine per-view trial state over VP subsets (national
-# and international views); Table9 drives the full-view Global path,
-# PipelineBuild the path judge, the per-path interner and the chain starts,
+# and international views); Table9 drives the full-view Global path and its
+# (VP, path) runs, PipelineBuild the judge's prefilled flag table, the
+# verdict pass, the table-numbered interner, the counting-sorted
+# prefix-country index and the chain starts,
 # Propagation the sharded path arenas and the merge's numbering,
 # Table1Sanitize the accounting over a built dataset.
 go test -run '^$' -bench 'Figure4|Figure5|Table9GlobalContrast|PipelineBuild|Propagation$|Table1Sanitize' -benchtime 1x .
@@ -48,9 +50,12 @@ go test -race -count=1 \
 # layout must leave every served byte where it was: the reference-equivalence
 # tests run from several goroutines, the reusable path judge against its
 # allocating reference, and the fixed-seed golden with its six stability
-# curves, under the detector.
+# curves, under the detector. With them the record plane's three: no lookup
+# grows the judge's flag table, the verdict pass equals its per-record
+# reference, and hegemony's (VP, path) runs equal the map reference however
+# the records are ordered.
 go test -race -count=1 \
-    -run 'TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestInternerInvariants|TestJudgeMatchesReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs' \
+    -run 'TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestPathRunsMatchMapReference|TestInternerInvariants|TestJudgeMatchesReference|TestJudgeLookupsCreateNoPages|TestRunMatchesPerRecordReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs' \
     ./internal/cone ./internal/hegemony ./internal/sanitize ./internal/core ./internal/snapshot
 
 echo '--- stability determinism (experiments -quick -only figure4,figure5, twice)'
@@ -85,7 +90,8 @@ rm -rf "$scale_dir"
 echo '--- fuzz smoke (MRT reader, path judge, 10s each)'
 go test -run '^$' -fuzz FuzzReaderNext -fuzztime 10s ./internal/mrt
 # AS paths reach the judge straight from MRT bytes: same verdict and clean
-# form as the retained reference, never a panic.
+# form as the retained reference, no flag-table page created by a lookup,
+# never a panic.
 go test -run '^$' -fuzz FuzzJudge -fuzztime 10s ./internal/sanitize
 
 echo '--- chaos soak (collector under injected faults, -race, bounded)'
