@@ -87,28 +87,6 @@ func BenchmarkPropagationSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildCollectionSpill measures the out-of-core build: routes are
-// streamed to columnar runs on disk instead of accumulating in RAM.
-func BenchmarkBuildCollectionSpill(b *testing.B) {
-	w := topology.Build(topology.Config{Seed: 1, StubScale: 0.3, VPScale: 0.3})
-	root := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dir := filepath.Join(root, fmt.Sprintf("it-%d", i))
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			b.Fatal(err)
-		}
-		col, err := routing.BuildCollectionWith(w, routing.BuildOptions{SpillDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		col.Close()
-		os.RemoveAll(dir)
-		b.StartTimer()
-	}
-}
-
 func BenchmarkTable1Sanitize(b *testing.B) {
 	p, _ := benchPipelines(b)
 	b.ResetTimer()

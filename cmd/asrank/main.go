@@ -40,7 +40,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (the snapshot wire encoding rankd serves) instead of tables")
 	ahc := flag.String("ahc", "", "also print the AHC baseline for this country code")
 	shards := flag.Int("shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
-	spillDir := flag.String("spill-dir", "", "spill records to columnar runs under this directory instead of RAM")
 	ofl := obs.Flags("asrank")
 	flag.Parse()
 	ofl.Init()
@@ -48,7 +47,7 @@ func main() {
 	ofl.Manifest.Seed("world", *seed)
 	p := core.NewPipeline(core.Options{
 		Seed: *seed, StubScale: *scale, VPScale: *vpscale,
-		Routing: routing.BuildOptions{Shards: *shards, SpillDir: *spillDir},
+		Routing: routing.BuildOptions{Shards: *shards},
 	})
 	slog.Debug("pipeline ready", "accepted", p.DS.Len())
 	ofl.Manifest.SetCoverage(p.CoverageInfo())

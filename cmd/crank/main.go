@@ -41,7 +41,6 @@ func main() {
 	metric := flag.String("metric", "all", "metric to print")
 	top := flag.Int("top", 10, "entries per ranking")
 	shards := flag.Int("shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
-	spillDir := flag.String("spill-dir", "", "spill records to columnar runs under this directory instead of RAM")
 	ofl := obs.Flags("crank")
 	flag.Parse()
 	ofl.Init()
@@ -56,7 +55,7 @@ func main() {
 	if *mrtDir != "" {
 		var err error
 		var paths []string
-		col, paths, err = loadMRT(w, *mrtDir, routing.ImportOptions{SpillDir: *spillDir})
+		col, paths, err = loadMRT(w, *mrtDir)
 		if err != nil {
 			slog.Error("MRT import failed", "dir", *mrtDir, "err", err)
 			os.Exit(1)
@@ -68,12 +67,7 @@ func main() {
 		}
 		slog.Info("loaded MRT dumps", "records", col.NumRecords(), "dir", *mrtDir)
 	} else {
-		var err error
-		col, err = routing.BuildCollectionWith(w, routing.BuildOptions{Shards: *shards, SpillDir: *spillDir})
-		if err != nil {
-			slog.Error("build collection", "err", err)
-			os.Exit(1)
-		}
+		col = routing.BuildCollection(w, routing.BuildOptions{Shards: *shards})
 	}
 	p := core.NewPipelineFrom(w, col, core.Options{Seed: *seed})
 	ofl.Manifest.SetCoverage(p.CoverageInfo())
@@ -113,7 +107,7 @@ func main() {
 // loadMRT imports every .mrt file in dir against the world's VP set,
 // returning the collection and the imported file paths (for provenance
 // digests). Files decode chunk-parallel via ImportMRTFiles.
-func loadMRT(w *topology.World, dir string, opt routing.ImportOptions) (*routing.Collection, []string, error) {
+func loadMRT(w *topology.World, dir string) (*routing.Collection, []string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
@@ -128,6 +122,6 @@ func loadMRT(w *topology.World, dir string, opt routing.ImportOptions) (*routing
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("no .mrt files in %s", dir)
 	}
-	col, _, err := routing.ImportMRTFiles(w, paths, opt)
+	col, _, err := routing.ImportMRTFiles(w, paths, routing.ImportOptions{})
 	return col, paths, err
 }

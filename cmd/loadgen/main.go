@@ -1,7 +1,7 @@
 // Command loadgen drives a running rankd over real HTTP and records the
-// serving latency distribution as a BENCH_*.json snapshot, making the
-// serving path a regression-tracked surface alongside the kernel
-// microbenchmarks.
+// serving latency distribution as a JSON snapshot. CI runs it as a gate:
+// the rankd smoke requires zero failed requests and the drift extras in the
+// snapshot, the shed smoke that designed 503s are classed apart from errors.
 //
 // It discovers the served countries from /v1/snapshot, then fans -conc
 // workers out over a request mix (country pages, top-N queries, snapshot
@@ -45,9 +45,27 @@ import (
 	"sync"
 	"time"
 
-	"countryrank/internal/benchfmt"
 	"countryrank/internal/obs"
 )
+
+// result is one request class's measurement: NsPerOp is the p50 request
+// latency, AllocsOp the server-side allocations per request, and Extra
+// carries p99_ns / p999_ns / req_per_s and the scraped server counters.
+type result struct {
+	Name     string             `json:"name"`
+	Iters    int64              `json:"iters"`
+	NsPerOp  float64            `json:"ns_per_op"`
+	AllocsOp float64            `json:"allocs_per_op,omitempty"`
+	Extra    map[string]float64 `json:"extra,omitempty"`
+}
+
+// snapshot is the file -out receives.
+type snapshot struct {
+	Date      string   `json:"date"`
+	Bench     string   `json:"bench"`
+	BenchTime string   `json:"benchtime"`
+	Results   []result `json:"results"`
+}
 
 // class indexes one request/response population we report separately.
 type class int
@@ -232,8 +250,8 @@ func main() {
 	}
 
 	date := time.Now().UTC().Format("2006-01-02")
-	snap := benchfmt.Snapshot{
-		Date: date, GoVersion: "", Bench: "serving", BenchTime: duration.String(),
+	snap := snapshot{
+		Date: date, Bench: "serving", BenchTime: duration.String(),
 	}
 	byClass := make([][]int64, numClasses)
 	overall := make([]int64, 0, len(all))
@@ -257,7 +275,7 @@ func main() {
 		}
 		slices.Sort(ns)
 		p50, p99, p999 := pctl(ns, 0.50), pctl(ns, 0.99), pctl(ns, 0.999)
-		r := benchfmt.Result{
+		r := result{
 			Name: name, Iters: int64(len(ns)), NsPerOp: float64(p50),
 			Extra: map[string]float64{"p99_ns": float64(p99), "p999_ns": float64(p999)},
 		}
@@ -271,7 +289,7 @@ func main() {
 			r.AllocsOp = allocsPerReq
 			// Fold the server's own view of the run in: burn rates from
 			// /debug/slo and the observability pipeline's overhead counters,
-			// so the BENCH snapshot records what the instrumentation cost.
+			// so the snapshot records what the instrumentation cost.
 			for k, v := range scrapeServerObs(*base, client) {
 				r.Extra[k] = v
 			}
@@ -293,7 +311,11 @@ func main() {
 	if path == "" {
 		path = fmt.Sprintf("BENCH_%s_serving.json", date)
 	}
-	if err := snap.WriteFile(path); err != nil {
+	buf, err := json.MarshalIndent(snap, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(buf, '\n'), 0o644)
+	}
+	if err != nil {
 		slog.Error("write snapshot failed", "path", path, "err", err)
 		os.Exit(1)
 	}
@@ -348,8 +370,8 @@ func discover(base string) (ccs, tops []string, err error) {
 // burn rates and degraded flag from /debug/slo (absent when the server runs
 // without -slo) plus access-log, trace, and drift-layer counters (churn
 // score, history-ring depth) from the countryrank expvar bridge, so the
-// BENCH snapshot regression-tracks the drift layer's overhead like the
-// rest of the instrumentation. Everything is best-effort — an unreachable
+// snapshot records the drift layer's overhead like the rest of the
+// instrumentation. Everything is best-effort — an unreachable
 // or uninstrumented server just yields fewer keys.
 func scrapeServerObs(base string, client *http.Client) map[string]float64 {
 	out := map[string]float64{}

@@ -307,7 +307,7 @@ func main() {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", h)
 	mux.Handle("/", obs.NewDebugMux())
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := newServer(mux)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		slog.Error("listen failed", "addr", *addr, "err", err)
@@ -407,4 +407,15 @@ func main() {
 			return
 		}
 	}
+}
+
+// newServer is the daemon's listener: the repository's shared request limits
+// plus a write bound, so a client that stops reading its response is dropped
+// too. The debug mux is mounted on this listener as well, so the bound stays
+// above the 30 s /debug/pprof/profile streams by default (pprof refuses a
+// profile that would outlast it).
+func newServer(h http.Handler) *http.Server {
+	srv := obs.NewServer(h)
+	srv.WriteTimeout = time.Minute
+	return srv
 }

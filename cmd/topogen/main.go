@@ -36,7 +36,6 @@ func main() {
 	scenario := flag.String("scenario", string(topology.Apr2021), "snapshot scenario")
 	out := flag.String("out", "", "output directory for MRT files (required)")
 	shards := flag.Int("shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
-	spillDir := flag.String("spill-dir", "", "spill records to columnar runs under this directory instead of RAM")
 	ofl := obs.Flags("topogen")
 	flag.Parse()
 	ofl.Init()
@@ -52,11 +51,7 @@ func main() {
 		StubScale: *scale,
 		VPScale:   *vpscale,
 	})
-	col, err := routing.BuildCollectionWith(w, routing.BuildOptions{Shards: *shards, SpillDir: *spillDir})
-	if err != nil {
-		slog.Error("build collection", "err", err)
-		os.Exit(1)
-	}
+	col := routing.BuildCollection(w, routing.BuildOptions{Shards: *shards})
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		slog.Error("create output directory", "dir", *out, "err", err)

@@ -88,12 +88,9 @@ func (p *Pipeline) CoverageInfo() obs.CoverageInfo {
 // import stats.
 func CoverageFromImport(vpsExpected int, col *routing.Collection, stats routing.ImportStats) Coverage {
 	seen := map[int32]bool{}
-	col.ForEachRecord(func(_ int, recs []routing.Record) error {
-		for _, r := range recs {
-			seen[r.VP] = true
-		}
-		return nil
-	})
+	for _, r := range col.Records {
+		seen[r.VP] = true
+	}
 	return Coverage{
 		VPsExpected:  vpsExpected,
 		VPsDelivered: len(seen),

@@ -174,7 +174,32 @@ func ServeDebug(addr string) (string, func(), error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: debug listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: NewDebugMux(), ReadHeaderTimeout: 5 * time.Second}
+	srv := NewServer(NewDebugMux())
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
+}
+
+// Listener limits shared by every HTTP server in the repository. Requests
+// are a path, a short query and at most an If-None-Match header, and none
+// carries a body, so the bounds are tight: a client that stalls mid-request
+// or parks an idle keep-alive connection is dropped instead of holding a
+// goroutine and a descriptor forever.
+const (
+	// ReadTimeout covers headers and body alike (ReadHeaderTimeout defaults
+	// to it).
+	serverReadTimeout    = 5 * time.Second
+	serverIdleTimeout    = 2 * time.Minute
+	serverMaxHeaderBytes = 16 << 10
+)
+
+// NewServer returns an http.Server for h with the shared listener limits
+// set. It sets no WriteTimeout: /debug/pprof/profile streams for as long as
+// the caller asks, so a server that wants one sets it itself.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:        h,
+		ReadTimeout:    serverReadTimeout,
+		IdleTimeout:    serverIdleTimeout,
+		MaxHeaderBytes: serverMaxHeaderBytes,
+	}
 }

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"runtime"
@@ -13,7 +12,6 @@ import (
 	"countryrank/internal/bgp"
 	"countryrank/internal/obs"
 	"countryrank/internal/par"
-	"countryrank/internal/ribstore"
 	"countryrank/internal/topology"
 	"countryrank/internal/vp"
 )
@@ -27,16 +25,17 @@ var (
 		"duration of one full-collection route propagation", nil)
 	mShardsDone = obs.NewCounter("countryrank_routing_shards_done_total",
 		"propagation shards completed and merged into a collection")
-	mSpillBytes = obs.NewCounter("countryrank_routing_spill_bytes_total",
-		"bytes written to out-of-core columnar record spill runs")
 )
 
-// Record is one observed (vantage point, prefix, AS path) triple: the unit
-// the paper's Table 1 accounts for and every metric consumes. It is an
-// alias of the columnar store's record, so spilled runs and resident slices
-// share one layout: VP indexes the world's vp.Set, Prefix indexes
+// Record is one observed (vantage point, prefix, AS path) triple in
+// dense-index form: the unit the paper's Table 1 accounts for and every
+// metric consumes. VP indexes the world's vp.Set, Prefix indexes
 // Collection.Prefixes, Path indexes Collection.Paths.
-type Record = ribstore.Rec
+type Record struct {
+	VP     int32
+	Prefix int32
+	Path   int32
+}
 
 // Collection is a multi-day observation of the world from its vantage
 // points: the synthetic equivalent of the five daily RIB snapshots the paper
@@ -47,13 +46,10 @@ type Collection struct {
 	// Origin[i] is the origin AS of Prefixes[i].
 	Origin []asn.ASN
 	Paths  []bgp.Path
-	// Records holds every (VP, prefix, path) observation of the base day
-	// when the collection is resident. Spilled collections (BuildOptions.
-	// SpillDir) keep Records nil and stream from disk instead; consumers
-	// that want to work in either mode use NumRecords and ForEachRecord.
+	// Records holds every (VP, prefix, path) observation of the base day in
+	// canonical order: by origin, VP, then prefix for a built collection,
+	// stream order for an imported one.
 	Records []Record
-	// spill is non-nil when the records live on disk.
-	spill *spillRecords
 	// Stable[i] reports whether Prefixes[i] was announced on every one of
 	// the Days daily snapshots; unstable prefixes are filtered by the
 	// sanitizer (Table 1's largest reject class after VP location).
@@ -64,91 +60,8 @@ type Collection struct {
 	Days    int
 }
 
-// RIBStore is the record plane of a Collection: the canonical-order stream
-// of (VP, prefix, path) triples, resident or out-of-core. Everything
-// downstream of propagation — the sanitizer, MRT export, coverage — reads
-// records only through this contract, so a spilled collection flows through
-// the pipeline without ever materializing its record slice.
-type RIBStore interface {
-	// NumRecords returns the total record count.
-	NumRecords() int
-	// ForEachRecord streams every record in canonical order, calling fn
-	// with the absolute index of each chunk's first record. The chunk slice
-	// may be reused between calls; fn must copy whatever it keeps.
-	ForEachRecord(fn func(base int, recs []Record) error) error
-	// Spilled reports whether the records live on disk.
-	Spilled() bool
-	// Close releases any on-disk resources. The spill files themselves are
-	// kept: they belong to the caller-chosen spill directory.
-	Close() error
-}
-
-// memRecords adapts a resident record slice to the RIBStore contract.
-type memRecords struct{ recs []Record }
-
-func (m memRecords) NumRecords() int { return len(m.recs) }
-func (m memRecords) Spilled() bool   { return false }
-func (m memRecords) Close() error    { return nil }
-
-func (m memRecords) ForEachRecord(fn func(int, []Record) error) error {
-	// Chunked like the spilled store, so consumers behave identically in
-	// both modes instead of growing accidental whole-slice dependencies.
-	for base := 0; base < len(m.recs); base += ribstore.GroupSize {
-		end := base + ribstore.GroupSize
-		if end > len(m.recs) {
-			end = len(m.recs)
-		}
-		if err := fn(base, m.recs[base:end]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// spillRecords adapts an on-disk run set to the RIBStore contract.
-type spillRecords struct {
-	set   *ribstore.Set
-	bytes int64
-}
-
-func (s *spillRecords) NumRecords() int { return s.set.Len() }
-func (s *spillRecords) Spilled() bool   { return true }
-func (s *spillRecords) Close() error    { return s.set.Close() }
-
-func (s *spillRecords) ForEachRecord(fn func(int, []Record) error) error {
-	return s.set.ForEach(fn)
-}
-
-// Store returns the collection's record plane.
-func (c *Collection) Store() RIBStore {
-	if c.spill != nil {
-		return c.spill
-	}
-	return memRecords{c.Records}
-}
-
-// NumRecords returns the collection's record count, resident or spilled.
-func (c *Collection) NumRecords() int { return c.Store().NumRecords() }
-
-// ForEachRecord streams the records in canonical order (see RIBStore).
-func (c *Collection) ForEachRecord(fn func(base int, recs []Record) error) error {
-	return c.Store().ForEachRecord(fn)
-}
-
-// Spilled reports whether the records live on disk.
-func (c *Collection) Spilled() bool { return c.spill != nil }
-
-// SpillBytes returns how many bytes the collection's spill runs occupy
-// (0 for resident collections).
-func (c *Collection) SpillBytes() int64 {
-	if c.spill == nil {
-		return 0
-	}
-	return c.spill.bytes
-}
-
-// Close releases the collection's record store.
-func (c *Collection) Close() error { return c.Store().Close() }
+// NumRecords returns the collection's record count.
+func (c *Collection) NumRecords() int { return len(c.Records) }
 
 // PresentOn reports whether prefix pi was announced on day d.
 func (c *Collection) PresentOn(pi int32, day int) bool {
@@ -174,11 +87,6 @@ type BuildOptions struct {
 	// byte-identical for every shard count and GOMAXPROCS. 0 picks
 	// 4×GOMAXPROCS. 1 is the sequential baseline.
 	Shards int
-	// SpillDir, when set, spills the records to columnar run files under
-	// the directory instead of holding them resident (one run per shard);
-	// the collection then streams them back via ForEachRecord. The run
-	// files persist after the collection is closed.
-	SpillDir string
 }
 
 func (o BuildOptions) withDefaults(w *topology.World) BuildOptions {
@@ -206,20 +114,8 @@ func (o BuildOptions) withDefaults(w *topology.World) BuildOptions {
 // BuildCollection propagates every origin's routes across the world and
 // records the best path each vantage point exports, then injects the
 // real-world dirt (loops, poisoned paths, unallocated ASNs, day-to-day
-// instability) the sanitizer must handle. Spill failures (BuildOptions.
-// SpillDir on a broken disk) panic; use BuildCollectionWith to handle them.
+// instability) the sanitizer must handle.
 func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
-	col, err := BuildCollectionWith(w, opt)
-	if err != nil {
-		panic(fmt.Sprintf("routing: collection spill: %v", err))
-	}
-	return col
-}
-
-// BuildCollectionWith is BuildCollection with spill-failure reporting. The
-// only error source is I/O on BuildOptions.SpillDir; with no spill
-// directory it never fails.
-func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, error) {
 	start := time.Now()
 	opt = opt.withDefaults(w)
 	g := w.Graph
@@ -267,10 +163,8 @@ func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, erro
 	}
 
 	// Day-to-day instability: stable prefixes appear in every daily RIB;
-	// unstable ones flap, missing at least one day. Drawn before the merge
-	// so the spill sink can stream records straight to disk; the rng
-	// sequence matches the historical order (no draws happen mid-merge
-	// except the per-record anomaly draws that always followed these).
+	// unstable ones flap, missing at least one day. Drawn before the merge,
+	// whose per-record anomaly draws continue the same rng sequence.
 	col.Stable = make([]bool, len(col.Prefixes))
 	col.DayMask = make([]uint16, len(col.Prefixes))
 	full := uint16(1<<opt.Days) - 1
@@ -317,22 +211,16 @@ func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, erro
 	}
 	sp.AddItems(0, "shards")
 
-	sink, err := newRecordSink(col, opt.SpillDir)
-	if err != nil {
-		return nil, err
+	// Size the output up front: repeated append-doubling of
+	// multi-megabyte slices dominates the profile otherwise. Nearly
+	// every full-feed VP has a route to every origin, so records ≈
+	// VPs × prefixes; customer feeds make this a mild overestimate.
+	est := len(vps) * len(col.Prefixes)
+	const maxEst = 64 << 20
+	if est > maxEst {
+		est = maxEst
 	}
-	if opt.SpillDir == "" {
-		// Size the output up front: repeated append-doubling of
-		// multi-megabyte slices dominates the profile otherwise. Nearly
-		// every full-feed VP has a route to every origin, so records ≈
-		// VPs × prefixes; customer feeds make this a mild overestimate.
-		est := len(vps) * len(col.Prefixes)
-		const maxEst = 64 << 20
-		if est > maxEst {
-			est = maxEst
-		}
-		col.Records = make([]Record, 0, est)
-	}
+	col.Records = make([]Record, 0, est)
 
 	// Per-shard propagation states are pooled: OrderedMap runs at most
 	// GOMAXPROCS producers, so the pool holds that many states at peak no
@@ -387,9 +275,7 @@ func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, erro
 	// The merge runs on this goroutine in strict shard order: number each
 	// path at its first route, fan the route out across the origin's
 	// prefixes, inject the per-record anomalies (rng draws stay in record
-	// order), and hand each origin's batch to the sink. Peak resident record
-	// state is one origin's batch plus the bounded window of
-	// produced-but-unmerged shards — never the whole collection.
+	// order), and append each record straight onto col.Records.
 	//
 	// Numbering needs no hashing: a routing tree holds one path per node and
 	// every path ends in its origin, so tree paths are pairwise distinct
@@ -400,15 +286,8 @@ func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, erro
 	an := newAnomalizer(w, rng, opt)
 	mutated := map[string]int32{}
 	var nRoutes int64
-	var recBuf []Record
 	var global []int32 // shard-local path number → index in col.Paths
 	consume := func(si int, rt shardRoutes) {
-		if sink.err != nil {
-			return
-		}
-		if err := sink.nextShard(si); err != nil {
-			return
-		}
 		lo, hi := si*len(active)/shards, (si+1)*len(active)/shards
 		if si == 0 {
 			// The shards hold equal shares of the origins and every origin
@@ -419,10 +298,10 @@ func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, erro
 			col.Paths = make([]bgp.Path, 0, shards*(n+n/32))
 		}
 		global = global[:0]
+		recs := col.Records
 		k := 0
 		for oi, origin := range active[lo:hi] {
 			pfxs := byOrigin[origin]
-			recBuf = recBuf[:0]
 			for j := int32(0); j < rt.counts[oi]; j++ {
 				vpIdx, l := rt.vpIdxs[k], rt.pathOf[k]
 				k++
@@ -447,26 +326,21 @@ func BuildCollectionWith(w *topology.World, opt BuildOptions) (*Collection, erro
 						}
 						rec.Path = mi
 					}
-					recBuf = append(recBuf, rec)
+					recs = append(recs, rec)
 				}
 			}
-			if err := sink.append(recBuf); err != nil {
-				return
-			}
 		}
+		col.Records = recs
 		nRoutes += int64(len(rt.vpIdxs))
 		mShardsDone.Inc()
 		sp.AddItems(1, "")
 	}
 	par.OrderedMap(shards, 0, produce, consume)
-	if err := sink.finish(); err != nil {
-		return nil, err
-	}
 
 	mPathsPropagated.Add(nRoutes)
-	mRecordsBuilt.Add(int64(col.NumRecords()))
+	mRecordsBuilt.Add(int64(len(col.Records)))
 	mPropagateSeconds.Observe(time.Since(start))
-	return col, nil
+	return col
 }
 
 // anomalizer corrupts a small fraction of records the way public BGP data
@@ -544,81 +418,10 @@ func (a *anomalizer) maybeMutate(p bgp.Path) bgp.Path {
 	return nil
 }
 
-// recordSink routes merged records to their destination: the resident
-// Records slice, or one columnar spill run per shard.
-type recordSink struct {
-	col *Collection
-	wr  *ribstore.Writer
-	dir string
-	err error
-}
-
-func newRecordSink(col *Collection, spillDir string) (*recordSink, error) {
-	s := &recordSink{col: col, dir: spillDir}
-	if spillDir != "" {
-		wr, err := ribstore.NewWriter(spillDir)
-		if err != nil {
-			return nil, err
-		}
-		s.wr = wr
-	}
-	return s, nil
-}
-
-// nextShard marks a shard (spill run) boundary.
-func (s *recordSink) nextShard(i int) error {
-	if s.wr == nil {
-		return nil
-	}
-	if err := s.wr.NextRun(i); err != nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// append adds one batch of records in canonical order.
-func (s *recordSink) append(recs []Record) error {
-	if s.wr == nil {
-		s.col.Records = append(s.col.Records, recs...)
-		return nil
-	}
-	if err := s.wr.Append(recs); err != nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// finish closes the spill runs and attaches the on-disk store.
-func (s *recordSink) finish() error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.wr == nil {
-		return nil
-	}
-	if s.wr.Runs() == 0 {
-		// An empty collection still needs one valid (zero-record) run so
-		// the directory opens cleanly.
-		if err := s.wr.NextRun(0); err != nil {
-			return err
-		}
-	}
-	if err := s.wr.Close(); err != nil {
-		return err
-	}
-	set, err := ribstore.OpenDir(s.dir)
-	if err != nil {
-		return err
-	}
-	s.col.spill = &spillRecords{set: set, bytes: s.wr.Bytes()}
-	mSpillBytes.Add(s.wr.Bytes())
-	return nil
-}
-
-// PathOf returns the path of record i (resident collections only).
+// PathOf returns the path of record i.
 func (c *Collection) PathOf(i int) bgp.Path { return c.Paths[c.Records[i].Path] }
 
-// PrefixOf returns the prefix of record i (resident collections only).
+// PrefixOf returns the prefix of record i.
 func (c *Collection) PrefixOf(i int) netip.Prefix { return c.Prefixes[c.Records[i].Prefix] }
 
 // AnnouncedPrefixes returns the distinct announced prefixes.

@@ -29,17 +29,14 @@ type FailureImpact struct {
 // original world and collection are not modified.
 func FailLink(col *Collection, a, b asn.ASN, opt BuildOptions) FailureImpact {
 	w := col.World
-	impact := FailureImpact{A: a, B: b, TotalRecords: col.NumRecords()}
+	impact := FailureImpact{A: a, B: b, TotalRecords: len(col.Records)}
 
 	// Pre-failure path index per (VP, prefix), and the pre-failure link set.
 	type key struct{ vp, pfx int32 }
-	before := make(map[key]int32, col.NumRecords())
-	col.ForEachRecord(func(_ int, recs []Record) error {
-		for _, r := range recs {
-			before[key{r.VP, r.Prefix}] = r.Path
-		}
-		return nil
-	})
+	before := make(map[key]int32, len(col.Records))
+	for _, r := range col.Records {
+		before[key{r.VP, r.Prefix}] = r.Path
+	}
 	links := map[[2]asn.ASN]bool{}
 	for _, p := range col.Paths {
 		for i := 0; i+1 < len(p); i++ {
@@ -58,9 +55,6 @@ func FailLink(col *Collection, a, b asn.ASN, opt BuildOptions) FailureImpact {
 	}
 	failed.Graph.RemoveEdge(a, b)
 	opt.LoopFrac, opt.PoisonFrac, opt.UnallocFrac = -1, -1, -1
-	// The rebuild diffs in memory either way, and a spill directory here
-	// would collide with the original collection's run files.
-	opt.SpillDir = ""
 	after := BuildCollection(failed, opt)
 
 	afterIdx := make(map[key]int32, len(after.Records))

@@ -13,7 +13,6 @@ import (
 	"countryrank/internal/mrt"
 	"countryrank/internal/obs"
 	"countryrank/internal/par"
-	"countryrank/internal/ribstore"
 	"countryrank/internal/topology"
 )
 
@@ -77,61 +76,9 @@ func scatterRecords(src, dst []Record, nKeys int, key func(Record) int32) {
 	}
 }
 
-// exportBuckets picks how many prefix- or VP-range buckets a spilled export
-// partitions its records into: enough that one bucket's records sit
-// comfortably in memory, few enough that the bucket writers' buffers don't.
-func exportBuckets(nRecs int) int {
-	const perBucket = 1 << 20 // records resident at once (~12 MB)
-	n := nRecs/perBucket + 1
-	if n > 256 {
-		n = 256
-	}
-	return n
-}
-
-// forEachKeyRange streams a spilled collection's records through emit in
-// ascending ranges of key (a monotone record field: prefix or VP index): an
-// external group-by via on-disk bucket partitioning. Records arrive at emit
-// in canonical order within each range, so emit sees exactly the slices a
-// resident run would cut from the globally sorted stream.
-func forEachKeyRange(c *Collection, nKeys int, key func(ribstore.Rec) int32, emit func([]Record) error) error {
-	if c.NumRecords() == 0 || nKeys == 0 {
-		return nil
-	}
-	tmp, err := os.MkdirTemp("", "countryrank-export-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	nb := exportBuckets(c.NumRecords())
-	if nb > nKeys {
-		nb = nKeys
-	}
-	bs, err := c.spill.set.Buckets(tmp, nb, func(r ribstore.Rec) int {
-		return int(int64(key(r)) * int64(nb) / int64(nKeys))
-	})
-	if err != nil {
-		return err
-	}
-	var buf []Record
-	for i := 0; i < nb; i++ {
-		buf, err = bs.AppendBucket(buf[:0], i)
-		if err != nil {
-			return err
-		}
-		if err := emit(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ExportMRT writes the collection's base-day RIB for one collector as a
 // TABLE_DUMP_V2 stream: the same interchange format RouteViews and RIS
 // publish, so downstream tooling can consume simulated dumps unchanged.
-// Spilled collections are exported by streaming prefix-range buckets
-// through the same group emitter, never holding the full record set
-// resident; the output is byte-identical to the resident export.
 func ExportMRT(w io.Writer, c *Collection, collector string, timestamp uint32) error {
 	set := c.World.VPs
 	coll, ok := set.Collector(collector)
@@ -159,90 +106,64 @@ func ExportMRT(w io.Writer, c *Collection, collector string, timestamp uint32) e
 		return err
 	}
 
-	// emit writes one prefix-contiguous batch of records, arriving in
-	// canonical order: two counting-sort passes group them by ascending
-	// prefix index with ascending VP inside each group — least significant
-	// digit first, so the VP order survives the stable scatter by prefix —
-	// then each prefix group becomes one RIB record.
-	//
+	// Two counting-sort passes group the collector's records (taken in
+	// canonical order) by ascending prefix index with ascending VP inside
+	// each group — least significant digit first, so the VP order survives
+	// the stable scatter by prefix — then each prefix group becomes one RIB
+	// record.
+	var keep []Record
+	for _, r := range c.Records {
+		if peerOf[r.VP] >= 0 {
+			keep = append(keep, r)
+		}
+	}
+	byVP := make([]Record, len(keep))
+	scatterRecords(keep, byVP, set.Len(), func(r Record) int32 { return r.VP })
+	scatterRecords(byVP, keep, len(c.Prefixes), func(r Record) int32 { return r.Prefix })
+
 	// entries and its parallel AS_SEQUENCE segments reuse scratch across
 	// groups; segScratch is fully built before entries reference it, since
 	// growing it mid-group would leave earlier ASPath slices pointing at
-	// the retired array. keepBuf filters without touching the batch, so the
-	// resident path can pass c.Records itself — no copy of the full slice.
+	// the retired array.
 	var entries []mrt.RIBEntry
 	var segScratch []bgp.Segment
-	var keepBuf, scratch []Record
-	var nOut int64
-	emit := func(batch []Record) error {
-		keepBuf = keepBuf[:0]
-		for _, r := range batch {
-			if peerOf[r.VP] >= 0 {
-				keepBuf = append(keepBuf, r)
-			}
+	for s := 0; s < len(keep); {
+		p := keep[s].Prefix
+		e := s
+		for e < len(keep) && keep[e].Prefix == p {
+			e++
 		}
-		keep := keepBuf
-		if len(keep) == 0 {
-			return nil
+		segScratch = segScratch[:0]
+		for _, r := range keep[s:e] {
+			segScratch = append(segScratch, bgp.Segment{
+				Type: bgp.SegmentSequence,
+				ASNs: c.Paths[r.Path],
+			})
 		}
-		if cap(scratch) < len(keep) {
-			scratch = make([]Record, len(keep))
+		entries = entries[:0]
+		for i, r := range keep[s:e] {
+			var seq bgp.ASPath
+			if len(segScratch[i].ASNs) > 0 {
+				seq = segScratch[i : i+1 : i+1]
+			}
+			entries = append(entries, mrt.RIBEntry{
+				PeerIndex:    uint16(peerOf[r.VP]),
+				OriginatedAt: timestamp,
+				Attrs: bgp.AttrSet{
+					Origin: bgp.OriginIGP,
+					ASPath: seq,
+				},
+			})
 		}
-		byVP := scratch[:len(keep)]
-		scatterRecords(keep, byVP, set.Len(), func(r Record) int32 { return r.VP })
-		scatterRecords(byVP, keep, len(c.Prefixes), func(r Record) int32 { return r.Prefix })
-		for s := 0; s < len(keep); {
-			p := keep[s].Prefix
-			e := s
-			for e < len(keep) && keep[e].Prefix == p {
-				e++
-			}
-			segScratch = segScratch[:0]
-			for _, r := range keep[s:e] {
-				segScratch = append(segScratch, bgp.Segment{
-					Type: bgp.SegmentSequence,
-					ASNs: c.Paths[r.Path],
-				})
-			}
-			entries = entries[:0]
-			for i, r := range keep[s:e] {
-				var seq bgp.ASPath
-				if len(segScratch[i].ASNs) > 0 {
-					seq = segScratch[i : i+1 : i+1]
-				}
-				entries = append(entries, mrt.RIBEntry{
-					PeerIndex:    uint16(peerOf[r.VP]),
-					OriginatedAt: timestamp,
-					Attrs: bgp.AttrSet{
-						Origin: bgp.OriginIGP,
-						ASPath: seq,
-					},
-				})
-			}
-			if err := mw.WriteRIB(c.Prefixes[p], entries); err != nil {
-				return err
-			}
-			s = e
-		}
-		nOut += int64(len(keep))
-		return nil
-	}
-
-	if c.Spilled() {
-		err := forEachKeyRange(c, len(c.Prefixes),
-			func(r ribstore.Rec) int32 { return r.Prefix }, emit)
-		if err != nil {
+		if err := mw.WriteRIB(c.Prefixes[p], entries); err != nil {
 			return err
 		}
-	} else {
-		if err := emit(c.Records); err != nil {
-			return err
-		}
+		s = e
 	}
 	if err := mw.Flush(); err != nil {
 		return err
 	}
-	mMRTRecordsOut.Add(nOut)
+	mMRTRecordsOut.Add(int64(len(keep)))
 	mMRTBytesOut.Add(cw.n)
 	return nil
 }
@@ -252,7 +173,7 @@ func ExportMRT(w io.Writer, c *Collection, collector string, timestamp uint32) e
 // UPDATE announcing each prefix that appeared relative to day-1 and
 // withdrawing each prefix that vanished. Combined with the day-0 RIB this
 // reconstructs any day's table, the way RouteViews consumers replay
-// rib + updates archives. Spilled collections stream VP-range buckets.
+// rib + updates archives.
 func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, timestamp uint32) error {
 	if day <= 0 || day >= c.Days {
 		return fmt.Errorf("routing: day %d outside 1..%d", day, c.Days-1)
@@ -266,78 +187,55 @@ func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, tim
 	mw := mrt.NewWriter(cw, timestamp)
 	collectorIP := netip.AddrFrom4([4]byte{192, 0, 2, 1})
 
-	// emit writes one VP-contiguous batch: a stable counting pass groups the
-	// collector's records by ascending VP while keeping record order within
-	// each VP, then each changed prefix becomes one UPDATE.
-	var raw []byte
-	var keepBuf, scratch []Record
-	var nOut int64
-	emit := func(batch []Record) error {
-		keepBuf = keepBuf[:0]
-		for _, r := range batch {
-			if set.VP(int(r.VP)).Collector == collector {
-				keepBuf = append(keepBuf, r)
-			}
+	// A stable counting pass groups the collector's records by ascending VP
+	// while keeping record order within each VP, then each changed prefix
+	// becomes one UPDATE.
+	var keep []Record
+	for _, r := range c.Records {
+		if set.VP(int(r.VP)).Collector == collector {
+			keep = append(keep, r)
 		}
-		keep := keepBuf
-		if len(keep) == 0 {
-			return nil
-		}
-		if cap(scratch) < len(keep) {
-			scratch = make([]Record, len(keep))
-		}
-		order := scratch[:len(keep)]
-		scatterRecords(keep, order, set.Len(), func(r Record) int32 { return r.VP })
-		for _, r := range order {
-			v := set.VP(int(r.VP))
-			was := c.PresentOn(r.Prefix, day-1)
-			is := c.PresentOn(r.Prefix, day)
-			if was == is {
-				continue
-			}
-			var u bgp.Update
-			pfx := c.Prefixes[r.Prefix]
-			switch {
-			case is && pfx.Addr().Is4():
-				u = bgp.Update{
-					ASPath:    bgp.SequencePath(c.Paths[r.Path]),
-					NextHop:   v.Addr,
-					Announced: []netip.Prefix{pfx},
-				}
-			case is:
-				u = bgp.Update{
-					ASPath:      bgp.SequencePath(c.Paths[r.Path]),
-					V6NextHop:   v6NextHop,
-					V6Announced: []netip.Prefix{pfx},
-				}
-			case pfx.Addr().Is4():
-				u = bgp.Update{Withdrawn: []netip.Prefix{pfx}}
-			default:
-				u = bgp.Update{V6Withdrawn: []netip.Prefix{pfx}}
-			}
-			var err error
-			raw, err = u.AppendWire(raw[:0])
-			if err != nil {
-				return fmt.Errorf("routing: update: %w", err)
-			}
-			if err := mw.WriteBGP4MP(v.AS, 6447, v.Addr, collectorIP, raw); err != nil {
-				return err
-			}
-			nOut++
-		}
-		return nil
 	}
-
-	if c.Spilled() {
-		err := forEachKeyRange(c, set.Len(),
-			func(r ribstore.Rec) int32 { return r.VP }, emit)
+	order := make([]Record, len(keep))
+	scatterRecords(keep, order, set.Len(), func(r Record) int32 { return r.VP })
+	var raw []byte
+	var nOut int64
+	for _, r := range order {
+		v := set.VP(int(r.VP))
+		was := c.PresentOn(r.Prefix, day-1)
+		is := c.PresentOn(r.Prefix, day)
+		if was == is {
+			continue
+		}
+		var u bgp.Update
+		pfx := c.Prefixes[r.Prefix]
+		switch {
+		case is && pfx.Addr().Is4():
+			u = bgp.Update{
+				ASPath:    bgp.SequencePath(c.Paths[r.Path]),
+				NextHop:   v.Addr,
+				Announced: []netip.Prefix{pfx},
+			}
+		case is:
+			u = bgp.Update{
+				ASPath:      bgp.SequencePath(c.Paths[r.Path]),
+				V6NextHop:   v6NextHop,
+				V6Announced: []netip.Prefix{pfx},
+			}
+		case pfx.Addr().Is4():
+			u = bgp.Update{Withdrawn: []netip.Prefix{pfx}}
+		default:
+			u = bgp.Update{V6Withdrawn: []netip.Prefix{pfx}}
+		}
+		var err error
+		raw, err = u.AppendWire(raw[:0])
 		if err != nil {
+			return fmt.Errorf("routing: update: %w", err)
+		}
+		if err := mw.WriteBGP4MP(v.AS, 6447, v.Addr, collectorIP, raw); err != nil {
 			return err
 		}
-	} else {
-		if err := emit(c.Records); err != nil {
-			return err
-		}
+		nOut++
 	}
 	if err := mw.Flush(); err != nil {
 		return err
@@ -475,10 +373,6 @@ type ImportOptions struct {
 	// ImportStats instead of returning an error. It also disables chunked
 	// parallel file decode (resync recovery must see the whole stream).
 	SkipCorrupt bool
-	// SpillDir, when set, spills the merged records to columnar run files
-	// under the directory (one run per stream or chunk) instead of holding
-	// them resident; the collection streams them back via ForEachRecord.
-	SpillDir string
 	// ChunkTarget is the per-chunk byte target ImportMRTFiles splits files
 	// into for parallel decode. 0 selects 4 MiB.
 	ChunkTarget int64
@@ -518,7 +412,7 @@ func ImportMRTWith(w *topology.World, streams []io.Reader, opt ImportOptions) (*
 	par.ForEach(len(streams), func(si int) {
 		parts[si] = importOneStream(streams[si], byAddr, opt)
 	})
-	return mergeImportParts(w, parts, opt)
+	return mergeImportParts(w, parts)
 }
 
 // ImportMRTFiles is ImportMRT over dump files, decoding each file's record
@@ -587,7 +481,7 @@ func ImportMRTFiles(w *topology.World, paths []string, opt ImportOptions) (*Coll
 		parts[ci] = importOneStream(chunks[ci].r, byAddr, opt)
 		parts[ci].bytes -= chunks[ci].pitReplayed
 	})
-	return mergeImportParts(w, parts, opt)
+	return mergeImportParts(w, parts)
 }
 
 // indexFile pre-scans one dump file into sections, or returns nil when the
@@ -625,9 +519,8 @@ func vpsByAddr(w *topology.World) map[netip.Addr]int32 {
 
 // mergeImportParts folds decoded stream partials into a Collection in part
 // order, remapping stream-local prefix and path indexes into the global
-// tables and routing the records through a recordSink (resident or spilled,
-// one spill run per part).
-func mergeImportParts(w *topology.World, parts []importStream, opt ImportOptions) (*Collection, ImportStats, error) {
+// tables.
+func mergeImportParts(w *topology.World, parts []importStream) (*Collection, ImportStats, error) {
 	sp := obs.StartSpan("mrt-import")
 	sp.AddItems(0, "records")
 	defer sp.End()
@@ -649,25 +542,12 @@ func mergeImportParts(w *topology.World, parts []importStream, opt ImportOptions
 	}
 
 	col := &Collection{World: w, Days: 1}
-	sink, err := newRecordSink(col, opt.SpillDir)
-	if err != nil {
-		return nil, stats, err
-	}
-	if opt.SpillDir == "" {
-		nRecs := 0
-		for si := range parts {
-			nRecs += len(parts[si].records)
-		}
-		col.Records = make([]Record, 0, nRecs)
-	}
+	recs := make([]Record, 0, stats.Records)
 	prefixIdx := map[netip.Prefix]int32{}
 	it := bgp.NewInterner(0)
 	var originSet []bool
 	for si := range parts {
 		p := &parts[si]
-		if err := sink.nextShard(si); err != nil {
-			return nil, stats, err
-		}
 		pfxMap := make([]int32, len(p.prefixes))
 		for li, pfx := range p.prefixes {
 			gi, ok := prefixIdx[pfx]
@@ -690,28 +570,20 @@ func mergeImportParts(w *topology.World, parts []importStream, opt ImportOptions
 		for li, path := range p.paths {
 			pathMap[li] = it.InternOwned(path)
 		}
-		// Remap in place, then hand the part's records to the sink: the
-		// resident path copies them into the output slice; the spill path
-		// streams them to this part's run and the part is released.
-		for k, r := range p.records {
-			p.records[k] = Record{
+		for _, r := range p.records {
+			recs = append(recs, Record{
 				VP:     r.VP,
 				Prefix: pfxMap[r.Prefix],
 				Path:   pathMap[r.Path],
-			}
-		}
-		if err := sink.append(p.records); err != nil {
-			return nil, stats, err
+			})
 		}
 		p.records = nil
 	}
+	col.Records = recs
 	col.Paths = it.Paths()
 	col.Stable = make([]bool, len(col.Prefixes))
 	for i := range col.Stable {
 		col.Stable[i] = true
-	}
-	if err := sink.finish(); err != nil {
-		return nil, stats, err
 	}
 	return col, stats, nil
 }

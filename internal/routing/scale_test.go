@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"countryrank/internal/bgp"
@@ -16,8 +15,8 @@ import (
 )
 
 // collectionEqual compares everything downstream consumers can observe:
-// prefix/origin/stability tables, the full record stream, and every
-// record's path value.
+// prefix/origin/stability tables, the records, and every record's path
+// value.
 func collectionEqual(t *testing.T, a, b *Collection, label string) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Prefixes, b.Prefixes) {
@@ -29,16 +28,9 @@ func collectionEqual(t *testing.T, a, b *Collection, label string) {
 	if !reflect.DeepEqual(a.Stable, b.Stable) || !reflect.DeepEqual(a.DayMask, b.DayMask) {
 		t.Fatalf("%s: stability differs", label)
 	}
-	if a.NumRecords() != b.NumRecords() {
-		t.Fatalf("%s: %d vs %d records", label, a.NumRecords(), b.NumRecords())
-	}
-	ra, err := allRecords(a)
-	if err != nil {
-		t.Fatalf("%s: stream a: %v", label, err)
-	}
-	rb, err := allRecords(b)
-	if err != nil {
-		t.Fatalf("%s: stream b: %v", label, err)
+	ra, rb := a.Records, b.Records
+	if len(ra) != len(rb) {
+		t.Fatalf("%s: %d vs %d records", label, len(ra), len(rb))
 	}
 	for i := range ra {
 		if ra[i].VP != rb[i].VP || ra[i].Prefix != rb[i].Prefix {
@@ -48,15 +40,6 @@ func collectionEqual(t *testing.T, a, b *Collection, label string) {
 			t.Fatalf("%s: record %d path differs", label, i)
 		}
 	}
-}
-
-func allRecords(c *Collection) ([]Record, error) {
-	out := make([]Record, 0, c.NumRecords())
-	err := c.ForEachRecord(func(_ int, recs []Record) error {
-		out = append(out, recs...)
-		return nil
-	})
-	return out, err
 }
 
 // mrtDigest exports every collector and hashes the concatenated streams.
@@ -114,171 +97,43 @@ func TestPathNumberingEqualsHashConsing(t *testing.T) {
 	for _, seed := range []int64{5, 23} {
 		w := topology.Build(topology.Config{Seed: seed, StubScale: 0.1, VPScale: 0.1})
 		for _, shards := range []int{1, 3, 4 * runtime.GOMAXPROCS(0)} {
-			for _, spill := range []bool{false, true} {
-				opt := BuildOptions{Shards: shards, LoopFrac: 0.05, PoisonFrac: 0.05, UnallocFrac: 0.05}
-				if spill {
-					opt.SpillDir = t.TempDir()
-				}
-				col, err := BuildCollectionWith(w, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				it := bgp.NewInterner(0)
-				unnamed := 0
-				// internBelow interns the paths below index q that no record
-				// has named yet.
-				internBelow := func(q int32) {
-					for next := int32(it.Len()); next < q; next++ {
-						if got := it.Intern(col.Paths[next]); got != next {
-							t.Fatalf("seed %d shards %d spill %v: path %d, named by no record, repeats path %d",
-								seed, shards, spill, next, got)
-						}
-						unnamed++
+			col := BuildCollection(w, BuildOptions{Shards: shards, LoopFrac: 0.05, PoisonFrac: 0.05, UnallocFrac: 0.05})
+			it := bgp.NewInterner(0)
+			unnamed := 0
+			// internBelow interns the paths below index q that no record
+			// has named yet.
+			internBelow := func(q int32) {
+				for next := int32(it.Len()); next < q; next++ {
+					if got := it.Intern(col.Paths[next]); got != next {
+						t.Fatalf("seed %d shards %d: path %d, named by no record, repeats path %d",
+							seed, shards, next, got)
 					}
+					unnamed++
 				}
-				err = col.ForEachRecord(func(base int, recs []Record) error {
-					for k, r := range recs {
-						internBelow(r.Path)
-						if got := it.Intern(col.Paths[r.Path]); got != r.Path {
-							t.Fatalf("seed %d shards %d spill %v: record %d carries path %d, hash-consing numbers it %d",
-								seed, shards, spill, base+k, r.Path, got)
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
+			}
+			for i, r := range col.Records {
+				internBelow(r.Path)
+				if got := it.Intern(col.Paths[r.Path]); got != r.Path {
+					t.Fatalf("seed %d shards %d: record %d carries path %d, hash-consing numbers it %d",
+						seed, shards, i, r.Path, got)
 				}
-				internBelow(int32(len(col.Paths)))
-				if it.Len() != len(col.Paths) {
-					t.Fatalf("seed %d shards %d spill %v: %d paths, %d distinct",
-						seed, shards, spill, len(col.Paths), it.Len())
-				}
-				if len(col.Paths) < col.NumRecords()/10 || unnamed == 0 || unnamed > len(col.Paths)/5 {
-					t.Fatalf("implausible build: %d records, %d paths, %d named by no record",
-						col.NumRecords(), len(col.Paths), unnamed)
-				}
-				col.Close()
+			}
+			internBelow(int32(len(col.Paths)))
+			if it.Len() != len(col.Paths) {
+				t.Fatalf("seed %d shards %d: %d paths, %d distinct",
+					seed, shards, len(col.Paths), it.Len())
+			}
+			if len(col.Paths) < len(col.Records)/10 || unnamed == 0 || unnamed > len(col.Paths)/5 {
+				t.Fatalf("implausible build: %d records, %d paths, %d named by no record",
+					len(col.Records), len(col.Paths), unnamed)
 			}
 		}
 	}
 }
 
-// TestSpilledBuildMatchesResident proves out-of-core builds are observably
-// identical to resident ones, through both the record stream and MRT export.
-func TestSpilledBuildMatchesResident(t *testing.T) {
-	w := testWorld(t)
-	resident := BuildCollection(w, BuildOptions{})
-	spilled, err := BuildCollectionWith(w, BuildOptions{SpillDir: t.TempDir(), Shards: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer spilled.Close()
-	if !spilled.Spilled() || spilled.Records != nil {
-		t.Fatal("spilled collection holds resident records")
-	}
-	if resident.Spilled() || resident.SpillBytes() != 0 {
-		t.Fatal("resident collection claims a spill")
-	}
-	if spilled.SpillBytes() <= 0 {
-		t.Fatal("spill wrote no bytes")
-	}
-	collectionEqual(t, resident, spilled, "resident vs spilled")
-	if mrtDigest(t, resident) != mrtDigest(t, spilled) {
-		t.Fatal("MRT export differs between resident and spilled")
-	}
-
-	// The spilled update stream must match the resident one as well.
-	coll := w.VPs.Collectors()[0]
-	var ur, us bytes.Buffer
-	if err := ExportUpdatesMRT(&ur, resident, coll.Name, 1, 1617235200); err != nil {
-		t.Fatal(err)
-	}
-	if err := ExportUpdatesMRT(&us, spilled, coll.Name, 1, 1617235200); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ur.Bytes(), us.Bytes()) {
-		t.Fatal("update stream differs between resident and spilled")
-	}
-}
-
-// TestSpillErrorPaths proves damaged spill files fail loudly, not quietly:
-// a corrupt group surfaces through ForEachRecord, a truncated run through
-// the streaming footer check.
-func TestSpillErrorPaths(t *testing.T) {
-	w := testWorld(t)
-	dir := t.TempDir()
-	col, err := BuildCollectionWith(w, BuildOptions{SpillDir: dir, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs, err := filepath.Glob(filepath.Join(dir, "run-*.crib"))
-	if err != nil || len(runs) == 0 {
-		t.Fatalf("no runs found: %v", err)
-	}
-
-	// Flip a payload byte in the first non-empty run.
-	var victim string
-	for _, r := range runs {
-		if st, err := os.Stat(r); err == nil && st.Size() > 64 {
-			victim = r
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no non-empty run to corrupt")
-	}
-	f, err := os.OpenFile(victim, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], 40); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0xFF
-	if _, err := f.WriteAt(b[:], 40); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	err = col.ForEachRecord(func(int, []Record) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "CRC") {
-		t.Fatalf("corrupt run streamed without a CRC error: %v", err)
-	}
-
-	// Restore, then truncate the tail: the missing footer must abort the
-	// stream.
-	if _, err := os.Stat(victim); err != nil {
-		t.Fatal(err)
-	}
-	f, err = os.OpenFile(victim, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0xFF
-	if _, err := f.WriteAt(b[:], 40); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if err := col.ForEachRecord(func(int, []Record) error { return nil }); err != nil {
-		t.Fatalf("restored run failed to stream: %v", err)
-	}
-	st, err := os.Stat(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(victim, st.Size()-20); err != nil {
-		t.Fatal(err)
-	}
-	if err := col.ForEachRecord(func(int, []Record) error { return nil }); err == nil {
-		t.Fatal("truncated run streamed without error")
-	}
-}
-
 // TestImportMRTFilesMatchesStreams proves the chunk-parallel file importer
 // is identical to the sequential stream importer — including with a chunk
-// target small enough to force many chunks per file — and that a spilled
-// import matches a resident one.
+// target small enough to force many chunks per file.
 func TestImportMRTFilesMatchesStreams(t *testing.T) {
 	w := testWorld(t)
 	col := BuildCollection(w, BuildOptions{})
@@ -307,16 +162,6 @@ func TestImportMRTFilesMatchesStreams(t *testing.T) {
 			t.Fatalf("target=%d: record slices differ", target)
 		}
 	}
-
-	spilled, _, err := ImportMRTFiles(w, paths, ImportOptions{ChunkTarget: 1 << 12, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer spilled.Close()
-	if !spilled.Spilled() {
-		t.Fatal("import ignored SpillDir")
-	}
-	collectionEqual(t, seq, spilled, "resident vs spilled import")
 }
 
 func importViaStreams(t *testing.T, w *topology.World, paths []string) *Collection {

@@ -166,9 +166,7 @@ type Config struct {
 type Dataset struct {
 	Col *routing.Collection
 	// recVP / recPrefix / recPath are the accepted records' VP, prefix and
-	// collection-path columns in canonical record order, copied out of the
-	// record stream so the dataset never needs random access into the
-	// collection's record store (which may be out-of-core). The three share
+	// collection-path columns in canonical record order. The three share
 	// one allocation sized by the verdict pass's accepted count.
 	recVP     []int32
 	recPrefix []int32
@@ -293,7 +291,7 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 	return ds
 }
 
-// fill streams the collection's records twice — once only counting outcomes
+// fill walks the collection's records twice — once only counting outcomes
 // into Stats, which sizes the record columns exactly, once copying the
 // accepted ones into them — then lays the clean form of every collection
 // path an accepted record uses into the arenas (clean is indexed like
@@ -303,25 +301,21 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 // no new ASN, so resolving each path only at its first record gives the ids
 // resolving every record would.
 func (d *Dataset) fill(clean []bgp.Path, v verdicts) {
-	d.stream(func(recs []routing.Record) {
-		for _, r := range recs {
-			d.Stats.Counts[v.of(r)]++
-		}
-	})
-	d.Stats.Total = d.Col.NumRecords()
+	for _, r := range d.Col.Records {
+		d.Stats.Counts[v.of(r)]++
+	}
+	d.Stats.Total = len(d.Col.Records)
 
 	n := d.Stats.Counts[Accepted]
 	cols := make([]int32, 3*n)
 	d.recVP, d.recPrefix, d.recPath = cols[:n:n], cols[n:2*n:2*n], cols[2*n:]
 	i := 0
-	d.stream(func(recs []routing.Record) {
-		for _, r := range recs {
-			if v.of(r) == Accepted {
-				d.recVP[i], d.recPrefix[i], d.recPath[i] = r.VP, r.Prefix, r.Path
-				i++
-			}
+	for _, r := range d.Col.Records {
+		if v.of(r) == Accepted {
+			d.recVP[i], d.recPrefix[i], d.recPath[i] = r.VP, r.Prefix, r.Path
+			i++
 		}
-	})
+	}
 
 	pending := make([]bool, len(clean)) // used by a record, ids not yet resolved
 	hops := 0
@@ -362,20 +356,6 @@ func (d *Dataset) fill(clean []bgp.Path, v verdicts) {
 	d.IDOf = make(map[asn.ASN]int32, len(d.ASNOf))
 	for id, a := range d.ASNOf {
 		d.IDOf[a] = int32(id)
-	}
-}
-
-// stream hands fn the collection's records in canonical order, a chunk at a
-// time; fn may not keep the slice.
-func (d *Dataset) stream(fn func([]routing.Record)) {
-	err := d.Col.ForEachRecord(func(_ int, recs []routing.Record) error {
-		fn(recs)
-		return nil
-	})
-	if err != nil {
-		// Streaming only fails on spilled collections with unreadable run
-		// files; that is not recoverable mid-run.
-		panic(fmt.Sprintf("sanitize: record stream: %v", err))
 	}
 }
 

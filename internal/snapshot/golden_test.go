@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"strings"
@@ -9,6 +10,8 @@ import (
 	"countryrank/internal/core"
 	"countryrank/internal/countries"
 	"countryrank/internal/rank"
+	"countryrank/internal/routing"
+	"countryrank/internal/topology"
 )
 
 // TestGoldenPipelineOutputs pins, for one fixed-seed reduced-scale world,
@@ -63,5 +66,39 @@ func TestGoldenPipelineOutputs(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("pipeline outputs differ from %s; got:\n%s", golden, got)
+	}
+}
+
+// TestGoldenMRTBytes pins the absolute bytes of the MRT interchange for the
+// same seed-11 world: the sha256 of every collector's TABLE_DUMP_V2 RIB and
+// of its day-1 BGP4MP update stream. Export is otherwise only ever compared
+// between build modes, so a change to the merge or the export group-by is
+// byte-preserving exactly when this golden stays untouched.
+func TestGoldenMRTBytes(t *testing.T) {
+	w := topology.Build(topology.Config{Seed: 11, StubScale: 0.15, VPScale: 0.2})
+	col := routing.BuildCollection(w, routing.BuildOptions{})
+
+	const ts = 1617235200
+	var b strings.Builder
+	for _, coll := range w.VPs.Collectors() {
+		h := sha256.New()
+		if err := routing.ExportMRT(h, col, coll.Name, ts); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "rib %s %x\n", coll.Name, h.Sum(nil))
+		h.Reset()
+		if err := routing.ExportUpdatesMRT(h, col, coll.Name, 1, ts+86400); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "updates day 1 %s %x\n", coll.Name, h.Sum(nil))
+	}
+
+	const golden = "testdata/golden_mrt.txt"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("MRT bytes differ from %s; got:\n%s", golden, got)
 	}
 }

@@ -34,7 +34,7 @@ echo '--- bench smoke (Figure4, Figure5, Table9GlobalContrast, PipelineBuild, Pr
 # Table1Sanitize the accounting over a built dataset.
 go test -run '^$' -bench 'Figure4|Figure5|Table9GlobalContrast|PipelineBuild|Propagation$|Table1Sanitize' -benchtime 1x .
 
-echo '--- shard/spill determinism under -race'
+echo '--- shard determinism under -race'
 # The sharded-propagation merge and the chunk-parallel MRT importer are the
 # two places a scheduling race could silently corrupt output; run their
 # byte-identity tests with the race detector watching the worker pools.
@@ -42,8 +42,8 @@ echo '--- shard/spill determinism under -race'
 # order cannot show in a routing tree, and numbering paths by first
 # appearance hands out exactly the indexes hash-consing would.
 go test -race -count=1 \
-    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestSpilled|TestImportMRTFilesMatchesStreams|TestOrderedMap|TestRoundTripMultiRun|TestBucketsPartitionPreservesOrder' \
-    ./internal/routing ./internal/par ./internal/ribstore
+    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestImportMRTFilesMatchesStreams|TestOrderedMap' \
+    ./internal/routing ./internal/par
 # The kernels' pooled scratch, the lazily resolved CTI depths and the
 # per-view trial state (hegemony.PerVP, cone.Witnesses) are shared between
 # concurrent kernel runs and stability workers, and the per-path dataset
@@ -69,22 +69,22 @@ grep -q '^Figure 5' "$stab_dir/a.out"
 cmp "$stab_dir/a.out" "$stab_dir/b.out"
 rm -rf "$stab_dir"
 
-echo '--- scale smoke (sharded topogen -> crank -mrt -> asrank, spilled)'
-# A medium world driven through the full out-of-core path: generate with
-# routes spilled to disk, re-ingest the dumps chunk-parallel with a second
-# spill, and rank in-process with a third. Each stage must agree with the
-# others implicitly (crank consumes topogen's dumps) and leave no run files
-# behind misplaced.
+echo '--- scale smoke (topogen -shards 8 vs -shards 1 -> crank -mrt)'
+# A medium world generated twice, sharded and sequential: the two dump
+# directories must be byte-identical file for file, and crank must rank off
+# them chunk-parallel.
 scale_dir=$(mktemp -d)
 go build -o "$scale_dir/topogen" ./cmd/topogen
 go build -o "$scale_dir/crank" ./cmd/crank
-"$scale_dir/topogen" -scale 0.5 -vpscale 0.5 -shards 8 \
-    -spill-dir "$scale_dir/spill-gen" -out "$scale_dir/mrt"
+"$scale_dir/topogen" -scale 0.5 -vpscale 0.5 -shards 8 -out "$scale_dir/mrt"
+"$scale_dir/topogen" -scale 0.5 -vpscale 0.5 -shards 1 -out "$scale_dir/mrt-seq"
+(cd "$scale_dir/mrt" && sha256sum -- *.mrt) >"$scale_dir/sharded.sha256"
+(cd "$scale_dir/mrt-seq" && sha256sum -- *.mrt) >"$scale_dir/sequential.sha256"
+[[ -s "$scale_dir/sharded.sha256" ]]
+cmp "$scale_dir/sharded.sha256" "$scale_dir/sequential.sha256"
 "$scale_dir/crank" -scale 0.5 -vpscale 0.5 -mrt "$scale_dir/mrt" \
-    -spill-dir "$scale_dir/spill-import" -top 3 AU >"$scale_dir/crank.out"
+    -top 3 AU >"$scale_dir/crank.out"
 grep -q 'CCI' "$scale_dir/crank.out"
-ls "$scale_dir"/spill-gen/run-*.crib >/dev/null
-ls "$scale_dir"/spill-import/run-*.crib >/dev/null
 rm -rf "$scale_dir"
 
 echo '--- fuzz smoke (MRT reader, path judge, 10s each)'
@@ -111,7 +111,7 @@ obs_log="$obs_dir/asrank.log"
 obs_metrics="$obs_dir/metrics.txt"
 go build -o "$obs_dir/asrank" ./cmd/asrank
 "$obs_dir/asrank" -scale 0.15 -vpscale 0.2 -top 3 \
-    -shards 4 -spill-dir "$obs_dir/spill" \
+    -shards 4 \
     -debug-addr "127.0.0.1:$obs_port" -debug-linger 60s -timeline 250ms \
     -trace-out "$obs_dir/trace.json" -manifest "$obs_dir/manifest.json" >"$obs_log" 2>&1 &
 obs_pid=$!
@@ -147,7 +147,6 @@ require_nonzero countryrank_sanitize_records_total
 require_nonzero countryrank_sanitize_accepted_total
 require_nonzero countryrank_routing_paths_propagated_total
 require_nonzero countryrank_routing_shards_done_total
-require_nonzero countryrank_routing_spill_bytes_total
 require_nonzero countryrank_core_kernel_cone_seconds_count
 require_nonzero countryrank_core_kernel_hegemony_seconds_count
 
@@ -169,18 +168,16 @@ curl -fsS "http://127.0.0.1:$obs_port/debug/trace" | grep -q traceEvents
 kill "$obs_pid" 2>/dev/null || true
 wait "$obs_pid" 2>/dev/null || true
 
-echo '--- rankd smoke (serve, revalidate, rollover, manifest digest, loadgen gate)'
+echo '--- rankd smoke (serve, revalidate, rollover, manifest digest, loadgen)'
 # Start the serving daemon on a small world, exercise the conditional-request
 # contract end to end (200 with a strong ETag, then 304 on If-None-Match
 # replay), roll the snapshot over with SIGHUP, check the serving metrics
 # moved, pair the manifest's recorded digest with the one actually served,
-# and close with a short loadgen run pushed through the same regression gate
-# the kernel benches use.
+# and close with a short loadgen run that must not see one failed request.
 rankd_port=$((20000 + RANDOM % 20000))
 rankd_dir=$(mktemp -d)
 go build -o "$rankd_dir/rankd" ./cmd/rankd
 go build -o "$rankd_dir/loadgen" ./cmd/loadgen
-go build -o "$rankd_dir/bench" ./cmd/bench
 "$rankd_dir/rankd" -addr "127.0.0.1:$rankd_port" -scale 0.15 -vpscale 0.2 \
     -topn 10 -manifest "$rankd_dir/manifest.json" \
     -access-log "$rankd_dir/access.log" -trace-sample 0.2 -timeline 500ms \
@@ -237,12 +234,9 @@ if [[ "$manifest_digest" != "$served_digest" ]]; then
     exit 1
 fi
 
-# A short load run, gated against the committed serving baseline. The
-# tolerance is deliberately loose: CI hosts differ wildly in single-request
-# latency, so this catches order-of-magnitude regressions and wiring rot,
-# while the committed baseline documents real measured numbers. Loadgen runs
-# in the background so the request inspector and SLO report can be scraped
-# while traffic is actually flowing.
+# A short load run; any failed request fails it. Loadgen runs in the
+# background so the request inspector and SLO report can be scraped while
+# traffic is actually flowing.
 "$rankd_dir/loadgen" -url "$rankd_base" -duration 3s -conc 4 -n 10 \
     -max-error-rate 0 -out "$rankd_dir/serving.json" >"$rankd_dir/loadgen.out" 2>&1 &
 loadgen_pid=$!
@@ -269,7 +263,7 @@ if ! wait "$loadgen_pid"; then
 fi
 cat "$rankd_dir/loadgen.out"
 
-# The serving BENCH snapshot carries the drift/history extras loadgen
+# The serving snapshot carries the drift/history extras loadgen
 # scrapes from the server: the SIGHUP above produced one drift-computed
 # rollover and a two-epoch history ring.
 grep -q '"history_epochs"' "$rankd_dir/serving.json"
@@ -293,10 +287,6 @@ require_nonzero countryrank_reqtrace_sampled_total
 curl -fsS "$rankd_base/debug/timeline" >"$rankd_dir/timeline.json"
 grep -q countryrank_rankd_requests_total "$rankd_dir/timeline.json"
 grep -q countryrank_slo_latency_fast_burn "$rankd_dir/timeline.json"
-
-serving_baseline=$(ls BENCH_*_serving*.json | tail -1)
-"$rankd_dir/bench" -input "$rankd_dir/serving.json" \
-    -baseline "$serving_baseline" -tolerance 25
 
 echo '--- rankd SLO degrade-and-recover (induced latency)'
 # Let the loadgen traffic age out of the 5s fast window, then hammer the
