@@ -40,7 +40,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (the snapshot wire encoding rankd serves) instead of tables")
 	ahc := flag.String("ahc", "", "also print the AHC baseline for this country code")
 	shards := flag.Int("shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
-	ofl := obs.Flags("asrank")
+	ofl := obs.FlagsOn(flag.CommandLine, "asrank")
 	flag.Parse()
 	ofl.Init()
 

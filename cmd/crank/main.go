@@ -41,7 +41,7 @@ func main() {
 	metric := flag.String("metric", "all", "metric to print")
 	top := flag.Int("top", 10, "entries per ranking")
 	shards := flag.Int("shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
-	ofl := obs.Flags("crank")
+	ofl := obs.FlagsOn(flag.CommandLine, "crank")
 	flag.Parse()
 	ofl.Init()
 	if flag.NArg() == 0 {

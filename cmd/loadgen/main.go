@@ -187,7 +187,7 @@ func main() {
 	out := flag.String("out", "", "output path (default BENCH_<date>_serving.json)")
 	seed := flag.Int64("seed", 1, "request-mix RNG seed")
 	maxErrRate := flag.Float64("max-error-rate", 0, "fail the run when errors/requests exceeds this fraction")
-	ofl := obs.Flags("loadgen")
+	ofl := obs.FlagsOn(flag.CommandLine, "loadgen")
 	flag.Parse()
 	ofl.Init()
 	defer ofl.Done()
@@ -368,8 +368,9 @@ func discover(base string) (ccs, tops []string, err error) {
 
 // scrapeServerObs collects the server's observability state after the run:
 // burn rates and degraded flag from /debug/slo (absent when the server runs
-// without -slo) plus access-log, trace, and drift-layer counters (churn
-// score, history-ring depth) from the countryrank expvar bridge, so the
+// without -slo), the sampled-trace count from /debug/requests, plus
+// access-log and drift-layer counters (churn score, history-ring depth)
+// from the countryrank expvar bridge, so the
 // snapshot records the drift layer's overhead like the rest of the
 // instrumentation. Everything is best-effort — an unreachable
 // or uninstrumented server just yields fewer keys.
@@ -410,7 +411,6 @@ func scrapeServerObs(base string, client *http.Client) map[string]float64 {
 			for src, dst := range map[string]string{
 				"countryrank_accesslog_events_total":    "accesslog_events",
 				"countryrank_accesslog_dropped_total":   "accesslog_dropped",
-				"countryrank_reqtrace_sampled_total":    "traces_sampled",
 				"countryrank_rankd_shed_total":          "server_shed",
 				"countryrank_drift_churn_score":         "drift_churn_score",
 				"countryrank_rankd_history_epochs":      "history_epochs",
@@ -421,6 +421,15 @@ func scrapeServerObs(base string, client *http.Client) map[string]float64 {
 					out[dst] = v
 				}
 			}
+		}
+		resp.Body.Close()
+	}
+	if resp, err := client.Get(base + "/debug/requests"); err == nil {
+		var req struct {
+			Sampled float64 `json:"sampled"`
+		}
+		if json.NewDecoder(resp.Body).Decode(&req) == nil && req.Sampled > 0 {
+			out["traces_sampled"] = req.Sampled
 		}
 		resp.Body.Close()
 	}

@@ -35,17 +35,9 @@
 // build and drain promptly — also during a cold start, before there is
 // anything to serve: the build is cancelled and rankd exits 0.
 //
-// Usage:
-//
-//	rankd [-addr HOST:PORT] [-seed N] [-scale F] [-vpscale F] [-topn N]
-//	      [-refresh D] [-countries CC,CC,...]
-//	      [-snapshot-dir DIR] [-snapshot-keep K] [-allow-degraded]
-//	      [-drift-gate SCORE] [-allow-drift] [-history K] [-seed-step N]
-//	      [-build-timeout D] [-stale-after D] [-max-inflight N]
-//	      [-access-log PATH] [-access-log-sample N] [-access-log-slow D]
-//	      [-trace-sample F] [-slo SPEC] [-slow-probe D]
-//	      [-v LEVEL] [-debug-addr HOST:PORT] [-trace-out FILE]
-//	      [-manifest FILE] [-timeline D]
+// Usage: rankd [flags]. Every flag with its default and meaning, and every
+// metric series the daemon links in, is listed in testdata/catalogue.txt,
+// which a golden test renders from registerFlags and the registry.
 //
 // Robustness:
 //
@@ -82,7 +74,7 @@
 // ring (-history K) served at /debug/history and per country at
 // /v1/countries/{cc}/history. -drift-gate SCORE refuses to publish a
 // rebuild whose churn exceeds the threshold (like the degraded gate:
-// logged, counted, no backoff; -allow-drift overrides). cmd/rankdiff
+// logged, counted, no backoff; 0 publishes whatever the drift). cmd/rankdiff
 // renders the same diff offline from two persisted generations.
 //
 // -manifest writes the provenance manifest as soon as the first snapshot is
@@ -113,38 +105,71 @@ import (
 	"countryrank/internal/snapshot"
 )
 
+// options are rankd's own flags (the shared observability set is
+// obs.CmdFlags).
+type options struct {
+	addr          string
+	seed          int64
+	scale         float64
+	vpscale       float64
+	topn          int
+	refresh       time.Duration
+	countries     string
+	shards        int
+	snapshotDir   string
+	snapshotKeep  int
+	allowDegraded bool
+	driftGate     float64
+	history       int
+	seedStep      int64
+	buildTimeout  time.Duration
+	staleAfter    time.Duration
+	maxInflight   int
+	accessLog     string
+	accessSample  int
+	accessSlow    time.Duration
+	traceSample   float64
+	slo           string
+	slowProbe     time.Duration
+}
+
+// registerFlags declares every rankd flag on fs. main and the catalogue
+// golden share it, so the catalogue cannot drift from the binary.
+func registerFlags(fs *flag.FlagSet) (*options, *obs.CmdFlags) {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "serve the snapshot API (and debug endpoints) on this host:port")
+	fs.Int64Var(&o.seed, "seed", 1, "world seed")
+	fs.Float64Var(&o.scale, "scale", 1, "stub-count scale factor")
+	fs.Float64Var(&o.vpscale, "vpscale", 1, "VP-count scale factor")
+	fs.IntVar(&o.topn, "topn", snapshot.DefaultMaxTopN, "max entries per ranking and /v1/top ?n= cap")
+	fs.DurationVar(&o.refresh, "refresh", 0, "recompute and atomically swap the snapshot at this interval (0 = only on SIGHUP)")
+	fs.StringVar(&o.countries, "countries", "", "comma-separated country codes to serve (default: all with ranked ASes)")
+	fs.IntVar(&o.shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
+	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "durably persist published snapshots here and warm-start from the newest valid generation (empty = off)")
+	fs.IntVar(&o.snapshotKeep, "snapshot-keep", snapshot.DefaultKeepGenerations, "on-disk snapshot generations to retain")
+	fs.BoolVar(&o.allowDegraded, "allow-degraded", false, "let a quorum-degraded rebuild replace a healthy snapshot")
+	fs.Float64Var(&o.driftGate, "drift-gate", 0, "refuse to publish a rebuild whose drift churn score exceeds this (0 = publish whatever the drift; it is computed, logged and exported either way)")
+	fs.IntVar(&o.history, "history", snapshot.DefaultHistoryEpochs, "epochs of per-country rank history to retain (/debug/history, /v1/countries/{cc}/history)")
+	fs.Int64Var(&o.seedStep, "seed-step", 0, "advance the world seed by this much per epoch so successive rebuilds differ (drift demo / CI hook; 0 = fixed world)")
+	fs.DurationVar(&o.buildTimeout, "build-timeout", 0, "abandon a rebuild after this long and retry with backoff (0 = no timeout)")
+	fs.DurationVar(&o.staleAfter, "stale-after", 0, "flip /readyz to 503 when the served snapshot is older than this (0 = never)")
+	fs.IntVar(&o.maxInflight, "max-inflight", 0, "shed /v1 requests beyond this concurrency with 503 + Retry-After (0 = no limit)")
+	fs.StringVar(&o.accessLog, "access-log", "", "write wide-event request logs to this file (\"-\" = stderr, empty = off)")
+	fs.IntVar(&o.accessSample, "access-log-sample", 1, "log 1 in N successful responses (0 = none; errors and slow requests always logged)")
+	fs.DurationVar(&o.accessSlow, "access-log-slow", 100*time.Millisecond, "always log requests at least this slow (0 disables the override)")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0, "fraction of requests promoted to /debug/requests traces (0 = off, 1 = all)")
+	fs.StringVar(&o.slo, "slo", "", "serving objectives, e.g. \"availability=99.9,latency=99.9@5ms\" or \"default\" (empty = off)")
+	fs.DurationVar(&o.slowProbe, "slow-probe", 0, "delay requests tagged probe=slow by this much (CI latency-injection hook)")
+	return o, obs.FlagsOn(fs, "rankd")
+}
+
 func main() {
-	start0 := time.Now()
-	addr := flag.String("addr", "127.0.0.1:8080", "serve the snapshot API (and debug endpoints) on this host:port")
-	seed := flag.Int64("seed", 1, "world seed")
-	scale := flag.Float64("scale", 1, "stub-count scale factor")
-	vpscale := flag.Float64("vpscale", 1, "VP-count scale factor")
-	topn := flag.Int("topn", snapshot.DefaultMaxTopN, "max entries per ranking and /v1/top ?n= cap")
-	refresh := flag.Duration("refresh", 0, "recompute and atomically swap the snapshot at this interval (0 = only on SIGHUP)")
-	ccList := flag.String("countries", "", "comma-separated country codes to serve (default: all with ranked ASes)")
-	shards := flag.Int("shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
-	snapDir := flag.String("snapshot-dir", "", "durably persist published snapshots here and warm-start from the newest valid generation (empty = off)")
-	snapKeep := flag.Int("snapshot-keep", snapshot.DefaultKeepGenerations, "on-disk snapshot generations to retain")
-	allowDegraded := flag.Bool("allow-degraded", false, "let a quorum-degraded rebuild replace a healthy snapshot")
-	driftGate := flag.Float64("drift-gate", 0, "refuse to publish a rebuild whose drift churn score exceeds this (0 = off)")
-	allowDrift := flag.Bool("allow-drift", false, "override -drift-gate (the drift is still computed and logged)")
-	histKeep := flag.Int("history", snapshot.DefaultHistoryEpochs, "epochs of per-country rank history to retain (/debug/history, /v1/countries/{cc}/history)")
-	seedStep := flag.Int64("seed-step", 0, "advance the world seed by this much per epoch so successive rebuilds differ (drift demo / CI hook; 0 = fixed world)")
-	buildTimeout := flag.Duration("build-timeout", 0, "abandon a rebuild after this long and retry with backoff (0 = no timeout)")
-	staleAfter := flag.Duration("stale-after", 0, "flip /readyz to 503 when the served snapshot is older than this (0 = never)")
-	maxInflight := flag.Int("max-inflight", 0, "shed /v1 requests beyond this concurrency with 503 + Retry-After (0 = no limit)")
-	accessLog := flag.String("access-log", "", "write wide-event request logs to this file (\"-\" = stderr, empty = off)")
-	accessSample := flag.Int("access-log-sample", 1, "log 1 in N successful responses (0 = none; errors and slow requests always logged)")
-	accessSlow := flag.Duration("access-log-slow", 100*time.Millisecond, "always log requests at least this slow (0 disables the override)")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of requests promoted to /debug/requests traces (0 = off, 1 = all)")
-	sloSpec := flag.String("slo", "", "serving objectives, e.g. \"availability=99.9,latency=99.9@5ms\" or \"default\" (empty = off)")
-	slowProbe := flag.Duration("slow-probe", 0, "delay requests tagged probe=slow by this much (CI latency-injection hook)")
-	ofl := obs.Flags("rankd")
+	o, ofl := registerFlags(flag.CommandLine)
 	flag.Parse()
-	ofl.Init()
+	ofl.Setup()
 
 	var only []countries.Code
-	for _, cc := range strings.Split(*ccList, ",") {
+	for _, cc := range strings.Split(o.countries, ",") {
 		cc = strings.ToUpper(strings.TrimSpace(cc))
 		if cc == "" {
 			continue
@@ -155,20 +180,20 @@ func main() {
 		}
 		only = append(only, countries.Code(cc))
 	}
-	cfg := snapshot.Config{MaxTopN: *topn, Countries: only}
+	cfg := snapshot.Config{MaxTopN: o.topn, Countries: only}
 	opt := core.Options{
-		Seed: *seed, StubScale: *scale, VPScale: *vpscale,
-		Routing: routing.BuildOptions{Shards: *shards},
+		Seed: o.seed, StubScale: o.scale, VPScale: o.vpscale,
+		Routing: routing.BuildOptions{Shards: o.shards},
 	}
 
-	ofl.Manifest.Seed("world", *seed)
+	ofl.Manifest.Seed("world", o.seed)
 	build := func(ctx context.Context, epoch int64) (*snapshot.Snapshot, error) {
 		start := time.Now()
 		bopt := opt
-		if *seedStep != 0 {
+		if o.seedStep != 0 {
 			// Drift demo / CI hook: each epoch builds a slightly different
 			// world, so rollovers produce real rank movement.
-			bopt.Seed = *seed + (epoch-1)*(*seedStep)
+			bopt.Seed = o.seed + (epoch-1)*o.seedStep
 		}
 		p := core.NewPipeline(bopt)
 		if err := ctx.Err(); err != nil {
@@ -187,20 +212,20 @@ func main() {
 	var persist *snapshot.Persister
 	store := snapshot.NewStore(nil)
 	firstEpoch := int64(1)
-	if *snapDir != "" {
+	if o.snapshotDir != "" {
 		var err error
-		persist, err = snapshot.NewPersister(*snapDir, *snapKeep)
+		persist, err = snapshot.NewPersister(o.snapshotDir, o.snapshotKeep)
 		if err != nil {
-			slog.Error("snapshot dir unusable", "dir", *snapDir, "err", err)
+			slog.Error("snapshot dir unusable", "dir", o.snapshotDir, "err", err)
 			os.Exit(1)
 		}
 		warm, skipped, err := persist.LoadLatest()
 		if err != nil {
-			slog.Error("snapshot dir unreadable", "dir", *snapDir, "err", err)
+			slog.Error("snapshot dir unreadable", "dir", o.snapshotDir, "err", err)
 			os.Exit(1)
 		}
 		if skipped > 0 {
-			slog.Warn("rejected corrupt snapshot generations at warm start", "dir", *snapDir, "skipped", skipped)
+			slog.Warn("rejected corrupt snapshot generations at warm start", "dir", o.snapshotDir, "skipped", skipped)
 		}
 		if warm != nil {
 			store = snapshot.NewStore(warm)
@@ -216,16 +241,15 @@ func main() {
 	// the cold-start listen gate and the manifest trigger.
 	firstPub := make(chan struct{})
 	var firstPubClosed bool
-	store.SetHistoryLimit(*histKeep)
+	store.SetHistoryLimit(o.history)
 	sup := snapshot.NewSupervisor(store, firstEpoch, snapshot.SupervisorConfig{
 		Build:         build,
-		BuildTimeout:  *buildTimeout,
-		AllowDegraded: *allowDegraded,
-		DriftGate:     *driftGate,
-		AllowDrift:    *allowDrift,
-		StaleAfter:    *staleAfter,
+		BuildTimeout:  o.buildTimeout,
+		AllowDegraded: o.allowDegraded,
+		DriftGate:     o.driftGate,
+		StaleAfter:    o.staleAfter,
 		Persist:       persist,
-		Seed:          *seed,
+		Seed:          o.seed,
 		OnPublish: func(s *snapshot.Snapshot) {
 			if !firstPubClosed { // supervisor goroutine only; no race
 				firstPubClosed = true
@@ -233,8 +257,8 @@ func main() {
 			}
 		},
 	})
-	obs.SetDefaultReady(sup.Ready)
-	obs.SetDefaultHistory(func() any { return store.HistoryData() })
+	ofl.Ready = sup.Ready
+	ofl.History = func() any { return store.HistoryData() }
 
 	// Handlers go in before the first build starts: a daemon signalled
 	// during its cold start must drain like any other, not die by signal.
@@ -245,15 +269,15 @@ func main() {
 	sup.Trigger("boot")
 
 	// Assemble the serving instrumentation from the observability flags.
-	ins := snapshot.Instrumentation{SlowProbe: *slowProbe, MaxInFlight: *maxInflight}
-	if *accessLog != "" {
+	ins := snapshot.Instrumentation{SlowProbe: o.slowProbe, MaxInFlight: o.maxInflight}
+	if o.accessLog != "" {
 		out := os.Stderr
-		if *accessLog != "-" {
+		if o.accessLog != "-" {
 			// Append, never truncate: restarts are a designed-for event and
 			// the previous process's log is evidence, not garbage.
-			f, err := os.OpenFile(*accessLog, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+			f, err := os.OpenFile(o.accessLog, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 			if err != nil {
-				slog.Error("access log open failed", "path", *accessLog, "err", err)
+				slog.Error("access log open failed", "path", o.accessLog, "err", err)
 				os.Exit(1)
 			}
 			defer f.Close()
@@ -261,29 +285,29 @@ func main() {
 		}
 		ins.Log = obs.NewAccessLog(
 			slog.New(slog.NewJSONHandler(out, nil)),
-			obs.AccessLogConfig{SampleOK: *accessSample, SlowAfter: *accessSlow},
+			obs.AccessLogConfig{SampleOK: o.accessSample, SlowAfter: o.accessSlow},
 		).Start()
 		defer ins.Log.Close()
 	}
-	if *traceSample > 0 {
-		ins.Requests = obs.NewReqTracker(*seed, *traceSample, 64, 8)
-		obs.SetDefaultRequests(ins.Requests)
+	if o.traceSample > 0 {
+		ins.Requests = obs.NewReqTracker(o.seed, o.traceSample, 64, 8)
+		ofl.Requests = ins.Requests
+		ofl.Manifest.SetNote("trace_sample", strconv.FormatFloat(o.traceSample, 'g', -1, 64))
 	}
-	var slo *obs.SLO
-	if *sloSpec != "" {
-		cfg, err := obs.ParseSLO(*sloSpec)
+	if o.slo != "" {
+		cfg, err := obs.ParseSLO(o.slo)
 		if err != nil {
-			slog.Error("bad -slo", "spec", *sloSpec, "err", err)
+			slog.Error("bad -slo", "spec", o.slo, "err", err)
 			os.Exit(1)
 		}
-		slo = obs.NewSLO(cfg)
-		ins.SLO = slo
-		obs.SetDefaultSLO(slo)
+		ofl.SLO = obs.NewSLO(cfg)
+		ins.SLO = ofl.SLO
 		ofl.Manifest.SetNote("slo_config", cfg.String())
 	}
-	if *traceSample > 0 {
-		ofl.Manifest.SetNote("trace_sample", strconv.FormatFloat(*traceSample, 'g', -1, 64))
-	}
+	// Every source the debug surface reads now exists, so -debug-addr may
+	// start answering: during a cold start its /readyz says "not ready: no
+	// snapshot published" until the first build lands.
+	debug := ofl.Serve()
 
 	// Cold start has nothing to serve yet: wait for the first publish so
 	// the first accepted connection always gets data. Warm start serves the
@@ -306,11 +330,11 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", h)
-	mux.Handle("/", obs.NewDebugMux())
+	mux.Handle("/", debug)
 	srv := newServer(mux)
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		slog.Error("listen failed", "addr", *addr, "err", err)
+		slog.Error("listen failed", "addr", o.addr, "err", err)
 		// os.Exit skips defers: flush the access log explicitly so the
 		// startup events (including a warm-start marker) are not lost.
 		if ins.Log != nil {
@@ -330,21 +354,14 @@ func main() {
 	ofl.Manifest.SetNote("snapshot_epoch", strconv.FormatInt(first.Epoch, 10))
 	ofl.Manifest.SetNote("snapshot_stale", strconv.FormatBool(first.Stale))
 	ofl.Manifest.SetNote("max_top_n", strconv.Itoa(first.MaxTopN()))
-	if *ofl.ManifestOut != "" {
-		ofl.Manifest.Finish(time.Since(start0), obs.Default.Snapshot(), obs.DefaultTrace.Render())
-		if err := ofl.Manifest.WriteFile(*ofl.ManifestOut); err != nil {
-			slog.Error("manifest write failed", "path", *ofl.ManifestOut, "err", err)
-		} else {
-			slog.Info("manifest written", "path", *ofl.ManifestOut)
-		}
-	}
+	ofl.WriteManifest()
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	var tick <-chan time.Time
-	if *refresh > 0 {
-		t := time.NewTicker(*refresh)
+	if o.refresh > 0 {
+		t := time.NewTicker(o.refresh)
 		defer t.Stop()
 		tick = t.C
 	}
@@ -360,7 +377,7 @@ func main() {
 			ofl.Manifest.SetNote("drift_epochs",
 				strconv.FormatInt(d.OldEpoch, 10)+"->"+strconv.FormatInt(d.NewEpoch, 10))
 		}
-		if slo != nil {
+		if slo := ofl.SLO; slo != nil {
 			availFast, availSlow, latFast, latSlow := slo.Burns()
 			reason, degraded := slo.Degraded()
 			ofl.Manifest.SetNote("slo_availability_fast_burn", strconv.FormatFloat(availFast, 'g', 4, 64))

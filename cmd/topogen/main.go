@@ -36,7 +36,7 @@ func main() {
 	scenario := flag.String("scenario", string(topology.Apr2021), "snapshot scenario")
 	out := flag.String("out", "", "output directory for MRT files (required)")
 	shards := flag.Int("shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
-	ofl := obs.Flags("topogen")
+	ofl := obs.FlagsOn(flag.CommandLine, "topogen")
 	flag.Parse()
 	ofl.Init()
 	if *out == "" {

@@ -37,8 +37,6 @@ func TestChaosSoak(t *testing.T) {
 		"countryrank_collector_resumed_sessions_total",
 		"countryrank_collector_sessions_total")
 	tl.Start()
-	obs.SetDefaultTimeline(tl)
-	defer obs.SetDefaultTimeline(nil)
 
 	w := topology.Build(topology.Config{Seed: 5, StubScale: 0.1, VPScale: 0.1})
 	col := routing.BuildCollection(w, routing.BuildOptions{
@@ -209,7 +207,7 @@ func TestChaosSoak(t *testing.T) {
 	// The timeline must show the reconnect/resume counters *moving during*
 	// the soak: a final scrape proves totals, the series proves when.
 	tl.Stop()
-	srv := httptest.NewServer(obs.NewDebugMux())
+	srv := httptest.NewServer(obs.NewDebugMux(&obs.CmdFlags{Sources: obs.Sources{Timeline: tl}}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/timeline")
 	if err != nil {

@@ -31,20 +31,10 @@ import (
 	"countryrank/internal/topology"
 )
 
-// Cache effectiveness counters and per-kernel duration histograms. The
-// cache counters fire once per ViewRecords / fullRankFor call; the kernel
-// histograms wrap whole kernel invocations (Country, Global, AHC, CTI) —
-// never the per-trial stability loop, whose cost the trials counter tracks
-// instead.
+// Per-kernel duration histograms wrap whole kernel invocations (Country,
+// Global, AHC, CTI) — never the per-trial stability loop, whose cost the
+// trials counter tracks instead.
 var (
-	mViewHits = obs.NewCounter("countryrank_core_view_cache_hits_total",
-		"ViewRecords calls served from the per-(kind, country) cache")
-	mViewMisses = obs.NewCounter("countryrank_core_view_cache_misses_total",
-		"ViewRecords calls that computed a fresh view")
-	mRankHits = obs.NewCounter("countryrank_core_rank_cache_hits_total",
-		"full-view baseline rankings served from cache")
-	mRankMisses = obs.NewCounter("countryrank_core_rank_cache_misses_total",
-		"full-view baseline rankings computed fresh")
 	mTrials = obs.NewCounter("countryrank_core_stability_trials_total",
 		"stability downsampling trials executed")
 
@@ -364,10 +354,8 @@ func (p *Pipeline) ViewRecords(kind ViewKind, country countries.Code) []int32 {
 	out, ok := p.viewCache[k]
 	p.viewMu.RUnlock()
 	if ok {
-		mViewHits.Inc()
 		return out
 	}
-	mViewMisses.Inc()
 	out = p.computeView(kind, country)
 	p.viewMu.Lock()
 	if prior, ok := p.viewCache[k]; ok {
@@ -605,10 +593,8 @@ func (p *Pipeline) fullRankFor(m Metric, c countries.Code, full []int32) *rank.R
 	r, ok := p.rankCache[k]
 	p.rankMu.RUnlock()
 	if ok {
-		mRankHits.Inc()
 		return r
 	}
-	mRankMisses.Inc()
 	r = p.rankFor(m, full)
 	p.rankMu.Lock()
 	if prior, ok := p.rankCache[k]; ok {

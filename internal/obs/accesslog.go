@@ -17,8 +17,6 @@ var (
 		"wide events dropped because the access-log ring was full")
 	mAccessSkipped = NewCounter("countryrank_accesslog_skipped_total",
 		"2xx/304 responses skipped by access-log head sampling")
-	mAccessWritten = NewCounter("countryrank_accesslog_written_total",
-		"wide events emitted by the access-log writer goroutine")
 )
 
 // An AccessEvent is one request's wide event: everything an operator needs
@@ -236,5 +234,4 @@ func (l *AccessLog) emit(ev AccessEvent) {
 		slog.String("client", ev.Client),
 		slog.Bool("sampled", ev.Sampled),
 	)
-	mAccessWritten.Inc()
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"time"
 )
@@ -26,61 +27,22 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// chromeTraceFile is the top-level JSON object Perfetto expects.
+// chromeTraceFile is the top-level JSON object Perfetto expects. OtherData
+// is the format's slot for free-form metadata; it says how many root spans
+// the trace let go before the ones exported.
 type chromeTraceFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	TraceEvents     []chromeEvent    `json:"traceEvents"`
+	DisplayTimeUnit string           `json:"displayTimeUnit"`
+	OtherData       map[string]int64 `json:"otherData,omitempty"`
 }
 
-// exportSpan is a lock-free copy of one span taken under the trace mutex.
-type exportSpan struct {
-	id, parent uint64
-	name, unit string
-	start, end time.Time
-	ended      bool
-	items      int64
-	attrs      []SpanAttr
-	events     []SpanEvent
-}
-
-// snapshotSpans flattens the trace into copies safe to format outside the
-// lock. Open spans get "now" as a provisional end.
-func (t *Trace) snapshotSpans(now time.Time) []exportSpan {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []exportSpan
-	var walk func(s *Span)
-	walk = func(s *Span) {
-		e := exportSpan{
-			id:    s.id,
-			name:  s.Name,
-			unit:  s.unit,
-			start: s.start,
-			end:   now,
-			ended: s.ended,
-			items: s.items.Load(),
-		}
-		if s.parent != nil {
-			e.parent = s.parent.id
-		}
-		if s.ended {
-			e.end = s.start.Add(s.dur)
-		}
-		if len(s.attrs) > 0 {
-			e.attrs = append([]SpanAttr(nil), s.attrs...)
-		}
-		if len(s.events) > 0 {
-			e.events = append([]SpanEvent(nil), s.events...)
-		}
-		out = append(out, e)
-		for _, c := range s.children {
-			walk(c)
-		}
+// endLocked is when the span ended; an open span gets now as a provisional
+// end. Caller holds the trace lock.
+func (s *Span) endLocked(now time.Time) time.Time {
+	if s.ended {
+		return s.start.Add(s.dur)
 	}
-	for _, r := range t.roots {
-		walk(r)
-	}
-	return out
+	return now
 }
 
 // assignTracks gives each span a track (tid) such that any two spans on the
@@ -88,7 +50,7 @@ func (t *Trace) snapshotSpans(now time.Time) []exportSpan {
 // trace viewers need to stack slices correctly. The greedy first-fit keeps
 // the sequential pipeline spine on track 0 and spills partially-overlapping
 // fan-out children onto fresh tracks.
-func assignTracks(spans []exportSpan) []int {
+func assignTracks(spans []*Span, now time.Time) []int {
 	order := make([]int, len(spans))
 	for i := range order {
 		order[i] = i
@@ -98,20 +60,20 @@ func assignTracks(spans []exportSpan) []int {
 		if !sa.start.Equal(sb.start) {
 			return sa.start.Before(sb.start)
 		}
-		return sa.end.After(sb.end) // longer first, so containers precede content
+		return sa.endLocked(now).After(sb.endLocked(now)) // longer first, so containers precede content
 	})
 	tids := make([]int, len(spans))
 	var tracks [][]time.Time // per track: stack of open interval ends
 	for _, i := range order {
-		s := spans[i]
+		start, end := spans[i].start, spans[i].endLocked(now)
 		placed := false
 		for ti := range tracks {
 			st := tracks[ti]
-			for len(st) > 0 && !st[len(st)-1].After(s.start) {
+			for len(st) > 0 && !st[len(st)-1].After(start) {
 				st = st[:len(st)-1]
 			}
-			if len(st) == 0 || !s.end.After(st[len(st)-1]) {
-				tracks[ti] = append(st, s.end)
+			if len(st) == 0 || !end.After(st[len(st)-1]) {
+				tracks[ti] = append(st, end)
 				tids[i] = ti
 				placed = true
 				break
@@ -119,85 +81,101 @@ func assignTracks(spans []exportSpan) []int {
 			tracks[ti] = st
 		}
 		if !placed {
-			tracks = append(tracks, []time.Time{s.end})
+			tracks = append(tracks, []time.Time{end})
 			tids[i] = len(tracks) - 1
 		}
 	}
 	return tids
 }
 
-// WriteChromeTrace renders the trace (including still-open spans) as Chrome
-// trace-event JSON. The time origin is the earliest recorded span start;
-// timestamps and durations are microseconds, with durations clamped to at
-// least 1µs so zero-length spans stay visible.
+// WriteChromeTrace renders the trace's retained roots (including still-open
+// spans) as Chrome trace-event JSON. The time origin is the earliest
+// recorded span start; timestamps and durations are microseconds, with
+// durations clamped to at least 1µs so zero-length spans stay visible.
 func (t *Trace) WriteChromeTrace(w io.Writer) error {
-	now := time.Now()
-	spans := t.snapshotSpans(now)
+	return json.NewEncoder(w).Encode(t.chromeFile(time.Now()))
+}
+
+// chromeFile builds the export under the trace lock, which Start also
+// needs: that is bounded work, the trace holding at most traceRoots
+// subtrees, and the JSON encoding happens after it is released.
+func (t *Trace) chromeFile(now time.Time) chromeTraceFile {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	file := chromeTraceFile{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	if len(spans) > 0 {
-		epoch := spans[0].start
-		for _, s := range spans {
-			if s.start.Before(epoch) {
-				epoch = s.start
-			}
-		}
-		tids := assignTracks(spans)
-		maxTID := 0
-		for _, tid := range tids {
-			if tid > maxTID {
-				maxTID = tid
-			}
-		}
-		file.TraceEvents = append(file.TraceEvents, chromeEvent{
-			Name: "process_name", Phase: "M", PID: 1,
-			Args: map[string]any{"name": "countryrank"},
-		})
-		for tid := 0; tid <= maxTID; tid++ {
-			label := "pipeline"
-			if tid > 0 {
-				label = "fan-out"
-			}
-			file.TraceEvents = append(file.TraceEvents, chromeEvent{
-				Name: "thread_name", Phase: "M", PID: 1, TID: tid,
-				Args: map[string]any{"name": label},
-			})
-		}
-		for i, s := range spans {
-			args := map[string]any{"span_id": s.id}
-			if s.parent != 0 {
-				args["parent_id"] = s.parent
-			}
-			if s.items > 0 {
-				args[nonEmpty(s.unit, "items")] = s.items
-				if d := s.end.Sub(s.start); d > 0 {
-					args["per_second"] = float64(s.items) / d.Seconds()
-				}
-			}
-			if !s.ended {
-				args["open"] = true
-			}
-			for _, a := range s.attrs {
-				args[a.Key] = a.Value
-			}
-			dur := s.end.Sub(s.start).Microseconds()
-			if dur < 1 {
-				dur = 1
-			}
-			file.TraceEvents = append(file.TraceEvents, chromeEvent{
-				Name: s.name, Phase: "X",
-				TS: s.start.Sub(epoch).Microseconds(), Dur: dur,
-				PID: 1, TID: tids[i], Args: args,
-			})
-			for _, ev := range s.events {
-				file.TraceEvents = append(file.TraceEvents, chromeEvent{
-					Name: ev.Name, Phase: "i",
-					TS:  ev.At.Sub(epoch).Microseconds(),
-					PID: 1, TID: tids[i], Scope: "t",
-					Args: map[string]any{"span_id": s.id},
-				})
-			}
+	if n := t.roots.Dropped(); n > 0 {
+		file.OtherData = map[string]int64{"dropped_roots": n}
+	}
+	var spans []*Span // roots oldest first, each span before its children
+	var walk func(s *Span)
+	walk = func(s *Span) {
+		spans = append(spans, s)
+		for _, c := range s.children {
+			walk(c)
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(file)
+	for _, r := range t.roots.Items() {
+		walk(r)
+	}
+	if len(spans) == 0 {
+		return file
+	}
+	epoch := spans[0].start
+	for _, s := range spans {
+		if s.start.Before(epoch) {
+			epoch = s.start
+		}
+	}
+	tids := assignTracks(spans, now)
+	file.TraceEvents = append(file.TraceEvents, chromeEvent{
+		Name: "process_name", Phase: "M", PID: 1,
+		Args: map[string]any{"name": "countryrank"},
+	})
+	for tid, last := 0, slices.Max(tids); tid <= last; tid++ {
+		label := "pipeline"
+		if tid > 0 {
+			label = "fan-out"
+		}
+		file.TraceEvents = append(file.TraceEvents, chromeEvent{
+			Name: "thread_name", Phase: "M", PID: 1, TID: tid,
+			Args: map[string]any{"name": label},
+		})
+	}
+	for i, s := range spans {
+		d := s.endLocked(now).Sub(s.start)
+		args := map[string]any{"span_id": s.id}
+		if s.parent != nil {
+			args["parent_id"] = s.parent.id
+		}
+		if items := s.items.Load(); items > 0 {
+			args[nonEmpty(s.unit, "items")] = items
+			if d > 0 {
+				args["per_second"] = float64(items) / d.Seconds()
+			}
+		}
+		if !s.ended {
+			args["open"] = true
+		}
+		for _, a := range s.attrs {
+			args[a.Key] = a.Value
+		}
+		dur := d.Microseconds()
+		if dur < 1 {
+			dur = 1
+		}
+		file.TraceEvents = append(file.TraceEvents, chromeEvent{
+			Name: s.Name, Phase: "X",
+			TS: s.start.Sub(epoch).Microseconds(), Dur: dur,
+			PID: 1, TID: tids[i], Args: args,
+		})
+		for _, ev := range s.events {
+			file.TraceEvents = append(file.TraceEvents, chromeEvent{
+				Name: ev.Name, Phase: "i",
+				TS:  ev.At.Sub(epoch).Microseconds(),
+				PID: 1, TID: tids[i], Scope: "t",
+				Args: map[string]any{"span_id": s.id},
+			})
+		}
+	}
+	return file
 }

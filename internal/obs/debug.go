@@ -4,96 +4,47 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync/atomic"
 	"time"
 )
 
-// defaultReady is the process-wide readiness probe behind /readyz, distinct
-// from /healthz liveness: a live daemon can be not-ready (e.g. serving a
-// snapshot stale beyond its threshold) and should be rotated out of a load
-// balancer without being restarted.
-var defaultReady atomic.Pointer[func() (detail string, ready bool)]
-
-// SetDefaultReady installs (or, with nil, clears) the readiness probe
-// /readyz consults. With no probe installed /readyz answers ok, matching
-// /healthz's permissive default.
-func SetDefaultReady(fn func() (string, bool)) {
-	if fn == nil {
-		defaultReady.Store(nil)
-		return
-	}
-	defaultReady.Store(&fn)
-}
-
-// GetDefaultReady returns the installed readiness probe, or nil.
-func GetDefaultReady() func() (string, bool) {
-	if p := defaultReady.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// defaultHistory feeds /debug/history: a provider returning an
-// epoch-aligned series document (rankd installs its snapshot store's
-// HistoryData). Kept as an opaque any so obs does not depend on the
-// snapshot package.
-var defaultHistory atomic.Pointer[func() any]
-
-// SetDefaultHistory installs (or, with nil, clears) the /debug/history
-// provider.
-func SetDefaultHistory(fn func() any) {
-	if fn == nil {
-		defaultHistory.Store(nil)
-		return
-	}
-	defaultHistory.Store(&fn)
-}
-
-// GetDefaultHistory returns the installed history provider, or nil.
-func GetDefaultHistory() func() any {
-	if p := defaultHistory.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// NewDebugMux builds the debug endpoint set every cmd shares:
+// NewDebugMux builds the debug endpoint set every cmd shares. Beyond the
+// Default registry and the DefaultTrace it reads only the sources set on f
+// when it is called — a cmd without one leaves the field nil and the
+// endpoint answers with its empty document:
 //
 //	/metrics         Prometheus text exposition of the Default registry
 //	/healthz         liveness probe: "ok", or 503 "degraded: <reason>" while
-//	                 the installed SLO engine's fast-burn threshold trips
-//	/readyz          readiness probe: consults the installed readiness
-//	                 function (SetDefaultReady); 503 "not ready: <detail>"
-//	                 when it reports false, ok otherwise
+//	                 f.SLO's fast-burn threshold trips
+//	/readyz          readiness probe, distinct from liveness — a live daemon
+//	                 serving a too-stale snapshot is rotated out of a load
+//	                 balancer, not restarted: 503 "not ready: <detail>" when
+//	                 f.Ready reports false, ok otherwise
 //	/debug/vars      expvar JSON (includes the countryrank metric bridge)
 //	/debug/pprof     the standard pprof profile index
-//	/debug/trace     Chrome trace-event JSON snapshot of the DefaultTrace
-//	/debug/timeline  ring-buffer metric timeline JSON (empty series when
-//	                 no timeline sampler is installed)
-//	/debug/history   epoch-aligned rank-drift series from the installed
-//	                 history provider (SetDefaultHistory; empty when none)
-//	/debug/requests  sampled request traces: active, recent, and slowest-N
-//	                 per route (empty when no tracker is installed)
-//	/debug/slo       objectives, window counts, and burn rates (disabled
-//	                 marker when no SLO engine is installed)
-func NewDebugMux() *http.ServeMux {
+//	/debug/trace     Chrome trace-event JSON of the DefaultTrace: its last
+//	                 traceRoots root spans, with the count dropped before
+//	                 them under otherData
+//	/debug/timeline  f.Timeline's ring-buffer metric timeline JSON
+//	/debug/history   f.History's epoch-aligned rank-drift series (an opaque
+//	                 any, so obs does not depend on the snapshot package)
+//	/debug/requests  f.Requests' sampled request traces: active, recent, and
+//	                 slowest-N per route
+//	/debug/slo       f.SLO's objectives, window counts, and burn rates (a
+//	                 disabled marker without one)
+func NewDebugMux(f *CmdFlags) *http.ServeMux {
 	PublishExpvar()
+	src := f.Sources // a copy: the handlers never read f again
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		RefreshRuntimeMetrics()
-		if s := GetDefaultSLO(); s != nil {
-			s.refreshMetrics()
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = Default.WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if s := GetDefaultSLO(); s != nil {
-			if reason, degraded := s.Degraded(); degraded {
+		if src.SLO != nil {
+			if reason, degraded := src.SLO.Degraded(); degraded {
 				w.WriteHeader(http.StatusServiceUnavailable)
 				fmt.Fprintln(w, "degraded: "+reason)
 				return
@@ -103,8 +54,8 @@ func NewDebugMux() *http.ServeMux {
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if probe := GetDefaultReady(); probe != nil {
-			if detail, ready := probe(); !ready {
+		if src.Ready != nil {
+			if detail, ok := src.Ready(); !ok {
 				w.WriteHeader(http.StatusServiceUnavailable)
 				fmt.Fprintln(w, "not ready: "+detail)
 				return
@@ -115,45 +66,37 @@ func NewDebugMux() *http.ServeMux {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		if t := GetDefaultRequests(); t != nil {
-			_ = enc.Encode(t.Snapshot())
-			return
-		}
-		_ = enc.Encode(RequestsData{Active: []ReqSpanData{}, Routes: map[string]RouteRequests{}})
-	})
 	mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		if s := GetDefaultSLO(); s != nil {
-			_ = enc.Encode(s.Status())
+		if src.SLO == nil {
+			writeJSON(w, map[string]bool{"enabled": false})
 			return
 		}
-		_ = enc.Encode(map[string]bool{"enabled": false})
+		writeJSON(w, src.SLO.Status())
+	})
+	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
+		if src.Requests == nil {
+			writeJSON(w, RequestsData{Active: []ReqSpanData{}, Routes: map[string]RouteRequests{}})
+			return
+		}
+		writeJSON(w, src.Requests.Snapshot())
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		_ = DefaultTrace.WriteChromeTrace(w)
 	})
 	mux.HandleFunc("/debug/history", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		if h := GetDefaultHistory(); h != nil {
-			_ = enc.Encode(h())
+		if src.History == nil {
+			writeJSON(w, map[string]any{"epochs": []int64{}, "series": map[string][]float64{}})
 			return
 		}
-		_ = enc.Encode(map[string]any{"epochs": []int64{}, "series": map[string][]float64{}})
+		writeJSON(w, src.History())
 	})
 	mux.HandleFunc("/debug/timeline", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		if tl := GetDefaultTimeline(); tl != nil {
-			_ = enc.Encode(tl.Snapshot())
+		if src.Timeline == nil {
+			writeJSON(w, TimelineData{Series: map[string][]float64{}, OffsetsMS: []int64{}})
 			return
 		}
-		_ = enc.Encode(TimelineData{Series: map[string][]float64{}, OffsetsMS: []int64{}})
+		writeJSON(w, src.Timeline.Snapshot())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -164,19 +107,9 @@ func NewDebugMux() *http.ServeMux {
 	return mux
 }
 
-// ServeDebug starts the debug server on addr (host:port; port 0 picks a
-// free one) and returns the bound address plus a closer that shuts the
-// server down and releases its listener. Earlier revisions leaked the
-// http.Server for the life of the process; callers (CmdFlags.Done) now
-// close it once the linger window ends.
-func ServeDebug(addr string) (string, func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("obs: debug listen %s: %w", addr, err)
-	}
-	srv := NewServer(NewDebugMux())
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), func() { _ = srv.Close() }, nil
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // Listener limits shared by every HTTP server in the repository. Requests

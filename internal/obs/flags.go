@@ -3,7 +3,10 @@ package obs
 import (
 	"context"
 	"flag"
+	"io"
 	"log/slog"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"time"
@@ -13,7 +16,8 @@ import (
 // verbosity, the opt-in debug server, a linger window that keeps the
 // process (and its /metrics endpoint) alive after the work finishes, and
 // the run's export artifacts — a Chrome trace (-trace-out), a provenance
-// manifest (-manifest), and a live metric timeline (-timeline).
+// manifest (-manifest), and a live metric timeline (-timeline). Through
+// its Sources, main also hands the debug surface what it serves.
 type CmdFlags struct {
 	cmd         string
 	fs          *flag.FlagSet
@@ -29,21 +33,30 @@ type CmdFlags struct {
 	// its inputs; Done finalizes and writes it when -manifest was given.
 	Manifest *RunManifest
 
+	Sources
+
 	start     time.Time
 	boundAddr string
 	shutdown  func()
-	timeline  *Timeline
 	// testInterrupt substitutes for SIGINT delivery in tests; when nil,
 	// Done listens for a real interrupt during the linger window.
 	testInterrupt <-chan struct{}
 }
 
-// Flags registers the shared observability flags on the default flag set.
-// Call before flag.Parse, then Init after it.
-func Flags(cmd string) *CmdFlags { return FlagsOn(flag.CommandLine, cmd) }
+// Sources are what the debug surface serves beyond the Default registry
+// and the DefaultTrace; NewDebugMux says which endpoint reads which. Each
+// is nil in a cmd that has none. main sets them between Setup and Serve;
+// NewDebugMux copies them, so nothing set later is seen.
+type Sources struct {
+	Ready    func() (detail string, ready bool)
+	History  func() any // returns the /debug/history document
+	Requests *ReqTracker
+	SLO      *SLO      // Serve also exports its burn gauges
+	Timeline *Timeline // Setup starts one when -timeline was given
+}
 
-// FlagsOn registers the shared observability flags on fs (the testable
-// entry point; Flags uses the process default set).
+// FlagsOn registers the shared observability flags on fs. Call before
+// fs.Parse, then Init after it.
 func FlagsOn(fs *flag.FlagSet, cmd string) *CmdFlags {
 	return &CmdFlags{
 		cmd:       cmd,
@@ -59,11 +72,17 @@ func FlagsOn(fs *flag.FlagSet, cmd string) *CmdFlags {
 	}
 }
 
-// Init installs the slog default logger at the requested verbosity, starts
-// the provenance manifest, and, when -debug-addr was given, the debug
-// server (plus the -timeline sampler when enabled). Call right after
-// flag.Parse.
+// Init is Setup then Serve: everything a cmd with no Sources of its own
+// needs. Call right after flag.Parse.
 func (f *CmdFlags) Init() {
+	f.Setup()
+	f.Serve()
+}
+
+// Setup installs the slog default logger at the requested verbosity,
+// starts the provenance manifest and, when enabled, the -timeline sampler.
+// It opens no listener.
+func (f *CmdFlags) Setup() {
 	f.start = time.Now()
 	level := slog.LevelInfo
 	if *f.Verbosity >= 1 {
@@ -73,21 +92,36 @@ func (f *CmdFlags) Init() {
 	slog.SetDefault(slog.New(h).With("cmd", f.cmd))
 	EnableRuntimeMetrics()
 	f.Manifest = NewRunManifest(f.cmd, f.fs)
+	if *f.SampleEvery > 0 {
+		f.Timeline = NewTimeline(Default, *f.SampleEvery, 600)
+		f.Timeline.Start()
+	}
+}
+
+// Serve builds the debug surface over the Sources set on f and, when
+// -debug-addr was given, starts serving it there. The listener is opened
+// here, by the call that has the sources, so it can never answer before
+// them: a daemon's /readyz says "not ready" from its first response, not
+// "ok" until a probe is installed. The mux is returned for a daemon that
+// also mounts the surface on its own listener.
+func (f *CmdFlags) Serve() *http.ServeMux {
+	if f.SLO != nil {
+		Default.OnCollect(f.SLO.refreshMetrics)
+	}
+	mux := NewDebugMux(f)
 	if *f.DebugAddr != "" {
-		addr, shutdown, err := ServeDebug(*f.DebugAddr)
+		ln, err := net.Listen("tcp", *f.DebugAddr) // port 0 picks a free one
 		if err != nil {
-			slog.Error("debug server failed", "err", err)
+			slog.Error("debug server failed", "addr", *f.DebugAddr, "err", err)
 			os.Exit(1)
 		}
-		f.boundAddr = addr
-		f.shutdown = shutdown
-		slog.Info("debug server listening", "addr", addr)
+		srv := NewServer(mux)
+		go func() { _ = srv.Serve(ln) }()
+		f.boundAddr = ln.Addr().String()
+		f.shutdown = func() { _ = srv.Close() } // also releases the listener
+		slog.Info("debug server listening", "addr", f.boundAddr)
 	}
-	if *f.SampleEvery > 0 {
-		f.timeline = NewTimeline(Default, *f.SampleEvery, 600)
-		f.timeline.Start()
-		SetDefaultTimeline(f.timeline)
-	}
+	return mux
 }
 
 // Done finishes the run's observability: it stops the timeline sampler,
@@ -96,32 +130,50 @@ func (f *CmdFlags) Init() {
 // SIGINT cuts the wait short), and finally shuts the debug server down.
 // Call it at the end of main, after the run's output.
 func (f *CmdFlags) Done() {
-	if f.timeline != nil {
-		f.timeline.Stop()
+	if f.Timeline != nil {
+		f.Timeline.Stop()
 		if slog.Default().Enabled(context.Background(), slog.LevelDebug) {
-			os.Stderr.WriteString("metric timeline:\n" + f.timeline.Sparkline())
+			os.Stderr.WriteString("metric timeline:\n" + f.Timeline.Sparkline())
 		}
 	}
 	if *f.TraceOut != "" {
-		if err := writeTraceFile(*f.TraceOut); err != nil {
-			slog.Error("trace export failed", "path", *f.TraceOut, "err", err)
-		} else {
-			slog.Info("trace written", "path", *f.TraceOut)
-		}
+		export("trace", *f.TraceOut, DefaultTrace.WriteChromeTrace)
 	}
-	if *f.ManifestOut != "" && f.Manifest != nil {
-		f.Manifest.Finish(time.Since(f.start), Default.Snapshot(), DefaultTrace.Render())
-		if err := f.Manifest.WriteFile(*f.ManifestOut); err != nil {
-			slog.Error("manifest export failed", "path", *f.ManifestOut, "err", err)
-		} else {
-			slog.Info("manifest written", "path", *f.ManifestOut)
-		}
-	}
+	f.WriteManifest()
 	f.linger()
 	if f.shutdown != nil {
 		f.shutdown()
 		f.shutdown = nil
 	}
+}
+
+// WriteManifest stamps the manifest with the run so far (wall time, metric
+// snapshot, span tree) and writes it when -manifest was given. Done calls
+// it; a daemon also calls it once it is serving, so a scrape can be paired
+// with the manifest while the process is still running.
+func (f *CmdFlags) WriteManifest() {
+	if *f.ManifestOut == "" || f.Manifest == nil {
+		return
+	}
+	f.Manifest.Finish(time.Since(f.start), Default.Snapshot(), DefaultTrace.Render())
+	export("manifest", *f.ManifestOut, f.Manifest.WriteJSON)
+}
+
+// export writes one of the run's artifacts to path and logs the outcome; a
+// failed export does not fail the run that produced the results.
+func export(what, path string, write func(io.Writer) error) {
+	file, err := os.Create(path)
+	if err == nil {
+		err = write(file)
+		if cerr := file.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		slog.Error(what+" export failed", "path", path, "err", err)
+		return
+	}
+	slog.Info(what+" written", "path", path)
 }
 
 // linger blocks for the -debug-linger window, returning early on SIGINT so
@@ -143,17 +195,4 @@ func (f *CmdFlags) linger() {
 	case <-interrupted:
 		slog.Info("linger cut short by interrupt")
 	}
-}
-
-// writeTraceFile snapshots the DefaultTrace as Chrome trace-event JSON.
-func writeTraceFile(path string) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := DefaultTrace.WriteChromeTrace(file); err != nil {
-		file.Close()
-		return err
-	}
-	return file.Close()
 }

@@ -174,21 +174,21 @@ func TestFlagsArtifacts(t *testing.T) {
 	}
 }
 
-// TestFlagsTimeline: -timeline installs, samples, and stops the default
-// timeline sampler.
+// TestFlagsTimeline: -timeline starts, samples, and stops the sampler the
+// debug surface serves.
 func TestFlagsTimeline(t *testing.T) {
 	// Register before Init: a default timeline samples the metrics present
 	// when sampling starts.
 	c := NewCounter("countryrank_test_flagstl_total", "")
 	f := newTestFlags(t, "-timeline", "1ms")
 	f.Init()
-	if GetDefaultTimeline() == nil {
-		t.Fatal("-timeline did not install a default sampler")
+	if f.Timeline == nil {
+		t.Fatal("-timeline did not start a sampler")
 	}
 	c.Inc()
 	time.Sleep(10 * time.Millisecond)
 	f.Done()
-	d := GetDefaultTimeline().Snapshot()
+	d := f.Timeline.Snapshot()
 	if len(d.OffsetsMS) < 2 {
 		t.Fatalf("timeline sampled %d times, want >= 2", len(d.OffsetsMS))
 	}
@@ -199,7 +199,6 @@ func TestFlagsTimeline(t *testing.T) {
 	if series[len(series)-1] < 1 {
 		t.Errorf("timeline final sample = %v, want >= 1", series[len(series)-1])
 	}
-	SetDefaultTimeline(nil)
 }
 
 // TestPublishExpvarTwice: the expvar bridge must tolerate repeated

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -178,19 +177,6 @@ func (m *RunManifest) WriteJSON(w io.Writer) error {
 	buf = append(buf, '\n')
 	_, err = w.Write(buf)
 	return err
-}
-
-// WriteFile writes the manifest JSON to path.
-func (m *RunManifest) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: manifest: %w", err)
-	}
-	if err := m.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("obs: manifest: %w", err)
-	}
-	return f.Close()
 }
 
 // HashFile digests one file with SHA-256.

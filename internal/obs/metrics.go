@@ -174,15 +174,12 @@ func (h *Histogram) snapshot() []int64 {
 	return out
 }
 
-// metric pairs a registered name with its typed collector.
+// metric pairs a registered name with its collector: a *Counter, *Gauge,
+// *FloatGauge, *FloatCounter or *Histogram.
 type metric struct {
 	name string
 	help string
-	c    *Counter
-	g    *Gauge
-	h    *Histogram
-	fg   *FloatGauge
-	fc   *FloatCounter
+	v    any
 }
 
 // A Registry holds named metrics and renders them for exposition. The zero
@@ -192,12 +189,16 @@ type Registry struct {
 	mu      sync.Mutex
 	byName  map[string]*metric
 	ordered []*metric
+	refresh []func()
 }
 
 // Default is the process-wide registry served by the debug server.
 var Default = &Registry{}
 
-func (r *Registry) register(name, help string, build func() *metric) *metric {
+// register returns r's metric of type T with the given name, building it on
+// first use. It panics if the name is invalid or already bound to a metric
+// of another type.
+func register[T any](r *Registry, name, help string, build func() *T) *T {
 	if err := CheckName(name); err != nil {
 		panic(err)
 	}
@@ -206,76 +207,81 @@ func (r *Registry) register(name, help string, build func() *metric) *metric {
 	if r.byName == nil {
 		r.byName = map[string]*metric{}
 	}
-	if m, ok := r.byName[name]; ok {
-		return m
+	m, ok := r.byName[name]
+	if !ok {
+		m = &metric{name: name, help: help, v: build()}
+		r.byName[name] = m
+		r.ordered = append(r.ordered, m)
 	}
-	m := build()
-	m.name = name
-	m.help = help
-	r.byName[name] = m
-	r.ordered = append(r.ordered, m)
-	return m
+	v, ok := m.v.(*T)
+	if !ok {
+		panic(fmt.Sprintf("obs: metric %q is a %T, not a %T", name, m.v, v))
+	}
+	return v
+}
+
+// OnCollect registers fn to run at the start of every Snapshot and
+// WritePrometheus. Series that are read from somewhere else rather than
+// written as things happen (the runtime's own numbers, SLO burn rates over
+// sliding windows) refresh in it, so every reader of the registry — /metrics,
+// /debug/vars, the timeline tick, the manifest — sees current values and an
+// idle process pays nothing.
+func (r *Registry) OnCollect(fn func()) {
+	r.mu.Lock()
+	r.refresh = append(r.refresh, fn)
+	r.mu.Unlock()
+}
+
+// collect runs the refresh funcs (outside the lock: they write metrics) and
+// returns the registered metrics in registration order.
+func (r *Registry) collect() []*metric {
+	r.mu.Lock()
+	fns := r.refresh
+	r.mu.Unlock()
+	for _, fn := range fns {
+		fn()
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*metric(nil), r.ordered...)
 }
 
 // Counter returns the registry's counter with the given name, creating it if
-// needed. Panics if the name is invalid or already bound to another type.
+// needed.
 func (r *Registry) Counter(name, help string) *Counter {
-	m := r.register(name, help, func() *metric { return &metric{c: &Counter{}} })
-	if m.c == nil {
-		panic(fmt.Sprintf("obs: metric %q is not a counter", name))
-	}
-	return m.c
+	return register(r, name, help, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the registry's gauge with the given name, creating it if
 // needed.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	m := r.register(name, help, func() *metric { return &metric{g: &Gauge{}} })
-	if m.g == nil {
-		panic(fmt.Sprintf("obs: metric %q is not a gauge", name))
-	}
-	return m.g
+	return register(r, name, help, func() *Gauge { return &Gauge{} })
 }
 
 // FloatGauge returns the registry's float gauge with the given name,
 // creating it if needed.
 func (r *Registry) FloatGauge(name, help string) *FloatGauge {
-	m := r.register(name, help, func() *metric { return &metric{fg: &FloatGauge{}} })
-	if m.fg == nil {
-		panic(fmt.Sprintf("obs: metric %q is not a float gauge", name))
-	}
-	return m.fg
+	return register(r, name, help, func() *FloatGauge { return &FloatGauge{} })
 }
 
 // FloatCounter returns the registry's float counter with the given name,
 // creating it if needed.
 func (r *Registry) FloatCounter(name, help string) *FloatCounter {
-	m := r.register(name, help, func() *metric { return &metric{fc: &FloatCounter{}} })
-	if m.fc == nil {
-		panic(fmt.Sprintf("obs: metric %q is not a float counter", name))
-	}
-	return m.fc
+	return register(r, name, help, func() *FloatCounter { return &FloatCounter{} })
 }
 
 // Histogram returns the registry's histogram with the given name, creating
 // it with the given bucket upper bounds (nil selects DurationBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	m := r.register(name, help, func() *metric {
+	return register(r, name, help, func() *Histogram {
 		if buckets == nil {
 			buckets = DurationBuckets
 		}
 		if !sort.Float64sAreSorted(buckets) {
 			panic(fmt.Sprintf("obs: histogram %q buckets not ascending", name))
 		}
-		return &metric{h: &Histogram{
-			bounds: buckets,
-			counts: make([]atomic.Int64, len(buckets)),
-		}}
+		return &Histogram{bounds: buckets, counts: make([]atomic.Int64, len(buckets))}
 	})
-	if m.h == nil {
-		panic(fmt.Sprintf("obs: metric %q is not a histogram", name))
-	}
-	return m.h
 }
 
 // NewCounter registers (or fetches) a counter in the Default registry.

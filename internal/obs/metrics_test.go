@@ -122,23 +122,6 @@ countryrank_test_run_seconds_count 2
 	}
 }
 
-func TestDefaultRegistryNamesValid(t *testing.T) {
-	// Every metric registered by the instrumented packages must satisfy
-	// CheckName; registration panics otherwise, but this also guards the
-	// exposition against a future registry that skips validation.
-	Default.mu.Lock()
-	names := make([]string, 0, len(Default.ordered))
-	for _, m := range Default.ordered {
-		names = append(names, m.name)
-	}
-	Default.mu.Unlock()
-	for _, n := range names {
-		if err := CheckName(n); err != nil {
-			t.Errorf("registered metric %q: %v", n, err)
-		}
-	}
-}
-
 func TestSnapshot(t *testing.T) {
 	r := &Registry{}
 	r.Counter("countryrank_test_snap_total", "").Add(7)

@@ -13,10 +13,7 @@ import (
 // exposition format (version 0.0.4), in lexicographic name order so the
 // output is stable for scraping diffs and golden tests.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	ms := make([]*metric, len(r.ordered))
-	copy(ms, r.ordered)
-	r.mu.Unlock()
+	ms := r.collect()
 	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
 
 	var b strings.Builder
@@ -24,28 +21,28 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if m.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", m.name, m.help)
 		}
-		switch {
-		case m.c != nil:
+		switch v := m.v.(type) {
+		case *Counter:
 			fmt.Fprintf(&b, "# TYPE %s counter\n", m.name)
-			fmt.Fprintf(&b, "%s %d\n", m.name, m.c.Value())
-		case m.g != nil:
+			fmt.Fprintf(&b, "%s %d\n", m.name, v.Value())
+		case *Gauge:
 			fmt.Fprintf(&b, "# TYPE %s gauge\n", m.name)
-			fmt.Fprintf(&b, "%s %d\n", m.name, m.g.Value())
-		case m.fg != nil:
+			fmt.Fprintf(&b, "%s %d\n", m.name, v.Value())
+		case *FloatGauge:
 			fmt.Fprintf(&b, "# TYPE %s gauge\n", m.name)
-			fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(m.fg.Value()))
-		case m.fc != nil:
+			fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(v.Value()))
+		case *FloatCounter:
 			fmt.Fprintf(&b, "# TYPE %s counter\n", m.name)
-			fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(m.fc.Value()))
-		case m.h != nil:
+			fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(v.Value()))
+		case *Histogram:
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", m.name)
-			cum := m.h.snapshot()
-			for i, ub := range m.h.bounds {
+			cum := v.snapshot()
+			for i, ub := range v.bounds {
 				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", m.name, formatFloat(ub), cum[i])
 			}
 			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", m.name, cum[len(cum)-1])
-			fmt.Fprintf(&b, "%s_sum %s\n", m.name, formatFloat(m.h.Sum()))
-			fmt.Fprintf(&b, "%s_count %d\n", m.name, m.h.Count())
+			fmt.Fprintf(&b, "%s_sum %s\n", m.name, formatFloat(v.Sum()))
+			fmt.Fprintf(&b, "%s_count %d\n", m.name, v.Count())
 		}
 	}
 	_, err := io.WriteString(w, b.String())
@@ -56,24 +53,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // name. Histograms contribute <name>_count and <name>_sum entries. This is
 // the expvar view of the registry.
 func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	ms := make([]*metric, len(r.ordered))
-	copy(ms, r.ordered)
-	r.mu.Unlock()
+	ms := r.collect()
 	out := make(map[string]any, len(ms))
 	for _, m := range ms {
-		switch {
-		case m.c != nil:
-			out[m.name] = m.c.Value()
-		case m.g != nil:
-			out[m.name] = m.g.Value()
-		case m.fg != nil:
-			out[m.name] = m.fg.Value()
-		case m.fc != nil:
-			out[m.name] = m.fc.Value()
-		case m.h != nil:
-			out[m.name+"_count"] = m.h.Count()
-			out[m.name+"_sum"] = m.h.Sum()
+		switch v := m.v.(type) {
+		case *Counter:
+			out[m.name] = v.Value()
+		case *Gauge:
+			out[m.name] = v.Value()
+		case *FloatGauge:
+			out[m.name] = v.Value()
+		case *FloatCounter:
+			out[m.name] = v.Value()
+		case *Histogram:
+			out[m.name+"_count"] = v.Count()
+			out[m.name+"_sum"] = v.Sum()
 		}
 	}
 	return out

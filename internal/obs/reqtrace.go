@@ -1,52 +1,23 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// Request-tracing metrics.
-var (
-	mTraceSeen = NewCounter("countryrank_reqtrace_seen_total",
-		"requests that consulted the trace sampler")
-	mTraceSampled = NewCounter("countryrank_reqtrace_sampled_total",
-		"requests promoted to a full request trace")
-	mTraceActive = NewGauge("countryrank_reqtrace_active",
-		"sampled requests currently in flight")
-)
-
-// A ReqSpan is one sampled request's trace: a detached obs.Span carrying
-// timestamped events (parse, lookup, write…) plus the request facts the
-// /debug/requests inspector renders. Only sampled requests ever allocate
-// one; the unsampled path sees a nil pointer and pays a single sampler
-// decision.
-type ReqSpan struct {
-	span  *Span
-	start time.Time
-
-	// Written once by Finish, then only read under the tracker lock.
-	Route   string
-	Path    string
-	Status  int
-	Bytes   int64
-	Latency time.Duration
-	done    bool
-}
-
-// Event records a timestamped marker (e.g. "parse", "lookup", "write") on
-// the request's span. Nil-safe so handlers can call it unconditionally.
-func (r *ReqSpan) Event(name string) {
-	if r != nil {
-		r.span.Event(name)
-	}
-}
 
 // A ReqTracker retains sampled request traces for after-the-fact
 // inspection, net/trace-style: the set of active (in-flight) sampled
 // requests, a bounded most-recent ring per route, and a slowest-N exemplar
 // shelf per route so the request behind a p999 spike is still inspectable
 // long after it completed. /debug/requests serves Snapshot.
+//
+// A sampled request is an ordinary detached Span named "request": the
+// handler marks its phases with Event, and Start and Finish record the
+// request facts (path; route, status, bytes) as attrs. Only sampled
+// requests ever allocate one; the unsampled path sees a nil *Span and pays
+// a single sampler decision.
 type ReqTracker struct {
 	sampler *Sampler
 	trace   Trace // private span factory; never rendered into DefaultTrace
@@ -55,53 +26,41 @@ type ReqTracker struct {
 	slowN   int
 
 	mu     sync.Mutex
-	active map[*ReqSpan]struct{}
+	active map[*Span]struct{}
 	routes map[string]*routeShelf
 }
 
-// routeShelf is one route's retention: a ring of the most recent completed
-// traces (oldest evicted first) and the slowest-N shelf ordered
-// slowest-first (the fastest exemplar evicted when a slower one arrives).
+// routeShelf is one route's retention: the most recent completed traces and
+// the slowest-N shelf ordered slowest-first (the fastest exemplar evicted
+// when a slower one arrives).
 type routeShelf struct {
-	recent []*ReqSpan // ring; head is the next overwrite position
-	head   int
-	full   bool
-	slow   []*ReqSpan // sorted by Latency descending, len <= slowN
+	recent *Ring[*Span]
+	slow   []*Span // sorted by duration descending, len <= slowN
 }
 
 // NewReqTracker samples requests at rate with the given seed, retaining
-// per route the recentN most recent completed traces (default 64) and the
-// slowN slowest (default 8).
+// per route the recentN most recent completed traces and the slowN slowest.
 func NewReqTracker(seed int64, rate float64, recentN, slowN int) *ReqTracker {
-	if recentN <= 0 {
-		recentN = 64
-	}
-	if slowN <= 0 {
-		slowN = 8
-	}
 	return &ReqTracker{
 		sampler: NewSampler(seed, rate),
 		recentN: recentN,
 		slowN:   slowN,
-		active:  map[*ReqSpan]struct{}{},
+		active:  map[*Span]struct{}{},
 		routes:  map[string]*routeShelf{},
 	}
 }
 
 // Start consults the sampler for the arriving request. It returns nil —
 // with zero allocations — unless the request is promoted, in which case
-// the returned ReqSpan is registered active and its span is running.
-func (t *ReqTracker) Start(path string) *ReqSpan {
-	mTraceSeen.Inc()
+// the returned span is registered active and running.
+func (t *ReqTracker) Start(path string) *Span {
 	if !t.sampler.Sample() {
 		return nil
 	}
-	mTraceSampled.Inc()
-	r := &ReqSpan{Path: path, start: time.Now()}
-	r.span = t.trace.StartDetached("request")
+	r := t.trace.StartDetached("request")
+	r.SetAttr("path", path)
 	t.mu.Lock()
 	t.active[r] = struct{}{}
-	mTraceActive.Set(int64(len(t.active)))
 	t.mu.Unlock()
 	return r
 }
@@ -109,52 +68,30 @@ func (t *ReqTracker) Start(path string) *ReqSpan {
 // Finish completes a sampled request: closes its span, moves it from the
 // active set into its route's recent ring, and offers it to the slowest-N
 // shelf. Nil-safe.
-func (t *ReqTracker) Finish(r *ReqSpan, route string, status int, bytes int64) {
+func (t *ReqTracker) Finish(r *Span, route string, status int, bytes int64) {
 	if r == nil {
 		return
 	}
-	r.span.End()
+	r.End()
+	r.SetAttr("route", route)
+	r.SetAttr("status", status)
+	r.SetAttr("bytes", bytes)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r.Route, r.Status, r.Bytes = route, status, bytes
-	r.Latency = r.span.Duration()
-	r.done = true
 	delete(t.active, r)
-	mTraceActive.Set(int64(len(t.active)))
 
 	sh := t.routes[route]
 	if sh == nil {
-		sh = &routeShelf{recent: make([]*ReqSpan, 0, t.recentN)}
+		sh = &routeShelf{recent: NewRing[*Span](t.recentN)}
 		t.routes[route] = sh
 	}
-	if len(sh.recent) < t.recentN {
-		sh.recent = append(sh.recent, r)
-	} else {
-		sh.recent[sh.head] = r
-		sh.head = (sh.head + 1) % t.recentN
-		sh.full = true
-	}
-	// Insert into the slowest shelf (sorted descending); evict the fastest
-	// exemplar when over capacity.
-	i := len(sh.slow)
-	for i > 0 && sh.slow[i-1].Latency < r.Latency {
-		i--
-	}
-	if i < t.slowN {
-		sh.slow = append(sh.slow, nil)
-		copy(sh.slow[i+1:], sh.slow[i:])
-		sh.slow[i] = r
-		if len(sh.slow) > t.slowN {
-			sh.slow = sh.slow[:t.slowN]
-		}
-	}
+	sh.recent.Push(r)
+	// Offer it to the slowest shelf; over capacity the fastest exemplar
+	// goes (the stable sort leaves equals in arrival order).
+	sh.slow = append(sh.slow, r)
+	slices.SortStableFunc(sh.slow, func(a, b *Span) int { return cmp.Compare(b.Duration(), a.Duration()) })
+	sh.slow = sh.slow[:min(len(sh.slow), t.slowN)]
 }
-
-// Seen returns how many requests consulted the sampler.
-func (t *ReqTracker) Seen() int64 { return t.sampler.Seen() }
-
-// Sampled returns how many requests were promoted to a trace.
-func (t *ReqTracker) Sampled() int64 { return t.sampler.Sampled() }
 
 // ReqSpanData is one trace in the /debug/requests JSON.
 type ReqSpanData struct {
@@ -188,21 +125,25 @@ type RequestsData struct {
 	Routes  map[string]RouteRequests `json:"routes"`
 }
 
-func (t *ReqTracker) render(r *ReqSpan) ReqSpanData {
+// renderRequest reads one request span back into its JSON row.
+func renderRequest(r *Span) ReqSpanData {
 	d := ReqSpanData{
-		Route:  r.Route,
-		Path:   r.Path,
-		Start:  r.start.UTC().Format(time.RFC3339Nano),
-		Status: r.Status,
-		Bytes:  r.Bytes,
-		Open:   !r.done,
+		Start:     r.start.UTC().Format(time.RFC3339Nano),
+		LatencyUS: r.Duration().Microseconds(),
 	}
-	if r.done {
-		d.LatencyUS = r.Latency.Microseconds()
-	} else {
-		d.LatencyUS = time.Since(r.start).Microseconds()
+	for _, a := range r.Attrs() {
+		switch a.Key {
+		case "path":
+			d.Path, _ = a.Value.(string)
+		case "route":
+			d.Route, _ = a.Value.(string)
+		case "status":
+			d.Status, _ = a.Value.(int)
+		case "bytes":
+			d.Bytes, _ = a.Value.(int64)
+		}
 	}
-	for _, ev := range r.span.Events() {
+	for _, ev := range r.Events() {
 		d.Events = append(d.Events, ReqEventData{
 			Name:     ev.Name,
 			OffsetUS: ev.At.Sub(r.start).Microseconds(),
@@ -210,16 +151,6 @@ func (t *ReqTracker) render(r *ReqSpan) ReqSpanData {
 	}
 	return d
 }
-
-// defaultRequests is the process-wide tracker /debug/requests serves.
-var defaultRequests atomic.Pointer[ReqTracker]
-
-// SetDefaultRequests installs (or, with nil, clears) the tracker served at
-// /debug/requests.
-func SetDefaultRequests(t *ReqTracker) { defaultRequests.Store(t) }
-
-// GetDefaultRequests returns the installed tracker, or nil.
-func GetDefaultRequests() *ReqTracker { return defaultRequests.Load() }
 
 // Snapshot copies the tracker state into its JSON report. Recent traces
 // come back oldest-first; the slowest shelf slowest-first.
@@ -233,21 +164,17 @@ func (t *ReqTracker) Snapshot() RequestsData {
 		Routes:  map[string]RouteRequests{},
 	}
 	for r := range t.active {
-		d.Active = append(d.Active, t.render(r))
+		row := renderRequest(r)
+		row.Open = true
+		d.Active = append(d.Active, row)
 	}
 	for route, sh := range t.routes {
 		rr := RouteRequests{Recent: []ReqSpanData{}, Slowest: []ReqSpanData{}}
-		if sh.full {
-			for i := 0; i < len(sh.recent); i++ {
-				rr.Recent = append(rr.Recent, t.render(sh.recent[(sh.head+i)%len(sh.recent)]))
-			}
-		} else {
-			for _, r := range sh.recent {
-				rr.Recent = append(rr.Recent, t.render(r))
-			}
+		for _, r := range sh.recent.Items() {
+			rr.Recent = append(rr.Recent, renderRequest(r))
 		}
 		for _, r := range sh.slow {
-			rr.Slowest = append(rr.Slowest, t.render(r))
+			rr.Slowest = append(rr.Slowest, renderRequest(r))
 		}
 		d.Routes[route] = rr
 	}

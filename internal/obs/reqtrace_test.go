@@ -8,7 +8,7 @@ import (
 
 // finish completes a started span after a short controlled delay so
 // successive finishes have strictly increasing latencies.
-func finishAfter(t *ReqTracker, r *ReqSpan, route string, d time.Duration) {
+func finishAfter(t *ReqTracker, r *Span, route string, d time.Duration) {
 	time.Sleep(d)
 	t.Finish(r, route, 200, 1)
 }
@@ -46,7 +46,7 @@ func TestReqTrackerSlowestShelf(t *testing.T) {
 	tr := NewReqTracker(1, 1, 8, 2)
 	// Start all five up front, then finish them one by one with increasing
 	// delays: later finishes are strictly slower.
-	spans := make([]*ReqSpan, 5)
+	spans := make([]*Span, 5)
 	for i := range spans {
 		spans[i] = tr.Start(fmt.Sprintf("/p/%d", i))
 	}

@@ -3,50 +3,33 @@ package obs
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// Runtime self-metrics: the serving daemon's own health (goroutine count,
-// heap, GC pauses) scraped alongside its request metrics. They refresh on
-// demand — from the /metrics handler and the timeline sampler's tick —
-// rather than on a dedicated goroutine, so an idle process pays nothing.
-var (
-	runtimeOnce    sync.Once
-	runtimeEnabled atomic.Bool
-	rmGoroutines   *Gauge
-	rmHeapAlloc    *Gauge
-	rmGomaxprocs   *Gauge
-	rmGCPause      *FloatCounter
-)
+var runtimeOnce sync.Once
 
-// EnableRuntimeMetrics registers the countryrank_go_* self-metrics in the
-// Default registry and takes a first reading. Idempotent; CmdFlags.Init
+// EnableRuntimeMetrics registers the countryrank_go_* self-metrics — the
+// process's own health (goroutine count, heap, GC pauses) beside its
+// request metrics — in the Default registry. They are read from the runtime
+// whenever the registry is (Registry.OnCollect), not on a goroutine of
+// their own, so an idle process pays nothing. Idempotent; CmdFlags.Init
 // calls it for every cmd.
 func EnableRuntimeMetrics() {
 	runtimeOnce.Do(func() {
-		rmGoroutines = NewGauge("countryrank_go_goroutines",
+		goroutines := NewGauge("countryrank_go_goroutines",
 			"current goroutine count (refreshed on scrape)")
-		rmHeapAlloc = NewGauge("countryrank_go_heap_alloc_bytes",
+		heapAlloc := NewGauge("countryrank_go_heap_alloc_bytes",
 			"bytes of allocated heap objects (refreshed on scrape)")
-		rmGomaxprocs = NewGauge("countryrank_go_gomaxprocs",
+		gomaxprocs := NewGauge("countryrank_go_gomaxprocs",
 			"GOMAXPROCS the process runs with")
-		rmGCPause = NewFloatCounter("countryrank_go_gc_pause_seconds_total",
+		gcPause := NewFloatCounter("countryrank_go_gc_pause_seconds_total",
 			"cumulative GC stop-the-world pause seconds")
-		runtimeEnabled.Store(true)
+		Default.OnCollect(func() {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			goroutines.Set(int64(runtime.NumGoroutine()))
+			heapAlloc.Set(int64(ms.HeapAlloc))
+			gomaxprocs.Set(int64(runtime.GOMAXPROCS(0)))
+			gcPause.Set(float64(ms.PauseTotalNs) / 1e9)
+		})
 	})
-	RefreshRuntimeMetrics()
-}
-
-// RefreshRuntimeMetrics re-reads the runtime into the self-metric gauges.
-// A no-op until EnableRuntimeMetrics has run.
-func RefreshRuntimeMetrics() {
-	if !runtimeEnabled.Load() {
-		return
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	rmGoroutines.Set(int64(runtime.NumGoroutine()))
-	rmHeapAlloc.Set(int64(ms.HeapAlloc))
-	rmGomaxprocs.Set(int64(runtime.GOMAXPROCS(0)))
-	rmGCPause.Set(float64(ms.PauseTotalNs) / 1e9)
 }

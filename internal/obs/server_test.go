@@ -17,11 +17,10 @@ import (
 // then stalls. The first must be refused with 431, the second dropped once
 // the read timeout passes instead of pinning its connection open.
 func TestDebugServerListenerLimits(t *testing.T) {
-	addr, closeSrv, err := ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(closeSrv)
+	f := newTestFlags(t, "-debug-addr", "127.0.0.1:0")
+	f.Init()
+	t.Cleanup(f.Done)
+	addr := serverAddr(t, f)
 	dial := func(t *testing.T) net.Conn {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {

@@ -9,8 +9,9 @@ import (
 	"time"
 )
 
-// SLO exposition metrics. Burn-rate gauges are refreshed on scrape (the
-// /metrics handler and the timeline sampler), not per request.
+// SLO exposition metrics. The burn-rate gauges are computed when the
+// registry is read (CmdFlags.Serve registers the engine's refreshMetrics with
+// Registry.OnCollect), not per request.
 var (
 	mSLOErrors = NewCounter("countryrank_slo_errors_total",
 		"responses counted against the availability objective (5xx)")
@@ -195,9 +196,6 @@ func NewSLO(cfg SLOConfig) *SLO {
 	return s
 }
 
-// Config returns the engine's effective (filled) configuration.
-func (s *SLO) Config() SLOConfig { return s.cfg }
-
 // Record accounts one response. notModified marks a 304 revalidation,
 // which is excluded from the latency objective's population.
 func (s *SLO) Record(status int, latency time.Duration, notModified bool) {
@@ -308,8 +306,7 @@ func (s *SLO) Degraded() (reason string, degraded bool) {
 	return "", false
 }
 
-// Status assembles the full /debug/slo report and refreshes the burn-rate
-// gauges as a side effect (scrape-driven metric refresh).
+// Status assembles the full /debug/slo report.
 func (s *SLO) Status() SLOStatus {
 	st := SLOStatus{
 		BucketSeconds:     s.cfg.Bucket.Seconds(),
@@ -335,7 +332,6 @@ func (s *SLO) Status() SLOStatus {
 		})
 	}
 	st.Reason, st.Degraded = s.Degraded()
-	s.refreshMetrics()
 	return st
 }
 
@@ -352,13 +348,3 @@ func (s *SLO) refreshMetrics() {
 		mSLODegraded.Set(0)
 	}
 }
-
-// defaultSLO is the process-wide engine /debug/slo and /healthz consult.
-var defaultSLO atomic.Pointer[SLO]
-
-// SetDefaultSLO installs (or, with nil, clears) the SLO engine behind
-// /debug/slo and the /healthz degraded flip.
-func SetDefaultSLO(s *SLO) { defaultSLO.Store(s) }
-
-// GetDefaultSLO returns the installed engine, or nil.
-func GetDefaultSLO() *SLO { return defaultSLO.Load() }

@@ -95,6 +95,7 @@ func TestSLOBurnMath(t *testing.T) {
 	if st.Degraded {
 		t.Errorf("degraded at burn %g < trip 2: %s", 2.0/150*100, st.Reason)
 	}
+	s.refreshMetrics()
 	if mSLODegraded.Value() != 0 {
 		t.Error("countryrank_slo_degraded gauge raised below the trip threshold")
 	}
@@ -195,15 +196,14 @@ func TestParseSLO(t *testing.T) {
 	}
 }
 
-// TestSLOHealthzDegradeRecover runs the full loop an operator sees: install
+// TestSLOHealthzDegradeRecover runs the full loop an operator sees: serve
 // the engine, burn the budget, watch /healthz flip to 503, age the burst
 // out, watch it recover.
 func TestSLOHealthzDegradeRecover(t *testing.T) {
+	t.Parallel()
 	clk := newFakeClock()
 	s := NewSLO(testSLOConfig(clk))
-	SetDefaultSLO(s)
-	defer SetDefaultSLO(nil)
-	mux := NewDebugMux()
+	mux := NewDebugMux(&CmdFlags{Sources: Sources{SLO: s}})
 
 	healthz := func() (int, string) {
 		w := httptest.NewRecorder()

@@ -17,9 +17,13 @@ import (
 // parent with Span.Child instead. Structure is best-effort under
 // concurrency — spans never cycle, but interleaved Start calls from
 // different goroutines may parent to whichever span is current.
+//
+// The trace keeps its last traceRoots root spans (with their subtrees) and
+// counts the roots it let go, so a daemon that records the same stages epoch
+// after epoch holds, renders and exports a bounded record.
 type Trace struct {
 	mu      sync.Mutex
-	roots   []*Span
+	roots   *Ring[*Span] // created by the first Start
 	current *Span
 	nextID  uint64
 
@@ -29,6 +33,11 @@ type Trace struct {
 	OnStart func(*Span)
 	OnEnd   func(*Span)
 }
+
+// traceRoots is how many root spans a Trace retains. A rankd epoch opens two
+// (the pipeline and the snapshot build, nine spans between them), so this is
+// the last 16 epochs; the largest batch run, cmd/experiments, opens 19.
+const traceRoots = 32
 
 // DefaultTrace is the process-wide trace the pipeline records into.
 var DefaultTrace = &Trace{}
@@ -79,7 +88,10 @@ func (t *Trace) Start(name string) *Span {
 		s.depth = t.current.depth + 1
 		t.current.children = append(t.current.children, s)
 	} else {
-		t.roots = append(t.roots, s)
+		if t.roots == nil {
+			t.roots = NewRing[*Span](traceRoots)
+		}
+		t.roots.Push(s)
 	}
 	t.current = s
 	hook := t.OnStart
@@ -153,8 +165,12 @@ func (s *Span) Attrs() []SpanAttr {
 }
 
 // Event records a timestamped marker inside the span (a retry, a phase
-// boundary…), exported as an instant event on the span's trace track.
+// boundary…), exported as an instant event on the span's trace track. A nil
+// span ignores it: that is a request the sampler declined.
 func (s *Span) Event(name string) {
+	if s == nil {
+		return
+	}
 	ev := SpanEvent{Name: name, At: time.Now()}
 	t := s.trace
 	t.mu.Lock()
@@ -185,8 +201,11 @@ func (s *Span) AddItems(n int64, unit string) {
 
 // End closes the span, returns its duration, and fires the trace's OnEnd
 // hook. When slog's debug level is enabled the span also emits a structured
-// stage log (stage, duration, items).
+// stage log (stage, duration, items). Ending a nil span does nothing.
 func (s *Span) End() time.Duration {
+	if s == nil {
+		return 0
+	}
 	d := time.Since(s.start)
 	t := s.trace
 	t.mu.Lock()
@@ -271,12 +290,16 @@ func (s *Span) totalLocked() (int64, string) {
 
 // Render formats the recorded spans as an indented tree with durations,
 // item counts, and each child's share of its parent — the one-shot stage
-// report.
+// report. When the trace has let roots go, the first line says how many.
 func (t *Trace) Render() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	roots := t.roots.Items()
 	var b strings.Builder
-	for _, s := range t.roots {
+	if n := t.roots.Dropped(); n > 0 {
+		fmt.Fprintf(&b, "(%d earlier root spans dropped; the last %d follow)\n", n, len(roots))
+	}
+	for _, s := range roots {
 		s.renderLocked(&b, 0, 0)
 	}
 	return b.String()
@@ -320,12 +343,4 @@ func formatRate(r float64) string {
 		return strconv.FormatFloat(r, 'f', 0, 64)
 	}
 	return strconv.FormatFloat(r, 'g', 3, 64)
-}
-
-// Reset discards all recorded spans (primarily for tests).
-func (t *Trace) Reset() {
-	t.mu.Lock()
-	t.roots = nil
-	t.current = nil
-	t.mu.Unlock()
 }

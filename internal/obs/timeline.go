@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,10 +21,7 @@ type Timeline struct {
 
 	mu      sync.Mutex
 	start   time.Time
-	buf     []timelineSample
-	head    int // next write position once the ring is full
-	n       int
-	dropped int64
+	samples *Ring[timelineSample]
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -37,22 +33,16 @@ type timelineSample struct {
 	values []float64
 }
 
-// NewTimeline builds a sampler over r at the given interval, keeping the
-// most recent capacity samples (default 600 when capacity <= 0). With no
-// names, every metric registered at Start time is sampled (histograms as
-// their _count/_sum series); otherwise only the named series are.
+// NewTimeline builds a sampler over r at the given (positive) interval,
+// keeping the most recent capacity samples. With no names, every metric
+// registered at Start time is sampled (histograms as their _count/_sum
+// series); otherwise only the named series are.
 func NewTimeline(r *Registry, interval time.Duration, capacity int, names ...string) *Timeline {
-	if capacity <= 0 {
-		capacity = 600
-	}
-	if interval <= 0 {
-		interval = time.Second
-	}
 	return &Timeline{
 		reg:      r,
 		interval: interval,
 		names:    append([]string{}, names...),
-		buf:      make([]timelineSample, 0, capacity),
+		samples:  NewRing[timelineSample](capacity),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -97,13 +87,9 @@ func (t *Timeline) Stop() {
 }
 
 func (t *Timeline) sample() {
-	// The tick is the scrape cadence for pull-refreshed series: runtime
-	// self-metrics and SLO burn gauges update here so a -timeline run can
-	// replay req/s alongside burn rate and the daemon's own health.
-	RefreshRuntimeMetrics()
-	if s := GetDefaultSLO(); s != nil {
-		s.refreshMetrics()
-	}
+	// Snapshot refreshes the registry's pull-read series first, so a
+	// -timeline run replays req/s alongside burn rate and the daemon's own
+	// health.
 	snap := t.reg.Snapshot()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -111,14 +97,7 @@ func (t *Timeline) sample() {
 	for i, name := range t.names {
 		vals[i] = toFloat(snap[name])
 	}
-	s := timelineSample{offset: time.Since(t.start), values: vals}
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, s)
-		return
-	}
-	t.buf[t.head] = s
-	t.head = (t.head + 1) % len(t.buf)
-	t.dropped++
+	t.samples.Push(timelineSample{offset: time.Since(t.start), values: vals})
 }
 
 func toFloat(v any) float64 {
@@ -146,19 +125,13 @@ type TimelineData struct {
 func (t *Timeline) Snapshot() TimelineData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ordered := make([]timelineSample, 0, len(t.buf))
-	if t.dropped > 0 {
-		ordered = append(ordered, t.buf[t.head:]...)
-		ordered = append(ordered, t.buf[:t.head]...)
-	} else {
-		ordered = append(ordered, t.buf...)
-	}
+	ordered := t.samples.Items()
 	d := TimelineData{
 		IntervalSeconds: t.interval.Seconds(),
 		Start:           t.start.UTC().Format(time.RFC3339),
 		OffsetsMS:       make([]int64, len(ordered)),
 		Series:          make(map[string][]float64, len(t.names)),
-		DroppedSamples:  t.dropped,
+		DroppedSamples:  t.samples.Dropped(),
 	}
 	for i, name := range t.names {
 		col := make([]float64, len(ordered))
@@ -215,13 +188,3 @@ func (t *Timeline) Sparkline() string {
 	}
 	return b.String()
 }
-
-// defaultTimeline is the process-wide timeline /debug/timeline serves.
-var defaultTimeline atomic.Pointer[Timeline]
-
-// SetDefaultTimeline installs (or, with nil, clears) the timeline served at
-// /debug/timeline.
-func SetDefaultTimeline(t *Timeline) { defaultTimeline.Store(t) }
-
-// GetDefaultTimeline returns the installed timeline, or nil.
-func GetDefaultTimeline() *Timeline { return defaultTimeline.Load() }

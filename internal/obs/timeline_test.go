@@ -121,19 +121,3 @@ func TestTimelineSparkline(t *testing.T) {
 		t.Errorf("sparkline missing min/max blocks:\n%s", out)
 	}
 }
-
-// TestDefaultTimeline checks the /debug/timeline installation point.
-func TestDefaultTimeline(t *testing.T) {
-	if GetDefaultTimeline() != nil {
-		t.Skip("another test left a default timeline installed")
-	}
-	tl := NewTimeline(&Registry{}, time.Hour, 4)
-	SetDefaultTimeline(tl)
-	if GetDefaultTimeline() != tl {
-		t.Error("default timeline not installed")
-	}
-	SetDefaultTimeline(nil)
-	if GetDefaultTimeline() != nil {
-		t.Error("default timeline not cleared")
-	}
-}

@@ -37,8 +37,6 @@ var mByReason = [numReasons]*obs.Counter{
 var (
 	mRecords = obs.NewCounter("countryrank_sanitize_records_total",
 		"records examined by the sanitizer")
-	mRejected = obs.NewCounter("countryrank_sanitize_rejected_total",
-		"records rejected by the sanitizer, all reasons")
 	mRunSeconds = obs.NewHistogram("countryrank_sanitize_run_seconds",
 		"duration of one sanitizer pass over a collection", nil)
 )
@@ -47,7 +45,6 @@ var (
 // bulk atomic adds after the filtering loop, nothing per record.
 func (s Stats) observe(elapsed time.Duration) {
 	mRecords.Add(int64(s.Total))
-	mRejected.Add(int64(s.Rejected()))
 	for r, c := range mByReason {
 		c.Add(int64(s.Counts[r]))
 	}

@@ -3,7 +3,7 @@ package snapshot
 // Tests for the drift diff engine: hand-checked churn arithmetic,
 // determinism (including across a persist round trip, which is what lets
 // cmd/rankdiff agree with the live supervisor), and the drift gate's three
-// positions (reject, pass, -allow-drift override).
+// positions (reject, pass, gate 0).
 
 import (
 	"context"
@@ -149,18 +149,18 @@ func TestDiffIdenticalSnapshots(t *testing.T) {
 }
 
 // TestDiffNilAndRankless: nil snapshots and snapshots without rank vectors
-// (a format-v1 warm start) yield no drift rather than a partial one.
+// yield no drift rather than a partial one.
 func TestDiffNilAndRankless(t *testing.T) {
 	s := Assemble(testData(1), Config{})
 	if Diff(nil, s) != nil || Diff(s, nil) != nil {
 		t.Error("Diff with a nil side did not return nil")
 	}
-	v1 := Assemble(testData(2), Config{})
-	v1.ranks = nil // what LoadFile produces for a format-v1 file
-	if v1.HasRanks() {
+	rankless := Assemble(testData(2), Config{})
+	rankless.ranks = nil
+	if rankless.HasRanks() {
 		t.Fatal("HasRanks true with nil ranks")
 	}
-	if Diff(s, v1) != nil || Diff(v1, s) != nil {
+	if Diff(s, rankless) != nil || Diff(rankless, s) != nil {
 		t.Error("Diff with a rankless side did not return nil")
 	}
 }
@@ -214,7 +214,8 @@ func TestDiffDeterministicAcrossPersist(t *testing.T) {
 // TestSupervisorDriftGate pins -drift-gate in all three positions: an
 // over-threshold rollover is refused (last-good keeps serving, no retry —
 // like the degraded gate, rejection is not failure), an under-threshold
-// rollover publishes, and -allow-drift overrides the refusal.
+// rollover publishes, and gate 0 publishes the same upheaval with the drift
+// still computed.
 func TestSupervisorDriftGate(t *testing.T) {
 	calm := map[asn.ASN]float64{1221: 3, 4826: 2, 7545: 1}
 	upheaval := map[asn.ASN]float64{9999: 3, 8888: 2, 7777: 1} // full turnover
@@ -274,20 +275,22 @@ func TestSupervisorDriftGate(t *testing.T) {
 		}
 	})
 
-	t.Run("allow-drift overrides", func(t *testing.T) {
+	t.Run("gate 0 publishes", func(t *testing.T) {
 		st := NewStore(Assemble(driftData(1, calm), Config{}))
 		cfg := fastBackoff
-		cfg.DriftGate = 0.5
-		cfg.AllowDrift = true
+		cfg.DriftGate = 0
 		cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
 			return Assemble(driftData(epoch, upheaval), Config{}), nil
 		}
 		sup := NewSupervisor(st, 2, cfg)
 		defer sup.Close()
 		sup.Trigger("test")
-		waitFor(t, 2*time.Second, "overridden publish", func() bool {
+		waitFor(t, 2*time.Second, "ungated publish", func() bool {
 			s := st.Load()
 			return s != nil && s.Epoch == 2
 		})
+		if d := sup.LastDrift(); d == nil || d.MaxChurn <= 0.5 {
+			t.Errorf("gate 0 must still compute the drift it lets through: %+v", d)
+		}
 	})
 }

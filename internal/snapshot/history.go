@@ -21,6 +21,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"countryrank/internal/obs"
 )
 
 // DefaultHistoryEpochs is the history-ring depth when the caller never
@@ -44,19 +46,21 @@ func (st *Store) SetHistoryLimit(keep int) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.keep = keep
-	if len(st.hist) > keep {
-		st.hist = slices.Clone(st.hist[len(st.hist)-keep:])
+	held := st.hist.Items()
+	st.hist = obs.NewRing[histEntry](keep)
+	for _, h := range held {
+		st.hist.Push(h) // the last keep of them survive
 	}
-	mHistEpochs.Set(int64(len(st.hist)))
+	mHistEpochs.Set(int64(st.hist.Len()))
 }
 
 // HistoryEpochs lists the retained epochs, oldest first.
 func (st *Store) HistoryEpochs() []int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]int64, len(st.hist))
-	for i, h := range st.hist {
+	hist := st.hist.Items()
+	out := make([]int64, len(hist))
+	for i, h := range hist {
 		out[i] = h.epoch
 	}
 	return out
@@ -67,24 +71,18 @@ func (st *Store) HistoryEpochs() []int64 {
 // renders next's preserialized history pages from whatever the ring now
 // holds. Caller holds st.mu (or, in NewStore, has exclusive ownership).
 func (st *Store) appendHistoryLocked(next *Snapshot, d *Drift) {
-	if st.keep < 1 {
-		st.keep = DefaultHistoryEpochs
-	}
+	hist := st.hist.Items()
 	if next.HasRanks() &&
-		(len(st.hist) == 0 || next.Epoch > st.hist[len(st.hist)-1].epoch) {
-		st.hist = append(st.hist, histEntry{
+		(len(hist) == 0 || next.Epoch > hist[len(hist)-1].epoch) {
+		st.hist.Push(histEntry{
 			epoch: next.Epoch, digest: next.Digest,
 			ranks: next.ranks, topRanks: next.topRanks, drift: d,
 		})
-		if len(st.hist) > st.keep {
-			// Reslice via clone so the evicted entries' vectors are not
-			// pinned by the backing array.
-			st.hist = slices.Clone(st.hist[len(st.hist)-st.keep:])
-		}
+		hist = st.hist.Items()
 	}
-	mHistEpochs.Set(int64(len(st.hist)))
-	if len(st.hist) > 0 {
-		next.history = renderHistoryPages(st.hist)
+	mHistEpochs.Set(int64(len(hist)))
+	if len(hist) > 0 {
+		next.history = renderHistoryPages(hist)
 	}
 }
 
@@ -182,21 +180,22 @@ type HistoryData struct {
 // zeros to the drift series.
 func (st *Store) HistoryData() HistoryData {
 	st.mu.Lock()
-	defer st.mu.Unlock()
+	hist := st.hist.Items()
+	st.mu.Unlock()
 	hd := HistoryData{
-		Epochs:  make([]int64, len(st.hist)),
-		Digests: make([]string, len(st.hist)),
+		Epochs:  make([]int64, len(hist)),
+		Digests: make([]string, len(hist)),
 		Series:  map[string][]float64{},
 	}
 	series := func(name string) []float64 {
 		s, ok := hd.Series[name]
 		if !ok {
-			s = make([]float64, len(st.hist))
+			s = make([]float64, len(hist))
 			hd.Series[name] = s
 		}
 		return s
 	}
-	for i, h := range st.hist {
+	for i, h := range hist {
 		hd.Epochs[i] = h.epoch
 		hd.Digests[i] = h.digest
 		series("countries")[i] = float64(len(h.ranks))

@@ -28,9 +28,10 @@ package snapshot
 // float64 value bits, u16 name length, name bytes — all little-endian):
 // the structured data the drift diff engine consumes, persisted so
 // cmd/rankdiff can diff two generations through the exact code path the
-// live supervisor uses, never by re-parsing served JSON. Version-1 files
-// (no rank sections) still load; the reconstructed snapshot then reports
-// HasRanks() == false and drift against it is skipped.
+// live supervisor uses, never by re-parsing served JSON. A file of any
+// other version is rejected as corrupt, like any other unreadable
+// generation (the format had a version 1 without rank sections; no such
+// file exists any more).
 //
 // Three layers reject a bad file: structural parsing (truncation, caps,
 // trailer), the per-section CRCs (bit rot), and a full content check — the
@@ -361,7 +362,7 @@ func LoadFile(path string) (*Snapshot, error) {
 	if err := json.Unmarshal(hdrJSON, &hdr); err != nil {
 		return nil, corruptf("%s: header JSON: %v", path, err)
 	}
-	if hdr.Version != 1 && hdr.Version != persistVersion {
+	if hdr.Version != persistVersion {
 		return nil, corruptf("%s: unsupported version %d", path, hdr.Version)
 	}
 	if hdr.Sections < 0 || hdr.MaxTopN <= 0 {
@@ -376,6 +377,10 @@ func LoadFile(path string) (*Snapshot, error) {
 		countries: map[string]*entity{},
 		tops:      map[string][]*entity{},
 		maxTopN:   hdr.MaxTopN,
+		// A file always carries its rank sections, so HasRanks holds even
+		// for a snapshot with no countries.
+		ranks:    map[string]map[string]RankVec{},
+		topRanks: map[string]RankVec{},
 	}
 	for i := 0; i < hdr.Sections; i++ {
 		secStart := cur
@@ -435,9 +440,6 @@ func LoadFile(path string) (*Snapshot, error) {
 			if len(bodies) != len(countryMetricKeys) {
 				return nil, corruptf("%s: country-ranks section %q has %d bodies", path, key, len(bodies))
 			}
-			if s.ranks == nil {
-				s.ranks = map[string]map[string]RankVec{}
-			}
 			vm := make(map[string]RankVec, len(countryMetricKeys))
 			for j, metric := range countryMetricKeys {
 				v, err := decodeRankVec(bodies[j])
@@ -455,22 +457,9 @@ func LoadFile(path string) (*Snapshot, error) {
 			if err != nil {
 				return nil, corruptf("%s: top-ranks section %q: %v", path, key, err)
 			}
-			if s.topRanks == nil {
-				s.topRanks = map[string]RankVec{}
-			}
 			s.topRanks[string(key)] = v
 		default:
 			return nil, corruptf("%s: section %d has unknown kind %d", path, i, kind)
-		}
-	}
-	if hdr.Version >= 2 {
-		// A v2 file always carries rank sections; normalize empty maps so
-		// HasRanks holds even for a snapshot with no countries.
-		if s.ranks == nil {
-			s.ranks = map[string]map[string]RankVec{}
-		}
-		if s.topRanks == nil {
-			s.topRanks = map[string]RankVec{}
 		}
 	}
 	if b, err := take(len(persistTrailer)); err != nil || string(b) != persistTrailer {

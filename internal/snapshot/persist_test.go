@@ -2,7 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -161,6 +164,41 @@ func TestPersistRejectsDigestMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "digest") {
 		t.Errorf("rejection reason %q does not mention the digest", err)
+	}
+}
+
+// TestPersistRejectsOtherVersions: the loader reads the one format Save
+// writes. A well-formed file that claims another version — header CRC
+// recomputed, so only the version check can object — is rejected as corrupt,
+// which is what lets warm start fall back to the next generation. Version 1
+// (no rank sections) used to load; no such file exists any more.
+func TestPersistRejectsOtherVersions(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "v2.csnap")
+	if err := writeSnapshotFile(path, Assemble(testData(1), Config{})); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrStart := len(persistMagic) + 4
+	hdrEnd := hdrStart + int(binary.LittleEndian.Uint32(orig[len(persistMagic):]))
+	for _, v := range []string{"1", "3"} {
+		buf := bytes.Clone(orig)
+		hdr := bytes.Replace(buf[hdrStart:hdrEnd], []byte(`"version":2`), []byte(`"version":`+v), 1)
+		if len(hdr) != hdrEnd-hdrStart || bytes.Equal(hdr, orig[hdrStart:hdrEnd]) {
+			t.Fatalf("header %q carries no version field to rewrite", orig[hdrStart:hdrEnd])
+		}
+		copy(buf[hdrStart:hdrEnd], hdr)
+		binary.LittleEndian.PutUint32(buf[hdrEnd:], crc32.ChecksumIEEE(hdr))
+		other := filepath.Join(dir, "v"+v+".csnap")
+		if err := os.WriteFile(other, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(other); !errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), "unsupported version "+v) {
+			t.Errorf("version %s file: LoadFile = %v, want a corrupt-file error naming the version", v, err)
+		}
 	}
 }
 

@@ -79,7 +79,7 @@ func TestRolloverUnderLoad(t *testing.T) {
 			} else {
 				cur = snapA
 			}
-			st.Swap(cur)
+			st.Publish(cur, nil)
 		}
 	}()
 

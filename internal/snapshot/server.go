@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"expvar"
 	"net/http"
 	"strconv"
 	"strings"
@@ -47,84 +46,53 @@ var (
 		"latency of /v1/countries/{cc}/history", obs.ServingBuckets)
 )
 
-// Snapshot identity expvars (satellite of the drift-observability layer):
-// epoch, content digest, and data build time of the currently served
-// snapshot, published under /debug/vars so scrape tooling sees rollovers
-// without parsing /v1/snapshot.
-var (
-	identityOnce sync.Once
-	expEpoch     *expvar.Int
-	expDigest    *expvar.String
-	expBuilt     *expvar.Int
-)
-
-func publishIdentity(s *Snapshot) {
-	identityOnce.Do(func() {
-		expEpoch = expvar.NewInt("countryrank_snapshot_epoch")
-		expDigest = expvar.NewString("countryrank_snapshot_digest")
-		expBuilt = expvar.NewInt("countryrank_snapshot_built_unix")
-	})
-	expEpoch.Set(s.Epoch)
-	expDigest.Set(s.Digest)
-	expBuilt.Set(s.BuiltUnix())
-}
-
-// Store publishes the currently served snapshot. Swap is an atomic pointer
-// store: readers that already loaded the old snapshot keep serving it
+// Store publishes the currently served snapshot. Publish ends in an atomic
+// pointer swap: readers that already loaded the old snapshot keep serving it
 // unperturbed (it is immutable), new requests observe the new one, and the
 // old snapshot is garbage-collected once the last in-flight response
 // holding it returns. No locks, no reference counts.
 type Store struct {
 	cur atomic.Pointer[Snapshot]
 
-	// The epoch history ring (history.go): bounded retention of the last
-	// keep epochs' rank vectors, appended under mu by Publish.
+	// The epoch history ring (history.go): the last -history epochs' rank
+	// vectors, pushed under mu by Publish.
 	mu   sync.Mutex
-	keep int
-	hist []histEntry
+	hist *obs.Ring[histEntry]
 }
 
 // NewStore returns a store serving s (which may be nil; requests then
-// answer 503 until the first Swap). A non-nil s with rank vectors seeds
+// answer 503 until the first Publish). A non-nil s with rank vectors seeds
 // the history ring.
 func NewStore(s *Snapshot) *Store {
-	st := &Store{keep: DefaultHistoryEpochs}
+	st := &Store{hist: obs.NewRing[histEntry](DefaultHistoryEpochs)}
 	if s != nil {
 		st.appendHistoryLocked(s, nil) // no readers yet; no lock needed
 		st.cur.Store(s)
 		mEpoch.Set(s.Epoch)
 		mStale.Set(b2i(s.Stale))
-		publishIdentity(s)
 	}
 	return st
 }
 
 // Load returns the currently published snapshot (nil before the first
-// Swap).
+// Publish).
 func (st *Store) Load() *Snapshot { return st.cur.Load() }
 
-// Swap publishes next and returns the previously served snapshot. It does
-// not touch the history ring — the supervisor publishes through Publish,
-// which does.
-func (st *Store) Swap(next *Snapshot) *Snapshot {
-	old := st.cur.Swap(next)
-	mSwaps.Inc()
-	mEpoch.Set(next.Epoch)
-	mStale.Set(b2i(next.Stale))
-	publishIdentity(next)
-	return old
-}
-
-// Publish records next (and the drift that produced it, which may be nil)
-// in the history ring, preserializes the per-country history pages into
-// next, and then swaps it in. The ring mutation and the swap share the
-// store mutex so concurrent publishes cannot interleave ring order with
+// Publish is the one way a snapshot becomes the served one. It records next
+// (and the drift that produced it, which may be nil) in the history ring,
+// preserializes the per-country history pages into next, swaps it in and
+// returns the snapshot it replaced. The ring mutation and the swap share
+// the store mutex so concurrent publishes cannot interleave ring order with
 // serving order.
 func (st *Store) Publish(next *Snapshot, d *Drift) *Snapshot {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.appendHistoryLocked(next, d)
-	return st.Swap(next)
+	old := st.cur.Swap(next)
+	mSwaps.Inc()
+	mEpoch.Set(next.Epoch)
+	mStale.Set(b2i(next.Stale))
+	return old
 }
 
 func b2i(b bool) int64 {
@@ -245,7 +213,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		defer h.inflight.Add(-1)
 	}
-	var rs *obs.ReqSpan
+	var rs *obs.Span
 	if h.ins.Requests != nil {
 		rs = h.ins.Requests.Start(r.URL.Path)
 	}
@@ -317,7 +285,7 @@ func (h *Handler) shed(w http.ResponseWriter, r *http.Request, start time.Time) 
 
 // serve is the zero-alloc serving core; ServeHTTP wraps it with the
 // request-scoped observability.
-func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, rs *obs.ReqSpan, start time.Time) reqResult {
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, rs *obs.Span, start time.Time) reqResult {
 	res := reqResult{}
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		mMisses.Inc()
@@ -350,11 +318,11 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 			// page (rendered at publish time; serving it allocates nothing).
 			res.route = routeHistory
 			res.target = rest[:i]
-			e, lat = snap.historyPage(rest[:i]), mLatHistory
+			e, lat = countryPage(snap.history, rest[:i]), mLatHistory
 		} else {
 			res.route = routeCountry
 			res.target = rest
-			e, lat = snap.country(rest), mLatCountry
+			e, lat = countryPage(snap.countries, rest), mLatCountry
 		}
 	case len(path) > len(prefixTop) && path[:len(prefixTop)] == prefixTop:
 		res.route = routeTop
@@ -405,10 +373,13 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 	return res
 }
 
-// country resolves a country page. The code is ASCII-uppercased into a
-// stack buffer so lower-case URLs hit without allocating (map lookups with
-// a string(buf) key stay on the stack).
-func (s *Snapshot) country(cc string) *entity {
+// countryPage resolves a country's page in one of the snapshot's two
+// per-country maps (the rankings page, the history page). The code is
+// ASCII-uppercased into a stack buffer so lower-case URLs hit without
+// allocating (map lookups with a string(buf) key stay on the stack). Nil
+// for a malformed code, a country the map does not hold, or a nil map (a
+// snapshot that carries no history ring).
+func countryPage(pages map[string]*entity, cc string) *entity {
 	var buf [8]byte
 	if len(cc) == 0 || len(cc) > len(buf) {
 		return nil
@@ -423,29 +394,7 @@ func (s *Snapshot) country(cc string) *entity {
 		}
 		buf[i] = c
 	}
-	return s.countries[string(buf[:len(cc)])]
-}
-
-// historyPage resolves a country's preserialized history page, with the
-// same stack-buffer uppercase normalization as country. Nil when the
-// snapshot was published without a history ring (raw Swap) or the country
-// never appeared in the retained epochs.
-func (s *Snapshot) historyPage(cc string) *entity {
-	var buf [8]byte
-	if len(cc) == 0 || len(cc) > len(buf) {
-		return nil
-	}
-	for i := 0; i < len(cc); i++ {
-		c := cc[i]
-		if c == '/' {
-			return nil
-		}
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		buf[i] = c
-	}
-	return s.history[string(buf[:len(cc)])]
+	return pages[string(buf[:len(cc)])]
 }
 
 // top resolves a top-N variant from the metric path segment and the raw

@@ -446,8 +446,8 @@ func TestStoreSwap(t *testing.T) {
 	if st.Load() != a {
 		t.Fatal("Load != initial snapshot")
 	}
-	if old := st.Swap(b); old != a {
-		t.Fatal("Swap did not return the previous snapshot")
+	if old := st.Publish(b, nil); old != a {
+		t.Fatal("Publish did not return the previous snapshot")
 	}
 	if st.Load() != b {
 		t.Fatal("Load != swapped snapshot")

@@ -109,14 +109,14 @@ type Snapshot struct {
 	// were rendered from — "AU" → metric → ordered top-K, and top metric
 	// key → ordered top-K — so the drift diff engine and the epoch history
 	// ring work from data, never by re-parsing served JSON. Nil only for
-	// snapshots warm-loaded from a format-v1 generation file.
+	// a snapshot put together without them (HasRanks reports false).
 	ranks    map[string]map[string]RankVec
 	topRanks map[string]RankVec
 
 	// history holds the preserialized /v1/countries/{cc}/history pages,
 	// rendered by Store.Publish from its epoch ring before the snapshot
 	// becomes visible (so serving them is as zero-alloc as any entity).
-	// Nil when published through a raw Swap; the endpoint then 404s.
+	// Nil until then; the endpoint then 404s.
 	history map[string]*entity
 
 	// builtAt is when Assemble ran; see BuiltUnix.

@@ -55,14 +55,36 @@ var (
 		"seconds since the served snapshot's data was built (persist time for warm-loaded snapshots)")
 )
 
-// errDegradedRejected marks a build completion that the publish gate
-// refused; it is not a failure and does not back off.
-var errDegradedRejected = errors.New("snapshot: degraded build rejected by publish gate")
+// errGateRejected marks a build that completed and that a publish gate
+// refused. It is not a failure: the supervisor logs, counts, and waits for
+// the next trigger without backing off.
+var errGateRejected = errors.New("snapshot: build rejected by a publish gate")
 
-// errDriftRejected marks a build whose churn exceeded the drift gate.
-// Like a degraded rejection it is not a failure: the supervisor logs,
-// counts, and waits for the next trigger without backing off.
-var errDriftRejected = errors.New("snapshot: build rejected by drift gate")
+// A publishGate can refuse a finished build. refuse is asked with the
+// serving snapshot (nil for an empty store), the candidate and their drift
+// (nil when either side lacks rank vectors); a refusal is logged under the
+// gate's name and counted, and the last-good snapshot keeps serving.
+type publishGate struct {
+	name    string
+	rejects *obs.Counter
+	refuse  func(cur, next *Snapshot, drift *Drift) bool
+}
+
+// gates lists the publish gates in the order they are asked; the first to
+// refuse wins. Both protect a snapshot that is serving: neither refuses
+// into an empty store.
+func (c SupervisorConfig) gates() []publishGate {
+	return []publishGate{
+		// Degraded data still beats no data, and beats other degraded data:
+		// only a healthy serving snapshot is protected.
+		{"degraded", mDegradedRejects, func(cur, next *Snapshot, _ *Drift) bool {
+			return next.Degraded && !c.AllowDegraded && cur != nil && !cur.Degraded
+		}},
+		{"drift", mDriftRejects, func(_, _ *Snapshot, drift *Drift) bool {
+			return drift != nil && c.DriftGate > 0 && drift.MaxChurn > c.DriftGate
+		}},
+	}
+}
 
 // SupervisorConfig shapes the rebuild loop.
 type SupervisorConfig struct {
@@ -86,10 +108,9 @@ type SupervisorConfig struct {
 	// churn score (Drift.MaxChurn vs the outgoing snapshot) exceeds it —
 	// an implausibly large rank shuffle is more often an ingest bug than
 	// the world changing. Treated like the degraded gate: logged, counted,
-	// no backoff, last-good snapshot keeps serving.
+	// no backoff, last-good snapshot keeps serving. Zero publishes whatever
+	// the drift; it is computed, logged and exported either way.
 	DriftGate float64
-	// AllowDrift overrides DriftGate (the gate stays computed and logged).
-	AllowDrift bool
 	// StaleAfter flips Ready to false when the served snapshot's age
 	// exceeds it; 0 disables staleness-based unreadiness.
 	StaleAfter time.Duration
@@ -261,8 +282,7 @@ func (s *Supervisor) run() {
 func (s *Supervisor) buildUntilPublished(reason string) {
 	for attempt := 1; ; attempt++ {
 		err := s.buildOnce(reason)
-		if err == nil || errors.Is(err, errDegradedRejected) ||
-			errors.Is(err, errDriftRejected) || s.ctx.Err() != nil {
+		if err == nil || errors.Is(err, errGateRejected) || s.ctx.Err() != nil {
 			return
 		}
 		d := backoffDelay(s.rng, s.cfg.baseBackoff(), s.cfg.maxBackoff(), attempt)
@@ -340,15 +360,25 @@ func (s *Supervisor) buildOnce(reason string) error {
 		return errors.New("snapshot: build returned nil snapshot without error")
 	}
 
+	// Every rollover that replaces a snapshot with rank vectors is diffed
+	// against it; the gates see the drift, and so does the log, the
+	// countryrank_drift_* export and the history ring when none refuses.
 	next := res.snap
 	cur := s.store.Load()
-	if next.Degraded && !s.cfg.AllowDegraded && cur != nil && !cur.Degraded {
-		mDegradedRejects.Inc()
+	drift := Diff(cur, next)
+	for _, g := range s.cfg.gates() {
+		if !g.refuse(cur, next, drift) {
+			continue
+		}
+		g.rejects.Inc()
 		s.epoch.Add(-1)
-		slog.Warn("degraded build rejected; healthy snapshot keeps serving",
-			"reason", reason, "rejected_digest", shortDigest(next.Digest),
-			"serving_digest", shortDigest(cur.Digest))
-		return errDegradedRejected
+		attrs := []any{"reason", reason,
+			"rejected_digest", shortDigest(next.Digest), "serving_digest", shortDigest(cur.Digest)}
+		if drift != nil {
+			attrs = append(attrs, "churn", drift.MaxChurn, "gate", s.cfg.DriftGate, "drift", drift.Summary())
+		}
+		slog.Warn(g.name+" gate: build rejected; last-good snapshot keeps serving", attrs...)
+		return errGateRejected
 	}
 
 	// Warm-start verification: the first real build replaces a disk-loaded
@@ -361,26 +391,6 @@ func (s *Supervisor) buildOnce(reason string) error {
 		} else {
 			slog.Warn("warm-start content drift: rebuilt snapshot differs from persisted generation",
 				"persisted", shortDigest(cur.Digest), "rebuilt", shortDigest(next.Digest))
-		}
-	}
-
-	// Drift: every rollover that replaces a snapshot with rank vectors is
-	// diffed against it, and the gate (when armed) refuses an implausibly
-	// churny build the same way the degraded gate refuses lossy data.
-	drift := Diff(cur, next)
-	if drift != nil && s.cfg.DriftGate > 0 && drift.MaxChurn > s.cfg.DriftGate {
-		if s.cfg.AllowDrift {
-			slog.Warn("drift gate exceeded but overridden (-allow-drift)",
-				"reason", reason, "churn", drift.MaxChurn, "gate", s.cfg.DriftGate)
-		} else {
-			mDriftRejects.Inc()
-			s.epoch.Add(-1)
-			slog.Warn("drift gate: build rejected; last-good snapshot keeps serving",
-				"reason", reason, "churn", drift.MaxChurn, "gate", s.cfg.DriftGate,
-				"rejected_digest", shortDigest(next.Digest),
-				"serving_digest", shortDigest(cur.Digest),
-				"drift", drift.Summary())
-			return errDriftRejected
 		}
 	}
 

@@ -18,6 +18,14 @@ fi
 echo '--- go vet'
 go vet ./...
 
+echo '--- one debug surface: no process-wide hooks under internal/obs'
+# The debug mux reads the Sources main sets on obs.CmdFlags; a SetDefault* /
+# GetDefault* pair coming back would be a second way in.
+if grep -rn 'func SetDefault\|func GetDefault' internal/obs; then
+    echo 'internal/obs grew a SetDefault/GetDefault hook; hand the value through obs.Sources' >&2
+    exit 1
+fi
+
 echo '--- go build'
 go build ./...
 
@@ -57,6 +65,16 @@ go test -race -count=1 \
 go test -race -count=1 \
     -run 'TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestPathRunsMatchMapReference|TestInternerInvariants|TestJudgeMatchesReference|TestJudgeLookupsCreateNoPages|TestRunMatchesPerRecordReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs' \
     ./internal/cone ./internal/hegemony ./internal/sanitize ./internal/core ./internal/snapshot
+
+# The debug surface and the ring under it: the ring's property test, a
+# daemon's stage trace staying bounded across 10× its capacity in real
+# epochs, the -debug-addr listener answering "not ready" from its first
+# response, and /debug/vars reading pull-refreshed series fresh — the trace
+# and the registry are shared by the supervisor goroutine, the handlers and
+# the timeline tick, so they run under the detector.
+go test -race -count=1 \
+    -run 'TestRingProperty|TestDaemonTraceBounded|TestReadyzNotOkBeforeProbe|TestDebugVarsRefreshesPullSeries|TestDebugRequestsShape' \
+    ./internal/obs
 
 echo '--- stability determinism (experiments -quick -only figure4,figure5, twice)'
 # Trials fan out over a worker pool and combine shared per-view state; the
@@ -275,14 +293,14 @@ grep -q '"drift_rollovers"' "$rankd_dir/serving.json"
 grep -q '"route":"country"' "$rankd_dir/access.log"
 grep -q '"digest":' "$rankd_dir/access.log"
 
-# The observability series all moved: runtime self-metrics, SLO accounting,
-# access-log pipeline, and the trace sampler.
+# The observability series all moved: runtime self-metrics, SLO accounting
+# and the access-log pipeline (the trace sampler's count was read from
+# /debug/requests above, which is where it lives).
 curl -fsS "$rankd_base/metrics" >"$obs_metrics"
 require_nonzero countryrank_go_goroutines
 require_nonzero countryrank_go_heap_alloc_bytes
 require_nonzero countryrank_slo_requests_total
 require_nonzero countryrank_accesslog_events_total
-require_nonzero countryrank_reqtrace_sampled_total
 # The timeline sampler replays the serving series alongside burn rates.
 curl -fsS "$rankd_base/debug/timeline" >"$rankd_dir/timeline.json"
 grep -q countryrank_rankd_requests_total "$rankd_dir/timeline.json"
@@ -484,6 +502,14 @@ if grep -q "\"digest\":\"$drift_digest1\"" "$drift_dir/snap2.json"; then
     echo "seed-step rollover reproduced the same digest; no drift to measure" >&2
     exit 1
 fi
+# A third epoch, so the shutdown manifest below carries three epochs of
+# stage spans.
+kill -HUP "$drift_pid"
+for _ in $(seq 1 120); do
+    curl -fsS "$drift_base/v1/snapshot" 2>/dev/null | grep -q '"epoch":3' && break
+    sleep 1
+done
+curl -fsS "$drift_base/v1/snapshot" | grep -q '"epoch":3'
 
 curl -fsS "$drift_base/metrics" >"$drift_dir/metrics.txt"
 obs_metrics="$drift_dir/metrics.txt"
@@ -493,22 +519,30 @@ require_nonzero countryrank_drift_churn_score_cci
 require_nonzero countryrank_rankd_history_epochs
 live_churn=$(awk '$1 == "countryrank_drift_churn_score" { print $2 }' "$drift_dir/metrics.txt")
 
-# Both epochs appear in the debug history document and the served page.
+# All three epochs appear in the debug history document and the served page.
 curl -fsS "$drift_base/debug/history" >"$drift_dir/history.json"
-grep -q '"epochs":\[1,2\]' "$drift_dir/history.json"
+grep -q '"epochs":\[1,2,3\]' "$drift_dir/history.json"
 grep -q '"churn_cci"' "$drift_dir/history.json"
 curl -fsS "$drift_base/v1/countries/$drift_cc/history" >"$drift_dir/cc-history.json"
 grep -q "\"country\":\"$drift_cc\"" "$drift_dir/cc-history.json"
-grep -q '"epochs":\[1,2\]' "$drift_dir/cc-history.json"
+grep -q '"epochs":\[1,2,3\]' "$drift_dir/cc-history.json"
 
 # Graceful shutdown writes the manifest with the drift summary attached.
 kill "$drift_pid"
 wait "$drift_pid" 2>/dev/null || true
 grep -q '"drift_summary"' "$drift_dir/manifest.json"
 grep -q '"drift_churn_score"' "$drift_dir/manifest.json"
+# Its span tree holds the three epochs (two roots, nine lines each) and can
+# never hold more than the trace's 32 roots' worth, however long the daemon
+# ran (TestDaemonTraceBounded drives it past that).
+span_lines=$(grep -o '"span_tree": *"[^"]*"' "$drift_dir/manifest.json" | grep -o '\\n' | wc -l)
+if (( span_lines < 27 || span_lines > 32 / 2 * 9 + 1 )); then
+    echo "shutdown manifest span_tree has $span_lines lines, want 27 (3 epochs) up to 145 (32 roots and the dropped-roots line)" >&2
+    exit 1
+fi
 
-# The offline tool over the two persisted generations must reproduce the
-# live score exactly — same diff code, same accumulation order, floats
+# The offline tool over the two newest persisted generations must reproduce
+# the live score exactly — same diff code, same accumulation order, floats
 # persisted as raw bits.
 "$drift_dir/rankdiff" -snapshot-dir "$drift_dir/snapdir" >"$drift_dir/rankdiff.out"
 grep -q 'top movers:' "$drift_dir/rankdiff.out"
@@ -517,5 +551,9 @@ if ! grep -qF "max churn $live_churn" "$drift_dir/rankdiff.out"; then
     cat "$drift_dir/rankdiff.out" >&2
     exit 1
 fi
+
+echo '--- size (non-test Go lines; the next re-anchor reads these instead of recounting)'
+echo "internal/obs: $(find internal/obs -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+echo "outside benchmark/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l)"
 
 echo 'CI OK'
