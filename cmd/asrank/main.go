@@ -28,29 +28,26 @@ import (
 	"countryrank/internal/countries"
 	"countryrank/internal/obs"
 	"countryrank/internal/rank"
-	"countryrank/internal/routing"
 	"countryrank/internal/snapshot"
 )
 
 func main() {
-	seed := flag.Int64("seed", 1, "world seed")
-	scale := flag.Float64("scale", 1, "stub-count scale factor")
-	vpscale := flag.Float64("vpscale", 1, "VP-count scale factor")
+	var opt core.Options
+	flag.Int64Var(&opt.Seed, "seed", 1, "world seed")
+	flag.Float64Var(&opt.StubScale, "scale", 1, "stub-count scale factor")
+	flag.Float64Var(&opt.VPScale, "vpscale", 1, "VP-count scale factor")
 	top := flag.Int("top", 20, "entries per ranking")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (the snapshot wire encoding rankd serves) instead of tables")
 	ahc := flag.String("ahc", "", "also print the AHC baseline for this country code")
-	shards := flag.Int("shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
+	flag.IntVar(&opt.Routing.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
 	ofl := obs.FlagsOn(flag.CommandLine, "asrank")
 	flag.Parse()
 	ofl.Init()
 
-	ofl.Manifest.Seed("world", *seed)
-	p := core.NewPipeline(core.Options{
-		Seed: *seed, StubScale: *scale, VPScale: *vpscale,
-		Routing: routing.BuildOptions{Shards: *shards},
-	})
+	ofl.Manifest.Seed("world", opt.Seed)
+	p := core.NewPipeline(opt)
 	slog.Debug("pipeline ready", "accepted", p.DS.Len())
-	ofl.Manifest.SetCoverage(p.CoverageInfo())
+	ofl.Manifest.SetCoverage(p.Coverage.Info())
 	ofl.Manifest.SetDrops(p.DS.Stats.Drops())
 	ccg, ahg := p.Global()
 	rankings := []*rank.Ranking{ccg, ahg}

@@ -1,7 +1,10 @@
 // Command crank ("country rank") computes the paper's country-level AS
 // rankings. By default it builds the synthetic world in-process; with -mrt
 // it instead ingests MRT TABLE_DUMP_V2 dumps produced by topogen, proving
-// the pipeline runs off the standard interchange format.
+// the pipeline runs off the standard interchange format. Dumps that cover
+// only part of the world's vantage points never yield an unlabelled ranking:
+// from half of them up every ranking name carries "[degraded: d/e VPs, …]"
+// (and the manifest says so), below that crank prints none and exits 1.
 //
 // Usage:
 //
@@ -19,61 +22,88 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"countryrank/internal/core"
 	"countryrank/internal/countries"
 	"countryrank/internal/obs"
-	"countryrank/internal/routing"
-	"countryrank/internal/topology"
+	"countryrank/internal/rank"
 )
 
+// metrics lists what -metric accepts; "all" prints the paper's four.
+var metrics = []string{"all", "cci", "ccn", "ahi", "ahn", "ahc", "cti"}
+
+// config is the command line after parsing and checking.
+type config struct {
+	opt    core.Options
+	mrtDir string
+	metric string // lower-cased member of metrics
+	top    int
+	codes  []string
+}
+
+// parseFlags registers the command's flags on fs, parses args and rejects
+// what no run could honour.
+func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) {
+	var c config
+	fs.Int64Var(&c.opt.Seed, "seed", 1, "world seed")
+	fs.Float64Var(&c.opt.StubScale, "scale", 1, "stub-count scale factor")
+	fs.Float64Var(&c.opt.VPScale, "vpscale", 1, "VP-count scale factor")
+	fs.StringVar(&c.mrtDir, "mrt", "", "directory of MRT dumps from topogen (same seed/scale)")
+	fs.StringVar(&c.metric, "metric", "all", "metric to print: "+strings.Join(metrics, "|"))
+	fs.IntVar(&c.top, "top", 10, "entries per ranking")
+	fs.IntVar(&c.opt.Routing.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
+	ofl := obs.FlagsOn(fs, "crank")
+	if err := fs.Parse(args); err != nil {
+		return c, ofl, err
+	}
+	if c.metric = strings.ToLower(c.metric); !slices.Contains(metrics, c.metric) {
+		return c, ofl, fmt.Errorf("-metric %s: no such metric (have %s)", c.metric, strings.Join(metrics, ", "))
+	}
+	if c.codes = fs.Args(); len(c.codes) == 0 {
+		return c, ofl, fmt.Errorf("no country code given")
+	}
+	return c, ofl, nil
+}
+
 func main() {
-	seed := flag.Int64("seed", 1, "world seed")
-	scale := flag.Float64("scale", 1, "stub-count scale factor")
-	vpscale := flag.Float64("vpscale", 1, "VP-count scale factor")
-	mrtDir := flag.String("mrt", "", "directory of MRT dumps from topogen (same seed/scale)")
-	metric := flag.String("metric", "all", "metric to print")
-	top := flag.Int("top", 10, "entries per ranking")
-	shards := flag.Int("shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
-	ofl := obs.FlagsOn(flag.CommandLine, "crank")
-	flag.Parse()
-	ofl.Init()
-	if flag.NArg() == 0 {
-		flag.Usage()
+	fs := flag.NewFlagSet("crank", flag.ExitOnError)
+	cfg, ofl, err := parseFlags(fs, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
 		os.Exit(2)
 	}
+	ofl.Init()
 
-	ofl.Manifest.Seed("world", *seed)
-	w := topology.Build(topology.Config{Seed: *seed, StubScale: *scale, VPScale: *vpscale})
-	var col *routing.Collection
-	if *mrtDir != "" {
-		var err error
-		var paths []string
-		col, paths, err = loadMRT(w, *mrtDir)
-		if err != nil {
-			slog.Error("MRT import failed", "dir", *mrtDir, "err", err)
-			os.Exit(1)
-		}
+	ofl.Manifest.Seed("world", cfg.opt.Seed)
+	src := core.Generated
+	if cfg.mrtDir != "" {
+		paths, _ := filepath.Glob(filepath.Join(cfg.mrtDir, "*.mrt")) // a bad pattern lists nothing: 0 VPs, below quorum
+		src = core.MRTFiles(paths)
 		for _, path := range paths {
 			if err := ofl.Manifest.AddInput(path); err != nil {
 				slog.Warn("input digest failed", "path", path, "err", err)
 			}
 		}
-		slog.Info("loaded MRT dumps", "records", col.NumRecords(), "dir", *mrtDir)
-	} else {
-		col = routing.BuildCollection(w, routing.BuildOptions{Shards: *shards})
 	}
-	p := core.NewPipelineFrom(w, col, core.Options{Seed: *seed})
-	ofl.Manifest.SetCoverage(p.CoverageInfo())
+	p, err := core.Run(context.Background(), src, cfg.opt)
+	if err != nil {
+		slog.Error("pipeline failed", "mrt", cfg.mrtDir, "err", err)
+		os.Exit(1)
+	}
+	slog.Info("pipeline ready", "records", p.Col.NumRecords(), "coverage", p.Coverage.String())
+	ofl.Manifest.SetCoverage(p.Coverage.Info())
 	ofl.Manifest.SetDrops(p.DS.Stats.Drops())
 
-	for _, arg := range flag.Args() {
+	for _, arg := range cfg.codes {
 		c := countries.Code(strings.ToUpper(arg))
 		if !countries.Known(c) {
 			slog.Warn("unknown country, skipping", "code", arg)
@@ -81,47 +111,20 @@ func main() {
 		}
 		fmt.Printf("== %s (%s)\n", c, countries.Name(c))
 		cr := p.Country(c)
-		show := strings.ToUpper(*metric)
-		if show == "ALL" || show == "CCI" {
-			fmt.Print(cr.CCI.Render(*top))
+		for _, m := range []struct {
+			name string
+			r    *rank.Ranking
+		}{{"cci", cr.CCI}, {"ahi", cr.AHI}, {"ccn", cr.CCN}, {"ahn", cr.AHN}} {
+			if cfg.metric == "all" || cfg.metric == m.name {
+				fmt.Print(m.r.Render(cfg.top))
+			}
 		}
-		if show == "ALL" || show == "AHI" {
-			fmt.Print(cr.AHI.Render(*top))
-		}
-		if show == "ALL" || show == "CCN" {
-			fmt.Print(cr.CCN.Render(*top))
-		}
-		if show == "ALL" || show == "AHN" {
-			fmt.Print(cr.AHN.Render(*top))
-		}
-		if show == "AHC" {
-			fmt.Print(p.AHC(c).Render(*top))
-		}
-		if show == "CTI" {
-			fmt.Print(p.CTI(c).Render(*top))
+		switch cfg.metric {
+		case "ahc":
+			fmt.Print(p.AHC(c).Render(cfg.top))
+		case "cti":
+			fmt.Print(p.CTI(c).Render(cfg.top))
 		}
 	}
 	ofl.Done()
-}
-
-// loadMRT imports every .mrt file in dir against the world's VP set,
-// returning the collection and the imported file paths (for provenance
-// digests). Files decode chunk-parallel via ImportMRTFiles.
-func loadMRT(w *topology.World, dir string) (*routing.Collection, []string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	var paths []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".mrt") {
-			continue
-		}
-		paths = append(paths, filepath.Join(dir, e.Name()))
-	}
-	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("no .mrt files in %s", dir)
-	}
-	col, _, err := routing.ImportMRTFiles(w, paths, routing.ImportOptions{})
-	return col, paths, err
 }

@@ -1,0 +1,52 @@
+package main
+
+import (
+	"flag"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+
+	"countryrank/internal/core"
+)
+
+func TestParseFlags(t *testing.T) {
+	def := config{opt: core.Options{Seed: 1, StubScale: 1, VPScale: 1}, metric: "all", top: 10}
+	with := func(f func(*config)) config {
+		c := def
+		f(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		args string
+		want config
+		err  string // substring of the usage error; "" means accepted
+	}{
+		{"AU", with(func(c *config) { c.codes = []string{"AU"} }), ""},
+		{"-seed 101 -scale 0.5 -vpscale 0.5 -mrt DIR AU JP RU US", // the benchmark's line
+			with(func(c *config) {
+				c.opt.Seed, c.opt.StubScale, c.opt.VPScale = 101, 0.5, 0.5
+				c.mrtDir, c.codes = "DIR", []string{"AU", "JP", "RU", "US"}
+			}), ""},
+		{"-metric CTI -top 3 -shards 8 au", with(func(c *config) {
+			c.metric, c.top, c.opt.Routing.Shards, c.codes = "cti", 3, 8, []string{"au"}
+		}), ""},
+		{"-metric bogus AU", def, "-metric bogus: no such metric (have all, cci, ccn, ahi, ahn, ahc, cti)"},
+		{"-metric ccg AU", def, "-metric ccg"},
+		{"-metric CCI", def, "no country code"},
+		{"", def, "no country code"},
+		{"-nosuchflag AU", def, "not defined"},
+	} {
+		fs := flag.NewFlagSet("crank", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		got, _, err := parseFlags(fs, strings.Fields(tc.args))
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%q: rejected: %v", tc.args, err)
+		case tc.err == "" && !reflect.DeepEqual(got, tc.want):
+			t.Errorf("%q: parsed %+v, want %+v", tc.args, got, tc.want)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("%q: error %v, want one naming %q", tc.args, err, tc.err)
+		}
+	}
+}

@@ -87,11 +87,76 @@ func writeArtifacts(p *core.Pipeline, dir string) error {
 	})
 }
 
-// drivers lists the names -only accepts, in print order.
-var drivers = []string{
-	"table1", "table2", "table4", "figure4", "figure5", "casestudies", "table9",
-	"table10", "table11", "table12", "figure7", "figure8", "figure9", "figure10",
-	"table13", "table14", "table13_14", "extensions",
+// env is what an experiment reads: the checked command line and the
+// pipelines. p23 is built only when a selected experiment asks for it.
+type env struct {
+	cfg      config
+	p21, p23 *core.Pipeline
+}
+
+// section renders an experiment's header.
+func section(s string) string { return fmt.Sprintf("\n================ %s\n", s) }
+
+// catalogue is every experiment in print order: -only validation, the span
+// name (names[0]) and the print loop all read it. The loop prints title as a
+// header, then what run returns; an entry without one renders its own.
+var catalogue = []struct {
+	names []string // what -only accepts
+	title string
+	mar23 bool // reads env.p23
+	run   func(e *env) string
+}{
+	{[]string{"table1"}, "Table 1", false, func(e *env) string { return experiments.RunTable1(e.p21).Render() }},
+	{[]string{"table2"}, "Table 2", false, func(*env) string { return experiments.RunTable2().Render() }},
+	{[]string{"table4"}, "Tables 3 and 4", false, func(e *env) string { return experiments.RunTable4(e.p21).Render() }},
+	{[]string{"figure4"}, "Figure 4", false, func(e *env) string {
+		return experiments.RunFigure4(e.p21, e.cfg.trials, e.cfg.seed+100).Render()
+	}},
+	{[]string{"figure5"}, "Figure 5", false, func(e *env) string {
+		return experiments.RunFigure5(e.p21, e.cfg.trials, e.cfg.seed+200).Render()
+	}},
+	{[]string{"casestudies"}, "", false, func(e *env) string {
+		ccg, _ := e.p21.Global()
+		var out string
+		for _, c := range []countries.Code{"AU", "JP", "RU", "US"} {
+			out += section("Table 5–8: "+string(c)) + experiments.RunCaseStudy(e.p21, c, 2, ccg).Render()
+		}
+		return out
+	}},
+	{[]string{"table9"}, "Table 9", false, func(e *env) string { return experiments.RunTable9(e.p21, "AU").Render() }},
+	{[]string{"table10"}, "Table 10 (Russia 2021→2023)", true, func(e *env) string {
+		return experiments.RunTemporal(e.p21, e.p23, "RU").Render()
+	}},
+	{[]string{"table11"}, "Table 11 (Taiwan 2021→2023)", true, func(e *env) string {
+		return experiments.RunTemporal(e.p21, e.p23, "TW").Render()
+	}},
+	{[]string{"table12"}, "Table 12", false, func(e *env) string { return experiments.RunTable12(e.p21).Render() }},
+	{[]string{"figure7"}, "Figure 7", false, func(e *env) string { return experiments.RunFigure7(e.p21).Render() }},
+	{[]string{"figure8"}, "Figure 8", false, func(e *env) string { return experiments.RunFigure8(e.p21).Render() }},
+	{[]string{"figure9"}, "Figure 9", false, func(e *env) string { return experiments.RunFigure9(e.p21).Render() }},
+	{[]string{"figure10"}, "Figure 10", false, func(e *env) string { return experiments.RunFigure10(e.p21).Render() }},
+	{[]string{"table13_14", "table13", "table14"}, "Tables 13/14", false, func(e *env) string {
+		return experiments.RunTable13_14(e.p21).Render()
+	}},
+	{[]string{"extensions"}, "", false, func(e *env) string {
+		return section("Extension: market concentration") +
+			experiments.RunConcentration(e.p21, []countries.Code{"AU", "JP", "RU", "US", "TW", "DE", "NL"}).Render() +
+			section("Extension: dependence matrix") +
+			experiments.RunDependenceMatrix(e.p21, nil).Render() +
+			section("Extension: resilience (backup paths)") +
+			experiments.RunResilience(e.p21, "JP", 3).Render() +
+			section("Extension: inference validation") +
+			experiments.RunInferenceValidation(e.p21).Render()
+	}},
+}
+
+// onlyNames lists what -only accepts, in print order.
+func onlyNames() []string {
+	var names []string
+	for _, x := range catalogue {
+		names = append(names, x.names...)
+	}
+	return names
 }
 
 // config is the command line after parsing and checking.
@@ -114,7 +179,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) 
 	fs.Float64Var(&c.vpscale, "vpscale", 1, "VP-count scale factor")
 	fs.IntVar(&c.trials, "trials", 8, "downsampling trials per sample size (at least 1)")
 	quick := fs.Bool("quick", false, "small world, few trials (-scale 0.3 -vpscale 0.4 -trials 3 unless given)")
-	only := fs.String("only", "", "comma-separated experiment subset of "+strings.Join(drivers, ","))
+	only := fs.String("only", "", "comma-separated experiment subset of "+strings.Join(onlyNames(), ","))
 	fs.StringVar(&c.artifacts, "artifacts", "", "directory for the shareable dataset (CSV)")
 	fs.BoolVar(&c.progress, "progress", false, "stream per-experiment start/finish lines to stderr")
 	ofl := obs.FlagsOn(fs, "experiments")
@@ -141,8 +206,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) 
 		if s = strings.TrimSpace(strings.ToLower(s)); s == "" {
 			continue
 		}
-		if !slices.Contains(drivers, s) {
-			return c, ofl, fmt.Errorf("-only %s: no such experiment (have %s)", s, strings.Join(drivers, ", "))
+		if !slices.Contains(onlyNames(), s) {
+			return c, ofl, fmt.Errorf("-only %s: no such experiment (have %s)", s, strings.Join(onlyNames(), ", "))
 		}
 		c.only[s] = true
 	}
@@ -158,7 +223,6 @@ func main() {
 		os.Exit(2)
 	}
 	ofl.Init()
-	run := func(name string) bool { return len(cfg.only) == 0 || cfg.only[name] }
 
 	// With -progress, every top-level span — each experiment plus the
 	// pipeline builds — streams a start line and a finish line carrying the
@@ -183,14 +247,6 @@ func main() {
 		}
 	}
 
-	// timed wraps one experiment in a span so -progress, -v stage logs, and
-	// the final stage tree all see it.
-	timed := func(name string, f func()) {
-		sp := obs.StartSpan(name)
-		f()
-		sp.End()
-	}
-
 	start := time.Now()
 	slog.Info("building April 2021 pipeline", "seed", cfg.seed, "scale", cfg.scale, "vpscale", cfg.vpscale)
 	p21 := core.NewPipeline(core.Options{Seed: cfg.seed, StubScale: cfg.scale, VPScale: cfg.vpscale})
@@ -198,134 +254,37 @@ func main() {
 	ofl.Manifest.Seed("world", cfg.seed)
 	ofl.Manifest.Seed("figure4_trials", cfg.seed+100)
 	ofl.Manifest.Seed("figure5_trials", cfg.seed+200)
-	ofl.Manifest.SetCoverage(p21.CoverageInfo())
+	ofl.Manifest.SetCoverage(p21.Coverage.Info())
 	ofl.Manifest.SetDrops(p21.DS.Stats.Drops())
 
-	section := func(s string) { fmt.Printf("\n================ %s\n", s) }
-
-	if run("table1") {
-		timed("table1", func() {
-			section("Table 1")
-			fmt.Print(experiments.RunTable1(p21).Render())
-		})
-	}
-	if run("table2") {
-		timed("table2", func() {
-			section("Table 2")
-			fmt.Print(experiments.RunTable2().Render())
-		})
-	}
-	if run("table4") {
-		timed("table4", func() {
-			section("Tables 3 and 4")
-			fmt.Print(experiments.RunTable4(p21).Render())
-		})
-	}
-	if run("figure4") {
-		timed("figure4", func() {
-			section("Figure 4")
-			fmt.Print(experiments.RunFigure4(p21, cfg.trials, cfg.seed+100).Render())
-		})
-	}
-	if run("figure5") {
-		timed("figure5", func() {
-			section("Figure 5")
-			fmt.Print(experiments.RunFigure5(p21, cfg.trials, cfg.seed+200).Render())
-		})
-	}
-	if run("casestudies") {
-		timed("casestudies", func() {
-			ccg, _ := p21.Global()
-			for _, c := range []countries.Code{"AU", "JP", "RU", "US"} {
-				section("Table 5–8: " + string(c))
-				fmt.Print(experiments.RunCaseStudy(p21, c, 2, ccg).Render())
-			}
-		})
-	}
-	if run("table9") {
-		timed("table9", func() {
-			section("Table 9")
-			fmt.Print(experiments.RunTable9(p21, "AU").Render())
-		})
-	}
-
-	var p23 *core.Pipeline
-	need23 := run("table10") || run("table11")
-	if need23 {
-		slog.Info("building March 2023 pipeline")
-		p23 = core.NewPipeline(core.Options{
-			Seed: cfg.seed, Scenario: topology.Mar2023, StubScale: cfg.scale, VPScale: cfg.vpscale,
-		})
-	}
-	if run("table10") {
-		timed("table10", func() {
-			section("Table 10 (Russia 2021→2023)")
-			fmt.Print(experiments.RunTemporal(p21, p23, "RU").Render())
-		})
-	}
-	if run("table11") {
-		timed("table11", func() {
-			section("Table 11 (Taiwan 2021→2023)")
-			fmt.Print(experiments.RunTemporal(p21, p23, "TW").Render())
-		})
-	}
-	if run("table12") {
-		timed("table12", func() {
-			section("Table 12")
-			fmt.Print(experiments.RunTable12(p21).Render())
-		})
-	}
-	if run("figure7") {
-		timed("figure7", func() {
-			section("Figure 7")
-			fmt.Print(experiments.RunFigure7(p21).Render())
-		})
-	}
-	if run("figure8") {
-		timed("figure8", func() {
-			section("Figure 8")
-			fmt.Print(experiments.RunFigure8(p21).Render())
-		})
-	}
-	if run("figure9") {
-		timed("figure9", func() {
-			section("Figure 9")
-			fmt.Print(experiments.RunFigure9(p21).Render())
-		})
-	}
-	if run("figure10") {
-		timed("figure10", func() {
-			section("Figure 10")
-			fmt.Print(experiments.RunFigure10(p21).Render())
-		})
-	}
-	if run("table13") || run("table14") || run("table13_14") {
-		timed("table13_14", func() {
-			section("Tables 13/14")
-			fmt.Print(experiments.RunTable13_14(p21).Render())
-		})
-	}
-	if run("extensions") {
-		timed("extensions", func() {
-			section("Extension: market concentration")
-			fmt.Print(experiments.RunConcentration(p21,
-				[]countries.Code{"AU", "JP", "RU", "US", "TW", "DE", "NL"}).Render())
-			section("Extension: dependence matrix")
-			fmt.Print(experiments.RunDependenceMatrix(p21, nil).Render())
-			section("Extension: resilience (backup paths)")
-			fmt.Print(experiments.RunResilience(p21, "JP", 3).Render())
-			section("Extension: inference validation")
-			fmt.Print(experiments.RunInferenceValidation(p21).Render())
-		})
+	e := &env{cfg: cfg, p21: p21}
+	for _, x := range catalogue {
+		if len(cfg.only) > 0 && !slices.ContainsFunc(x.names, func(n string) bool { return cfg.only[n] }) {
+			continue
+		}
+		if x.mar23 && e.p23 == nil {
+			slog.Info("building March 2023 pipeline")
+			e.p23 = core.NewPipeline(core.Options{
+				Seed: cfg.seed, Scenario: topology.Mar2023, StubScale: cfg.scale, VPScale: cfg.vpscale,
+			})
+		}
+		// One span per experiment, so -progress, -v stage logs and the final
+		// stage tree all see it.
+		sp := obs.StartSpan(x.names[0])
+		if x.title != "" {
+			fmt.Print(section(x.title))
+		}
+		fmt.Print(x.run(e))
+		sp.End()
 	}
 	if cfg.artifacts != "" {
-		timed("artifacts", func() {
-			if err := writeArtifacts(p21, cfg.artifacts); err != nil {
-				slog.Error("artifacts failed", "dir", cfg.artifacts, "err", err)
-				os.Exit(1)
-			}
-			slog.Info("artifacts written", "dir", cfg.artifacts)
-		})
+		sp := obs.StartSpan("artifacts")
+		if err := writeArtifacts(p21, cfg.artifacts); err != nil {
+			slog.Error("artifacts failed", "dir", cfg.artifacts, "err", err)
+			os.Exit(1)
+		}
+		slog.Info("artifacts written", "dir", cfg.artifacts)
+		sp.End()
 	}
 	slog.Info("done", "elapsed", time.Since(start).Round(time.Millisecond))
 	if cfg.progress {

@@ -101,7 +101,6 @@ import (
 	"countryrank/internal/core"
 	"countryrank/internal/countries"
 	"countryrank/internal/obs"
-	"countryrank/internal/routing"
 	"countryrank/internal/snapshot"
 )
 
@@ -109,13 +108,10 @@ import (
 // obs.CmdFlags).
 type options struct {
 	addr          string
-	seed          int64
-	scale         float64
-	vpscale       float64
+	world         core.Options // -seed, -scale, -vpscale, -shards
 	topn          int
 	refresh       time.Duration
 	countries     string
-	shards        int
 	snapshotDir   string
 	snapshotKeep  int
 	allowDegraded bool
@@ -138,13 +134,13 @@ type options struct {
 func registerFlags(fs *flag.FlagSet) (*options, *obs.CmdFlags) {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "serve the snapshot API (and debug endpoints) on this host:port")
-	fs.Int64Var(&o.seed, "seed", 1, "world seed")
-	fs.Float64Var(&o.scale, "scale", 1, "stub-count scale factor")
-	fs.Float64Var(&o.vpscale, "vpscale", 1, "VP-count scale factor")
+	fs.Int64Var(&o.world.Seed, "seed", 1, "world seed")
+	fs.Float64Var(&o.world.StubScale, "scale", 1, "stub-count scale factor")
+	fs.Float64Var(&o.world.VPScale, "vpscale", 1, "VP-count scale factor")
 	fs.IntVar(&o.topn, "topn", snapshot.DefaultMaxTopN, "max entries per ranking and /v1/top ?n= cap")
 	fs.DurationVar(&o.refresh, "refresh", 0, "recompute and atomically swap the snapshot at this interval (0 = only on SIGHUP)")
 	fs.StringVar(&o.countries, "countries", "", "comma-separated country codes to serve (default: all with ranked ASes)")
-	fs.IntVar(&o.shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
+	fs.IntVar(&o.world.Routing.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
 	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "durably persist published snapshots here and warm-start from the newest valid generation (empty = off)")
 	fs.IntVar(&o.snapshotKeep, "snapshot-keep", snapshot.DefaultKeepGenerations, "on-disk snapshot generations to retain")
 	fs.BoolVar(&o.allowDegraded, "allow-degraded", false, "let a quorum-degraded rebuild replace a healthy snapshot")
@@ -181,23 +177,17 @@ func main() {
 		only = append(only, countries.Code(cc))
 	}
 	cfg := snapshot.Config{MaxTopN: o.topn, Countries: only}
-	opt := core.Options{
-		Seed: o.seed, StubScale: o.scale, VPScale: o.vpscale,
-		Routing: routing.BuildOptions{Shards: o.shards},
-	}
 
-	ofl.Manifest.Seed("world", o.seed)
+	ofl.Manifest.Seed("world", o.world.Seed)
 	build := func(ctx context.Context, epoch int64) (*snapshot.Snapshot, error) {
 		start := time.Now()
-		bopt := opt
-		if o.seedStep != 0 {
-			// Drift demo / CI hook: each epoch builds a slightly different
-			// world, so rollovers produce real rank movement.
-			bopt.Seed = o.seed + (epoch-1)*o.seedStep
-		}
-		p := core.NewPipeline(bopt)
-		if err := ctx.Err(); err != nil {
-			return nil, err // canceled mid-build: don't bother rendering
+		// -seed-step (drift demo / CI hook): each epoch builds a slightly
+		// different world, so rollovers produce real rank movement.
+		bopt := o.world
+		bopt.Seed += (epoch - 1) * o.seedStep
+		p, err := core.Run(ctx, core.Generated, bopt)
+		if err != nil {
+			return nil, err // cancelled at a stage boundary: nothing to render
 		}
 		snap := snapshot.Build(p, epoch, cfg)
 		slog.Info("snapshot built", "epoch", epoch, "digest", snap.Digest[:12],
@@ -249,7 +239,7 @@ func main() {
 		DriftGate:     o.driftGate,
 		StaleAfter:    o.staleAfter,
 		Persist:       persist,
-		Seed:          o.seed,
+		Seed:          o.world.Seed,
 		OnPublish: func(s *snapshot.Snapshot) {
 			if !firstPubClosed { // supervisor goroutine only; no race
 				firstPubClosed = true
@@ -290,7 +280,7 @@ func main() {
 		defer ins.Log.Close()
 	}
 	if o.traceSample > 0 {
-		ins.Requests = obs.NewReqTracker(o.seed, o.traceSample, 64, 8)
+		ins.Requests = obs.NewReqTracker(o.world.Seed, o.traceSample, 64, 8)
 		ofl.Requests = ins.Requests
 		ofl.Manifest.SetNote("trace_sample", strconv.FormatFloat(o.traceSample, 'g', -1, 64))
 	}

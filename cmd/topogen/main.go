@@ -24,18 +24,20 @@ import (
 	"os"
 	"path/filepath"
 
+	"countryrank/internal/core"
 	"countryrank/internal/obs"
 	"countryrank/internal/routing"
 	"countryrank/internal/topology"
 )
 
 func main() {
-	seed := flag.Int64("seed", 1, "world seed")
-	scale := flag.Float64("scale", 1, "stub-count scale factor")
-	vpscale := flag.Float64("vpscale", 1, "VP-count scale factor")
+	var opt core.Options
+	flag.Int64Var(&opt.Seed, "seed", 1, "world seed")
+	flag.Float64Var(&opt.StubScale, "scale", 1, "stub-count scale factor")
+	flag.Float64Var(&opt.VPScale, "vpscale", 1, "VP-count scale factor")
 	scenario := flag.String("scenario", string(topology.Apr2021), "snapshot scenario")
 	out := flag.String("out", "", "output directory for MRT files (required)")
-	shards := flag.Int("shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
+	flag.IntVar(&opt.Routing.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
 	ofl := obs.FlagsOn(flag.CommandLine, "topogen")
 	flag.Parse()
 	ofl.Init()
@@ -44,14 +46,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	ofl.Manifest.Seed("world", *seed)
-	w := topology.Build(topology.Config{
-		Seed:      *seed,
-		Scenario:  topology.Scenario(*scenario),
-		StubScale: *scale,
-		VPScale:   *vpscale,
-	})
-	col := routing.BuildCollection(w, routing.BuildOptions{Shards: *shards})
+	ofl.Manifest.Seed("world", opt.Seed)
+	opt.Scenario = topology.Scenario(*scenario)
+	sp := obs.StartSpan("generate")
+	w, col, _, _ := core.Generated(opt, sp) // the generator does no I/O: it has no error to return
+	sp.End()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		slog.Error("create output directory", "dir", *out, "err", err)

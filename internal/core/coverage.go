@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"countryrank/internal/obs"
-	"countryrank/internal/routing"
-	"countryrank/internal/topology"
 )
 
 var (
@@ -16,14 +14,15 @@ var (
 )
 
 // Coverage reports how complete a collection was when it reached the
-// pipeline: the contract between the fault-tolerant ingest paths (live
-// collection, degraded MRT import) and the ranking consumer. A partial run
+// pipeline: the contract between a Source (generator, MRT import, live
+// collection) and the ranking consumer, enforced by Run. A partial run
 // is allowed — resilience would be pointless otherwise — but never silent:
 // rankings computed from degraded coverage carry a label saying so, and
 // coverage below the quorum fails the run outright.
 type Coverage struct {
 	// VPsExpected is how many vantage points the run was configured to
-	// collect from; VPsDelivered how many actually produced records.
+	// collect from; VPsDelivered how many the input covers (for MRT, the
+	// VPs its peer index tables list: a covered VP may own no record).
 	VPsExpected  int
 	VPsDelivered int
 	// RecordsLost counts records dropped during ingest (rejected entries,
@@ -72,60 +71,11 @@ func (c Coverage) Info() obs.CoverageInfo {
 	}
 }
 
-// CoverageInfo reports the pipeline's coverage for the run manifest: the
-// recorded partial-coverage report when one exists, otherwise a complete
-// run over every VP of the world.
-func (p *Pipeline) CoverageInfo() obs.CoverageInfo {
-	if p.Coverage != nil {
-		return p.Coverage.Info()
-	}
-	n := p.World.VPs.Len()
-	return obs.CoverageInfo{VPsExpected: n, VPsDelivered: n}
-}
-
-// CoverageFromImport assembles the report for a degraded MRT ingest:
-// delivered VPs are counted from the collection, losses come from the
-// import stats.
-func CoverageFromImport(vpsExpected int, col *routing.Collection, stats routing.ImportStats) Coverage {
-	seen := map[int32]bool{}
-	for _, r := range col.Records {
-		seen[r.VP] = true
-	}
-	return Coverage{
-		VPsExpected:  vpsExpected,
-		VPsDelivered: len(seen),
-		RecordsLost:  stats.Rejects,
-		Resyncs:      stats.Resyncs,
-		SkippedBytes: stats.SkippedBytes,
-	}
-}
-
-// NewPipelineFromPartial processes a possibly-incomplete collection. It is
-// the loud-failure gate of the degraded path: coverage below the quorum
-// (Options.Quorum) returns an error instead of a quietly wrong ranking;
-// coverage above it proceeds, with every ranking name labelled when data
-// was actually lost.
-func NewPipelineFromPartial(w *topology.World, col *routing.Collection, cov Coverage, opt Options) (*Pipeline, error) {
-	opt = opt.withDefaults()
-	if cov.Fraction() < opt.Quorum {
-		mQuorumFailures.Inc()
-		return nil, fmt.Errorf("core: coverage %s below quorum %.0f%%", cov, opt.Quorum*100)
-	}
-	sp := obs.StartSpan("pipeline")
-	defer sp.End()
-	p := process(w, col, opt, sp)
-	p.Coverage = &cov
-	if cov.Degraded() {
-		mDegradedRuns.Inc()
-	}
-	return p, nil
-}
-
 // label suffixes a ranking name with the degradation report, so a ranking
 // computed from partial data can never be mistaken for the real thing.
 func (p *Pipeline) label(name string) string {
-	if p.Coverage == nil || !p.Coverage.Degraded() {
+	if !p.Coverage.Degraded() {
 		return name
 	}
-	return fmt.Sprintf("%s [degraded: %s]", name, *p.Coverage)
+	return fmt.Sprintf("%s [degraded: %s]", name, p.Coverage)
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"bytes"
+	"context"
 	"encoding/binary"
-	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -17,6 +18,13 @@ func partialWorld() (*topology.World, *routing.Collection) {
 		Seed: o.Seed, StubScale: o.StubScale, VPScale: o.VPScale,
 	})
 	return w, routing.BuildCollection(w, routing.BuildOptions{})
+}
+
+// runPartial runs the pipeline over the in-hand source with a stated
+// coverage: what a live collector that lost feeders would hand over.
+func runPartial(cov Coverage, opt Options) (*Pipeline, error) {
+	w, col := partialWorld()
+	return Run(context.Background(), inHand(w, col, cov), opt)
 }
 
 func TestCoverageSemantics(t *testing.T) {
@@ -45,27 +53,24 @@ func TestCoverageSemantics(t *testing.T) {
 }
 
 func TestQuorumFailsLoudly(t *testing.T) {
-	w, col := partialWorld()
 	cov := Coverage{VPsExpected: 10, VPsDelivered: 3}
-	if _, err := NewPipelineFromPartial(w, col, cov, Options{}); err == nil {
+	if _, err := runPartial(cov, Options{}); err == nil {
 		t.Fatal("3/10 coverage passed the default 50% quorum")
 	} else if !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("quorum failure unclear: %v", err)
 	}
 	// NoQuorum disables the gate; the run proceeds, labelled.
-	p, err := NewPipelineFromPartial(w, col, cov, Options{Quorum: NoQuorum})
+	p, err := runPartial(cov, Options{Quorum: NoQuorum})
 	if err != nil {
 		t.Fatalf("NoQuorum still gated: %v", err)
 	}
-	if p.Coverage == nil || !p.Coverage.Degraded() {
+	if !p.Coverage.Info().Degraded {
 		t.Fatal("partial pipeline lost its coverage report")
 	}
 }
 
 func TestDegradedRankingsLabelled(t *testing.T) {
-	w, col := partialWorld()
-	cov := Coverage{VPsExpected: 4, VPsDelivered: 3, RecordsLost: 7}
-	p, err := NewPipelineFromPartial(w, col, cov, Options{})
+	p, err := runPartial(Coverage{VPsExpected: 4, VPsDelivered: 3, RecordsLost: 7}, Options{})
 	if err != nil {
 		t.Fatalf("3/4 coverage failed the 50%% quorum: %v", err)
 	}
@@ -94,9 +99,7 @@ func TestDegradedRankingsLabelled(t *testing.T) {
 }
 
 func TestCompletePartialRunUnlabelled(t *testing.T) {
-	w, col := partialWorld()
-	cov := Coverage{VPsExpected: 4, VPsDelivered: 4, Reconnects: 2}
-	p, err := NewPipelineFromPartial(w, col, cov, Options{})
+	p, err := runPartial(Coverage{VPsExpected: 4, VPsDelivered: 4, Reconnects: 2}, Options{})
 	if err != nil {
 		t.Fatalf("complete coverage rejected: %v", err)
 	}
@@ -106,62 +109,135 @@ func TestCompletePartialRunUnlabelled(t *testing.T) {
 	}
 }
 
-// TestDegradedIngestEndToEnd drives the whole degraded path: export a
-// collection to MRT, corrupt a record, re-import with SkipCorrupt, build
-// the pipeline from the partial collection, and check the rankings carry
-// the resync accounting in their labels.
-func TestDegradedIngestEndToEnd(t *testing.T) {
+// exportDumps writes every collector's dump of the smallOpts world into a
+// fresh directory — what topogen leaves behind — and returns the paths in
+// collector order.
+func exportDumps(t *testing.T) []string {
+	t.Helper()
 	w, col := partialWorld()
-	var streams []io.Reader
-	var first []byte
-	for i, coll := range w.VPs.Collectors() {
-		var b bytes.Buffer
-		if err := routing.ExportMRT(&b, col, coll.Name, 1617235200); err != nil {
+	dir := t.TempDir()
+	var paths []string
+	for _, coll := range w.VPs.Collectors() {
+		path := filepath.Join(dir, coll.Name+".mrt")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := routing.ExportMRT(f, col, coll.Name, 1617235200); err != nil {
 			t.Fatalf("export %s: %v", coll.Name, err)
 		}
-		if i == 0 {
-			first = b.Bytes()
-		} else {
-			streams = append(streams, bytes.NewReader(b.Bytes()))
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
 		}
+		paths = append(paths, path)
 	}
-	// Corrupt the second record's length field in the first stream.
-	if len(first) < 24 {
-		t.Skip("first stream too small")
-	}
-	length := int(binary.BigEndian.Uint32(first[8:]))
-	second := 12 + length
-	if second+12 > len(first) {
-		t.Skip("first stream has one record")
-	}
-	mut := append([]byte(nil), first...)
-	binary.BigEndian.PutUint32(mut[second+8:], 1<<30)
-	streams = append([]io.Reader{bytes.NewReader(mut)}, streams...)
+	return paths
+}
 
-	imported, stats, err := routing.ImportMRTWith(w, streams, routing.ImportOptions{SkipCorrupt: true})
-	if err != nil {
-		t.Fatalf("degraded import: %v", err)
-	}
-	if stats.Resyncs == 0 {
-		t.Fatal("corruption went unnoticed")
-	}
-	expected := 0
-	seen := map[int32]bool{}
+// TestMRTSourceCoverage is the crank -mrt contract: a dump directory that
+// covers part of the world never yields an unlabelled ranking. Delivered VPs
+// are the ones the peer index tables list — several VPs of a complete world
+// own no record, and a complete directory must still read e/e.
+func TestMRTSourceCoverage(t *testing.T) {
+	paths := exportDumps(t)
+	w, col := partialWorld()
+	all := w.VPs.Len()
+	owning := map[int32]bool{}
 	for _, r := range col.Records {
-		seen[r.VP] = true
+		owning[r.VP] = true
 	}
-	expected = len(seen)
+	if len(owning) == all {
+		t.Fatal("every VP owns a record: the fixture no longer tells listed from owning")
+	}
+	vpsOf := func(collector string) int {
+		n := 0
+		for i := 0; i < all; i++ {
+			if w.VPs.VP(i).Collector == collector {
+				n++
+			}
+		}
+		return n
+	}
+	colls := w.VPs.Collectors()
+	for _, tc := range []struct {
+		name      string
+		paths     []string
+		delivered int
+		quorum    bool // the run is refused
+	}{
+		{"all dumps", paths, all, false},
+		{"all but one collector", paths[1:], all - vpsOf(colls[0].Name), false},
+		{"one collector only", paths[:1], vpsOf(colls[0].Name), true},
+		{"no dumps", nil, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := Run(context.Background(), MRTFiles(tc.paths), smallOpts())
+			if tc.quorum {
+				if err == nil {
+					t.Fatalf("%d/%d VPs produced a pipeline", tc.delivered, all)
+				}
+				if !strings.Contains(err.Error(), "below quorum") {
+					t.Fatalf("refusal does not name the quorum: %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			info := p.Coverage.Info()
+			degraded := tc.delivered < all
+			if info.VPsExpected != all || info.VPsDelivered != tc.delivered || info.Degraded != degraded || info.RecordsLost != 0 {
+				t.Fatalf("manifest coverage %+v, want %d/%d degraded=%v", info, tc.delivered, all, degraded)
+			}
+			ccg, _ := p.Global()
+			cci := p.Country("AU").CCI
+			want := ""
+			if degraded {
+				want = " [degraded: " + p.Coverage.String() + "]"
+			}
+			if ccg.Metric != "CCG"+want || cci.Metric != "CCI AU"+want {
+				t.Fatalf("ranking names %q / %q, want suffix %q", ccg.Metric, cci.Metric, want)
+			}
+		})
+	}
+}
 
-	cov := CoverageFromImport(expected, imported, stats)
-	if !cov.Degraded() || cov.Resyncs != stats.Resyncs {
-		t.Fatalf("coverage %+v does not reflect the import stats %+v", cov, stats)
+// TestDegradedIngestEndToEnd drives the whole degraded path: export a
+// collection to MRT, corrupt a record, re-import it through the MRT source
+// with SkipCorrupt, and check coverage, manifest and ranking labels carry
+// the resync accounting.
+func TestDegradedIngestEndToEnd(t *testing.T) {
+	paths := exportDumps(t)
+	first, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	p, err := NewPipelineFromPartial(w, imported, cov, Options{})
+	// Corrupt the second record's length field in the first dump.
+	if len(first) < 24 {
+		t.Skip("first dump too small")
+	}
+	second := 12 + int(binary.BigEndian.Uint32(first[8:]))
+	if second+12 > len(first) {
+		t.Skip("first dump has one record")
+	}
+	binary.BigEndian.PutUint32(first[second+8:], 1<<30)
+	if err := os.WriteFile(paths[0], first, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Run(context.Background(), MRTFiles(paths), smallOpts()); err == nil {
+		t.Fatal("strict import accepted a corrupt dump")
+	}
+	p, err := Run(context.Background(), mrtFiles(paths, routing.ImportOptions{SkipCorrupt: true}), smallOpts())
 	if err != nil {
 		t.Fatalf("pipeline from degraded import: %v", err)
 	}
+	info := p.Coverage.Info()
+	if info.Resyncs == 0 || !info.Degraded || info.VPsDelivered != info.VPsExpected {
+		t.Fatalf("coverage %+v does not report the skipped record over a full VP set", info)
+	}
 	ccg, _ := p.Global()
-	if !strings.Contains(ccg.Metric, "degraded") {
+	if !strings.Contains(ccg.Metric, "[degraded: ") || !strings.Contains(ccg.Metric, "1 resyncs") {
 		t.Fatalf("degraded-import ranking %q not labelled", ccg.Metric)
 	}
 

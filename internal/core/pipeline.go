@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -93,9 +94,8 @@ type Options struct {
 	// InferRelationships switches the cone metrics from generator ground
 	// truth to paths-inferred relationships (the ablation of DESIGN.md).
 	InferRelationships bool
-	// Quorum is the minimum delivered fraction of expected VPs a partial
-	// collection must reach (NewPipelineFromPartial); below it the run
-	// fails loudly. Zero selects the default 0.5; NoQuorum (or any
+	// Quorum is the minimum delivered fraction of expected VPs a source's
+	// collection must reach; below it Run fails loudly. Zero selects the default 0.5; NoQuorum (or any
 	// negative value) disables the gate.
 	Quorum float64
 	// Routing tunes collection assembly (days, anomaly rates).
@@ -135,10 +135,9 @@ type Pipeline struct {
 	Rels relation.Oracle
 	// Inferred is set when InferRelationships was requested.
 	Inferred *relation.Table
-	// Coverage is set when the pipeline was built from a partial collection
-	// (NewPipelineFromPartial); nil means a complete run. When it reports
+	// Coverage is the source's completeness report. When it reports
 	// degradation, every ranking name carries the report as a label.
-	Coverage *Coverage
+	Coverage Coverage
 
 	// byPrefixCountry indexes accepted-record positions (ascending) by the
 	// destination prefix's country, the common slicing key of all views; the
@@ -186,91 +185,178 @@ type rankKey struct {
 	country countries.Code
 }
 
-// NewPipeline builds the synthetic world for the options and processes it.
-func NewPipeline(opt Options) *Pipeline {
-	sp := obs.StartSpan("pipeline")
-	defer sp.End()
-	opt = opt.withDefaults()
+// A Source is the pipeline's first stage: it hands Run a world, the
+// collection observed over it and how complete that collection is, opening
+// its own spans under sp. Three exist: Generated, MRTFiles and inHand.
+type Source func(opt Options, sp *obs.Span) (*topology.World, *routing.Collection, Coverage, error)
+
+// Generated builds the synthetic world for the options and propagates
+// routes over it; its coverage is complete by construction.
+func Generated(opt Options, sp *obs.Span) (*topology.World, *routing.Collection, Coverage, error) {
+	w := buildWorld(opt, sp)
+	ps := sp.Child("propagation")
+	col := routing.BuildCollection(w, opt.Routing)
+	ps.AddItems(int64(col.NumRecords()), "records")
+	ps.End()
+	return w, col, complete(w), nil
+}
+
+// MRTFiles imports TABLE_DUMP_V2 dumps (topogen's, same seed and scales)
+// against the world the options describe. A VP is delivered when a peer
+// index table the import read lists it, so a missing dump costs coverage (no
+// dumps at all: 0/e, below any quorum) and a complete directory reads e/e; a
+// corrupt record fails the import.
+func MRTFiles(paths []string) Source { return mrtFiles(paths, routing.ImportOptions{}) }
+
+func mrtFiles(paths []string, imp routing.ImportOptions) Source {
+	return func(opt Options, sp *obs.Span) (*topology.World, *routing.Collection, Coverage, error) {
+		w := buildWorld(opt, sp)
+		col, stats, err := routing.ImportMRTFiles(w, paths, imp)
+		if err != nil {
+			return nil, nil, Coverage{}, err
+		}
+		return w, col, Coverage{
+			VPsExpected:  w.VPs.Len(),
+			VPsDelivered: stats.VPsNamed,
+			RecordsLost:  stats.Rejects,
+			Resyncs:      stats.Resyncs,
+			SkippedBytes: stats.SkippedBytes,
+		}, nil
+	}
+}
+
+// inHand is the source for a world and collection the caller already holds.
+func inHand(w *topology.World, col *routing.Collection, cov Coverage) Source {
+	return func(Options, *obs.Span) (*topology.World, *routing.Collection, Coverage, error) {
+		return w, col, cov, nil
+	}
+}
+
+func buildWorld(opt Options, sp *obs.Span) *topology.World {
 	ts := sp.Child("topology")
-	w := topology.Build(topology.Config{
+	defer ts.End()
+	return topology.Build(topology.Config{
 		Seed:      opt.Seed,
 		Scenario:  opt.Scenario,
 		StubScale: opt.StubScale,
 		VPScale:   opt.VPScale,
 		IPv6:      opt.IPv6,
 	})
-	ts.End()
-	ps := sp.Child("propagation")
-	col := routing.BuildCollection(w, opt.Routing)
-	ps.AddItems(int64(col.NumRecords()), "records")
-	ps.End()
-	return process(w, col, opt, sp)
 }
 
-// NewPipelineFrom processes an existing world and collection (e.g. one
-// imported from MRT dumps).
+// complete is the coverage of a collection that holds every VP of w.
+func complete(w *topology.World) Coverage {
+	return Coverage{VPsExpected: w.VPs.Len(), VPsDelivered: w.VPs.Len()}
+}
+
+// NewPipeline builds the synthetic world for the options and processes it.
+func NewPipeline(opt Options) *Pipeline { return mustRun(Generated, opt) }
+
+// NewPipelineFrom processes an existing world and collection, taken as
+// complete (e.g. tables a live collector assembled from every VP).
 func NewPipelineFrom(w *topology.World, col *routing.Collection, opt Options) *Pipeline {
+	return mustRun(inHand(w, col, complete(w)), opt)
+}
+
+// mustRun runs a source that does no I/O and reports complete coverage,
+// uncancelled: Run has no error left to return.
+func mustRun(src Source, opt Options) *Pipeline {
+	p, err := Run(context.Background(), src, opt)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// Run is the pipeline: source → geolocate → sanitize → (infer) → index →
+// precompute. The stage order, its spans, the quorum gate and cancellation
+// live here and nowhere else. Coverage below Options.Quorum is an error, not
+// a quietly wrong ranking; above it, lost data labels every ranking name. A
+// cancelled ctx stops the run at the next stage boundary with ctx.Err().
+func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
+	opt = opt.withDefaults()
 	sp := obs.StartSpan("pipeline")
 	defer sp.End()
-	return process(w, col, opt.withDefaults(), sp)
-}
-
-func process(w *topology.World, col *routing.Collection, opt Options, sp *obs.Span) *Pipeline {
-	gs := sp.Child("geolocate")
-	geoTable := geoloc.GeolocatePrefixes(w.Geo, col.AnnouncedPrefixes(), opt.Threshold)
-	gs.End()
-	clique := map[asn.ASN]bool{}
-	for _, a := range w.Clique {
-		clique[a] = true
+	w, col, cov, err := src(opt, sp)
+	if err == nil {
+		err = ctx.Err()
 	}
-	ss := sp.Child("sanitize")
-	ds := sanitize.Run(col, sanitize.Config{
-		Clique:       clique,
-		Registry:     w.Graph.Registry(),
-		RouteServers: w.Graph.RouteServers(),
-		GeoTable:     geoTable,
-	})
-	ss.AddItems(int64(ds.Len()), "accepted")
-	ss.End()
+	if err != nil {
+		return nil, err
+	}
+	if cov.Fraction() < opt.Quorum {
+		mQuorumFailures.Inc()
+		return nil, fmt.Errorf("core: coverage %s below quorum %.0f%%", cov, opt.Quorum*100)
+	}
+	if cov.Degraded() {
+		mDegradedRuns.Inc()
+	}
 	p := &Pipeline{
 		Opt:          opt,
 		World:        w,
 		Col:          col,
-		DS:           ds,
-		Geo:          geoTable,
 		Rels:         w.Graph,
+		Coverage:     cov,
 		vpsByCountry: map[countries.Code][]int32{},
 		viewCache:    map[viewKey][]int32{},
 		rankCache:    map[rankKey]*rank.Ranking{},
 	}
-	if opt.InferRelationships {
-		is := sp.Child("infer-relationships")
-		seen := map[string]bool{}
-		var paths []bgp.Path
-		for i := 0; i < ds.Len(); i++ {
-			_, _, path := ds.Record(i)
-			k := path.Key()
-			if !seen[k] {
-				seen[k] = true
-				paths = append(paths, path)
+	for _, st := range []struct {
+		name string
+		skip bool
+		run  func(*obs.Span)
+	}{
+		{"geolocate", false, func(*obs.Span) {
+			p.Geo = geoloc.GeolocatePrefixes(w.Geo, col.AnnouncedPrefixes(), opt.Threshold)
+		}},
+		{"sanitize", false, func(s *obs.Span) {
+			clique := map[asn.ASN]bool{}
+			for _, a := range w.Clique {
+				clique[a] = true
 			}
+			p.DS = sanitize.Run(col, sanitize.Config{
+				Clique:       clique,
+				Registry:     w.Graph.Registry(),
+				RouteServers: w.Graph.RouteServers(),
+				GeoTable:     p.Geo,
+			})
+			s.AddItems(int64(p.DS.Len()), "accepted")
+		}},
+		{"infer-relationships", !opt.InferRelationships, func(*obs.Span) {
+			seen := map[string]bool{}
+			var paths []bgp.Path
+			for i := 0; i < p.DS.Len(); i++ {
+				_, _, path := p.DS.Record(i)
+				k := path.Key()
+				if !seen[k] {
+					seen[k] = true
+					paths = append(paths, path)
+				}
+			}
+			p.Inferred = relation.Infer(paths, relation.InferClique(paths, 25))
+			p.Rels = p.Inferred
+		}},
+		{"index", false, func(*obs.Span) {
+			p.byPrefixCountry = indexByPrefixCountry(p.DS)
+			for v, c := range p.DS.VPCountry {
+				if c != "" {
+					p.vpsByCountry[c] = append(p.vpsByCountry[c], int32(v))
+				}
+			}
+		}},
+		{"precompute", false, func(*obs.Span) { p.coneStarts = cone.Starts(p.DS, p.Rels) }},
+	} {
+		if st.skip {
+			continue
 		}
-		p.Inferred = relation.Infer(paths, relation.InferClique(paths, 25))
-		p.Rels = p.Inferred
-		is.End()
-	}
-	xs := sp.Child("index")
-	p.byPrefixCountry = indexByPrefixCountry(ds)
-	for v, c := range ds.VPCountry {
-		if c != "" {
-			p.vpsByCountry[c] = append(p.vpsByCountry[c], int32(v))
+		s := sp.Child(st.name)
+		st.run(s)
+		s.End()
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 	}
-	xs.End()
-	cs := sp.Child("precompute")
-	p.coneStarts = cone.Starts(ds, p.Rels)
-	cs.End()
-	return p
+	return p, nil
 }
 
 // indexByPrefixCountry counting-sorts the accepted-record positions by the

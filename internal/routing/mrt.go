@@ -257,6 +257,8 @@ type importStream struct {
 	originSet []bool
 	records   []Record
 	paths     []bgp.Path
+	// named is the world VP index of each known peer of each peer table read.
+	named []int32
 	// rejects counts entries dropped during decode (unknown peers, bad peer
 	// indexes); bytes is the stream's wire size. Both fold into the obs
 	// counters once per stream during the merge. resyncs / skippedBytes
@@ -308,6 +310,8 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOp
 				gi, known := byAddr[p.Addr]
 				if !known {
 					gi = -1
+				} else {
+					out.named = append(out.named, gi)
 				}
 				vpOf = append(vpOf, gi)
 				lastPath = append(lastPath, -1)
@@ -383,6 +387,9 @@ type ImportOptions struct {
 type ImportStats struct {
 	// Records is the number of RIB entries imported.
 	Records int64
+	// VPsNamed is how many of the world's VPs the PEER_INDEX_TABLEs read
+	// listed: the VPs the dumps cover, whether or not one owns a record.
+	VPsNamed int
 	// Rejects is entries dropped during decode (unknown peers, bad indexes).
 	Rejects int64
 	// Resyncs is corrupt records skipped; SkippedBytes the bytes discarded.
@@ -526,8 +533,15 @@ func mergeImportParts(w *topology.World, parts []importStream) (*Collection, Imp
 	defer sp.End()
 
 	var stats ImportStats
+	named := make([]bool, w.VPs.Len())
 	for si := range parts {
 		p := &parts[si]
+		for _, v := range p.named {
+			if !named[v] {
+				named[v] = true
+				stats.VPsNamed++
+			}
+		}
 		mMRTBytesIn.Add(p.bytes)
 		mMRTRecordsIn.Add(int64(len(p.records)))
 		mMRTRejects.Add(p.rejects)

@@ -138,7 +138,7 @@ func TestInternerInvariants(t *testing.T) {
 		checkLayout(t, Run(imported, cfg), judged)
 	})
 
-	// The collection NewPipelineFromPartial is handed: a record's length
+	// The collection the MRT source hands Run: a record's length
 	// field is corrupted and the importer resyncs past the damage.
 	t.Run("partial import", func(t *testing.T) {
 		first := streams[0]

@@ -292,7 +292,7 @@ func Build(p *core.Pipeline, epoch int64, cfg Config) *Snapshot {
 			CCI: cr.CCI, CCN: cr.CCN, AHI: cr.AHI, AHN: cr.AHN,
 		}
 	})
-	d := Data{Epoch: epoch, Degraded: p.CoverageInfo().Degraded}
+	d := Data{Epoch: epoch, Degraded: p.Coverage.Degraded()}
 	for _, cd := range got {
 		if cd != nil {
 			d.Countries = append(d.Countries, *cd)

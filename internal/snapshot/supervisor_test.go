@@ -12,6 +12,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"countryrank/internal/core"
+	"countryrank/internal/obs"
+	"countryrank/internal/routing"
+	"countryrank/internal/topology"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -262,6 +267,61 @@ func TestSupervisorAbandonsHungBuild(t *testing.T) {
 	}
 	if mBuildFailures.Value() == fails0 {
 		t.Error("hung build not counted as a failure")
+	}
+}
+
+// TestSupervisorTimedOutBuildStops runs a real pipeline as the build: the
+// attempt BuildTimeout abandons must return the deadline error at its next
+// stage boundary — no later stage's span opens — so it is no longer running,
+// beside the retry, when the retry begins.
+func TestSupervisorTimedOutBuildStops(t *testing.T) {
+	opt := core.Options{Seed: 3, StubScale: 0.15, VPScale: 0.2}
+	held := core.NewPipeline(opt)
+
+	var mu sync.Mutex
+	var stages []string
+	obs.DefaultTrace.OnStart = func(s *obs.Span) {
+		mu.Lock()
+		stages = append(stages, s.Name)
+		mu.Unlock()
+	}
+	defer func() { obs.DefaultTrace.OnStart = nil }()
+
+	st := NewStore(nil)
+	first := make(chan error, 1) // what the abandoned attempt returned
+	var attempts atomic.Int64
+	cfg := fastBackoff
+	cfg.BuildTimeout = 30 * time.Millisecond
+	cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
+		if attempts.Add(1) == 1 {
+			// The source outlasts the timeout; every stage after it is ahead.
+			slow := func(core.Options, *obs.Span) (*topology.World, *routing.Collection, core.Coverage, error) {
+				<-ctx.Done()
+				return held.World, held.Col, held.Coverage, nil
+			}
+			_, err := core.Run(ctx, slow, opt)
+			first <- err
+			return nil, err
+		}
+		select {
+		case err := <-first:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("abandoned build returned %v, want the deadline error", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Error("abandoned build still running when the retry began")
+		}
+		return Assemble(testData(epoch), Config{}), nil
+	}
+	sup := NewSupervisor(st, 1, cfg)
+	defer sup.Close()
+	sup.Trigger("test")
+	waitFor(t, 5*time.Second, "publish after the timed-out attempt", func() bool { return st.Load() != nil })
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(stages) != 1 || stages[0] != "pipeline" {
+		t.Errorf("abandoned build opened spans %v, want only its pipeline root", stages)
 	}
 }
 

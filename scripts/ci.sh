@@ -87,10 +87,10 @@ grep -q '^Figure 5' "$stab_dir/a.out"
 cmp "$stab_dir/a.out" "$stab_dir/b.out"
 rm -rf "$stab_dir"
 
-echo '--- scale smoke (topogen -shards 8 vs -shards 1 -> crank -mrt)'
+echo '--- scale smoke (topogen -shards 8 vs -shards 1 -> crank -mrt, complete and partial)'
 # A medium world generated twice, sharded and sequential: the two dump
 # directories must be byte-identical file for file, and crank must rank off
-# them chunk-parallel.
+# them chunk-parallel, unlabelled.
 scale_dir=$(mktemp -d)
 go build -o "$scale_dir/topogen" ./cmd/topogen
 go build -o "$scale_dir/crank" ./cmd/crank
@@ -103,6 +103,27 @@ cmp "$scale_dir/sharded.sha256" "$scale_dir/sequential.sha256"
 "$scale_dir/crank" -scale 0.5 -vpscale 0.5 -mrt "$scale_dir/mrt" \
     -top 3 AU >"$scale_dir/crank.out"
 grep -q 'CCI' "$scale_dir/crank.out"
+if grep -q 'degraded' "$scale_dir/crank.out"; then
+    echo "crank labelled a complete dump directory as degraded" >&2
+    exit 1
+fi
+# A directory missing one collector's dump still ranks, but says so in every
+# ranking name and in the manifest; one dump alone is below quorum and must
+# print no ranking at all.
+dumps=("$scale_dir"/mrt/*.mrt)
+rm "${dumps[0]}"
+"$scale_dir/crank" -scale 0.5 -vpscale 0.5 -mrt "$scale_dir/mrt" \
+    -manifest "$scale_dir/partial.json" -top 3 AU >"$scale_dir/partial.out"
+grep -q 'CCI AU \[degraded: ' "$scale_dir/partial.out"
+grep -q '"degraded": true' "$scale_dir/partial.json"
+rm "${dumps[@]:2}"
+if "$scale_dir/crank" -scale 0.5 -vpscale 0.5 -mrt "$scale_dir/mrt" \
+    -top 3 AU >"$scale_dir/quorum.out" 2>"$scale_dir/quorum.err"; then
+    echo "crank ranked a one-dump directory (below quorum)" >&2
+    exit 1
+fi
+grep -q 'below quorum' "$scale_dir/quorum.err"
+[[ ! -s "$scale_dir/quorum.out" ]]
 rm -rf "$scale_dir"
 
 echo '--- fuzz smoke (MRT reader, path judge, 10s each)'
@@ -554,6 +575,7 @@ fi
 
 echo '--- size (non-test Go lines; the next re-anchor reads these instead of recounting)'
 echo "internal/obs: $(find internal/obs -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+echo "cmd/ + internal/core + examples/ + countryrank.go: $(find cmd internal/core examples countryrank.go -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 echo "outside benchmark/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l)"
 
 echo 'CI OK'
