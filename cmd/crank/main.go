@@ -34,6 +34,7 @@ import (
 	"countryrank/internal/core"
 	"countryrank/internal/countries"
 	"countryrank/internal/obs"
+	"countryrank/internal/par"
 	"countryrank/internal/rank"
 )
 
@@ -73,6 +74,22 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) 
 	return c, ofl, nil
 }
 
+// addInputs digests the dumps into the manifest: hashed concurrently, listed
+// in path order. Only a run that writes its manifest pays for the second read
+// of every file.
+func addInputs(m *obs.RunManifest, paths []string) {
+	digests := make([]obs.InputDigest, len(paths))
+	errs := make([]error, len(paths))
+	par.ForEach(len(paths), func(i int) { digests[i], errs[i] = obs.HashFile(paths[i]) })
+	for i, path := range paths {
+		if errs[i] != nil {
+			slog.Warn("input digest failed", "path", path, "err", errs[i])
+			continue
+		}
+		m.AddInput(digests[i])
+	}
+}
+
 func main() {
 	fs := flag.NewFlagSet("crank", flag.ExitOnError)
 	cfg, ofl, err := parseFlags(fs, os.Args[1:])
@@ -88,10 +105,8 @@ func main() {
 	if cfg.mrtDir != "" {
 		paths, _ := filepath.Glob(filepath.Join(cfg.mrtDir, "*.mrt")) // a bad pattern lists nothing: 0 VPs, below quorum
 		src = core.MRTFiles(paths)
-		for _, path := range paths {
-			if err := ofl.Manifest.AddInput(path); err != nil {
-				slog.Warn("input digest failed", "path", path, "err", err)
-			}
+		if *ofl.ManifestOut != "" {
+			addInputs(ofl.Manifest, paths)
 		}
 	}
 	p, err := core.Run(context.Background(), src, cfg.opt)

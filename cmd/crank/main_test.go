@@ -1,13 +1,22 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"countryrank/internal/core"
+	"countryrank/internal/obs"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -47,6 +56,37 @@ func TestParseFlags(t *testing.T) {
 			t.Errorf("%q: parsed %+v, want %+v", tc.args, got, tc.want)
 		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
 			t.Errorf("%q: error %v, want one naming %q", tc.args, err, tc.err)
+		}
+	}
+}
+
+// TestAddInputsOrderAndDigests: the manifest's inputs are what hashing the
+// dumps one after another in path order gives — path, SHA-256 and size of
+// each — however many workers hashed them, and a file that cannot be read is
+// left out without disturbing the rest.
+func TestAddInputsOrderAndDigests(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	var want []obs.InputDigest
+	for i := 0; i < 9; i++ {
+		body := bytes.Repeat([]byte{byte(i)}, 1+i*70_000)
+		path := filepath.Join(dir, fmt.Sprintf("rc-%02d.mrt", i))
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(body)
+		paths = append(paths, path)
+		want = append(want, obs.InputDigest{Path: path, SHA256: hex.EncodeToString(sum[:]), Bytes: int64(len(body))})
+	}
+	paths = slices.Insert(paths, 4, filepath.Join(dir, "missing.mrt"))
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		m := obs.NewRunManifest("crank", nil)
+		addInputs(m, paths)
+		if !reflect.DeepEqual(m.Inputs, want) {
+			t.Errorf("GOMAXPROCS=%d: inputs %+v, want %+v", procs, m.Inputs, want)
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 
 	"countryrank/internal/core"
 	"countryrank/internal/obs"
+	"countryrank/internal/par"
 	"countryrank/internal/routing"
 	"countryrank/internal/topology"
 )
@@ -56,28 +57,39 @@ func main() {
 		slog.Error("create output directory", "dir", *out, "err", err)
 		os.Exit(1)
 	}
-	var files int
-	for _, c := range w.VPs.Collectors() {
-		path := filepath.Join(*out, c.Name+".mrt")
-		f, err := os.Create(path)
-		if err != nil {
-			slog.Error("create dump", "path", path, "err", err)
+	// The dumps share nothing but the collection's read-only grouping, so
+	// they are written concurrently; errors and -v 1 lines are reported in
+	// collector order whatever order the writes finished in.
+	collectors := w.VPs.Collectors()
+	dump := func(i int) string { return filepath.Join(*out, collectors[i].Name+".mrt") }
+	errs := make([]error, len(collectors))
+	xs := obs.StartSpan("mrt-export")
+	par.ForEach(len(collectors), func(i int) { errs[i] = writeDump(dump(i), col, collectors[i].Name) })
+	xs.AddItems(int64(col.NumRecords()), "records")
+	xs.End()
+	for i, c := range collectors {
+		if errs[i] != nil {
+			slog.Error("export failed", "collector", c.Name, "err", errs[i])
 			os.Exit(1)
 		}
-		if err := routing.ExportMRT(f, col, c.Name, 1617235200); err != nil {
-			slog.Error("export failed", "collector", c.Name, "err", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			slog.Error("close dump", "path", path, "err", err)
-			os.Exit(1)
-		}
-		slog.Debug("exported collector", "stage", "mrt-export", "collector", c.Name, "path", path)
-		files++
+		slog.Debug("exported collector", "stage", "mrt-export", "collector", c.Name, "path", dump(i))
 	}
 	fmt.Printf("world: %d ASes, %d edges, %d prefixes, %d VPs\n",
 		w.Graph.NumASes(), w.Graph.NumEdges(), len(col.Prefixes), w.VPs.Len())
 	fmt.Printf("collection: %d records across %d collectors → %s\n",
-		col.NumRecords(), files, *out)
+		col.NumRecords(), len(collectors), *out)
 	ofl.Done()
+}
+
+// writeDump writes one collector's base-day RIB to path.
+func writeDump(path string, col *routing.Collection, collector string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = routing.ExportMRT(f, col, collector, 1617235200)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

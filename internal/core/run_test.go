@@ -12,13 +12,17 @@ import (
 )
 
 // stageSpans runs f and returns, in start order, the names of the spans it
-// opened directly under a root — for a pipeline run, the stage list. end,
-// when set, sees every such span close.
+// opened directly under a root — for a pipeline run, the stage list — and,
+// as "/name", the spans a stage opened under itself. end, when set, sees
+// every stage close.
 func stageSpans(f func(), end func(name string)) []string {
 	var names []string
 	obs.DefaultTrace.OnStart = func(s *obs.Span) {
-		if s.Depth() == 1 {
+		switch s.Depth() {
+		case 1:
 			names = append(names, s.Name)
+		case 2:
+			names = append(names, "/"+s.Name)
 		}
 	}
 	obs.DefaultTrace.OnEnd = func(s *obs.Span) {
@@ -51,7 +55,7 @@ func TestStageOrderPinned(t *testing.T) {
 		head []string
 	}{
 		{"generated", Generated, []string{"topology", "propagation", "propagate"}},
-		{"MRT files", MRTFiles(paths), []string{"topology", "mrt-import"}},
+		{"MRT files", MRTFiles(paths), []string{"topology", "mrt-import", "/index", "/decode", "/merge"}},
 		{"in hand", inHand(w, col, complete(w)), nil},
 	} {
 		if got, want := run(tc.src), append(tc.head, body...); !slices.Equal(got, want) {

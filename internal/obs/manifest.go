@@ -128,17 +128,12 @@ func (m *RunManifest) SetNote(name, value string) {
 	m.Notes[name] = value
 }
 
-// AddInput hashes one input file (SHA-256 over its full content) into the
-// manifest's input list.
-func (m *RunManifest) AddInput(path string) error {
-	d, err := HashFile(path)
-	if err != nil {
-		return err
-	}
+// AddInput appends one input file's digest (see HashFile) to the manifest's
+// input list.
+func (m *RunManifest) AddInput(d InputDigest) {
 	m.mu.Lock()
 	m.Inputs = append(m.Inputs, d)
 	m.mu.Unlock()
-	return nil
 }
 
 // SetCoverage records the run's coverage/degraded state.

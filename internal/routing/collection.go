@@ -58,6 +58,14 @@ type Collection struct {
 	// announced on day d. Stable[i] == (all Days bits set).
 	DayMask []uint16
 	Days    int
+
+	// byVP is Records grouped by vantage point (VP v's records are
+	// byVP[vpStart[v]:vpStart[v+1]]), which the MRT exports read a collector
+	// at a time; see collectorRecords. Nothing modifies a Collection once it
+	// is built, so the grouping the first export makes stays true.
+	byVPOnce sync.Once
+	byVP     []Record
+	vpStart  []int32
 }
 
 // NumRecords returns the collection's record count.

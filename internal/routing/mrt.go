@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"slices"
 
 	"countryrank/internal/asn"
 	"countryrank/internal/bgp"
@@ -58,22 +59,50 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // scatterRecords stably distributes src into dst grouped by ascending
-// key(r), with nKeys bounding the key space. Two chained passes implement an
-// LSD radix sort over a composite key; one pass is a stable group-by that
+// key(r), with nKeys bounding the key space, and returns the group offsets:
+// key k's records are dst[start[k]:start[k+1]]. Two chained passes implement
+// an LSD radix sort over a composite key; one pass is a stable group-by that
 // replaces a map plus sort.Slice when the keys are dense indexes.
-func scatterRecords(src, dst []Record, nKeys int, key func(Record) int32) {
-	cnt := make([]int32, nKeys+1)
+func scatterRecords(src, dst []Record, nKeys int, key func(Record) int32) (start []int32) {
+	start = make([]int32, nKeys+1)
 	for _, r := range src {
-		cnt[key(r)+1]++
+		start[key(r)+1]++
 	}
 	for k := 0; k < nKeys; k++ {
-		cnt[k+1] += cnt[k]
+		start[k+1] += start[k]
 	}
+	next := slices.Clone(start[:nKeys])
 	for _, r := range src {
 		k := key(r)
-		dst[cnt[k]] = r
-		cnt[k]++
+		dst[next[k]] = r
+		next[k]++
 	}
+	return start
+}
+
+// collectorRecords returns one collector's records by ascending VP, record
+// order kept inside a VP. The first export groups all of Records by VP in one
+// counting pass and the collection keeps the grouping, so each dump after it
+// costs only its own records, whichever goroutine writes it.
+func (c *Collection) collectorRecords(collector string) []Record {
+	set := c.World.VPs
+	c.byVPOnce.Do(func() {
+		c.byVP = make([]Record, len(c.Records))
+		c.vpStart = scatterRecords(c.Records, c.byVP, set.Len(), func(r Record) int32 { return r.VP })
+	})
+	var n int32
+	for i, v := range set.VPs() {
+		if v.Collector == collector {
+			n += c.vpStart[i+1] - c.vpStart[i]
+		}
+	}
+	own := make([]Record, 0, n)
+	for i, v := range set.VPs() {
+		if v.Collector == collector {
+			own = append(own, c.byVP[c.vpStart[i]:c.vpStart[i+1]]...)
+		}
+	}
+	return own
 }
 
 // ExportMRT writes the collection's base-day RIB for one collector as a
@@ -106,19 +135,12 @@ func ExportMRT(w io.Writer, c *Collection, collector string, timestamp uint32) e
 		return err
 	}
 
-	// Two counting-sort passes group the collector's records (taken in
-	// canonical order) by ascending prefix index with ascending VP inside
-	// each group — least significant digit first, so the VP order survives
-	// the stable scatter by prefix — then each prefix group becomes one RIB
-	// record.
-	var keep []Record
-	for _, r := range c.Records {
-		if peerOf[r.VP] >= 0 {
-			keep = append(keep, r)
-		}
-	}
-	byVP := make([]Record, len(keep))
-	scatterRecords(keep, byVP, set.Len(), func(r Record) int32 { return r.VP })
+	// The collector's records arrive by ascending VP; a stable counting pass
+	// by prefix index on top — the second digit of an LSD radix sort — leaves
+	// them by ascending prefix with ascending VP inside each group, and each
+	// prefix group becomes one RIB record.
+	byVP := c.collectorRecords(collector)
+	keep := make([]Record, len(byVP))
 	scatterRecords(byVP, keep, len(c.Prefixes), func(r Record) int32 { return r.Prefix })
 
 	// entries and its parallel AS_SEQUENCE segments reuse scratch across
@@ -187,17 +209,9 @@ func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, tim
 	mw := mrt.NewWriter(cw, timestamp)
 	collectorIP := netip.AddrFrom4([4]byte{192, 0, 2, 1})
 
-	// A stable counting pass groups the collector's records by ascending VP
-	// while keeping record order within each VP, then each changed prefix
-	// becomes one UPDATE.
-	var keep []Record
-	for _, r := range c.Records {
-		if set.VP(int(r.VP)).Collector == collector {
-			keep = append(keep, r)
-		}
-	}
-	order := make([]Record, len(keep))
-	scatterRecords(keep, order, set.Len(), func(r Record) int32 { return r.VP })
+	// Each changed prefix of each of the collector's records, by ascending
+	// VP, becomes one UPDATE.
+	order := c.collectorRecords(collector)
 	var raw []byte
 	var nOut int64
 	for _, r := range order {
@@ -245,6 +259,33 @@ func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, tim
 	return nil
 }
 
+// blocks is an append-only sequence that grows without copying. How much a
+// stream holds is unknown until it ends, and a buffer grown by append copies
+// everything already decoded again at every doubling, which was most of what
+// an import allocated. Here a full block is left where it is and the next
+// one is twice as long, up to maxBlock, so a short stream stays small and a
+// long one wastes at most one block's tail.
+type blocks[T any] struct {
+	blks [][]T
+	n    int
+}
+
+const minBlock, maxBlock = 64, 8192
+
+func (b *blocks[T]) push(v T) {
+	last := len(b.blks) - 1
+	if last < 0 || len(b.blks[last]) == cap(b.blks[last]) {
+		c := minBlock
+		if last >= 0 {
+			c = min(2*cap(b.blks[last]), maxBlock)
+		}
+		b.blks = append(b.blks, make([]T, 0, c))
+		last++
+	}
+	b.blks[last] = append(b.blks[last], v)
+	b.n++
+}
+
 // importStream is the per-stream partial of a parallel ImportMRT. Records
 // carry the global VP index but stream-local prefix and path indexes; the
 // merge remaps them in stream order, which keeps the result independent of
@@ -252,11 +293,11 @@ func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, tim
 // interned — full hash-consing happens once, in the merge — so the hot
 // decode loop stays free of intern-table hashing.
 type importStream struct {
-	prefixes  []netip.Prefix
-	origins   []asn.ASN
-	originSet []bool
-	records   []Record
-	paths     []bgp.Path
+	// prefixes holds one entry per RIB record read, in stream order; a prefix
+	// a stream repeats is deduplicated with every other in the merge.
+	prefixes blocks[importPrefix]
+	records  blocks[Record]
+	paths    blocks[bgp.Path]
 	// named is the world VP index of each known peer of each peer table read.
 	named []int32
 	// rejects counts entries dropped during decode (unknown peers, bad peer
@@ -270,6 +311,14 @@ type importStream struct {
 	err          error
 }
 
+// importPrefix is a RIB record's prefix and the origin of its first entry
+// that has one; originSet tells an AS0 origin from none seen.
+type importPrefix struct {
+	prefix    netip.Prefix
+	origin    asn.ASN
+	originSet bool
+}
+
 func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOptions) (out importStream) {
 	cr := &countingReader{r: stream}
 	defer func() { out.bytes = cr.n }()
@@ -281,16 +330,19 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOp
 			out.skippedBytes = r.SkippedBytes()
 		}()
 	}
-	prefixIdx := map[netip.Prefix]int32{}
 	// vpOf resolves a stream peer index to the world VP index (-1 unknown);
 	// it is built once per peer table so the hot loop never hashes peering
-	// addresses. lastPath memoizes each peer's most recent path: exports
-	// emit prefixes of one origin back to back, so consecutive RIB records
-	// usually repeat the previous path per peer, and a slice compare
-	// collapses the run. Retained paths are sliced out of a shared arena;
-	// append may retire the arena's backing array, but earlier slices keep
-	// the old one alive, so they stay valid.
-	var vpOf, lastPath []int32
+	// addresses. last memoizes each peer's most recent path: exports emit
+	// prefixes of one origin back to back, so consecutive RIB records usually
+	// repeat the previous path per peer, and a slice compare collapses the
+	// run. Retained paths are sliced out of an arena block; a path that does
+	// not fit starts a new block, and the headers keep the old ones alive.
+	type memo struct {
+		id   int32
+		path bgp.Path
+	}
+	var vpOf []int32
+	var last []memo
 	var flat, arena bgp.Path
 	for {
 		rec, err := r.Scan()
@@ -305,7 +357,7 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOp
 		if rec.PeerIndexTable != nil {
 			peers := rec.PeerIndexTable.Peers
 			vpOf = vpOf[:0]
-			lastPath = lastPath[:0]
+			last = last[:0]
 			for _, p := range peers {
 				gi, known := byAddr[p.Addr]
 				if !known {
@@ -314,7 +366,7 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOp
 					out.named = append(out.named, gi)
 				}
 				vpOf = append(vpOf, gi)
-				lastPath = append(lastPath, -1)
+				last = append(last, memo{id: -1})
 			}
 			continue
 		}
@@ -322,14 +374,8 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOp
 		if rib == nil {
 			continue
 		}
-		pi, ok := prefixIdx[rib.Prefix]
-		if !ok {
-			pi = int32(len(out.prefixes))
-			prefixIdx[rib.Prefix] = pi
-			out.prefixes = append(out.prefixes, rib.Prefix)
-			out.origins = append(out.origins, 0)
-			out.originSet = append(out.originSet, false)
-		}
+		pi := int32(out.prefixes.n)
+		pfx := importPrefix{prefix: rib.Prefix}
 		for _, e := range rib.Entries {
 			if int(e.PeerIndex) >= len(vpOf) {
 				// In degraded mode a bad peer index (e.g. the PIT itself was
@@ -347,24 +393,22 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOp
 				continue
 			}
 			flat = e.Attrs.ASPath.AppendFlat(flat[:0])
-			if o, ok := flat.Origin(); ok && !out.originSet[pi] {
-				out.origins[pi] = o
-				out.originSet[pi] = true
+			if o, ok := flat.Origin(); ok && !pfx.originSet {
+				pfx.origin, pfx.originSet = o, true
 			}
-			pathID := lastPath[e.PeerIndex]
-			if pathID < 0 || !flat.Equal(out.paths[pathID]) {
-				pathID = int32(len(out.paths))
+			lp := &last[e.PeerIndex]
+			if lp.id < 0 || !flat.Equal(lp.path) {
+				if len(arena)+len(flat) > cap(arena) {
+					arena = make(bgp.Path, 0, max(min(2*cap(arena), 8*maxBlock), minBlock, len(flat)))
+				}
 				start := len(arena)
 				arena = append(arena, flat...)
-				out.paths = append(out.paths, arena[start:len(arena):len(arena)])
-				lastPath[e.PeerIndex] = pathID
+				lp.id, lp.path = int32(out.paths.n), arena[start:len(arena):len(arena)]
+				out.paths.push(lp.path)
 			}
-			out.records = append(out.records, Record{
-				VP:     vpIdx,
-				Prefix: pi,
-				Path:   pathID,
-			})
+			out.records.push(Record{VP: vpIdx, Prefix: pi, Path: lp.id})
 		}
+		out.prefixes.push(pfx)
 	}
 }
 
@@ -414,12 +458,22 @@ func ImportMRT(w *topology.World, streams []io.Reader) (*Collection, error) {
 // SkipCorrupt set it is the degraded-mode ingest path: corrupt records cost
 // coverage, not the run.
 func ImportMRTWith(w *topology.World, streams []io.Reader, opt ImportOptions) (*Collection, ImportStats, error) {
-	parts := make([]importStream, len(streams))
-	byAddr := vpsByAddr(w)
-	par.ForEach(len(streams), func(si int) {
-		parts[si] = importOneStream(streams[si], byAddr, opt)
-	})
-	return mergeImportParts(w, parts)
+	sp := obs.StartSpan("mrt-import")
+	defer sp.End()
+	chunks := make([]chunk, len(streams))
+	for i, s := range streams {
+		chunks[i].r = s
+	}
+	return importChunks(sp, w, chunks, opt)
+}
+
+// chunk is one unit of parallel decode work: a whole stream, or a section of
+// a dump file.
+type chunk struct {
+	r io.Reader
+	// pitReplayed is the PIT bytes prepended to a non-leading chunk,
+	// deducted from the byte metrics after decode.
+	pitReplayed int64
 }
 
 // ImportMRTFiles is ImportMRT over dump files, decoding each file's record
@@ -430,65 +484,78 @@ func ImportMRTWith(w *topology.World, streams []io.Reader, opt ImportOptions) (*
 // a sequential decode would have produced — so the collection is identical
 // to ImportMRT of the same files at any GOMAXPROCS. Files that cannot be
 // pre-scanned (corrupt headers, a leading record that is not a PIT) and all
-// SkipCorrupt imports fall back to sequential whole-file decode.
+// SkipCorrupt imports are decoded as one chunk, like a stream.
 func ImportMRTFiles(w *topology.World, paths []string, opt ImportOptions) (*Collection, ImportStats, error) {
 	if opt.ChunkTarget <= 0 {
 		opt.ChunkTarget = 4 << 20
 	}
-	// chunk is one unit of parallel decode work.
-	type chunk struct {
-		r io.Reader
-		// pitReplayed is the PIT bytes prepended to a non-leading chunk,
-		// deducted from the byte metrics after decode.
-		pitReplayed int64
-	}
+	sp := obs.StartSpan("mrt-import")
+	defer sp.End()
+	is := sp.Child("index")
 	var chunks []chunk
-	var files []*os.File
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
+			is.End()
 			return nil, ImportStats{}, err
 		}
-		files = append(files, f)
-		sections := indexFile(f, opt)
-		if len(sections) < 3 {
-			// Nothing to parallelize (or the pre-scan failed): decode the
-			// whole file as one sequential stream, which owns all error
-			// handling and resync recovery.
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				return nil, ImportStats{}, err
-			}
-			chunks = append(chunks, chunk{r: f})
-			continue
-		}
-		pitRaw := make([]byte, sections[0].End-sections[0].Start)
-		if _, err := f.ReadAt(pitRaw, sections[0].Start); err != nil {
+		defer f.Close()
+		if chunks, err = appendFileChunks(chunks, f, opt); err != nil {
+			is.End()
 			return nil, ImportStats{}, err
-		}
-		chunks = append(chunks, chunk{
-			r: io.NewSectionReader(f, sections[0].Start, sections[1].End-sections[0].Start),
-		})
-		for _, s := range sections[2:] {
-			chunks = append(chunks, chunk{
-				r: io.MultiReader(bytes.NewReader(pitRaw),
-					io.NewSectionReader(f, s.Start, s.End-s.Start)),
-				pitReplayed: int64(len(pitRaw)),
-			})
 		}
 	}
+	is.AddItems(int64(len(chunks)), "chunks")
+	is.End()
+	return importChunks(sp, w, chunks, opt)
+}
 
+// appendFileChunks cuts one dump file into chunks.
+func appendFileChunks(chunks []chunk, f *os.File, opt ImportOptions) ([]chunk, error) {
+	sections := indexFile(f, opt)
+	if len(sections) < 3 {
+		// Nothing to parallelize (or the pre-scan failed): decode the
+		// whole file as one sequential stream, which owns all error
+		// handling and resync recovery.
+		_, err := f.Seek(0, io.SeekStart)
+		return append(chunks, chunk{r: f}), err
+	}
+	pitRaw := make([]byte, sections[0].End-sections[0].Start)
+	if _, err := f.ReadAt(pitRaw, sections[0].Start); err != nil {
+		return nil, err
+	}
+	chunks = append(chunks, chunk{
+		r: io.NewSectionReader(f, sections[0].Start, sections[1].End-sections[0].Start),
+	})
+	for _, s := range sections[2:] {
+		chunks = append(chunks, chunk{
+			r: io.MultiReader(bytes.NewReader(pitRaw),
+				io.NewSectionReader(f, s.Start, s.End-s.Start)),
+			pitReplayed: int64(len(pitRaw)),
+		})
+	}
+	return chunks, nil
+}
+
+// importChunks decodes the chunks on the worker pool and merges them in
+// chunk order.
+func importChunks(sp *obs.Span, w *topology.World, chunks []chunk, opt ImportOptions) (*Collection, ImportStats, error) {
+	ds := sp.Child("decode")
+	ds.AddItems(0, "bytes")
 	byAddr := vpsByAddr(w)
 	parts := make([]importStream, len(chunks))
 	par.ForEach(len(chunks), func(ci int) {
 		parts[ci] = importOneStream(chunks[ci].r, byAddr, opt)
 		parts[ci].bytes -= chunks[ci].pitReplayed
+		ds.AddItems(parts[ci].bytes, "")
 	})
-	return mergeImportParts(w, parts)
+	ds.End()
+	ms := sp.Child("merge")
+	defer ms.End()
+	col, stats, err := mergeImportParts(w, parts)
+	ms.AddItems(stats.Records, "records")
+	sp.AddItems(stats.Records, "records")
+	return col, stats, err
 }
 
 // indexFile pre-scans one dump file into sections, or returns nil when the
@@ -498,6 +565,9 @@ func ImportMRTFiles(w *topology.World, paths []string, opt ImportOptions) (*Coll
 func indexFile(f *os.File, opt ImportOptions) []mrt.Section {
 	if opt.SkipCorrupt {
 		return nil
+	}
+	if st, err := f.Stat(); err == nil && st.Size() <= opt.ChunkTarget {
+		return nil // one chunk at most after the PIT: nothing to cut
 	}
 	sections, err := mrt.IndexSections(f, opt.ChunkTarget)
 	if err != nil || len(sections) == 0 {
@@ -525,15 +595,21 @@ func vpsByAddr(w *topology.World) map[netip.Addr]int32 {
 }
 
 // mergeImportParts folds decoded stream partials into a Collection in part
-// order, remapping stream-local prefix and path indexes into the global
-// tables.
+// order. Prefixes and paths are numbered serially, part by part — the one
+// step whose order shows in the result — and sized once from what the parts
+// hold; rewriting each part's records from stream-local to global indexes
+// then fans out, every part into its own range of Records.
 func mergeImportParts(w *topology.World, parts []importStream) (*Collection, ImportStats, error) {
-	sp := obs.StartSpan("mrt-import")
-	sp.AddItems(0, "records")
-	defer sp.End()
-
+	// remap is where a part's records go in Records and what its stream-local
+	// prefix and path indexes become.
+	type remap struct {
+		start        int64
+		prefix, path []int32
+	}
 	var stats ImportStats
+	var nPaths int
 	named := make([]bool, w.VPs.Len())
+	maps := make([]remap, len(parts))
 	for si := range parts {
 		p := &parts[si]
 		for _, v := range p.named {
@@ -542,58 +618,67 @@ func mergeImportParts(w *topology.World, parts []importStream) (*Collection, Imp
 				stats.VPsNamed++
 			}
 		}
+		n := int64(p.records.n)
 		mMRTBytesIn.Add(p.bytes)
-		mMRTRecordsIn.Add(int64(len(p.records)))
+		mMRTRecordsIn.Add(n)
 		mMRTRejects.Add(p.rejects)
-		sp.AddItems(int64(len(p.records)), "")
-		stats.Records += int64(len(p.records))
+		maps[si].start = stats.Records
+		stats.Records += n
 		stats.Rejects += p.rejects
 		stats.Resyncs += p.resyncs
 		stats.SkippedBytes += p.skippedBytes
+		nPaths += p.paths.n
 		if p.err != nil {
 			return nil, stats, p.err
 		}
 	}
 
 	col := &Collection{World: w, Days: 1}
-	recs := make([]Record, 0, stats.Records)
 	prefixIdx := map[netip.Prefix]int32{}
-	it := bgp.NewInterner(0)
+	it := bgp.NewInterner(nPaths)
 	var originSet []bool
 	for si := range parts {
 		p := &parts[si]
-		pfxMap := make([]int32, len(p.prefixes))
-		for li, pfx := range p.prefixes {
-			gi, ok := prefixIdx[pfx]
-			if !ok {
-				gi = int32(len(col.Prefixes))
-				prefixIdx[pfx] = gi
-				col.Prefixes = append(col.Prefixes, pfx)
-				col.Origin = append(col.Origin, 0)
-				originSet = append(originSet, false)
+		pfxMap := make([]int32, 0, p.prefixes.n)
+		for _, blk := range p.prefixes.blks {
+			for _, lp := range blk {
+				gi, ok := prefixIdx[lp.prefix]
+				if !ok {
+					gi = int32(len(col.Prefixes))
+					prefixIdx[lp.prefix] = gi
+					col.Prefixes = append(col.Prefixes, lp.prefix)
+					col.Origin = append(col.Origin, 0)
+					originSet = append(originSet, false)
+				}
+				if lp.originSet && !originSet[gi] {
+					col.Origin[gi] = lp.origin
+					originSet[gi] = true
+				}
+				pfxMap = append(pfxMap, gi)
 			}
-			if p.originSet[li] && !originSet[gi] {
-				col.Origin[gi] = p.origins[li]
-				originSet[gi] = true
-			}
-			pfxMap[li] = gi
 		}
 		// Stream-local paths are already owned copies, so the global table
 		// can adopt them without recopying.
-		pathMap := make([]int32, len(p.paths))
-		for li, path := range p.paths {
-			pathMap[li] = it.InternOwned(path)
+		pathMap := make([]int32, 0, p.paths.n)
+		for _, blk := range p.paths.blks {
+			for _, path := range blk {
+				pathMap = append(pathMap, it.InternOwned(path))
+			}
 		}
-		for _, r := range p.records {
-			recs = append(recs, Record{
-				VP:     r.VP,
-				Prefix: pfxMap[r.Prefix],
-				Path:   pathMap[r.Path],
-			})
-		}
-		p.records = nil
+		p.prefixes, p.paths = blocks[importPrefix]{}, blocks[bgp.Path]{} // numbered: let them go before Records is allocated
+		maps[si].prefix, maps[si].path = pfxMap, pathMap
 	}
-	col.Records = recs
+	col.Records = make([]Record, stats.Records)
+	par.ForEach(len(parts), func(si int) {
+		m := maps[si]
+		out := col.Records[m.start:]
+		for _, blk := range parts[si].records.blks {
+			for i, r := range blk {
+				out[i] = Record{VP: r.VP, Prefix: m.prefix[r.Prefix], Path: m.path[r.Path]}
+			}
+			out = out[len(blk):]
+		}
+	})
 	col.Paths = it.Paths()
 	col.Stable = make([]bool, len(col.Prefixes))
 	for i := range col.Stable {

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"io"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"countryrank/internal/asn"
 	"countryrank/internal/bgp"
+	"countryrank/internal/mrt"
 	"countryrank/internal/topology"
 )
 
@@ -131,15 +134,13 @@ func TestPathNumberingEqualsHashConsing(t *testing.T) {
 	}
 }
 
-// TestImportMRTFilesMatchesStreams proves the chunk-parallel file importer
-// is identical to the sequential stream importer — including with a chunk
-// target small enough to force many chunks per file.
-func TestImportMRTFilesMatchesStreams(t *testing.T) {
-	w := testWorld(t)
-	col := BuildCollection(w, BuildOptions{})
+// writeDumps exports every collector of col to its own file under a temp
+// directory, the way topogen lays a dump directory out.
+func writeDumps(t testing.TB, col *Collection) []string {
+	t.Helper()
 	dir := t.TempDir()
 	var paths []string
-	for _, coll := range w.VPs.Collectors() {
+	for _, coll := range col.World.VPs.Collectors() {
 		var buf bytes.Buffer
 		if err := ExportMRT(&buf, col, coll.Name, 1617235200); err != nil {
 			t.Fatal(err)
@@ -150,21 +151,99 @@ func TestImportMRTFilesMatchesStreams(t *testing.T) {
 		}
 		paths = append(paths, p)
 	}
+	return paths
+}
 
-	seq := importViaStreams(t, w, paths)
-	for _, target := range []int64{1 << 12, 1 << 20} {
-		par, _, err := ImportMRTFiles(w, paths, ImportOptions{ChunkTarget: target})
-		if err != nil {
-			t.Fatal(err)
-		}
-		collectionEqual(t, seq, par, "sequential vs chunked import")
-		if !reflect.DeepEqual(seq.Records, par.Records) {
-			t.Fatalf("target=%d: record slices differ", target)
+// TestImportMRTFilesMatchesStreams proves the chunk-parallel file importer
+// is identical to the sequential stream importer, collection and loss
+// accounting both — from a chunk target small enough to force many chunks
+// per file up to one no file reaches, with the merge's fan-out inline and on
+// four procs.
+func TestImportMRTFilesMatchesStreams(t *testing.T) {
+	w := testWorld(t)
+	paths := writeDumps(t, BuildCollection(w, BuildOptions{}))
+
+	seq, seqStats := importViaStreams(t, w, paths)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, target := range []int64{4 << 10, 64 << 10, 4 << 20} {
+			par, stats, err := ImportMRTFiles(w, paths, ImportOptions{ChunkTarget: target})
+			if err != nil {
+				t.Fatal(err)
+			}
+			collectionEqual(t, seq, par, "sequential vs chunked import")
+			if !reflect.DeepEqual(seq.Records, par.Records) || !reflect.DeepEqual(seq.Paths, par.Paths) {
+				t.Fatalf("procs=%d target=%d: record or path tables differ", procs, target)
+			}
+			if stats != seqStats {
+				t.Fatalf("procs=%d target=%d: stats %+v, streams gave %+v", procs, target, stats, seqStats)
+			}
 		}
 	}
 }
 
-func importViaStreams(t *testing.T, w *topology.World, paths []string) *Collection {
+// TestImportForeignPeerAndRepeatedPrefix: what a stream holds cannot be
+// known from its size. A peer table naming a router outside the world has
+// its entries rejected and counted, Records comes out exactly as long as
+// what was kept, and a prefix the stream carries in two RIB records is one
+// prefix whose origin is the first seen.
+func TestImportForeignPeerAndRepeatedPrefix(t *testing.T) {
+	w := testWorld(t)
+	v := w.VPs.VP(0)
+	coll, _ := w.VPs.Collector(v.Collector)
+	foreign := netip.MustParseAddr("198.51.100.77")
+	var buf bytes.Buffer
+	mw := mrt.NewWriter(&buf, 1617235200)
+	if err := mw.WritePeerIndexTable(coll.ID, coll.Name, []mrt.Peer{
+		{BGPID: v.Addr, Addr: v.Addr, AS: v.AS},
+		{BGPID: foreign, Addr: foreign, AS: 64496},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	entry := func(peer uint16, path ...asn.ASN) mrt.RIBEntry {
+		return mrt.RIBEntry{PeerIndex: peer, Attrs: bgp.AttrSet{ASPath: bgp.SequencePath(path)}}
+	}
+	a, b := netip.MustParsePrefix("203.0.113.0/24"), netip.MustParsePrefix("192.0.2.0/24")
+	for _, rib := range []struct {
+		pfx     netip.Prefix
+		entries []mrt.RIBEntry
+	}{
+		{a, []mrt.RIBEntry{entry(1, 64496, 64500), entry(0, v.AS, 64501)}},
+		{b, []mrt.RIBEntry{entry(1, 64496, 64502)}},
+		{a, []mrt.RIBEntry{entry(0, v.AS, 64503), entry(1, 64496, 64503)}},
+	} {
+		if err := mw.WriteRIB(rib.pfx, rib.entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	col, stats, err := ImportMRTWith(w, []io.Reader{bytes.NewReader(buf.Bytes())}, ImportOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := importMRTRef(w, []io.Reader{bytes.NewReader(buf.Bytes())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameCollection(t, col, want)
+	if stats.Records != 2 || stats.Rejects != 3 || stats.VPsNamed != 1 {
+		t.Errorf("stats %+v, want 2 records kept, 3 rejected, 1 VP named", stats)
+	}
+	if len(col.Records) != 2 || cap(col.Records) != 2 {
+		t.Errorf("Records has len %d cap %d, want exactly the 2 kept", len(col.Records), cap(col.Records))
+	}
+	// The foreign peer's 64500 came first on the wire but was rejected: the
+	// first origin seen for 203.0.113.0/24 is the world VP's.
+	if !reflect.DeepEqual(col.Prefixes, []netip.Prefix{a, b}) || col.Origin[0] != 64501 {
+		t.Errorf("prefixes %v origins %v, want [%v %v] with origin 64501 first", col.Prefixes, col.Origin, a, b)
+	}
+}
+
+func importViaStreams(t *testing.T, w *topology.World, paths []string) (*Collection, ImportStats) {
 	t.Helper()
 	var files []*os.File
 	defer func() {
@@ -181,9 +260,9 @@ func importViaStreams(t *testing.T, w *topology.World, paths []string) *Collecti
 		files = append(files, f)
 		readers = append(readers, f)
 	}
-	col, err := ImportMRT(w, readers)
+	col, stats, err := ImportMRTWith(w, readers, ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col
+	return col, stats
 }

@@ -4,11 +4,13 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"countryrank/internal/core"
 	"countryrank/internal/countries"
+	"countryrank/internal/par"
 	"countryrank/internal/rank"
 	"countryrank/internal/routing"
 	"countryrank/internal/topology"
@@ -73,32 +75,41 @@ func TestGoldenPipelineOutputs(t *testing.T) {
 // same seed-11 world: the sha256 of every collector's TABLE_DUMP_V2 RIB and
 // of its day-1 BGP4MP update stream. Export is otherwise only ever compared
 // between build modes, so a change to the merge or the export group-by is
-// byte-preserving exactly when this golden stays untouched.
+// byte-preserving exactly when this golden stays untouched. The dumps are
+// written the way topogen writes them — all collectors at once off one fresh
+// collection, so the workers race to build its grouping — at one, two and
+// eight procs.
 func TestGoldenMRTBytes(t *testing.T) {
 	w := topology.Build(topology.Config{Seed: 11, StubScale: 0.15, VPScale: 0.2})
-	col := routing.BuildCollection(w, routing.BuildOptions{})
-
-	const ts = 1617235200
-	var b strings.Builder
-	for _, coll := range w.VPs.Collectors() {
-		h := sha256.New()
-		if err := routing.ExportMRT(h, col, coll.Name, ts); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&b, "rib %s %x\n", coll.Name, h.Sum(nil))
-		h.Reset()
-		if err := routing.ExportUpdatesMRT(h, col, coll.Name, 1, ts+86400); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&b, "updates day 1 %s %x\n", coll.Name, h.Sum(nil))
-	}
-
 	const golden = "testdata/golden_mrt.txt"
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.String(); got != string(want) {
-		t.Errorf("MRT bytes differ from %s; got:\n%s", golden, got)
+
+	const ts = 1617235200
+	collectors := w.VPs.Collectors()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		col := routing.BuildCollection(w, routing.BuildOptions{})
+		lines := make([]string, len(collectors))
+		errs := make([]error, len(collectors))
+		par.ForEach(len(collectors), func(i int) {
+			name := collectors[i].Name
+			rib, upd := sha256.New(), sha256.New()
+			if errs[i] = routing.ExportMRT(rib, col, name, ts); errs[i] == nil {
+				errs[i] = routing.ExportUpdatesMRT(upd, col, name, 1, ts+86400)
+			}
+			lines[i] = fmt.Sprintf("rib %s %x\nupdates day 1 %s %x\n", name, rib.Sum(nil), name, upd.Sum(nil))
+		})
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := strings.Join(lines, ""); got != string(want) {
+			t.Errorf("GOMAXPROCS=%d: MRT bytes differ from %s; got:\n%s", procs, golden, got)
+		}
 	}
 }

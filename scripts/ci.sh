@@ -32,15 +32,17 @@ go build ./...
 echo '--- go test -race'
 go test -race ./...
 
-echo '--- bench smoke (Figure4, Figure5, Table9GlobalContrast, PipelineBuild, Propagation, Table1Sanitize, 1 iteration)'
+echo '--- bench smoke (Figure4, Figure5, Table9GlobalContrast, PipelineBuild, Propagation, Table1Sanitize, MRT plane, 1 iteration)'
 # Figure4 and Figure5 combine per-view trial state over VP subsets (national
 # and international views); Table9 drives the full-view Global path and its
 # (VP, path) runs, PipelineBuild the judge's prefilled flag table, the
 # verdict pass, the table-numbered interner, the counting-sorted
 # prefix-country index and the chain starts,
 # Propagation the sharded path arenas and the merge's numbering,
-# Table1Sanitize the accounting over a built dataset.
-go test -run '^$' -bench 'Figure4|Figure5|Table9GlobalContrast|PipelineBuild|Propagation$|Table1Sanitize' -benchtime 1x .
+# Table1Sanitize the accounting over a built dataset, MRTExport /
+# MRTImportFiles / MRTRoundTrip the export grouping, the copy-free decode
+# buffers and the presized parallel merge.
+go test -run '^$' -bench 'Figure4|Figure5|Table9GlobalContrast|PipelineBuild|Propagation$|Table1Sanitize|MRTExport|MRTImportFiles|MRTRoundTrip' -benchtime 1x .
 
 echo '--- shard determinism under -race'
 # The sharded-propagation merge and the chunk-parallel MRT importer are the
@@ -48,10 +50,15 @@ echo '--- shard determinism under -race'
 # byte-identity tests with the race detector watching the worker pools.
 # Beside them, the two invariants the hash-free merge rests on: frontier
 # order cannot show in a routing tree, and numbering paths by first
-# appearance hands out exactly the indexes hash-consing would.
+# appearance hands out exactly the indexes hash-consing would. The MRT
+# plane's own seams ride along: dumps written concurrently off one fresh
+# collection equal the golden bytes and the map+sort reference, the import's
+# parallel remap equals the stream import with its stats, rejected entries
+# leave Records exactly sized, the import stays inside its allocation budget,
+# and crank's concurrently hashed manifest inputs keep path order.
 go test -race -count=1 \
-    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestImportMRTFilesMatchesStreams|TestOrderedMap' \
-    ./internal/routing ./internal/par
+    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestImportMRTFilesMatchesStreams|TestImportForeignPeerAndRepeatedPrefix|TestImportAllocBudget|TestImportMRTDegraded|TestExportMRTMatchesReference|TestExportUpdatesMRTMatchesReference|TestOrderedMap|TestGoldenMRTBytes|TestAddInputsOrderAndDigests' \
+    ./internal/routing ./internal/par ./internal/snapshot ./cmd/crank
 # The kernels' pooled scratch, the lazily resolved CTI depths and the
 # per-view trial state (hegemony.PerVP, cone.Witnesses) are shared between
 # concurrent kernel runs and stability workers, and the per-path dataset
@@ -87,10 +94,11 @@ grep -q '^Figure 5' "$stab_dir/a.out"
 cmp "$stab_dir/a.out" "$stab_dir/b.out"
 rm -rf "$stab_dir"
 
-echo '--- scale smoke (topogen -shards 8 vs -shards 1 -> crank -mrt, complete and partial)'
-# A medium world generated twice, sharded and sequential: the two dump
-# directories must be byte-identical file for file, and crank must rank off
-# them chunk-parallel, unlabelled.
+echo '--- scale smoke (topogen -shards 8 vs -shards 1 vs one proc -> crank -mrt, complete and partial)'
+# A medium world generated three times — sharded, sequential, and with the
+# concurrent dump writers confined to one proc: the dump directories must be
+# byte-identical file for file, and crank must rank off them chunk-parallel,
+# unlabelled, printing the same bytes on one proc as on all.
 scale_dir=$(mktemp -d)
 go build -o "$scale_dir/topogen" ./cmd/topogen
 go build -o "$scale_dir/crank" ./cmd/crank
@@ -100,9 +108,15 @@ go build -o "$scale_dir/crank" ./cmd/crank
 (cd "$scale_dir/mrt-seq" && sha256sum -- *.mrt) >"$scale_dir/sequential.sha256"
 [[ -s "$scale_dir/sharded.sha256" ]]
 cmp "$scale_dir/sharded.sha256" "$scale_dir/sequential.sha256"
+GOMAXPROCS=1 "$scale_dir/topogen" -scale 0.5 -vpscale 0.5 -out "$scale_dir/mrt-1p"
+(cd "$scale_dir/mrt-1p" && sha256sum -- *.mrt) >"$scale_dir/oneproc.sha256"
+cmp "$scale_dir/sharded.sha256" "$scale_dir/oneproc.sha256"
 "$scale_dir/crank" -scale 0.5 -vpscale 0.5 -mrt "$scale_dir/mrt" \
     -top 3 AU >"$scale_dir/crank.out"
 grep -q 'CCI' "$scale_dir/crank.out"
+GOMAXPROCS=1 "$scale_dir/crank" -scale 0.5 -vpscale 0.5 -mrt "$scale_dir/mrt" \
+    -top 3 AU >"$scale_dir/crank-1p.out"
+cmp "$scale_dir/crank.out" "$scale_dir/crank-1p.out"
 if grep -q 'degraded' "$scale_dir/crank.out"; then
     echo "crank labelled a complete dump directory as degraded" >&2
     exit 1
