@@ -9,8 +9,6 @@ import (
 
 	_ "countryrank/internal/collector" // the one metric-registering package rankd does not link
 	"countryrank/internal/obs"
-	"countryrank/internal/rank"
-	"countryrank/internal/snapshot"
 )
 
 // TestCatalogueGolden renders the operator's catalogue from the two places
@@ -31,20 +29,8 @@ func TestCatalogueGolden(t *testing.T) {
 		fmt.Fprintf(&b, "-%s · %q · %s\n", f.Name, f.DefValue, f.Usage)
 	})
 
-	// The runtime series register when a cmd starts, the per-metric drift
-	// series at the first rollover that has a drift; do both.
+	// The runtime series register when a cmd starts.
 	obs.EnableRuntimeMetrics()
-	ranked := func(epoch int64) *snapshot.Snapshot {
-		none := rank.New("", nil, nil, true)
-		return snapshot.Assemble(snapshot.Data{Epoch: epoch, Tops: []snapshot.TopData{
-			{Metric: "ahg", Ranking: none}, {Metric: "ccg", Ranking: none},
-		}}, snapshot.Config{})
-	}
-	drift := snapshot.Diff(ranked(1), ranked(2))
-	if drift == nil {
-		t.Fatal("no drift between two assembled snapshots")
-	}
-	drift.Export()
 
 	var prom strings.Builder
 	if err := obs.Default.WritePrometheus(&prom); err != nil {

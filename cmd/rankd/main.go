@@ -68,11 +68,11 @@
 //     hook for exercising the degraded flip.
 //
 // Drift and history: every rollover is diffed against the outgoing
-// snapshot (internal/snapshot.Diff) — per-metric churn scores, entered and
-// exited ASes, and top movers export as countryrank_drift_* metrics, land
-// in the manifest as a drift summary, and accumulate in an epoch history
-// ring (-history K) served at /debug/history and per country at
-// /v1/countries/{cc}/history. -drift-gate SCORE refuses to publish a
+// snapshot (internal/snapshot.Diff) — the max churn score and rank move
+// export as countryrank_drift_* metrics, the drift summary lands in the
+// manifest, and per-metric churn, entered and exited ASes accumulate in an
+// epoch history ring (-history K) served at /debug/history and per country
+// at /v1/countries/{cc}/history. -drift-gate SCORE refuses to publish a
 // rebuild whose churn exceeds the threshold (like the degraded gate:
 // logged, counted, no backoff; 0 publishes whatever the drift). cmd/rankdiff
 // renders the same diff offline from two persisted generations.

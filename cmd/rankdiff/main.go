@@ -2,8 +2,8 @@
 // generations: the paper-style delta report (per-metric churn scores,
 // movement histogram, top movers in the case-study table format) that the
 // live supervisor logs at every rollover — computed by the same diff
-// engine over the same structured rank vectors, so an offline report and
-// the live drift summary always agree.
+// engine over the same rank vectors, so an offline report and the live
+// drift summary always agree.
 //
 // Usage:
 //
@@ -14,8 +14,7 @@
 // (oldest as the "before" side); -epochs A,B selects two specific epochs
 // instead. -gate exits with status 2 when the max churn score exceeds the
 // threshold, so scenario runs can gate on drift exactly like rankd's
-// -drift-gate. Files persisted by older rankd builds (format v1) carry no
-// rank vectors and cannot be diffed.
+// -drift-gate.
 package main
 
 import (
@@ -50,9 +49,6 @@ func main() {
 		fatal(fmt.Errorf("load %s: %w", newPath, err))
 	}
 	drift := snapshot.Diff(oldSnap, newSnap)
-	if drift == nil {
-		fatal(fmt.Errorf("no rank vectors to diff (format-v1 generation?): %s vs %s", oldPath, newPath))
-	}
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -82,7 +78,7 @@ func resolvePaths(dir, epochs string, args []string) (string, string, error) {
 	if len(args) != 0 {
 		return "", "", fmt.Errorf("-snapshot-dir and positional paths are mutually exclusive")
 	}
-	p, err := snapshot.NewPersister(dir, 0)
+	gens, err := snapshot.Generations(dir) // newest first; a missing directory is an error
 	if err != nil {
 		return "", "", err
 	}
@@ -97,13 +93,9 @@ func resolvePaths(dir, epochs string, args []string) (string, string, error) {
 			if err != nil {
 				return "", "", fmt.Errorf("-epochs: %w", err)
 			}
-			paths[i] = p.GenerationPath(e)
+			paths[i] = snapshot.GenerationPath(dir, e)
 		}
 		return paths[0], paths[1], nil
-	}
-	gens, err := p.Generations() // newest first
-	if err != nil {
-		return "", "", err
 	}
 	if len(gens) < 2 {
 		return "", "", fmt.Errorf("%s holds %d generation(s); need two to diff", dir, len(gens))

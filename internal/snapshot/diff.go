@@ -1,8 +1,8 @@
 package snapshot
 
 // The drift diff engine: a deterministic comparison of two snapshots'
-// structured rank vectors (carried on the Snapshot since assembly — the
-// diff never re-parses served JSON). Every rollover the supervisor computes
+// rank vectors (the content every served page is rendered from — the diff
+// never parses served JSON). Every rollover the supervisor computes
 // a Drift against the outgoing snapshot; cmd/rankdiff computes the same
 // Drift offline from two persisted generations. Both paths run this code,
 // so the live drift metrics and the offline report always agree — same
@@ -38,24 +38,6 @@ var (
 	mDriftRollovers = obs.NewCounter("countryrank_drift_rollovers_total",
 		"rollovers for which a drift was computed (both sides carried rank vectors)")
 )
-
-// countryMetricKeys is the fixed per-country metric order, everywhere a
-// country's four rank vectors are stored, persisted, or diffed.
-var countryMetricKeys = [4]string{"CCI", "CCN", "AHI", "AHN"}
-
-// RankEntry is one AS in a rank vector; the slice index is the 0-based
-// rank. Value and Name ride along so reports and history pages need no
-// side lookup.
-type RankEntry struct {
-	ASN   asn.ASN
-	Value float64
-	Name  string
-}
-
-// RankVec is one ranking's ordered top-K as structured data — the same
-// entries the preserialized JSON body was rendered from, truncated to the
-// snapshot's MaxTopN.
-type RankVec []RankEntry
 
 // maxTopMovers caps the per-metric mover list a Drift retains.
 const maxTopMovers = 20
@@ -107,30 +89,25 @@ type Drift struct {
 	MaxRankDelta int     `json:"max_rank_delta"`
 }
 
-// HasRanks reports whether the snapshot carries structured rank vectors
-// (always true for assembled snapshots and format-v2 generation files;
-// false for snapshots warm-loaded from a v1 file).
-func (s *Snapshot) HasRanks() bool { return s.ranks != nil }
-
 // Diff compares two snapshots' rank vectors and returns the structured
-// drift, or nil when either side lacks rank vectors (a v1 warm start).
+// drift, or nil when there is no previous snapshot to compare against.
 // The computation is deterministic: for the same two snapshots it returns
 // the same Drift — including bit-identical churn floats — no matter which
 // process runs it.
 func Diff(old, new *Snapshot) *Drift {
-	if old == nil || new == nil || !old.HasRanks() || !new.HasRanks() {
+	if old == nil || new == nil {
 		return nil
 	}
 	d := &Drift{
 		OldEpoch: old.Epoch, NewEpoch: new.Epoch,
 		OldDigest: old.Digest, NewDigest: new.Digest,
 	}
-	ccs := unionKeys(old.ranks, new.ranks)
-	for _, metric := range countryMetricKeys {
+	ccs := unionKeys(old.ranks.countries, new.ranks.countries)
+	for i, metric := range countryMetricKeys {
 		md := MetricDrift{Metric: metric}
 		for _, cc := range ccs {
 			moved := md.Moved + md.Entered + md.Exited
-			diffPair(&md, metric, cc, old.ranks[cc][metric], new.ranks[cc][metric])
+			diffPair(&md, metric, cc, old.ranks.countries[cc].vecs[i].Entries, new.ranks.countries[cc].vecs[i].Entries)
 			if md.Moved+md.Entered+md.Exited > moved {
 				md.CountriesMoved++
 			}
@@ -138,9 +115,9 @@ func Diff(old, new *Snapshot) *Drift {
 		finishMetric(&md)
 		d.Metrics = append(d.Metrics, md)
 	}
-	for _, m := range unionKeys(old.topRanks, new.topRanks) {
+	for _, m := range unionKeys(old.ranks.tops, new.ranks.tops) {
 		md := MetricDrift{Metric: m}
-		diffPair(&md, m, "", old.topRanks[m], new.topRanks[m])
+		diffPair(&md, m, "", old.ranks.tops[m].Entries, new.ranks.tops[m].Entries)
 		finishMetric(&md)
 		d.Metrics = append(d.Metrics, md)
 	}
@@ -158,7 +135,7 @@ func Diff(old, new *Snapshot) *Drift {
 // diffPair folds one (metric, country) ranking pair into md. Union ASNs
 // are visited in ascending order so the float accumulation order — and
 // therefore the churn score bits — is a pure function of the two vectors.
-func diffPair(md *MetricDrift, metric, cc string, oldVec, newVec RankVec) {
+func diffPair(md *MetricDrift, metric, cc string, oldVec, newVec []RankEntry) {
 	if len(oldVec) == 0 && len(newVec) == 0 {
 		return
 	}
@@ -265,7 +242,7 @@ func histBucket(delta int) int {
 }
 
 // rankIndex maps ASN → 1-based rank for one vector.
-func rankIndex(v RankVec) map[asn.ASN]int {
+func rankIndex(v []RankEntry) map[asn.ASN]int {
 	m := make(map[asn.ASN]int, len(v))
 	for i, e := range v {
 		m[e.ASN] = i + 1
@@ -288,26 +265,9 @@ func unionKeys[V any](a, b map[string]V) []string {
 	return out
 }
 
-// Export publishes the drift into the metrics registry: per-metric
-// countryrank_drift_{churn_score,countries_moved,asns_entered,asns_exited}
-// series (the registry has no labels, so the metric key becomes a name
-// suffix) plus the aggregate churn and max-rank-delta gauges.
+// Export publishes the drift's aggregates into the metrics registry; the
+// per-metric numbers, aligned by epoch, are /debug/history's series.
 func (d *Drift) Export() {
-	for i := range d.Metrics {
-		md := &d.Metrics[i]
-		key := strings.ToLower(md.Metric)
-		obs.NewFloatGauge("countryrank_drift_churn_score_"+key,
-			"churn score of the last rollover for metric "+md.Metric).Set(md.Churn)
-		obs.NewGauge("countryrank_drift_countries_moved_"+key,
-			"countries with any rank movement in the last rollover for metric "+md.Metric).
-			Set(int64(md.CountriesMoved))
-		obs.NewGauge("countryrank_drift_asns_entered_"+key,
-			"ASes that entered the ranked top-K in the last rollover for metric "+md.Metric).
-			Set(int64(md.Entered))
-		obs.NewGauge("countryrank_drift_asns_exited_"+key,
-			"ASes that exited the ranked top-K in the last rollover for metric "+md.Metric).
-			Set(int64(md.Exited))
-	}
 	mDriftChurn.Set(d.MaxChurn)
 	mDriftMaxDelta.Set(int64(d.MaxRankDelta))
 	mDriftRollovers.Inc()

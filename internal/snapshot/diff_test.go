@@ -148,20 +148,12 @@ func TestDiffIdenticalSnapshots(t *testing.T) {
 	}
 }
 
-// TestDiffNilAndRankless: nil snapshots and snapshots without rank vectors
-// yield no drift rather than a partial one.
-func TestDiffNilAndRankless(t *testing.T) {
+// TestDiffNilSide: with no previous snapshot (or no next one) there is no
+// drift, rather than a drift against nothing.
+func TestDiffNilSide(t *testing.T) {
 	s := Assemble(testData(1), Config{})
 	if Diff(nil, s) != nil || Diff(s, nil) != nil {
 		t.Error("Diff with a nil side did not return nil")
-	}
-	rankless := Assemble(testData(2), Config{})
-	rankless.ranks = nil
-	if rankless.HasRanks() {
-		t.Fatal("HasRanks true with nil ranks")
-	}
-	if Diff(s, rankless) != nil || Diff(rankless, s) != nil {
-		t.Error("Diff with a rankless side did not return nil")
 	}
 }
 

@@ -18,8 +18,10 @@ import (
 
 // TestGoldenPipelineOutputs pins, for one fixed-seed reduced-scale world,
 // the three outputs the data plane feeds: the served snapshot's content
-// digest (core.NewPipeline → Build), crank's rendering of the paper's four
-// case-study countries, and six Stability curves. A refactor of the dataset
+// digest (core.NewPipeline → Build, then once more after a trip through a
+// generation file, so the on-disk path is under the same golden), crank's
+// rendering of the paper's four case-study countries, and six Stability
+// curves. A refactor of the dataset
 // layout or a kernel is behaviour-preserving exactly when this file's
 // golden stays untouched (ROADMAP 4a).
 func TestGoldenPipelineOutputs(t *testing.T) {
@@ -28,8 +30,20 @@ func TestGoldenPipelineOutputs(t *testing.T) {
 	}
 	p := core.NewPipeline(core.Options{Seed: 11, StubScale: 0.15, VPScale: 0.2})
 
+	persist, err := NewPersister(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := persist.Save(Build(p, 1, Config{MaxTopN: DefaultMaxTopN})); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := persist.LoadLatest()
+	if err != nil || loaded == nil {
+		t.Fatalf("the built snapshot does not load back from its generation file: %v", err)
+	}
+
 	var b strings.Builder
-	fmt.Fprintf(&b, "snapshot digest %s\n", Build(p, 1, Config{MaxTopN: DefaultMaxTopN}).Digest)
+	fmt.Fprintf(&b, "snapshot digest %s\n", loaded.Digest)
 	for _, c := range []countries.Code{"AU", "JP", "RU", "US"} {
 		// crank's output loop at its default -metric all -top 10.
 		fmt.Fprintf(&b, "== %s (%s)\n", c, countries.Name(c))

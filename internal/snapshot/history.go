@@ -31,11 +31,10 @@ const DefaultHistoryEpochs = 8
 
 // histEntry is one retained epoch.
 type histEntry struct {
-	epoch    int64
-	digest   string
-	ranks    map[string]map[string]RankVec
-	topRanks map[string]RankVec
-	drift    *Drift // vs the previous publish; nil for the first
+	epoch  int64
+	digest string
+	ranks  *content // the snapshot's own, immutable
+	drift  *Drift   // vs the previous publish; nil for the first
 }
 
 // SetHistoryLimit bounds the ring to the last keep epochs (keep < 1
@@ -67,23 +66,17 @@ func (st *Store) HistoryEpochs() []int64 {
 }
 
 // appendHistoryLocked records next in the ring (when it advances the
-// epoch and carries rank vectors), evicts beyond the keep limit, and
-// renders next's preserialized history pages from whatever the ring now
-// holds. Caller holds st.mu (or, in NewStore, has exclusive ownership).
+// epoch), evicts beyond the keep limit, and renders next's preserialized
+// history pages from what the ring now holds. Caller holds st.mu (or, in
+// NewStore, has exclusive ownership).
 func (st *Store) appendHistoryLocked(next *Snapshot, d *Drift) {
 	hist := st.hist.Items()
-	if next.HasRanks() &&
-		(len(hist) == 0 || next.Epoch > hist[len(hist)-1].epoch) {
-		st.hist.Push(histEntry{
-			epoch: next.Epoch, digest: next.Digest,
-			ranks: next.ranks, topRanks: next.topRanks, drift: d,
-		})
+	if len(hist) == 0 || next.Epoch > hist[len(hist)-1].epoch {
+		st.hist.Push(histEntry{epoch: next.Epoch, digest: next.Digest, ranks: next.ranks, drift: d})
 		hist = st.hist.Items()
 	}
 	mHistEpochs.Set(int64(len(hist)))
-	if len(hist) > 0 {
-		next.history = renderHistoryPages(hist)
-	}
+	next.history = renderHistoryPages(hist)
 }
 
 // renderHistoryPages preserializes one history page per country appearing
@@ -91,7 +84,7 @@ func (st *Store) appendHistoryLocked(next *Snapshot, d *Drift) {
 func renderHistoryPages(hist []histEntry) map[string]*entity {
 	ccs := map[string]bool{}
 	for _, h := range hist {
-		for cc := range h.ranks {
+		for cc := range h.ranks.countries {
 			ccs[cc] = true
 		}
 	}
@@ -123,12 +116,12 @@ func appendHistoryPage(dst []byte, cc string, hist []histEntry) []byte {
 	}
 	dst = append(dst, `],"series":{`...)
 	first := true
-	for _, metric := range countryMetricKeys {
+	for mi, metric := range countryMetricKeys {
 		// Union of ASNs ever ranked for this metric across the ring.
 		seen := map[uint32]bool{}
 		var asns []uint32
 		for _, h := range hist {
-			for _, e := range h.ranks[cc][metric] {
+			for _, e := range h.ranks.countries[cc].vecs[mi].Entries {
 				if !seen[uint32(e.ASN)] {
 					seen[uint32(e.ASN)] = true
 					asns = append(asns, uint32(e.ASN))
@@ -151,7 +144,7 @@ func appendHistoryPage(dst []byte, cc string, hist []histEntry) []byte {
 					dst = append(dst, ',')
 				}
 				r := 0
-				for j, e := range h.ranks[cc][metric] {
+				for j, e := range h.ranks.countries[cc].vecs[mi].Entries {
 					if uint32(e.ASN) == a {
 						r = j + 1
 						break
@@ -198,7 +191,7 @@ func (st *Store) HistoryData() HistoryData {
 	for i, h := range hist {
 		hd.Epochs[i] = h.epoch
 		hd.Digests[i] = h.digest
-		series("countries")[i] = float64(len(h.ranks))
+		series("countries")[i] = float64(len(h.ranks.countries))
 		if h.drift == nil {
 			continue
 		}

@@ -5,40 +5,38 @@ package snapshot
 // the newest generation that passes validation and serves it (marked stale)
 // while the first real build runs in the background.
 //
-// On-disk format (version 2, file snap-<epoch 16 hex digits>.csnap):
+// On-disk format (file snap-<epoch 16 hex digits>.csnap, little-endian):
 //
 //	magic    [8]byte  "CRSNAP1\n"
-//	u32      header length (little-endian, capped)
+//	u32      header length (capped)
 //	header   JSON: version, epoch, digest, max_top_n, degraded, saved_unix,
 //	         and the section count
 //	u32      CRC32 (IEEE) of the header bytes
 //	sections section count times:
-//	           u8  kind (1 = country page, 2 = top variants,
-//	                     3 = country rank vectors, 4 = top rank vector)
+//	           u8  kind (1 = one country's rank vectors, 2 = one global
+//	                     top's rank vector)
 //	           u8  key length, key bytes ("AU", "ccg")
-//	           u32 body count (1 for a country, len(variants) for a top,
-//	               4 for country ranks — CCI/CCN/AHI/AHN order — and 1 for
-//	               a top rank vector)
+//	           u32 body count: 5 for a country (display name, then the
+//	               CCI/CCN/AHI/AHN vectors), 1 for a top
 //	           per body: u32 length, body bytes
 //	           u32 CRC32 of the section bytes (kind through last body)
 //	magic    [8]byte  "CRSNEND\n"
 //
-// Kind 1/2 bodies are the preserialized JSON pages. Kind 3/4 bodies are
-// binary rank vectors (u32 entry count, then per entry: u32 ASN, u64
-// float64 value bits, u16 name length, name bytes — all little-endian):
-// the structured data the drift diff engine consumes, persisted so
-// cmd/rankdiff can diff two generations through the exact code path the
-// live supervisor uses, never by re-parsing served JSON. A file of any
+// A vector body is: u16 name length, name bytes, u32 entry count, then per
+// entry u32 ASN, u64 float64 value bits, u16 name length, name bytes, u8
+// country length, country bytes. A file holds the snapshot's rank vectors
+// and nothing rendered from them: the loader seals them (snapshot.go) into
+// the pages, ETags and digest, exactly as Assemble does. A file of any
 // other version is rejected as corrupt, like any other unreadable
-// generation (the format had a version 1 without rank sections; no such
-// file exists any more).
+// generation, so a change to this layout or to a byte the page encoder
+// emits must bump persistVersion.
 //
 // Three layers reject a bad file: structural parsing (truncation, caps,
-// trailer), the per-section CRCs (bit rot), and a full content check — the
-// loader rebuilds the snapshot through the same entity/digest code path as
-// Assemble and requires the recomputed digest to equal the header's, so a
-// file whose CRCs were forged along with its bodies still cannot smuggle
-// wrong bytes into the serving path.
+// counts checked against the bytes that remain, trailer), the per-section
+// CRCs (bit rot), and a full content check — the digest of the pages
+// sealed from the loaded vectors must equal the header's, so a file whose
+// CRCs were forged along with its vectors still cannot put wrong bytes
+// into the serving path, the history pages or a diff.
 //
 // Writes are crash-safe: the file is assembled under a .tmp name, fsynced,
 // and atomically renamed into place; the directory is fsynced afterwards so
@@ -54,13 +52,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"countryrank/internal/asn"
+	"countryrank/internal/countries"
 	"countryrank/internal/obs"
 )
 
@@ -76,17 +73,16 @@ var (
 const (
 	persistMagic   = "CRSNAP1\n"
 	persistTrailer = "CRSNEND\n"
-	persistVersion = 2
+	persistVersion = 3
 
-	sectionCountry      = 1
-	sectionTop          = 2
-	sectionCountryRanks = 3
-	sectionTopRanks     = 4
+	sectionCountryRanks = 1
+	sectionTopRanks     = 2
 
-	// maxHeaderLen and maxBodyLen bound the allocations a hostile or
-	// corrupted length field can demand before any CRC is checked.
+	// maxHeaderLen caps the header. Every other length or count in a file
+	// is checked against the bytes that remain before anything is allocated
+	// for it; minEntryLen is a vector entry with both strings empty.
 	maxHeaderLen = 1 << 16
-	maxBodyLen   = 1 << 28
+	minEntryLen  = 4 + 8 + 2 + 1
 )
 
 // persistHeader is the JSON header of one generation file.
@@ -124,26 +120,40 @@ func NewPersister(dir string, keep int) (*Persister, error) {
 	return &Persister{dir: dir, keep: keep}, nil
 }
 
-// Dir returns the store's directory.
-func (p *Persister) Dir() string { return p.dir }
+// Generations lists the store's generation files newest-first.
+func (p *Persister) Generations() ([]string, error) { return Generations(p.dir) }
 
-// Generations lists the on-disk generation files newest-first (no
-// validation; LoadFile rejects bad ones). cmd/rankdiff uses it to pick
-// the two most recent epochs of a -snapshot-dir.
-func (p *Persister) Generations() ([]string, error) { return p.generations() }
+// Generations lists dir's generation files newest-first (no validation;
+// LoadFile rejects bad ones). It creates nothing: a missing directory is an
+// error. cmd/rankdiff uses it to pick the two most recent epochs of a
+// -snapshot-dir.
+func Generations(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: persist dir: %w", err)
+	}
+	var paths []string
+	for _, e := range ents {
+		name := e.Name()
+		if e.Type().IsRegular() && strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".csnap") {
+			paths = append(paths, filepath.Join(dir, name))
+		}
+	}
+	// Epochs are fixed-width hex, so lexical order is numeric order.
+	sort.Sort(sort.Reverse(sort.StringSlice(paths)))
+	return paths, nil
+}
 
 // GenerationPath returns where the given epoch's generation file lives
-// (whether or not it exists).
-func (p *Persister) GenerationPath(epoch int64) string { return genPath(p.dir, epoch) }
-
-func genPath(dir string, epoch int64) string {
+// under dir (whether or not it exists).
+func GenerationPath(dir string, epoch int64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%016x.csnap", uint64(epoch)))
 }
 
 // Save persists s as generation s.Epoch (tmp+rename, fsynced) and prunes
 // generations beyond the keep limit. It returns the final path.
 func (p *Persister) Save(s *Snapshot) (string, error) {
-	path := genPath(p.dir, s.Epoch)
+	path := GenerationPath(p.dir, s.Epoch)
 	tmp := path + ".tmp"
 	if err := writeSnapshotFile(tmp, s); err != nil {
 		os.Remove(tmp)
@@ -165,7 +175,7 @@ func (p *Persister) Save(s *Snapshot) (string, error) {
 // the directory itself cannot be read. The returned snapshot is marked
 // Stale with SavedAt carrying the original persist time.
 func (p *Persister) LoadLatest() (*Snapshot, int, error) {
-	paths, err := p.generations()
+	paths, err := p.Generations()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -182,28 +192,10 @@ func (p *Persister) LoadLatest() (*Snapshot, int, error) {
 	return nil, skipped, nil
 }
 
-// generations lists generation files newest-first.
-func (p *Persister) generations() ([]string, error) {
-	ents, err := os.ReadDir(p.dir)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: persist dir: %w", err)
-	}
-	var paths []string
-	for _, e := range ents {
-		name := e.Name()
-		if e.Type().IsRegular() && strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".csnap") {
-			paths = append(paths, filepath.Join(p.dir, name))
-		}
-	}
-	// Epochs are fixed-width hex, so lexical order is numeric order.
-	sort.Sort(sort.Reverse(sort.StringSlice(paths)))
-	return paths, nil
-}
-
 // prune removes generations beyond the keep limit plus any abandoned .tmp
 // files. Best-effort: serving never depends on pruning succeeding.
 func (p *Persister) prune() {
-	paths, err := p.generations()
+	paths, err := p.Generations()
 	if err != nil {
 		return
 	}
@@ -221,69 +213,55 @@ func (p *Persister) prune() {
 	}
 }
 
-// writeSnapshotFile serializes s to path and fsyncs it.
-func writeSnapshotFile(path string, s *Snapshot) error {
-	ccs := s.CountryCodes()
-	tops := s.TopMetrics()
-	sections := len(ccs) + len(tops)
-	if s.HasRanks() {
-		sections += len(s.ranks) + len(s.topRanks)
-	}
-	hdr := persistHeader{
+// encodeSnapshot renders s's generation file: its rank vectors under a
+// header carrying its digest.
+func encodeSnapshot(s *Snapshot, savedUnix int64) []byte {
+	ccs := unionKeys(s.ranks.countries, nil)
+	tops := unionKeys(s.ranks.tops, nil)
+	// A struct of integers, strings and a bool: Marshal cannot fail.
+	hdrJSON, _ := json.Marshal(persistHeader{
 		Version: persistVersion, Epoch: s.Epoch, Digest: s.Digest,
 		MaxTopN: s.maxTopN, Degraded: s.Degraded,
-		SavedUnix: time.Now().Unix(), Sections: sections,
-	}
-	hdrJSON, err := json.Marshal(hdr)
-	if err != nil {
-		return fmt.Errorf("snapshot: persist header: %w", err)
-	}
-
+		SavedUnix: savedUnix, Sections: len(ccs) + len(tops),
+	})
 	buf := make([]byte, 0, 1<<16)
 	buf = append(buf, persistMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdrJSON)))
 	buf = append(buf, hdrJSON...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(hdrJSON))
-	appendSection := func(kind byte, key string, bodies [][]byte) {
-		start := len(buf)
-		buf = append(buf, kind, byte(len(key)))
-		buf = append(buf, key...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(bodies)))
-		for _, b := range bodies {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-			buf = append(buf, b...)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
-	}
 	for _, cc := range ccs {
-		appendSection(sectionCountry, cc, [][]byte{s.countries[cc].body})
+		cr := s.ranks.countries[cc]
+		bodies := [][]byte{[]byte(cr.name)}
+		for _, v := range cr.vecs {
+			bodies = append(bodies, encodeRankVec(nil, v))
+		}
+		buf = appendSection(buf, sectionCountryRanks, cc, bodies...)
 	}
 	for _, m := range tops {
-		bodies := make([][]byte, len(s.tops[m]))
-		for i, v := range s.tops[m] {
-			bodies[i] = v.body
-		}
-		appendSection(sectionTop, m, bodies)
+		buf = appendSection(buf, sectionTopRanks, m, encodeRankVec(nil, s.ranks.tops[m]))
 	}
-	if s.HasRanks() {
-		for _, cc := range unionKeys(s.ranks, nil) {
-			bodies := make([][]byte, len(countryMetricKeys))
-			for i, metric := range countryMetricKeys {
-				bodies[i] = encodeRankVec(nil, s.ranks[cc][metric])
-			}
-			appendSection(sectionCountryRanks, cc, bodies)
-		}
-		for _, m := range unionKeys(s.topRanks, nil) {
-			appendSection(sectionTopRanks, m, [][]byte{encodeRankVec(nil, s.topRanks[m])})
-		}
-	}
-	buf = append(buf, persistTrailer...)
+	return append(buf, persistTrailer...)
+}
 
+func appendSection(buf []byte, kind byte, key string, bodies ...[]byte) []byte {
+	start := len(buf)
+	buf = append(buf, kind, byte(len(key)))
+	buf = append(buf, key...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(bodies)))
+	for _, b := range bodies {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
+		buf = append(buf, b...)
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
+// writeSnapshotFile serializes s to path and fsyncs it.
+func writeSnapshotFile(path string, s *Snapshot) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("snapshot: persist open: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(encodeSnapshot(s, time.Now().Unix())); err != nil {
 		f.Close()
 		return fmt.Errorf("snapshot: persist write: %w", err)
 	}
@@ -311,221 +289,196 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errCorrupt, fmt.Sprintf(format, args...))
 }
 
-// LoadFile parses, validates, and reconstructs one persisted generation.
-// The returned snapshot is marked Stale and carries SavedAt from the file
-// header; its entities and digest are rebuilt from the stored bodies, and
-// the rebuild must reproduce the header's digest or the file is rejected.
+// LoadFile reads, validates and reconstructs one persisted generation. The
+// returned snapshot is marked Stale and carries SavedAt from the file
+// header; it is sealed from the stored vectors, and its digest must
+// reproduce the header's or the file is rejected.
 func LoadFile(path string) (*Snapshot, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	cur := raw
-	take := func(n int) ([]byte, error) {
-		if len(cur) < n {
-			return nil, corruptf("%s: truncated (want %d bytes, have %d)", path, n, len(cur))
-		}
-		b := cur[:n]
-		cur = cur[n:]
-		return b, nil
-	}
-	takeU32 := func() (uint32, error) {
-		b, err := take(4)
-		if err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b), nil
-	}
-
-	if b, err := take(len(persistMagic)); err != nil || string(b) != persistMagic {
-		return nil, corruptf("%s: bad magic", path)
-	}
-	hdrLen, err := takeU32()
+	s, err := decodeSnapshot(raw)
 	if err != nil {
-		return nil, err
-	}
-	if hdrLen > maxHeaderLen {
-		return nil, corruptf("%s: header length %d over cap", path, hdrLen)
-	}
-	hdrJSON, err := take(int(hdrLen))
-	if err != nil {
-		return nil, err
-	}
-	hdrCRC, err := takeU32()
-	if err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(hdrJSON) != hdrCRC {
-		return nil, corruptf("%s: header CRC mismatch", path)
-	}
-	var hdr persistHeader
-	if err := json.Unmarshal(hdrJSON, &hdr); err != nil {
-		return nil, corruptf("%s: header JSON: %v", path, err)
-	}
-	if hdr.Version != persistVersion {
-		return nil, corruptf("%s: unsupported version %d", path, hdr.Version)
-	}
-	if hdr.Sections < 0 || hdr.MaxTopN <= 0 {
-		return nil, corruptf("%s: implausible header (sections %d, max_top_n %d)", path, hdr.Sections, hdr.MaxTopN)
-	}
-
-	s := &Snapshot{
-		Epoch:     hdr.Epoch,
-		Degraded:  hdr.Degraded,
-		Stale:     true,
-		SavedAt:   time.Unix(hdr.SavedUnix, 0),
-		countries: map[string]*entity{},
-		tops:      map[string][]*entity{},
-		maxTopN:   hdr.MaxTopN,
-		// A file always carries its rank sections, so HasRanks holds even
-		// for a snapshot with no countries.
-		ranks:    map[string]map[string]RankVec{},
-		topRanks: map[string]RankVec{},
-	}
-	for i := 0; i < hdr.Sections; i++ {
-		secStart := cur
-		meta, err := take(2)
-		if err != nil {
-			return nil, err
-		}
-		kind, keyLen := meta[0], int(meta[1])
-		key, err := take(keyLen)
-		if err != nil {
-			return nil, err
-		}
-		nBodies, err := takeU32()
-		if err != nil {
-			return nil, err
-		}
-		if nBodies == 0 || nBodies > uint32(maxBodyLen/4) {
-			return nil, corruptf("%s: section %d body count %d implausible", path, i, nBodies)
-		}
-		bodies := make([][]byte, nBodies)
-		for j := range bodies {
-			bLen, err := takeU32()
-			if err != nil {
-				return nil, err
-			}
-			if bLen > maxBodyLen {
-				return nil, corruptf("%s: section %d body %d length %d over cap", path, i, j, bLen)
-			}
-			b, err := take(int(bLen))
-			if err != nil {
-				return nil, err
-			}
-			// Copy out of the file buffer so the snapshot owns its bytes.
-			bodies[j] = slices.Clone(b)
-		}
-		secLen := len(secStart) - len(cur)
-		secCRC, err := takeU32()
-		if err != nil {
-			return nil, err
-		}
-		if crc32.ChecksumIEEE(secStart[:secLen]) != secCRC {
-			return nil, corruptf("%s: section %d (%s) CRC mismatch", path, i, key)
-		}
-		switch kind {
-		case sectionCountry:
-			if len(bodies) != 1 {
-				return nil, corruptf("%s: country section %q has %d bodies", path, key, len(bodies))
-			}
-			s.countries[string(key)] = newEntity(bodies[0])
-		case sectionTop:
-			vs := make([]*entity, len(bodies))
-			for j, b := range bodies {
-				vs[j] = newEntity(b)
-			}
-			s.tops[string(key)] = vs
-		case sectionCountryRanks:
-			if len(bodies) != len(countryMetricKeys) {
-				return nil, corruptf("%s: country-ranks section %q has %d bodies", path, key, len(bodies))
-			}
-			vm := make(map[string]RankVec, len(countryMetricKeys))
-			for j, metric := range countryMetricKeys {
-				v, err := decodeRankVec(bodies[j])
-				if err != nil {
-					return nil, corruptf("%s: country-ranks section %q metric %s: %v", path, key, metric, err)
-				}
-				vm[metric] = v
-			}
-			s.ranks[string(key)] = vm
-		case sectionTopRanks:
-			if len(bodies) != 1 {
-				return nil, corruptf("%s: top-ranks section %q has %d bodies", path, key, len(bodies))
-			}
-			v, err := decodeRankVec(bodies[0])
-			if err != nil {
-				return nil, corruptf("%s: top-ranks section %q: %v", path, key, err)
-			}
-			s.topRanks[string(key)] = v
-		default:
-			return nil, corruptf("%s: section %d has unknown kind %d", path, i, kind)
-		}
-	}
-	if b, err := take(len(persistTrailer)); err != nil || string(b) != persistTrailer {
-		return nil, corruptf("%s: missing trailer (truncated file)", path)
-	}
-	if len(cur) != 0 {
-		return nil, corruptf("%s: %d trailing bytes after trailer", path, len(cur))
-	}
-
-	// Content check: the rebuilt digest must reproduce the header's. This
-	// reuses Assemble's digest path, so it also re-derives every ETag.
-	s.finish()
-	if s.Digest != hdr.Digest {
-		return nil, corruptf("%s: content digest %s does not match header %s",
-			path, shortDigest(s.Digest), shortDigest(hdr.Digest))
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }
 
-// encodeRankVec appends one rank vector's binary encoding: u32 entry
-// count, then per entry u32 ASN, u64 value bits, u16 name length, name
-// bytes. Float values travel as raw bits so a loaded vector diffs
-// bit-identically to the one that was saved.
+// reader consumes a byte slice. A read past the end sets short and yields
+// zeros from then on, so a run of reads needs one check after it.
+type reader struct {
+	b     []byte
+	short bool
+}
+
+func (r *reader) take(n int) []byte {
+	if n < 0 || n > len(r.b) {
+		r.short, r.b = true, nil
+		return nil
+	}
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
+}
+
+// fixed is take for the integer readers: n zero bytes when short.
+func (r *reader) fixed(n int) []byte {
+	if b := r.take(n); b != nil {
+		return b
+	}
+	return make([]byte, n)
+}
+
+func (r *reader) u8() uint8   { return r.fixed(1)[0] }
+func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
+func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
+func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
+
+// decodeSnapshot is LoadFile past the read.
+func decodeSnapshot(raw []byte) (*Snapshot, error) {
+	r := reader{b: raw}
+	if string(r.take(len(persistMagic))) != persistMagic {
+		return nil, corruptf("bad magic")
+	}
+	hdrLen := r.u32()
+	if hdrLen > maxHeaderLen {
+		return nil, corruptf("header length %d over cap", hdrLen)
+	}
+	hdrJSON := r.take(int(hdrLen))
+	hdrCRC := r.u32()
+	if r.short {
+		return nil, corruptf("truncated in the header")
+	}
+	if crc32.ChecksumIEEE(hdrJSON) != hdrCRC {
+		return nil, corruptf("header CRC mismatch")
+	}
+	var hdr persistHeader
+	if err := json.Unmarshal(hdrJSON, &hdr); err != nil {
+		return nil, corruptf("header JSON: %v", err)
+	}
+	if hdr.Version != persistVersion {
+		return nil, corruptf("unsupported version %d", hdr.Version)
+	}
+	if hdr.Sections < 0 || hdr.MaxTopN <= 0 {
+		return nil, corruptf("implausible header (sections %d, max_top_n %d)", hdr.Sections, hdr.MaxTopN)
+	}
+
+	c := &content{countries: map[string]countryRanks{}, tops: map[string]RankVec{}}
+	for i := 0; i < hdr.Sections; i++ {
+		sec := r.b
+		kind := r.u8()
+		key := string(r.take(int(r.u8())))
+		nBodies := r.u32()
+		if r.short {
+			return nil, corruptf("truncated in section %d", i)
+		}
+		var bodies [1 + len(countryMetricKeys)][]byte
+		want := 0
+		switch kind {
+		case sectionCountryRanks:
+			want = len(bodies)
+		case sectionTopRanks:
+			want = 1
+		}
+		if nBodies != uint32(want) {
+			return nil, corruptf("section %d (%s) has kind %d with %d bodies", i, key, kind, nBodies)
+		}
+		for j := 0; j < want; j++ {
+			bodies[j] = r.take(int(r.u32()))
+		}
+		secLen := len(sec) - len(r.b)
+		secCRC := r.u32()
+		if r.short {
+			return nil, corruptf("truncated in section %d (%s)", i, key)
+		}
+		if crc32.ChecksumIEEE(sec[:secLen]) != secCRC {
+			return nil, corruptf("section %d (%s) CRC mismatch", i, key)
+		}
+		if kind == sectionTopRanks {
+			v, err := decodeRankVec(bodies[0], hdr.MaxTopN)
+			if err != nil {
+				return nil, corruptf("top %q: %v", key, err)
+			}
+			if _, dup := c.tops[key]; dup || v.Name != key {
+				return nil, corruptf("top %q repeated, or holding the vector of %q", key, v.Name)
+			}
+			c.tops[key] = v
+			continue
+		}
+		cr := countryRanks{name: string(bodies[0])}
+		for j := range cr.vecs {
+			v, err := decodeRankVec(bodies[1+j], hdr.MaxTopN)
+			if err != nil {
+				return nil, corruptf("country %q metric %s: %v", key, countryMetricKeys[j], err)
+			}
+			cr.vecs[j] = v
+		}
+		if _, dup := c.countries[key]; dup {
+			return nil, corruptf("country %q repeated", key)
+		}
+		c.countries[key] = cr
+	}
+	if string(r.take(len(persistTrailer))) != persistTrailer {
+		return nil, corruptf("missing trailer (truncated file)")
+	}
+	if len(r.b) != 0 {
+		return nil, corruptf("%d trailing bytes after trailer", len(r.b))
+	}
+
+	s := seal(c, hdr.Epoch, hdr.Degraded, true, hdr.MaxTopN)
+	if s.Digest != hdr.Digest {
+		return nil, corruptf("content digest %s does not match header %s",
+			shortDigest(s.Digest), shortDigest(hdr.Digest))
+	}
+	s.SavedAt = time.Unix(hdr.SavedUnix, 0)
+	return s, nil
+}
+
+// encodeRankVec appends one rank vector's binary encoding (layout in the
+// file comment). Float values travel as raw bits so a loaded vector renders
+// and diffs bit-identically to the one that was saved.
 func encodeRankVec(dst []byte, v RankVec) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
-	for _, e := range v {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.Name)))
+	dst = append(dst, v.Name...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.Entries)))
+	for _, e := range v.Entries {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.ASN))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Value))
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(e.Name)))
 		dst = append(dst, e.Name...)
+		dst = append(dst, byte(len(e.Country)))
+		dst = append(dst, e.Country...)
 	}
 	return dst
 }
 
-// decodeRankVec parses encodeRankVec's output, rejecting truncation and
-// trailing bytes (the section CRC already caught bit rot; this catches
-// structural nonsense).
-func decodeRankVec(b []byte) (RankVec, error) {
-	if len(b) < 4 {
-		return nil, errors.New("rank vector truncated before count")
+// decodeRankVec parses encodeRankVec's output, rejecting truncation,
+// trailing bytes and a vector longer than maxN (the section CRC already
+// caught bit rot; this catches structural nonsense).
+func decodeRankVec(b []byte, maxN int) (RankVec, error) {
+	r := reader{b: b}
+	v := RankVec{Name: string(r.take(int(r.u16())))}
+	n := r.u32()
+	if r.short {
+		return RankVec{}, errors.New("rank vector truncated before its entries")
 	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if n > uint32(maxBodyLen/14) {
-		return nil, fmt.Errorf("rank vector entry count %d implausible", n)
+	if uint64(n) > uint64(len(r.b)/minEntryLen) || uint64(n) > uint64(maxN) {
+		return RankVec{}, fmt.Errorf("rank vector entry count %d implausible (%d bytes follow, max_top_n %d)", n, len(r.b), maxN)
 	}
-	v := make(RankVec, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 14 {
-			return nil, fmt.Errorf("rank vector truncated at entry %d", i)
-		}
-		e := RankEntry{
-			ASN:   asn.ASN(binary.LittleEndian.Uint32(b)),
-			Value: math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
-		}
-		nameLen := int(binary.LittleEndian.Uint16(b[12:]))
-		b = b[14:]
-		if len(b) < nameLen {
-			return nil, fmt.Errorf("rank vector name truncated at entry %d", i)
-		}
-		e.Name = string(b[:nameLen])
-		b = b[nameLen:]
-		v = append(v, e)
+	v.Entries = make([]RankEntry, n)
+	for i := range v.Entries {
+		e := &v.Entries[i]
+		e.ASN = asn.ASN(r.u32())
+		e.Value = math.Float64frombits(r.u64())
+		e.Name = string(r.take(int(r.u16())))
+		e.Country = countries.Code(r.take(int(r.u8())))
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("rank vector has %d trailing bytes", len(b))
+	if r.short {
+		return RankVec{}, errors.New("rank vector truncated in its entries")
+	}
+	if len(r.b) != 0 {
+		return RankVec{}, fmt.Errorf("rank vector has %d trailing bytes", len(r.b))
 	}
 	return v, nil
 }
@@ -539,18 +492,4 @@ func shortDigest(d string) string {
 		return "(empty)"
 	}
 	return d
-}
-
-// epochFromPath recovers the generation number from a file name; used by
-// tests and error paths.
-func epochFromPath(path string) (int64, bool) {
-	name := filepath.Base(path)
-	if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".csnap") {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(name[len("snap-"):len(name)-len(".csnap")], 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return int64(v), true
 }

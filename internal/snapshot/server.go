@@ -61,8 +61,7 @@ type Store struct {
 }
 
 // NewStore returns a store serving s (which may be nil; requests then
-// answer 503 until the first Publish). A non-nil s with rank vectors seeds
-// the history ring.
+// answer 503 until the first Publish). A non-nil s seeds the history ring.
 func NewStore(s *Snapshot) *Store {
 	st := &Store{hist: obs.NewRing[histEntry](DefaultHistoryEpochs)}
 	if s != nil {

@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"time"
 
+	"countryrank/internal/asn"
 	"countryrank/internal/core"
 	"countryrank/internal/countries"
 	"countryrank/internal/obs"
@@ -98,6 +99,11 @@ type Snapshot struct {
 	// account snapshot age across restarts.
 	SavedAt time.Time
 
+	// ranks is the published content as data; every entity below, the
+	// digest and the index page are rendered from it by seal. Immutable:
+	// Diff reads it and the history ring keeps a reference to it.
+	ranks *content
+
 	countries map[string]*entity // "AU" → country page
 	// tops maps a metric key ("ccg") to its preserialized top-N variants;
 	// variant[i] serves n = i+1. An empty ranking keeps one n=0 variant.
@@ -105,22 +111,52 @@ type Snapshot struct {
 	index   *entity // the /v1/snapshot metadata page
 	maxTopN int
 
-	// ranks and topRanks carry the structured rank vectors the entities
-	// were rendered from — "AU" → metric → ordered top-K, and top metric
-	// key → ordered top-K — so the drift diff engine and the epoch history
-	// ring work from data, never by re-parsing served JSON. Nil only for
-	// a snapshot put together without them (HasRanks reports false).
-	ranks    map[string]map[string]RankVec
-	topRanks map[string]RankVec
-
 	// history holds the preserialized /v1/countries/{cc}/history pages,
 	// rendered by Store.Publish from its epoch ring before the snapshot
 	// becomes visible (so serving them is as zero-alloc as any entity).
 	// Nil until then; the endpoint then 404s.
 	history map[string]*entity
 
-	// builtAt is when Assemble ran; see BuiltUnix.
+	// builtAt is when seal ran; see BuiltUnix.
 	builtAt time.Time
+}
+
+// countryMetricKeys is the fixed per-country metric order, everywhere a
+// country's four rank vectors are stored, rendered, persisted or diffed.
+var countryMetricKeys = [4]string{"CCI", "CCN", "AHI", "AHN"}
+
+// RankEntry is one AS in a rank vector; the slice index is the 0-based
+// rank.
+type RankEntry struct {
+	ASN   asn.ASN
+	Value float64
+	Name  string
+	// Country is the AS's own country, which need not be the ranking's.
+	Country countries.Code
+}
+
+// RankVec is one ranking's ordered top-K, at most the snapshot's MaxTopN
+// entries. Name is what the rendered ranking calls itself: the ranking's
+// metric name ("CCI AU") on a country page, the URL key ("ccg") for a
+// global top.
+type RankVec struct {
+	Name    string
+	Entries []RankEntry
+}
+
+// countryRanks is one country's display name and its four vectors, in
+// countryMetricKeys order.
+type countryRanks struct {
+	name string
+	vecs [4]RankVec
+}
+
+// content is everything a snapshot publishes, as data: "AU" → that
+// country's vectors, and top metric key → its vector. A generation file
+// stores exactly this.
+type content struct {
+	countries map[string]countryRanks
+	tops      map[string]RankVec
 }
 
 // CountryData is one country's rankings as fed to Assemble.
@@ -195,45 +231,33 @@ func (s *Snapshot) IndexBody() []byte { return s.index.body }
 // Assemble preserializes the given rankings into an immutable Snapshot.
 func Assemble(d Data, cfg Config) *Snapshot {
 	k := cfg.maxTopN()
-	s := &Snapshot{
-		Epoch:     d.Epoch,
-		Degraded:  d.Degraded,
-		countries: make(map[string]*entity, len(d.Countries)),
-		tops:      make(map[string][]*entity, len(d.Tops)),
-		maxTopN:   k,
-		ranks:     make(map[string]map[string]RankVec, len(d.Countries)),
-		topRanks:  make(map[string]RankVec, len(d.Tops)),
-		builtAt:   time.Now(),
+	c := &content{
+		countries: make(map[string]countryRanks, len(d.Countries)),
+		tops:      make(map[string]RankVec, len(d.Tops)),
 	}
 	for _, cd := range d.Countries {
-		s.countries[string(cd.Code)] = newEntity(appendCountry(nil, cd, k))
-		s.ranks[string(cd.Code)] = map[string]RankVec{
-			"CCI": rankVec(cd.CCI, k), "CCN": rankVec(cd.CCN, k),
-			"AHI": rankVec(cd.AHI, k), "AHN": rankVec(cd.AHN, k),
-		}
+		c.countries[string(cd.Code)] = countryRanks{name: cd.Name, vecs: [4]RankVec{
+			rankVec(cd.CCI, k), rankVec(cd.CCN, k), rankVec(cd.AHI, k), rankVec(cd.AHN, k),
+		}}
 	}
 	for _, td := range d.Tops {
-		s.tops[td.Metric] = topVariants(td, k)
-		s.topRanks[td.Metric] = rankVec(td.Ranking, k)
+		v := rankVec(td.Ranking, k)
+		v.Name = td.Metric
+		c.tops[td.Metric] = v
 	}
-	s.finish()
-	return s
+	return seal(c, d.Epoch, d.Degraded, false, k)
 }
 
-// rankVec extracts a ranking's ordered top-k as structured entries — the
-// same truncation the rendered JSON applies, so diff and history describe
-// exactly what was served.
+// rankVec extracts a ranking's ordered top-k (k <= 0 means all) as
+// structured entries.
 func rankVec(r *rank.Ranking, k int) RankVec {
-	if r == nil {
-		return nil
-	}
 	entries := r.Entries
 	if k > 0 && k < len(entries) {
 		entries = entries[:k]
 	}
-	v := make(RankVec, len(entries))
+	v := RankVec{Name: r.Metric, Entries: make([]RankEntry, len(entries))}
 	for i, e := range entries {
-		v[i] = RankEntry{ASN: e.ASN, Value: e.Value, Name: e.Info.Name}
+		v.Entries[i] = RankEntry{ASN: e.ASN, Value: e.Value, Name: e.Info.Name, Country: e.Info.Country}
 	}
 	return v
 }
@@ -247,11 +271,30 @@ func (s *Snapshot) BuiltUnix() int64 {
 	return s.builtAt.Unix()
 }
 
-// finish seals a snapshot whose entity maps are fully populated: it derives
-// the content digest and preserializes the index page. The warm-start
-// loader shares it with Assemble, so a reconstructed snapshot recomputes
-// its digest through exactly the code path that produced the persisted one.
-func (s *Snapshot) finish() {
+// seal is the one constructor of a Snapshot. It renders c — whose vectors
+// hold at most maxTopN entries each — into every country page and top
+// variant, derives the content digest from those bodies and preserializes
+// the index page. Assemble reaches it with vectors taken from rankings,
+// LoadFile with vectors decoded from a generation file, so a loaded
+// snapshot's pages, ETags and digest come from exactly the code that
+// produced the persisted one's.
+func seal(c *content, epoch int64, degraded, stale bool, maxTopN int) *Snapshot {
+	s := &Snapshot{
+		Epoch:     epoch,
+		Degraded:  degraded,
+		Stale:     stale,
+		ranks:     c,
+		countries: make(map[string]*entity, len(c.countries)),
+		tops:      make(map[string][]*entity, len(c.tops)),
+		maxTopN:   maxTopN,
+		builtAt:   time.Now(),
+	}
+	for cc, cr := range c.countries {
+		s.countries[cc] = newEntity(appendCountry(nil, cc, cr))
+	}
+	for m, v := range c.tops {
+		s.tops[m] = topVariants(v)
+	}
 	// The digest covers every body in sorted key order, so it is a function
 	// of the served content alone (not of assembly order, epoch, or the
 	// stale/degraded markers carried on the index page).
@@ -267,6 +310,7 @@ func (s *Snapshot) finish() {
 	}
 	s.Digest = hex.EncodeToString(h.Sum(nil))
 	s.index = newEntity(appendIndex(nil, s))
+	return s
 }
 
 // Build renders the pipeline's rankings into a Snapshot: the four country
@@ -304,21 +348,17 @@ func Build(p *core.Pipeline, epoch int64, cfg Config) *Snapshot {
 	return Assemble(d, cfg)
 }
 
-// topVariants preserializes one body per n in [1, min(k, len)] — ~k²/2
+// topVariants preserializes one body per n in [1, len(v.Entries)] — ~k²/2
 // entry encodings, a few hundred KB at the default cap, in exchange for a
 // single-write zero-encode response at any n. An empty ranking keeps one
 // n=0 variant so the endpoint still answers.
-func topVariants(td TopData, k int) []*entity {
-	nmax := td.Ranking.Len()
-	if nmax > k {
-		nmax = k
+func topVariants(v RankVec) []*entity {
+	if len(v.Entries) == 0 {
+		return []*entity{newEntity(appendTop(nil, v, 0))}
 	}
-	if nmax == 0 {
-		return []*entity{newEntity(appendTop(nil, td, 0))}
-	}
-	out := make([]*entity, nmax)
-	for n := 1; n <= nmax; n++ {
-		out[n-1] = newEntity(appendTop(nil, td, n))
+	out := make([]*entity, len(v.Entries))
+	for n := 1; n <= len(v.Entries); n++ {
+		out[n-1] = newEntity(appendTop(nil, v, n))
 	}
 	return out
 }
@@ -326,23 +366,20 @@ func topVariants(td TopData, k int) []*entity {
 // appendCountry renders one country page:
 //
 //	{"country":"AU","name":"Australia","metrics":{"CCI":{...},"CCN":{...},"AHI":{...},"AHN":{...}}}
-func appendCountry(dst []byte, cd CountryData, k int) []byte {
+func appendCountry(dst []byte, cc string, cr countryRanks) []byte {
 	dst = append(dst, `{"country":`...)
-	dst = appendJSONString(dst, string(cd.Code))
+	dst = appendJSONString(dst, cc)
 	dst = append(dst, `,"name":`...)
-	dst = appendJSONString(dst, cd.Name)
+	dst = appendJSONString(dst, cr.name)
 	dst = append(dst, `,"metrics":{`...)
-	for i, mr := range []struct {
-		key string
-		r   *rank.Ranking
-	}{{"CCI", cd.CCI}, {"CCN", cd.CCN}, {"AHI", cd.AHI}, {"AHN", cd.AHN}} {
+	for i, key := range countryMetricKeys {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, '"')
-		dst = append(dst, mr.key...)
+		dst = append(dst, key...)
 		dst = append(dst, `":`...)
-		dst = AppendRanking(dst, mr.r, k)
+		dst = appendRankVec(dst, cr.vecs[i])
 	}
 	return append(dst, `}}`...)
 }
@@ -350,13 +387,13 @@ func appendCountry(dst []byte, cd CountryData, k int) []byte {
 // appendTop renders one /v1/top variant:
 //
 //	{"metric":"ccg","n":5,"entries":[...]}
-func appendTop(dst []byte, td TopData, n int) []byte {
+func appendTop(dst []byte, v RankVec, n int) []byte {
 	dst = append(dst, `{"metric":`...)
-	dst = appendJSONString(dst, td.Metric)
+	dst = appendJSONString(dst, v.Name)
 	dst = append(dst, `,"n":`...)
 	dst = strconv.AppendInt(dst, int64(n), 10)
 	dst = append(dst, `,"entries":`...)
-	dst = appendEntries(dst, td.Ranking.Top(n))
+	dst = appendEntries(dst, v.Entries[:n])
 	return append(dst, '}')
 }
 
@@ -401,31 +438,31 @@ func appendIndex(dst []byte, s *Snapshot) []byte {
 // writes — so batch CSV, batch JSON (asrank -json), and served snapshot
 // bytes all agree on content.
 func AppendRanking(dst []byte, r *rank.Ranking, k int) []byte {
+	return appendRankVec(dst, rankVec(r, k))
+}
+
+func appendRankVec(dst []byte, v RankVec) []byte {
 	dst = append(dst, `{"metric":`...)
-	dst = appendJSONString(dst, r.Metric)
+	dst = appendJSONString(dst, v.Name)
 	dst = append(dst, `,"entries":`...)
-	entries := r.Entries
-	if k > 0 && k < len(entries) {
-		entries = entries[:k]
-	}
-	dst = appendEntries(dst, entries)
+	dst = appendEntries(dst, v.Entries)
 	return append(dst, '}')
 }
 
-func appendEntries(dst []byte, entries []rank.Entry) []byte {
+func appendEntries(dst []byte, entries []RankEntry) []byte {
 	dst = append(dst, '[')
 	for i, e := range entries {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"rank":`...)
-		dst = strconv.AppendInt(dst, int64(e.Rank), 10)
+		dst = strconv.AppendInt(dst, int64(i+1), 10)
 		dst = append(dst, `,"asn":`...)
 		dst = strconv.AppendUint(dst, uint64(e.ASN), 10)
 		dst = append(dst, `,"name":`...)
-		dst = appendJSONString(dst, e.Info.Name)
+		dst = appendJSONString(dst, e.Name)
 		dst = append(dst, `,"country":`...)
-		dst = appendJSONString(dst, string(e.Info.Country))
+		dst = appendJSONString(dst, string(e.Country))
 		dst = append(dst, `,"value":`...)
 		dst = strconv.AppendFloat(dst, e.Value, 'f', 6, 64)
 		dst = append(dst, '}')

@@ -72,6 +72,13 @@ go test -race -count=1 \
 go test -race -count=1 \
     -run 'TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestPathRunsMatchMapReference|TestInternerInvariants|TestJudgeMatchesReference|TestJudgeLookupsCreateNoPages|TestRunMatchesPerRecordReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs' \
     ./internal/cone ./internal/hegemony ./internal/sanitize ./internal/core ./internal/snapshot
+# Beside the golden, the one published form: a generation file holds rank
+# vectors only and loads back serving the built bytes; vectors forged under
+# consistent CRCs die at the digest; a hostile count cannot buy an
+# allocation; the fuzz target's seed passes.
+go test -race -count=1 \
+    -run 'TestPersistRoundTrip|TestPersistRejectsForgedVectors|TestLoadFileHostileCounts|FuzzLoadFile' \
+    ./internal/snapshot
 
 # The debug surface and the ring under it: the ring's property test, a
 # daemon's stage trace staying bounded across 10× its capacity in real
@@ -140,12 +147,16 @@ grep -q 'below quorum' "$scale_dir/quorum.err"
 [[ ! -s "$scale_dir/quorum.out" ]]
 rm -rf "$scale_dir"
 
-echo '--- fuzz smoke (MRT reader, path judge, 10s each)'
+echo '--- fuzz smoke (MRT reader, path judge, generation loader, 10s each)'
 go test -run '^$' -fuzz FuzzReaderNext -fuzztime 10s ./internal/mrt
 # AS paths reach the judge straight from MRT bytes: same verdict and clean
 # form as the retained reference, no flag-table page created by a lookup,
 # never a panic.
 go test -run '^$' -fuzz FuzzJudge -fuzztime 10s ./internal/sanitize
+# A .csnap is read at boot from a directory the daemon does not control: an
+# error, or a snapshot that saves and loads again to the header's digest;
+# never a panic.
+go test -run '^$' -fuzz FuzzLoadFile -fuzztime 10s ./internal/snapshot
 
 echo '--- chaos soak (collector under injected faults, -race, bounded)'
 # The soak feeds a live collector over transports that reset, truncate,
@@ -550,7 +561,6 @@ curl -fsS "$drift_base/metrics" >"$drift_dir/metrics.txt"
 obs_metrics="$drift_dir/metrics.txt"
 require_nonzero countryrank_drift_churn_score
 require_nonzero countryrank_drift_rollovers_total
-require_nonzero countryrank_drift_churn_score_cci
 require_nonzero countryrank_rankd_history_epochs
 live_churn=$(awk '$1 == "countryrank_drift_churn_score" { print $2 }' "$drift_dir/metrics.txt")
 
@@ -586,9 +596,18 @@ if ! grep -qF "max churn $live_churn" "$drift_dir/rankdiff.out"; then
     cat "$drift_dir/rankdiff.out" >&2
     exit 1
 fi
+# rankdiff reads a store, it does not open one: a mistyped directory is an
+# error and is not created.
+if "$drift_dir/rankdiff" -snapshot-dir "$drift_dir/nope" 2>"$drift_dir/nope.err"; then
+    echo "rankdiff diffed a directory that does not exist" >&2
+    exit 1
+fi
+grep -qF "$drift_dir/nope" "$drift_dir/nope.err"
+[[ ! -e "$drift_dir/nope" ]]
 
 echo '--- size (non-test Go lines; the next re-anchor reads these instead of recounting)'
 echo "internal/obs: $(find internal/obs -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+echo "internal/snapshot: $(find internal/snapshot -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 echo "cmd/ + internal/core + examples/ + countryrank.go: $(find cmd internal/core examples countryrank.go -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 echo "outside benchmark/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l)"
 
