@@ -13,8 +13,9 @@
 // There are two entry points, chosen by the caller. ComputeFrom scores a
 // view once and only stamps each (AS, prefix) membership. Witness
 // materializes a view's memberships with the vantage points that witness
-// each, so that Addresses can score any subset of the view's VPs without
-// walking a record — worth it when many subsets of one view follow
+// each, so that Each can stream the cone sizes over any subset of the view's
+// VPs without walking a record or building a map (Addresses is Each into
+// one) — worth it when many subsets of one view follow
 // (core.Pipeline.Stability), not for one pass over a large view.
 package cone
 
@@ -71,7 +72,7 @@ type scratch struct {
 	stamp    []int32  // per AS id: 1 + byPrefix.Used position of the last prefix credited
 	addr     []uint64 // per AS id: address weight credited so far
 	idsUsed  []int32  // AS ids credited by any prefix this call
-	sel      []uint64 // Witnesses.Addresses: the chosen VP positions as a bitset
+	sel      []uint64 // Witnesses.Each: the chosen VP positions as a bitset
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

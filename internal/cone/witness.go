@@ -9,8 +9,8 @@ import (
 // (AS, prefix) membership of the view with the set of vantage points whose
 // retained chain toward the prefix contains the AS. A membership holds for a
 // VP subset exactly when one of its witnesses is in the subset, so one
-// Witnesses serves every VP subset of the view (Addresses). It is immutable
-// once built and safe for concurrent use.
+// Witnesses serves every VP subset of the view (Each). It is immutable once
+// built and safe for concurrent use.
 type Witnesses struct {
 	asnOf []asn.ASN // the dataset's dense id → ASN column
 	vps   int       // vantage points in the view, witnesses or not
@@ -79,10 +79,11 @@ func Witness(ds *sanitize.Dataset, recs []int32, starts []int32) *Witnesses {
 	return ws
 }
 
-// Addresses returns the cone sizes over the records of the VPs at the given
-// positions (nil means every VP of the view): exactly ComputeFrom's
-// Addresses for those VPs' records of the view, every sum being a uint64.
-func (ws *Witnesses) Addresses(sel []int32) map[asn.ASN]uint64 {
+// Each calls yield once for every AS with a cone over the records of the VPs
+// at the given positions (nil means every VP of the view), with that cone's
+// size: exactly ComputeFrom's Addresses for those VPs' records of the view,
+// every sum being a uint64, in no particular order.
+func (ws *Witnesses) Each(sel []int32, yield func(asn.ASN, uint64)) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.sel = sanitize.Grow(sc.sel, ws.words)
@@ -112,10 +113,16 @@ func (ws *Witnesses) Addresses(sel []int32) map[asn.ASN]uint64 {
 			break
 		}
 	}
-	out := make(map[asn.ASN]uint64, len(sc.idsUsed))
 	for _, id := range sc.idsUsed {
-		out[ws.asnOf[id]] = sc.addr[id]
+		size := sc.addr[id]
 		sc.stamp[id], sc.addr[id] = 0, 0 // restore the pool invariant
+		yield(ws.asnOf[id], size)
 	}
+}
+
+// Addresses is Each into a map.
+func (ws *Witnesses) Addresses(sel []int32) map[asn.ASN]uint64 {
+	out := map[asn.ASN]uint64{}
+	ws.Each(sel, func(a asn.ASN, size uint64) { out[a] = size })
 	return out
 }

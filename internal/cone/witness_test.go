@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"countryrank/internal/asn"
 	"countryrank/internal/cone"
 	"countryrank/internal/core"
 	"countryrank/internal/countries"
@@ -39,7 +40,8 @@ func newWitnessCase(c kernelCase, rng *rand.Rand) witnessCase {
 }
 
 // check combines every selection twice back to back — an address or stamp
-// the first call left behind in the pooled scratch would skew the second.
+// the first call left behind in the pooled scratch would skew the second —
+// through Addresses and through Each, which must name every AS once.
 func (w witnessCase) check(report func(format string, args ...any)) {
 	if w.ws.VPs() != len(w.runs) {
 		report("%s: Witnesses hold %d VPs, the view has %d", w.name, w.ws.VPs(), len(w.runs))
@@ -56,6 +58,17 @@ func (w witnessCase) check(report func(format string, args ...any)) {
 				report("%s sel %v run %d: Addresses (%d ASes) diverge from ComputeFrom over the VPs' records (%d ASes)",
 					w.name, sel, run, len(got), len(want))
 			}
+			got := map[asn.ASN]uint64{}
+			w.ws.Each(sel, func(a asn.ASN, size uint64) {
+				if _, twice := got[a]; twice {
+					report("%s sel %v run %d: Each yields %v twice", w.name, sel, run, a)
+				}
+				got[a] = size
+			})
+			if !reflect.DeepEqual(got, want) {
+				report("%s sel %v run %d: Each (%d ASes) diverges from ComputeFrom over the VPs' records (%d ASes)",
+					w.name, sel, run, len(got), len(want))
+			}
 		}
 	}
 }
@@ -66,7 +79,7 @@ func (w witnessCase) check(report func(format string, args ...any)) {
 // 64 and 65 VPs straddle the bitset's word boundary; the hand-built dataset
 // has records with no retained chain (start −1), whose VPs are numbered but
 // witness nothing. Serially, then from four goroutines on the shared
-// Witnesses, which under -race also shows Addresses only reads them.
+// Witnesses, which under -race also shows Each only reads them.
 func TestWitnessesAddressesMatchComputeFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20230424))
 	var cases []witnessCase

@@ -163,25 +163,11 @@ type Pipeline struct {
 	// viewMu because experiment loops run across a worker pool.
 	viewMu    sync.RWMutex
 	viewCache map[viewKey][]int32
-
-	// rankCache memoizes the full-view baseline ranking per (metric,
-	// country): every Stability call compares its trials against the same
-	// seed-independent full ranking, so recomputing it per call would
-	// dwarf the trials themselves. Cached rankings are shared; callers
-	// must treat them as immutable.
-	rankMu    sync.RWMutex
-	rankCache map[rankKey]*rank.Ranking
 }
 
 // viewKey identifies one cached country view.
 type viewKey struct {
 	kind    ViewKind
-	country countries.Code
-}
-
-// rankKey identifies one cached full-view ranking.
-type rankKey struct {
-	m       Metric
 	country countries.Code
 }
 
@@ -299,7 +285,6 @@ func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
 		Coverage:     cov,
 		vpsByCountry: map[countries.Code][]int32{},
 		viewCache:    map[viewKey][]int32{},
-		rankCache:    map[rankKey]*rank.Ranking{},
 	}
 	for _, st := range []struct {
 		name string
@@ -603,93 +588,141 @@ func (p *Pipeline) CTI(c countries.Code) *rank.Ranking {
 	return rank.New(p.label(string(CTI)+" "+string(c)), s.CTI, p.Info(), true)
 }
 
-// rankFor computes one country metric over an explicit record subset; used
-// by the stability analysis.
-func (p *Pipeline) rankFor(m Metric, recs []int32) *rank.Ranking {
-	switch m {
-	case CCI, CCN, CCG:
-		return rank.New(string(m), cone.ComputeFrom(p.DS, recs, p.Rels, p.coneStarts).Shares(), nil, true)
-	case AHI, AHN, AHG:
-		return rank.New(string(m), hegemony.Compute(p.DS, recs, p.Opt.Trim).Hegemony, nil, true)
-	}
-	panic(fmt.Sprintf("core: metric %q has no subset form", m))
+// sampler is the (metric, view) state the trials of one Stability call
+// combine; it is read-only once built and safe for concurrent use.
+type sampler struct {
+	vps int // the view's VP population
+	// fullVals are the full view's values — the baseline trials are scored
+	// against — and fullOrder its top k.
+	fullVals  map[asn.ASN]float64
+	fullOrder []asn.ASN
+	// top maps chosen VP positions to the trial's top-k ASNs. A trial only
+	// consumes the top list, so the kernels stream into a window and neither
+	// a map nor a Ranking is built; cone trials select on raw address weights
+	// — the exact uint64 values whose shares rank.New would sort by.
+	top func(sel []int32) []asn.ASN
 }
 
-// sampler builds the (metric, view) state every stability trial combines
-// and returns the view's VP population size with a function from chosen VP
-// positions to the trial's top-k ASNs. A trial only consumes the top list,
-// so no Ranking is built; cone trials select on raw address weights — the
-// exact uint64 values whose shares rank.New would sort by. The function is
-// safe for concurrent use.
-func (p *Pipeline) sampler(m Metric, full []int32, k int) (vps int, top func(sel []int32) []asn.ASN) {
+// newSampler walks the view once per kernel: the per-VP state trials
+// recombine also yields the full view's values.
+func (p *Pipeline) newSampler(m Metric, full []int32, k int) *sampler {
+	s := &sampler{}
 	switch m {
 	case CCI, CCN, CCG:
 		ws := cone.Witness(p.DS, full, p.coneStarts)
-		return ws.VPs(), func(sel []int32) []asn.ASN { return topK(ws.Addresses(sel), k) }
+		s.vps = ws.VPs()
+		// Shares need the view's total weight, which only ComputeFrom counts.
+		s.fullVals = cone.ComputeFrom(p.DS, full, p.Rels, p.coneStarts).Shares()
+		s.top = func(sel []int32) []asn.ASN {
+			w := newTopK[uint64](k)
+			ws.Each(sel, w.add)
+			return w.asns()
+		}
 	case AHI, AHN, AHG:
 		pv := hegemony.Accumulate(p.DS, full)
-		return pv.VPs(), func(sel []int32) []asn.ASN { return topK(pv.Scores(sel, p.Opt.Trim).Hegemony, k) }
+		s.vps = pv.VPs()
+		s.fullVals = pv.Scores(nil, p.Opt.Trim).Hegemony
+		s.top = func(sel []int32) []asn.ASN {
+			w := newTopK[float64](k)
+			pv.Each(sel, p.Opt.Trim, w.add)
+			return w.asns()
+		}
+	default:
+		panic(fmt.Sprintf("core: metric %q has no subset form", m))
 	}
-	panic(fmt.Sprintf("core: metric %q has no subset form", m))
+	s.fullOrder = rank.New(string(m), s.fullVals, nil, true).TopASNs(k)
+	return s
 }
 
-// topK selects the k highest-valued ASes (descending value, ascending ASN
-// ties, zeros dropped — rank.New's ordering) by insertion into a small
-// sorted window.
-func topK[V interface{ ~uint64 | ~float64 }](values map[asn.ASN]V, k int) []asn.ASN {
-	type ent struct {
-		a asn.ASN
-		v V
+// trialScore is one trial's top list measured against the full view's.
+type trialScore struct{ ndcgV, tau, jac float64 }
+
+// trial draws n of the view's VPs from seed and scores what they see.
+func (s *sampler) trial(seed int64, n int) trialScore {
+	d := trialDraws.Get().(*trialDraw)
+	top := s.top(d.first(seed, s.vps, n))
+	trialDraws.Put(d)
+	return trialScore{
+		ndcgV: ndcg.NDCG(top, s.fullVals, s.fullOrder, ndcg.DefaultK),
+		tau:   ndcg.KendallTau(top, s.fullOrder, ndcg.DefaultK),
+		jac:   ndcg.Jaccard(top, s.fullOrder, ndcg.DefaultK),
 	}
-	ranksBefore := func(x, y ent) bool {
-		if x.v != y.v {
-			return x.v > y.v
-		}
-		return x.a < y.a
+}
+
+// topK is a window over a stream of (AS, value): it keeps the k
+// highest-valued ASes (descending value, ascending ASN ties, zeros dropped —
+// rank.New's ordering, which is total, so the order of the stream cannot
+// show) by insertion into a small sorted slice.
+type topK[V interface{ ~uint64 | ~float64 }] struct {
+	best []topEntry[V] // at most cap(best), best first
+}
+
+func newTopK[V interface{ ~uint64 | ~float64 }](k int) topK[V] {
+	return topK[V]{best: make([]topEntry[V], 0, k)}
+}
+
+type topEntry[V interface{ ~uint64 | ~float64 }] struct {
+	a asn.ASN
+	v V
+}
+
+func (x topEntry[V]) ranksBefore(y topEntry[V]) bool {
+	if x.v != y.v {
+		return x.v > y.v
 	}
-	best := make([]ent, 0, k)
-	for a, v := range values {
-		if v == 0 {
-			continue
-		}
-		e := ent{a, v}
-		if len(best) < k {
-			best = append(best, e)
-		} else if ranksBefore(e, best[len(best)-1]) {
-			best[len(best)-1] = e
-		} else {
-			continue
-		}
-		for i := len(best) - 1; i > 0 && ranksBefore(best[i], best[i-1]); i-- {
-			best[i], best[i-1] = best[i-1], best[i]
-		}
+	return x.a < y.a
+}
+
+func (w *topK[V]) add(a asn.ASN, v V) {
+	if v == 0 {
+		return
 	}
-	out := make([]asn.ASN, len(best))
-	for i, e := range best {
+	e := topEntry[V]{a, v}
+	if len(w.best) < cap(w.best) {
+		w.best = append(w.best, e)
+	} else if e.ranksBefore(w.best[len(w.best)-1]) {
+		w.best[len(w.best)-1] = e
+	} else {
+		return
+	}
+	for i := len(w.best) - 1; i > 0 && w.best[i].ranksBefore(w.best[i-1]); i-- {
+		w.best[i], w.best[i-1] = w.best[i-1], w.best[i]
+	}
+}
+
+// asns returns the window's ASes, best first.
+func (w *topK[V]) asns() []asn.ASN {
+	out := make([]asn.ASN, len(w.best))
+	for i, e := range w.best {
 		out[i] = e.a
 	}
 	return out
 }
 
-// fullRankFor returns the memoized full-view ranking for (m, c). Safe for
-// concurrent use; the result must not be mutated.
-func (p *Pipeline) fullRankFor(m Metric, c countries.Code, full []int32) *rank.Ranking {
-	k := rankKey{m, c}
-	p.rankMu.RLock()
-	r, ok := p.rankCache[k]
-	p.rankMu.RUnlock()
-	if ok {
-		return r
+// trialDraw is a stability trial's generator and permutation buffer, pooled:
+// seeding a generator fills its 607-word state in place, so a fresh 4.9 KB
+// source and an 8-bytes-per-VP permutation per trial buy nothing.
+type trialDraw struct {
+	rng  *rand.Rand
+	perm []int32
+}
+
+var trialDraws = sync.Pool{New: func() any { return &trialDraw{rng: rand.New(rand.NewSource(0))} }}
+
+// first returns rand.New(rand.NewSource(seed)).Perm(vps)[:n]: Seed leaves the
+// source exactly as NewSource(seed) builds it, and the loop is Perm's own
+// inside-out shuffle, Intn call for Intn call (the i = 0 draw included: it
+// moves nothing but advances the stream). The result is d's until its next
+// call.
+func (d *trialDraw) first(seed int64, vps, n int) []int32 {
+	d.rng.Seed(seed)
+	d.perm = sanitize.Grow(d.perm, vps)
+	for i := 0; i < vps; i++ {
+		j := d.rng.Intn(i + 1)
+		d.perm[i] = d.perm[j]
+		d.perm[j] = int32(i)
 	}
-	r = p.rankFor(m, full)
-	p.rankMu.Lock()
-	if prior, ok := p.rankCache[k]; ok {
-		r = prior // keep one canonical ranking per key
-	} else {
-		p.rankCache[k] = r
-	}
-	p.rankMu.Unlock()
-	return r
+	return d.perm[:n]
 }
 
 // viewKindOf maps a country metric to its view.
@@ -733,41 +766,22 @@ func (p *Pipeline) Stability(m Metric, c countries.Code, sizes []int, trials int
 	if trials < 1 {
 		return nil
 	}
-	kind := viewKindOf(m)
-	full := p.ViewRecords(kind, c)
-	fullRank := p.fullRankFor(m, c, full)
-	fullVals := fullRank.Values()
-	fullOrder := fullRank.TopASNs(ndcg.DefaultK)
-
-	vps, trialTop := p.sampler(m, full, ndcg.DefaultK)
+	s := p.newSampler(m, p.ViewRecords(viewKindOf(m), c), ndcg.DefaultK)
 
 	var valid []int
 	for _, n := range sizes {
-		if n > 0 && n <= vps {
+		if n > 0 && n <= s.vps {
 			valid = append(valid, n)
 		}
 	}
 
-	type cell struct{ ndcgV, tau, jac float64 }
-	results := make([][]cell, len(valid))
+	results := make([][]trialScore, len(valid))
 	for si := range results {
-		results[si] = make([]cell, trials)
+		results[si] = make([]trialScore, trials)
 	}
 	par.ForEach(len(valid)*trials, func(job int) {
 		si, trial := job/trials, job%trials
-		n := valid[si]
-		rng := rand.New(rand.NewSource(subSeed(seed, si, trial)))
-		perm := rng.Perm(vps)
-		keep := make([]int32, n)
-		for k, j := range perm[:n] {
-			keep[k] = int32(j)
-		}
-		top := trialTop(keep)
-		results[si][trial] = cell{
-			ndcgV: ndcg.NDCG(top, fullVals, fullOrder, ndcg.DefaultK),
-			tau:   ndcg.KendallTau(top, fullOrder, ndcg.DefaultK),
-			jac:   ndcg.Jaccard(top, fullOrder, ndcg.DefaultK),
-		}
+		results[si][trial] = s.trial(subSeed(seed, si, trial), valid[si])
 		mTrials.Inc()
 		sp.AddItems(1, "")
 	})

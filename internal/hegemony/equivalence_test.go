@@ -73,14 +73,40 @@ func newPerVPCase(name string, ds *sanitize.Dataset, view []int32, rng *rand.Ran
 			all[k] = int32(j)
 		}
 		c.sels = append(c.sels, all, all[:1], all[:1+rng.Intn(n)], all[rng.Intn(n):])
+		c.sels = append(c.sels, crossoverSels(c.pv, rng)...)
 	}
 	return c
 }
 
-// check scores every selection at every trim twice back to back — a count
-// the first call left behind in the pooled scratch would skew the second —
-// against Compute (and, with ref, the map reference) over the selected VPs'
-// records.
+// crossoverSels draws the view's VPs in random order and returns the longest
+// prefix of the draw holding less than 1/RowsCrossover of the view's pairs,
+// and that prefix with the next VP: the selections just below the gatherer
+// choice and at or just above it.
+func crossoverSels(pv *hegemony.PerVP, rng *rand.Rand) [][]int32 {
+	order := make([]int32, pv.VPs())
+	for k, j := range rng.Perm(len(order)) {
+		order[k] = int32(j)
+	}
+	for k := range order {
+		if ofSel, ofView := pv.Pairs(order[:k+1]); ofSel*hegemony.RowsCrossover >= ofView {
+			return [][]int32{order[:k], order[:k+1]}
+		}
+	}
+	panic("the whole view holds less than a part of its pairs")
+}
+
+// walksRows says from the pair counts alone which gatherer sel is due: the
+// presorted rows from 1/RowsCrossover of the view's pairs up.
+func (c perVPCase) walksRows(sel []int32) bool {
+	ofSel, ofView := c.pv.Pairs(sel)
+	return sel == nil || ofSel*hegemony.RowsCrossover >= ofView
+}
+
+// check scores every selection at every trim twice back to back — a count or
+// a mark the first call left behind in the pooled scratch would skew the
+// second — against Compute (and, with ref, the map reference) over the
+// selected VPs' records: through Scores, then through Each, which must name
+// every AS once.
 func (c perVPCase) check(report func(format string, args ...any), ref bool) {
 	if c.pv.VPs() != len(c.runs) {
 		report("%s: PerVP holds %d VPs, the view has %d", c.name, c.pv.VPs(), len(c.runs))
@@ -90,17 +116,30 @@ func (c perVPCase) check(report func(format string, args ...any), ref bool) {
 		recs := c.view
 		if sel != nil {
 			recs = metrictest.RecordsOf(c.runs, sel)
+			pairs, _ := c.pv.Pairs(sel)
+			if got, want := c.pv.WalksRows(pairs), c.walksRows(sel); got != want {
+				report("%s sel %v (%d pairs): walks rows %v, want %v", c.name, sel, pairs, got, want)
+			}
 		}
 		for _, trim := range trims {
 			want := hegemony.Compute(c.ds, recs, trim)
 			if ref && !reflect.DeepEqual(want, hegemony.ComputeMapRef(c.ds, recs, trim)) {
 				report("%s sel %v trim %v: Compute diverges from the map reference", c.name, sel, trim)
 			}
-			for run := 0; run < 2; run++ {
-				if got := c.pv.Scores(sel, trim); !reflect.DeepEqual(got, want) {
-					report("%s sel %v trim %v run %d: Scores (%d VPs, %d ASes) diverges from Compute over the VPs' records (%d VPs, %d ASes)",
-						c.name, sel, trim, run, got.VPCount, len(got.Hegemony), want.VPCount, len(want.Hegemony))
+			if got := c.pv.Scores(sel, trim); !reflect.DeepEqual(got, want) {
+				report("%s sel %v trim %v: Scores (%d VPs, %d ASes) diverges from Compute over the VPs' records (%d VPs, %d ASes)",
+					c.name, sel, trim, got.VPCount, len(got.Hegemony), want.VPCount, len(want.Hegemony))
+			}
+			got := hegemony.Scores{Hegemony: map[asn.ASN]float64{}}
+			got.VPCount = c.pv.Each(sel, trim, func(a asn.ASN, v float64) {
+				if _, twice := got.Hegemony[a]; twice {
+					report("%s sel %v trim %v: Each yields %v twice", c.name, sel, trim, a)
 				}
+				got.Hegemony[a] = v
+			})
+			if !reflect.DeepEqual(got, want) {
+				report("%s sel %v trim %v: Each after Scores (%d VPs, %d ASes) diverges from Compute over the VPs' records (%d VPs, %d ASes)",
+					c.name, sel, trim, got.VPCount, len(got.Hegemony), want.VPCount, len(want.Hegemony))
 			}
 		}
 	}
@@ -126,13 +165,37 @@ func weightlessVPCases(rng *rand.Rand) []perVPCase {
 	}
 }
 
-// TestPerVPScoresMatchCompute: combining a view's per-VP runs over a VP
+// equalVPsCase: RowsCrossover VPs with as many pairs each, so that one VP
+// holds exactly 1/RowsCrossover of the view's pairs — the selection that sits
+// on the gatherer choice, where the rows are walked.
+func equalVPsCase(t *testing.T, rng *rand.Rand) perVPCase {
+	var recs []metrictest.Rec
+	for v := 0; v < hegemony.RowsCrossover; v++ {
+		recs = append(recs, metrictest.Rec{VP: v, Prefix: fmt.Sprintf("9.0.%d.0/24", v), PrefixCountry: "US",
+			Path: []uint32{uint32(10 + v), 2, uint32(3 + v%2)}})
+	}
+	c := newPerVPCase("equal VPs", metrictest.Dataset(make([]countries.Code, len(recs)), recs), nil, rng)
+	for p := int32(0); int(p) < c.pv.VPs(); p++ {
+		ofVP, ofView := c.pv.Pairs([]int32{p})
+		if ofVP*hegemony.RowsCrossover != ofView || !c.pv.WalksRows(ofVP) || c.pv.WalksRows(ofVP-1) {
+			t.Fatalf("equal VPs: VP %d holds %d of %d pairs (rows walked from %d pairs: %v, from %d: %v); the selection is not on the choice",
+				p, ofVP, ofView, ofVP, c.pv.WalksRows(ofVP), ofVP-1, c.pv.WalksRows(ofVP-1))
+		}
+		c.sels = append(c.sels, []int32{p})
+	}
+	return c
+}
+
+// TestPerVPScoresMatchCompute: combining a view's per-VP state over a VP
 // selection is Compute over those VPs' records, bit for bit — the property
-// core.Stability's trials rest on — serially, then from four goroutines on
-// the shared PerVPs, which under -race also shows Scores only reads them.
+// core.Stability's trials rest on — whichever gatherer the selection is due
+// (every view adds the selections just below and just above the choice, one
+// hand-built view the selection on it), through Scores and through Each;
+// serially, then from four goroutines on the shared PerVPs, which under -race
+// also shows scoring only reads them.
 func TestPerVPScoresMatchCompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(20230424))
-	cases := weightlessVPCases(rng)
+	cases := append(weightlessVPCases(rng), equalVPsCase(t, rng))
 	for _, seed := range []int64{1, 5} {
 		p := core.NewPipeline(core.Options{Seed: seed, StubScale: 0.15, VPScale: 0.2})
 		cases = append(cases, newPerVPCase(fmt.Sprintf("seed %d global", seed), p.DS, nil, rng))
@@ -149,11 +212,20 @@ func TestPerVPScoresMatchCompute(t *testing.T) {
 		}
 	}
 
+	gathered := map[bool]int{} // selections of several VPs, by "walks rows"
 	for _, c := range cases {
 		c.check(t.Fatalf, true)
 		if err := hegemony.CheckPooledScratch(); err != nil {
 			t.Fatalf("after %s: %v", c.name, err)
 		}
+		for _, sel := range c.sels {
+			if len(sel) > 1 {
+				gathered[c.walksRows(sel)]++
+			}
+		}
+	}
+	if gathered[false] < 20 || gathered[true] < 20 {
+		t.Fatalf("%d selections sorted VP-major runs, %d walked rows; a gatherer goes unexercised", gathered[false], gathered[true])
 	}
 
 	var wg sync.WaitGroup

@@ -6,13 +6,15 @@
 // are topologically very near or very far from the AS.
 //
 // The definition is the kernel's seam: Accumulate builds the per-VP vectors
-// of a view (PerVP), Scores takes the trimmed mean over any subset of its
-// VPs, and Compute is the two back to back. Callers scoring many VP subsets
-// of one view (core.Pipeline.Stability) accumulate once.
+// of a view (PerVP), Each streams every AS's trimmed mean over any subset of
+// its VPs (Scores is Each into a map), and Compute is the two back to back.
+// Callers scoring many VP subsets of one view (core.Pipeline.Stability)
+// accumulate once.
 package hegemony
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"countryrank/internal/asn"
@@ -37,7 +39,7 @@ func (s Scores) Value(a asn.ASN) float64 { return s.Hegemony[a] }
 // PerVP is a view's hegemony state before the trimmed mean: for each vantage
 // point of the view, the ASes on its paths with the address-weighted share of
 // its paths containing each. A VP's run depends on nothing but its own
-// records, so one PerVP serves every VP subset of the view (Scores). It is
+// records, so one PerVP serves every VP subset of the view (Each). It is
 // immutable once built and safe for concurrent use.
 type PerVP struct {
 	asnOf []asn.ASN // the dataset's dense id → ASN column
@@ -49,6 +51,14 @@ type PerVP struct {
 	// scored[p]: the VP's prefixes carry weight. Only such VPs count toward
 	// the mean's denominator; the others have empty runs.
 	scored []bool
+	// The same pairs a second time, AS-major: row r is AS rowID[r] with
+	// rowVP/rowShare[rowOff[r]:rowOff[r+1]], ascending by share. Only
+	// Accumulate builds rows (12 bytes a pair); Compute's pooled PerVP scores
+	// once and would only pay for them.
+	rowID    []int32
+	rowOff   []int32
+	rowVP    []int32
+	rowShare []float64
 }
 
 // VPs returns the number of vantage points in the view, scored or not.
@@ -59,12 +69,12 @@ func (pv *PerVP) VPs() int { return len(pv.scored) }
 // lazily; the pool keeps them across calls so steady-state Compute does not
 // allocate per-VP maps. Nothing in it escapes a call.
 //
-// Pool invariant: byVP.Cnt is all-zero, seen all-false, asW and counts
-// all-zero between calls; every write is undone via the byVP.Used/touched/
-// idsUsed dirty lists. That keeps each call O(records + touched entries)
-// rather than O(total ASes + total VPs), which matters for stability trials
-// over tiny VP subsets. pv.asnOf is nil between calls, so an idle pool pins
-// no dataset.
+// Pool invariant: byVP.Cnt is all-zero, seen all-false, asW, counts and
+// picked all-zero between calls; every write is undone via the byVP.Used/
+// touched/idsUsed dirty lists or the selection itself. That keeps each call
+// O(records + touched entries) rather than O(total ASes + total VPs), which
+// matters for stability trials over tiny VP subsets. pv.asnOf is nil between
+// calls, so an idle pool pins no dataset.
 type scratch struct {
 	// byVP groups the record positions by VP, record order kept inside a VP.
 	byVP    sanitize.Groups
@@ -75,7 +85,17 @@ type scratch struct {
 	counts  []int32   // per AS id: contributing VPs (then scatter cursor)
 	idsUsed []int32   // AS ids scored by any chosen VP
 	offsets []int32   // per AS id: start into vals (used ids only)
-	vals    []float64 // per-AS value lists after counting-sort
+	vals    []float64 // per-AS value lists after counting-sort; one row's picks
+	picked  []uint8   // per VP position: 1 while the VP is selected (rows walk)
+	all     []int32   // 0, 1, 2, …: the selection nil stands for
+}
+
+// allVPs returns the positions of a view's n VPs.
+func (sc *scratch) allVPs(n int) []int32 {
+	for len(sc.all) < n {
+		sc.all = append(sc.all, int32(len(sc.all)))
+	}
+	return sc.all[:n]
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -85,8 +105,8 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // values select DefaultTrim, zero disables trimming (the ablation case).
 //
 // It is Accumulate followed by Scores(nil, trim) with the per-VP runs kept
-// in pooled scratch; the result is bit-identical to the map-based reference
-// the property tests keep.
+// in pooled scratch and no rows built; the result is bit-identical to the
+// map-based reference the property tests keep.
 func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -97,22 +117,40 @@ func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
 }
 
 // Accumulate builds the per-VP state of the view made of the given
-// accepted-record positions of ds (nil means every record).
+// accepted-record positions of ds (nil means every record), in both orders.
 func Accumulate(ds *sanitize.Dataset, recs []int32) *PerVP {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	pv := new(PerVP)
 	sc.accumulate(ds, recs, pv)
+	pv.buildRows(sc)
 	return pv
 }
 
-// Scores calculates hegemony over the records of the VPs at the given
-// distinct positions (nil means every VP of the view): exactly what Compute
-// returns for those VPs' records of the view. trim is as in Compute.
+// Each calls yield once for every AS on a path of the VPs at the given
+// distinct positions (nil means every VP of the view) with its hegemony over
+// those VPs' records — exactly what Compute returns for them, in no
+// particular order — and returns the number of VPs the means are taken over.
+// trim is as in Compute.
+func (pv *PerVP) Each(sel []int32, trim float64, yield func(asn.ASN, float64)) int {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return pv.each(sc, sel, trim, func(int) {}, yield)
+}
+
+// Scores is Each into a map.
 func (pv *PerVP) Scores(sel []int32, trim float64) Scores {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	return pv.scores(sc, sel, trim)
+}
+
+func (pv *PerVP) scores(sc *scratch, sel []int32, trim float64) Scores {
+	var s Scores
+	s.VPCount = pv.each(sc, sel, trim,
+		func(n int) { s.Hegemony = make(map[asn.ASN]float64, n) },
+		func(a asn.ASN, v float64) { s.Hegemony[a] = v })
+	return s
 }
 
 // accumulate fills pv, reusing its slices, with one run per VP of the view.
@@ -175,37 +213,56 @@ func (sc *scratch) accumulate(ds *sanitize.Dataset, recs []int32, pv *PerVP) {
 	}
 }
 
-// scores counting-sorts the chosen VPs' (id, share) pairs into per-AS value
-// runs and takes each run's trimmed mean. The runs are sorted before summing,
-// so the order VPs are visited in cannot show in the result.
-func (pv *PerVP) scores(sc *scratch, sel []int32, trim float64) Scores {
+// rowsCrossover: a selection is gathered from the presorted rows when its
+// VPs hold at least 1/rowsCrossover of the view's pairs. Walking rows costs
+// the view's pairs whatever is selected and sorts nothing; the VP-major
+// gather costs the selection's pairs and sorts them. DESIGN.md "Per-view
+// trial state" has the sweep (flat from 4 to 16).
+const rowsCrossover = 4
+
+// walksRows decides the gatherer for a selection holding the given number of
+// the view's pairs.
+func (pv *PerVP) walksRows(pairs int) bool {
+	return pv.rowOff != nil && pairs*rowsCrossover >= len(pv.ids)
+}
+
+// each is Each on borrowed scratch. Before the first yield it tells sized
+// how many ASes it is about to yield (at most, when it walks rows). Either
+// gatherer hands visit each seen AS's values over the selected VPs in
+// ascending order, so the sums — and every bit of the result — do not depend
+// on which one ran or on the order VPs are visited in.
+func (pv *PerVP) each(sc *scratch, sel []int32, trim float64, sized func(int), yield func(asn.ASN, float64)) int {
 	if trim < 0 {
 		trim = DefaultTrim
 	}
-	n := len(sel)
+	vps, pairs := 0, 0
 	if sel == nil {
-		n = pv.VPs()
+		sel = sc.allVPs(pv.VPs())
 	}
-	at := func(k int) int32 {
-		if sel == nil {
-			return int32(k)
+	for _, p := range sel {
+		if pv.scored[p] {
+			vps++
 		}
-		return sel[k]
+		pairs += int(pv.off[p+1] - pv.off[p]) // none for an unscored VP
 	}
+	visit := func(id int32, vals []float64) { yield(pv.asnOf[id], trimmedMeanSorted(vals, vps, trim)) }
+	if pv.walksRows(pairs) {
+		sized(len(pv.rowID))
+		pv.walkRows(sc, sel, visit)
+	} else {
+		pv.sortRuns(sc, sel, pairs, sized, visit)
+	}
+	return vps
+}
 
+// sortRuns counting-sorts the chosen VPs' (id, share) pairs into per-AS value
+// runs and sorts each run.
+func (pv *PerVP) sortRuns(sc *scratch, sel []int32, pairs int, sized func(int), visit func(id int32, vals []float64)) {
 	sc.counts = sanitize.Grow(sc.counts, len(pv.asnOf))
 	sc.offsets = sanitize.Grow(sc.offsets, len(pv.asnOf))
 	sc.idsUsed = sc.idsUsed[:0]
-	vpCount, pairs := 0, 0
-	for k := 0; k < n; k++ {
-		p := at(k)
-		if !pv.scored[p] {
-			continue
-		}
-		vpCount++
-		run := pv.ids[pv.off[p]:pv.off[p+1]]
-		pairs += len(run)
-		for _, id := range run {
+	for _, p := range sel {
+		for _, id := range pv.ids[pv.off[p]:pv.off[p+1]] {
 			if sc.counts[id] == 0 {
 				sc.idsUsed = append(sc.idsUsed, id)
 			}
@@ -219,23 +276,83 @@ func (pv *PerVP) scores(sc *scratch, sel []int32, trim float64) Scores {
 		sc.counts[id] = 0 // becomes the scatter cursor
 	}
 	sc.vals = sanitize.Grow(sc.vals, pairs)
-	for k := 0; k < n; k++ {
-		p := at(k)
-		for j := pv.off[p]; j < pv.off[p+1]; j++ { // empty for an unscored VP
+	for _, p := range sel {
+		for j := pv.off[p]; j < pv.off[p+1]; j++ {
 			id := pv.ids[j]
 			sc.vals[sc.offsets[id]+sc.counts[id]] = pv.shares[j]
 			sc.counts[id]++
 		}
 	}
-
-	s := Scores{Hegemony: make(map[asn.ASN]float64, len(sc.idsUsed)), VPCount: vpCount}
+	sized(len(sc.idsUsed))
 	for _, id := range sc.idsUsed {
 		vs := sc.vals[sc.offsets[id]:][:sc.counts[id]]
-		sort.Float64s(vs)
-		s.Hegemony[pv.asnOf[id]] = trimmedMeanSorted(vs, vpCount, trim)
+		slices.Sort(vs)
 		sc.counts[id] = 0 // restore the pool invariant
+		visit(id, vs)
 	}
-	return s
+}
+
+// walkRows marks the chosen VPs and filters each presorted row by the marks:
+// what is left of a row is already ascending.
+func (pv *PerVP) walkRows(sc *scratch, sel []int32, visit func(id int32, vals []float64)) {
+	sc.picked = sanitize.Grow(sc.picked, pv.VPs())
+	sc.vals = sanitize.Grow(sc.vals, pv.VPs()) // no row is longer
+	for _, p := range sel {
+		sc.picked[p] = 1
+	}
+	for r, id := range pv.rowID {
+		n := 0
+		for j := pv.rowOff[r]; j < pv.rowOff[r+1]; j++ {
+			sc.vals[n] = pv.rowShare[j]
+			n += int(sc.picked[pv.rowVP[j]]) // keeps the value when picked, without a branch
+		}
+		if n > 0 {
+			visit(id, sc.vals[:n])
+		}
+	}
+	for _, p := range sel {
+		sc.picked[p] = 0 // restore the pool invariant
+	}
+}
+
+// buildRows lays pv's pairs out AS-major, each row ascending by share.
+func (pv *PerVP) buildRows(sc *scratch) {
+	sc.counts = sanitize.Grow(sc.counts, len(pv.asnOf))
+	sc.offsets = sanitize.Grow(sc.offsets, len(pv.asnOf))
+	for _, id := range pv.ids {
+		if sc.counts[id] == 0 {
+			pv.rowID = append(pv.rowID, id)
+		}
+		sc.counts[id]++
+	}
+	pv.rowOff = make([]int32, len(pv.rowID)+1)
+	for r, id := range pv.rowID {
+		sc.offsets[id] = pv.rowOff[r]
+		pv.rowOff[r+1] = pv.rowOff[r] + sc.counts[id]
+		sc.counts[id] = 0 // becomes the scatter cursor
+	}
+	type pair struct {
+		share float64
+		vp    int32
+	}
+	rows := make([]pair, len(pv.ids))
+	for p := range pv.scored {
+		for j := pv.off[p]; j < pv.off[p+1]; j++ {
+			id := pv.ids[j]
+			rows[sc.offsets[id]+sc.counts[id]] = pair{pv.shares[j], int32(p)}
+			sc.counts[id]++
+		}
+	}
+	pv.rowVP = make([]int32, len(rows))
+	pv.rowShare = make([]float64, len(rows))
+	for r, id := range pv.rowID {
+		sc.counts[id] = 0 // restore the pool invariant
+		lo, hi := pv.rowOff[r], pv.rowOff[r+1]
+		slices.SortFunc(rows[lo:hi], func(a, b pair) int { return cmp.Compare(a.share, b.share) })
+		for j := lo; j < hi; j++ {
+			pv.rowVP[j], pv.rowShare[j] = rows[j].vp, rows[j].share
+		}
+	}
 }
 
 // trimmedMeanSorted pads the sorted vals with zeros up to n (VPs that never

@@ -68,10 +68,13 @@ go test -race -count=1 \
 # curves, under the detector. With them the record plane's three: no lookup
 # grows the judge's flag table, the verdict pass equals its per-record
 # reference, and hegemony's (VP, path) runs equal the map reference however
-# the records are ordered.
+# the records are ordered. A trial's generator and permutation are pooled
+# too: the pooled draw equals rand.Perm, the kernels' Each streamed into the
+# top-k window equals the sorted map, and the scanning list measures equal
+# their map references.
 go test -race -count=1 \
-    -run 'TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestPathRunsMatchMapReference|TestInternerInvariants|TestJudgeMatchesReference|TestJudgeLookupsCreateNoPages|TestRunMatchesPerRecordReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs' \
-    ./internal/cone ./internal/hegemony ./internal/sanitize ./internal/core ./internal/snapshot
+    -run 'TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestPathRunsMatchMapReference|TestInternerInvariants|TestJudgeMatchesReference|TestJudgeLookupsCreateNoPages|TestRunMatchesPerRecordReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs|TestTrialDrawMatchesRandPerm|TestWindowMatchesSortedReference|TestStabilityDeterministic|TestScansMatchMapReferences' \
+    ./internal/cone ./internal/hegemony ./internal/sanitize ./internal/core ./internal/snapshot ./internal/ndcg
 # Beside the golden, the one published form: a generation file holds rank
 # vectors only and loads back serving the built bytes; vectors forged under
 # consistent CRCs die at the digest; a hostile count cannot buy an
@@ -90,15 +93,19 @@ go test -race -count=1 \
     -run 'TestRingProperty|TestDaemonTraceBounded|TestReadyzNotOkBeforeProbe|TestDebugVarsRefreshesPullSeries|TestDebugRequestsShape' \
     ./internal/obs
 
-echo '--- stability determinism (experiments -quick -only figure4,figure5, twice)'
-# Trials fan out over a worker pool and combine shared per-view state; the
-# printed curves may depend on the seed alone.
+echo '--- stability determinism (experiments -quick -only figure4,figure5, twice and on one proc)'
+# Trials fan out over a worker pool and combine shared per-view state, and a
+# worker's generator and permutation buffer outlive a trial; the printed
+# curves may depend on the seed alone. A draw that leaked state from the trial
+# before it would differ between one worker and several.
 stab_dir=$(mktemp -d)
 go build -o "$stab_dir/experiments" ./cmd/experiments
 "$stab_dir/experiments" -quick -only figure4,figure5 >"$stab_dir/a.out" 2>/dev/null
 "$stab_dir/experiments" -quick -only figure4,figure5 >"$stab_dir/b.out" 2>/dev/null
+GOMAXPROCS=1 "$stab_dir/experiments" -quick -only figure4,figure5 >"$stab_dir/c.out" 2>/dev/null
 grep -q '^Figure 5' "$stab_dir/a.out"
 cmp "$stab_dir/a.out" "$stab_dir/b.out"
+cmp "$stab_dir/a.out" "$stab_dir/c.out"
 rm -rf "$stab_dir"
 
 echo '--- scale smoke (topogen -shards 8 vs -shards 1 vs one proc -> crank -mrt, complete and partial)'
