@@ -1,21 +1,25 @@
 // Command crank ("country rank") computes the paper's country-level AS
-// rankings. By default it builds the synthetic world in-process; with -mrt
-// it instead ingests MRT TABLE_DUMP_V2 dumps produced by topogen, proving
-// the pipeline runs off the standard interchange format. Dumps that cover
-// only part of the world's vantage points never yield an unlabelled ranking:
-// from half of them up every ranking name carries "[degraded: d/e VPs, …]"
-// (and the manifest says so), below that crank prints none and exits 1.
+// rankings, and with -metric global the two global ones (customer cone CCG,
+// CAIDA AS Rank's metric, and hegemony AHG, IHR's). By default it builds the
+// synthetic world in-process; with -mrt it instead ingests MRT TABLE_DUMP_V2
+// dumps produced by topogen, proving the pipeline runs off the standard
+// interchange format. Dumps that cover only part of the world's vantage
+// points never yield an unlabelled ranking: from half of them up every
+// ranking name carries "[degraded: d/e VPs, …]" (and the manifest says so),
+// below that crank prints none and exits 1.
 //
 // Usage:
 //
-//	crank [-seed N] [-scale F] [-vpscale F] [-mrt DIR] [-metric all|CCI|CCN|AHI|AHN|AHC|CTI] [-top K]
-//	      [-v LEVEL] [-debug-addr HOST:PORT] [-debug-linger D]
-//	      [-trace-out FILE] [-manifest FILE] [-timeline D] CC [CC...]
+//	crank [-seed N] [-scale F] [-vpscale F] [-mrt DIR] [-top K] [-json]
+//	      [-metric all|CCI|CCN|AHI|AHN|AHC|CTI] CC [CC...]
+//	crank [...] -metric global
 //
-// Each positional argument is an ISO 3166-1 alpha-2 country code. -v raises
-// the structured-log verbosity (0 info, 1 debug stage logs); -debug-addr
-// serves /metrics, /healthz, expvar, pprof, /debug/trace, and
-// /debug/timeline. -trace-out writes a Perfetto-loadable Chrome trace;
+// Each positional argument is an ISO 3166-1 alpha-2 country code. -json
+// prints the rankings in the wire encoding rankd serves instead of tables.
+// The shared observability flags: -v raises the structured-log verbosity (0
+// info, 1 debug stage logs); -debug-addr serves /metrics, /healthz, expvar,
+// pprof, /debug/trace, and /debug/timeline (sampled with -timeline) while
+// the run lasts. -trace-out writes a Perfetto-loadable Chrome trace;
 // -manifest writes the run provenance manifest — with -mrt, it carries a
 // SHA-256 digest of every imported dump, so a ranking names the exact
 // bytes it was computed from.
@@ -25,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -36,10 +41,12 @@ import (
 	"countryrank/internal/obs"
 	"countryrank/internal/par"
 	"countryrank/internal/rank"
+	"countryrank/internal/snapshot"
 )
 
-// metrics lists what -metric accepts; "all" prints the paper's four.
-var metrics = []string{"all", "cci", "ccn", "ahi", "ahn", "ahc", "cti"}
+// metrics lists what -metric accepts; "all" prints the paper's four for each
+// country given, "global" CCG then AHG and takes no country.
+var metrics = []string{"all", "cci", "ccn", "ahi", "ahn", "ahc", "cti", "global"}
 
 // config is the command line after parsing and checking.
 type config struct {
@@ -47,7 +54,8 @@ type config struct {
 	mrtDir string
 	metric string // lower-cased member of metrics
 	top    int
-	codes  []string
+	json   bool
+	codes  []countries.Code
 }
 
 // parseFlags registers the command's flags on fs, parses args and rejects
@@ -60,6 +68,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) 
 	fs.StringVar(&c.mrtDir, "mrt", "", "directory of MRT dumps from topogen (same seed/scale)")
 	fs.StringVar(&c.metric, "metric", "all", "metric to print: "+strings.Join(metrics, "|"))
 	fs.IntVar(&c.top, "top", 10, "entries per ranking")
+	fs.BoolVar(&c.json, "json", false, "emit machine-readable JSON (the snapshot wire encoding rankd serves) instead of tables")
 	fs.IntVar(&c.opt.Routing.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
 	ofl := obs.FlagsOn(fs, "crank")
 	if err := fs.Parse(args); err != nil {
@@ -68,7 +77,17 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) 
 	if c.metric = strings.ToLower(c.metric); !slices.Contains(metrics, c.metric) {
 		return c, ofl, fmt.Errorf("-metric %s: no such metric (have %s)", c.metric, strings.Join(metrics, ", "))
 	}
-	if c.codes = fs.Args(); len(c.codes) == 0 {
+	for _, arg := range fs.Args() {
+		code := countries.Code(strings.ToUpper(arg))
+		if !countries.Known(code) {
+			return c, ofl, fmt.Errorf("unknown country code %q", arg)
+		}
+		c.codes = append(c.codes, code)
+	}
+	switch global := c.metric == "global"; {
+	case global && len(c.codes) > 0:
+		return c, ofl, fmt.Errorf("-metric global takes no country code")
+	case !global && len(c.codes) == 0:
 		return c, ofl, fmt.Errorf("no country code given")
 	}
 	return c, ofl, nil
@@ -118,28 +137,56 @@ func main() {
 	ofl.Manifest.SetCoverage(p.Coverage.Info())
 	ofl.Manifest.SetDrops(p.DS.Stats.Drops())
 
-	for _, arg := range cfg.codes {
-		c := countries.Code(strings.ToUpper(arg))
-		if !countries.Known(c) {
-			slog.Warn("unknown country, skipping", "code", arg)
-			continue
+	if err := render(os.Stdout, p, cfg); err != nil {
+		slog.Error("write rankings", "err", err)
+		os.Exit(1)
+	}
+	ofl.Done()
+}
+
+// render writes the rankings cfg selects: as tables under a header per
+// country, or with -json as one document of snapshot.AppendRanking
+// encodings — what rankd serves for the same rankings, byte for byte.
+func render(w io.Writer, p *core.Pipeline, cfg config) error {
+	doc := []byte(`{"rankings":[`)
+	show := func(r *rank.Ranking) {
+		if !cfg.json {
+			fmt.Fprint(w, r.Render(cfg.top))
+			return
 		}
-		fmt.Printf("== %s (%s)\n", c, countries.Name(c))
+		if doc[len(doc)-1] != '[' {
+			doc = append(doc, ',')
+		}
+		doc = snapshot.AppendRanking(doc, r, cfg.top)
+	}
+	if cfg.metric == "global" {
+		ccg, ahg := p.Global()
+		show(ccg)
+		show(ahg)
+	}
+	for _, c := range cfg.codes {
+		if !cfg.json {
+			fmt.Fprintf(w, "== %s (%s)\n", c, countries.Name(c))
+		}
 		cr := p.Country(c)
 		for _, m := range []struct {
 			name string
 			r    *rank.Ranking
 		}{{"cci", cr.CCI}, {"ahi", cr.AHI}, {"ccn", cr.CCN}, {"ahn", cr.AHN}} {
 			if cfg.metric == "all" || cfg.metric == m.name {
-				fmt.Print(m.r.Render(cfg.top))
+				show(m.r)
 			}
 		}
 		switch cfg.metric {
 		case "ahc":
-			fmt.Print(p.AHC(c).Render(cfg.top))
+			show(p.AHC(c))
 		case "cti":
-			fmt.Print(p.CTI(c).Render(cfg.top))
+			show(p.CTI(c))
 		}
 	}
-	ofl.Done()
+	if !cfg.json {
+		return nil
+	}
+	_, err := w.Write(append(doc, "]}\n"...))
+	return err
 }

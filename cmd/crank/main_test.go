@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -16,7 +17,9 @@ import (
 	"testing"
 
 	"countryrank/internal/core"
+	"countryrank/internal/countries"
 	"countryrank/internal/obs"
+	"countryrank/internal/snapshot"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -31,16 +34,19 @@ func TestParseFlags(t *testing.T) {
 		want config
 		err  string // substring of the usage error; "" means accepted
 	}{
-		{"AU", with(func(c *config) { c.codes = []string{"AU"} }), ""},
+		{"AU", with(func(c *config) { c.codes = []countries.Code{"AU"} }), ""},
 		{"-seed 101 -scale 0.5 -vpscale 0.5 -mrt DIR AU JP RU US", // the benchmark's line
 			with(func(c *config) {
 				c.opt.Seed, c.opt.StubScale, c.opt.VPScale = 101, 0.5, 0.5
-				c.mrtDir, c.codes = "DIR", []string{"AU", "JP", "RU", "US"}
+				c.mrtDir, c.codes = "DIR", []countries.Code{"AU", "JP", "RU", "US"}
 			}), ""},
 		{"-metric CTI -top 3 -shards 8 au", with(func(c *config) {
-			c.metric, c.top, c.opt.Routing.Shards, c.codes = "cti", 3, 8, []string{"au"}
+			c.metric, c.top, c.opt.Routing.Shards, c.codes = "cti", 3, 8, []countries.Code{"AU"}
 		}), ""},
-		{"-metric bogus AU", def, "-metric bogus: no such metric (have all, cci, ccn, ahi, ahn, ahc, cti)"},
+		{"-metric global -json", with(func(c *config) { c.metric, c.json = "global", true }), ""},
+		{"-metric global AU", def, "takes no country code"},
+		{"AU ZZ", def, `unknown country code "ZZ"`}, // before any work, not a warning after it
+		{"-metric bogus AU", def, "-metric bogus: no such metric (have all, cci, ccn, ahi, ahn, ahc, cti, global)"},
 		{"-metric ccg AU", def, "-metric ccg"},
 		{"-metric CCI", def, "no country code"},
 		{"", def, "no country code"},
@@ -57,6 +63,40 @@ func TestParseFlags(t *testing.T) {
 		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
 			t.Errorf("%q: error %v, want one naming %q", tc.args, err, tc.err)
 		}
+	}
+}
+
+// TestRenderGlobalJSON: -metric global -json is one document holding CCG then
+// AHG, each exactly snapshot.AppendRanking's bytes — the encoding rankd
+// serves — and the table form is the two rankings' own rendering.
+func TestRenderGlobalJSON(t *testing.T) {
+	p, err := core.Run(context.Background(), core.Generated, core.Options{Seed: 1, StubScale: 0.15, VPScale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccg, ahg := p.Global()
+	cfg := config{metric: "global", top: 5, json: true}
+
+	var got bytes.Buffer
+	if err := render(&got, p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte(`{"rankings":[`)
+	want = snapshot.AppendRanking(want, ccg, cfg.top)
+	want = append(want, ',')
+	want = snapshot.AppendRanking(want, ahg, cfg.top)
+	want = append(want, "]}\n"...)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-metric global -json wrote\n%s\nwant\n%s", got.Bytes(), want)
+	}
+
+	cfg.json = false
+	got.Reset()
+	if err := render(&got, p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if want := ccg.Render(cfg.top) + ahg.Render(cfg.top); got.String() != want {
+		t.Errorf("-metric global wrote\n%s\nwant\n%s", got.String(), want)
 	}
 }
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-seed N] [-scale F] [-vpscale F] [-trials N] [-quick] [-only LIST]
-//	            [-progress] [-v LEVEL] [-debug-addr HOST:PORT] [-debug-linger D]
+//	            [-progress] [-v LEVEL] [-debug-addr HOST:PORT]
 //	            [-trace-out FILE] [-manifest FILE] [-timeline D]
 //
 // -quick runs a reduced world and fewer stability trials (an explicit

@@ -36,8 +36,12 @@
 // anything to serve: the build is cancelled and rankd exits 0.
 //
 // Usage: rankd [flags]. Every flag with its default and meaning, and every
-// metric series the daemon links in, is listed in testdata/catalogue.txt,
-// which a golden test renders from registerFlags and the registry.
+// metric series the daemon links in, is listed in testdata/catalogue.txt
+// with the files that read it. The golden test that renders that ledger from
+// registerFlags and the registry fails on an entry nothing reads, so a flag
+// or series here either has a reader — a CI or test assertion, a benchmark
+// or loadgen scrape, a README runbook sentence — or is deleted with the
+// code that fed it.
 //
 // Robustness:
 //
@@ -94,12 +98,10 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"countryrank/internal/core"
-	"countryrank/internal/countries"
 	"countryrank/internal/obs"
 	"countryrank/internal/snapshot"
 )
@@ -111,7 +113,6 @@ type options struct {
 	world         core.Options // -seed, -scale, -vpscale, -shards
 	topn          int
 	refresh       time.Duration
-	countries     string
 	snapshotDir   string
 	snapshotKeep  int
 	allowDegraded bool
@@ -139,7 +140,6 @@ func registerFlags(fs *flag.FlagSet) (*options, *obs.CmdFlags) {
 	fs.Float64Var(&o.world.VPScale, "vpscale", 1, "VP-count scale factor")
 	fs.IntVar(&o.topn, "topn", snapshot.DefaultMaxTopN, "max entries per ranking and /v1/top ?n= cap")
 	fs.DurationVar(&o.refresh, "refresh", 0, "recompute and atomically swap the snapshot at this interval (0 = only on SIGHUP)")
-	fs.StringVar(&o.countries, "countries", "", "comma-separated country codes to serve (default: all with ranked ASes)")
 	fs.IntVar(&o.world.Routing.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
 	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "durably persist published snapshots here and warm-start from the newest valid generation (empty = off)")
 	fs.IntVar(&o.snapshotKeep, "snapshot-keep", snapshot.DefaultKeepGenerations, "on-disk snapshot generations to retain")
@@ -164,19 +164,7 @@ func main() {
 	flag.Parse()
 	ofl.Setup()
 
-	var only []countries.Code
-	for _, cc := range strings.Split(o.countries, ",") {
-		cc = strings.ToUpper(strings.TrimSpace(cc))
-		if cc == "" {
-			continue
-		}
-		if !countries.Known(countries.Code(cc)) {
-			slog.Error("unknown country", "code", cc)
-			os.Exit(1)
-		}
-		only = append(only, countries.Code(cc))
-	}
-	cfg := snapshot.Config{MaxTopN: o.topn, Countries: only}
+	cfg := snapshot.Config{MaxTopN: o.topn}
 
 	ofl.Manifest.Seed("world", o.world.Seed)
 	build := func(ctx context.Context, epoch int64) (*snapshot.Snapshot, error) {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	topogen [-seed N] [-scale F] [-vpscale F] [-scenario 20210401|20230301] -out DIR
-//	        [-v LEVEL] [-debug-addr HOST:PORT] [-debug-linger D]
+//	        [-v LEVEL] [-debug-addr HOST:PORT]
 //	        [-trace-out FILE] [-manifest FILE] [-timeline D]
 //
 // -v raises the structured-log verbosity (0 info, 1 debug stage logs);

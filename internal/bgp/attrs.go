@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"countryrank/internal/asn"
 )
@@ -26,24 +27,9 @@ func (a AttrSet) Marshal() ([]byte, error) { return a.AppendWire(nil) }
 // the extended slice; this is the allocation-free path the MRT writer uses.
 func (a AttrSet) AppendWire(dst []byte) ([]byte, error) {
 	dst = append(dst, flagTransit, attrOrigin, 1, byte(a.Origin))
-	// AS_PATH: the value length is computable up front, so the attribute
-	// header is emitted first and the segments appended directly after it.
-	plen := 0
-	for _, seg := range a.ASPath {
-		if len(seg.ASNs) > 255 {
-			return nil, errors.New("bgp: segment longer than 255 ASNs")
-		}
-		plen += 2 + 4*len(seg.ASNs)
-	}
 	var err error
-	if dst, err = appendAttrHeader(dst, flagTransit, attrASPath, plen); err != nil {
+	if dst, err = appendASPath(dst, a.ASPath); err != nil {
 		return nil, err
-	}
-	for _, seg := range a.ASPath {
-		dst = append(dst, seg.Type, byte(len(seg.ASNs)))
-		for _, x := range seg.ASNs {
-			dst = binary.BigEndian.AppendUint32(dst, uint32(x))
-		}
 	}
 	if a.NextHop.IsValid() {
 		if !a.NextHop.Is4() {
@@ -75,19 +61,65 @@ func appendAttrHeader(dst []byte, flags, code uint8, n int) ([]byte, error) {
 	return append(dst, byte(n)), nil
 }
 
+// appendASPath appends the AS_PATH attribute with 4-octet ASNs. The value
+// length is computable up front, so the attribute header is emitted first
+// and the segments appended directly after it.
+func appendASPath(dst []byte, ap ASPath) ([]byte, error) {
+	plen := 0
+	for _, seg := range ap {
+		if len(seg.ASNs) > 255 {
+			return nil, errors.New("bgp: segment longer than 255 ASNs")
+		}
+		plen += 2 + 4*len(seg.ASNs)
+	}
+	dst, err := appendAttrHeader(dst, flagTransit, attrASPath, plen)
+	if err != nil {
+		return nil, err
+	}
+	for _, seg := range ap {
+		dst = append(dst, seg.Type, byte(len(seg.ASNs)))
+		for _, x := range seg.ASNs {
+			dst = binary.BigEndian.AppendUint32(dst, uint32(x))
+		}
+	}
+	return dst, nil
+}
+
+// nextAttr splits the first path attribute off b: its type code, its value
+// and what follows it.
+func nextAttr(b []byte) (code uint8, val, rest []byte, err error) {
+	if len(b) < 3 {
+		return 0, nil, nil, errors.New("bgp: truncated attribute header")
+	}
+	flags, code := b[0], b[1]
+	var alen int
+	if flags&flagExtLen != 0 {
+		if len(b) < 4 {
+			return 0, nil, nil, errors.New("bgp: truncated extended length")
+		}
+		alen = int(binary.BigEndian.Uint16(b[2:4]))
+		b = b[4:]
+	} else {
+		alen = int(b[2])
+		b = b[3:]
+	}
+	if len(b) < alen {
+		return 0, nil, nil, fmt.Errorf("bgp: attribute %d truncated", code)
+	}
+	return code, b[:alen], b[alen:], nil
+}
+
 // UnmarshalAttrs decodes a path-attribute byte string produced by
 // AttrSet.Marshal (or any BGP speaker emitting the same three attributes).
 // Unknown attributes are skipped.
-func UnmarshalAttrs(b []byte) (AttrSet, error) {
-	var d AttrDecoder
-	return d.decode(b, false)
-}
+func UnmarshalAttrs(b []byte) (AttrSet, error) { return (*AttrDecoder)(nil).Decode(b) }
 
 // AttrDecoder decodes attribute sets into reusable backing arrays, the
 // allocation-free counterpart of UnmarshalAttrs for RIB scanning. Attribute
 // sets decoded by the same AttrDecoder share its storage: each is valid
 // only until the next Reset (the mrt scanner resets once per record, so
-// entries within a record may be held together).
+// entries within a record may be held together). A nil *AttrDecoder decodes
+// into storage of the result's own.
 type AttrDecoder struct {
 	segs []Segment
 	asns []asn.ASN
@@ -102,51 +134,26 @@ func (d *AttrDecoder) Reset() {
 
 // Decode decodes one attribute set; the result aliases the decoder's
 // buffers until the next Reset.
-func (d *AttrDecoder) Decode(b []byte) (AttrSet, error) { return d.decode(b, true) }
-
-func (d *AttrDecoder) decode(b []byte, reuse bool) (AttrSet, error) {
+func (d *AttrDecoder) Decode(b []byte) (AttrSet, error) {
 	var a AttrSet
 	for len(b) > 0 {
-		if len(b) < 3 {
-			return a, errors.New("bgp: truncated attribute header")
+		code, val, rest, err := nextAttr(b)
+		if err != nil {
+			return a, err
 		}
-		flags, code := b[0], b[1]
-		var alen int
-		if flags&flagExtLen != 0 {
-			if len(b) < 4 {
-				return a, errors.New("bgp: truncated extended length")
-			}
-			alen = int(binary.BigEndian.Uint16(b[2:4]))
-			b = b[4:]
-		} else {
-			alen = int(b[2])
-			b = b[3:]
-		}
-		if len(b) < alen {
-			return a, fmt.Errorf("bgp: attribute %d truncated", code)
-		}
-		val := b[:alen]
-		b = b[alen:]
+		b = rest
 		switch code {
 		case attrOrigin:
-			if alen != 1 {
+			if len(val) != 1 {
 				return a, errors.New("bgp: bad ORIGIN length")
 			}
 			a.Origin = OriginCode(val[0])
 		case attrASPath:
-			var ap ASPath
-			var err error
-			if reuse {
-				ap, err = d.decodeASPath(val)
-			} else {
-				ap, err = decodeASPath(val)
-			}
-			if err != nil {
+			if a.ASPath, err = d.decodeASPath(val); err != nil {
 				return a, err
 			}
-			a.ASPath = ap
 		case attrNextHop:
-			if alen != 4 {
+			if len(val) != 4 {
 				return a, errors.New("bgp: bad NEXT_HOP length")
 			}
 			a.NextHop = netip.AddrFrom4([4]byte(val))
@@ -155,10 +162,14 @@ func (d *AttrDecoder) decode(b []byte, reuse bool) (AttrSet, error) {
 	return a, nil
 }
 
-// decodeASPath is decodeASPath appending into the decoder's arenas. If an
-// append reallocates an arena, previously returned slices keep pointing at
-// the old array — still correct, just retired from reuse.
+// decodeASPath decodes an AS_PATH value, appending into the decoder's arenas
+// (fresh ones for a nil decoder). If an append reallocates an arena,
+// previously returned slices keep pointing at the old array — still correct,
+// just retired from reuse.
 func (d *AttrDecoder) decodeASPath(b []byte) (ASPath, error) {
+	if d == nil {
+		d = new(AttrDecoder)
+	}
 	segStart := len(d.segs)
 	for len(b) > 0 {
 		if len(b) < 2 {
@@ -173,6 +184,7 @@ func (d *AttrDecoder) decodeASPath(b []byte) (ASPath, error) {
 			return nil, errors.New("bgp: truncated AS_PATH segment")
 		}
 		asnStart := len(d.asns)
+		d.asns = slices.Grow(d.asns, n)
 		for i := 0; i < n; i++ {
 			d.asns = append(d.asns, asn.ASN(binary.BigEndian.Uint32(b[4*i:])))
 		}

@@ -68,6 +68,36 @@ func TestUnmarshalAttrsTruncated(t *testing.T) {
 	}
 }
 
+// badAttrs are path-attribute byte strings no decoder may accept. Both ways
+// in — UnmarshalAttrs / AttrDecoder.Decode here, UnmarshalUpdate in
+// TestUnmarshalErrors — walk them with the same code and must refuse each.
+var badAttrs = []struct {
+	name string
+	raw  []byte
+}{
+	{"two-byte header", []byte{flagTransit, attrOrigin}},
+	{"ext-len flag, three bytes", []byte{flagTransit | flagExtLen, attrASPath, 0}},
+	{"value shorter than its length", []byte{flagTransit, attrOrigin, 2, 0}},
+	{"ext-len value shorter than its length", []byte{flagTransit | flagExtLen, attrASPath, 1, 0, 2, 1}},
+	{"ORIGIN of two bytes", []byte{flagTransit, attrOrigin, 2, 0, 0}},
+	{"NEXT_HOP of three bytes", []byte{flagTransit, attrNextHop, 3, 10, 0, 0}},
+	{"AS_PATH segment header cut", []byte{flagTransit, attrASPath, 1, SegmentSequence}},
+	{"AS_PATH segment cut", []byte{flagTransit, attrASPath, 5, SegmentSequence, 2, 0, 0, 0}},
+	{"unknown AS_PATH segment type", []byte{flagTransit, attrASPath, 6, 9, 1, 0, 0, 0, 1}},
+}
+
+func TestUnmarshalAttrsErrors(t *testing.T) {
+	var d AttrDecoder
+	for _, tc := range badAttrs {
+		if got, err := UnmarshalAttrs(tc.raw); err == nil {
+			t.Errorf("%s: UnmarshalAttrs accepted % x as %+v", tc.name, tc.raw, got)
+		}
+		if got, err := d.Decode(tc.raw); err == nil {
+			t.Errorf("%s: AttrDecoder.Decode accepted % x as %+v", tc.name, tc.raw, got)
+		}
+	}
+}
+
 func TestUnmarshalAttrsLongPath(t *testing.T) {
 	// A path long enough to need the extended-length attribute flag.
 	long := make(Path, 300)

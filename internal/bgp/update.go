@@ -163,22 +163,8 @@ func (u *Update) appendAttrs(dst []byte) ([]byte, error) {
 	if hasReach {
 		// ORIGIN
 		dst = append(dst, flagTransit, attrOrigin, 1, byte(u.Origin))
-		// AS_PATH (4-octet ASNs); value length computable up front.
-		plen := 0
-		for _, seg := range u.ASPath {
-			if len(seg.ASNs) > 255 {
-				return nil, errors.New("bgp: segment longer than 255 ASNs")
-			}
-			plen += 2 + 4*len(seg.ASNs)
-		}
-		if dst, err = appendAttrHeader(dst, flagTransit, attrASPath, plen); err != nil {
+		if dst, err = appendASPath(dst, u.ASPath); err != nil {
 			return nil, err
-		}
-		for _, seg := range u.ASPath {
-			dst = append(dst, seg.Type, byte(len(seg.ASNs)))
-			for _, a := range seg.ASNs {
-				dst = binary.BigEndian.AppendUint32(dst, uint32(a))
-			}
 		}
 	}
 	if len(u.Announced) > 0 {
@@ -274,45 +260,28 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 
 func (u *Update) decodeAttrs(b []byte) error {
 	for len(b) > 0 {
-		if len(b) < 3 {
-			return errors.New("bgp: truncated attribute header")
+		code, val, rest, err := nextAttr(b)
+		if err != nil {
+			return err
 		}
-		flags, code := b[0], b[1]
-		var alen int
-		if flags&flagExtLen != 0 {
-			if len(b) < 4 {
-				return errors.New("bgp: truncated extended length")
-			}
-			alen = int(binary.BigEndian.Uint16(b[2:4]))
-			b = b[4:]
-		} else {
-			alen = int(b[2])
-			b = b[3:]
-		}
-		if len(b) < alen {
-			return fmt.Errorf("bgp: attribute %d truncated", code)
-		}
-		val := b[:alen]
-		b = b[alen:]
+		b = rest
 		switch code {
 		case attrOrigin:
-			if alen != 1 {
+			if len(val) != 1 {
 				return errors.New("bgp: bad ORIGIN length")
 			}
 			u.Origin = OriginCode(val[0])
 		case attrASPath:
-			ap, err := decodeASPath(val)
-			if err != nil {
+			if u.ASPath, err = (*AttrDecoder)(nil).decodeASPath(val); err != nil {
 				return err
 			}
-			u.ASPath = ap
 		case attrNextHop:
-			if alen != 4 {
+			if len(val) != 4 {
 				return errors.New("bgp: bad NEXT_HOP length")
 			}
 			u.NextHop = netip.AddrFrom4([4]byte(val))
 		case attrMED:
-			if alen != 4 {
+			if len(val) != 4 {
 				return errors.New("bgp: bad MED length")
 			}
 			u.MED = binary.BigEndian.Uint32(val)
@@ -330,30 +299,6 @@ func (u *Update) decodeAttrs(b []byte) error {
 		}
 	}
 	return nil
-}
-
-func decodeASPath(b []byte) (ASPath, error) {
-	var out ASPath
-	for len(b) > 0 {
-		if len(b) < 2 {
-			return nil, errors.New("bgp: truncated AS_PATH segment header")
-		}
-		segType, n := b[0], int(b[1])
-		b = b[2:]
-		if segType != SegmentSet && segType != SegmentSequence {
-			return nil, fmt.Errorf("bgp: unknown AS_PATH segment type %d", segType)
-		}
-		if len(b) < 4*n {
-			return nil, errors.New("bgp: truncated AS_PATH segment")
-		}
-		seg := Segment{Type: segType, ASNs: make([]asn.ASN, n)}
-		for i := 0; i < n; i++ {
-			seg.ASNs[i] = asn.ASN(binary.BigEndian.Uint32(b[4*i:]))
-		}
-		b = b[4*n:]
-		out = append(out, seg)
-	}
-	return out, nil
 }
 
 func (u *Update) decodeMPReach(b []byte) error {

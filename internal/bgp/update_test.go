@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -152,6 +153,19 @@ func TestUnmarshalErrors(t *testing.T) {
 	// Truncated body.
 	if _, err := UnmarshalUpdate(raw[:20]); err == nil {
 		t.Error("truncation should fail (length mismatch)")
+	}
+
+	// The malformed attribute strings UnmarshalAttrs refuses, framed as the
+	// path attributes of an otherwise well-formed UPDATE.
+	for _, tc := range badAttrs {
+		msg := append([]byte(nil), marker...)
+		msg = binary.BigEndian.AppendUint16(msg, uint16(19+2+2+len(tc.raw)))
+		msg = append(msg, TypeUpdate, 0, 0) // no withdrawn routes
+		msg = binary.BigEndian.AppendUint16(msg, uint16(len(tc.raw)))
+		msg = append(msg, tc.raw...)
+		if got, err := UnmarshalUpdate(msg); err == nil {
+			t.Errorf("%s: UnmarshalUpdate accepted attributes % x as %+v", tc.name, tc.raw, got)
+		}
 	}
 }
 

@@ -18,18 +18,10 @@ import (
 var (
 	mSessions = obs.NewCounter("countryrank_collector_sessions_total",
 		"BGP sessions established by the collector")
-	mHandshakeFailures = obs.NewCounter("countryrank_collector_handshake_failures_total",
-		"inbound connections that failed the OPEN handshake")
-	mDropped = obs.NewCounter("countryrank_collector_sessions_dropped_total",
-		"sessions that ended on a transport or protocol error")
-	mTakeovers = obs.NewCounter("countryrank_collector_takeovers_total",
-		"stale sessions evicted by a reconnecting peer")
 	mResumed = obs.NewCounter("countryrank_collector_resumed_sessions_total",
 		"sessions resumed from a nonzero applied count")
 	mApplied = obs.NewCounter("countryrank_collector_updates_applied_total",
 		"UPDATE messages applied to peer tables")
-	mActive = obs.NewGauge("countryrank_collector_active_sessions",
-		"sessions currently established")
 )
 
 // Config parameterizes the collector's BGP speaker identity.
@@ -119,7 +111,6 @@ func (c *Collector) handle(conn net.Conn) {
 		HoldTime: c.cfg.HoldTime, HandshakeTimeout: c.cfg.HandshakeTimeout,
 	})
 	if err != nil {
-		mHandshakeFailures.Inc()
 		c.nHandshakeFail.Add(1)
 		return
 	}
@@ -140,13 +131,10 @@ func (c *Collector) handle(conn net.Conn) {
 		// Supervision: a reconnecting peer evicts its stale session rather
 		// than waiting for the hold timer to reap it. Closing old unblocks
 		// its handler's Recv, which releases st.run below.
-		mTakeovers.Inc()
 		c.nTakeovers.Add(1)
 		old.Close()
 	}
 
-	mActive.Add(1)
-	defer mActive.Add(-1)
 	defer func() {
 		c.mu.Lock()
 		if st.cur == sess {
@@ -164,7 +152,6 @@ func (c *Collector) handle(conn net.Conn) {
 		c.nResumed.Add(1)
 	}
 	if err := sess.Send(markerUpdate(st.applied)); err != nil {
-		mDropped.Inc()
 		c.nDropped.Add(1)
 		return
 	}
@@ -172,7 +159,6 @@ func (c *Collector) handle(conn net.Conn) {
 		u, err := sess.Recv()
 		if err != nil {
 			if !cleanEnd(err) {
-				mDropped.Inc()
 				c.nDropped.Add(1)
 			}
 			return
@@ -183,7 +169,6 @@ func (c *Collector) handle(conn net.Conn) {
 			// success by comparing it against its full table. Keep receiving
 			// so the peer's CEASE is consumed as a clean end.
 			if err := sess.Send(markerUpdate(st.applied)); err != nil {
-				mDropped.Inc()
 				c.nDropped.Add(1)
 				return
 			}

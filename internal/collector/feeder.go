@@ -14,14 +14,8 @@ import (
 	"countryrank/internal/obs"
 )
 
-var (
-	mFeederRetries = obs.NewCounter("countryrank_collector_feeder_retries_total",
-		"feeder reconnect attempts after a failed feed")
-	mFeederResumed = obs.NewCounter("countryrank_collector_feeder_resumed_updates_total",
-		"updates skipped on reconnect because the collector had them applied")
-	mFeederSent = obs.NewCounter("countryrank_collector_feeder_sent_total",
-		"UPDATE messages sent by feeders")
-)
+var mFeederRetries = obs.NewCounter("countryrank_collector_feeder_retries_total",
+	"feeder reconnect attempts after a failed feed")
 
 // FeederConfig parameterizes one vantage point's resilient feed.
 type FeederConfig struct {
@@ -160,14 +154,12 @@ func feedOnce(ctx context.Context, cfg FeederConfig, updates []*bgp.Update, stat
 	}
 	if applied > 0 {
 		stats.Resumed += applied
-		mFeederResumed.Add(applied)
 	}
 	for _, u := range updates[applied:] {
 		if err := sess.Send(u); err != nil {
 			return fmt.Errorf("send: %w", err)
 		}
 		stats.Sent++
-		mFeederSent.Inc()
 	}
 	// End-of-RIB, then wait for the collector to acknowledge the count.
 	if err := sess.Send(&bgp.Update{}); err != nil {

@@ -6,13 +6,6 @@ import (
 	"countryrank/internal/obs"
 )
 
-var (
-	mDegradedRuns = obs.NewCounter("countryrank_core_degraded_runs_total",
-		"pipeline runs processed with incomplete coverage")
-	mQuorumFailures = obs.NewCounter("countryrank_core_quorum_failures_total",
-		"pipeline runs refused because coverage fell below quorum")
-)
-
 // Coverage reports how complete a collection was when it reached the
 // pipeline: the contract between a Source (generator, MRT import, live
 // collection) and the ranking consumer, enforced by Run. A partial run

@@ -32,21 +32,14 @@ import (
 	"countryrank/internal/topology"
 )
 
-// Per-kernel duration histograms wrap whole kernel invocations (Country,
-// Global, AHC, CTI) — never the per-trial stability loop, whose cost the
-// trials counter tracks instead.
+// Per-kernel duration histograms wrap whole cone and hegemony invocations
+// (Country, Global) — never the per-trial stability loop, which the
+// stability span counts.
 var (
-	mTrials = obs.NewCounter("countryrank_core_stability_trials_total",
-		"stability downsampling trials executed")
-
 	mKernelCone = obs.NewHistogram("countryrank_core_kernel_cone_seconds",
 		"duration of one customer-cone kernel run", nil)
 	mKernelHegemony = obs.NewHistogram("countryrank_core_kernel_hegemony_seconds",
 		"duration of one AS-hegemony kernel run", nil)
-	mKernelCTI = obs.NewHistogram("countryrank_core_kernel_cti_seconds",
-		"duration of one country transit influence kernel run", nil)
-	mKernelIHR = obs.NewHistogram("countryrank_core_kernel_ihr_seconds",
-		"duration of one IHR country-hegemony kernel run", nil)
 )
 
 // timeKernel starts a kernel stopwatch; invoke the returned func to record
@@ -271,11 +264,7 @@ func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
 		return nil, err
 	}
 	if cov.Fraction() < opt.Quorum {
-		mQuorumFailures.Inc()
 		return nil, fmt.Errorf("core: coverage %s below quorum %.0f%%", cov, opt.Quorum*100)
-	}
-	if cov.Degraded() {
-		mDegradedRuns.Inc()
 	}
 	p := &Pipeline{
 		Opt:          opt,
@@ -573,7 +562,6 @@ func (p *Pipeline) Outbound(c countries.Code) *OutboundRankings {
 
 // AHC computes the IHR country-level baseline for c.
 func (p *Pipeline) AHC(c countries.Code) *rank.Ranking {
-	defer timeKernel(mKernelIHR)()
 	s := ihr.Compute(p.DS, p.World.Graph, c, p.Opt.Trim)
 	return rank.New(p.label(string(AHC)+" "+string(c)), s.AHC, p.Info(), true)
 }
@@ -583,7 +571,6 @@ func (p *Pipeline) AHC(c countries.Code) *rank.Ranking {
 func (p *Pipeline) CTI(c countries.Code) *rank.Ranking {
 	recs := p.ViewRecords(International, c)
 	p.ctiOnce.Do(func() { p.ctiDepths = cti.Depths(p.DS, p.Rels) })
-	defer timeKernel(mKernelCTI)()
 	s := cti.ComputeFrom(p.DS, recs, p.Rels, p.ctiDepths, p.Opt.Trim)
 	return rank.New(p.label(string(CTI)+" "+string(c)), s.CTI, p.Info(), true)
 }
@@ -782,7 +769,6 @@ func (p *Pipeline) Stability(m Metric, c countries.Code, sizes []int, trials int
 	par.ForEach(len(valid)*trials, func(job int) {
 		si, trial := job/trials, job%trials
 		results[si][trial] = s.trial(subSeed(seed, si, trial), valid[si])
-		mTrials.Inc()
 		sp.AddItems(1, "")
 	})
 

@@ -8,10 +8,10 @@
 package cti
 
 import (
-	"sort"
 	"sync"
 
 	"countryrank/internal/asn"
+	"countryrank/internal/hegemony"
 	"countryrank/internal/relation"
 	"countryrank/internal/sanitize"
 	"countryrank/internal/topology"
@@ -27,22 +27,18 @@ type Scores struct {
 func (s Scores) Value(a asn.ASN) float64 { return s.CTI[a] }
 
 // scratch is the dense kernel's reusable flat state, mirroring the
-// hegemony kernel: per-VP accumulation into id-indexed slices, then a
-// counting sort of (id, value) pairs into per-AS runs. The same pool
-// invariant applies: byVP.Cnt, seen, asF, and counts are zeroed between calls
-// through the byVP.Used/touched/idsUsed dirty lists, keeping each call
-// O(records + touched entries).
+// hegemony kernel: per-VP accumulation into id-indexed slices, each VP's
+// (id, share) run appended to pv. The same pool invariant applies: byVP.Cnt,
+// seen and asF are zeroed between calls through the byVP.Used/touched dirty
+// lists, keeping each call O(records + touched entries), and pv names no
+// dataset.
 type scratch struct {
-	byVP     sanitize.Groups
-	asF      []float64 // per AS id: score accumulated for the current VP
-	seen     []bool
-	touched  []int32
-	counts   []int32
-	idsUsed  []int32
-	offsets  []int32
-	pairIDs  []int32
-	pairVals []float64
-	vals     []float64
+	byVP    sanitize.Groups
+	asF     []float64 // per AS id: score accumulated for the current VP
+	seen    []bool
+	touched []int32
+	shares  []float64 // asF over the current VP's total, in touched order
+	pv      hegemony.PerVP
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -75,9 +71,10 @@ func Depths(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
 // prefixes). trim < 0 selects the canonical 10%.
 //
 // The dense-id kernel is bit-identical to the map-based reference the
-// property tests keep (reference_test.go): records are processed grouped by VP but in record order
-// inside each group, so every float accumulation happens in the reference's
-// order.
+// property tests keep (reference_test.go): records are processed grouped by
+// VP but in record order inside each group, so every float accumulation
+// happens in the reference's order; the trimmed mean across VPs is
+// hegemony's.
 func Compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, trim float64) Scores {
 	return ComputeFrom(ds, recs, rels, nil, trim)
 }
@@ -85,9 +82,6 @@ func Compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, trim floa
 // ComputeFrom is Compute with precomputed transit depths (see Depths); nil
 // resolves them here.
 func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depths []int32, trim float64) Scores {
-	if trim < 0 {
-		trim = 0.10
-	}
 	if depths == nil {
 		depths = Depths(ds, rels)
 	}
@@ -99,12 +93,8 @@ func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depth
 
 	sc.asF = sanitize.Grow(sc.asF, nAS)
 	sc.seen = sanitize.Grow(sc.seen, nAS)
-	sc.counts = sanitize.Grow(sc.counts, nAS)
-	sc.idsUsed = sc.idsUsed[:0]
-	sc.pairIDs = sc.pairIDs[:0]
-	sc.pairVals = sc.pairVals[:0]
+	sc.pv.Reset(ds.ASNOf)
 
-	vpCount := 0
 	for _, v := range sc.byVP.Used {
 		sc.touched = sc.touched[:0]
 		var total uint64
@@ -129,16 +119,14 @@ func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depth
 			}
 		}
 		if total > 0 {
-			vpCount++
+			sc.shares = sc.shares[:0]
 			ft := float64(total)
 			for _, id := range sc.touched {
-				sc.pairIDs = append(sc.pairIDs, id)
-				sc.pairVals = append(sc.pairVals, sc.asF[id]/ft)
-				if sc.counts[id] == 0 {
-					sc.idsUsed = append(sc.idsUsed, id)
-				}
-				sc.counts[id]++
+				sc.shares = append(sc.shares, sc.asF[id]/ft)
 			}
+			sc.pv.AppendVP(sc.touched, sc.shares, true)
+		} else {
+			sc.pv.AppendVP(nil, nil, false)
 		}
 		for _, id := range sc.touched { // restore the pool invariant
 			sc.seen[id] = false
@@ -147,58 +135,7 @@ func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depth
 		sc.byVP.Cnt[v] = 0 // likewise
 	}
 
-	sc.offsets = sanitize.Grow(sc.offsets, nAS)
-	var off int32
-	for _, id := range sc.idsUsed {
-		sc.offsets[id] = off
-		off += sc.counts[id]
-		sc.counts[id] = 0 // becomes the scatter cursor
-	}
-	sc.vals = sanitize.Grow(sc.vals, len(sc.pairVals))
-	for k, id := range sc.pairIDs {
-		sc.vals[sc.offsets[id]+sc.counts[id]] = sc.pairVals[k]
-		sc.counts[id]++
-	}
-
-	s := Scores{CTI: make(map[asn.ASN]float64, len(sc.idsUsed)), VPCount: vpCount}
-	for _, id := range sc.idsUsed {
-		vs := sc.vals[sc.offsets[id]:][:sc.counts[id]]
-		sort.Float64s(vs)
-		s.CTI[ds.ASNOf[id]] = trimmedMeanSorted(vs, vpCount, trim)
-		sc.counts[id] = 0 // restore the pool invariant
-	}
-	return s
-}
-
-// trimmedMeanSorted pads the sorted vals with zeros up to n (VPs that never
-// saw the AS), trims floor(trim*n) entries from each end — one even from
-// three, hegemony's small-view convention (Figure 2) — and averages the
-// rest, with the zero padding left implicit; see the hegemony kernel for the
-// bit-identity argument.
-func trimmedMeanSorted(vals []float64, n int, trim float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	k := int(trim * float64(n))
-	if k == 0 && trim > 0 && n >= 3 {
-		k = 1
-	}
-	lo, hi := k, n-k
-	if lo >= hi {
-		lo, hi = 0, n
-	}
-	zeros := n - len(vals)
-	start := lo - zeros
-	if start < 0 {
-		start = 0
-	}
-	end := hi - zeros
-	if end < start {
-		end = start
-	}
-	var sum float64
-	for _, v := range vals[start:end] {
-		sum += v
-	}
-	return sum / float64(hi-lo)
+	hs := sc.pv.Scores(nil, trim)
+	sc.pv.Reset(nil)
+	return Scores{CTI: hs.Hegemony, VPCount: hs.VPCount}
 }

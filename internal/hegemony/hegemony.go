@@ -39,7 +39,9 @@ func (s Scores) Value(a asn.ASN) float64 { return s.Hegemony[a] }
 // PerVP is a view's hegemony state before the trimmed mean: for each vantage
 // point of the view, the ASes on its paths with the address-weighted share of
 // its paths containing each. A VP's run depends on nothing but its own
-// records, so one PerVP serves every VP subset of the view (Each). It is
+// records, so one PerVP serves every VP subset of the view (Each). Accumulate
+// builds one; a kernel that weighs paths its own way and borrows only the
+// trimmed mean across VPs (cti) fills one through Reset and AppendVP. It is
 // immutable once built and safe for concurrent use.
 type PerVP struct {
 	asnOf []asn.ASN // the dataset's dense id → ASN column
@@ -63,6 +65,25 @@ type PerVP struct {
 
 // VPs returns the number of vantage points in the view, scored or not.
 func (pv *PerVP) VPs() int { return len(pv.scored) }
+
+// Reset empties pv, keeping its storage, to hold runs over the dense id →
+// ASN column asnOf (nil releases the dataset). A PerVP filled through
+// AppendVP carries no rows.
+func (pv *PerVP) Reset(asnOf []asn.ASN) {
+	pv.asnOf = asnOf
+	pv.off = append(pv.off[:0], 0)
+	pv.ids, pv.shares, pv.scored = pv.ids[:0], pv.shares[:0], pv.scored[:0]
+}
+
+// AppendVP adds the view's next vantage point: AS ids[i] has shares[i] of
+// its paths. An unscored VP — one whose prefixes carry no weight — brings no
+// pairs and does not count toward the mean's denominator.
+func (pv *PerVP) AppendVP(ids []int32, shares []float64, scored bool) {
+	pv.ids = append(pv.ids, ids...)
+	pv.shares = append(pv.shares, shares...)
+	pv.scored = append(pv.scored, scored)
+	pv.off = append(pv.off, int32(len(pv.ids)))
+}
 
 // scratch is the reusable flat working state of the dense kernel. All
 // slices are indexed by the dataset's dense ids (or VP indexes) and sized
@@ -112,7 +133,7 @@ func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
 	defer scratchPool.Put(sc)
 	sc.accumulate(ds, recs, &sc.pv)
 	s := sc.pv.scores(sc, nil, trim)
-	sc.pv.asnOf = nil
+	sc.pv.Reset(nil)
 	return s
 }
 
@@ -159,9 +180,7 @@ func (sc *scratch) accumulate(ds *sanitize.Dataset, recs []int32, pv *PerVP) {
 	sc.asW = sanitize.Grow(sc.asW, ds.NumAS())
 	sc.seen = sanitize.Grow(sc.seen, ds.NumAS())
 
-	pv.asnOf = ds.ASNOf
-	pv.off = append(pv.off[:0], 0)
-	pv.ids, pv.shares, pv.scored = pv.ids[:0], pv.shares[:0], pv.scored[:0]
+	pv.Reset(ds.ASNOf)
 	for _, v := range sc.byVP.Used {
 		// asW[id] becomes the weight of the VP's paths containing id. A
 		// route fans out over its origin's prefixes, so consecutive records

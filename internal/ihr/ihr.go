@@ -87,8 +87,8 @@ func groupQualifyingOrigins(ds *sanitize.Dataset, g *topology.Graph, country cou
 
 // ComputeWeighted calculates AHC with the chosen origin weighting. The
 // per-origin hegemony computations fan out over a bounded worker pool and
-// merge into a flat dense-id accumulator in ascending origin order, so the
-// result is deterministic and bit-identical to the sequential map-based
+// merge into one sum per AS in ascending origin order, so the result is
+// deterministic and bit-identical to the sequential map-based
 // reference the property tests keep (reference_test.go).
 func ComputeWeighted(ds *sanitize.Dataset, g *topology.Graph, country countries.Code, trim float64, weighting Weighting) Scores {
 	groups := groupQualifyingOrigins(ds, g, country, weighting)
@@ -97,31 +97,16 @@ func ComputeWeighted(ds *sanitize.Dataset, g *topology.Graph, country countries.
 		perOrigin[i] = hegemony.Compute(ds, groups[i].recs, trim)
 	})
 
-	sum := make([]float64, ds.NumAS())
-	scored := make([]bool, ds.NumAS())
+	s := Scores{AHC: map[asn.ASN]float64{}, Origins: len(groups)}
 	var totalWeight float64
 	for i, grp := range groups {
 		totalWeight += grp.w
 		for a, v := range perOrigin[i].Hegemony {
-			id := ds.IDOf[a]
-			sum[id] += grp.w * v
-			scored[id] = true
+			s.AHC[a] += grp.w * v
 		}
 	}
-	nScored := 0
-	for id := range scored {
-		if scored[id] {
-			nScored++
-		}
-	}
-	s := Scores{AHC: make(map[asn.ASN]float64, nScored), Origins: len(groups)}
-	if totalWeight == 0 {
-		return s
-	}
-	for id, ok := range scored {
-		if ok {
-			s.AHC[ds.ASNOf[id]] = sum[id] / totalWeight
-		}
+	for a := range s.AHC { // no entry without a group, and every group weighs > 0
+		s.AHC[a] /= totalWeight
 	}
 	return s
 }

@@ -15,8 +15,6 @@ var (
 		"wide events enqueued for the access-log writer")
 	mAccessDropped = NewCounter("countryrank_accesslog_dropped_total",
 		"wide events dropped because the access-log ring was full")
-	mAccessSkipped = NewCounter("countryrank_accesslog_skipped_total",
-		"2xx/304 responses skipped by access-log head sampling")
 )
 
 // An AccessEvent is one request's wide event: everything an operator needs
@@ -119,12 +117,7 @@ func (l *AccessLog) Record(ev AccessEvent) {
 		// always pass.
 		if l.cfg.SlowAfter <= 0 || ev.Latency < l.cfg.SlowAfter {
 			n := l.cfg.SampleOK
-			if n <= 0 {
-				mAccessSkipped.Inc()
-				return
-			}
-			if n > 1 && l.okSeq.Add(1)%uint64(n) != 0 {
-				mAccessSkipped.Inc()
+			if n <= 0 || n > 1 && l.okSeq.Add(1)%uint64(n) != 0 {
 				return
 			}
 		}

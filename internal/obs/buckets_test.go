@@ -47,29 +47,3 @@ func TestExpBucketsRanges(t *testing.T) {
 	}()
 	ExpBuckets(time.Second, time.Millisecond)
 }
-
-// TestServingBuckets guards the serving-tuned default schedule: it must
-// resolve microsecond-scale in-process latencies (first bucket 10µs) while
-// still covering slow outliers up to a second.
-func TestServingBuckets(t *testing.T) {
-	if ServingBuckets[0] != 1e-05 {
-		t.Errorf("first serving bucket = %v, want 10µs", ServingBuckets[0])
-	}
-	if last := ServingBuckets[len(ServingBuckets)-1]; last != 1 {
-		t.Errorf("last serving bucket = %v, want 1s", last)
-	}
-	// DurationBuckets (the pipeline default) must be untouched by the
-	// serving schedule: existing histograms keep their golden exposition.
-	wantDefault := []float64{
-		0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-		0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-	}
-	if len(DurationBuckets) != len(wantDefault) {
-		t.Fatalf("DurationBuckets changed: %v", DurationBuckets)
-	}
-	for i := range wantDefault {
-		if DurationBuckets[i] != wantDefault[i] {
-			t.Fatalf("DurationBuckets[%d] = %v, want %v", i, DurationBuckets[i], wantDefault[i])
-		}
-	}
-}

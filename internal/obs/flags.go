@@ -8,22 +8,19 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"time"
 )
 
 // CmdFlags is the observability flag set every cmd shares: structured-log
-// verbosity, the opt-in debug server, a linger window that keeps the
-// process (and its /metrics endpoint) alive after the work finishes, and
-// the run's export artifacts — a Chrome trace (-trace-out), a provenance
-// manifest (-manifest), and a live metric timeline (-timeline). Through
-// its Sources, main also hands the debug surface what it serves.
+// verbosity, the opt-in debug server, and the run's export artifacts — a
+// Chrome trace (-trace-out), a provenance manifest (-manifest), and a live
+// metric timeline (-timeline). Through its Sources, main also hands the
+// debug surface what it serves.
 type CmdFlags struct {
 	cmd         string
 	fs          *flag.FlagSet
 	Verbosity   *int
 	DebugAddr   *string
-	Linger      *time.Duration
 	TraceOut    *string
 	ManifestOut *string
 	SampleEvery *time.Duration
@@ -38,9 +35,6 @@ type CmdFlags struct {
 	start     time.Time
 	boundAddr string
 	shutdown  func()
-	// testInterrupt substitutes for SIGINT delivery in tests; when nil,
-	// Done listens for a real interrupt during the linger window.
-	testInterrupt <-chan struct{}
 }
 
 // Sources are what the debug surface serves beyond the Default registry
@@ -63,7 +57,6 @@ func FlagsOn(fs *flag.FlagSet, cmd string) *CmdFlags {
 		fs:        fs,
 		Verbosity: fs.Int("v", 0, "log verbosity: 0 info, 1 debug stage logs"),
 		DebugAddr: fs.String("debug-addr", "", "serve /metrics, /healthz, expvar, pprof, /debug/trace and /debug/timeline on this host:port"),
-		Linger:    fs.Duration("debug-linger", 0, "keep the debug server up this long after finishing (requires -debug-addr; SIGINT cuts it short)"),
 		TraceOut:  fs.String("trace-out", "", "write the run's stage spans as Chrome trace-event JSON (Perfetto-loadable) to this path"),
 		ManifestOut: fs.String("manifest", "",
 			"write a run provenance manifest (flags, seeds, input digests, coverage, drops, metrics, span tree) as JSON to this path"),
@@ -125,10 +118,8 @@ func (f *CmdFlags) Serve() *http.ServeMux {
 }
 
 // Done finishes the run's observability: it stops the timeline sampler,
-// writes the -trace-out and -manifest artifacts, blocks for the
-// -debug-linger window (a no-op without -debug-addr or with a zero linger;
-// SIGINT cuts the wait short), and finally shuts the debug server down.
-// Call it at the end of main, after the run's output.
+// writes the -trace-out and -manifest artifacts and shuts the debug server
+// down. Call it at the end of main, after the run's output.
 func (f *CmdFlags) Done() {
 	if f.Timeline != nil {
 		f.Timeline.Stop()
@@ -140,7 +131,6 @@ func (f *CmdFlags) Done() {
 		export("trace", *f.TraceOut, DefaultTrace.WriteChromeTrace)
 	}
 	f.WriteManifest()
-	f.linger()
 	if f.shutdown != nil {
 		f.shutdown()
 		f.shutdown = nil
@@ -174,25 +164,4 @@ func export(what, path string, write func(io.Writer) error) {
 		return
 	}
 	slog.Info(what+" written", "path", path)
-}
-
-// linger blocks for the -debug-linger window, returning early on SIGINT so
-// an operator (or CI harness) can release a lingering process without
-// waiting out the full window.
-func (f *CmdFlags) linger() {
-	if *f.DebugAddr == "" || *f.Linger <= 0 {
-		return
-	}
-	interrupted := f.testInterrupt
-	if interrupted == nil {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		interrupted = ctx.Done()
-	}
-	slog.Info("lingering for scrapes", "for", *f.Linger)
-	select {
-	case <-time.After(*f.Linger):
-	case <-interrupted:
-		slog.Info("linger cut short by interrupt")
-	}
 }

@@ -69,30 +69,6 @@ func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// A FloatCounter is a float64-valued monotonic metric (e.g. cumulative GC
-// pause seconds). Values are refreshed with Set from an already-monotonic
-// source; Set never moves the counter backwards.
-type FloatCounter struct {
-	bits atomic.Uint64
-}
-
-// Set raises the counter to v; a v below the current value is ignored so
-// the series stays monotonic even if the refresh source resets.
-func (c *FloatCounter) Set(v float64) {
-	for {
-		old := c.bits.Load()
-		if v <= math.Float64frombits(old) {
-			return
-		}
-		if c.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
 // DurationBuckets is the default histogram bucket layout: upper bounds in
 // seconds spanning 100µs to 10s, wide enough for every pipeline stage from a
 // single kernel run to a full build.
@@ -100,13 +76,6 @@ var DurationBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
-
-// ServingBuckets is the request-latency schedule: the same 1-2.5-5 decade
-// ladder as DurationBuckets but shifted down to 10µs, so sub-millisecond
-// handler latencies (a preserialized-snapshot hit runs in the tens of
-// microseconds) land across buckets instead of piling into the first one.
-// Pass it to NewHistogram for any metric timing individual requests.
-var ServingBuckets = ExpBuckets(10*time.Microsecond, time.Second)
 
 // ExpBuckets builds a histogram bucket schedule as a 1-2.5-5 ladder of
 // upper bounds covering [min, max] (both clamped onto ladder steps, max
@@ -175,7 +144,7 @@ func (h *Histogram) snapshot() []int64 {
 }
 
 // metric pairs a registered name with its collector: a *Counter, *Gauge,
-// *FloatGauge, *FloatCounter or *Histogram.
+// *FloatGauge or *Histogram.
 type metric struct {
 	name string
 	help string
@@ -264,12 +233,6 @@ func (r *Registry) FloatGauge(name, help string) *FloatGauge {
 	return register(r, name, help, func() *FloatGauge { return &FloatGauge{} })
 }
 
-// FloatCounter returns the registry's float counter with the given name,
-// creating it if needed.
-func (r *Registry) FloatCounter(name, help string) *FloatCounter {
-	return register(r, name, help, func() *FloatCounter { return &FloatCounter{} })
-}
-
 // Histogram returns the registry's histogram with the given name, creating
 // it with the given bucket upper bounds (nil selects DurationBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -292,10 +255,6 @@ func NewGauge(name, help string) *Gauge { return Default.Gauge(name, help) }
 
 // NewFloatGauge registers (or fetches) a float gauge in the Default registry.
 func NewFloatGauge(name, help string) *FloatGauge { return Default.FloatGauge(name, help) }
-
-// NewFloatCounter registers (or fetches) a float counter in the Default
-// registry.
-func NewFloatCounter(name, help string) *FloatCounter { return Default.FloatCounter(name, help) }
 
 // NewHistogram registers (or fetches) a duration histogram in the Default
 // registry, with DurationBuckets when buckets is nil.

@@ -31,9 +31,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case *FloatGauge:
 			fmt.Fprintf(&b, "# TYPE %s gauge\n", m.name)
 			fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(v.Value()))
-		case *FloatCounter:
-			fmt.Fprintf(&b, "# TYPE %s counter\n", m.name)
-			fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(v.Value()))
 		case *Histogram:
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", m.name)
 			cum := v.snapshot()
@@ -62,8 +59,6 @@ func (r *Registry) Snapshot() map[string]any {
 		case *Gauge:
 			out[m.name] = v.Value()
 		case *FloatGauge:
-			out[m.name] = v.Value()
-		case *FloatCounter:
 			out[m.name] = v.Value()
 		case *Histogram:
 			out[m.name+"_count"] = v.Count()

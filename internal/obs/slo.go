@@ -9,26 +9,16 @@ import (
 	"time"
 )
 
-// SLO exposition metrics. The burn-rate gauges are computed when the
-// registry is read (CmdFlags.Serve registers the engine's refreshMetrics with
+// SLO exposition metrics; /debug/slo serves the full report. The burn-rate
+// gauge is computed when the registry is read (CmdFlags.Serve registers the engine's refreshMetrics with
 // Registry.OnCollect), not per request.
 var (
-	mSLOErrors = NewCounter("countryrank_slo_errors_total",
-		"responses counted against the availability objective (5xx)")
-	mSLOBreaches = NewCounter("countryrank_slo_latency_breaches_total",
-		"non-304 responses slower than the latency objective threshold")
 	mSLOEligible = NewCounter("countryrank_slo_requests_total",
 		"responses examined by the SLO engine")
 	mSLODegraded = NewGauge("countryrank_slo_degraded",
 		"1 while the fast-burn threshold is tripped and /healthz reports degraded")
-	mSLOAvailFast = NewFloatGauge("countryrank_slo_availability_fast_burn",
-		"availability burn rate over the fast window (1.0 = spending budget exactly)")
-	mSLOAvailSlow = NewFloatGauge("countryrank_slo_availability_slow_burn",
-		"availability burn rate over the slow window")
 	mSLOLatFast = NewFloatGauge("countryrank_slo_latency_fast_burn",
 		"latency burn rate over the fast window")
-	mSLOLatSlow = NewFloatGauge("countryrank_slo_latency_slow_burn",
-		"latency burn rate over the slow window")
 )
 
 // SLOConfig declares the serving objectives and the windows burn rates are
@@ -216,13 +206,11 @@ func (s *SLO) Record(status int, latency time.Duration, notModified bool) {
 	b.total.Add(1)
 	if status >= 500 {
 		b.errors.Add(1)
-		mSLOErrors.Inc()
 	}
 	if !notModified {
 		b.eligible.Add(1)
 		if latency > s.cfg.LatencyThreshold {
 			b.slow.Add(1)
-			mSLOBreaches.Inc()
 		}
 	}
 }
@@ -335,13 +323,10 @@ func (s *SLO) Status() SLOStatus {
 	return st
 }
 
-// refreshMetrics pushes the current burn rates into the registry gauges.
+// refreshMetrics pushes the current state into the registry gauges.
 func (s *SLO) refreshMetrics() {
-	availFast, availSlow, latFast, latSlow := s.Burns()
-	mSLOAvailFast.Set(availFast)
-	mSLOAvailSlow.Set(availSlow)
+	_, _, latFast, _ := s.Burns()
 	mSLOLatFast.Set(latFast)
-	mSLOLatSlow.Set(latSlow)
 	if _, bad := s.Degraded(); bad {
 		mSLODegraded.Set(1)
 	} else {

@@ -19,7 +19,6 @@ func OrderedMap[T any](n int, window int, produce func(int) T, consume func(int,
 	if n <= 0 {
 		return
 	}
-	mLoops.Inc()
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n

@@ -14,8 +14,6 @@ import (
 )
 
 var (
-	mLoops = obs.NewCounter("countryrank_par_loops_total",
-		"fork-join fan-outs executed (ForEach and Do calls)")
 	mTasks = obs.NewCounter("countryrank_par_tasks_total",
 		"individual tasks executed by the worker pool")
 	mBusy = obs.NewGauge("countryrank_par_workers_busy",
@@ -30,7 +28,6 @@ func ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	mLoops.Inc()
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n

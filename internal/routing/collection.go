@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"countryrank/internal/asn"
 	"countryrank/internal/bgp"
@@ -21,8 +20,6 @@ var (
 		"best paths exported by vantage points during route propagation")
 	mRecordsBuilt = obs.NewCounter("countryrank_routing_records_built_total",
 		"(VP, prefix, path) records assembled into collections")
-	mPropagateSeconds = obs.NewHistogram("countryrank_routing_propagate_seconds",
-		"duration of one full-collection route propagation", nil)
 	mShardsDone = obs.NewCounter("countryrank_routing_shards_done_total",
 		"propagation shards completed and merged into a collection")
 )
@@ -124,7 +121,6 @@ func (o BuildOptions) withDefaults(w *topology.World) BuildOptions {
 // real-world dirt (loops, poisoned paths, unallocated ASNs, day-to-day
 // instability) the sanitizer must handle.
 func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
-	start := time.Now()
 	opt = opt.withDefaults(w)
 	g := w.Graph
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -347,7 +343,6 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 
 	mPathsPropagated.Add(nRoutes)
 	mRecordsBuilt.Add(int64(len(col.Records)))
-	mPropagateSeconds.Observe(time.Since(start))
 	return col
 }
 

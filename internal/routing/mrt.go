@@ -17,23 +17,6 @@ import (
 	"countryrank/internal/topology"
 )
 
-// The MRT data-plane counters: stream volume in both directions plus the
-// decode rejections that would otherwise vanish silently (unknown peers,
-// malformed records). Each is bulk-added once per stream or export, never
-// inside the per-record hot loop.
-var (
-	mMRTRecordsIn = obs.NewCounter("countryrank_routing_mrt_records_in_total",
-		"RIB entries imported from MRT streams")
-	mMRTBytesIn = obs.NewCounter("countryrank_routing_mrt_bytes_in_total",
-		"bytes read from MRT streams")
-	mMRTRecordsOut = obs.NewCounter("countryrank_routing_mrt_records_out_total",
-		"RIB entries and updates written to MRT streams")
-	mMRTBytesOut = obs.NewCounter("countryrank_routing_mrt_bytes_out_total",
-		"bytes written to MRT streams")
-	mMRTRejects = obs.NewCounter("countryrank_routing_mrt_decode_rejects_total",
-		"MRT entries rejected during import (unknown peers, malformed records)")
-)
-
 // countingReader tracks bytes consumed from an MRT stream.
 type countingReader struct {
 	r io.Reader
@@ -42,18 +25,6 @@ type countingReader struct {
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// countingWriter tracks bytes emitted to an MRT stream.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
 }
@@ -129,8 +100,7 @@ func ExportMRT(w io.Writer, c *Collection, collector string, timestamp uint32) e
 		peers = append(peers, mrt.Peer{BGPID: v.Addr, Addr: v.Addr, AS: v.AS})
 	}
 
-	cw := &countingWriter{w: w}
-	mw := mrt.NewWriter(cw, timestamp)
+	mw := mrt.NewWriter(w, timestamp)
 	if err := mw.WritePeerIndexTable(coll.ID, collector, peers); err != nil {
 		return err
 	}
@@ -182,12 +152,7 @@ func ExportMRT(w io.Writer, c *Collection, collector string, timestamp uint32) e
 		}
 		s = e
 	}
-	if err := mw.Flush(); err != nil {
-		return err
-	}
-	mMRTRecordsOut.Add(int64(len(keep)))
-	mMRTBytesOut.Add(cw.n)
-	return nil
+	return mw.Flush()
 }
 
 // ExportUpdatesMRT writes the BGP4MP update stream one collector would have
@@ -205,15 +170,13 @@ func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, tim
 		return fmt.Errorf("routing: unknown collector %q", collector)
 	}
 
-	cw := &countingWriter{w: w}
-	mw := mrt.NewWriter(cw, timestamp)
+	mw := mrt.NewWriter(w, timestamp)
 	collectorIP := netip.AddrFrom4([4]byte{192, 0, 2, 1})
 
 	// Each changed prefix of each of the collector's records, by ascending
 	// VP, becomes one UPDATE.
 	order := c.collectorRecords(collector)
 	var raw []byte
-	var nOut int64
 	for _, r := range order {
 		v := set.VP(int(r.VP))
 		was := c.PresentOn(r.Prefix, day-1)
@@ -249,14 +212,8 @@ func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, tim
 		if err := mw.WriteBGP4MP(v.AS, 6447, v.Addr, collectorIP, raw); err != nil {
 			return err
 		}
-		nOut++
 	}
-	if err := mw.Flush(); err != nil {
-		return err
-	}
-	mMRTRecordsOut.Add(nOut)
-	mMRTBytesOut.Add(cw.n)
-	return nil
+	return mw.Flush()
 }
 
 // blocks is an append-only sequence that grows without copying. How much a
@@ -618,12 +575,8 @@ func mergeImportParts(w *topology.World, parts []importStream) (*Collection, Imp
 				stats.VPsNamed++
 			}
 		}
-		n := int64(p.records.n)
-		mMRTBytesIn.Add(p.bytes)
-		mMRTRecordsIn.Add(n)
-		mMRTRejects.Add(p.rejects)
 		maps[si].start = stats.Records
-		stats.Records += n
+		stats.Records += int64(p.records.n)
 		stats.Rejects += p.rejects
 		stats.Resyncs += p.resyncs
 		stats.SkippedBytes += p.skippedBytes

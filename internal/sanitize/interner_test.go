@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"countryrank/internal/asn"
 	"countryrank/internal/bgp"
 	"countryrank/internal/routing"
 	"countryrank/internal/topology"
@@ -13,7 +14,7 @@ import (
 
 // checkLayout pins the contract the metric kernels depend on, through
 // Record/RecordIDs only: ids are dense, assigned in first-appearance order
-// over the accepted records, round-trip through ASNOf/IDOf, and mirror the
+// over the accepted records, resolve through a duplicate-free ASNOf, and mirror the
 // clean path hop for hop; records sharing a collection path index alias one
 // clean path and one id slice; and the clean path is the pure function of
 // the collection path that clean computes.
@@ -22,13 +23,12 @@ func checkLayout(t *testing.T, ds *Dataset, clean func(bgp.Path) bgp.Path) {
 	if ds.Len() == 0 || ds.NumAS() == 0 {
 		t.Fatal("empty dataset")
 	}
-	if len(ds.ASNOf) != len(ds.IDOf) {
-		t.Fatalf("ASNOf has %d entries, IDOf has %d", len(ds.ASNOf), len(ds.IDOf))
-	}
+	idOf := map[asn.ASN]int{}
 	for id, a := range ds.ASNOf {
-		if got := ds.IDOf[a]; got != int32(id) {
-			t.Fatalf("IDOf[%v] = %d, want %d", a, got, id)
+		if first, dup := idOf[a]; dup {
+			t.Fatalf("ASNOf[%d] and ASNOf[%d] are both %v", first, id, a)
 		}
+		idOf[a] = id
 	}
 	if ds.NumPaths() != len(ds.Col.Paths) {
 		t.Fatalf("NumPaths = %d, collection has %d paths", ds.NumPaths(), len(ds.Col.Paths))

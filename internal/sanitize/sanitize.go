@@ -11,7 +11,6 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
-	"time"
 
 	"countryrank/internal/asn"
 	"countryrank/internal/bgp"
@@ -22,34 +21,14 @@ import (
 	"countryrank/internal/routing"
 )
 
-// The Table-1 accounting, mirrored as monotonic counters so a scrape shows
-// the same per-Reason drop profile Stats renders. Indexed by Reason.
-var mByReason = [numReasons]*obs.Counter{
-	Accepted:         obs.NewCounter("countryrank_sanitize_accepted_total", "records accepted by the sanitizer"),
-	Unstable:         obs.NewCounter("countryrank_sanitize_dropped_unstable_total", "records dropped: prefix missing from >=1 daily RIB"),
-	Unallocated:      obs.NewCounter("countryrank_sanitize_dropped_unallocated_total", "records dropped: path contains an unallocated ASN"),
-	Loop:             obs.NewCounter("countryrank_sanitize_dropped_loop_total", "records dropped: non-adjacent duplicate ASNs in path"),
-	Poisoned:         obs.NewCounter("countryrank_sanitize_dropped_poisoned_total", "records dropped: poisoned path signature"),
-	VPNoLocation:     obs.NewCounter("countryrank_sanitize_dropped_vp_no_location_total", "records dropped: vantage point unlocatable"),
-	PrefixNoLocation: obs.NewCounter("countryrank_sanitize_dropped_prefix_no_location_total", "records dropped: prefix geolocated to no or multiple countries"),
-}
-
+// The two ends of the Table-1 accounting a scrape shows; the per-Reason
+// drop profile is Stats, which the manifest carries as sanitize_drops.
 var (
 	mRecords = obs.NewCounter("countryrank_sanitize_records_total",
 		"records examined by the sanitizer")
-	mRunSeconds = obs.NewHistogram("countryrank_sanitize_run_seconds",
-		"duration of one sanitizer pass over a collection", nil)
+	mAccepted = obs.NewCounter("countryrank_sanitize_accepted_total",
+		"records accepted by the sanitizer")
 )
-
-// observe publishes one pass's accounting to the registry: a handful of
-// bulk atomic adds after the filtering loop, nothing per record.
-func (s Stats) observe(elapsed time.Duration) {
-	mRecords.Add(int64(s.Total))
-	for r, c := range mByReason {
-		c.Add(int64(s.Counts[r]))
-	}
-	mRunSeconds.Observe(elapsed)
-}
 
 // Reason classifies a record's filtering outcome, mirroring Table 1's rows.
 type Reason uint8
@@ -181,11 +160,8 @@ type Dataset struct {
 	// the metric kernels can accumulate into flat slices indexed by id
 	// instead of ASN-keyed maps.
 	//
-	// ASNOf[id] resolves an id back to its ASN. IDOf inverts it for callers
-	// holding ASN-keyed results; it is derived from ASNOf once the ids are
-	// final, and nothing per hop or per record reads it.
+	// ASNOf[id] resolves an id back to its ASN.
 	ASNOf []asn.ASN
-	IDOf  map[asn.ASN]int32
 
 	// Clean paths are stored once per collection path, not per record:
 	// pathOff[q]:pathOff[q+1] bounds path q's clean form (after route-server
@@ -241,7 +217,6 @@ func (v verdicts) of(r routing.Record) Reason {
 
 // Run sanitizes the collection.
 func Run(col *routing.Collection, cfg Config) *Dataset {
-	start := time.Now()
 	ds := &Dataset{
 		Col:           col,
 		VPCountry:     make([]countries.Code, col.World.VPs.Len()),
@@ -284,7 +259,8 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 	}
 
 	ds.fill(clean, v)
-	ds.Stats.observe(time.Since(start))
+	mRecords.Add(int64(ds.Stats.Total))
+	mAccepted.Add(int64(ds.Stats.Counts[Accepted]))
 	return ds
 }
 
@@ -349,10 +325,6 @@ func (d *Dataset) fill(clean []bgp.Path, v verdicts) {
 			}
 			d.idHops[k] = *id - 1
 		}
-	}
-	d.IDOf = make(map[asn.ASN]int32, len(d.ASNOf))
-	for id, a := range d.ASNOf {
-		d.IDOf[a] = int32(id)
 	}
 }
 

@@ -66,8 +66,6 @@ var (
 		"snapshot generations persisted to the durable store")
 	mSnapLoadRejects = obs.NewCounter("countryrank_rankd_snapshot_load_rejects_total",
 		"persisted generations rejected at warm start (corrupt, truncated, or digest mismatch)")
-	mSnapPruned = obs.NewCounter("countryrank_rankd_snapshot_pruned_total",
-		"persisted generations removed by keep-last-K pruning")
 )
 
 const (
@@ -200,9 +198,7 @@ func (p *Persister) prune() {
 		return
 	}
 	for _, path := range paths[min(p.keep, len(paths)):] {
-		if os.Remove(path) == nil {
-			mSnapPruned.Inc()
-		}
+		os.Remove(path)
 	}
 	if ents, err := os.ReadDir(p.dir); err == nil {
 		for _, e := range ents {

@@ -11,9 +11,9 @@ import (
 	"countryrank/internal/obs"
 )
 
-// Serving metrics. Counters and histogram observations are plain atomic
-// adds, so keeping them on the hot path does not break the zero-allocation
-// guarantee the guard test pins.
+// Serving metrics. Counters and gauges are plain atomic adds, so keeping
+// them on the hot path does not break the zero-allocation guarantee the
+// guard test pins.
 var (
 	mRequests = obs.NewCounter("countryrank_rankd_requests_total",
 		"HTTP requests handled by the /v1 snapshot endpoints")
@@ -21,10 +21,6 @@ var (
 		"full-body snapshot responses")
 	mServed304 = obs.NewCounter("countryrank_rankd_responses_304_total",
 		"If-None-Match revalidations answered with 304")
-	mMisses = obs.NewCounter("countryrank_rankd_responses_miss_total",
-		"4xx/5xx snapshot responses (unknown path, bad query, no snapshot)")
-	mBodyBytes = obs.NewCounter("countryrank_rankd_body_bytes_total",
-		"response body bytes written by the snapshot endpoints")
 	mSwaps = obs.NewCounter("countryrank_rankd_snapshot_swaps_total",
 		"snapshot rollovers published to the store")
 	mEpoch = obs.NewGauge("countryrank_rankd_snapshot_epoch",
@@ -35,15 +31,6 @@ var (
 		"1 while the served snapshot was warm-loaded from disk and the first rebuild has not yet landed")
 	mHistEpochs = obs.NewGauge("countryrank_rankd_history_epochs",
 		"epochs currently retained in the store's rank-history ring")
-
-	mLatCountry = obs.NewHistogram("countryrank_rankd_country_seconds",
-		"latency of /v1/countries/{cc}", obs.ServingBuckets)
-	mLatTop = obs.NewHistogram("countryrank_rankd_top_seconds",
-		"latency of /v1/top/{metric}", obs.ServingBuckets)
-	mLatIndex = obs.NewHistogram("countryrank_rankd_snapshot_seconds",
-		"latency of /v1/snapshot", obs.ServingBuckets)
-	mLatHistory = obs.NewHistogram("countryrank_rankd_history_seconds",
-		"latency of /v1/countries/{cc}/history", obs.ServingBuckets)
 )
 
 // Store publishes the currently served snapshot. Publish ends in an atomic
@@ -220,7 +207,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(h.ins.SlowProbe)
 	}
 	snap := h.store.Load()
-	res := h.serve(w, r, snap, rs, start)
+	res := h.serve(w, r, snap, rs)
 	lat := time.Since(start)
 	if h.ins.SLO != nil {
 		h.ins.SLO.Record(res.status, lat, res.status == http.StatusNotModified)
@@ -284,31 +271,26 @@ func (h *Handler) shed(w http.ResponseWriter, r *http.Request, start time.Time) 
 
 // serve is the zero-alloc serving core; ServeHTTP wraps it with the
 // request-scoped observability.
-func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, rs *obs.Span, start time.Time) reqResult {
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, rs *obs.Span) reqResult {
 	res := reqResult{}
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		mMisses.Inc()
 		w.Header().Set("Allow", "GET, HEAD")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		res.status = http.StatusMethodNotAllowed
 		return res
 	}
 	if snap == nil {
-		mMisses.Inc()
 		http.Error(w, "no snapshot published yet", http.StatusServiceUnavailable)
 		res.status = http.StatusServiceUnavailable
 		return res
 	}
 	rs.Event("parse")
 
-	var (
-		e   *entity
-		lat *obs.Histogram
-	)
+	var e *entity
 	path := r.URL.Path
 	switch {
 	case path == pathIndex:
-		e, lat = snap.index, mLatIndex
+		e = snap.index
 		res.route = routeIndex
 	case len(path) > len(prefixCountries) && path[:len(prefixCountries)] == prefixCountries:
 		rest := path[len(prefixCountries):]
@@ -317,11 +299,11 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 			// page (rendered at publish time; serving it allocates nothing).
 			res.route = routeHistory
 			res.target = rest[:i]
-			e, lat = countryPage(snap.history, rest[:i]), mLatHistory
+			e = countryPage(snap.history, rest[:i])
 		} else {
 			res.route = routeCountry
 			res.target = rest
-			e, lat = countryPage(snap.countries, rest), mLatCountry
+			e = countryPage(snap.countries, rest)
 		}
 	case len(path) > len(prefixTop) && path[:len(prefixTop)] == prefixTop:
 		res.route = routeTop
@@ -329,16 +311,13 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 		var ok bool
 		e, res.n, ok = snap.top(res.target, r.URL.RawQuery)
 		if !ok {
-			mMisses.Inc()
 			http.Error(w, "bad n parameter", http.StatusBadRequest)
 			res.status = http.StatusBadRequest
 			return res
 		}
-		lat = mLatTop
 	}
 	rs.Event("lookup")
 	if e == nil {
-		mMisses.Inc()
 		http.NotFound(w, r)
 		res.status = http.StatusNotFound
 		return res
@@ -350,7 +329,6 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, e.etag) {
 		w.WriteHeader(http.StatusNotModified)
 		mServed304.Inc()
-		lat.Observe(time.Since(start))
 		res.status = http.StatusNotModified
 		res.etagHit = true
 		return res
@@ -362,12 +340,10 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 		// ResponseWriter.Write on a []byte does not allocate; the net/http
 		// connection machinery copies into its own buffered writer.
 		_, _ = w.Write(e.body)
-		mBodyBytes.Add(int64(len(e.body)))
 		res.bytes = len(e.body)
 	}
 	rs.Event("write")
 	mServed200.Inc()
-	lat.Observe(time.Since(start))
 	res.status = http.StatusOK
 	return res
 }

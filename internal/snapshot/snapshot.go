@@ -14,7 +14,7 @@
 // reclaimed by the garbage collector once the last response referencing it
 // completes.
 //
-// The same encoder backs batch output (asrank -json), so a ranking fetched
+// The same encoder backs batch output (crank -json), so a ranking fetched
 // from rankd and one written by a batch run are byte-identical.
 package snapshot
 
@@ -42,9 +42,6 @@ type Config struct {
 	// MaxTopN caps the /v1/top ?n= parameter and the per-country entry
 	// lists. Zero selects DefaultMaxTopN.
 	MaxTopN int
-	// Countries restricts which countries the snapshot carries; nil renders
-	// every known country that ranked at least one AS.
-	Countries []countries.Code
 }
 
 func (c Config) maxTopN() int {
@@ -314,16 +311,13 @@ func seal(c *content, epoch int64, degraded, stale bool, maxTopN int) *Snapshot 
 }
 
 // Build renders the pipeline's rankings into a Snapshot: the four country
-// metrics for every requested country (countries that ranked no AS are
+// metrics for every known country (countries that ranked no AS are
 // skipped) plus the global CCG/AHG top endpoints. Countries fan out across
 // the worker pool; each country runs its own four-kernel computation.
 func Build(p *core.Pipeline, epoch int64, cfg Config) *Snapshot {
 	sp := obs.StartSpan("snapshot-build")
 	defer sp.End()
-	list := cfg.Countries
-	if list == nil {
-		list = countries.All()
-	}
+	list := countries.All()
 	got := make([]*CountryData, len(list))
 	par.ForEach(len(list), func(i int) {
 		c := list[i]
@@ -435,7 +429,7 @@ func appendIndex(dst []byte, s *Snapshot) []byte {
 //	{"metric":"CCI AU","entries":[{"rank":1,"asn":1221,"name":"...","country":"AU","value":0.123456},...]}
 //
 // Values are fixed 6-decimal — the exact strings export.WriteRankingCSV
-// writes — so batch CSV, batch JSON (asrank -json), and served snapshot
+// writes — so batch CSV, batch JSON (crank -json), and served snapshot
 // bytes all agree on content.
 func AppendRanking(dst []byte, r *rank.Ranking, k int) []byte {
 	return appendRankVec(dst, rankVec(r, k))

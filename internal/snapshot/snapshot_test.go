@@ -79,7 +79,7 @@ func TestAppendRankingMatchesCSV(t *testing.T) {
 	}
 }
 
-// TestAppendRankingTopK checks the k truncation asrank -top relies on.
+// TestAppendRankingTopK checks the k truncation crank -top relies on.
 func TestAppendRankingTopK(t *testing.T) {
 	r := testRanking("AHG")
 	var got struct {

@@ -41,8 +41,6 @@ import (
 )
 
 var (
-	mBuilds = obs.NewCounter("countryrank_rankd_builds_total",
-		"snapshot rebuild attempts started by the supervisor")
 	mBuildFailures = obs.NewCounter("countryrank_rankd_build_failures_total",
 		"rebuilds that returned an error or exceeded the build timeout")
 	mBuildPanics = obs.NewCounter("countryrank_rankd_build_panics_total",
@@ -304,7 +302,6 @@ func (s *Supervisor) buildUntilPublished(reason string) {
 // timeout sends without blocking and is simply never read.
 func (s *Supervisor) buildOnce(reason string) error {
 	epoch := s.epoch.Add(1)
-	mBuilds.Inc()
 	ctx := s.ctx
 	cancel := context.CancelFunc(func() {})
 	if s.cfg.BuildTimeout > 0 {

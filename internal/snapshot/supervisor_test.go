@@ -194,7 +194,7 @@ func TestSupervisorDegradedGate(t *testing.T) {
 		sup := NewSupervisor(st, 2, cfg)
 		defer sup.Close()
 		sup.Trigger("test")
-		waitFor(t, 2*time.Second, "degraded rejection", func() bool {
+		waitFor(t, 2*time.Second, "countryrank_rankd_degraded_rejects_total to count the rejection", func() bool {
 			return mDegradedRejects.Value() > rejects0
 		})
 		time.Sleep(30 * time.Millisecond) // would-be backoff window

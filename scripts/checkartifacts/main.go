@@ -1,6 +1,6 @@
 // Command checkartifacts validates the run artifacts the obs layer exports:
 // a provenance manifest (-manifest) and a Chrome trace (-trace). CI runs it
-// against the files a real asrank run wrote, so schema drift or an empty
+// against the files a real crank run wrote, so schema drift or an empty
 // export fails the gate instead of shipping. It checks structure, not
 // values: required manifest fields are present and plausible, the trace has
 // at least one complete span event, and -require can demand optional
