@@ -95,6 +95,16 @@ func BenchmarkTable1Sanitize(b *testing.B) {
 	}
 }
 
+// BenchmarkConeStarts measures the chain rule over every collection path:
+// the relationship lookups a pipeline pays once, before any view.
+func BenchmarkConeStarts(b *testing.B) {
+	p, _ := benchPipelines(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conepkg.Starts(p.DS, p.Rels)
+	}
+}
+
 func BenchmarkTable2Views(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.RunTable2()

@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"countryrank/internal/asn"
-	"countryrank/internal/bgp"
 	"countryrank/internal/relation"
 	"countryrank/internal/sanitize"
 	"countryrank/internal/topology"
@@ -86,16 +85,17 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // cones over many views or VP subsets of the same dataset pay the
 // relationship lookups once and pass the result to ComputeFrom.
 func Starts(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
-	rels = relation.NewMemo(rels)
+	memo := relation.NewMemo(rels, ds.ASNOf)
 	starts := make([]int32, ds.NumPaths())
 	for q := range starts {
-		starts[q] = pathStart(ds.CleanPath(q), rels)
+		starts[q] = pathStart(ds.PathIDs(q), memo)
 	}
 	return starts
 }
 
-// pathStart resolves one clean path's retained-chain start (see Starts).
-func pathStart(path bgp.Path, rels relation.Oracle) int32 {
+// pathStart resolves one clean path's retained-chain start (see Starts)
+// from its dense ids.
+func pathStart(path []int32, rels *relation.Memo) int32 {
 	start := chainStart(path, rels)
 	if start < 0 {
 		return -1
@@ -208,33 +208,34 @@ func ASCounts(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) map[asn.
 // even along never-observed combinations. Comparing it with Compute
 // quantifies the cone inflation that motivates the observed-path rule.
 func ComputeRecursive(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Scores {
-	// Observed p2c links and per-AS directly-originated/observed prefixes.
-	links := map[asn.ASN]map[asn.ASN]struct{}{}
-	own := map[asn.ASN]map[int32]struct{}{}
+	// Observed p2c links and per-AS directly-originated/observed prefixes,
+	// keyed by dense AS id.
+	links := map[int32]map[int32]struct{}{}
+	own := map[int32]map[int32]struct{}{}
 	seenPrefix := map[int32]struct{}{}
+	memo := relation.NewMemo(rels, ds.ASNOf)
 
 	each(ds, recs, func(i int) {
-		_, pfxIdx, path := ds.Record(i)
+		_, pfxIdx, path := ds.RecordIDs(i)
 		seenPrefix[pfxIdx] = struct{}{}
-		if o, ok := path.Origin(); ok {
-			set := own[o]
-			if set == nil {
-				set = map[int32]struct{}{}
-				own[o] = set
-			}
-			set[pfxIdx] = struct{}{}
-		}
-		start := chainStart(path, rels)
+		start := chainStart(path, memo)
 		if start < 0 {
 			return
 		}
+		o := path[len(path)-1]
+		set := own[o]
+		if set == nil {
+			set = map[int32]struct{}{}
+			own[o] = set
+		}
+		set[pfxIdx] = struct{}{}
 		for j := start; j+1 < len(path); j++ {
-			if rels.Rel(path[j], path[j+1]) != topology.RelP2C {
+			if memo.Rel(path[j], path[j+1]) != topology.RelP2C {
 				break
 			}
 			m := links[path[j]]
 			if m == nil {
-				m = map[asn.ASN]struct{}{}
+				m = map[int32]struct{}{}
 				links[path[j]] = m
 			}
 			m[path[j+1]] = struct{}{}
@@ -242,10 +243,10 @@ func ComputeRecursive(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) 
 	})
 
 	// Transitive closure by DFS with memoized prefix sets.
-	memo := map[asn.ASN]map[int32]struct{}{}
-	var visit func(a asn.ASN, onPath map[asn.ASN]bool) map[int32]struct{}
-	visit = func(a asn.ASN, onPath map[asn.ASN]bool) map[int32]struct{} {
-		if got, ok := memo[a]; ok {
+	memoized := map[int32]map[int32]struct{}{}
+	var visit func(a int32, onPath map[int32]bool) map[int32]struct{}
+	visit = func(a int32, onPath map[int32]bool) map[int32]struct{} {
+		if got, ok := memoized[a]; ok {
 			return got
 		}
 		if onPath[a] {
@@ -262,7 +263,7 @@ func ComputeRecursive(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) 
 			}
 		}
 		delete(onPath, a)
-		memo[a] = out
+		memoized[a] = out
 		return out
 	}
 
@@ -270,7 +271,7 @@ func ComputeRecursive(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) 
 	for p := range seenPrefix {
 		s.Total += ds.Weight[p]
 	}
-	all := map[asn.ASN]bool{}
+	all := map[int32]bool{}
 	for a := range links {
 		all[a] = true
 	}
@@ -279,10 +280,10 @@ func ComputeRecursive(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) 
 	}
 	for a := range all {
 		var sum uint64
-		for p := range visit(a, map[asn.ASN]bool{}) {
+		for p := range visit(a, map[int32]bool{}) {
 			sum += ds.Weight[p]
 		}
-		s.Addresses[a] = sum
+		s.Addresses[ds.ASNOf[a]] = sum
 	}
 	return s
 }
@@ -292,7 +293,7 @@ func ComputeRecursive(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) 
 // first provider→customer link. When the whole path climbs (or relations
 // are unknown), only the origin remains in scope. Returns -1 for an empty
 // path.
-func chainStart(path bgp.Path, rels relation.Oracle) int {
+func chainStart(path []int32, rels *relation.Memo) int {
 	if len(path) == 0 {
 		return -1
 	}

@@ -2,6 +2,7 @@ package cone
 
 import (
 	"countryrank/internal/asn"
+	"countryrank/internal/bgp"
 	"countryrank/internal/relation"
 	"countryrank/internal/sanitize"
 	"countryrank/internal/topology"
@@ -20,7 +21,7 @@ func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) (Sc
 	each(ds, recs, func(i int) {
 		_, pfxIdx, path := ds.Record(i)
 		seenPrefix[pfxIdx] = struct{}{}
-		start := chainStart(path, rels)
+		start := chainStartRef(path, rels)
 		if start < 0 {
 			return
 		}
@@ -65,4 +66,17 @@ func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) (Sc
 		asCounts[a] = len(members)
 	}
 	return s, asCounts
+}
+
+// chainStartRef is chainStart over the path's ASNs, asking the oracle itself.
+func chainStartRef(path bgp.Path, rels relation.Oracle) int {
+	for i := 0; i+1 < len(path); i++ {
+		switch rels.Rel(path[i], path[i+1]) {
+		case topology.RelP2P:
+			return i + 1
+		case topology.RelP2C:
+			return i
+		}
+	}
+	return len(path) - 1
 }

@@ -50,13 +50,13 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // view, so callers computing CTI over many views or VP subsets can pay the
 // relationship lookups once and pass the result to ComputeFrom.
 func Depths(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
-	rels = relation.NewMemo(rels)
+	memo := relation.NewMemo(rels, ds.ASNOf)
 	depths := make([]int32, ds.NumPaths())
 	for q := range depths {
-		path := ds.CleanPath(q)
+		path := ds.PathIDs(q)
 		var d int32
 		for j := len(path) - 2; j >= 0; j-- {
-			if rels.Rel(path[j], path[j+1]) != topology.RelP2C {
+			if memo.Rel(path[j], path[j+1]) != topology.RelP2C {
 				break
 			}
 			d++

@@ -7,6 +7,7 @@ import (
 
 	"countryrank/internal/core"
 	"countryrank/internal/countries"
+	"countryrank/internal/relation"
 	"countryrank/internal/topology"
 )
 
@@ -260,5 +261,42 @@ func TestStabilityFigures(t *testing.T) {
 	}
 	if !strings.Contains(f5.Render(), "out-of-country") {
 		t.Error("figure 5 render")
+	}
+}
+
+// TestRendersOrderTies: Figure 7's tied rows (several countries at 0.0 %)
+// and the inference confusion lines are read out of maps; their order is the
+// country code's and the relationship's, not the map's, so two runs print the
+// same bytes.
+func TestRendersOrderTies(t *testing.T) {
+	f7 := Figure7{MaxRussianAHI: map[countries.Code]float64{
+		"UA": 0, "TM": 0.5, "EE": 0, "KZ": 0.5, "LV": 0, "GE": 0, "BY": 0.3, "LT": 0, "MD": 0,
+	}}
+	want := f7.Render()
+	var order []string
+	for _, line := range strings.Split(want, "\n")[1:] {
+		if len(line) >= 2 {
+			order = append(order, line[:2])
+		}
+	}
+	if got := strings.Join(order, " "); got != "KZ TM BY EE GE LT LV MD UA" {
+		t.Errorf("Figure 7 rows in order %s, want value descending, then country code", got)
+	}
+	v := InferenceValidation{Val: relation.Validation{Confusion: map[topology.Rel]map[topology.Rel]int{
+		topology.RelP2P: {topology.RelP2C: 3, topology.RelC2P: 2},
+		topology.RelP2C: {topology.RelP2P: 7, topology.RelC2P: 1},
+		topology.RelC2P: {topology.RelP2P: 5},
+	}}}
+	wantV := v.Render()
+	if strings.Count(wantV, "mislabeled") != 5 {
+		t.Fatalf("confusion lines missing:\n%s", wantV)
+	}
+	for i := 0; i < 50; i++ {
+		if got := f7.Render(); got != want {
+			t.Fatalf("Figure 7 rendered differently on run %d:\n%s\nvs\n%s", i, got, want)
+		}
+		if got := v.Render(); got != wantV {
+			t.Fatalf("inference validation rendered differently on run %d:\n%s\nvs\n%s", i, got, wantV)
+		}
 	}
 }

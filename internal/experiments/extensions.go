@@ -12,6 +12,7 @@ import (
 	"countryrank/internal/countries"
 	"countryrank/internal/relation"
 	"countryrank/internal/routing"
+	"countryrank/internal/topology"
 )
 
 // The experiments below go beyond the paper's published evaluation: the
@@ -179,9 +180,11 @@ func (v InferenceValidation) Render() string {
 		v.CliqueHits, v.CliqueSize, v.CliqueTruth)
 	fmt.Fprintf(&b, "relationships: %d edges compared, %.1f%% correct\n",
 		v.Val.Compared, 100*v.Val.Accuracy())
-	for truth, m := range v.Val.Confusion {
-		for inferred, n := range m {
-			fmt.Fprintf(&b, "  %v mislabeled as %v: %d\n", truth, inferred, n)
+	for truth := topology.RelC2P; truth <= topology.RelP2P; truth++ {
+		for inferred := topology.RelC2P; inferred <= topology.RelP2P; inferred++ {
+			if n := v.Val.Confusion[truth][inferred]; n > 0 {
+				fmt.Fprintf(&b, "  %v mislabeled as %v: %d\n", truth, inferred, n)
+			}
 		}
 	}
 	return b.String()

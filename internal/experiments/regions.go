@@ -210,7 +210,12 @@ func (f Figure7) Render() string {
 	for c := range f.MaxRussianAHI {
 		cs = append(cs, c)
 	}
-	sort.Slice(cs, func(i, j int) bool { return f.MaxRussianAHI[cs[i]] > f.MaxRussianAHI[cs[j]] })
+	sort.Slice(cs, func(i, j int) bool {
+		if vi, vj := f.MaxRussianAHI[cs[i]], f.MaxRussianAHI[cs[j]]; vi != vj {
+			return vi > vj
+		}
+		return cs[i] < cs[j]
+	})
 	for _, c := range cs {
 		dep := ""
 		if f.MaxRussianAHI[c] > 0.2 {

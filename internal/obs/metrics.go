@@ -77,30 +77,6 @@ var DurationBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// ExpBuckets builds a histogram bucket schedule as a 1-2.5-5 ladder of
-// upper bounds covering [min, max] (both clamped onto ladder steps, max
-// inclusive). Bounds are derived from integer nanoseconds so the same
-// arguments always yield bit-identical float64 schedules. Panics on a
-// non-positive or inverted range.
-func ExpBuckets(min, max time.Duration) []float64 {
-	if min <= 0 || max < min {
-		panic(fmt.Sprintf("obs: ExpBuckets invalid range [%v, %v]", min, max))
-	}
-	var out []float64
-	for decade := int64(1); decade > 0 && decade <= int64(max); decade *= 10 {
-		for _, step := range []int64{decade, decade * 25 / 10, decade * 5} {
-			if step < int64(min) || step > int64(max) {
-				continue
-			}
-			out = append(out, float64(step)/1e9)
-		}
-	}
-	if len(out) == 0 || out[len(out)-1] < max.Seconds() {
-		out = append(out, max.Seconds())
-	}
-	return out
-}
-
 // A Histogram accumulates duration observations into fixed buckets. Writes
 // are two atomic adds plus a bucket scan over a small fixed array; there is
 // no locking and no allocation.

@@ -30,30 +30,53 @@ type Oracle interface {
 	Rel(a, b asn.ASN) topology.Rel
 }
 
-// Memo is an Oracle that asks the oracle behind it about each ordered AS
-// pair once. A dataset's paths cross the same few thousand links over and
-// over, and a ground-truth answer costs two index lookups and two adjacency
-// scans, so the kernels that resolve every path (cone.Starts, cti.Depths)
-// put one in front of whatever oracle they are given. Not safe for
-// concurrent use.
+// Memo asks the oracle behind it about each ordered AS pair once, in a
+// dataset's dense-id space (sanitize.Dataset.ASNOf). A dataset's paths cross
+// the same few thousand links over and over, and a ground-truth answer costs
+// two index lookups and two adjacency scans, so the kernels that resolve
+// every path (cone.Starts, cti.Depths) put one in front of whatever oracle
+// they are given. An answer is one byte in the row of its left-hand id; a row
+// is made when its AS first stands on the left of a question, which only the
+// few hundred ASes with a hop below them on some path ever do, so the memo
+// stays linear in the number of ASes where a full table would be quadratic.
+// Not safe for concurrent use.
 type Memo struct {
 	oracle Oracle
-	rels   map[uint64]topology.Rel // a<<32|b → Rel(a, b)
+	asnOf  []asn.ASN
+	// rows[a][b]: 0 not asked yet, else Rel(asnOf[a], asnOf[b]) + 2. Every
+	// row starts out as unasked, the one all-zero row.
+	rows    [][]topology.Rel
+	unasked []topology.Rel
 }
 
-// NewMemo returns an empty memo in front of o.
-func NewMemo(o Oracle) *Memo {
-	return &Memo{oracle: o, rels: make(map[uint64]topology.Rel)}
-}
-
-// Rel implements Oracle.
-func (m *Memo) Rel(a, b asn.ASN) topology.Rel {
-	k := uint64(a)<<32 | uint64(b)
-	r, ok := m.rels[k]
-	if !ok {
-		r = m.oracle.Rel(a, b)
-		m.rels[k] = r
+// NewMemo returns an empty memo in front of o for ids that index asnOf.
+func NewMemo(o Oracle, asnOf []asn.ASN) *Memo {
+	m := &Memo{
+		oracle: o, asnOf: asnOf,
+		rows: make([][]topology.Rel, len(asnOf)), unasked: make([]topology.Rel, len(asnOf)),
 	}
+	for a := range m.rows {
+		m.rows[a] = m.unasked
+	}
+	return m
+}
+
+// Rel returns the relationship from id a's perspective. The answered case is
+// small enough to inline into the kernels' hop loops.
+func (m *Memo) Rel(a, b int32) topology.Rel {
+	if r := m.rows[a][b]; r != 0 {
+		return r - 2
+	}
+	return m.ask(a, b)
+}
+
+// ask is Rel's first time for (a, b): a gets its own row if it had none.
+func (m *Memo) ask(a, b int32) topology.Rel {
+	if &m.rows[a][0] == &m.unasked[0] {
+		m.rows[a] = make([]topology.Rel, len(m.asnOf))
+	}
+	r := m.oracle.Rel(m.asnOf[a], m.asnOf[b])
+	m.rows[a][b] = r + 2
 	return r
 }
 

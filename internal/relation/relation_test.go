@@ -165,43 +165,3 @@ func TestInferDegreeFallback(t *testing.T) {
 		t.Errorf("1-100 = %v, want c2p via degree", tbl.Rel(1, 100))
 	}
 }
-
-// countingOracle answers from a table and counts the questions it is asked.
-type countingOracle struct {
-	t     *Table
-	asked map[[2]asn.ASN]int
-}
-
-func (c *countingOracle) Rel(a, b asn.ASN) topology.Rel {
-	c.asked[[2]asn.ASN{a, b}]++
-	return c.t.Rel(a, b)
-}
-
-// TestMemoAsksOncePerOrderedPair: a memo answers what its oracle answers,
-// direction included, and repeats no question.
-func TestMemoAsksOncePerOrderedPair(t *testing.T) {
-	tbl := &Table{rels: map[[2]asn.ASN]topology.Rel{}}
-	k, _ := key(1, 2)
-	tbl.rels[k] = topology.RelP2C
-	k, _ = key(2, 3)
-	tbl.rels[k] = topology.RelP2P
-	under := &countingOracle{t: tbl, asked: map[[2]asn.ASN]int{}}
-	m := NewMemo(under)
-	for round := 0; round < 3; round++ {
-		for a := asn.ASN(0); a < 5; a++ {
-			for b := asn.ASN(0); b < 5; b++ {
-				if got, want := m.Rel(a, b), tbl.Rel(a, b); got != want {
-					t.Fatalf("round %d: memo Rel(%v, %v) = %v, oracle says %v", round, a, b, got, want)
-				}
-			}
-		}
-	}
-	if len(under.asked) != 25 {
-		t.Fatalf("oracle saw %d distinct pairs, want 25", len(under.asked))
-	}
-	for pair, n := range under.asked {
-		if n != 1 {
-			t.Fatalf("oracle asked about %v %d times", pair, n)
-		}
-	}
-}

@@ -28,9 +28,6 @@ type judge struct {
 	hops     bgp.Path
 	hopFlags []uint8
 	kept     bgp.Path
-	// chunk is the storage clean forms that differ from their input are
-	// carved from; a full chunk is left to its paths and a new one started.
-	chunk []asn.ASN
 }
 
 func newJudge(cfg Config) *judge {
@@ -56,12 +53,10 @@ func newJudge(cfg Config) *judge {
 // judge returns p's verdict — Accepted, Unallocated, Loop or Poisoned,
 // tested in that order of precedence — and, when accepted, its clean form:
 // prepending collapsed, route-server hops dropped, prepending collapsed
-// again across the dropped hops. A clean form equal to p is p itself;
-// anything else is carved from the judge's chunk storage, which is never
-// reused, so later calls leave both alone. A path that cleans down to
-// nothing returns nil.
+// again across the dropped hops. The clean form lives in the judge's buffers
+// and is good until the next call; a rejected path's is nil.
 func (j *judge) judge(p bgp.Path) (Reason, bgp.Path) {
-	j.hops, j.hopFlags = j.hops[:0], j.hopFlags[:0]
+	hops, hopFlags := j.hops[:0], j.hopFlags[:0] // locals: no store per hop
 	var routeServers uint8
 	for i, a := range p {
 		f := j.flags.Get(a) | j.every
@@ -71,15 +66,16 @@ func (j *judge) judge(p bgp.Path) (Reason, bgp.Path) {
 		if i > 0 && a == p[i-1] {
 			continue
 		}
-		j.hops, j.hopFlags = append(j.hops, a), append(j.hopFlags, f)
+		hops, hopFlags = append(hops, a), append(hopFlags, f)
 		routeServers |= f & flagRouteServer
 	}
-	if j.hops.HasNonAdjacentLoop() {
+	j.hops, j.hopFlags = hops, hopFlags
+	if hops.HasNonAdjacentLoop() {
 		return Loop, nil
 	}
 	// Poisoning: a non-clique AS between two clique ASes (§3.1).
 	lastClique := -1
-	for i, f := range j.hopFlags {
+	for i, f := range hopFlags {
 		if f&flagClique == 0 {
 			continue
 		}
@@ -89,11 +85,11 @@ func (j *judge) judge(p bgp.Path) (Reason, bgp.Path) {
 		lastClique = i
 	}
 
-	clean := j.hops
+	clean := hops
 	if routeServers != 0 {
 		j.kept = j.kept[:0]
-		for i, a := range j.hops {
-			if j.hopFlags[i]&flagRouteServer != 0 {
+		for i, a := range hops {
+			if hopFlags[i]&flagRouteServer != 0 {
 				continue
 			}
 			if n := len(j.kept); n == 0 || j.kept[n-1] != a {
@@ -102,16 +98,5 @@ func (j *judge) judge(p bgp.Path) (Reason, bgp.Path) {
 		}
 		clean = j.kept
 	}
-	switch {
-	case len(clean) == len(p): // nothing collapsed, nothing dropped
-		return Accepted, p
-	case len(clean) == 0:
-		return Accepted, nil
-	}
-	if len(clean) > cap(j.chunk)-len(j.chunk) {
-		j.chunk = make([]asn.ASN, 0, max(4096, len(clean)))
-	}
-	n := len(j.chunk)
-	j.chunk = append(j.chunk, clean...)
-	return Accepted, bgp.Path(j.chunk[n:len(j.chunk):len(j.chunk)])
+	return Accepted, clean
 }

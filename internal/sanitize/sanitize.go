@@ -143,7 +143,7 @@ type Dataset struct {
 	Col *routing.Collection
 	// recVP / recPrefix / recPath are the accepted records' VP, prefix and
 	// collection-path columns in canonical record order. The three share
-	// one allocation sized by the verdict pass's accepted count.
+	// one allocation, each capped at the accepted count.
 	recVP     []int32
 	recPrefix []int32
 	recPath   []int32
@@ -189,11 +189,11 @@ func NewDataset(col *routing.Collection, vpCountry, prefixCountry []countries.Co
 	for p, pfx := range col.Prefixes {
 		ds.Weight[p] = netx.AddressWeight(pfx)
 	}
-	ds.fill(col.Paths, verdicts{ // all zero: Accepted
+	ds.fill(verdicts{ // all zero: Accepted
 		byPrefix: make([]Reason, len(col.Prefixes)),
 		byPath:   make([]Reason, len(col.Paths)),
 		byVP:     make([]Reason, len(vpCountry)),
-	})
+	}, nil)
 	return ds
 }
 
@@ -250,67 +250,71 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 		}
 	}
 
-	// Judge and clean each collection path once: the same path index backs
-	// many records (one per prefix of its origin).
-	clean := make([]bgp.Path, len(col.Paths))
-	j := newJudge(cfg)
-	for q, p := range col.Paths {
-		v.byPath[q], clean[q] = j.judge(p)
-	}
-
-	ds.fill(clean, v)
+	ds.fill(v, newJudge(cfg))
 	mRecords.Add(int64(ds.Stats.Total))
 	mAccepted.Add(int64(ds.Stats.Counts[Accepted]))
 	return ds
 }
 
-// fill walks the collection's records twice — once only counting outcomes
-// into Stats, which sizes the record columns exactly, once copying the
-// accepted ones into them — then lays the clean form of every collection
-// path an accepted record uses into the arenas (clean is indexed like
-// Col.Paths) and assigns dense ids to the ASNs on them. Ids are handed out
-// in first-appearance order over the accepted records, so they are
-// deterministic for a fixed collection; a path index met again contributes
-// no new ASN, so resolving each path only at its first record gives the ids
-// resolving every record would.
-func (d *Dataset) fill(clean []bgp.Path, v verdicts) {
-	for _, r := range d.Col.Records {
-		d.Stats.Counts[v.of(r)]++
-	}
-	d.Stats.Total = len(d.Col.Records)
-
-	n := d.Stats.Counts[Accepted]
-	cols := make([]int32, 3*n)
-	d.recVP, d.recPrefix, d.recPath = cols[:n:n], cols[n:2*n:2*n], cols[2*n:]
-	i := 0
-	for _, r := range d.Col.Records {
-		if v.of(r) == Accepted {
-			d.recVP[i], d.recPrefix[i], d.recPath[i] = r.VP, r.Prefix, r.Path
-			i++
+// fill reads the collection's records twice and its paths once. A pre-pass
+// marks the paths some record with a clean prefix and a clean VP names — the
+// only ones whose clean form anything can read — and bounds the accepted
+// count and the arena. Each collection path is then judged once (j nil:
+// accepted as it is), however many records it backs, and a marked path's
+// clean form appended to the arena while the judge still holds it; a
+// rejected path's is empty. The second record pass counts outcomes into
+// Stats and copies the accepted records into the columns together. Last,
+// dense ids go to the ASNs on the arena's paths in first-appearance order
+// over the accepted records, so they are deterministic for a fixed
+// collection; a path index met again contributes no new ASN, so resolving
+// each path only at its first record gives the ids resolving every record
+// would.
+func (d *Dataset) fill(v verdicts, j *judge) {
+	recs, paths := d.Col.Records, d.Col.Paths
+	pending := make([]bool, len(paths)) // marked, ids not yet resolved
+	bound, hops := 0, 0
+	for _, r := range recs {
+		if v.byPrefix[r.Prefix]|v.byVP[r.VP] != Accepted {
+			continue
+		}
+		bound++
+		if !pending[r.Path] {
+			pending[r.Path] = true
+			hops += len(paths[r.Path]) // cleaning only shortens
 		}
 	}
 
-	pending := make([]bool, len(clean)) // used by a record, ids not yet resolved
-	hops := 0
-	for _, q := range d.recPath {
-		if !pending[q] {
-			pending[q] = true
-			hops += len(clean[q])
-		}
-	}
 	d.cleanHops = make([]asn.ASN, 0, hops)
-	d.pathOff = make([]int32, 1, len(clean)+1)
-	for q, p := range clean {
+	d.pathOff = make([]int32, 1, len(paths)+1)
+	for q, p := range paths {
+		if j != nil {
+			v.byPath[q], p = j.judge(p)
+		}
 		if pending[q] {
 			d.cleanHops = append(d.cleanHops, p...)
 		}
 		d.pathOff = append(d.pathOff, int32(len(d.cleanHops)))
 	}
+
+	cols := make([]int32, 3*bound)
+	recVP, recPrefix, recPath := cols[:bound], cols[bound:2*bound], cols[2*bound:]
+	n := 0
+	for _, r := range recs {
+		reason := v.of(r)
+		d.Stats.Counts[reason]++
+		if reason == Accepted {
+			recVP[n], recPrefix[n], recPath[n] = r.VP, r.Prefix, r.Path
+			n++
+		}
+	}
+	d.Stats.Total = len(recs)
+	d.recVP, d.recPrefix, d.recPath = recVP[:n:n], recPrefix[:n:n], recPath[:n:n]
+
 	// idOf holds id+1, so 0 reads "no id yet". It gets a page only for ASNs
 	// on accepted paths, which under a Config with a registry are allocated
 	// ones: input cannot size it beyond the registry's pages.
 	var idOf asn.Table[int32]
-	d.idHops = make([]int32, hops)
+	d.idHops = make([]int32, len(d.cleanHops))
 	for _, q := range d.recPath {
 		if !pending[q] {
 			continue
@@ -343,8 +347,7 @@ func (d *Dataset) Record(i int) (vpIdx int32, prefixIdx int32, path bgp.Path) {
 
 // RecordIDs is Record with the path resolved to dense ids, aliased likewise.
 func (d *Dataset) RecordIDs(i int) (vpIdx int32, prefixIdx int32, ids []int32) {
-	lo, hi := d.pathOff[d.recPath[i]], d.pathOff[d.recPath[i]+1]
-	return d.recVP[i], d.recPrefix[i], d.idHops[lo:hi:hi]
+	return d.recVP[i], d.recPrefix[i], d.PathIDs(int(d.recPath[i]))
 }
 
 // VPIndex returns accepted record i's vantage point index.
@@ -366,6 +369,12 @@ func (d *Dataset) NumPaths() int { return len(d.pathOff) - 1 }
 func (d *Dataset) CleanPath(q int) bgp.Path {
 	lo, hi := d.pathOff[q], d.pathOff[q+1]
 	return bgp.Path(d.cleanHops[lo:hi:hi])
+}
+
+// PathIDs is CleanPath resolved to dense ids, hop for hop.
+func (d *Dataset) PathIDs(q int) []int32 {
+	lo, hi := d.pathOff[q], d.pathOff[q+1]
+	return d.idHops[lo:hi:hi]
 }
 
 // PrefixOf returns the prefix of accepted record i.

@@ -3,6 +3,7 @@ package sanitize
 import (
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"countryrank/internal/asn"
@@ -54,9 +55,11 @@ func runPerRecord(col *routing.Collection, cfg Config) (stats Stats, recVP, recP
 // every combination of a located or unlocated VP, a stable or unstable and
 // located or unlocated prefix, and a path of every verdict — so every Reason
 // occurs and up to four apply to one record (an unstable, unlocatable prefix
-// on a looped path with an unallocated ASN from an unlocated VP) — the
-// counting pass and the exactly-sized columns give the per-record
-// reference's accounting, columns and id order.
+// on a looped path with an unallocated ASN from an unlocated VP) — plus the
+// paths the pre-pass sets apart (named by no record, only from an unlocated
+// VP, only on unstable prefixes), the record pass and the exactly-sized
+// columns give the per-record reference's accounting, columns and id order,
+// and the arena holds the accepted records' clean paths and nothing else.
 func TestRunMatchesPerRecordReference(t *testing.T) {
 	vps, err := vp.NewSet(
 		[]vp.Collector{{Name: "us", Country: "US"}, {Name: "remote", MultiHop: true}, {Name: "au", Country: "AU"}},
@@ -99,6 +102,8 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 		{31},                     // accepted, cleaned to nothing
 		{12, 21, 30},             // accepted, used by no record
 		{13, 20, 30},             // accepted, new ASN first seen late
+		{15, 20, 15, 30},         // loop, named only from the unlocated VP
+		{14, 20, 30},             // accepted, named only on unstable prefixes
 	}
 	for _, q := range []int32{4, 0, 1, 2, 3, 5, 6, 8, 0} { // path 0 twice: repeats share its storage
 		for v := int32(0); v < 3; v++ {
@@ -107,6 +112,13 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 			}
 		}
 	}
+	// Two paths no record with a clean prefix and a clean VP names, so Run
+	// keeps no clean form of them. The first's verdict still decides its
+	// records' outcome — a loop outranks an unlocated VP — and the second
+	// never shows: an unstable prefix outranks everything.
+	col.Records = append(col.Records,
+		routing.Record{VP: 1, Prefix: 0, Path: 9}, routing.Record{VP: 1, Prefix: 5, Path: 9},
+		routing.Record{VP: 0, Prefix: 1, Path: 10}, routing.Record{VP: 2, Prefix: 3, Path: 10})
 
 	stats, recVP, recPrefix, recPath, asnOf := runPerRecord(col, cfg)
 	for r := Accepted; r < numReasons; r++ {
@@ -117,6 +129,32 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 	ds := Run(col, cfg)
 	if ds.Stats != stats {
 		t.Errorf("Stats = %+v, the per-record reference counts %+v", ds.Stats, stats)
+	}
+	if loops := 4*3 + 2; stats.Counts[Loop] != loops { // path 2 on four stable prefixes from three VPs, and path 9's two
+		t.Errorf("the reference counts %d loops, want %d", stats.Counts[Loop], loops)
+	}
+	// The arena holds the clean form of each path an accepted record names,
+	// once, and nothing else: not path 7 (no record), 9, 10 or any rejected
+	// path, and nothing for path 6, which cleans to nothing.
+	hops, named := 0, map[int32]bool{}
+	for _, q := range recPath {
+		if !named[q] {
+			named[q] = true
+			hops += len(judgePath(col.Paths[q], cfg).clean)
+		}
+	}
+	if !named[6] || named[7] || named[9] || named[10] {
+		t.Fatalf("the reference's accepted records name paths %v", named)
+	}
+	if len(ds.cleanHops) != hops || len(ds.idHops) != hops {
+		t.Errorf("arenas hold %d/%d hops, the accepted records' paths clean to %d", len(ds.cleanHops), len(ds.idHops), hops)
+	}
+	for q := range col.Paths {
+		if want := judgePath(col.Paths[q], cfg).clean; named[int32(q)] && !ds.CleanPath(q).Equal(want) {
+			t.Errorf("CleanPath(%d) = %v, want %v", q, ds.CleanPath(q), want)
+		} else if !named[int32(q)] && len(ds.CleanPath(q)) != 0 {
+			t.Errorf("CleanPath(%d) = %v for a path no accepted record names", q, ds.CleanPath(q))
+		}
 	}
 	if ds.Len() != len(recVP) {
 		t.Fatalf("Len() = %d, the reference accepts %d", ds.Len(), len(recVP))
@@ -141,6 +179,28 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 	all := NewDataset(col, ds.VPCountry, ds.PrefixCountry)
 	if all.Len() != len(col.Records) || all.Stats.Total != len(col.Records) || all.Stats.Counts[Accepted] != len(col.Records) {
 		t.Errorf("NewDataset accepts %d of %d records (Stats %+v)", all.Len(), len(col.Records), all.Stats)
+	}
+}
+
+// TestRunAllocBudget is the record plane's host-independent pin at the
+// benchmark's world size (W05, seed 1: 375 k paths, 831 k records): one Run
+// allocates what it returns — three columns, the hop and id arenas, the path
+// offsets, the per-prefix tables — plus a byte per path, per prefix and per
+// VP, 23.9 MB in all. Staging every clean path as a slice header before
+// copying it took 33.7 MB.
+func TestRunAllocBudget(t *testing.T) {
+	w := topology.Build(topology.Config{Seed: 1, StubScale: 0.5, VPScale: 0.5})
+	col := routing.BuildCollection(w, routing.BuildOptions{})
+	cfg := fullConfig(w, col, 0.5)
+	Run(col, cfg) // warm: lazily built tables are not the run's
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ds := Run(col, cfg)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d paths, %d records, %d accepted: %d bytes allocated", len(col.Paths), col.NumRecords(), ds.Len(), alloc)
+	if alloc > 26e6 {
+		t.Errorf("Run allocated %d bytes, want at most 26 MB", alloc)
 	}
 }
 

@@ -33,17 +33,18 @@ go build ./...
 echo '--- go test -race'
 go test -race ./...
 
-echo '--- bench smoke (Figure4, Figure5, Table9GlobalContrast, PipelineBuild, Propagation, Table1Sanitize, MRT plane, 1 iteration)'
+echo '--- bench smoke (Figure4, Figure5, Table9GlobalContrast, PipelineBuild, Propagation, Table1Sanitize, ConeStarts, MRT plane, 1 iteration)'
 # Figure4 and Figure5 combine per-view trial state over VP subsets (national
 # and international views); Table9 drives the full-view Global path and its
 # (VP, path) runs, PipelineBuild the judge's prefilled flag table, the
-# verdict pass, the table-numbered interner, the counting-sorted
+# pre-pass and record pass, the table-numbered interner, the counting-sorted
 # prefix-country index and the chain starts,
 # Propagation the sharded path arenas and the merge's numbering,
-# Table1Sanitize the accounting over a built dataset, MRTExport /
-# MRTImportFiles / MRTRoundTrip the export grouping, the copy-free decode
-# buffers and the presized parallel merge.
-go test -run '^$' -bench 'Figure4|Figure5|Table9GlobalContrast|PipelineBuild|Propagation$|Table1Sanitize|MRTExport|MRTImportFiles|MRTRoundTrip' -benchtime 1x .
+# Table1Sanitize the accounting over a built dataset, ConeStarts the chain
+# rule over every path's dense ids through the id-indexed relationship memo,
+# MRTExport / MRTImportFiles / MRTRoundTrip the export grouping, the
+# copy-free decode buffers and the presized parallel merge.
+go test -run '^$' -bench 'Figure4|Figure5|Table9GlobalContrast|PipelineBuild|Propagation$|Table1Sanitize|ConeStarts|MRTExport|MRTImportFiles|MRTRoundTrip' -benchtime 1x .
 
 echo '--- shard determinism under -race'
 # The sharded-propagation merge and the chunk-parallel MRT importer are the
@@ -67,7 +68,7 @@ go test -race -count=1 \
 # tests run from several goroutines, the reusable path judge against its
 # allocating reference, and the fixed-seed golden with its six stability
 # curves, under the detector. With them the record plane's three: no lookup
-# grows the judge's flag table, the verdict pass equals its per-record
+# grows the judge's flag table, the record passes equal their per-record
 # reference, and hegemony's (VP, path) runs equal the map reference however
 # the records are ordered. A trial's generator and permutation are pooled
 # too: the pooled draw equals rand.Perm, the kernels' Each streamed into the
@@ -94,17 +95,20 @@ go test -race -count=1 \
     -run 'TestRingProperty|TestDaemonTraceBounded|TestReadyzNotOkBeforeProbe|TestDebugVarsRefreshesPullSeries|TestDebugRequestsShape' \
     ./internal/obs
 
-echo '--- stability determinism (experiments -quick -only figure4,figure5, twice and on one proc)'
+echo '--- stability determinism (experiments -quick in full, twice and on one proc)'
 # Trials fan out over a worker pool and combine shared per-view state, and a
 # worker's generator and permutation buffer outlive a trial; the printed
 # curves may depend on the seed alone. A draw that leaked state from the trial
-# before it would differ between one worker and several.
+# before it would differ between one worker and several. Every other table
+# and figure rides along: a Render that read its rows out of a map without
+# ordering ties (Figure 7's 0.0 % rows once did) differs between two runs.
 stab_dir=$(mktemp -d)
 go build -o "$stab_dir/experiments" ./cmd/experiments
-"$stab_dir/experiments" -quick -only figure4,figure5 >"$stab_dir/a.out" 2>/dev/null
-"$stab_dir/experiments" -quick -only figure4,figure5 >"$stab_dir/b.out" 2>/dev/null
-GOMAXPROCS=1 "$stab_dir/experiments" -quick -only figure4,figure5 >"$stab_dir/c.out" 2>/dev/null
+"$stab_dir/experiments" -quick >"$stab_dir/a.out" 2>/dev/null
+"$stab_dir/experiments" -quick >"$stab_dir/b.out" 2>/dev/null
+GOMAXPROCS=1 "$stab_dir/experiments" -quick >"$stab_dir/c.out" 2>/dev/null
 grep -q '^Figure 5' "$stab_dir/a.out"
+grep -q '^Figure 7' "$stab_dir/a.out"
 cmp "$stab_dir/a.out" "$stab_dir/b.out"
 cmp "$stab_dir/a.out" "$stab_dir/c.out"
 rm -rf "$stab_dir"
