@@ -8,18 +8,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/netip"
 	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
-	"countryrank/internal/bgp"
-	"countryrank/internal/bgpsession"
-	"countryrank/internal/netx"
 	"countryrank/internal/snapshot"
 
 	conepkg "countryrank/internal/cone"
@@ -462,57 +457,6 @@ func BenchmarkMRTRoundTrip(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(mrtBenchRecs), "records/op")
-}
-
-// BenchmarkSessionThroughput measures UPDATE throughput over an established
-// BGP session on an in-memory pipe.
-func BenchmarkSessionThroughput(b *testing.B) {
-	speakerConn, collectorConn := net.Pipe()
-	var speaker, collector *bgpsession.Session
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		speaker, _ = bgpsession.Establish(speakerConn, bgpsession.Config{
-			AS: 100001, BGPID: netip.MustParseAddr("10.0.0.1"),
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		collector, _ = bgpsession.Establish(collectorConn, bgpsession.Config{
-			AS: 6447, BGPID: netip.MustParseAddr("10.0.0.2"),
-		})
-	}()
-	wg.Wait()
-	if speaker == nil || collector == nil {
-		b.Fatal("handshake failed")
-	}
-	defer speaker.Close()
-	defer collector.Close()
-
-	u := &bgp.Update{
-		ASPath:    bgp.SequencePath(bgp.Path{100001, 3356, 1221}),
-		NextHop:   netip.MustParseAddr("10.0.0.1"),
-		Announced: []netip.Prefix{netx.MustPrefix("192.0.2.0/24")},
-	}
-	table := bgpsession.NewTable()
-	b.ResetTimer()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < b.N; i++ {
-			if _, err := collector.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	for i := 0; i < b.N; i++ {
-		if err := speaker.Send(u); err != nil {
-			b.Fatal(err)
-		}
-	}
-	<-done
-	table.Apply(u)
 }
 
 // --- Serving benches (cmd/rankd hot path) ---

@@ -3,28 +3,13 @@
 // reports as unassigned or reserved are rejected (Table 1, "unallocated").
 package asn
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // ASN is a 4-byte autonomous system number (RFC 6793).
 type ASN uint32
 
 // String renders the ASN in the conventional "AS64500" form.
 func (a ASN) String() string { return "AS" + strconv.FormatUint(uint64(a), 10) }
-
-// Parse parses "AS64500", "as64500" or a bare decimal number.
-func Parse(s string) (ASN, error) {
-	if len(s) > 2 && (s[0] == 'A' || s[0] == 'a') && (s[1] == 'S' || s[1] == 's') {
-		s = s[2:]
-	}
-	v, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("asn: parse %q: %w", s, err)
-	}
-	return ASN(v), nil
-}
 
 // Special ASN ranges per IANA's autonomous-system-numbers registry and
 // RFC 5398 / RFC 6996 / RFC 7300.
@@ -92,9 +77,6 @@ func (r *Registry) Allocated(a ASN) bool {
 	}
 	return r != nil && r.allocated[a]
 }
-
-// Len returns the number of allocated ASNs.
-func (r *Registry) Len() int { return len(r.allocated) }
 
 // ForEach calls fn for every ASN Allocated reports true for, in no
 // particular order.

@@ -19,12 +19,8 @@ type AttrSet struct {
 	NextHop netip.Addr // optional; zero Addr means absent
 }
 
-// Marshal encodes the attribute set in BGP path-attribute wire format with
-// 4-octet AS numbers.
-func (a AttrSet) Marshal() ([]byte, error) { return a.AppendWire(nil) }
-
-// AppendWire appends the attribute set's wire encoding to dst and returns
-// the extended slice; this is the allocation-free path the MRT writer uses.
+// AppendWire appends the attribute set's wire encoding — BGP path-attribute
+// format with 4-octet AS numbers — to dst and returns the extended slice.
 func (a AttrSet) AppendWire(dst []byte) ([]byte, error) {
 	dst = append(dst, flagTransit, attrOrigin, 1, byte(a.Origin))
 	var err error
@@ -110,7 +106,7 @@ func nextAttr(b []byte) (code uint8, val, rest []byte, err error) {
 }
 
 // UnmarshalAttrs decodes a path-attribute byte string produced by
-// AttrSet.Marshal (or any BGP speaker emitting the same three attributes).
+// AttrSet.AppendWire (or any BGP speaker emitting the same three attributes).
 // Unknown attributes are skipped.
 func UnmarshalAttrs(b []byte) (AttrSet, error) { return (*AttrDecoder)(nil).Decode(b) }
 

@@ -101,9 +101,6 @@ func (it *Interner) grow() {
 // Len returns the number of distinct paths interned.
 func (it *Interner) Len() int { return len(it.paths) }
 
-// PathAt returns the interned path with index i.
-func (it *Interner) PathAt(i int32) Path { return it.paths[i] }
-
 // Paths releases the table's path slice, indexed by the values Intern
 // returned. The interner must not be used after.
 func (it *Interner) Paths() []Path {

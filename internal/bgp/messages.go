@@ -9,9 +9,8 @@ import (
 	"countryrank/internal/asn"
 )
 
-// Open is a decoded BGP OPEN message (RFC 4271 §4.2) with the capabilities
-// the session layer uses: 4-octet AS numbers (RFC 6793) and multiprotocol
-// IPv4 unicast.
+// Open is a decoded BGP OPEN message (RFC 4271 §4.2). Of its capabilities
+// only the 4-octet AS number (RFC 6793) is kept.
 type Open struct {
 	Version  uint8
 	AS       asn.ASN // the true (possibly 4-byte) ASN
@@ -19,62 +18,8 @@ type Open struct {
 	BGPID    netip.Addr
 }
 
-// capability codes
-const (
-	capMultiprotocol = 1
-	capFourOctetAS   = 65
-)
-
-// Marshal encodes the OPEN with its capabilities.
-func (o *Open) Marshal() ([]byte, error) {
-	if !o.BGPID.Is4() {
-		return nil, errors.New("bgp: OPEN requires an IPv4 BGP identifier")
-	}
-	// my-AS field: AS_TRANS when the real ASN does not fit 16 bits.
-	myAS := uint16(asn.ASTrans)
-	if o.AS <= asn.Last16 {
-		myAS = uint16(o.AS)
-	}
-
-	var caps []byte
-	// Multiprotocol IPv4 unicast.
-	caps = append(caps, capMultiprotocol, 4, 0, 1, 0, 1)
-	// 4-octet AS.
-	caps = append(caps, capFourOctetAS, 4)
-	caps = binary.BigEndian.AppendUint32(caps, uint32(o.AS))
-
-	// Optional parameter type 2 = capabilities.
-	optParams := append([]byte{2, byte(len(caps))}, caps...)
-
-	body := make([]byte, 0, 10+len(optParams))
-	version := o.Version
-	if version == 0 {
-		version = 4
-	}
-	body = append(body, version)
-	body = binary.BigEndian.AppendUint16(body, myAS)
-	body = binary.BigEndian.AppendUint16(body, o.HoldTime)
-	id := o.BGPID.As4()
-	body = append(body, id[:]...)
-	body = append(body, byte(len(optParams)))
-	body = append(body, optParams...)
-
-	return wrapMessage(TypeOpen, body)
-}
-
-// wrapMessage prepends the 19-byte header.
-func wrapMessage(msgType byte, body []byte) ([]byte, error) {
-	total := 19 + len(body)
-	if total > 4096 {
-		return nil, fmt.Errorf("bgp: message length %d exceeds 4096", total)
-	}
-	out := make([]byte, 0, total)
-	out = append(out, marker...)
-	out = binary.BigEndian.AppendUint16(out, uint16(total))
-	out = append(out, msgType)
-	out = append(out, body...)
-	return out, nil
-}
+// capFourOctetAS is the capability code of a 4-octet AS number.
+const capFourOctetAS = 65
 
 // UnmarshalOpen decodes an OPEN message body (without the common header).
 func UnmarshalOpen(body []byte) (*Open, error) {
@@ -122,12 +67,6 @@ func UnmarshalOpen(body []byte) (*Open, error) {
 	return o, nil
 }
 
-// MarshalKeepalive encodes a KEEPALIVE message.
-func MarshalKeepalive() []byte {
-	out, _ := wrapMessage(TypeKeepalive, nil)
-	return out
-}
-
 // Notification is a BGP NOTIFICATION (RFC 4271 §4.5).
 type Notification struct {
 	Code    uint8
@@ -135,30 +74,14 @@ type Notification struct {
 	Data    []byte
 }
 
-// Standard notification codes used by the session layer.
-const (
-	NotifMessageHeaderError = 1
-	NotifOpenError          = 2
-	NotifUpdateError        = 3
-	NotifHoldTimerExpired   = 4
-	NotifFSMError           = 5
-	NotifCease              = 6
-)
+// NotifMessageHeaderError is the NOTIFICATION code ReadMessage reports a
+// malformed header with (RFC 4271 §6.1).
+const NotifMessageHeaderError = 1
 
-// OPEN Message Error subcodes (RFC 4271 §6.2).
-const (
-	OpenUnacceptableHoldTime = 6
-)
-
-// Error implements error so a Notification can terminate a session.
+// Error implements error, so ReadMessage can return a header error as the
+// NOTIFICATION a speaker would send.
 func (n *Notification) Error() string {
 	return fmt.Sprintf("bgp: notification code %d subcode %d", n.Code, n.Subcode)
-}
-
-// Marshal encodes the NOTIFICATION.
-func (n *Notification) Marshal() ([]byte, error) {
-	body := append([]byte{n.Code, n.Subcode}, n.Data...)
-	return wrapMessage(TypeNotification, body)
 }
 
 // UnmarshalNotification decodes a NOTIFICATION body.

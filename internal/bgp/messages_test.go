@@ -51,7 +51,7 @@ func TestOpenRequiresV4ID(t *testing.T) {
 }
 
 func TestNotificationRoundTrip(t *testing.T) {
-	n := &Notification{Code: NotifCease, Subcode: 2, Data: []byte{1, 2, 3}}
+	n := &Notification{Code: 6 /* Cease */, Subcode: 2, Data: []byte{1, 2, 3}}
 	raw, err := n.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestNotificationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := msg.Notification
-	if got.Code != NotifCease || got.Subcode != 2 || len(got.Data) != 3 {
+	if got.Code != 6 || got.Subcode != 2 || len(got.Data) != 3 {
 		t.Errorf("notification = %+v", got)
 	}
 	if got.Error() == "" {

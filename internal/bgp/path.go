@@ -24,15 +24,6 @@ func (p Path) Origin() (asn.ASN, bool) {
 	return p[len(p)-1], true
 }
 
-// First returns the AS nearest the vantage point and true, or 0 and false
-// for an empty path.
-func (p Path) First() (asn.ASN, bool) {
-	if len(p) == 0 {
-		return 0, false
-	}
-	return p[0], true
-}
-
 // Contains reports whether a appears anywhere on the path.
 func (p Path) Contains(a asn.ASN) bool {
 	for _, x := range p {

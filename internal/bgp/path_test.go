@@ -20,15 +20,9 @@ func TestPathEnds(t *testing.T) {
 	if o, ok := p.Origin(); !ok || o != 1221 {
 		t.Errorf("Origin = %v, %v", o, ok)
 	}
-	if f, ok := p.First(); !ok || f != 3356 {
-		t.Errorf("First = %v, %v", f, ok)
-	}
 	var empty Path
 	if _, ok := empty.Origin(); ok {
 		t.Error("empty path has no origin")
-	}
-	if _, ok := empty.First(); ok {
-		t.Error("empty path has no first")
 	}
 }
 

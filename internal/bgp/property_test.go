@@ -36,11 +36,9 @@ func TestDedupAdjacentPreservesEnds(t *testing.T) {
 			return p.DedupAdjacent() == nil
 		}
 		d := p.DedupAdjacent()
-		df, _ := d.First()
-		pf, _ := p.First()
 		do, _ := d.Origin()
 		po, _ := p.Origin()
-		return df == pf && do == po && len(d) <= len(p)
+		return d[0] == p[0] && do == po && len(d) <= len(p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -18,14 +18,11 @@ const (
 	TypeKeepalive    = 4
 )
 
-// Origin attribute codes (RFC 4271 §5.1.1).
+// OriginCode is the value of the ORIGIN attribute (RFC 4271 §5.1.1).
 type OriginCode uint8
 
-const (
-	OriginIGP        OriginCode = 0
-	OriginEGP        OriginCode = 1
-	OriginIncomplete OriginCode = 2
-)
+// OriginIGP is the ORIGIN the MRT export gives every route.
+const OriginIGP OriginCode = 0
 
 // Path attribute type codes used by the codec.
 const (

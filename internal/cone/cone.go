@@ -20,7 +20,6 @@
 package cone
 
 import (
-	"slices"
 	"sync"
 
 	"countryrank/internal/asn"
@@ -169,36 +168,6 @@ func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, start
 		sc.stamp[id], sc.addr[id] = 0, 0 // likewise
 	}
 	return s
-}
-
-// ASCounts returns, per AS, the number of distinct ASes in its customer
-// cone (including itself) — the unit CAIDA's AS Rank orders by. No ranking
-// here consumes it; it exists so the cone rule can be checked in AS terms.
-// Membership pairs are quadratic in chain length, which is why it is not
-// part of ComputeFrom.
-func ASCounts(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) map[asn.ASN]int {
-	starts := Starts(ds, rels)
-	var pairs []uint64 // AS id<<32 | member id
-	each(ds, recs, func(i int) {
-		start := starts[ds.PathIndex(i)]
-		if start < 0 {
-			return
-		}
-		// An AS's cone contains itself and every AS observed downstream of
-		// it on the retained chain.
-		_, _, ids := ds.RecordIDs(i)
-		for j := int(start); j < len(ids); j++ {
-			for _, member := range ids[j:] {
-				pairs = append(pairs, uint64(ids[j])<<32|uint64(member))
-			}
-		}
-	})
-	slices.Sort(pairs)
-	counts := map[asn.ASN]int{}
-	for _, pair := range slices.Compact(pairs) {
-		counts[ds.ASNOf[pair>>32]]++
-	}
-	return counts
 }
 
 // ComputeRecursive is the ablation variant §1.1 warns against: instead of

@@ -140,23 +140,3 @@ func TestDistinctPrefixDedup(t *testing.T) {
 		t.Errorf("dedup failed: %v total %d", s.Addresses, s.Total)
 	}
 }
-
-func TestASLevelCones(t *testing.T) {
-	ases := ASCounts(fig1Dataset(), nil, fig1Rels)
-	// C's cone: {C, D, E, F} = 4 ASes; D's: {D, E, F}; origins: themselves.
-	if got := ases[30]; got != 4 {
-		t.Errorf("AS-cone(C) = %d, want 4", got)
-	}
-	if got := ases[40]; got != 3 {
-		t.Errorf("AS-cone(D) = %d, want 3", got)
-	}
-	for _, origin := range []uint32{50, 60, 70, 80} {
-		if got := ases[asn.ASN(origin)]; got != 1 {
-			t.Errorf("AS-cone(%d) = %d, want 1 (itself)", origin, got)
-		}
-	}
-	// A and B each hold themselves plus their single observed customer.
-	if ases[10] != 2 || ases[20] != 2 {
-		t.Errorf("AS-cones of A/B = %d/%d, want 2/2", ases[10], ases[20])
-	}
-}

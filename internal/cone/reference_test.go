@@ -9,13 +9,10 @@ import (
 )
 
 // computeMapRef is the original ASN-keyed map implementation, retained as
-// the executable specification ComputeFrom and ASCounts are property-tested
-// against.
-func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) (Scores, map[asn.ASN]int) {
-	// conePrefixes[a] tracks distinct prefix indexes per AS; coneASes[a]
-	// tracks the distinct downstream ASes (cone membership).
+// the executable specification ComputeFrom is property-tested against.
+func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Scores {
+	// conePrefixes[a] tracks distinct prefix indexes per AS.
 	conePrefixes := map[asn.ASN]map[int32]struct{}{}
-	coneASes := map[asn.ASN]map[asn.ASN]struct{}{}
 	seenPrefix := map[int32]struct{}{}
 
 	each(ds, recs, func(i int) {
@@ -39,19 +36,10 @@ func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) (Sc
 				conePrefixes[path[j]] = set
 			}
 			set[pfxIdx] = struct{}{}
-			members := coneASes[path[j]]
-			if members == nil {
-				members = map[asn.ASN]struct{}{}
-				coneASes[path[j]] = members
-			}
-			for k := j; k < len(path); k++ {
-				members[path[k]] = struct{}{}
-			}
 		}
 	})
 
 	s := Scores{Addresses: make(map[asn.ASN]uint64, len(conePrefixes))}
-	asCounts := make(map[asn.ASN]int, len(coneASes))
 	for p := range seenPrefix {
 		s.Total += ds.Weight[p]
 	}
@@ -62,10 +50,7 @@ func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) (Sc
 		}
 		s.Addresses[a] = sum
 	}
-	for a, members := range coneASes {
-		asCounts[a] = len(members)
-	}
-	return s, asCounts
+	return s
 }
 
 // chainStartRef is chainStart over the path's ASNs, asking the oracle itself.

@@ -7,7 +7,7 @@ import (
 )
 
 // Coverage reports how complete a collection was when it reached the
-// pipeline: the contract between a Source (generator, MRT import, live
+// pipeline: the contract between a Source (generator, MRT import, in-hand
 // collection) and the ranking consumer, enforced by Run. A partial run
 // is allowed — resilience would be pointless otherwise — but never silent:
 // rankings computed from degraded coverage carry a label saying so, and
@@ -24,10 +24,6 @@ type Coverage struct {
 	RecordsLost  int64
 	Resyncs      int64
 	SkippedBytes int64
-	// Reconnects counts feeder reconnects during live collection. Reconnects
-	// alone do not make a run degraded — the resume protocol guarantees the
-	// delivered tables are exact — but they belong in the report.
-	Reconnects int64
 }
 
 // Degraded reports whether any data was lost: missing VPs, dropped records,
@@ -59,7 +55,6 @@ func (c Coverage) Info() obs.CoverageInfo {
 		RecordsLost:  c.RecordsLost,
 		Resyncs:      c.Resyncs,
 		SkippedBytes: c.SkippedBytes,
-		Reconnects:   c.Reconnects,
 		Degraded:     c.Degraded(),
 	}
 }

@@ -61,10 +61,6 @@ const (
 	// any plurality country wins. Options.Threshold == 0 still means the
 	// paper's 50% majority.
 	PluralityThreshold = -1.0
-	// NoQuorum disables the partial-coverage gate entirely: any nonzero
-	// coverage is processed (and labelled). Options.Quorum == 0 still means
-	// the default 50% quorum.
-	NoQuorum = -1.0
 )
 
 // Options configures a pipeline run. The zero value reproduces the paper's
@@ -88,8 +84,8 @@ type Options struct {
 	// truth to paths-inferred relationships (the ablation of DESIGN.md).
 	InferRelationships bool
 	// Quorum is the minimum delivered fraction of expected VPs a source's
-	// collection must reach; below it Run fails loudly. Zero selects the default 0.5; NoQuorum (or any
-	// negative value) disables the gate.
+	// collection must reach; below it Run fails loudly. Zero selects the
+	// default 0.5; any negative value disables the gate.
 	Quorum float64
 	// Routing tunes collection assembly (days, anomaly rates).
 	Routing routing.BuildOptions

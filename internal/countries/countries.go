@@ -124,18 +124,6 @@ func All() []Code {
 	return out
 }
 
-// InContinent returns the known countries of a continent in sorted order.
-func InContinent(ct Continent) []Code {
-	var out []Code
-	for c, in := range registry {
-		if in.continent == ct {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // FormerSovietBloc lists the ex-USSR countries examined in Figure 7.
 func FormerSovietBloc() []Code {
 	return []Code{"KZ", "KG", "TJ", "TM", "UZ", "UA", "LT"}

@@ -51,26 +51,6 @@ func TestAllSortedAndComplete(t *testing.T) {
 	}
 }
 
-func TestInContinentPartition(t *testing.T) {
-	seen := map[Code]bool{}
-	total := 0
-	for _, ct := range AllContinents() {
-		for _, c := range InContinent(ct) {
-			if seen[c] {
-				t.Errorf("%s appears in two continents", c)
-			}
-			seen[c] = true
-			total++
-			if got, _ := ContinentOf(c); got != ct {
-				t.Errorf("InContinent(%v) contains %s whose continent is %v", ct, c, got)
-			}
-		}
-	}
-	if total != len(All()) {
-		t.Errorf("continent partition covers %d of %d countries", total, len(All()))
-	}
-}
-
 func TestFormerSovietBloc(t *testing.T) {
 	for _, c := range FormerSovietBloc() {
 		if !Known(c) {

@@ -23,9 +23,6 @@ type Scores struct {
 	VPCount int
 }
 
-// Value returns a's CTI (0 when unseen).
-func (s Scores) Value(a asn.ASN) float64 { return s.CTI[a] }
-
 // scratch is the dense kernel's reusable flat state, mirroring the
 // hegemony kernel: per-VP accumulation into id-indexed slices, each VP's
 // (id, share) run appended to pv. The same pool invariant applies: byVP.Cnt,

@@ -22,16 +22,16 @@ func TestReverseDistanceWeights(t *testing.T) {
 	if s.VPCount != 1 {
 		t.Fatalf("VPCount = %d", s.VPCount)
 	}
-	if got := s.Value(4); got != 0 {
+	if got := s.CTI[4]; got != 0 {
 		t.Errorf("CTI(origin) = %f, want 0 (reverse order starts at 0)", got)
 	}
-	if got := s.Value(3); math.Abs(got-1.0) > 1e-9 {
+	if got := s.CTI[3]; math.Abs(got-1.0) > 1e-9 {
 		t.Errorf("CTI(3) = %f, want 1/1", got)
 	}
-	if got := s.Value(2); math.Abs(got-0.5) > 1e-9 {
+	if got := s.CTI[2]; math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("CTI(2) = %f, want 1/2", got)
 	}
-	if got := s.Value(1); got != 0 {
+	if got := s.CTI[1]; got != 0 {
 		t.Errorf("CTI(1) = %f, want 0 (peer link is not transit)", got)
 	}
 }
@@ -59,11 +59,11 @@ func TestAOLPPenalty(t *testing.T) {
 		{VP: 0, Prefix: "10.0.0.0/16", PrefixCountry: "US", Path: []uint32{2, 4}},
 	})
 	s := Compute(ds, nil, rels, 0)
-	if s.Value(4) != 0 {
+	if s.CTI[4] != 0 {
 		t.Error("origin must score 0 even when announcing a /16")
 	}
-	if math.Abs(s.Value(2)-1.0) > 1e-9 {
-		t.Errorf("adjacent AS gets the full weight: %f", s.Value(2))
+	if math.Abs(s.CTI[2]-1.0) > 1e-9 {
+		t.Errorf("adjacent AS gets the full weight: %f", s.CTI[2])
 	}
 }
 
@@ -76,7 +76,7 @@ func TestNormalizationAcrossPrefixes(t *testing.T) {
 		{VP: 0, Prefix: "10.1.0.0/24", PrefixCountry: "US", Path: []uint32{1, 6, 8}},
 	})
 	s := Compute(ds, nil, rels, 0)
-	if got := s.Value(5); math.Abs(got-0.5) > 1e-9 {
+	if got := s.CTI[5]; math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("CTI(5) = %f, want 0.5", got)
 	}
 }
@@ -92,7 +92,7 @@ func TestTrimmedAcrossVPs(t *testing.T) {
 		{VP: 2, Prefix: "10.1.0.0/24", PrefixCountry: "US", Path: []uint32{3, 6, 8}},
 	})
 	s := Compute(ds, nil, rels, -1)
-	if got := s.Value(5); math.Abs(got-0.5) > 1e-9 {
+	if got := s.CTI[5]; math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("CTI(5) = %f, want the middle per-VP value 0.5", got)
 	}
 }

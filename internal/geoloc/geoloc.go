@@ -30,9 +30,6 @@ func (db *DB) Add(p netip.Prefix, c countries.Code) {
 	db.trie.Insert(p, c)
 }
 
-// Len returns the number of DB entries.
-func (db *DB) Len() int { return db.trie.Len() }
-
 // CountryOf returns the country of a single address.
 func (db *DB) CountryOf(addr netip.Addr) (countries.Code, bool) {
 	_, c, ok := db.trie.Lookup(addr)

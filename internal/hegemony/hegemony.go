@@ -33,9 +33,6 @@ type Scores struct {
 	VPCount int
 }
 
-// Value returns a's hegemony (0 when unseen).
-func (s Scores) Value(a asn.ASN) float64 { return s.Hegemony[a] }
-
 // PerVP is a view's hegemony state before the trimmed mean: for each vantage
 // point of the view, the ASes on its paths with the address-weighted share of
 // its paths containing each. A VP's run depends on nothing but its own

@@ -31,7 +31,7 @@ func TestFigure2WorkedExample(t *testing.T) {
 	if s.VPCount != 3 {
 		t.Fatalf("VPCount = %d", s.VPCount)
 	}
-	if got := s.Value(100); math.Abs(got-2.0/3.0) > 1e-9 {
+	if got := s.Hegemony[100]; math.Abs(got-2.0/3.0) > 1e-9 {
 		t.Errorf("hegemony(A) = %f, want 0.67 (the surviving middle score)", got)
 	}
 }
@@ -44,10 +44,10 @@ func TestAddressWeighting(t *testing.T) {
 		{VP: 0, Prefix: "10.1.0.0/24", PrefixCountry: "US", Path: []uint32{1, 8}},
 	})
 	s := Compute(ds, nil, 0) // no trimming: single VP
-	if got := s.Value(5); math.Abs(got-512.0/768.0) > 1e-9 {
+	if got := s.Hegemony[5]; math.Abs(got-512.0/768.0) > 1e-9 {
 		t.Errorf("hegemony(5) = %f", got)
 	}
-	if got := s.Value(1); got != 1 {
+	if got := s.Hegemony[1]; got != 1 {
 		t.Errorf("hegemony(VP AS) = %f, want 1 from its own VP", got)
 	}
 }
@@ -60,7 +60,7 @@ func TestZeroPaddingForUnseenVPs(t *testing.T) {
 		{VP: 1, Prefix: "10.0.0.0/24", PrefixCountry: "US", Path: []uint32{2, 9}},
 	})
 	s := Compute(ds, nil, 0)
-	if got := s.Value(50); math.Abs(got-0.5) > 1e-9 {
+	if got := s.Hegemony[50]; math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("hegemony(50) = %f, want 0.5 (zero-padded)", got)
 	}
 }
@@ -80,11 +80,11 @@ func TestTrimDampsSingleVPBias(t *testing.T) {
 	}
 	ds := metrictest.Dataset(vpc, recs)
 	s := Compute(ds, nil, -1)
-	if got := s.Value(60); got != 0 {
+	if got := s.Hegemony[60]; got != 0 {
 		t.Errorf("hegemony(60) = %f, want 0 after trimming the single enthusiast VP", got)
 	}
 	// The origin is on every path: hegemony 1 regardless of trimming.
-	if got := s.Value(9); got != 1 {
+	if got := s.Hegemony[9]; got != 1 {
 		t.Errorf("hegemony(origin) = %f", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestPrependingCountedOnce(t *testing.T) {
 		{VP: 0, Prefix: "10.0.0.0/24", PrefixCountry: "US", Path: []uint32{1, 7, 7, 7}},
 	})
 	s := Compute(ds, nil, 0)
-	if got := s.Value(7); got != 1 {
+	if got := s.Hegemony[7]; got != 1 {
 		t.Errorf("hegemony(7) = %f, prepending must not inflate beyond 1", got)
 	}
 }

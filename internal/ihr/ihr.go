@@ -26,9 +26,6 @@ type Scores struct {
 	Origins int
 }
 
-// Value returns a's AHC score.
-func (s Scores) Value(a asn.ASN) float64 { return s.AHC[a] }
-
 // Weighting selects how per-origin hegemony values aggregate into the
 // country score. IHR publishes both variants (§1.2.1); the paper uses the
 // AS-count weighting because its focus is infrastructure, not population.

@@ -40,15 +40,15 @@ func TestAHCMeansOverRegisteredOrigins(t *testing.T) {
 		t.Fatalf("origins = %d", s.Origins)
 	}
 	// AH_100(5) = 1 (on every path to 100); AH_200(5) = 0 → AHC = 0.5.
-	if got := s.Value(5); math.Abs(got-0.5) > 1e-9 {
+	if got := s.AHC[5]; math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("AHC(5) = %f, want 0.5", got)
 	}
 	// Origin 100 itself: AH_100(100)=1, AH_200(100)=0 → 0.5.
-	if got := s.Value(100); math.Abs(got-0.5) > 1e-9 {
+	if got := s.AHC[100]; math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("AHC(100) = %f", got)
 	}
 	// The US origin contributes nothing to AU's AHC.
-	if got := s.Value(300); got != 0 {
+	if got := s.AHC[300]; got != 0 {
 		t.Errorf("AHC(300) = %f", got)
 	}
 }
@@ -86,11 +86,11 @@ func TestAHCUserWeighting(t *testing.T) {
 	})
 	equal := ComputeWeighted(ds, g, "AU", 0, ByASCount)
 	users := ComputeWeighted(ds, g, "AU", 0, ByUsers)
-	if math.Abs(equal.Value(5)-0.5) > 1e-9 {
-		t.Errorf("AS-count AHC(5) = %f, want 0.5", equal.Value(5))
+	if math.Abs(equal.AHC[5]-0.5) > 1e-9 {
+		t.Errorf("AS-count AHC(5) = %f, want 0.5", equal.AHC[5])
 	}
-	if math.Abs(users.Value(5)-0.9) > 1e-9 {
-		t.Errorf("user-weighted AHC(5) = %f, want 0.9", users.Value(5))
+	if math.Abs(users.AHC[5]-0.9) > 1e-9 {
+		t.Errorf("user-weighted AHC(5) = %f, want 0.9", users.AHC[5])
 	}
 	if equal.Origins != 2 || users.Origins != 2 {
 		t.Errorf("origins = %d/%d", equal.Origins, users.Origins)

@@ -32,7 +32,7 @@ func TestBGP4MPRoundTrip(t *testing.T) {
 		netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("192.0.2.1"), raw); err != nil {
 		t.Fatal(err)
 	}
-	w.SetTimestamp(222)
+	w.timestamp = 222 // a stream spanning time
 	if err := w.WriteBGP4MP(100002, 6447,
 		netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8::2"), raw); err != nil {
 		t.Fatal(err)

@@ -89,10 +89,6 @@ func NewWriter(w io.Writer, timestamp uint32) *Writer {
 	return &Writer{w: bufio.NewWriter(w), timestamp: timestamp}
 }
 
-// SetTimestamp changes the timestamp applied to subsequent records, for
-// update streams spanning time.
-func (w *Writer) SetTimestamp(ts uint32) { w.timestamp = ts }
-
 // beginRecord resets the scratch buffer, leaving room for the header.
 func (w *Writer) beginRecord() {
 	if cap(w.buf) < recordHeaderLen {

@@ -77,7 +77,7 @@ func TestSplitBlocksPartition(t *testing.T) {
 		blocks := SplitBlocks(in)
 		for i := range blocks {
 			for j := i + 1; j < len(blocks); j++ {
-				if Overlaps(blocks[i].Prefix, blocks[j].Prefix) {
+				if overlaps(blocks[i].Prefix, blocks[j].Prefix) {
 					t.Fatalf("trial %d: overlapping blocks %v %v", trial, blocks[i], blocks[j])
 				}
 			}

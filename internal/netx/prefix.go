@@ -41,11 +41,6 @@ func Covers(outer, inner netip.Prefix) bool {
 	return outer.Bits() <= inner.Bits() && outer.Contains(inner.Addr())
 }
 
-// Overlaps reports whether the two prefixes share any address.
-func Overlaps(a, b netip.Prefix) bool {
-	return Covers(a, b) || Covers(b, a)
-}
-
 // Halves splits p into its two child prefixes of length Bits()+1. It panics
 // if p is a host route (/32 or /128), which has no children.
 func Halves(p netip.Prefix) (lo, hi netip.Prefix) {

@@ -196,10 +196,10 @@ func TestSpanAttrsEvents(t *testing.T) {
 	if len(evs) != 1 || evs[0].Name != "e1" || evs[0].At.IsZero() {
 		t.Errorf("events = %v", evs)
 	}
-	if s.ID() == 0 {
+	if s.id == 0 {
 		t.Error("span ID unassigned")
 	}
-	if tr.Start("second").ID() == s.ID() {
+	if tr.Start("second").id == s.id {
 		t.Error("span IDs not unique")
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // ManifestSchema versions the manifest JSON layout. Bump it on any
 // field rename or semantic change; the golden test pins the rendering.
-const ManifestSchema = 1
+const ManifestSchema = 2
 
 // RunEnv captures the toolchain and machine shape a run executed under.
 type RunEnv struct {
@@ -42,7 +42,6 @@ type CoverageInfo struct {
 	RecordsLost  int64 `json:"records_lost"`
 	Resyncs      int64 `json:"resyncs"`
 	SkippedBytes int64 `json:"skipped_bytes"`
-	Reconnects   int64 `json:"reconnects"`
 	Degraded     bool  `json:"degraded"`
 }
 

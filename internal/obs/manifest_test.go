@@ -42,7 +42,6 @@ func TestManifestGolden(t *testing.T) {
 			RecordsLost:  12,
 			Resyncs:      1,
 			SkippedBytes: 512,
-			Reconnects:   3,
 			Degraded:     true,
 		},
 		SanitizeDrops: &DropStats{
@@ -51,7 +50,7 @@ func TestManifestGolden(t *testing.T) {
 			Rejected: 100,
 			ByReason: map[string]int{"loop": 40, "unstable": 60},
 		},
-		Metrics:  map[string]any{"countryrank_sanitize_records_total": int64(1000)},
+		Metrics:  map[string]any{"countryrank_test_records_total": int64(1000)},
 		SpanTree: "pipeline 1.25s\n  sanitize 0.5s\n",
 	}
 	var b strings.Builder

@@ -8,9 +8,9 @@ import (
 
 func TestCheckName(t *testing.T) {
 	valid := []string{
-		"countryrank_sanitize_records_total",
-		"countryrank_core_kernel_cone_seconds",
-		"countryrank_par_workers_busy",
+		"countryrank_test_records_total",
+		"countryrank_test_kernel_seconds",
+		"countryrank_test_workers_busy",
 		"countryrank_x:y_total",
 	}
 	for _, n := range valid {

@@ -136,9 +136,6 @@ func (s *Span) Child(name string) *Span {
 	return c
 }
 
-// ID returns the span's trace-unique identifier (1-based, in start order).
-func (s *Span) ID() uint64 { return s.id }
-
 // SetAttr attaches (or replaces) a key/value annotation on the span. Values
 // should be JSON-encodable; they surface in the exported Chrome trace args.
 func (s *Span) SetAttr(key string, value any) {

@@ -82,8 +82,7 @@ func (m *Memo) ask(a, b int32) topology.Rel {
 
 // Table holds inferred relationships.
 type Table struct {
-	rels   map[[2]asn.ASN]topology.Rel // canonical key: a < b, rel from a's view
-	clique []asn.ASN
+	rels map[[2]asn.ASN]topology.Rel // canonical key: a < b, rel from a's view
 }
 
 // Rel implements Oracle.
@@ -101,9 +100,6 @@ func (t *Table) Rel(a, b asn.ASN) topology.Rel {
 	}
 	return r
 }
-
-// Clique returns the inferred transit-free clique, sorted.
-func (t *Table) Clique() []asn.ASN { return append([]asn.ASN(nil), t.clique...) }
 
 // Len returns the number of labeled AS pairs.
 func (t *Table) Len() int { return len(t.rels) }
@@ -204,7 +200,7 @@ func InferClique(paths []bgp.Path, candidates int) []asn.ASN {
 // InferClique or from external knowledge. Paths must already be sanitized
 // (no loops, no route servers, no prepending).
 func Infer(paths []bgp.Path, clique []asn.ASN) *Table {
-	t := &Table{rels: map[[2]asn.ASN]topology.Rel{}, clique: append([]asn.ASN(nil), clique...)}
+	t := &Table{rels: map[[2]asn.ASN]topology.Rel{}}
 	inClique := map[asn.ASN]bool{}
 	for _, a := range clique {
 		inClique[a] = true

@@ -421,12 +421,6 @@ func (a *anomalizer) maybeMutate(p bgp.Path) bgp.Path {
 	return nil
 }
 
-// PathOf returns the path of record i.
-func (c *Collection) PathOf(i int) bgp.Path { return c.Paths[c.Records[i].Path] }
-
-// PrefixOf returns the prefix of record i.
-func (c *Collection) PrefixOf(i int) netip.Prefix { return c.Prefixes[c.Records[i].Prefix] }
-
 // AnnouncedPrefixes returns the distinct announced prefixes.
 func (c *Collection) AnnouncedPrefixes() []netip.Prefix {
 	return append([]netip.Prefix(nil), c.Prefixes...)

@@ -6,9 +6,13 @@ import (
 	"sort"
 	"testing"
 
+	"countryrank/internal/bgp"
 	"countryrank/internal/topology"
 	"countryrank/internal/vp"
 )
+
+// PathOf returns the path of record i.
+func (c *Collection) PathOf(i int) bgp.Path { return c.Paths[c.Records[i].Path] }
 
 func testWorld(t *testing.T) *topology.World {
 	t.Helper()

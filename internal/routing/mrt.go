@@ -216,6 +216,10 @@ func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, tim
 	return mw.Flush()
 }
 
+// v6NextHop is the synthetic IPv6 next hop of announced IPv6 routes (VP
+// addresses in the world model are IPv4).
+var v6NextHop = netip.MustParseAddr("2001:db8::1")
+
 // blocks is an append-only sequence that grows without copying. How much a
 // stream holds is unknown until it ends, and a buffer grown by append copies
 // everything already decoded again at every doubling, which was most of what

@@ -53,18 +53,6 @@ func (st *Store) SetHistoryLimit(keep int) {
 	mHistEpochs.Set(int64(st.hist.Len()))
 }
 
-// HistoryEpochs lists the retained epochs, oldest first.
-func (st *Store) HistoryEpochs() []int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	hist := st.hist.Items()
-	out := make([]int64, len(hist))
-	for i, h := range hist {
-		out[i] = h.epoch
-	}
-	return out
-}
-
 // appendHistoryLocked records next in the ring (when it advances the
 // epoch), evicts beyond the keep limit, and renders next's preserialized
 // history pages from what the ring now holds. Caller holds st.mu (or, in

@@ -17,6 +17,18 @@ import (
 	"countryrank/internal/asn"
 )
 
+// HistoryEpochs lists the retained epochs, oldest first.
+func (st *Store) HistoryEpochs() []int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	hist := st.hist.Items()
+	out := make([]int64, len(hist))
+	for i, h := range hist {
+		out[i] = h.epoch
+	}
+	return out
+}
+
 // rotScores rotates three ASes through the top ranks so consecutive epochs
 // always differ (non-zero drift) and every epoch's ranking is a pure
 // function of its number.

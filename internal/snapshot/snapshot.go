@@ -113,9 +113,6 @@ type Snapshot struct {
 	// becomes visible (so serving them is as zero-alloc as any entity).
 	// Nil until then; the endpoint then 404s.
 	history map[string]*entity
-
-	// builtAt is when seal ran; see BuiltUnix.
-	builtAt time.Time
 }
 
 // countryMetricKeys is the fixed per-country metric order, everywhere a
@@ -259,15 +256,6 @@ func rankVec(r *rank.Ranking, k int) RankVec {
 	return v
 }
 
-// BuiltUnix reports when the snapshot's data was produced: assembly time
-// for built snapshots, the previous process's persist time for warm loads.
-func (s *Snapshot) BuiltUnix() int64 {
-	if !s.SavedAt.IsZero() {
-		return s.SavedAt.Unix()
-	}
-	return s.builtAt.Unix()
-}
-
 // seal is the one constructor of a Snapshot. It renders c — whose vectors
 // hold at most maxTopN entries each — into every country page and top
 // variant, derives the content digest from those bodies and preserializes
@@ -284,7 +272,6 @@ func seal(c *content, epoch int64, degraded, stale bool, maxTopN int) *Snapshot 
 		countries: make(map[string]*entity, len(c.countries)),
 		tops:      make(map[string][]*entity, len(c.tops)),
 		maxTopN:   maxTopN,
-		builtAt:   time.Now(),
 	}
 	for cc, cr := range c.countries {
 		s.countries[cc] = newEntity(appendCountry(nil, cc, cr))

@@ -208,9 +208,6 @@ func (s *Supervisor) Trigger(reason string) {
 	}
 }
 
-// Epoch returns the last epoch the supervisor assigned to a build.
-func (s *Supervisor) Epoch() int64 { return s.epoch.Load() }
-
 // LastDrift returns the drift of the most recent publish that replaced an
 // existing snapshot (nil before the second publish, or when either side
 // lacked rank vectors).

@@ -304,14 +304,8 @@ func (g *Graph) CustomersIdx(i int32) []int32 { return g.customers[i] }
 // PeersIdx returns the peer node indexes of i.
 func (g *Graph) PeersIdx(i int32) []int32 { return g.peers[i] }
 
-// Providers returns the providers of a as ASNs, sorted.
-func (g *Graph) Providers(a asn.ASN) []asn.ASN { return g.asASNs(g.providers[g.mustIdx(a)]) }
-
 // Customers returns the customers of a as ASNs, sorted.
 func (g *Graph) Customers(a asn.ASN) []asn.ASN { return g.asASNs(g.customers[g.mustIdx(a)]) }
-
-// Peers returns the peers of a as ASNs, sorted.
-func (g *Graph) Peers(a asn.ASN) []asn.ASN { return g.asASNs(g.peers[g.mustIdx(a)]) }
 
 func (g *Graph) asASNs(idxs []int32) []asn.ASN {
 	out := make([]asn.ASN, len(idxs))
@@ -327,12 +321,6 @@ func (g *Graph) Originate(a asn.ASN, p netip.Prefix) {
 	i := g.mustIdx(a)
 	g.origins[i] = append(g.origins[i], p.Masked())
 }
-
-// OriginsIdx returns the prefixes originated by node i.
-func (g *Graph) OriginsIdx(i int32) []netip.Prefix { return g.origins[i] }
-
-// Origins returns the prefixes originated by a.
-func (g *Graph) Origins(a asn.ASN) []netip.Prefix { return g.origins[g.mustIdx(a)] }
 
 // NumEdges returns the count of relationship edges (p2c + p2p).
 func (g *Graph) NumEdges() int {

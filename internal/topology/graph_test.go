@@ -1,10 +1,21 @@
 package topology
 
 import (
+	"net/netip"
 	"testing"
 
+	"countryrank/internal/asn"
 	"countryrank/internal/netx"
 )
+
+// Providers returns the providers of a as ASNs, sorted.
+func (g *Graph) Providers(a asn.ASN) []asn.ASN { return g.asASNs(g.providers[g.mustIdx(a)]) }
+
+// Peers returns the peers of a as ASNs, sorted.
+func (g *Graph) Peers(a asn.ASN) []asn.ASN { return g.asASNs(g.peers[g.mustIdx(a)]) }
+
+// Origins returns the prefixes originated by a.
+func (g *Graph) Origins(a asn.ASN) []netip.Prefix { return g.origins[g.mustIdx(a)] }
 
 func testGraph(t *testing.T) *Graph {
 	t.Helper()

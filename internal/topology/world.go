@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
 
 	"countryrank/internal/asn"
 	"countryrank/internal/countries"
@@ -668,24 +667,4 @@ func (b *builder) vpHostASes(p profile, n int) []asn.ASN {
 		used++
 	}
 	return out
-}
-
-// CountryOfPrefixTruth returns the ground-truth country of an originated
-// prefix per the geolocation database's plurality, used by tests.
-func (w *World) CountryOfPrefixTruth(p netip.Prefix) countries.Code {
-	acc := map[countries.Code]uint64{}
-	w.Geo.WeightByCountry(p, acc)
-	var best countries.Code
-	var bw uint64
-	keys := make([]countries.Code, 0, len(acc))
-	for c := range acc {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, c := range keys {
-		if c != "" && acc[c] > bw {
-			bw, best = acc[c], c
-		}
-	}
-	return best
 }

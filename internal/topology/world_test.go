@@ -1,11 +1,34 @@
 package topology
 
 import (
+	"net/netip"
+	"sort"
 	"testing"
 
 	"countryrank/internal/asn"
+	"countryrank/internal/countries"
 	"countryrank/internal/netx"
 )
+
+// CountryOfPrefixTruth returns the ground-truth country of an originated
+// prefix per the geolocation database's plurality.
+func (w *World) CountryOfPrefixTruth(p netip.Prefix) countries.Code {
+	acc := map[countries.Code]uint64{}
+	w.Geo.WeightByCountry(p, acc)
+	var best countries.Code
+	var bw uint64
+	keys := make([]countries.Code, 0, len(acc))
+	for c := range acc {
+		keys = append(keys, c)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, c := range keys {
+		if c != "" && acc[c] > bw {
+			bw, best = acc[c], c
+		}
+	}
+	return best
+}
 
 // smallCfg keeps world-generation tests fast.
 func smallCfg(scenario Scenario) Config {

@@ -113,42 +113,6 @@ func (s *Set) Country(i int) (countries.Code, bool) {
 	return c.Country, true
 }
 
-// Located returns the indexes of VPs with a known country, and the count of
-// VPs excluded because they peer with multi-hop collectors.
-func (s *Set) Located() (located []int, excluded int) {
-	for i := range s.vps {
-		if _, ok := s.Country(i); ok {
-			located = append(located, i)
-		} else {
-			excluded++
-		}
-	}
-	return located, excluded
-}
-
-// InCountry returns the indexes of located VPs in country c.
-func (s *Set) InCountry(c countries.Code) []int {
-	var out []int
-	for i := range s.vps {
-		if got, ok := s.Country(i); ok && got == c {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// OutOfCountry returns the indexes of located VPs outside country c.
-// Unlocatable (multi-hop) VPs are never included.
-func (s *Set) OutOfCountry(c countries.Code) []int {
-	var out []int
-	for i := range s.vps {
-		if got, ok := s.Country(i); ok && got != c {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // CountryCensus counts located VPs and their distinct ASes per country,
 // the raw material for Table 4 and Figure 10.
 type CountryCensus struct {

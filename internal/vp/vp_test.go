@@ -47,24 +47,6 @@ func TestCountryAndLocated(t *testing.T) {
 	if _, ok := s.Country(4); ok {
 		t.Error("multi-hop VP must have no location")
 	}
-	loc, excl := s.Located()
-	if len(loc) != 4 || excl != 1 {
-		t.Errorf("Located = %v, %d", loc, excl)
-	}
-}
-
-func TestInOutCountry(t *testing.T) {
-	s := testSet(t)
-	if got := s.InCountry("US"); len(got) != 3 {
-		t.Errorf("InCountry(US) = %v", got)
-	}
-	out := s.OutOfCountry("US")
-	if len(out) != 1 || out[0] != 3 {
-		t.Errorf("OutOfCountry(US) = %v (multi-hop must be excluded)", out)
-	}
-	if got := s.InCountry("RU"); len(got) != 0 {
-		t.Errorf("InCountry(RU) = %v; multi-hop VP in a Russian AS is unlocatable", got)
-	}
 }
 
 func TestCensus(t *testing.T) {
