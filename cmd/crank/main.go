@@ -18,11 +18,10 @@
 // prints the rankings in the wire encoding rankd serves instead of tables.
 // The shared observability flags: -v raises the structured-log verbosity (0
 // info, 1 debug stage logs); -debug-addr serves /metrics, /healthz, expvar,
-// pprof, /debug/trace, and /debug/timeline (sampled with -timeline) while
-// the run lasts. -trace-out writes a Perfetto-loadable Chrome trace;
-// -manifest writes the run provenance manifest — with -mrt, it carries a
-// SHA-256 digest of every imported dump, so a ranking names the exact
-// bytes it was computed from.
+// pprof and /debug/trace while the run lasts. -trace-out writes a
+// Perfetto-loadable Chrome trace; -manifest writes the run provenance
+// manifest — with -mrt, it carries a SHA-256 digest of every imported
+// dump, so a ranking names the exact bytes it was computed from.
 package main
 
 import (

@@ -5,7 +5,7 @@
 //
 //	experiments [-seed N] [-scale F] [-vpscale F] [-trials N] [-quick] [-only LIST]
 //	            [-progress] [-v LEVEL] [-debug-addr HOST:PORT]
-//	            [-trace-out FILE] [-manifest FILE] [-timeline D]
+//	            [-trace-out FILE] [-manifest FILE]
 //
 // -quick runs a reduced world and fewer stability trials (an explicit
 // -scale, -vpscale or -trials wins over it); -only selects a comma-separated
@@ -14,12 +14,10 @@
 // streams per-experiment start/finish lines (with wall time and stability
 // trial counts) to stderr and prints the stage tree at the end; -v raises
 // the structured-log verbosity (0 info, 1 debug stage logs); -debug-addr
-// serves /metrics, /healthz, expvar, pprof, /debug/trace, and
-// /debug/timeline. -trace-out writes every experiment's span (including
-// the parallel stability fan-out) as a Perfetto-loadable Chrome trace;
-// -manifest records which seeds, flags, coverage, and sanitize drops
-// produced the printed tables; -timeline samples the registry so long
-// sweeps expose metric history, not just a final scrape.
+// serves /metrics, /healthz, expvar, pprof and /debug/trace. -trace-out
+// writes every experiment's span (including the parallel stability
+// fan-out) as a Perfetto-loadable Chrome trace; -manifest records which
+// seeds, flags, coverage, and sanitize drops produced the printed tables.
 package main
 
 import (

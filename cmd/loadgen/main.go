@@ -1,7 +1,7 @@
 // Command loadgen drives a running rankd over real HTTP and records the
-// serving latency distribution as a JSON snapshot. CI runs it as a gate:
-// the rankd smoke requires zero failed requests and the drift extras in the
-// snapshot, the shed smoke that designed 503s are classed apart from errors.
+// serving latency distribution, as the client saw it, as a JSON snapshot.
+// CI runs it as a gate: the rankd smoke requires zero failed requests, the
+// shed smoke that designed 503s are classed apart from errors.
 //
 // It discovers the served countries from /v1/snapshot, then fans -conc
 // workers out over a request mix (country pages, top-N queries, snapshot
@@ -17,18 +17,16 @@
 // and reported in the snapshot. A `503 + Retry-After` — the server's
 // admission gate shedding load by design — is its own class (ServeShed),
 // counted toward req/s and reported as shed_rate but never toward
-// -max-error-rate; when the server runs with -slo and the
-// access-log/trace hooks, the post-run scrape of /debug/slo and the
-// countryrank expvar bridge records burn rates and observability overhead
-// (events logged/dropped, traces sampled) alongside the latency numbers.
+// -max-error-rate. What the server itself counted is on its /metrics.
 //
 // Usage:
 //
 //	loadgen [-url BASE] [-duration D] [-conc N] [-revalidate F] [-n N]
 //	        [-out FILE] [-seed N] [-max-error-rate F] [-v LEVEL]
 //
-// Exit status is non-zero when the error rate exceeds -max-error-rate
-// (default 0: any failed request fails the run).
+// Exit status is 1 when the error rate exceeds -max-error-rate (default 0:
+// any failed request fails the run), and 2 on a usage error: -conc and -n
+// below 1 are refused before any request is sent.
 package main
 
 import (
@@ -50,7 +48,8 @@ import (
 
 // result is one request class's measurement: NsPerOp is the p50 request
 // latency, AllocsOp the server-side allocations per request, and Extra
-// carries p99_ns / p999_ns / req_per_s and the scraped server counters.
+// carries p99_ns / p999_ns and, on ServeAll, req_per_s and the error and
+// shed rates.
 type result struct {
 	Name     string             `json:"name"`
 	Iters    int64              `json:"iters"`
@@ -178,41 +177,75 @@ func (w *worker) run(deadline time.Time) {
 	}
 }
 
+// config is the command line after parsing and checking.
+type config struct {
+	base       string
+	duration   time.Duration
+	conc       int
+	reval      float64
+	maxN       int
+	out        string
+	seed       int64
+	maxErrRate float64
+}
+
+// parseFlags registers the command's flags on fs, parses args and rejects
+// what no run could honour.
+func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) {
+	var c config
+	fs.StringVar(&c.base, "url", "http://127.0.0.1:8080", "rankd base URL")
+	fs.DurationVar(&c.duration, "duration", 10*time.Second, "how long to drive load")
+	fs.IntVar(&c.conc, "conc", 8, "concurrent workers")
+	fs.Float64Var(&c.reval, "revalidate", 0.5, "fraction of eligible requests sent with If-None-Match")
+	fs.IntVar(&c.maxN, "n", 10, "top-N requests draw n uniformly from [1, this]")
+	fs.StringVar(&c.out, "out", "", "output path (default BENCH_<date>_serving.json)")
+	fs.Int64Var(&c.seed, "seed", 1, "request-mix RNG seed")
+	fs.Float64Var(&c.maxErrRate, "max-error-rate", 0, "fail the run when errors/requests exceeds this fraction")
+	ofl := obs.FlagsOn(fs, "loadgen")
+	if err := fs.Parse(args); err != nil {
+		return c, ofl, err
+	}
+	if c.conc < 1 {
+		return c, ofl, fmt.Errorf("-conc %d: need at least one worker", c.conc)
+	}
+	if c.maxN < 1 {
+		return c, ofl, fmt.Errorf("-n %d: a top-N request needs n of at least 1", c.maxN)
+	}
+	return c, ofl, nil
+}
+
 func main() {
-	base := flag.String("url", "http://127.0.0.1:8080", "rankd base URL")
-	duration := flag.Duration("duration", 10*time.Second, "how long to drive load")
-	conc := flag.Int("conc", 8, "concurrent workers")
-	reval := flag.Float64("revalidate", 0.5, "fraction of eligible requests sent with If-None-Match")
-	maxN := flag.Int("n", 10, "top-N requests draw n uniformly from [1, this]")
-	out := flag.String("out", "", "output path (default BENCH_<date>_serving.json)")
-	seed := flag.Int64("seed", 1, "request-mix RNG seed")
-	maxErrRate := flag.Float64("max-error-rate", 0, "fail the run when errors/requests exceeds this fraction")
-	ofl := obs.FlagsOn(flag.CommandLine, "loadgen")
-	flag.Parse()
+	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+	cfg, ofl, err := parseFlags(fs, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		os.Exit(2)
+	}
 	ofl.Init()
 	defer ofl.Done()
 
-	ccs, tops, err := discover(*base)
+	ccs, tops, err := discover(cfg.base)
 	if err != nil {
-		slog.Error("discover /v1/snapshot failed", "url", *base, "err", err)
+		slog.Error("discover /v1/snapshot failed", "url", cfg.base, "err", err)
 		os.Exit(1)
 	}
 	slog.Info("discovered snapshot", "countries", len(ccs), "tops", tops)
 
-	transport := &http.Transport{MaxIdleConns: *conc * 2, MaxIdleConnsPerHost: *conc * 2}
+	transport := &http.Transport{MaxIdleConns: cfg.conc * 2, MaxIdleConnsPerHost: cfg.conc * 2}
 	client := &http.Client{Transport: transport, Timeout: 10 * time.Second}
 
-	mallocs0, scrapeOK := scrapeMallocs(*base, client)
-	workers := make([]*worker, *conc)
+	mallocs0, scrapeOK := scrapeMallocs(cfg.base, client)
+	workers := make([]*worker, cfg.conc)
 	for i := range workers {
 		workers[i] = &worker{
-			rng:    rand.New(rand.NewSource(*seed + int64(i)*7919)),
-			client: client, base: *base, ccs: ccs, tops: tops,
-			maxN: *maxN, reval: *reval, etags: map[string]string{},
+			rng:    rand.New(rand.NewSource(cfg.seed + int64(i)*7919)),
+			client: client, base: cfg.base, ccs: ccs, tops: tops,
+			maxN: cfg.maxN, reval: cfg.reval, etags: map[string]string{},
 		}
 	}
 	sp := obs.StartSpan("loadgen")
-	deadline := time.Now().Add(*duration)
+	deadline := time.Now().Add(cfg.duration)
 	wall := time.Now()
 	var wg sync.WaitGroup
 	for _, w := range workers {
@@ -221,7 +254,7 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(wall)
-	mallocs1, scrapeOK2 := scrapeMallocs(*base, client)
+	mallocs1, scrapeOK2 := scrapeMallocs(cfg.base, client)
 
 	var all []sample
 	var errs []string
@@ -251,7 +284,7 @@ func main() {
 
 	date := time.Now().UTC().Format("2006-01-02")
 	snap := snapshot{
-		Date: date, Bench: "serving", BenchTime: duration.String(),
+		Date: date, Bench: "serving", BenchTime: cfg.duration.String(),
 	}
 	byClass := make([][]int64, numClasses)
 	overall := make([]int64, 0, len(all))
@@ -287,12 +320,6 @@ func main() {
 			r.Extra["error_rate"] = errRate
 			r.Extra["shed_rate"] = shedRate
 			r.AllocsOp = allocsPerReq
-			// Fold the server's own view of the run in: burn rates from
-			// /debug/slo and the observability pipeline's overhead counters,
-			// so the snapshot records what the instrumentation cost.
-			for k, v := range scrapeServerObs(*base, client) {
-				r.Extra[k] = v
-			}
 		}
 		snap.Results = append(snap.Results, r)
 		fmt.Printf("%-20s %8d %8d %10s %10s %10s\n", name, len(ns), errN,
@@ -307,7 +334,7 @@ func main() {
 	fmt.Printf("total %d requests in %s = %.0f req/s, %.1f server allocs/request, %d shed (rate %.4f), %d errors (rate %.4f)\n",
 		len(all), elapsed.Round(time.Millisecond), reqPerS, allocsPerReq, shedTotal, shedRate, errTotal, errRate)
 
-	path := *out
+	path := cfg.out
 	if path == "" {
 		path = fmt.Sprintf("BENCH_%s_serving.json", date)
 	}
@@ -325,11 +352,11 @@ func main() {
 		for _, e := range errs[:min(len(errs), 5)] {
 			slog.Warn("request failed", "err", e)
 		}
-		if errRate > *maxErrRate {
-			slog.Error("error rate over budget", "errors", errTotal, "rate", errRate, "max", *maxErrRate)
+		if errRate > cfg.maxErrRate {
+			slog.Error("error rate over budget", "errors", errTotal, "rate", errRate, "max", cfg.maxErrRate)
 			os.Exit(1)
 		}
-		slog.Warn("requests failed within budget", "errors", errTotal, "rate", errRate, "max", *maxErrRate)
+		slog.Warn("requests failed within budget", "errors", errTotal, "rate", errRate, "max", cfg.maxErrRate)
 	}
 }
 
@@ -364,76 +391,6 @@ func discover(base string) (ccs, tops []string, err error) {
 		return nil, nil, fmt.Errorf("snapshot serves %d countries, %d tops", len(meta.Countries), len(meta.Tops))
 	}
 	return meta.Countries, meta.Tops, nil
-}
-
-// scrapeServerObs collects the server's observability state after the run:
-// burn rates and degraded flag from /debug/slo (absent when the server runs
-// without -slo), the sampled-trace count from /debug/requests, plus
-// access-log and drift-layer counters (churn score, history-ring depth)
-// from the countryrank expvar bridge, so the
-// snapshot records the drift layer's overhead like the rest of the
-// instrumentation. Everything is best-effort — an unreachable
-// or uninstrumented server just yields fewer keys.
-func scrapeServerObs(base string, client *http.Client) map[string]float64 {
-	out := map[string]float64{}
-	if resp, err := client.Get(base + "/debug/slo"); err == nil {
-		var st struct {
-			Objectives []struct {
-				Name string `json:"name"`
-				Fast struct {
-					Burn float64 `json:"burn"`
-				} `json:"fast"`
-				Slow struct {
-					Burn float64 `json:"burn"`
-				} `json:"slow"`
-			} `json:"objectives"`
-			Degraded bool `json:"degraded"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&st) == nil {
-			for _, o := range st.Objectives {
-				out["slo_"+o.Name+"_fast_burn"] = o.Fast.Burn
-				out["slo_"+o.Name+"_slow_burn"] = o.Slow.Burn
-			}
-			if len(st.Objectives) > 0 {
-				out["slo_degraded"] = 0
-				if st.Degraded {
-					out["slo_degraded"] = 1
-				}
-			}
-		}
-		resp.Body.Close()
-	}
-	if resp, err := client.Get(base + "/debug/vars"); err == nil {
-		var vars struct {
-			Countryrank map[string]float64 `json:"countryrank"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&vars) == nil {
-			for src, dst := range map[string]string{
-				"countryrank_accesslog_events_total":    "accesslog_events",
-				"countryrank_accesslog_dropped_total":   "accesslog_dropped",
-				"countryrank_rankd_shed_total":          "server_shed",
-				"countryrank_drift_churn_score":         "drift_churn_score",
-				"countryrank_rankd_history_epochs":      "history_epochs",
-				"countryrank_drift_rollovers_total":     "drift_rollovers",
-				"countryrank_rankd_drift_rejects_total": "drift_rejects",
-			} {
-				if v, ok := vars.Countryrank[src]; ok && v > 0 {
-					out[dst] = v
-				}
-			}
-		}
-		resp.Body.Close()
-	}
-	if resp, err := client.Get(base + "/debug/requests"); err == nil {
-		var req struct {
-			Sampled float64 `json:"sampled"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&req) == nil && req.Sampled > 0 {
-			out["traces_sampled"] = req.Sampled
-		}
-		resp.Body.Close()
-	}
-	return out
 }
 
 // scrapeMallocs reads cumulative memstats.Mallocs from the daemon's

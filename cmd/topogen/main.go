@@ -8,11 +8,11 @@
 //
 //	topogen [-seed N] [-scale F] [-vpscale F] [-scenario 20210401|20230301] -out DIR
 //	        [-v LEVEL] [-debug-addr HOST:PORT]
-//	        [-trace-out FILE] [-manifest FILE] [-timeline D]
+//	        [-trace-out FILE] [-manifest FILE]
 //
 // -v raises the structured-log verbosity (0 info, 1 debug stage logs);
-// -debug-addr serves /metrics, /healthz, expvar, pprof, /debug/trace, and
-// /debug/timeline. -trace-out writes a Perfetto-loadable Chrome trace and
+// -debug-addr serves /metrics, /healthz, expvar, pprof and /debug/trace.
+// -trace-out writes a Perfetto-loadable Chrome trace and
 // -manifest a run provenance manifest, so a dump directory can be traced
 // back to the exact seed and flags that generated it.
 package main

@@ -10,10 +10,10 @@ import (
 
 // This file exports a Trace in the Chrome trace-event JSON format, loadable
 // in Perfetto (ui.perfetto.dev) or chrome://tracing. Spans become complete
-// ("X") events; span events become thread-scoped instant ("i") events. The
-// single-threaded pipeline spine lands on track 0, and fan-out children
-// whose lifetimes partially overlap are flattened onto synthetic extra
-// tracks so viewers never see two half-overlapping slices on one row.
+// ("X") events. The single-threaded pipeline spine lands on track 0, and
+// fan-out children whose lifetimes partially overlap are flattened onto
+// synthetic extra tracks so viewers never see two half-overlapping slices
+// on one row.
 
 // chromeEvent is one entry of the traceEvents array.
 type chromeEvent struct {
@@ -23,7 +23,6 @@ type chromeEvent struct {
 	Dur   int64          `json:"dur,omitempty"`
 	PID   int            `json:"pid"`
 	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
 }
 
@@ -156,9 +155,6 @@ func (t *Trace) chromeFile(now time.Time) chromeTraceFile {
 		if !s.ended {
 			args["open"] = true
 		}
-		for _, a := range s.attrs {
-			args[a.Key] = a.Value
-		}
 		dur := d.Microseconds()
 		if dur < 1 {
 			dur = 1
@@ -168,14 +164,6 @@ func (t *Trace) chromeFile(now time.Time) chromeTraceFile {
 			TS: s.start.Sub(epoch).Microseconds(), Dur: dur,
 			PID: 1, TID: tids[i], Args: args,
 		})
-		for _, ev := range s.events {
-			file.TraceEvents = append(file.TraceEvents, chromeEvent{
-				Name: ev.Name, Phase: "i",
-				TS:  ev.At.Sub(epoch).Microseconds(),
-				PID: 1, TID: tids[i], Scope: "t",
-				Args: map[string]any{"span_id": s.id},
-			})
-		}
 	}
 	return file
 }

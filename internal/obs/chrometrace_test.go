@@ -18,15 +18,13 @@ func decodeTrace(t *testing.T, raw string) chromeTraceFile {
 }
 
 // TestChromeTraceExport checks the exported event stream: complete events
-// for every span (with IDs, parents, items, and attrs in args), instant
-// events for span events, and metadata naming the process.
+// for every span (with IDs, parents and items in args) and metadata naming
+// the process.
 func TestChromeTraceExport(t *testing.T) {
 	tr := &Trace{}
 	root := tr.Start("pipeline")
-	root.SetAttr("seed", 7)
 	child := tr.Start("sanitize")
 	child.AddItems(100, "records")
-	child.Event("halfway")
 	time.Sleep(2 * time.Millisecond)
 	child.End()
 	root.End()
@@ -41,7 +39,7 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 
 	byName := map[string][]chromeEvent{}
-	var complete, instant, meta int
+	var complete, meta int
 	for _, ev := range file.TraceEvents {
 		byName[ev.Name] = append(byName[ev.Name], ev)
 		switch ev.Phase {
@@ -50,11 +48,6 @@ func TestChromeTraceExport(t *testing.T) {
 			if ev.Dur < 1 {
 				t.Errorf("complete event %q has dur %d < 1", ev.Name, ev.Dur)
 			}
-		case "i":
-			instant++
-			if ev.Scope != "t" {
-				t.Errorf("instant event %q scope = %q, want t", ev.Name, ev.Scope)
-			}
 		case "M":
 			meta++
 		}
@@ -62,17 +55,11 @@ func TestChromeTraceExport(t *testing.T) {
 	if complete != 2 {
 		t.Errorf("complete events = %d, want 2", complete)
 	}
-	if instant != 1 {
-		t.Errorf("instant events = %d, want 1", instant)
-	}
 	if meta == 0 {
 		t.Error("no metadata events")
 	}
 
 	rootEv := byName["pipeline"][0]
-	if rootEv.Args["seed"] != float64(7) {
-		t.Errorf("root attr seed = %v", rootEv.Args["seed"])
-	}
 	if rootEv.Args["span_id"] == nil {
 		t.Error("root missing span_id")
 	}
@@ -173,33 +160,5 @@ func TestChromeTraceEmpty(t *testing.T) {
 	file := decodeTrace(t, b.String())
 	if file.TraceEvents == nil {
 		t.Error("traceEvents must be an array, not null")
-	}
-}
-
-// TestSpanAttrsEvents covers the span annotation API directly.
-func TestSpanAttrsEvents(t *testing.T) {
-	tr := &Trace{}
-	s := tr.Start("s")
-	s.SetAttr("k", "v1")
-	s.SetAttr("k", "v2") // replace, not append
-	s.SetAttr("n", 3)
-	s.Event("e1")
-	s.End()
-	attrs := s.Attrs()
-	if len(attrs) != 2 {
-		t.Fatalf("attrs = %v, want 2 entries", attrs)
-	}
-	if attrs[0].Key != "k" || attrs[0].Value != "v2" {
-		t.Errorf("attr k = %v", attrs[0])
-	}
-	evs := s.Events()
-	if len(evs) != 1 || evs[0].Name != "e1" || evs[0].At.IsZero() {
-		t.Errorf("events = %v", evs)
-	}
-	if s.id == 0 {
-		t.Error("span ID unassigned")
-	}
-	if tr.Start("second").id == s.id {
-		t.Error("span IDs not unique")
 	}
 }

@@ -26,10 +26,9 @@ import (
 //	/debug/trace     Chrome trace-event JSON of the DefaultTrace: its last
 //	                 traceRoots root spans, with the count dropped before
 //	                 them under otherData
-//	/debug/timeline  f.Timeline's ring-buffer metric timeline JSON
 //	/debug/history   f.History's epoch-aligned rank-drift series (an opaque
 //	                 any, so obs does not depend on the snapshot package)
-//	/debug/requests  f.Requests' sampled request traces: active, recent, and
+//	/debug/requests  f.Requests' sampled requests: active, recent, and
 //	                 slowest-N per route
 //	/debug/slo       f.SLO's objectives, window counts, and burn rates (a
 //	                 disabled marker without one)
@@ -75,7 +74,7 @@ func NewDebugMux(f *CmdFlags) *http.ServeMux {
 	})
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
 		if src.Requests == nil {
-			writeJSON(w, RequestsData{Active: []ReqSpanData{}, Routes: map[string]RouteRequests{}})
+			writeJSON(w, RequestsData{Active: []ReqData{}, Routes: map[string]RouteRequests{}})
 			return
 		}
 		writeJSON(w, src.Requests.Snapshot())
@@ -90,13 +89,6 @@ func NewDebugMux(f *CmdFlags) *http.ServeMux {
 			return
 		}
 		writeJSON(w, src.History())
-	})
-	mux.HandleFunc("/debug/timeline", func(w http.ResponseWriter, r *http.Request) {
-		if src.Timeline == nil {
-			writeJSON(w, TimelineData{Series: map[string][]float64{}, OffsetsMS: []int64{}})
-			return
-		}
-		writeJSON(w, src.Timeline.Snapshot())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

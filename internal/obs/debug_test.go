@@ -69,29 +69,11 @@ func TestDebugHistory(t *testing.T) {
 	}
 }
 
-// TestDebugTimeline pins /debug/timeline: an empty document with no
-// sampler, the sampler's ring with one.
-func TestDebugTimeline(t *testing.T) {
-	t.Parallel()
-	if code, body := hitMux(Sources{}, "/debug/timeline"); code != 200 || !strings.Contains(body, `"offsets_ms":[]`) {
-		t.Fatalf("no sampler: /debug/timeline = %d %q, want empty document", code, body)
-	}
-	r := &Registry{}
-	r.Counter("countryrank_test_debugtl_total", "").Add(3)
-	tl := NewTimeline(r, time.Hour, 4)
-	tl.Start()
-	tl.Stop()
-	code, body := hitMux(Sources{Timeline: tl}, "/debug/timeline")
-	if code != 200 || !strings.Contains(body, `"countryrank_test_debugtl_total":[3,3]`) {
-		t.Fatalf("/debug/timeline = %d %q", code, body)
-	}
-}
-
 // TestDebugVarsRefreshesPullSeries: /debug/vars must show series that are
 // computed when read — here the SLO burn gauges — as of the request, with no
-// /metrics scrape and no timeline tick before it. Before the registry ran
-// refresh funcs itself only those two paths refreshed them, so /debug/vars
-// served the values of the last scrape.
+// /metrics scrape before it. Before the registry ran refresh funcs itself
+// only a scrape refreshed them, so /debug/vars served the values of the last
+// scrape.
 func TestDebugVarsRefreshesPullSeries(t *testing.T) {
 	clk := newFakeClock()
 	slo := NewSLO(testSLOConfig(clk))

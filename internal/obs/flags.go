@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"flag"
 	"io"
 	"log/slog"
@@ -13,9 +12,8 @@ import (
 
 // CmdFlags is the observability flag set every cmd shares: structured-log
 // verbosity, the opt-in debug server, and the run's export artifacts — a
-// Chrome trace (-trace-out), a provenance manifest (-manifest), and a live
-// metric timeline (-timeline). Through its Sources, main also hands the
-// debug surface what it serves.
+// Chrome trace (-trace-out) and a provenance manifest (-manifest). Through
+// its Sources, main also hands the debug surface what it serves.
 type CmdFlags struct {
 	cmd         string
 	fs          *flag.FlagSet
@@ -23,7 +21,6 @@ type CmdFlags struct {
 	DebugAddr   *string
 	TraceOut    *string
 	ManifestOut *string
-	SampleEvery *time.Duration
 
 	// Manifest is the run's provenance record, created by Init. Cmds
 	// enrich it (Seed, AddInput, SetCoverage, SetDrops) as the run learns
@@ -45,8 +42,7 @@ type Sources struct {
 	Ready    func() (detail string, ready bool)
 	History  func() any // returns the /debug/history document
 	Requests *ReqTracker
-	SLO      *SLO      // Serve also exports its burn gauges
-	Timeline *Timeline // Setup starts one when -timeline was given
+	SLO      *SLO // Serve also exports its burn gauges
 }
 
 // FlagsOn registers the shared observability flags on fs. Call before
@@ -56,12 +52,10 @@ func FlagsOn(fs *flag.FlagSet, cmd string) *CmdFlags {
 		cmd:       cmd,
 		fs:        fs,
 		Verbosity: fs.Int("v", 0, "log verbosity: 0 info, 1 debug stage logs"),
-		DebugAddr: fs.String("debug-addr", "", "serve /metrics, /healthz, expvar, pprof, /debug/trace and /debug/timeline on this host:port"),
+		DebugAddr: fs.String("debug-addr", "", "serve /metrics, /healthz, expvar, pprof and /debug/trace on this host:port"),
 		TraceOut:  fs.String("trace-out", "", "write the run's stage spans as Chrome trace-event JSON (Perfetto-loadable) to this path"),
 		ManifestOut: fs.String("manifest", "",
 			"write a run provenance manifest (flags, seeds, input digests, coverage, drops, metrics, span tree) as JSON to this path"),
-		SampleEvery: fs.Duration("timeline", 0,
-			"sample all registry metrics at this interval into the /debug/timeline ring buffer (0 disables)"),
 	}
 }
 
@@ -72,9 +66,8 @@ func (f *CmdFlags) Init() {
 	f.Serve()
 }
 
-// Setup installs the slog default logger at the requested verbosity,
-// starts the provenance manifest and, when enabled, the -timeline sampler.
-// It opens no listener.
+// Setup installs the slog default logger at the requested verbosity and
+// starts the provenance manifest. It opens no listener.
 func (f *CmdFlags) Setup() {
 	f.start = time.Now()
 	level := slog.LevelInfo
@@ -85,10 +78,6 @@ func (f *CmdFlags) Setup() {
 	slog.SetDefault(slog.New(h).With("cmd", f.cmd))
 	EnableRuntimeMetrics()
 	f.Manifest = NewRunManifest(f.cmd, f.fs)
-	if *f.SampleEvery > 0 {
-		f.Timeline = NewTimeline(Default, *f.SampleEvery, 600)
-		f.Timeline.Start()
-	}
 }
 
 // Serve builds the debug surface over the Sources set on f and, when
@@ -117,16 +106,10 @@ func (f *CmdFlags) Serve() *http.ServeMux {
 	return mux
 }
 
-// Done finishes the run's observability: it stops the timeline sampler,
-// writes the -trace-out and -manifest artifacts and shuts the debug server
-// down. Call it at the end of main, after the run's output.
+// Done finishes the run's observability: it writes the -trace-out and
+// -manifest artifacts and shuts the debug server down. Call it at the end
+// of main, after the run's output.
 func (f *CmdFlags) Done() {
-	if f.Timeline != nil {
-		f.Timeline.Stop()
-		if slog.Default().Enabled(context.Background(), slog.LevelDebug) {
-			os.Stderr.WriteString("metric timeline:\n" + f.Timeline.Sparkline())
-		}
-	}
 	if *f.TraceOut != "" {
 		export("trace", *f.TraceOut, DefaultTrace.WriteChromeTrace)
 	}

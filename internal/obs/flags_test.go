@@ -118,33 +118,6 @@ func TestFlagsArtifacts(t *testing.T) {
 	}
 }
 
-// TestFlagsTimeline: -timeline starts, samples, and stops the sampler the
-// debug surface serves.
-func TestFlagsTimeline(t *testing.T) {
-	// Register before Init: a default timeline samples the metrics present
-	// when sampling starts.
-	c := NewCounter("countryrank_test_flagstl_total", "")
-	f := newTestFlags(t, "-timeline", "1ms")
-	f.Init()
-	if f.Timeline == nil {
-		t.Fatal("-timeline did not start a sampler")
-	}
-	c.Inc()
-	time.Sleep(10 * time.Millisecond)
-	f.Done()
-	d := f.Timeline.Snapshot()
-	if len(d.OffsetsMS) < 2 {
-		t.Fatalf("timeline sampled %d times, want >= 2", len(d.OffsetsMS))
-	}
-	series, ok := d.Series["countryrank_test_flagstl_total"]
-	if !ok {
-		t.Fatal("timeline missing registry counter")
-	}
-	if series[len(series)-1] < 1 {
-		t.Errorf("timeline final sample = %v, want >= 1", series[len(series)-1])
-	}
-}
-
 // TestPublishExpvarTwice: the expvar bridge must tolerate repeated
 // publication (expvar.Publish panics on duplicate names; the bridge must
 // not).

@@ -169,8 +169,8 @@ func register[T any](r *Registry, name, help string, build func() *T) *T {
 // WritePrometheus. Series that are read from somewhere else rather than
 // written as things happen (the runtime's own numbers, SLO burn rates over
 // sliding windows) refresh in it, so every reader of the registry — /metrics,
-// /debug/vars, the timeline tick, the manifest — sees current values and an
-// idle process pays nothing.
+// /debug/vars, the manifest — sees current values and an idle process pays
+// nothing.
 func (r *Registry) OnCollect(fn func()) {
 	r.mu.Lock()
 	r.refresh = append(r.refresh, fn)

@@ -20,14 +20,15 @@ func TestDebugRequestsShape(t *testing.T) {
 	// milliseconds apart: later finishes are strictly slower, the 2-slot
 	// recent ring evicts the first, and the 2-slot shelf keeps the last two.
 	paths := []string{"/v1/countries/AU", "/v1/countries/JP", "/v1/countries/RU"}
+	t0 := time.Now()
 	started := make([]func(), len(paths))
 	for i, p := range paths {
 		r := tr.Start(p)
-		r.Event("parse")
-		r.Event("lookup")
+		r.Mark("parse")
+		r.Mark("lookup")
 		started[i] = func() {
-			r.Event("write")
-			tr.Finish(r, "country", 200, int64(1000+i))
+			r.Mark("write")
+			tr.Finish(r, AccessEvent{Route: "country", Status: 200, Bytes: int64(1000 + i), Latency: time.Since(t0)})
 		}
 	}
 	for _, finish := range started {
@@ -36,11 +37,11 @@ func TestDebugRequestsShape(t *testing.T) {
 	}
 	// A revalidation: no body bytes, no write event.
 	r := tr.Start("/v1/top/ccg")
-	r.Event("parse")
-	r.Event("lookup")
-	tr.Finish(r, "top", 304, 0)
+	r.Mark("parse")
+	r.Mark("lookup")
+	tr.Finish(r, AccessEvent{Route: "top", Status: 304, Latency: time.Since(t0)})
 	// One request still in flight.
-	tr.Start("/v1/snapshot").Event("parse")
+	tr.Start("/v1/snapshot").Mark("parse")
 
 	raw, err := json.Marshal(tr.Snapshot())
 	if err != nil {

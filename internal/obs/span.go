@@ -58,23 +58,6 @@ type Span struct {
 
 	items atomic.Int64
 	unit  string
-
-	attrs  []SpanAttr
-	events []SpanEvent
-}
-
-// A SpanAttr is one key/value annotation on a span, carried into the
-// exported trace (and shown as args in Perfetto).
-type SpanAttr struct {
-	Key   string
-	Value any
-}
-
-// A SpanEvent is a timestamped point-in-time marker inside a span,
-// exported as an instant event on the span's track.
-type SpanEvent struct {
-	Name string
-	At   time.Time
 }
 
 // Start opens a root-or-nested span in the trace.
@@ -105,20 +88,6 @@ func (t *Trace) Start(name string) *Span {
 // StartSpan opens a span in the DefaultTrace.
 func StartSpan(name string) *Span { return DefaultTrace.Start(name) }
 
-// StartDetached opens a span that records against t (IDs, attrs, events,
-// End) but is not linked into the trace's root list or current-pointer
-// nesting. Detached spans are for high-churn per-request tracing: they are
-// reclaimed by the GC as soon as the caller drops them, so a long-running
-// server does not accumulate an unbounded span tree.
-func (t *Trace) StartDetached(name string) *Span {
-	s := &Span{Name: name, trace: t, start: time.Now()}
-	t.mu.Lock()
-	t.nextID++
-	s.id = t.nextID
-	t.mu.Unlock()
-	return s
-}
-
 // Child opens a nested span under s without moving the trace's current
 // pointer, which makes it safe to call from fan-out goroutines.
 func (s *Span) Child(name string) *Span {
@@ -134,55 +103,6 @@ func (s *Span) Child(name string) *Span {
 		hook(c)
 	}
 	return c
-}
-
-// SetAttr attaches (or replaces) a key/value annotation on the span. Values
-// should be JSON-encodable; they surface in the exported Chrome trace args.
-func (s *Span) SetAttr(key string, value any) {
-	t := s.trace
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key {
-			s.attrs[i].Value = value
-			return
-		}
-	}
-	s.attrs = append(s.attrs, SpanAttr{Key: key, Value: value})
-}
-
-// Attrs returns a copy of the span's annotations.
-func (s *Span) Attrs() []SpanAttr {
-	t := s.trace
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanAttr, len(s.attrs))
-	copy(out, s.attrs)
-	return out
-}
-
-// Event records a timestamped marker inside the span (a retry, a phase
-// boundary…), exported as an instant event on the span's trace track. A nil
-// span ignores it: that is a request the sampler declined.
-func (s *Span) Event(name string) {
-	if s == nil {
-		return
-	}
-	ev := SpanEvent{Name: name, At: time.Now()}
-	t := s.trace
-	t.mu.Lock()
-	s.events = append(s.events, ev)
-	t.mu.Unlock()
-}
-
-// Events returns a copy of the span's recorded events.
-func (s *Span) Events() []SpanEvent {
-	t := s.trace
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanEvent, len(s.events))
-	copy(out, s.events)
-	return out
 }
 
 // AddItems accumulates a work count on the span (trials run, records

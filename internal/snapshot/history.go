@@ -8,8 +8,8 @@ package snapshot
 //   - /v1/countries/{cc}/history — a public, preserialized page per
 //     country, rendered by Publish before the snapshot becomes visible so
 //     serving it keeps the zero-allocation pin;
-//   - /debug/history — aligned epochs plus per-metric drift series, the
-//     same shape as /debug/timeline, built on demand (debug traffic).
+//   - /debug/history — aligned epochs plus per-metric drift series, built
+//     on demand (debug traffic).
 //
 // Ring invariants, enforced under the store mutex and asserted by the
 // -race rollover hammer: entries are strictly epoch-ascending (a publish
@@ -147,9 +147,7 @@ func appendHistoryPage(dst []byte, cc string, hist []histEntry) []byte {
 }
 
 // HistoryData is the /debug/history document: retained epochs with their
-// digests, plus aligned per-metric drift series — the same aligned-series
-// shape as /debug/timeline, with epochs standing in for wall-clock
-// offsets.
+// digests, plus per-metric drift series aligned with them.
 type HistoryData struct {
 	Epochs  []int64              `json:"epochs"`
 	Digests []string             `json:"digests"`

@@ -271,10 +271,10 @@ func TestSupervisorRolloverUnderLoad(t *testing.T) {
 	if requests.Load() == 0 {
 		t.Error("no requests completed")
 	}
-	if sup.epoch.Load() < 3 {
-		t.Errorf("only %d supervised publishes during the load window", sup.epoch.Load()-1)
+	if st.Load().Epoch < 3 {
+		t.Errorf("only %d supervised publishes during the load window", st.Load().Epoch-1)
 	}
-	t.Logf("%d consistent responses across %d supervised rollovers", requests.Load(), sup.epoch.Load()-1)
+	t.Logf("%d consistent responses across %d supervised rollovers", requests.Load(), st.Load().Epoch-1)
 
 	sup.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

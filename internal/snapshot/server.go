@@ -199,38 +199,43 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		defer h.inflight.Add(-1)
 	}
-	var rs *obs.Span
+	var rq *obs.Req
 	if h.ins.Requests != nil {
-		rs = h.ins.Requests.Start(r.URL.Path)
+		rq = h.ins.Requests.Start(r.URL.Path)
 	}
 	if h.ins.SlowProbe > 0 && strings.Contains(r.URL.RawQuery, "probe=slow") {
 		time.Sleep(h.ins.SlowProbe)
 	}
 	snap := h.store.Load()
-	res := h.serve(w, r, snap, rs)
+	res := h.serve(w, r, snap, rq)
 	lat := time.Since(start)
 	if h.ins.SLO != nil {
 		h.ins.SLO.Record(res.status, lat, res.status == http.StatusNotModified)
 	}
-	if rs != nil {
-		h.ins.Requests.Finish(rs, routeNames[res.route], res.status, int64(res.bytes))
+	if h.ins.Log == nil && rq == nil {
+		return
+	}
+	// One wide event per request: the access log records it and a sampled
+	// request takes its facts from it.
+	ev := obs.AccessEvent{
+		Start:   start,
+		Route:   routeNames[res.route],
+		Target:  res.target,
+		N:       int32(res.n),
+		Status:  int32(res.status),
+		Bytes:   int64(res.bytes),
+		Latency: lat,
+		ETagHit: res.etagHit,
+		Sampled: rq != nil,
+		Client:  r.RemoteAddr,
+	}
+	if snap != nil {
+		ev.Epoch, ev.Digest = snap.Epoch, snap.Digest
+	}
+	if rq != nil {
+		h.ins.Requests.Finish(rq, ev)
 	}
 	if h.ins.Log != nil {
-		ev := obs.AccessEvent{
-			Start:   start,
-			Route:   routeNames[res.route],
-			Target:  res.target,
-			N:       int32(res.n),
-			Status:  int32(res.status),
-			Bytes:   int64(res.bytes),
-			Latency: lat,
-			ETagHit: res.etagHit,
-			Sampled: rs != nil,
-			Client:  r.RemoteAddr,
-		}
-		if snap != nil {
-			ev.Epoch, ev.Digest = snap.Epoch, snap.Digest
-		}
 		h.ins.Log.Record(ev)
 	}
 }
@@ -271,7 +276,7 @@ func (h *Handler) shed(w http.ResponseWriter, r *http.Request, start time.Time) 
 
 // serve is the zero-alloc serving core; ServeHTTP wraps it with the
 // request-scoped observability.
-func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, rs *obs.Span) reqResult {
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, rq *obs.Req) reqResult {
 	res := reqResult{}
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
@@ -284,7 +289,7 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 		res.status = http.StatusServiceUnavailable
 		return res
 	}
-	rs.Event("parse")
+	rq.Mark("parse")
 
 	var e *entity
 	path := r.URL.Path
@@ -316,7 +321,7 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 			return res
 		}
 	}
-	rs.Event("lookup")
+	rq.Mark("lookup")
 	if e == nil {
 		http.NotFound(w, r)
 		res.status = http.StatusNotFound
@@ -342,7 +347,7 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 		_, _ = w.Write(e.body)
 		res.bytes = len(e.body)
 	}
-	rs.Event("write")
+	rq.Mark("write")
 	mServed200.Inc()
 	res.status = http.StatusOK
 	return res

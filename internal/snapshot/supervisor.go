@@ -155,7 +155,7 @@ type Supervisor struct {
 	cancel  context.CancelFunc
 	done    chan struct{}
 
-	epoch       atomic.Int64
+	next        int64        // epoch the next build publishes; loop goroutine only
 	publishedAt atomic.Int64 // unix nanos of the served snapshot's data time
 	lastDrift   atomic.Pointer[Drift]
 	closeOnce   sync.Once
@@ -182,8 +182,8 @@ func NewSupervisor(st *Store, firstEpoch int64, cfg SupervisorConfig) *Superviso
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		ageTick: time.Second,
+		next:    firstEpoch,
 	}
-	s.epoch.Store(firstEpoch - 1)
 	if warm := st.Load(); warm != nil {
 		at := warm.SavedAt
 		if at.IsZero() {
@@ -296,9 +296,11 @@ func (s *Supervisor) buildUntilPublished(reason string) {
 // buildOnce runs a single supervised build attempt and publishes on
 // success. The build function runs on its own goroutine so a hang can be
 // abandoned: the result channel is buffered, so a late completion after
-// timeout sends without blocking and is simply never read.
+// timeout sends without blocking and is simply never read. The epoch
+// advances only on publish, so published epochs stay dense whatever the
+// attempts before it did.
 func (s *Supervisor) buildOnce(reason string) error {
-	epoch := s.epoch.Add(1)
+	epoch := s.next
 	ctx := s.ctx
 	cancel := context.CancelFunc(func() {})
 	if s.cfg.BuildTimeout > 0 {
@@ -329,7 +331,6 @@ func (s *Supervisor) buildOnce(reason string) error {
 			return s.ctx.Err() // shutdown: not a failure, no backoff
 		}
 		mBuildFailures.Inc()
-		s.epoch.Add(-1) // epoch not consumed: the attempt produced nothing
 		return fmt.Errorf("snapshot: build timed out after %s", s.cfg.BuildTimeout)
 	}
 
@@ -337,20 +338,17 @@ func (s *Supervisor) buildOnce(reason string) error {
 	case res.panicked:
 		mBuildPanics.Inc()
 		mBuildFailures.Inc()
-		s.epoch.Add(-1)
 		slog.Error("snapshot build panicked; last-good snapshot keeps serving",
 			"reason", reason, "epoch", epoch, "err", res.err)
 		return res.err
 	case res.err != nil:
 		mBuildFailures.Inc()
-		s.epoch.Add(-1)
 		if s.ctx.Err() != nil {
 			return s.ctx.Err()
 		}
 		return res.err
 	case res.snap == nil:
 		mBuildFailures.Inc()
-		s.epoch.Add(-1)
 		return errors.New("snapshot: build returned nil snapshot without error")
 	}
 
@@ -365,7 +363,6 @@ func (s *Supervisor) buildOnce(reason string) error {
 			continue
 		}
 		g.rejects.Inc()
-		s.epoch.Add(-1)
 		attrs := []any{"reason", reason,
 			"rejected_digest", shortDigest(next.Digest), "serving_digest", shortDigest(cur.Digest)}
 		if drift != nil {
@@ -389,6 +386,7 @@ func (s *Supervisor) buildOnce(reason string) error {
 	}
 
 	old := s.store.Publish(next, drift)
+	s.next = epoch + 1
 	s.publishedAt.Store(time.Now().UnixNano())
 	s.refreshAge()
 	if drift != nil {

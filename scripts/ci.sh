@@ -91,11 +91,12 @@ go test -race -count=1 \
 # The debug surface and the ring under it: the ring's property test, a
 # daemon's stage trace staying bounded across 10× its capacity in real
 # epochs, the -debug-addr listener answering "not ready" from its first
-# response, and /debug/vars reading pull-refreshed series fresh — the trace
-# and the registry are shared by the supervisor goroutine, the handlers and
-# the timeline tick, so they run under the detector.
+# response, /debug/vars reading pull-refreshed series fresh, and sampled
+# requests marked by handlers while /debug/requests renders them — the
+# trace, the registry and the request tracker are shared by the supervisor
+# goroutine and the handlers, so they run under the detector.
 go test -race -count=1 \
-    -run 'TestRingProperty|TestDaemonTraceBounded|TestReadyzNotOkBeforeProbe|TestDebugVarsRefreshesPullSeries|TestDebugRequestsShape' \
+    -run 'TestRingProperty|TestDaemonTraceBounded|TestReadyzNotOkBeforeProbe|TestDebugVarsRefreshesPullSeries|TestDebugRequestsShape|TestReqTrackerMarkDuringSnapshot' \
     ./internal/obs
 
 echo '--- stability determinism (experiments -quick in full, twice and on one proc)'
@@ -222,7 +223,7 @@ go build -o "$rankd_dir/rankd" ./cmd/rankd
 go build -o "$rankd_dir/loadgen" ./cmd/loadgen
 "$rankd_dir/rankd" -addr "127.0.0.1:$rankd_port" -scale 0.15 -vpscale 0.2 \
     -topn 10 -manifest "$rankd_dir/manifest.json" \
-    -access-log "$rankd_dir/access.log" -trace-sample 0.2 -timeline 500ms \
+    -access-log "$rankd_dir/access.log" -trace-sample 0.2 \
     -slo 'availability=99,latency=99@50ms,bucket=1s,fast=5s,slow=30s,trip=2' \
     -slow-probe 100ms >"$rankd_dir/rankd.log" 2>&1 &
 rankd_pid=$!
@@ -305,30 +306,24 @@ if ! wait "$loadgen_pid"; then
 fi
 cat "$rankd_dir/loadgen.out"
 
-# The serving snapshot carries the drift/history extras loadgen
-# scrapes from the server: the SIGHUP above produced one drift-computed
-# rollover and a two-epoch history ring.
-grep -q '"history_epochs"' "$rankd_dir/serving.json"
-grep -q '"drift_rollovers"' "$rankd_dir/serving.json"
-
 # The wide-event access log was written by the drainer, one JSON record per
 # request with the route class and snapshot provenance attached.
 [[ -s "$rankd_dir/access.log" ]]
 grep -q '"route":"country"' "$rankd_dir/access.log"
 grep -q '"digest":' "$rankd_dir/access.log"
 
-# The observability series all moved: runtime self-metrics, SLO accounting
-# and the access-log pipeline (the trace sampler's count was read from
-# /debug/requests above, which is where it lives).
+# The observability series all moved: runtime self-metrics, SLO accounting,
+# the access-log pipeline, and the drift layer — the SIGHUP above produced
+# one drift-computed rollover and a two-epoch history ring (the trace
+# sampler's count was read from /debug/requests above, which is where it
+# lives).
 curl -fsS "$rankd_base/metrics" >"$obs_metrics"
 require_nonzero countryrank_go_goroutines
 require_nonzero countryrank_go_heap_alloc_bytes
 require_nonzero countryrank_slo_requests_total
 require_nonzero countryrank_accesslog_events_total
-# The timeline sampler replays the serving series alongside burn rates.
-curl -fsS "$rankd_base/debug/timeline" >"$rankd_dir/timeline.json"
-grep -q countryrank_rankd_requests_total "$rankd_dir/timeline.json"
-grep -q countryrank_slo_latency_fast_burn "$rankd_dir/timeline.json"
+require_nonzero countryrank_rankd_history_epochs
+require_nonzero countryrank_drift_rollovers_total
 # The two epochs' stage spans are served as a loadable Chrome trace.
 curl -fsS "$rankd_base/debug/trace" | grep -q traceEvents
 
