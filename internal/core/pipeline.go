@@ -169,11 +169,7 @@ type Source func(opt Options, sp *obs.Span) (*topology.World, *routing.Collectio
 // routes over it; its coverage is complete by construction.
 func Generated(opt Options, sp *obs.Span) (*topology.World, *routing.Collection, Coverage, error) {
 	w := buildWorld(opt, sp)
-	ps := sp.Child("propagation")
-	col := routing.BuildCollection(w, opt.Routing)
-	ps.AddItems(int64(col.NumRecords()), "records")
-	ps.End()
-	return w, col, complete(w), nil
+	return w, routing.BuildCollection(w, opt.Routing), complete(w), nil
 }
 
 // MRTFiles imports TABLE_DUMP_V2 dumps (topogen's, same seed and scales)

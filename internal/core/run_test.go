@@ -54,7 +54,7 @@ func TestStageOrderPinned(t *testing.T) {
 		src  Source
 		head []string
 	}{
-		{"generated", Generated, []string{"topology", "propagation", "propagate"}},
+		{"generated", Generated, []string{"topology", "propagate"}},
 		{"MRT files", MRTFiles(paths), []string{"topology", "mrt-import", "/index", "/decode", "/merge"}},
 		{"in hand", inHand(w, col, complete(w)), nil},
 	} {
@@ -79,7 +79,7 @@ func TestCancelledRunStops(t *testing.T) {
 	if p != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned (%v, %v)", p, err)
 	}
-	if want := []string{"topology", "propagation", "propagate", "geolocate"}; !slices.Equal(got, want) {
+	if want := []string{"topology", "propagate", "geolocate"}; !slices.Equal(got, want) {
 		t.Fatalf("cancelled after geolocate, stages opened %v, want %v", got, want)
 	}
 

@@ -170,30 +170,3 @@ func TestWindowMatchesSortedReference(t *testing.T) {
 		}
 	}
 }
-
-var sinkScore trialScore
-
-// TestWarmTrialAllocations pins what a stability trial — draw, kernel,
-// window and the three list measures — leaves for the collector once the
-// pools are warm: the window, the top list and NDCG's two relevance slices,
-// 4 objects for either metric family. A generator, a permutation, a selection
-// or a map per trial would each show here.
-func TestWarmTrialAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under -race")
-	}
-	p := NewPipeline(smallOpts())
-	for _, m := range []Metric{AHI, CCI} {
-		s := p.newSampler(m, p.ViewRecords(International, "AU"), 10)
-		for _, n := range []int{2, s.vps / 2} { // hegemony: sorted runs, walked rows
-			seed := int64(0)
-			got := testing.AllocsPerRun(200, func() {
-				seed++
-				sinkScore = s.trial(seed, n)
-			})
-			if got > 4 {
-				t.Errorf("%s: a warm trial of %d of %d VPs allocates %.0f objects, want at most 4", m, n, s.vps, got)
-			}
-		}
-	}
-}

@@ -272,20 +272,18 @@ func TestMemoAsksOncePerOrderedPair(t *testing.T) {
 // size: one row per AS that ever stands on the left of a link (408 of 1,203
 // ids at seed 1, about 0.5 MB). A full id × id table would be 1.4 MB here
 // and quadratic from there; the bound is what keeps the row layout from
-// silently becoming one.
+// silently becoming one. cone.Starts builds the same memo inside the
+// pipeline's precompute span, where the work ledger (testdata/work.txt,
+// row pipeline/precompute) holds it; cti.Depths runs outside any span.
 func TestMemoBytesAtW05(t *testing.T) {
 	p := core.NewPipeline(core.Options{Seed: 1, StubScale: 0.5, VPScale: 0.5})
-	for name, kernel := range map[string]func(*sanitize.Dataset, relation.Oracle) []int32{
-		"cone.Starts": cone.Starts, "cti.Depths": cti.Depths,
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		out := kernel(p.DS, p.Rels)
-		runtime.ReadMemStats(&after)
-		memo := int(after.TotalAlloc-before.TotalAlloc) - 4*len(out)
-		t.Logf("%s: %d ids, %d paths, memo %d bytes", name, p.DS.NumAS(), len(out), memo)
-		if memo > 1<<20 {
-			t.Errorf("%s allocates %d bytes beside its result over %d ids, want at most 1 MiB", name, memo, p.DS.NumAS())
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := cti.Depths(p.DS, p.Rels)
+	runtime.ReadMemStats(&after)
+	memo := int(after.TotalAlloc-before.TotalAlloc) - 4*len(out)
+	t.Logf("cti.Depths: %d ids, %d paths, memo %d bytes", p.DS.NumAS(), len(out), memo)
+	if memo > 1<<20 {
+		t.Errorf("cti.Depths allocates %d bytes beside its result over %d ids, want at most 1 MiB", memo, p.DS.NumAS())
 	}
 }

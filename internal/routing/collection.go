@@ -213,7 +213,6 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 	if shards < 1 {
 		shards = 1
 	}
-	sp.AddItems(0, "shards")
 
 	// Size the output up front: repeated append-doubling of
 	// multi-megabyte slices dominates the profile otherwise. Nearly
@@ -337,12 +336,12 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 		col.Records = recs
 		nRoutes += int64(len(rt.vpIdxs))
 		mShardsDone.Inc()
-		sp.AddItems(1, "")
 	}
 	par.OrderedMap(shards, 0, produce, consume)
 
 	mPathsPropagated.Add(nRoutes)
 	mRecordsBuilt.Add(int64(len(col.Records)))
+	sp.AddItems(int64(len(col.Records)), "records")
 	return col
 }
 

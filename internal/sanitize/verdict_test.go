@@ -3,7 +3,6 @@ package sanitize
 import (
 	"net/netip"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"countryrank/internal/asn"
@@ -179,43 +178,5 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 	all := NewDataset(col, ds.VPCountry, ds.PrefixCountry)
 	if all.Len() != len(col.Records) || all.Stats.Total != len(col.Records) || all.Stats.Counts[Accepted] != len(col.Records) {
 		t.Errorf("NewDataset accepts %d of %d records (Stats %+v)", all.Len(), len(col.Records), all.Stats)
-	}
-}
-
-// TestRunAllocBudget is the record plane's host-independent pin at the
-// benchmark's world size (W05, seed 1: 375 k paths, 831 k records): one Run
-// allocates what it returns — three columns, the hop and id arenas, the path
-// offsets, the per-prefix tables — plus a byte per path, per prefix and per
-// VP, 23.9 MB in all. Staging every clean path as a slice header before
-// copying it took 33.7 MB.
-func TestRunAllocBudget(t *testing.T) {
-	w := topology.Build(topology.Config{Seed: 1, StubScale: 0.5, VPScale: 0.5})
-	col := routing.BuildCollection(w, routing.BuildOptions{})
-	cfg := fullConfig(w, col, 0.5)
-	Run(col, cfg) // warm: lazily built tables are not the run's
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	ds := Run(col, cfg)
-	runtime.ReadMemStats(&after)
-	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d paths, %d records, %d accepted: %d bytes allocated", len(col.Paths), col.NumRecords(), ds.Len(), alloc)
-	if alloc > 26e6 {
-		t.Errorf("Run allocated %d bytes, want at most 26 MB", alloc)
-	}
-}
-
-// TestWarmRunAllocations pins the record plane's allocation shape at core's
-// smallOpts world: the columns are one make sized by the verdict pass, not
-// four append-doubled growth chains. Parent commit 1ec293d measures 188
-// objects per warm Run here and this tree 60; the pin sits at half the
-// parent's, which any per-column growth chain (about 25 doublings each at
-// this size) crosses.
-func TestWarmRunAllocations(t *testing.T) {
-	w := topology.Build(topology.Config{Seed: 3, StubScale: 0.15, VPScale: 0.2})
-	col := routing.BuildCollection(w, routing.BuildOptions{})
-	cfg := fullConfig(w, col, 0.5)
-	Run(col, cfg)
-	if n := testing.AllocsPerRun(5, func() { Run(col, cfg) }); n > 94 {
-		t.Errorf("a warm Run over %d records allocates %.0f objects, want at most 94", col.NumRecords(), n)
 	}
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package core
+package countryrank
 
 const raceEnabled = false
