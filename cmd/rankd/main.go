@@ -59,7 +59,8 @@
 // Observability:
 //
 //   - -access-log writes one wide JSON event per request ("-" for stderr)
-//     through a lock-free ring, head-sampled by -access-log-sample; errors
+//     through a bounded channel to one writer goroutine (full: the event is
+//     dropped and counted), head-sampled by -access-log-sample; errors
 //     and requests slower than -access-log-slow are always logged. The file
 //     is opened append-mode, so restarts (a designed-for event) extend the
 //     log instead of truncating it.
@@ -189,7 +190,6 @@ func main() {
 	// build lands, so main waits for it below before listening.
 	var persist *snapshot.Persister
 	store := snapshot.NewStore(nil)
-	firstEpoch := int64(1)
 	if o.snapshotDir != "" {
 		var err error
 		persist, err = snapshot.NewPersister(o.snapshotDir, o.snapshotKeep)
@@ -207,7 +207,6 @@ func main() {
 		}
 		if warm != nil {
 			store = snapshot.NewStore(warm)
-			firstEpoch = warm.Epoch + 1
 			slog.Info("warm start: serving persisted snapshot while rebuilding",
 				"epoch", warm.Epoch, "digest", warm.Digest[:12],
 				"age", time.Since(warm.SavedAt).Round(time.Second))
@@ -220,7 +219,7 @@ func main() {
 	firstPub := make(chan struct{})
 	var firstPubClosed bool
 	store.SetHistoryLimit(o.history)
-	sup := snapshot.NewSupervisor(store, firstEpoch, snapshot.SupervisorConfig{
+	sup := snapshot.NewSupervisor(store, snapshot.SupervisorConfig{
 		Build:         build,
 		BuildTimeout:  o.buildTimeout,
 		AllowDegraded: o.allowDegraded,

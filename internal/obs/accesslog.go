@@ -19,7 +19,7 @@ var (
 
 // An AccessEvent is one request's wide event: everything an operator needs
 // to answer "which requests were slow and why" from a single structured
-// record. It is a plain value — copying it into the ring allocates
+// record. It is a plain value — sending it through the queue allocates
 // nothing (the string fields alias memory the request already owns).
 type AccessEvent struct {
 	Start   time.Time
@@ -36,17 +36,10 @@ type AccessEvent struct {
 	Client  string // client address (RemoteAddr)
 }
 
-// accessSlot is one ring cell. seq is the Vyukov-style sequence number:
-// equal to the cell's claim position when free, position+1 once the event
-// is published, and position+capacity after the drainer recycles it.
-type accessSlot struct {
-	seq atomic.Uint64
-	ev  AccessEvent
-}
-
 // AccessLogConfig shapes the emission policy.
 type AccessLogConfig struct {
-	// Capacity is the ring size, rounded up to a power of two (default 1024).
+	// Capacity is how many events may wait for the writer (default 1024:
+	// room for a burst while the writer is blocked on a slow sink).
 	Capacity int
 	// SampleOK head-samples successful responses: 1 logs every 2xx/304,
 	// N logs one in N, 0 logs none. Errors and slow requests are always
@@ -58,59 +51,44 @@ type AccessLogConfig struct {
 }
 
 // An AccessLog is a wide-event request log decoupled from request I/O: the
-// handler publishes events into a bounded lock-free MPSC ring (one atomic
-// CAS claim plus a struct copy, zero allocations, never blocking), and a
-// single writer goroutine drains the ring into a slog.Logger. When the
-// writer falls behind and the ring fills, new events are dropped and
-// counted — backpressure never reaches the serving path.
+// handler sends events into a buffered channel without blocking (a struct
+// copy, zero allocations), and a single writer goroutine drains it into a
+// slog.Logger. When the writer falls behind and the channel fills, new
+// events are dropped and counted — backpressure never reaches the serving
+// path. Nothing ever closes the channel, so a Record racing Close cannot
+// panic; an event it queues after the writer stopped waits for the next
+// Close.
 type AccessLog struct {
 	cfg    AccessLogConfig
 	logger *slog.Logger
-
-	slots []accessSlot
-	mask  uint64
-	tail  atomic.Uint64 // next position a producer claims
-	head  uint64        // next position the drainer consumes (drainer-owned)
+	q      chan AccessEvent
 
 	okSeq atomic.Uint64 // head-sampling counter over successful responses
 
-	wake    chan struct{}
+	mu      sync.Mutex // serialises Start and Close, so one goroutine at a time drains q
+	started bool
 	stop    chan struct{}
 	done    chan struct{}
-	started bool
-	closeMu sync.Mutex
 }
 
 // NewAccessLog builds the log emitting through logger. Call Start to begin
-// draining; until then events accumulate in (and overflow) the ring.
+// draining; until then events accumulate in (and overflow) the queue.
 func NewAccessLog(logger *slog.Logger, cfg AccessLogConfig) *AccessLog {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = 1024
+	if cfg.Capacity <= 0 {
+		cfg.Capacity = 1024
 	}
-	// Round up to a power of two so position&mask indexes the ring.
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	l := &AccessLog{
+	return &AccessLog{
 		cfg:    cfg,
 		logger: logger,
-		slots:  make([]accessSlot, n),
-		mask:   uint64(n - 1),
-		wake:   make(chan struct{}, 1),
+		q:      make(chan AccessEvent, cfg.Capacity),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	for i := range l.slots {
-		l.slots[i].seq.Store(uint64(i))
-	}
-	return l
 }
 
 // Record applies the emission policy and, when the event qualifies,
-// publishes it into the ring. It never blocks and never allocates; a full
-// ring drops the event and counts the drop.
+// queues it. It never blocks and never allocates; a full queue drops the
+// event and counts the drop.
 func (l *AccessLog) Record(ev AccessEvent) {
 	if ev.Status < 400 {
 		// Head-sample the healthy traffic; errors and slow requests below
@@ -122,89 +100,52 @@ func (l *AccessLog) Record(ev AccessEvent) {
 			}
 		}
 	}
-	for {
-		pos := l.tail.Load()
-		slot := &l.slots[pos&l.mask]
-		seq := slot.seq.Load()
-		switch {
-		case seq == pos:
-			if !l.tail.CompareAndSwap(pos, pos+1) {
-				continue // lost the claim race; retry
-			}
-			slot.ev = ev
-			slot.seq.Store(pos + 1) // publish: drainer may now read ev
-			mAccessEvents.Inc()
-			select {
-			case l.wake <- struct{}{}:
-			default:
-			}
-			return
-		case seq < pos:
-			// The cell still holds an unconsumed event a full lap behind:
-			// the ring is full. Drop rather than block the handler.
-			mAccessDropped.Inc()
-			return
-		default:
-			// seq > pos: another producer advanced tail past our stale
-			// read; reload and retry.
-		}
+	select {
+	case l.q <- ev:
+		mAccessEvents.Inc()
+	default:
+		mAccessDropped.Inc()
 	}
 }
 
-// Start launches the writer goroutine. Exposed separately from the
-// constructor so tests can measure the producer path with the ring
-// quiescent.
+// Start launches the writer goroutine; a log is started at most once,
+// before its first Close. Exposed separately from the constructor so tests
+// can measure the producer path with the queue quiescent.
 func (l *AccessLog) Start() *AccessLog {
-	l.closeMu.Lock()
-	defer l.closeMu.Unlock()
-	if l.started {
-		return l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.started {
+		l.started = true
+		go l.run()
 	}
-	l.started = true
-	go l.drainLoop()
 	return l
 }
 
-// Close drains any queued events, stops the writer goroutine, and waits
-// for it to exit. Safe to call once after Start; a never-started log just
-// flushes inline.
+// Close stops the writer goroutine, waits for it to exit, and writes what
+// is still queued. A never-started log just flushes inline; each later
+// Close flushes what Records queued since.
 func (l *AccessLog) Close() {
-	l.closeMu.Lock()
-	defer l.closeMu.Unlock()
-	if !l.started {
-		l.drain()
-		return
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.started {
+		l.started = false
+		close(l.stop)
+		<-l.done
 	}
-	l.started = false
-	close(l.stop)
-	<-l.done
+	for n := len(l.q); n > 0; n-- {
+		l.emit(<-l.q)
+	}
 }
 
-func (l *AccessLog) drainLoop() {
+func (l *AccessLog) run() {
 	defer close(l.done)
 	for {
-		l.drain()
 		select {
-		case <-l.wake:
+		case ev := <-l.q:
+			l.emit(ev)
 		case <-l.stop:
-			l.drain() // final flush
 			return
 		}
-	}
-}
-
-// drain consumes every published event currently in the ring.
-func (l *AccessLog) drain() {
-	for {
-		slot := &l.slots[l.head&l.mask]
-		if slot.seq.Load() != l.head+1 {
-			return // next cell not yet published
-		}
-		ev := slot.ev
-		slot.ev = AccessEvent{} // drop string references so the GC can reclaim
-		slot.seq.Store(l.head + l.mask + 1)
-		l.head++
-		l.emit(ev)
 	}
 }
 

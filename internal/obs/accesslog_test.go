@@ -158,3 +158,36 @@ func TestAccessLogDrainerStops(t *testing.T) {
 		t.Errorf("goroutines %d > %d before Start: drainer leaked", n, before)
 	}
 }
+
+// TestAccessLogRecordRacesClose runs producers while Close stops the
+// writer. Nothing may panic, and once the producers stop (and a last Close
+// flushes what they queued after the writer exited) every offered event is
+// either written or counted as dropped.
+func TestAccessLogRecordRacesClose(t *testing.T) {
+	col := &captureHandler{}
+	l := NewAccessLog(slog.New(col), AccessLogConfig{Capacity: 32, SampleOK: 1}).Start()
+	dropped0 := mAccessDropped.Value()
+	const producers, per = 8, 500
+	var wg, running sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		running.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				l.Record(AccessEvent{Status: 200, Target: "x"})
+				if i == 0 {
+					running.Done()
+				}
+			}
+		}()
+	}
+	running.Wait() // every producer is mid-stream when Close starts
+	l.Close()
+	wg.Wait()
+	l.Close()
+	written := int64(len(col.targets(t)))
+	if dropped := mAccessDropped.Value() - dropped0; written+dropped != producers*per {
+		t.Errorf("written %d + dropped %d = %d, want %d offered", written, dropped, written+dropped, producers*per)
+	}
+}

@@ -47,7 +47,7 @@ func TestDaemonTraceBounded(t *testing.T) {
 	f.Setup()
 	published := make(chan struct{}, 1) // one publish per Trigger below
 	opt := core.Options{Seed: 3, StubScale: 0.01, VPScale: 0.02}
-	sup := snapshot.NewSupervisor(snapshot.NewStore(nil), 1, snapshot.SupervisorConfig{
+	sup := snapshot.NewSupervisor(snapshot.NewStore(nil), snapshot.SupervisorConfig{
 		Build: func(ctx context.Context, epoch int64) (*snapshot.Snapshot, error) {
 			return snapshot.Build(core.NewPipeline(opt), epoch, snapshot.Config{MaxTopN: 5}), ctx.Err()
 		},
@@ -178,7 +178,7 @@ func TestReadyzNotOkBeforeProbe(t *testing.T) {
 
 	release := make(chan struct{})
 	store := snapshot.NewStore(nil)
-	sup := snapshot.NewSupervisor(store, 1, snapshot.SupervisorConfig{
+	sup := snapshot.NewSupervisor(store, snapshot.SupervisorConfig{
 		Build: func(ctx context.Context, epoch int64) (*snapshot.Snapshot, error) {
 			select {
 			case <-release: // a cold start's first build takes a while

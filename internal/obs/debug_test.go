@@ -101,7 +101,7 @@ func TestDebugVarsRefreshesPullSeries(t *testing.T) {
 		t.Fatalf("latency fast burn before any breach = %g, want 0", got)
 	}
 	for i := 0; i < 20; i++ {
-		slo.Record(200, 50*time.Millisecond, false) // latency breaches
+		slo.Record(AccessEvent{Status: 200, Latency: 50 * time.Millisecond}) // latency breaches
 	}
 	if got := burn(); got <= 0 {
 		t.Fatalf("/debug/vars latency fast burn = %g after 20 breaches with no /metrics scrape, want > 0", got)

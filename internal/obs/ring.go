@@ -2,11 +2,10 @@ package obs
 
 // A Ring keeps the most recent values pushed into it, overwriting the
 // oldest once full and counting what it overwrote: a route's recent
-// sampled requests, the snapshot store's epoch history and the stage
-// trace's roots. It carries no lock — every holder already has one —
-// and a nil *Ring reads as empty. (The access log's queue is not a Ring:
-// its many producers may never block, and when full it drops the new event,
-// not the oldest.)
+// sampled requests, the snapshot store's epoch history, the stage trace's
+// roots and the SLO engine's completed buckets. It carries no lock — every
+// holder already has one — and a nil *Ring reads as empty. Hand-offs
+// between goroutines are channels, not Rings.
 type Ring[T any] struct {
 	buf     []T
 	head    int // oldest value's position once the ring is full

@@ -2,10 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"net/http"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -35,7 +35,8 @@ type SLOConfig struct {
 	// writes no body and would flatter the distribution.
 	LatencyTarget    float64
 	LatencyThreshold time.Duration
-	// Bucket is the counter rotation granularity (default 5s).
+	// Bucket is the counter rotation granularity (default 5s, at most
+	// FastWindow).
 	Bucket time.Duration
 	// FastWindow and SlowWindow are the burn-rate windows (defaults 5m and
 	// 1h). The fast window drives the degraded flip; the slow window gives
@@ -62,6 +63,9 @@ func (c *SLOConfig) fill() {
 	}
 	if c.SlowWindow < c.FastWindow {
 		c.SlowWindow = c.FastWindow
+	}
+	if c.Bucket > c.FastWindow {
+		c.Bucket = c.FastWindow // a wider bucket would leave the fast window empty
 	}
 	if c.TripFastBurn <= 0 {
 		c.TripFastBurn = 14.4
@@ -142,6 +146,9 @@ func ParseSLO(spec string) (SLOConfig, error) {
 	if cfg.SlowWindow < cfg.FastWindow {
 		return cfg, fmt.Errorf("obs: slo slow window %v shorter than fast %v", cfg.SlowWindow, cfg.FastWindow)
 	}
+	if cfg.Bucket > cfg.FastWindow {
+		return cfg, fmt.Errorf("obs: slo bucket %v longer than fast window %v", cfg.Bucket, cfg.FastWindow)
+	}
 	return cfg, nil
 }
 
@@ -152,65 +159,58 @@ func (c SLOConfig) String() string {
 		c.Bucket, c.FastWindow, c.SlowWindow, c.TripFastBurn)
 }
 
-// sloBucket is one rotation bucket. tick stamps which bucket interval the
-// counters belong to; a reader ignores buckets whose tick fell out of its
+// sloBucket is one Bucket interval's tally. tick stamps which interval the
+// counts belong to; a reader ignores buckets whose tick fell out of its
 // window, so idle time ages breaches out without any background goroutine.
 type sloBucket struct {
-	tick     atomic.Int64
-	total    atomic.Int64 // all responses
-	errors   atomic.Int64 // 5xx
-	eligible atomic.Int64 // non-304 (latency-objective population)
-	slow     atomic.Int64 // non-304 over the threshold
+	tick     int64
+	total    int64 // all responses
+	errors   int64 // 5xx
+	eligible int64 // non-304 (latency-objective population)
+	slow     int64 // non-304 over the threshold
 }
 
 // An SLO tracks availability and latency objectives over sliding
 // multi-window counters and derives burn rates: the fraction of the error
 // budget being spent, normalized so burn 1.0 consumes the budget exactly
-// at the end of the period. Record is on the per-request hot path and
-// performs only atomic adds (plus a mutex-guarded bucket rotation once per
-// Bucket interval).
+// at the end of the period. Record is on the per-request hot path: under
+// one mutex it bumps the bucket now filling and, once per Bucket interval,
+// pushes the finished bucket onto a Ring sized to the slow window — no
+// allocation, since the push stays within the ring's capacity.
 type SLO struct {
-	cfg     SLOConfig
-	buckets []sloBucket
-	rotate  sync.Mutex
+	cfg  SLOConfig
+	mu   sync.Mutex
+	cur  sloBucket
+	past *Ring[sloBucket] // completed buckets that saw traffic, oldest first
 }
 
 // NewSLO builds the engine; zero-valued config fields take defaults.
 func NewSLO(cfg SLOConfig) *SLO {
 	cfg.fill()
-	n := int(cfg.SlowWindow/cfg.Bucket) + 1
-	s := &SLO{cfg: cfg, buckets: make([]sloBucket, n)}
-	for i := range s.buckets {
-		s.buckets[i].tick.Store(-1)
-	}
-	return s
+	return &SLO{cfg: cfg, past: NewRing[sloBucket](int(cfg.SlowWindow / cfg.Bucket))}
 }
 
-// Record accounts one response. notModified marks a 304 revalidation,
-// which is excluded from the latency objective's population.
-func (s *SLO) Record(status int, latency time.Duration, notModified bool) {
-	tick := s.cfg.Clock().UnixNano() / int64(s.cfg.Bucket)
-	b := &s.buckets[int(tick%int64(len(s.buckets)))]
-	if b.tick.Load() != tick {
-		s.rotate.Lock()
-		if b.tick.Load() != tick {
-			b.total.Store(0)
-			b.errors.Store(0)
-			b.eligible.Store(0)
-			b.slow.Store(0)
-			b.tick.Store(tick)
-		}
-		s.rotate.Unlock()
-	}
+// Record accounts one response. A 304 revalidation is excluded from the
+// latency objective's population.
+func (s *SLO) Record(ev AccessEvent) {
 	mSLOEligible.Inc()
-	b.total.Add(1)
-	if status >= 500 {
-		b.errors.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// The clock is read under the lock so buckets rotate in clock order.
+	if tick := s.cfg.Clock().UnixNano() / int64(s.cfg.Bucket); tick != s.cur.tick {
+		if s.cur.total > 0 {
+			s.past.Push(s.cur)
+		}
+		s.cur = sloBucket{tick: tick}
 	}
-	if !notModified {
-		b.eligible.Add(1)
-		if latency > s.cfg.LatencyThreshold {
-			b.slow.Add(1)
+	s.cur.total++
+	if ev.Status >= 500 {
+		s.cur.errors++
+	}
+	if ev.Status != http.StatusNotModified {
+		s.cur.eligible++
+		if ev.Latency > s.cfg.LatencyThreshold {
+			s.cur.slow++
 		}
 	}
 }
@@ -245,18 +245,19 @@ type SLOStatus struct {
 
 // sums tallies the buckets whose tick falls inside the trailing window.
 func (s *SLO) sums(window time.Duration) (total, errors, eligible, slow int64) {
+	s.mu.Lock()
 	nowTick := s.cfg.Clock().UnixNano() / int64(s.cfg.Bucket)
+	buckets := append(s.past.Items(), s.cur)
+	s.mu.Unlock()
 	minTick := nowTick - int64(window/s.cfg.Bucket) + 1
-	for i := range s.buckets {
-		b := &s.buckets[i]
-		t := b.tick.Load()
-		if t < minTick || t > nowTick {
+	for _, b := range buckets {
+		if b.tick < minTick || b.tick > nowTick {
 			continue
 		}
-		total += b.total.Load()
-		errors += b.errors.Load()
-		eligible += b.eligible.Load()
-		slow += b.slow.Load()
+		total += b.total
+		errors += b.errors
+		eligible += b.eligible
+		slow += b.slow
 	}
 	return
 }

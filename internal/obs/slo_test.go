@@ -57,12 +57,12 @@ func TestSLOBurnMath(t *testing.T) {
 	clk := newFakeClock()
 	s := NewSLO(testSLOConfig(clk))
 	for i := 0; i < 95; i++ {
-		s.Record(200, time.Millisecond, false)
+		s.Record(AccessEvent{Status: 200, Latency: time.Millisecond})
 	}
-	s.Record(500, time.Millisecond, false)
-	s.Record(503, time.Millisecond, false)
+	s.Record(AccessEvent{Status: 500, Latency: time.Millisecond})
+	s.Record(AccessEvent{Status: 503, Latency: time.Millisecond})
 	for i := 0; i < 3; i++ {
-		s.Record(200, 20*time.Millisecond, false)
+		s.Record(AccessEvent{Status: 200, Latency: 20 * time.Millisecond})
 	}
 
 	availFast, availSlow, latFast, latSlow := s.Burns()
@@ -74,7 +74,7 @@ func TestSLOBurnMath(t *testing.T) {
 	}
 
 	for i := 0; i < 50; i++ {
-		s.Record(304, 0, true)
+		s.Record(AccessEvent{Status: 304})
 	}
 	availFast, _, latFast, _ = s.Burns()
 	if !approx(availFast, 2.0/150*100) {
@@ -111,7 +111,7 @@ func TestSLOWindowAging(t *testing.T) {
 	clk := newFakeClock()
 	s := NewSLO(testSLOConfig(clk))
 	for i := 0; i < 10; i++ {
-		s.Record(500, time.Millisecond, false)
+		s.Record(AccessEvent{Status: 500, Latency: time.Millisecond})
 	}
 	if _, degraded := s.Degraded(); !degraded {
 		t.Fatal("10/10 errors did not trip the fast burn")
@@ -140,23 +140,57 @@ func TestSLOWindowAging(t *testing.T) {
 	}
 }
 
-// TestSLOBucketRecycling advances the clock a full ring lap so a new tick
-// lands on a previously used bucket, which must reset rather than
-// accumulate stale counts.
+// TestSLOBucketRecycling checks what the window promises about old buckets:
+// a bucket that fell out of the window never counts, and laps of traffic
+// beyond the slow window never leave stale counts behind.
 func TestSLOBucketRecycling(t *testing.T) {
 	clk := newFakeClock()
 	s := NewSLO(testSLOConfig(clk))
-	if len(s.buckets) != 11 {
-		t.Fatalf("ring sized %d, want 11 (slow/bucket + 1)", len(s.buckets))
-	}
 	for i := 0; i < 5; i++ {
-		s.Record(500, time.Millisecond, false)
+		s.Record(AccessEvent{Status: 500, Latency: time.Millisecond})
 	}
-	clk.Advance(11 * time.Second) // same bucket index, new tick
-	s.Record(200, time.Millisecond, false)
+	clk.Advance(11 * time.Second) // past the 10s slow window
+	s.Record(AccessEvent{Status: 200, Latency: time.Millisecond})
 	tot, errs, _, _ := s.sums(s.cfg.SlowWindow)
 	if tot != 1 || errs != 0 {
-		t.Errorf("after recycling: total=%d errors=%d, want 1/0", tot, errs)
+		t.Errorf("after the window passed: total=%d errors=%d, want 1/0", tot, errs)
+	}
+
+	// Three laps of the slow window, one error per bucket: only the last
+	// window's ten buckets may count.
+	for i := 0; i < 30; i++ {
+		clk.Advance(time.Second)
+		s.Record(AccessEvent{Status: 500, Latency: time.Millisecond})
+	}
+	if tot, errs, _, _ := s.sums(s.cfg.SlowWindow); tot != 10 || errs != 10 {
+		t.Errorf("after three laps: slow total=%d errors=%d, want 10/10", tot, errs)
+	}
+	if tot, _, _, _ := s.sums(s.cfg.FastWindow); tot != 5 {
+		t.Errorf("after three laps: fast total=%d, want 5", tot)
+	}
+}
+
+// TestSLOBucketWiderThanFastWindow builds in code a config ParseSLO
+// rejects: a bucket longer than the fast window. The engine caps the bucket
+// at the fast window, so the fast window still counts and can trip.
+func TestSLOBucketWiderThanFastWindow(t *testing.T) {
+	clk := newFakeClock()
+	s := NewSLO(SLOConfig{
+		Availability: 0.99, LatencyTarget: 0.99, LatencyThreshold: time.Millisecond,
+		Bucket: 10 * time.Minute, FastWindow: 5 * time.Minute,
+		Clock: clk.Now,
+	})
+	for i := 0; i < 100; i++ {
+		s.Record(AccessEvent{Status: 500, Latency: time.Second})
+	}
+	st := s.Status()
+	for _, o := range st.Objectives {
+		if o.Fast.Total != 100 {
+			t.Errorf("%s fast = %+v, want 100 total", o.Name, o.Fast)
+		}
+	}
+	if !st.Degraded {
+		t.Error("100/100 errors did not degrade with a bucket wider than the fast window")
 	}
 }
 
@@ -189,6 +223,8 @@ func TestParseSLO(t *testing.T) {
 		"latency=99", "latency=99@0s", "latency=0@5ms",
 		"bucket=-1s", "trip=0", "nonsense=1", "noequals",
 		"fast=1h,slow=5m",
+		"availability=99,latency=99@1ms,bucket=10m", // bucket wider than the default 5m fast window
+		"fast=1s", // fast window narrower than the default 5s bucket
 	} {
 		if _, err := ParseSLO(bad); err == nil {
 			t.Errorf("ParseSLO(%q) accepted", bad)
@@ -215,7 +251,7 @@ func TestSLOHealthzDegradeRecover(t *testing.T) {
 		t.Fatalf("initial healthz = %d %q", code, body)
 	}
 	for i := 0; i < 20; i++ {
-		s.Record(200, 50*time.Millisecond, false) // latency breaches
+		s.Record(AccessEvent{Status: 200, Latency: 50 * time.Millisecond}) // latency breaches
 	}
 	code, body := healthz()
 	if code != 503 || !strings.Contains(body, "degraded: latency fast burn") {
@@ -250,11 +286,11 @@ func TestSLOConcurrentRecord(t *testing.T) {
 			for i := 0; i < per; i++ {
 				switch {
 				case i%100 == 0:
-					s.Record(500, time.Millisecond, false)
+					s.Record(AccessEvent{Status: 500, Latency: time.Millisecond})
 				case i%50 == 0:
-					s.Record(304, 0, true)
+					s.Record(AccessEvent{Status: 304})
 				default:
-					s.Record(200, time.Millisecond, false)
+					s.Record(AccessEvent{Status: 200, Latency: time.Millisecond})
 				}
 			}
 		}(w)

@@ -3,15 +3,16 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // OrderedMap runs produce(i) for every i in [0, n) across at most
 // min(n, GOMAXPROCS) goroutines and feeds each result to consume(i, v) in
 // strict index order on the caller's goroutine. It is the pipelined variant
 // of ForEach for fan-outs whose merge must be deterministic AND must not
-// hold every partial result at once: at most window results (default
-// workers+1) exist between production and consumption, so a worker that
-// runs far ahead of the merge blocks instead of accumulating memory.
+// hold every partial result at once: at most window indexes (default
+// workers+1) are claimed but not yet consumed, so a worker that runs far
+// ahead of the merge blocks instead of accumulating memory.
 //
 // With GOMAXPROCS=1 the calls run inline, strictly alternating
 // produce(i), consume(i), in index order.
@@ -19,10 +20,7 @@ func OrderedMap[T any](n int, window int, produce func(int) T, consume func(int,
 	if n <= 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		mBusy.Add(1)
 		for i := 0; i < n; i++ {
@@ -32,27 +30,21 @@ func OrderedMap[T any](n int, window int, produce func(int) T, consume func(int,
 		mBusy.Add(-1)
 		return
 	}
-	if window <= workers {
-		window = workers + 1
-	}
-	if window > n {
-		window = n
-	}
+	window = min(max(window, workers+1), n)
 
-	type slot struct {
-		v     T
-		ready bool
+	// A worker sends a token before it claims an index and the merge takes
+	// one back after it consumes an index, so at most window indexes are in
+	// flight. Taking the token before claiming rules out deadlock: the
+	// lowest unconsumed index always holds a token, so its producer runs and
+	// the merge advances. A worker that claims past n keeps its token; the
+	// buffer has room for one per worker once the merge has taken back n.
+	tokens := make(chan struct{}, window)
+	results := make([]chan T, n)
+	for i := range results {
+		results[i] = make(chan T, 1)
 	}
-	var (
-		mu       sync.Mutex
-		produced = sync.NewCond(&mu) // signalled when a slot becomes ready
-		consumed = sync.NewCond(&mu) // signalled when the merge frees a slot
-		slots    = make([]slot, window)
-		next     int // next index to claim for production
-		done     int // next index the consumer will merge
-		wg       sync.WaitGroup
-	)
-
+	var next atomic.Int64
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -60,47 +52,21 @@ func OrderedMap[T any](n int, window int, produce func(int) T, consume func(int,
 			mBusy.Add(1)
 			defer mBusy.Add(-1)
 			for {
-				mu.Lock()
-				i := next
+				tokens <- struct{}{}
+				i := int(next.Add(1) - 1)
 				if i >= n {
-					mu.Unlock()
 					return
 				}
-				next++
-				// Backpressure: wait until the merge has freed this
-				// index's slot in the ring.
-				for i-done >= window {
-					consumed.Wait()
-				}
-				mu.Unlock()
-
-				v := produce(i)
+				results[i] <- produce(i)
 				mTasks.Inc()
-
-				mu.Lock()
-				slots[i%window] = slot{v: v, ready: true}
-				produced.Broadcast()
-				mu.Unlock()
 			}
 		}()
 	}
 
 	// The caller's goroutine is the merge: strictly ascending index order.
-	for done < n {
-		mu.Lock()
-		for !slots[done%window].ready {
-			produced.Wait()
-		}
-		v := slots[done%window].v
-		slots[done%window] = slot{} // release the value for GC
-		mu.Unlock()
-
-		consume(done, v)
-
-		mu.Lock()
-		done++
-		consumed.Broadcast()
-		mu.Unlock()
+	for i, r := range results {
+		consume(i, <-r)
+		<-tokens
 	}
 	wg.Wait()
 }

@@ -28,10 +28,7 @@ func ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		mBusy.Add(1)
 		for i := 0; i < n; i++ {

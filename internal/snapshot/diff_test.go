@@ -223,7 +223,7 @@ func TestSupervisorDriftGate(t *testing.T) {
 			builds.Add(1)
 			return Assemble(driftData(epoch, upheaval), Config{}), nil
 		}
-		sup := NewSupervisor(st, 2, cfg)
+		sup := NewSupervisor(st, cfg)
 		defer sup.Close()
 		sup.Trigger("test")
 		waitFor(t, 2*time.Second, "drift rejection", func() bool {
@@ -248,7 +248,7 @@ func TestSupervisorDriftGate(t *testing.T) {
 		cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
 			return Assemble(driftData(epoch, upheaval), Config{}), nil
 		}
-		sup := NewSupervisor(st, 2, cfg)
+		sup := NewSupervisor(st, cfg)
 		defer sup.Close()
 		sup.Trigger("test")
 		waitFor(t, 2*time.Second, "publish under gate", func() bool {
@@ -274,7 +274,7 @@ func TestSupervisorDriftGate(t *testing.T) {
 		cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
 			return Assemble(driftData(epoch, upheaval), Config{}), nil
 		}
-		sup := NewSupervisor(st, 2, cfg)
+		sup := NewSupervisor(st, cfg)
 		defer sup.Close()
 		sup.Trigger("test")
 		waitFor(t, 2*time.Second, "ungated publish", func() bool {

@@ -186,7 +186,7 @@ func TestSupervisorRolloverUnderLoad(t *testing.T) {
 
 	st := NewStore(snapA)
 	var flip atomic.Int64
-	sup := NewSupervisor(st, 2, SupervisorConfig{
+	sup := NewSupervisor(st, SupervisorConfig{
 		BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond, Seed: 3,
 		Build: func(ctx context.Context, epoch int64) (*Snapshot, error) {
 			data := dataA

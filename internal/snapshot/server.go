@@ -120,9 +120,10 @@ var routeNames = [...]string{"other", "country", "top", "snapshot", "shed", "his
 // Instrumentation is the handler's optional request-scoped observability:
 // every field nil (or zero) is off and costs one branch per request. The
 // populated hooks are designed so the unsampled hot path stays at exactly
-// zero allocations — the access-log producer copies a value struct into a
-// lock-free ring, the tracker answers nil without allocating when the
-// sampler declines, and SLO accounting is plain atomic adds.
+// zero allocations — the access-log producer sends a value struct into a
+// buffered channel without blocking, the tracker answers nil without
+// allocating when the sampler declines, and SLO accounting bumps one
+// mutex-guarded bucket. All three take the one AccessEvent finish builds.
 type Instrumentation struct {
 	// Log receives one wide AccessEvent per request.
 	Log *obs.AccessLog
@@ -177,8 +178,8 @@ const (
 	pathIndex       = "/v1/snapshot"
 )
 
-// reqResult carries what the serving core resolved, for the wide event and
-// trace finishing in ServeHTTP. Returned by value: no allocation.
+// reqResult carries what the serving core (or the shed path) resolved, for
+// the wide event finish builds. Returned by value: no allocation.
 type reqResult struct {
 	route   routeClass
 	target  string // country code or top metric path segment
@@ -194,7 +195,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if limit := h.ins.MaxInFlight; limit > 0 {
 		if h.inflight.Add(1) > int64(limit) {
 			h.inflight.Add(-1)
-			h.shed(w, r, start)
+			h.finish(r, start, h.store.Load(), nil, h.shed(w, r))
 			return
 		}
 		defer h.inflight.Add(-1)
@@ -207,16 +208,15 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(h.ins.SlowProbe)
 	}
 	snap := h.store.Load()
-	res := h.serve(w, r, snap, rq)
-	lat := time.Since(start)
-	if h.ins.SLO != nil {
-		h.ins.SLO.Record(res.status, lat, res.status == http.StatusNotModified)
-	}
-	if h.ins.Log == nil && rq == nil {
+	h.finish(r, start, snap, rq, h.serve(w, r, snap, rq))
+}
+
+// finish builds the request's one wide event — served or shed — and hands
+// it to the SLO, the request tracker (when sampled) and the access log.
+func (h *Handler) finish(r *http.Request, start time.Time, snap *Snapshot, rq *obs.Req, res reqResult) {
+	if h.ins.SLO == nil && h.ins.Log == nil && rq == nil {
 		return
 	}
-	// One wide event per request: the access log records it and a sampled
-	// request takes its facts from it.
 	ev := obs.AccessEvent{
 		Start:   start,
 		Route:   routeNames[res.route],
@@ -224,13 +224,16 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		N:       int32(res.n),
 		Status:  int32(res.status),
 		Bytes:   int64(res.bytes),
-		Latency: lat,
+		Latency: time.Since(start),
 		ETagHit: res.etagHit,
 		Sampled: rq != nil,
 		Client:  r.RemoteAddr,
 	}
 	if snap != nil {
 		ev.Epoch, ev.Digest = snap.Epoch, snap.Digest
+	}
+	if h.ins.SLO != nil {
+		h.ins.SLO.Record(ev)
 	}
 	if rq != nil {
 		h.ins.Requests.Finish(rq, ev)
@@ -241,41 +244,27 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // shed refuses one request at the admission gate: 503 with Retry-After and
-// a preallocated body, counted and SLO-accounted (a shed request is real
-// unavailability — hiding it from the burn rate would lie to the operator).
-// The shed path allocates nothing, like the paths it protects: an
-// overloaded server must not amplify its own load.
-func (h *Handler) shed(w http.ResponseWriter, r *http.Request, start time.Time) {
+// a preallocated body, counted, and finished like a served request (a shed
+// request is real unavailability — hiding it from the burn rate would lie
+// to the operator). The shed path allocates nothing, like the paths it
+// protects: an overloaded server must not amplify its own load.
+func (h *Handler) shed(w http.ResponseWriter, r *http.Request) reqResult {
 	mShed.Inc()
 	hdr := w.Header()
 	hdr["Retry-After"] = hdrRetryAfter
 	hdr["Content-Type"] = hdrTextPlain
 	hdr["Content-Length"] = hdrShedLength
 	w.WriteHeader(http.StatusServiceUnavailable)
-	bytes := 0
+	res := reqResult{route: routeShed, status: http.StatusServiceUnavailable}
 	if r.Method != http.MethodHead {
 		_, _ = w.Write(shedBody)
-		bytes = len(shedBody)
+		res.bytes = len(shedBody)
 	}
-	lat := time.Since(start)
-	if h.ins.SLO != nil {
-		h.ins.SLO.Record(http.StatusServiceUnavailable, lat, false)
-	}
-	if h.ins.Log != nil {
-		ev := obs.AccessEvent{
-			Start: start, Route: routeNames[routeShed],
-			Status: http.StatusServiceUnavailable, Bytes: int64(bytes),
-			Latency: lat, Client: r.RemoteAddr,
-		}
-		if snap := h.store.Load(); snap != nil {
-			ev.Epoch, ev.Digest = snap.Epoch, snap.Digest
-		}
-		h.ins.Log.Record(ev)
-	}
+	return res
 }
 
 // serve is the zero-alloc serving core; ServeHTTP wraps it with the
-// request-scoped observability.
+// request-scoped observability in finish.
 func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, rq *obs.Req) reqResult {
 	res := reqResult{}
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {

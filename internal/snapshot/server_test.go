@@ -479,8 +479,7 @@ func (w *nopWriter) Write(p []byte) (int, error) {
 // The access log is deliberately not Started: AllocsPerRun counts mallocs
 // process-wide, so a concurrent drainer goroutine emitting slog records
 // would pollute the measurement. The producer path — policy decision,
-// ring claim, struct copy, and the drop path once the ring fills — runs
-// in full.
+// channel send, and the drop path once the queue fills — runs in full.
 func TestServeZeroAllocs(t *testing.T) {
 	s := testSnapshot(t)
 	h := NewHandler(NewStore(s))

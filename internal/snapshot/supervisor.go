@@ -165,9 +165,10 @@ type Supervisor struct {
 }
 
 // NewSupervisor starts the rebuild loop over st. The store may already hold
-// a warm-loaded snapshot (its SavedAt seeds the age accounting) or be
-// empty. firstEpoch is the epoch the next build publishes.
-func NewSupervisor(st *Store, firstEpoch int64, cfg SupervisorConfig) *Supervisor {
+// a warm-loaded snapshot (its SavedAt seeds the age accounting, and the
+// first build publishes its epoch + 1) or be empty (the first build
+// publishes epoch 1).
+func NewSupervisor(st *Store, cfg SupervisorConfig) *Supervisor {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -182,9 +183,10 @@ func NewSupervisor(st *Store, firstEpoch int64, cfg SupervisorConfig) *Superviso
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		ageTick: time.Second,
-		next:    firstEpoch,
+		next:    1,
 	}
 	if warm := st.Load(); warm != nil {
+		s.next = warm.Epoch + 1
 		at := warm.SavedAt
 		if at.IsZero() {
 			at = time.Now()

@@ -43,7 +43,7 @@ func TestSupervisorPublishes(t *testing.T) {
 	cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
 		return Assemble(testData(epoch), Config{}), nil
 	}
-	sup := NewSupervisor(st, 1, cfg)
+	sup := NewSupervisor(st, cfg)
 	defer sup.Close()
 
 	if _, ready := sup.Ready(); ready {
@@ -79,7 +79,7 @@ func TestSupervisorPanicRecovery(t *testing.T) {
 		}
 		return Assemble(testData(epoch), Config{}), nil
 	}
-	sup := NewSupervisor(st, 2, cfg)
+	sup := NewSupervisor(st, cfg)
 	defer sup.Close()
 	sup.Trigger("test")
 
@@ -113,7 +113,7 @@ func TestSupervisorBackoffJitter(t *testing.T) {
 		}
 		return Assemble(testData(epoch), Config{}), nil
 	}
-	sup := NewSupervisor(st, 1, cfg)
+	sup := NewSupervisor(st, cfg)
 	defer sup.Close()
 	sup.Trigger("test")
 	waitFor(t, 5*time.Second, "publish after retries", func() bool { return st.Load() != nil })
@@ -148,7 +148,7 @@ func TestSupervisorCoalescing(t *testing.T) {
 		<-gate // hold the build until the test releases it
 		return Assemble(testData(epoch), Config{}), nil
 	}
-	sup := NewSupervisor(st, 1, cfg)
+	sup := NewSupervisor(st, cfg)
 	defer sup.Close()
 
 	sup.Trigger("first")
@@ -191,7 +191,7 @@ func TestSupervisorDegradedGate(t *testing.T) {
 			builds.Add(1)
 			return Assemble(degradedData(epoch), Config{}), nil
 		}
-		sup := NewSupervisor(st, 2, cfg)
+		sup := NewSupervisor(st, cfg)
 		defer sup.Close()
 		sup.Trigger("test")
 		waitFor(t, 2*time.Second, "countryrank_rankd_degraded_rejects_total to count the rejection", func() bool {
@@ -212,7 +212,7 @@ func TestSupervisorDegradedGate(t *testing.T) {
 		cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
 			return Assemble(degradedData(epoch), Config{}), nil
 		}
-		sup := NewSupervisor(st, 1, cfg)
+		sup := NewSupervisor(st, cfg)
 		defer sup.Close()
 		sup.Trigger("test")
 		waitFor(t, 2*time.Second, "degraded publish into empty store", func() bool {
@@ -229,7 +229,7 @@ func TestSupervisorDegradedGate(t *testing.T) {
 		cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
 			return Assemble(degradedData(epoch), Config{}), nil
 		}
-		sup := NewSupervisor(st, 2, cfg)
+		sup := NewSupervisor(st, cfg)
 		defer sup.Close()
 		sup.Trigger("test")
 		waitFor(t, 2*time.Second, "degraded publish over healthy", func() bool {
@@ -257,7 +257,7 @@ func TestSupervisorAbandonsHungBuild(t *testing.T) {
 		return Assemble(testData(epoch), Config{}), nil
 	}
 	fails0 := mBuildFailures.Value()
-	sup := NewSupervisor(st, 1, cfg)
+	sup := NewSupervisor(st, cfg)
 	defer sup.Close()
 	sup.Trigger("test")
 
@@ -313,7 +313,7 @@ func TestSupervisorTimedOutBuildStops(t *testing.T) {
 		}
 		return Assemble(testData(epoch), Config{}), nil
 	}
-	sup := NewSupervisor(st, 1, cfg)
+	sup := NewSupervisor(st, cfg)
 	defer sup.Close()
 	sup.Trigger("test")
 	waitFor(t, 5*time.Second, "publish after the timed-out attempt", func() bool { return st.Load() != nil })
@@ -345,7 +345,7 @@ func TestSupervisorShutdownCancelsBuild(t *testing.T) {
 			return Assemble(testData(epoch), Config{}), nil
 		}
 	}
-	sup := NewSupervisor(st, 1, cfg)
+	sup := NewSupervisor(st, cfg)
 	sup.Trigger("test")
 	<-buildStarted
 
@@ -384,7 +384,7 @@ func TestSupervisorStaleReadiness(t *testing.T) {
 	cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
 		return Assemble(testData(epoch), Config{}), nil
 	}
-	sup := NewSupervisor(st, 2, cfg)
+	sup := NewSupervisor(st, cfg)
 	defer sup.Close()
 
 	if detail, ready := sup.Ready(); ready {
@@ -481,7 +481,7 @@ func TestSupervisorChaos(t *testing.T) {
 	}
 
 	st := NewStore(nil)
-	sup := NewSupervisor(st, 1, cfg)
+	sup := NewSupervisor(st, cfg)
 	srv := httptest.NewServer(NewHandler(st))
 	defer srv.Close()
 

@@ -68,8 +68,13 @@ echo '--- shard determinism under -race'
 # leave Records exactly sized, and crank's concurrently hashed manifest inputs
 # keep path order.
 go test -race -count=1 \
-    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestImportMRTFilesMatchesStreams|TestImportForeignPeerAndRepeatedPrefix|TestImportMRTDegraded|TestExportMRTMatchesReference|TestExportUpdatesMRTMatchesReference|TestOrderedMap|TestGoldenMRTBytes|TestAddInputsOrderAndDigests' \
-    ./internal/routing ./internal/par ./internal/snapshot ./cmd/crank
+    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestImportMRTFilesMatchesStreams|TestImportForeignPeerAndRepeatedPrefix|TestImportMRTDegraded|TestExportMRTMatchesReference|TestExportUpdatesMRTMatchesReference|TestGoldenMRTBytes|TestAddInputsOrderAndDigests' \
+    ./internal/routing ./internal/snapshot ./cmd/crank
+# The ordered fan-out's token and result channels at one proc (inline), two
+# and eight: strict index order and the bounded window however many workers
+# hold tokens. (TestShardedBuildDeterministic above sets GOMAXPROCS 1/4/16
+# itself, so -cpu would only repeat it.)
+go test -race -count=1 -cpu 1,2,8 ./internal/par
 # The kernels' pooled scratch, the lazily resolved CTI depths and the
 # per-view trial state (hegemony.PerVP, cone.Witnesses) are shared between
 # concurrent kernel runs and stability workers, and the per-path dataset
@@ -100,9 +105,11 @@ go test -race -count=1 \
 # response, /debug/vars reading pull-refreshed series fresh, and sampled
 # requests marked by handlers while /debug/requests renders them — the
 # trace, the registry and the request tracker are shared by the supervisor
-# goroutine and the handlers, so they run under the detector.
+# goroutine and the handlers, so they run under the detector. Beside them,
+# access-log producers racing Close: no panic, and every event is written
+# or counted as dropped.
 go test -race -count=1 \
-    -run 'TestRingProperty|TestDaemonTraceBounded|TestReadyzNotOkBeforeProbe|TestDebugVarsRefreshesPullSeries|TestDebugRequestsShape|TestReqTrackerMarkDuringSnapshot' \
+    -run 'TestRingProperty|TestDaemonTraceBounded|TestReadyzNotOkBeforeProbe|TestDebugVarsRefreshesPullSeries|TestDebugRequestsShape|TestReqTrackerMarkDuringSnapshot|TestAccessLogRecordRacesClose' \
     ./internal/obs
 
 echo '--- stability determinism (experiments -quick in full, twice and on one proc)'
