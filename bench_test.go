@@ -405,16 +405,15 @@ func BenchmarkMRTImport(b *testing.B) {
 		for j, d := range mrtBenchDumps {
 			streams[j] = bytes.NewReader(d)
 		}
-		if _, err := routing.ImportMRT(mrtBenchWorld, streams); err != nil {
+		if _, _, err := routing.ImportMRT(mrtBenchWorld, streams, routing.ImportOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(mrtBenchRecs), "records/op")
 }
 
-// BenchmarkMRTImportFiles measures the chunk-parallel file importer: each
-// dump is pre-scanned for record boundaries and decoded by a worker pool,
-// the path crank -mrt takes.
+// BenchmarkMRTImportFiles measures the file importer: each dump is opened
+// and decoded as one stream by the worker pool, the path crank -mrt takes.
 func BenchmarkMRTImportFiles(b *testing.B) {
 	mrtBenchSetup(b)
 	dir := b.TempDir()
@@ -452,7 +451,7 @@ func BenchmarkMRTRoundTrip(b *testing.B) {
 			}
 			streams[j] = &bufs[j]
 		}
-		if _, err := routing.ImportMRT(mrtBenchWorld, streams); err != nil {
+		if _, _, err := routing.ImportMRT(mrtBenchWorld, streams, routing.ImportOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

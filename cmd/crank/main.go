@@ -76,6 +76,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) 
 	if c.metric = strings.ToLower(c.metric); !slices.Contains(metrics, c.metric) {
 		return c, ofl, fmt.Errorf("-metric %s: no such metric (have %s)", c.metric, strings.Join(metrics, ", "))
 	}
+	if c.top < 1 {
+		return c, ofl, fmt.Errorf("-top %d: want at least 1 entry per ranking", c.top)
+	}
 	for _, arg := range fs.Args() {
 		code := countries.Code(strings.ToUpper(arg))
 		if !countries.Known(code) {

@@ -49,6 +49,8 @@ func TestParseFlags(t *testing.T) {
 		{"-metric bogus AU", def, "-metric bogus: no such metric (have all, cci, ccn, ahi, ahn, ahc, cti, global)"},
 		{"-metric ccg AU", def, "-metric ccg"},
 		{"-metric CCI", def, "no country code"},
+		{"-top 0 AU", def, "-top 0: want at least 1"},
+		{"-top -1 AU", def, "-top -1: want at least 1"},
 		{"", def, "no country code"},
 		{"-nosuchflag AU", def, "not defined"},
 	} {

@@ -36,19 +36,22 @@ func main() {
 	flag.Int64Var(&opt.Seed, "seed", 1, "world seed")
 	flag.Float64Var(&opt.StubScale, "scale", 1, "stub-count scale factor")
 	flag.Float64Var(&opt.VPScale, "vpscale", 1, "VP-count scale factor")
-	scenario := flag.String("scenario", string(topology.Apr2021), "snapshot scenario")
+	scenario := flag.String("scenario", string(topology.Apr2021), "snapshot scenario: 20210401 or 20230301")
 	out := flag.String("out", "", "output directory for MRT files (required)")
 	flag.IntVar(&opt.Routing.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
 	ofl := obs.FlagsOn(flag.CommandLine, "topogen")
 	flag.Parse()
-	ofl.Init()
-	if *out == "" {
+	var err error
+	if opt.Scenario, err = parseScenario(*scenario); err != nil || *out == "" {
+		if err != nil {
+			fmt.Fprintln(flag.CommandLine.Output(), err)
+		}
 		flag.Usage()
 		os.Exit(2)
 	}
+	ofl.Init()
 
 	ofl.Manifest.Seed("world", opt.Seed)
-	opt.Scenario = topology.Scenario(*scenario)
 	sp := obs.StartSpan("generate")
 	w, col, _, _ := core.Generated(opt, sp) // the generator does no I/O: it has no error to return
 	sp.End()
@@ -79,6 +82,16 @@ func main() {
 	fmt.Printf("collection: %d records across %d collectors → %s\n",
 		col.NumRecords(), len(collectors), *out)
 	ofl.Done()
+}
+
+// parseScenario accepts the two snapshot dates the generator models; any
+// other value is a usage error rather than a silent April 2021 world.
+func parseScenario(s string) (topology.Scenario, error) {
+	switch sc := topology.Scenario(s); sc {
+	case topology.Apr2021, topology.Mar2023:
+		return sc, nil
+	}
+	return "", fmt.Errorf("-scenario %s: no such scenario (have %s, %s)", s, topology.Apr2021, topology.Mar2023)
 }
 
 // writeDump writes one collector's base-day RIB to path.

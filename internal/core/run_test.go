@@ -55,7 +55,7 @@ func TestStageOrderPinned(t *testing.T) {
 		head []string
 	}{
 		{"generated", Generated, []string{"topology", "propagate"}},
-		{"MRT files", MRTFiles(paths), []string{"topology", "mrt-import", "/index", "/decode", "/merge"}},
+		{"MRT files", MRTFiles(paths), []string{"topology", "mrt-import", "/decode", "/merge"}},
 		{"in hand", inHand(w, col, complete(w)), nil},
 	} {
 		if got, want := run(tc.src), append(tc.head, body...); !slices.Equal(got, want) {

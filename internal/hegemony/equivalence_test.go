@@ -319,7 +319,7 @@ func TestPathRunsMatchMapReference(t *testing.T) {
 		}
 		streams = append(streams, &b)
 	}
-	imported, err := routing.ImportMRT(p.World, streams)
+	imported, _, err := routing.ImportMRT(p.World, streams, routing.ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

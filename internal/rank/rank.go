@@ -72,12 +72,9 @@ func New(metric string, values map[asn.ASN]float64, info InfoFunc, dropZero bool
 // Len returns the number of ranked ASes.
 func (r *Ranking) Len() int { return len(r.Entries) }
 
-// Top returns the first k entries.
+// Top returns the first k entries; none for k ≤ 0.
 func (r *Ranking) Top(k int) []Entry {
-	if k > len(r.Entries) {
-		k = len(r.Entries)
-	}
-	return r.Entries[:k]
+	return r.Entries[:max(0, min(k, len(r.Entries)))]
 }
 
 // TopASNs returns the first k ASNs (the TRA of §3.3).

@@ -57,6 +57,9 @@ func TestTopAndTopASNs(t *testing.T) {
 	if got := r.Top(99); len(got) != 3 {
 		t.Errorf("Top overflow = %v", got)
 	}
+	if got := r.Top(-1); len(got) != 0 {
+		t.Errorf("Top(-1) = %v, want no entries", got)
+	}
 	vals := r.Values()
 	if len(vals) != 3 || vals[1] != 3 {
 		t.Errorf("Values = %v", vals)

@@ -36,7 +36,7 @@ func TestDualStackMRTRoundTrip(t *testing.T) {
 		}
 		bufs = append(bufs, &b)
 	}
-	got, err := ImportMRT(w, bufs)
+	got, _, err := ImportMRT(w, bufs, ImportOptions{})
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}

@@ -1,8 +1,6 @@
 package routing
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net/netip"
@@ -379,12 +377,8 @@ type ImportOptions struct {
 	// SkipCorrupt turns on degraded-mode ingest: corrupt records are skipped
 	// via the reader's resync scan, entries referencing unknown peer indexes
 	// are dropped, and the import completes with the losses accounted in
-	// ImportStats instead of returning an error. It also disables chunked
-	// parallel file decode (resync recovery must see the whole stream).
+	// ImportStats instead of returning an error.
 	SkipCorrupt bool
-	// ChunkTarget is the per-chunk byte target ImportMRTFiles splits files
-	// into for parallel decode. 0 selects 4 MiB.
-	ChunkTarget int64
 }
 
 // ImportStats accounts what a degraded import lost: the coverage report a
@@ -410,105 +404,18 @@ type ImportStats struct {
 // prefix is the first one observed in stream order, with "not yet seen"
 // tracked explicitly so an AS0 origin is preserved rather than overwritten.
 // Stability defaults to true for every prefix (MRT carries a single day).
-func ImportMRT(w *topology.World, streams []io.Reader) (*Collection, error) {
-	col, _, err := ImportMRTWith(w, streams, ImportOptions{})
-	return col, err
-}
-
-// ImportMRTWith is ImportMRT with explicit options and loss accounting. With
-// SkipCorrupt set it is the degraded-mode ingest path: corrupt records cost
-// coverage, not the run.
-func ImportMRTWith(w *topology.World, streams []io.Reader, opt ImportOptions) (*Collection, ImportStats, error) {
+// With opt.SkipCorrupt set it is the degraded-mode ingest path: corrupt
+// records cost coverage, not the run, and ImportStats accounts the loss.
+func ImportMRT(w *topology.World, streams []io.Reader, opt ImportOptions) (*Collection, ImportStats, error) {
 	sp := obs.StartSpan("mrt-import")
 	defer sp.End()
-	chunks := make([]chunk, len(streams))
-	for i, s := range streams {
-		chunks[i].r = s
-	}
-	return importChunks(sp, w, chunks, opt)
-}
-
-// chunk is one unit of parallel decode work: a whole stream, or a section of
-// a dump file.
-type chunk struct {
-	r io.Reader
-	// pitReplayed is the PIT bytes prepended to a non-leading chunk,
-	// deducted from the byte metrics after decode.
-	pitReplayed int64
-}
-
-// ImportMRTFiles is ImportMRT over dump files, decoding each file's record
-// sections in parallel: a sequential header-only pre-scan (mrt.IndexSections)
-// cuts the file at record boundaries into ~ChunkTarget-byte chunks, and each
-// chunk is decoded by its own worker with the PEER_INDEX_TABLE record
-// replayed in front. Chunks merge in (file, offset) order — the stream order
-// a sequential decode would have produced — so the collection is identical
-// to ImportMRT of the same files at any GOMAXPROCS. Files that cannot be
-// pre-scanned (corrupt headers, a leading record that is not a PIT) and all
-// SkipCorrupt imports are decoded as one chunk, like a stream.
-func ImportMRTFiles(w *topology.World, paths []string, opt ImportOptions) (*Collection, ImportStats, error) {
-	if opt.ChunkTarget <= 0 {
-		opt.ChunkTarget = 4 << 20
-	}
-	sp := obs.StartSpan("mrt-import")
-	defer sp.End()
-	is := sp.Child("index")
-	var chunks []chunk
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			is.End()
-			return nil, ImportStats{}, err
-		}
-		defer f.Close()
-		if chunks, err = appendFileChunks(chunks, f, opt); err != nil {
-			is.End()
-			return nil, ImportStats{}, err
-		}
-	}
-	is.AddItems(int64(len(chunks)), "chunks")
-	is.End()
-	return importChunks(sp, w, chunks, opt)
-}
-
-// appendFileChunks cuts one dump file into chunks.
-func appendFileChunks(chunks []chunk, f *os.File, opt ImportOptions) ([]chunk, error) {
-	sections := indexFile(f, opt)
-	if len(sections) < 3 {
-		// Nothing to parallelize (or the pre-scan failed): decode the
-		// whole file as one sequential stream, which owns all error
-		// handling and resync recovery.
-		_, err := f.Seek(0, io.SeekStart)
-		return append(chunks, chunk{r: f}), err
-	}
-	pitRaw := make([]byte, sections[0].End-sections[0].Start)
-	if _, err := f.ReadAt(pitRaw, sections[0].Start); err != nil {
-		return nil, err
-	}
-	chunks = append(chunks, chunk{
-		r: io.NewSectionReader(f, sections[0].Start, sections[1].End-sections[0].Start),
-	})
-	for _, s := range sections[2:] {
-		chunks = append(chunks, chunk{
-			r: io.MultiReader(bytes.NewReader(pitRaw),
-				io.NewSectionReader(f, s.Start, s.End-s.Start)),
-			pitReplayed: int64(len(pitRaw)),
-		})
-	}
-	return chunks, nil
-}
-
-// importChunks decodes the chunks on the worker pool and merges them in
-// chunk order.
-func importChunks(sp *obs.Span, w *topology.World, chunks []chunk, opt ImportOptions) (*Collection, ImportStats, error) {
 	ds := sp.Child("decode")
 	ds.AddItems(0, "bytes")
 	byAddr := vpsByAddr(w)
-	parts := make([]importStream, len(chunks))
-	par.ForEach(len(chunks), func(ci int) {
-		parts[ci] = importOneStream(chunks[ci].r, byAddr, opt)
-		parts[ci].bytes -= chunks[ci].pitReplayed
-		ds.AddItems(parts[ci].bytes, "")
+	parts := make([]importStream, len(streams))
+	par.ForEach(len(streams), func(si int) {
+		parts[si] = importOneStream(streams[si], byAddr, opt)
+		ds.AddItems(parts[si].bytes, "")
 	})
 	ds.End()
 	ms := sp.Child("merge")
@@ -519,31 +426,19 @@ func importChunks(sp *obs.Span, w *topology.World, chunks []chunk, opt ImportOpt
 	return col, stats, err
 }
 
-// indexFile pre-scans one dump file into sections, or returns nil when the
-// file must be decoded sequentially: degraded-mode imports (resync recovery
-// is a whole-stream affair), unscannable files, or files whose first record
-// is not the PEER_INDEX_TABLE every chunk needs replayed.
-func indexFile(f *os.File, opt ImportOptions) []mrt.Section {
-	if opt.SkipCorrupt {
-		return nil
+// ImportMRTFiles is ImportMRT over dump files: each file is one stream,
+// read once, front to back.
+func ImportMRTFiles(w *topology.World, paths []string, opt ImportOptions) (*Collection, ImportStats, error) {
+	streams := make([]io.Reader, 0, len(paths))
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, ImportStats{}, err
+		}
+		defer f.Close()
+		streams = append(streams, f)
 	}
-	if st, err := f.Stat(); err == nil && st.Size() <= opt.ChunkTarget {
-		return nil // one chunk at most after the PIT: nothing to cut
-	}
-	sections, err := mrt.IndexSections(f, opt.ChunkTarget)
-	if err != nil || len(sections) == 0 {
-		return nil
-	}
-	var hdr [12]byte
-	if _, err := f.ReadAt(hdr[:], sections[0].Start); err != nil {
-		return nil
-	}
-	typ := binary.BigEndian.Uint16(hdr[4:])
-	sub := binary.BigEndian.Uint16(hdr[6:])
-	if typ != mrt.TypeTableDumpV2 || sub != mrt.SubtypePeerIndexTable {
-		return nil
-	}
-	return sections
+	return ImportMRT(w, streams, opt)
 }
 
 func vpsByAddr(w *topology.World) map[netip.Addr]int32 {

@@ -57,11 +57,11 @@ func TestImportMRTDegraded(t *testing.T) {
 		return rs
 	}
 
-	if _, err := ImportMRT(w, streams()); err == nil {
+	if _, _, err := ImportMRT(w, streams(), ImportOptions{}); err == nil {
 		t.Fatal("strict import accepted a corrupt record")
 	}
 
-	got, stats, err := ImportMRTWith(w, streams(), ImportOptions{SkipCorrupt: true})
+	got, stats, err := ImportMRT(w, streams(), ImportOptions{SkipCorrupt: true})
 	if err != nil {
 		t.Fatalf("degraded import: %v", err)
 	}

@@ -313,7 +313,7 @@ func TestImportMRTMatchesReference(t *testing.T) {
 	w, c := refWorldAndCollection(t)
 	dumps := exportAll(t, w, c)
 
-	got, err := ImportMRT(w, readersFor(dumps))
+	got, _, err := ImportMRT(w, readersFor(dumps), ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,12 +333,12 @@ func TestImportMRTDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	dumps := exportAll(t, w, c)
 
 	old := runtime.GOMAXPROCS(1)
-	serial, err := ImportMRT(w, readersFor(dumps))
+	serial, _, err := ImportMRT(w, readersFor(dumps), ImportOptions{})
 	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ImportMRT(w, readersFor(dumps))
+	parallel, _, err := ImportMRT(w, readersFor(dumps), ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestImportMRTOriginZero(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	col, err := ImportMRT(w, []io.Reader{bytes.NewReader(buf.Bytes())})
+	col, _, err := ImportMRT(w, []io.Reader{bytes.NewReader(buf.Bytes())}, ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,11 +154,9 @@ func writeDumps(t testing.TB, col *Collection) []string {
 	return paths
 }
 
-// TestImportMRTFilesMatchesStreams proves the chunk-parallel file importer
-// is identical to the sequential stream importer, collection and loss
-// accounting both — from a chunk target small enough to force many chunks
-// per file up to one no file reaches, with the merge's fan-out inline and on
-// four procs.
+// TestImportMRTFilesMatchesStreams proves the file importer is identical to
+// the stream importer, collection and loss accounting both, with the decode
+// and merge fan-outs inline and on four procs.
 func TestImportMRTFilesMatchesStreams(t *testing.T) {
 	w := testWorld(t)
 	paths := writeDumps(t, BuildCollection(w, BuildOptions{}))
@@ -167,18 +165,16 @@ func TestImportMRTFilesMatchesStreams(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, target := range []int64{4 << 10, 64 << 10, 4 << 20} {
-			par, stats, err := ImportMRTFiles(w, paths, ImportOptions{ChunkTarget: target})
-			if err != nil {
-				t.Fatal(err)
-			}
-			collectionEqual(t, seq, par, "sequential vs chunked import")
-			if !reflect.DeepEqual(seq.Records, par.Records) || !reflect.DeepEqual(seq.Paths, par.Paths) {
-				t.Fatalf("procs=%d target=%d: record or path tables differ", procs, target)
-			}
-			if stats != seqStats {
-				t.Fatalf("procs=%d target=%d: stats %+v, streams gave %+v", procs, target, stats, seqStats)
-			}
+		files, stats, err := ImportMRTFiles(w, paths, ImportOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		collectionEqual(t, seq, files, "streams vs files import")
+		if !reflect.DeepEqual(seq.Records, files.Records) || !reflect.DeepEqual(seq.Paths, files.Paths) {
+			t.Fatalf("procs=%d: record or path tables differ", procs)
+		}
+		if stats != seqStats {
+			t.Fatalf("procs=%d: stats %+v, streams gave %+v", procs, stats, seqStats)
 		}
 	}
 }
@@ -221,7 +217,7 @@ func TestImportForeignPeerAndRepeatedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	col, stats, err := ImportMRTWith(w, []io.Reader{bytes.NewReader(buf.Bytes())}, ImportOptions{})
+	col, stats, err := ImportMRT(w, []io.Reader{bytes.NewReader(buf.Bytes())}, ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +256,7 @@ func importViaStreams(t *testing.T, w *topology.World, paths []string) (*Collect
 		files = append(files, f)
 		readers = append(readers, f)
 	}
-	col, stats, err := ImportMRTWith(w, readers, ImportOptions{})
+	col, stats, err := ImportMRT(w, readers, ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

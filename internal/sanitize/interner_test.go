@@ -131,7 +131,7 @@ func TestInternerInvariants(t *testing.T) {
 
 	streams := exportStreams(t, w, col)
 	t.Run("MRT import", func(t *testing.T) {
-		imported, err := routing.ImportMRT(w, readers(streams))
+		imported, _, err := routing.ImportMRT(w, readers(streams), routing.ImportOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestInternerInvariants(t *testing.T) {
 		}
 		mut := bytes.Clone(first)
 		binary.BigEndian.PutUint32(mut[second+8:], 1<<30)
-		partial, stats, err := routing.ImportMRTWith(w,
+		partial, stats, err := routing.ImportMRT(w,
 			readers(append([][]byte{mut}, streams[1:]...)), routing.ImportOptions{SkipCorrupt: true})
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,8 @@
 # CI gate: formatting, vet, build, race-enabled tests, a one-iteration
 # benchmark smoke run so the perf paths (dense kernels over VP subsets and
 # full views, the per-path interner, parallel stability) are exercised beside
-# the race-enabled tests, determinism and scale smokes, the fuzz smoke over
+# the race-enabled tests, determinism and scale smokes, a run of each of the
+# five examples, the fuzz smoke over
 # every byte format read from outside (MRT, BGP messages inside it, AS paths,
 # .csnap), an observability smoke over the artifacts of a real pipeline run,
 # the rankd daemon smokes (serve, SLO drill, crash recovery, shedding, drift)
@@ -56,7 +57,7 @@ echo '--- work ledger'
 go test -count=1 -run 'TestWorkLedger$' .
 
 echo '--- shard determinism under -race'
-# The sharded-propagation merge and the chunk-parallel MRT importer are the
+# The sharded-propagation merge and the per-stream parallel MRT importer are the
 # two places a scheduling race could silently corrupt output; run their
 # byte-identity tests with the race detector watching the worker pools.
 # Beside them, the two invariants the hash-free merge rests on: frontier
@@ -133,8 +134,8 @@ rm -rf "$stab_dir"
 echo '--- scale smoke (topogen -shards 8 vs -shards 1 vs one proc -> crank -mrt, complete and partial)'
 # A medium world generated three times — sharded, sequential, and with the
 # concurrent dump writers confined to one proc: the dump directories must be
-# byte-identical file for file, and crank must rank off them chunk-parallel,
-# unlabelled, printing the same bytes on one proc as on all.
+# byte-identical file for file, and crank must rank off them, one decode
+# worker per dump, unlabelled, printing the same bytes on one proc as on all.
 scale_dir=$(mktemp -d)
 go build -o "$scale_dir/topogen" ./cmd/topogen
 go build -o "$scale_dir/crank" ./cmd/crank
@@ -176,12 +177,21 @@ grep -q 'below quorum' "$scale_dir/quorum.err"
 [[ ! -s "$scale_dir/quorum.out" ]]
 rm -rf "$scale_dir"
 
-echo '--- fuzz smoke (MRT reader, BGP messages, path judge, generation loader, 10s each)'
+echo '--- examples (each of the five runs to a zero exit)'
+# mrtflow exits non-zero if the MRT round trip changes a ranking.
+for ex in quickstart mrtflow sanctions sovereignty stability; do
+    go run "./examples/$ex" >/dev/null
+done
+
+echo '--- fuzz smoke (MRT reader, BGP messages and attributes, path judge, generation loader, 10s each)'
 go test -run '^$' -fuzz FuzzReaderNext -fuzztime 10s ./internal/mrt
 # A BGP4MP record hands its message bytes to bgp.ReadMessage: never a panic,
 # exactly the header's length consumed, and an accepted UPDATE re-marshals to
 # a fixed point.
 go test -run '^$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/bgp
+# Path attributes on their own: the allocating and the reused decoder agree,
+# also on a second decode without Reset, and re-encoding is a fixed point.
+go test -run '^$' -fuzz FuzzAttrDecode -fuzztime 10s ./internal/bgp
 # AS paths reach the judge straight from MRT bytes: same verdict and clean
 # form as the retained reference, no flag-table page created by a lookup,
 # never a panic.
