@@ -274,7 +274,7 @@ func BenchmarkAblationRelationshipSource(b *testing.B) {
 	recs := p.ViewRecords(core.International, "AU")
 	b.Run("ground-truth", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			conepkg.Compute(p.DS, recs, p.World.Graph)
+			conepkg.Compute(p.DS, recs, p.Rels)
 		}
 	})
 	var inferred *core.Pipeline
@@ -299,12 +299,12 @@ func BenchmarkAblationConeRule(b *testing.B) {
 	recs := p.ViewRecords(core.International, "AU")
 	b.Run("observed-path", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			conepkg.Compute(p.DS, recs, p.World.Graph)
+			conepkg.Compute(p.DS, recs, p.Rels)
 		}
 	})
 	b.Run("recursive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			conepkg.ComputeRecursive(p.DS, recs, p.World.Graph)
+			conepkg.ComputeRecursive(p.DS, recs, p.Rels)
 		}
 	})
 }
@@ -329,7 +329,7 @@ func BenchmarkAblationBaselines(b *testing.B) {
 	})
 	b.Run("ahc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ihr.Compute(p.DS, p.World.Graph, "JP", p.Opt.Trim)
+			ihr.Compute(p.DS, p.ASes, "JP", p.Opt.Trim)
 		}
 	})
 	b.Run("cti", func(b *testing.B) {

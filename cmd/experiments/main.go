@@ -35,6 +35,8 @@ import (
 	"countryrank/internal/experiments"
 	"countryrank/internal/export"
 	"countryrank/internal/obs"
+	"countryrank/internal/rank"
+	"countryrank/internal/routing"
 	"countryrank/internal/topology"
 )
 
@@ -45,7 +47,18 @@ func writeArtifacts(p *core.Pipeline, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, f func(w *os.File) error) error {
+	files := map[string]func(w *os.File) error{
+		"vps.csv":          func(w *os.File) error { return export.WriteVPGeoCSV(w, p.VPs) },
+		"geostats.csv":     func(w *os.File) error { return export.WriteGeoStatsCSV(w, p.Geo) },
+		"paths_sample.csv": func(w *os.File) error { return export.WritePathsCSV(w, p.DS, 100000) },
+	}
+	for _, c := range []countries.Code{"AU", "JP", "RU", "US", "TW"} {
+		cr := p.Country(c)
+		for m, r := range map[string]*rank.Ranking{"cci": cr.CCI, "ahi": cr.AHI, "ccn": cr.CCN, "ahn": cr.AHN} {
+			files[m+"_"+string(c)+".csv"] = func(w *os.File) error { return export.WriteRankingCSV(w, r) }
+		}
+	}
+	for name, f := range files {
 		file, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return err
@@ -54,41 +67,20 @@ func writeArtifacts(p *core.Pipeline, dir string) error {
 			file.Close()
 			return err
 		}
-		return file.Close()
-	}
-	for _, c := range []countries.Code{"AU", "JP", "RU", "US", "TW"} {
-		cr := p.Country(c)
-		pairs := map[string]func(w *os.File) error{
-			"cci_" + string(c) + ".csv": func(w *os.File) error { return export.WriteRankingCSV(w, cr.CCI) },
-			"ahi_" + string(c) + ".csv": func(w *os.File) error { return export.WriteRankingCSV(w, cr.AHI) },
-			"ccn_" + string(c) + ".csv": func(w *os.File) error { return export.WriteRankingCSV(w, cr.CCN) },
-			"ahn_" + string(c) + ".csv": func(w *os.File) error { return export.WriteRankingCSV(w, cr.AHN) },
-		}
-		for name, f := range pairs {
-			if err := write(name, f); err != nil {
-				return err
-			}
+		if err := file.Close(); err != nil {
+			return err
 		}
 	}
-	if err := write("vps.csv", func(w *os.File) error {
-		return export.WriteVPGeoCSV(w, p.World.VPs)
-	}); err != nil {
-		return err
-	}
-	if err := write("geostats.csv", func(w *os.File) error {
-		return export.WriteGeoStatsCSV(w, p.Geo)
-	}); err != nil {
-		return err
-	}
-	return write("paths_sample.csv", func(w *os.File) error {
-		return export.WritePathsCSV(w, p.DS, 100000)
-	})
+	return nil
 }
 
-// env is what an experiment reads: the checked command line and the
-// pipelines. p23 is built only when a selected experiment asks for it.
+// env is what an experiment reads: the checked command line, the pipelines
+// and w21, the world p21's collection was generated over, which only the
+// experiments that validate against ground truth read. p23 is built only
+// when a selected experiment asks for it.
 type env struct {
 	cfg      config
+	w21      *topology.World
 	p21, p23 *core.Pipeline
 }
 
@@ -142,9 +134,9 @@ var catalogue = []struct {
 			section("Extension: dependence matrix") +
 			experiments.RunDependenceMatrix(e.p21, nil).Render() +
 			section("Extension: resilience (backup paths)") +
-			experiments.RunResilience(e.p21, "JP", 3).Render() +
+			experiments.RunResilience(e.p21, e.w21, "JP", 3).Render() +
 			section("Extension: inference validation") +
-			experiments.RunInferenceValidation(e.p21).Render()
+			experiments.RunInferenceValidation(e.p21, e.w21).Render()
 	}},
 }
 
@@ -247,7 +239,13 @@ func main() {
 
 	start := time.Now()
 	slog.Info("building April 2021 pipeline", "seed", cfg.seed, "scale", cfg.scale, "vpscale", cfg.vpscale)
-	p21 := core.NewPipeline(core.Options{Seed: cfg.seed, StubScale: cfg.scale, VPScale: cfg.vpscale})
+	// The world is built here, not inside the pipeline's source, because the
+	// inference-validation and resilience extensions read its ground truth.
+	gs := obs.StartSpan("generate")
+	w21 := topology.Build(topology.Config{Seed: cfg.seed, StubScale: cfg.scale, VPScale: cfg.vpscale})
+	col21 := routing.BuildCollection(w21, routing.BuildOptions{})
+	gs.End()
+	p21 := core.NewPipelineFrom(w21, col21, core.Options{Seed: cfg.seed, StubScale: cfg.scale, VPScale: cfg.vpscale})
 	slog.Info("pipeline ready", "elapsed", time.Since(start).Round(time.Millisecond), "accepted", p21.DS.Len())
 	ofl.Manifest.Seed("world", cfg.seed)
 	ofl.Manifest.Seed("figure4_trials", cfg.seed+100)
@@ -255,7 +253,7 @@ func main() {
 	ofl.Manifest.SetCoverage(p21.Coverage.Info())
 	ofl.Manifest.SetDrops(p21.DS.Stats.Drops())
 
-	e := &env{cfg: cfg, p21: p21}
+	e := &env{cfg: cfg, w21: w21, p21: p21}
 	for _, x := range catalogue {
 		if len(cfg.only) > 0 && !slices.ContainsFunc(x.names, func(n string) bool { return cfg.only[n] }) {
 			continue

@@ -35,13 +35,14 @@
 // build and drain promptly — also during a cold start, before there is
 // anything to serve: the build is cancelled and rankd exits 0.
 //
-// Usage: rankd [flags]. Every flag with its default and meaning, and every
-// metric series the daemon links in, is listed in testdata/catalogue.txt
-// with the files that read it. The golden test that renders that ledger from
-// registerFlags and the registry fails on an entry nothing reads, so a flag
-// or series here either has a reader — a CI or test assertion, a benchmark
-// or loadgen scrape, a README runbook sentence — or is deleted with the
-// code that fed it.
+// Usage: rankd [flags]. A size flag below 1 (ranking entries, history
+// epochs, kept generations) is a usage error, exit 2. Every flag with its
+// default and meaning, and every metric series the daemon links in, is
+// listed in testdata/catalogue.txt with the files that read it. The golden
+// test that renders that ledger from registerFlags and the registry fails on
+// an entry nothing reads, so a flag or series here either has a reader — a
+// CI or test assertion, a benchmark or loadgen scrape, a README runbook
+// sentence — or is deleted with the code that fed it.
 //
 // Robustness:
 //
@@ -93,6 +94,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
@@ -160,9 +162,26 @@ func registerFlags(fs *flag.FlagSet) (*options, *obs.CmdFlags) {
 	return o, obs.FlagsOn(fs, "rankd")
 }
 
+// check rejects a size below 1, which the snapshot package would otherwise
+// replace with its default (100 entries, 8 epochs, 3 generations) unasked.
+func (o *options) check() error {
+	names := []string{"topn", "history", "snapshot-keep"}
+	for i, v := range []int{o.topn, o.history, o.snapshotKeep} {
+		if v < 1 {
+			return fmt.Errorf("-%s %d: want at least 1", names[i], v)
+		}
+	}
+	return nil
+}
+
 func main() {
 	o, ofl := registerFlags(flag.CommandLine)
 	flag.Parse()
+	if err := o.check(); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	ofl.Setup()
 
 	cfg := snapshot.Config{MaxTopN: o.topn}

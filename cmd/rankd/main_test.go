@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +11,35 @@ import (
 	"testing"
 	"time"
 )
+
+// TestSizeFlagsBelowOneRefused: the snapshot package reads a size below 1 as
+// its default, so a zero ranking length, history depth or generation count
+// given on the command line must be refused rather than silently replaced.
+// Flag names are spelled without their dash so this file does not become a
+// catalogue reader of them.
+func TestSizeFlagsBelowOneRefused(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value string
+		ok          bool
+	}{
+		{"topn", "0", false},
+		{"topn", "-3", false},
+		{"topn", "1", true},
+		{"history", "0", false},
+		{"history", "2", true},
+		{"snapshot-keep", "0", false},
+		{"snapshot-keep", "1", true},
+	} {
+		fs := flag.NewFlagSet("rankd", flag.ContinueOnError)
+		o, _ := registerFlags(fs)
+		if err := fs.Parse([]string{"-" + tc.flag, tc.value}); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.check(); (err == nil) != tc.ok {
+			t.Errorf("%s %s: check() = %v, want ok=%v", tc.flag, tc.value, err, tc.ok)
+		}
+	}
+}
 
 // TestListenerLimits drives the daemon's listener with the two clients
 // ReadHeaderTimeout alone let through: one that sends a header far larger

@@ -24,7 +24,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"countryrank/internal/core"
 	"countryrank/internal/obs"
 	"countryrank/internal/par"
 	"countryrank/internal/routing"
@@ -32,17 +31,18 @@ import (
 )
 
 func main() {
-	var opt core.Options
-	flag.Int64Var(&opt.Seed, "seed", 1, "world seed")
-	flag.Float64Var(&opt.StubScale, "scale", 1, "stub-count scale factor")
-	flag.Float64Var(&opt.VPScale, "vpscale", 1, "VP-count scale factor")
+	var cfg topology.Config
+	var bopt routing.BuildOptions
+	flag.Int64Var(&cfg.Seed, "seed", 1, "world seed")
+	flag.Float64Var(&cfg.StubScale, "scale", 1, "stub-count scale factor")
+	flag.Float64Var(&cfg.VPScale, "vpscale", 1, "VP-count scale factor")
 	scenario := flag.String("scenario", string(topology.Apr2021), "snapshot scenario: 20210401 or 20230301")
 	out := flag.String("out", "", "output directory for MRT files (required)")
-	flag.IntVar(&opt.Routing.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
+	flag.IntVar(&bopt.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
 	ofl := obs.FlagsOn(flag.CommandLine, "topogen")
 	flag.Parse()
 	var err error
-	if opt.Scenario, err = parseScenario(*scenario); err != nil || *out == "" {
+	if cfg.Scenario, err = parseScenario(*scenario); err != nil || *out == "" {
 		if err != nil {
 			fmt.Fprintln(flag.CommandLine.Output(), err)
 		}
@@ -51,9 +51,13 @@ func main() {
 	}
 	ofl.Init()
 
-	ofl.Manifest.Seed("world", opt.Seed)
+	// Not a pipeline source: the summary prints generator-only statistics.
+	ofl.Manifest.Seed("world", cfg.Seed)
 	sp := obs.StartSpan("generate")
-	w, col, _, _ := core.Generated(opt, sp) // the generator does no I/O: it has no error to return
+	ts := sp.Child("topology")
+	w := topology.Build(cfg)
+	ts.End()
+	col := routing.BuildCollection(w, bopt)
 	sp.End()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"countryrank/internal/obs"
 	"countryrank/internal/routing"
 	"countryrank/internal/topology"
 )
@@ -20,11 +21,18 @@ func partialWorld() (*topology.World, *routing.Collection) {
 	return w, routing.BuildCollection(w, routing.BuildOptions{})
 }
 
-// runPartial runs the pipeline over the in-hand source with a stated
+// given is a source handing over in, as NewPipelineFrom's does.
+func given(in Inputs) Source {
+	return func(Options, *obs.Span) (Inputs, error) { return in, nil }
+}
+
+// runPartial runs the pipeline over an in-hand collection with a stated
 // coverage: what a source that lost vantage points would hand over.
 func runPartial(cov Coverage, opt Options) (*Pipeline, error) {
 	w, col := partialWorld()
-	return Run(context.Background(), inHand(w, col, cov), opt)
+	in := observe(w, col, nil)
+	in.Coverage = cov
+	return Run(context.Background(), given(in), opt)
 }
 
 func TestCoverageSemantics(t *testing.T) {

@@ -45,7 +45,7 @@ func TestOutboundRankings(t *testing.T) {
 	}
 	foundClique := false
 	cliqueSet := map[uint32]bool{}
-	for _, a := range p.World.Clique {
+	for _, a := range p.Clique {
 		cliqueSet[uint32(a)] = true
 	}
 	for _, e := range out.AHO.Top(10) {

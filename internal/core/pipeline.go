@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"countryrank/internal/asn"
-	"countryrank/internal/bgp"
 	"countryrank/internal/cone"
 	"countryrank/internal/countries"
 	"countryrank/internal/cti"
@@ -30,6 +29,7 @@ import (
 	"countryrank/internal/routing"
 	"countryrank/internal/sanitize"
 	"countryrank/internal/topology"
+	"countryrank/internal/vp"
 )
 
 // Per-kernel duration histograms wrap whole cone and hegemony invocations
@@ -80,8 +80,9 @@ type Options struct {
 	// Trim is the per-side trim fraction for AH and CTI. Zero selects the
 	// paper's 0.10; NoTrim (or any negative value) disables trimming.
 	Trim float64
-	// InferRelationships switches the cone metrics from generator ground
-	// truth to paths-inferred relationships (the ablation of DESIGN.md).
+	// InferRelationships switches the cone metrics from Inputs.Rels to
+	// relationships inferred from the accepted paths (the ablation of
+	// DESIGN.md).
 	InferRelationships bool
 	// Quorum is the minimum delivered fraction of expected VPs a source's
 	// collection must reach; below it Run fails loudly. Zero selects the
@@ -92,6 +93,9 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.Scenario == "" {
+		o.Scenario = topology.Apr2021
+	}
 	switch {
 	case o.Threshold == 0:
 		o.Threshold = 0.5
@@ -113,20 +117,38 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Inputs is everything a pipeline reads: the collection, how complete it is,
+// and stand-ins for what the paper downloads beside it. Ground truth is not
+// here; an experiment validating against it takes the world as an argument.
+type Inputs struct {
+	Col      *routing.Collection
+	Coverage Coverage
+	Geo      *geoloc.DB // the address geolocation database
+	VPs      *vp.Set    // vantage points, their collectors and locations
+	// ASes looks up each AS's name, registration country, user estimate and
+	// class; it holds no edges.
+	ASes topology.ASes
+	// Registry reports the allocated ASNs; RouteServers are the IXP route
+	// servers sanitize strips from paths.
+	Registry     *asn.Registry
+	RouteServers map[asn.ASN]bool
+	// Rels stands in for CAIDA's as-rel file and Clique for its published
+	// clique; both are still filled from the generator's ground truth.
+	// Options.InferRelationships replaces Rels with an inferred table.
+	Rels   relation.Oracle
+	Clique []asn.ASN
+}
+
 // Pipeline holds one fully-processed snapshot.
 type Pipeline struct {
-	Opt   Options
-	World *topology.World
-	Col   *routing.Collection
-	DS    *sanitize.Dataset
-	Geo   *geoloc.Table
-	// Rels labels relationships for the cone and CTI metrics.
-	Rels relation.Oracle
-	// Inferred is set when InferRelationships was requested.
-	Inferred *relation.Table
-	// Coverage is the source's completeness report. When it reports
-	// degradation, every ranking name carries the report as a label.
-	Coverage Coverage
+	Opt Options
+	// Inputs is what the run read. Rels is what the cone and CTI metrics
+	// label relationships with.
+	Inputs
+	DS *sanitize.Dataset
+	// Geo is the announced prefixes geolocated against Inputs.Geo, which it
+	// shadows.
+	Geo *geoloc.Table
 
 	// byPrefixCountry indexes accepted-record positions (ascending) by the
 	// destination prefix's country, the common slicing key of all views; the
@@ -160,16 +182,16 @@ type viewKey struct {
 	country countries.Code
 }
 
-// A Source is the pipeline's first stage: it hands Run a world, the
-// collection observed over it and how complete that collection is, opening
-// its own spans under sp. Three exist: Generated, MRTFiles and inHand.
-type Source func(opt Options, sp *obs.Span) (*topology.World, *routing.Collection, Coverage, error)
+// A Source is the pipeline's first stage: it hands Run its Inputs, opening
+// its own spans under sp. Generated and MRTFiles are the two that build a
+// world; NewPipelineFrom takes one in hand.
+type Source func(opt Options, sp *obs.Span) (Inputs, error)
 
 // Generated builds the synthetic world for the options and propagates
 // routes over it; its coverage is complete by construction.
-func Generated(opt Options, sp *obs.Span) (*topology.World, *routing.Collection, Coverage, error) {
+func Generated(opt Options, sp *obs.Span) (Inputs, error) {
 	w := buildWorld(opt, sp)
-	return w, routing.BuildCollection(w, opt.Routing), complete(w), nil
+	return observe(w, routing.BuildCollection(w, opt.Routing), nil), nil
 }
 
 // MRTFiles imports TABLE_DUMP_V2 dumps (topogen's, same seed and scales)
@@ -180,53 +202,51 @@ func Generated(opt Options, sp *obs.Span) (*topology.World, *routing.Collection,
 func MRTFiles(paths []string) Source { return mrtFiles(paths, routing.ImportOptions{}) }
 
 func mrtFiles(paths []string, imp routing.ImportOptions) Source {
-	return func(opt Options, sp *obs.Span) (*topology.World, *routing.Collection, Coverage, error) {
+	return func(opt Options, sp *obs.Span) (Inputs, error) {
 		w := buildWorld(opt, sp)
 		col, stats, err := routing.ImportMRTFiles(w, paths, imp)
 		if err != nil {
-			return nil, nil, Coverage{}, err
+			return Inputs{}, err
 		}
-		return w, col, Coverage{
-			VPsExpected:  w.VPs.Len(),
-			VPsDelivered: stats.VPsNamed,
-			RecordsLost:  stats.Rejects,
-			Resyncs:      stats.Resyncs,
-			SkippedBytes: stats.SkippedBytes,
-		}, nil
-	}
-}
-
-// inHand is the source for a world and collection the caller already holds.
-func inHand(w *topology.World, col *routing.Collection, cov Coverage) Source {
-	return func(Options, *obs.Span) (*topology.World, *routing.Collection, Coverage, error) {
-		return w, col, cov, nil
+		return observe(w, col, &stats), nil
 	}
 }
 
 func buildWorld(opt Options, sp *obs.Span) *topology.World {
 	ts := sp.Child("topology")
 	defer ts.End()
-	return topology.Build(topology.Config{
-		Seed:      opt.Seed,
-		Scenario:  opt.Scenario,
-		StubScale: opt.StubScale,
-		VPScale:   opt.VPScale,
-		IPv6:      opt.IPv6,
-	})
+	return topology.Build(topology.Config{Seed: opt.Seed, Scenario: opt.Scenario, StubScale: opt.StubScale, VPScale: opt.VPScale, IPv6: opt.IPv6})
 }
 
-// complete is the coverage of a collection that holds every VP of w.
-func complete(w *topology.World) Coverage {
-	return Coverage{VPsExpected: w.VPs.Len(), VPsDelivered: w.VPs.Len()}
+// observe is where a generated world becomes pipeline input: col, observed
+// over w, and what of w a researcher could download. imp is the import that
+// read col, whose losses are its coverage; nil means every VP delivered.
+func observe(w *topology.World, col *routing.Collection, imp *routing.ImportStats) Inputs {
+	cov := Coverage{VPsExpected: w.VPs.Len(), VPsDelivered: w.VPs.Len()}
+	if imp != nil {
+		cov.VPsDelivered = imp.VPsNamed
+		cov.RecordsLost, cov.Resyncs, cov.SkippedBytes = imp.Rejects, imp.Resyncs, imp.SkippedBytes
+	}
+	return Inputs{
+		Col:          col,
+		Coverage:     cov,
+		Geo:          w.Geo,
+		VPs:          w.VPs,
+		ASes:         w.Graph.ASes(),
+		Registry:     w.Graph.Registry(),
+		RouteServers: w.Graph.RouteServers(),
+		Rels:         w.Graph,
+		Clique:       w.Clique,
+	}
 }
 
 // NewPipeline builds the synthetic world for the options and processes it.
 func NewPipeline(opt Options) *Pipeline { return mustRun(Generated, opt) }
 
-// NewPipelineFrom processes an existing world and collection, taken as
-// complete (e.g. tables a live collector assembled from every VP).
+// NewPipelineFrom processes a collection the caller built over w, taken as
+// complete.
 func NewPipelineFrom(w *topology.World, col *routing.Collection, opt Options) *Pipeline {
-	return mustRun(inHand(w, col, complete(w)), opt)
+	return mustRun(func(Options, *obs.Span) (Inputs, error) { return observe(w, col, nil), nil }, opt)
 }
 
 // mustRun runs a source that does no I/O and reports complete coverage,
@@ -248,22 +268,19 @@ func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
 	opt = opt.withDefaults()
 	sp := obs.StartSpan("pipeline")
 	defer sp.End()
-	w, col, cov, err := src(opt, sp)
+	in, err := src(opt, sp)
 	if err == nil {
 		err = ctx.Err()
 	}
 	if err != nil {
 		return nil, err
 	}
-	if cov.Fraction() < opt.Quorum {
-		return nil, fmt.Errorf("core: coverage %s below quorum %.0f%%", cov, opt.Quorum*100)
+	if in.Coverage.Fraction() < opt.Quorum {
+		return nil, fmt.Errorf("core: coverage %s below quorum %.0f%%", in.Coverage, opt.Quorum*100)
 	}
 	p := &Pipeline{
 		Opt:          opt,
-		World:        w,
-		Col:          col,
-		Rels:         w.Graph,
-		Coverage:     cov,
+		Inputs:       in,
 		vpsByCountry: map[countries.Code][]int32{},
 		viewCache:    map[viewKey][]int32{},
 	}
@@ -273,34 +290,24 @@ func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
 		run  func(*obs.Span)
 	}{
 		{"geolocate", false, func(*obs.Span) {
-			p.Geo = geoloc.GeolocatePrefixes(w.Geo, col.AnnouncedPrefixes(), opt.Threshold)
+			p.Geo = geoloc.GeolocatePrefixes(in.Geo, in.Col.AnnouncedPrefixes(), opt.Threshold)
 		}},
 		{"sanitize", false, func(s *obs.Span) {
 			clique := map[asn.ASN]bool{}
-			for _, a := range w.Clique {
+			for _, a := range in.Clique {
 				clique[a] = true
 			}
-			p.DS = sanitize.Run(col, sanitize.Config{
+			p.DS = sanitize.Run(in.Col, sanitize.Config{
 				Clique:       clique,
-				Registry:     w.Graph.Registry(),
-				RouteServers: w.Graph.RouteServers(),
+				Registry:     in.Registry,
+				RouteServers: in.RouteServers,
 				GeoTable:     p.Geo,
 			})
 			s.AddItems(int64(p.DS.Len()), "accepted")
 		}},
 		{"infer-relationships", !opt.InferRelationships, func(*obs.Span) {
-			seen := map[string]bool{}
-			var paths []bgp.Path
-			for i := 0; i < p.DS.Len(); i++ {
-				_, _, path := p.DS.Record(i)
-				k := path.Key()
-				if !seen[k] {
-					seen[k] = true
-					paths = append(paths, path)
-				}
-			}
-			p.Inferred = relation.Infer(paths, relation.InferClique(paths, 25))
-			p.Rels = p.Inferred
+			paths := p.DS.DistinctPaths()
+			p.Rels = relation.Infer(paths, relation.InferClique(paths, 25))
 		}},
 		{"index", false, func(*obs.Span) {
 			p.byPrefixCountry = indexByPrefixCountry(p.DS)
@@ -458,10 +465,8 @@ func (p *Pipeline) computeView(kind ViewKind, country countries.Code) []int32 {
 // Info returns the presentation metadata resolver for rankings.
 func (p *Pipeline) Info() rank.InfoFunc {
 	return func(a asn.ASN) rank.ASInfo {
-		if node, ok := p.World.Graph.ByASN(a); ok {
-			return rank.ASInfo{Name: node.Name, Country: node.Registered}
-		}
-		return rank.ASInfo{}
+		node, _ := p.ASes.ByASN(a) // an unknown AS is the zero record
+		return rank.ASInfo{Name: node.Name, Country: node.Registered}
 	}
 }
 
@@ -514,15 +519,20 @@ func (p *Pipeline) Country(c countries.Code) *CountryRankings {
 // Global computes the global customer cone (CCG, AS Rank's metric) and
 // global hegemony (AHG, IHR's metric) over all accepted records.
 func (p *Pipeline) Global() (ccg, ahg *rank.Ranking) {
+	return p.coneAndHegemony(nil, string(CCG), string(AHG))
+}
+
+// coneAndHegemony ranks the records by customer cone, then by hegemony,
+// under the two names.
+func (p *Pipeline) coneAndHegemony(recs []int32, coneName, hegName string) (*rank.Ranking, *rank.Ranking) {
 	info := p.Info()
 	doneC := timeKernel(mKernelCone)
-	cs := cone.ComputeFrom(p.DS, nil, p.Rels, p.coneStarts)
+	cs := cone.ComputeFrom(p.DS, recs, p.Rels, p.coneStarts)
 	doneC()
 	doneH := timeKernel(mKernelHegemony)
-	hs := hegemony.Compute(p.DS, nil, p.Opt.Trim)
+	hs := hegemony.Compute(p.DS, recs, p.Opt.Trim)
 	doneH()
-	return rank.New(p.label(string(CCG)), cs.Shares(), info, true),
-		rank.New(p.label(string(AHG)), hs.Hegemony, info, true)
+	return rank.New(p.label(coneName), cs.Shares(), info, true), rank.New(p.label(hegName), hs.Hegemony, info, true)
 }
 
 // OutboundRankings bundles the §7 future-work "paths out of a country"
@@ -537,24 +547,13 @@ type OutboundRankings struct {
 // as future work; it answers "whose networks does this country rely on to
 // reach the rest of the world?".
 func (p *Pipeline) Outbound(c countries.Code) *OutboundRankings {
-	recs := p.ViewRecords(Outbound, c)
-	info := p.Info()
-	doneC := timeKernel(mKernelCone)
-	cs := cone.ComputeFrom(p.DS, recs, p.Rels, p.coneStarts)
-	doneC()
-	doneH := timeKernel(mKernelHegemony)
-	hs := hegemony.Compute(p.DS, recs, p.Opt.Trim)
-	doneH()
-	return &OutboundRankings{
-		Country: c,
-		CCO:     rank.New(p.label("CCO "+string(c)), cs.Shares(), info, true),
-		AHO:     rank.New(p.label("AHO "+string(c)), hs.Hegemony, info, true),
-	}
+	cco, aho := p.coneAndHegemony(p.ViewRecords(Outbound, c), "CCO "+string(c), "AHO "+string(c))
+	return &OutboundRankings{Country: c, CCO: cco, AHO: aho}
 }
 
 // AHC computes the IHR country-level baseline for c.
 func (p *Pipeline) AHC(c countries.Code) *rank.Ranking {
-	s := ihr.Compute(p.DS, p.World.Graph, c, p.Opt.Trim)
+	s := ihr.Compute(p.DS, p.ASes, c, p.Opt.Trim)
 	return rank.New(p.label(string(AHC)+" "+string(c)), s.AHC, p.Info(), true)
 }
 

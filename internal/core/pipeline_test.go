@@ -8,6 +8,7 @@ import (
 	"countryrank/internal/countries"
 	"countryrank/internal/cti"
 	"countryrank/internal/rank"
+	"countryrank/internal/relation"
 	"countryrank/internal/topology"
 )
 
@@ -127,7 +128,7 @@ func TestGlobalRankings(t *testing.T) {
 	}
 	// The global cone leaders must be clique members.
 	cliqueSet := map[uint32]bool{}
-	for _, a := range p.World.Clique {
+	for _, a := range p.Clique {
 		cliqueSet[uint32(a)] = true
 	}
 	for _, e := range ccg.Top(3) {
@@ -223,10 +224,11 @@ func TestInferredRelationshipsPipeline(t *testing.T) {
 	opt := smallOpts()
 	opt.InferRelationships = true
 	p := NewPipeline(opt)
-	if p.Inferred == nil {
+	inferred, ok := p.Rels.(*relation.Table)
+	if !ok {
 		t.Fatal("inferred relationships not active")
 	}
-	if p.Rels.Rel(3356, 1299) == 0 && p.Inferred.Len() > 0 {
+	if p.Rels.Rel(3356, 1299) == 0 && inferred.Len() > 0 {
 		// Clique members should at least be labeled peers by inference.
 		t.Error("inferred oracle seems inactive")
 	}

@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"countryrank/internal/obs"
-	"countryrank/internal/routing"
-	"countryrank/internal/topology"
 )
 
 // stageSpans runs f and returns, in start order, the names of the spans it
@@ -56,7 +54,7 @@ func TestStageOrderPinned(t *testing.T) {
 	}{
 		{"generated", Generated, []string{"topology", "propagate"}},
 		{"MRT files", MRTFiles(paths), []string{"topology", "mrt-import", "/decode", "/merge"}},
-		{"in hand", inHand(w, col, complete(w)), nil},
+		{"in hand", given(observe(w, col, nil)), nil},
 	} {
 		if got, want := run(tc.src), append(tc.head, body...); !slices.Equal(got, want) {
 			t.Errorf("%s: stages %v, want %v", tc.name, got, want)
@@ -84,7 +82,7 @@ func TestCancelledRunStops(t *testing.T) {
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
-	src := func(opt Options, sp *obs.Span) (*topology.World, *routing.Collection, Coverage, error) {
+	src := func(opt Options, sp *obs.Span) (Inputs, error) {
 		defer cancel()
 		return Generated(opt, sp)
 	}

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 	"strings"
 
@@ -75,14 +74,12 @@ func RunTable4(p *core.Pipeline) Table4 {
 		}
 		return r
 	}
-	for _, cc := range p.World.VPs.Census() {
+	for _, cc := range p.VPs.Census() {
 		r := get(cc.Country)
 		r.VPs = cc.VPs
 		r.VPASNs = cc.VPASNs
 	}
-	g := p.World.Graph
-	for _, a := range g.AllASNs() {
-		node, _ := g.ByASN(a)
+	for _, node := range p.ASes.All() {
 		if node.Registered != "" {
 			get(node.Registered).ASNs++
 		}
@@ -189,7 +186,7 @@ func RunFigure8(p *core.Pipeline) Figure8 {
 	f := Figure8{Thresholds: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}}
 	announced := p.Col.AnnouncedPrefixes()
 	for _, th := range f.Thresholds {
-		tbl := geolocate(p, announced, th)
+		tbl := geoloc.GeolocatePrefixes(p.Inputs.Geo, announced, th)
 		pass := map[countries.Code][2]int{} // [passed, total]
 		for _, g := range tbl.ByPrefix {
 			c := g.Country
@@ -291,11 +288,11 @@ type Figure10 struct {
 // RunFigure10 computes the concentration for countries with >7 VPs.
 func RunFigure10(p *core.Pipeline) Figure10 {
 	f := Figure10{Dist: map[countries.Code]map[int]int{}}
-	for _, cc := range p.World.VPs.Census() {
+	for _, cc := range p.VPs.Census() {
 		if cc.VPs <= 7 {
 			continue
 		}
-		f.Dist[cc.Country] = p.World.VPs.ASConcentration(cc.Country)
+		f.Dist[cc.Country] = p.VPs.ASConcentration(cc.Country)
 	}
 	return f
 }
@@ -330,9 +327,4 @@ func (f Figure10) Render() string {
 		fmt.Fprintf(&b, "VPs alone in their AS: %.0f%% (paper: 81%%)\n", 100*float64(singles)/float64(total))
 	}
 	return b.String()
-}
-
-// geolocate re-runs prefix geolocation at an alternate threshold.
-func geolocate(p *core.Pipeline, announced []netip.Prefix, th float64) *geoloc.Table {
-	return geoloc.GeolocatePrefixes(p.World.Geo, announced, th)
 }

@@ -8,13 +8,16 @@ import (
 	"countryrank/internal/core"
 	"countryrank/internal/countries"
 	"countryrank/internal/relation"
+	"countryrank/internal/routing"
 	"countryrank/internal/topology"
 )
 
 // Shared pipelines: experiments only read them, so building once keeps the
-// test package fast.
+// test package fast. w21 is the world p21's collection was generated over,
+// for the experiments that validate against ground truth.
 var (
 	pipeOnce sync.Once
+	w21      *topology.World
 	p21      *core.Pipeline
 	p23      *core.Pipeline
 )
@@ -22,7 +25,9 @@ var (
 func pipelines(t *testing.T) (*core.Pipeline, *core.Pipeline) {
 	t.Helper()
 	pipeOnce.Do(func() {
-		p21 = core.NewPipeline(core.Options{Seed: 1, StubScale: 0.4, VPScale: 0.5})
+		opt := core.Options{Seed: 1, StubScale: 0.4, VPScale: 0.5}
+		w21 = topology.Build(topology.Config{Seed: opt.Seed, StubScale: opt.StubScale, VPScale: opt.VPScale})
+		p21 = core.NewPipelineFrom(w21, routing.BuildCollection(w21, opt.Routing), opt)
 		p23 = core.NewPipeline(core.Options{
 			Seed: 1, Scenario: topology.Mar2023, StubScale: 0.4, VPScale: 0.5,
 		})

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
-	"countryrank/internal/asn"
-	"countryrank/internal/bgp"
 	"countryrank/internal/concentration"
 	"countryrank/internal/core"
 	"countryrank/internal/countries"
@@ -144,31 +143,19 @@ type InferenceValidation struct {
 }
 
 // RunInferenceValidation infers relationships from the pipeline's accepted
-// paths and scores them against the world's ground truth.
-func RunInferenceValidation(p *core.Pipeline) InferenceValidation {
-	seen := map[string]bool{}
-	var paths []bgp.Path
-	for i := 0; i < p.DS.Len(); i++ {
-		_, _, path := p.DS.Record(i)
-		k := path.Key()
-		if !seen[k] {
-			seen[k] = true
-			paths = append(paths, path)
-		}
-	}
+// paths and scores them against the ground truth of w, the world the
+// pipeline's collection was generated over.
+func RunInferenceValidation(p *core.Pipeline, w *topology.World) InferenceValidation {
+	paths := p.DS.DistinctPaths()
 	inferredClique := relation.InferClique(paths, 25)
-	gt := map[asn.ASN]bool{}
-	for _, a := range p.World.Clique {
-		gt[a] = true
-	}
-	out := InferenceValidation{CliqueSize: len(inferredClique), CliqueTruth: len(p.World.Clique)}
+	out := InferenceValidation{CliqueSize: len(inferredClique), CliqueTruth: len(w.Clique)}
 	for _, a := range inferredClique {
-		if gt[a] {
+		if slices.Contains(w.Clique, a) {
 			out.CliqueHits++
 		}
 	}
 	tbl := relation.Infer(paths, inferredClique)
-	out.Val = relation.Validate(tbl, p.World.Graph)
+	out.Val = relation.Validate(tbl, w.Graph)
 	return out
 }
 
@@ -198,21 +185,16 @@ type Resilience struct {
 }
 
 // RunResilience fails the links between the country's top-AHI transit AS
-// and its customers among the country's top origins.
-func RunResilience(p *core.Pipeline, c countries.Code, maxLinks int) Resilience {
+// and its customers among the country's top origins, re-propagating over w,
+// the world the pipeline's collection was generated over.
+func RunResilience(p *core.Pipeline, w *topology.World, c countries.Code, maxLinks int) Resilience {
 	out := Resilience{Country: c}
 	cr := p.Country(c)
-	g := p.World.Graph
-	// Candidate links: edges from the top-5 AHI ASes to their customers.
-	seen := map[[2]uint32]bool{}
+	// Candidate links: edges from the top-5 AHI ASes to their customers, each
+	// pair once (a ranking lists an AS once, a graph a customer once).
 	for _, e := range cr.AHI.Top(5) {
-		for _, cust := range g.Customers(e.ASN) {
-			k := [2]uint32{uint32(e.ASN), uint32(cust)}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out.Impacts = append(out.Impacts, routing.FailLink(p.Col, e.ASN, cust, p.Opt.Routing))
+		for _, cust := range w.Graph.Customers(e.ASN) {
+			out.Impacts = append(out.Impacts, routing.FailLink(w, p.Col, e.ASN, cust, p.Opt.Routing))
 			if len(out.Impacts) >= maxLinks {
 				return out
 			}

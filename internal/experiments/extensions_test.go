@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestDependenceMatrix(t *testing.T) {
 
 func TestResilience(t *testing.T) {
 	p, _ := pipelines(t)
-	r := RunResilience(p, "JP", 2)
+	r := RunResilience(p, w21, "JP", 2)
 	if len(r.Impacts) == 0 {
 		t.Fatal("no failure impacts")
 	}
@@ -72,14 +73,17 @@ func TestResilience(t *testing.T) {
 	}
 }
 
+// TestInferenceValidation pins the one inference measurement: at this
+// seed and scale (1, 0.4/0.5) the numbers are deterministic, and they can
+// only come out this way if the generator's truth reaches validation.
 func TestInferenceValidation(t *testing.T) {
 	p, _ := pipelines(t)
-	v := RunInferenceValidation(p)
-	if v.CliqueHits < v.CliqueSize*3/4 {
-		t.Errorf("clique: %d/%d", v.CliqueHits, v.CliqueSize)
+	v := RunInferenceValidation(p, w21)
+	if v.CliqueHits != 15 || v.CliqueSize != 16 || v.CliqueTruth != 16 {
+		t.Errorf("clique: %d/%d inferred members true (truth size %d), want 15/16 (16)", v.CliqueHits, v.CliqueSize, v.CliqueTruth)
 	}
-	if v.Val.Compared < 500 || v.Val.Accuracy() < 0.85 {
-		t.Errorf("validation: %d compared, %.3f accurate", v.Val.Compared, v.Val.Accuracy())
+	if acc := fmt.Sprintf("%.3f", v.Val.Accuracy()); v.Val.Compared != 1583 || acc != "0.941" {
+		t.Errorf("validation: %d compared, %s accurate, want 1583 and 0.941", v.Val.Compared, acc)
 	}
 	if !strings.Contains(v.Render(), "clique") {
 		t.Error("render")

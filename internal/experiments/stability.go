@@ -37,23 +37,23 @@ type Figure4 struct {
 // RunFigure4 downsamples in-country VPs for the top-VP countries.
 func RunFigure4(p *core.Pipeline, trials int, seed int64) Figure4 {
 	f := Figure4{}
-	census := p.World.VPs.Census()
+	census := p.VPs.Census()
 	for i := 0; i < len(census) && i < 5; i++ {
 		f.Countries = append(f.Countries, census[i].Country)
 	}
-	for _, c := range f.Countries {
-		max := p.ViewVPCount(core.National, c)
-		sizes := sampleSizes(max)
-		f.AHN = append(f.AHN, StabilityCurve{
-			Metric: core.AHN, Country: c,
-			Points: p.Stability(core.AHN, c, sizes, trials, seed),
-		})
-		f.CCN = append(f.CCN, StabilityCurve{
-			Metric: core.CCN, Country: c,
-			Points: p.Stability(core.CCN, c, sizes, trials, seed+1),
-		})
-	}
+	f.AHN, f.CCN = curves(p, core.National, core.AHN, core.CCN, f.Countries, trials, seed)
 	return f
+}
+
+// curves draws, per country, the hegemony curve from seed and the cone
+// curve from seed+1 over the view's VPs: the two panels of one figure.
+func curves(p *core.Pipeline, kind core.ViewKind, heg, cone core.Metric, cs []countries.Code, trials int, seed int64) (hs, ccs []StabilityCurve) {
+	for _, c := range cs {
+		sizes := sampleSizes(p.ViewVPCount(kind, c))
+		hs = append(hs, StabilityCurve{heg, c, p.Stability(heg, c, sizes, trials, seed)})
+		ccs = append(ccs, StabilityCurve{cone, c, p.Stability(cone, c, sizes, trials, seed+1)})
+	}
+	return hs, ccs
 }
 
 // Render formats the curves plus the headline thresholds.
@@ -78,18 +78,7 @@ type Figure5 struct {
 // RunFigure5 downsamples out-of-country VPs for the case-study countries.
 func RunFigure5(p *core.Pipeline, trials int, seed int64) Figure5 {
 	f := Figure5{Countries: []countries.Code{"AU", "JP", "RU", "US", "TW"}}
-	for _, c := range f.Countries {
-		max := p.ViewVPCount(core.International, c)
-		sizes := sampleSizes(max)
-		f.AHI = append(f.AHI, StabilityCurve{
-			Metric: core.AHI, Country: c,
-			Points: p.Stability(core.AHI, c, sizes, trials, seed),
-		})
-		f.CCI = append(f.CCI, StabilityCurve{
-			Metric: core.CCI, Country: c,
-			Points: p.Stability(core.CCI, c, sizes, trials, seed+1),
-		})
-	}
+	f.AHI, f.CCI = curves(p, core.International, core.AHI, core.CCI, f.Countries, trials, seed)
 	return f
 }
 

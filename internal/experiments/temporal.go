@@ -29,8 +29,8 @@ func RunTemporal(pOld, pNew *core.Pipeline, c countries.Code) Temporal {
 	newR := pNew.Country(c)
 	return Temporal{
 		Country:    c,
-		OldLabel:   string(pOld.World.Config.Scenario),
-		NewLabel:   string(pNew.World.Config.Scenario),
+		OldLabel:   string(pOld.Opt.Scenario),
+		NewLabel:   string(pNew.Opt.Scenario),
 		ConeOld:    oldR.CCI.Top(10),
 		ConeDelta:  rank.Delta(oldR.CCI, newR.CCI, 10),
 		HegOld:     oldR.AHI.Top(10),

@@ -17,6 +17,7 @@ import (
 	"countryrank/internal/metrictest"
 	"countryrank/internal/routing"
 	"countryrank/internal/sanitize"
+	"countryrank/internal/topology"
 )
 
 var trims = []float64{-1, 0, 0.10, 0.25}
@@ -309,21 +310,22 @@ func TestPathRunsMatchMapReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(16))
 	opt := core.Options{Seed: 5, StubScale: 0.1, VPScale: 0.15}
-	p := core.NewPipeline(opt)
+	w := topology.Build(topology.Config{Seed: opt.Seed, StubScale: opt.StubScale, VPScale: opt.VPScale})
+	p := core.NewPipelineFrom(w, routing.BuildCollection(w, opt.Routing), opt)
 
 	var streams []io.Reader
-	for _, coll := range p.World.VPs.Collectors() {
+	for _, coll := range p.VPs.Collectors() {
 		var b bytes.Buffer
 		if err := routing.ExportMRT(&b, p.Col, coll.Name, 1617235200); err != nil {
 			t.Fatalf("export %s: %v", coll.Name, err)
 		}
 		streams = append(streams, &b)
 	}
-	imported, _, err := routing.ImportMRT(p.World, streams, routing.ImportOptions{})
+	imported, _, err := routing.ImportMRT(w, streams, routing.ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mrt := core.NewPipelineFrom(p.World, imported, opt)
+	mrt := core.NewPipelineFrom(w, imported, opt)
 
 	var views []view
 	for _, src := range []struct {

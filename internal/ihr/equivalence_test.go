@@ -18,8 +18,8 @@ func TestParallelMatchesMapReference(t *testing.T) {
 		p := core.NewPipeline(core.Options{Seed: seed, StubScale: 0.15, VPScale: 0.2})
 		for _, c := range []countries.Code{"AU", "JP", "US", "ZZ"} {
 			for _, weighting := range []ihr.Weighting{ihr.ByASCount, ihr.ByUsers} {
-				got := ihr.ComputeWeighted(p.DS, p.World.Graph, c, p.Opt.Trim, weighting)
-				want := ihr.ComputeMapRef(p.DS, p.World.Graph, c, p.Opt.Trim, weighting)
+				got := ihr.ComputeWeighted(p.DS, p.ASes, c, p.Opt.Trim, weighting)
+				want := ihr.ComputeMapRef(p.DS, p.ASes, c, p.Opt.Trim, weighting)
 				if got.Origins != want.Origins {
 					t.Fatalf("seed %d %s w%d: Origins %d != %d",
 						seed, c, weighting, got.Origins, want.Origins)

@@ -41,8 +41,8 @@ const (
 
 // Compute calculates AHC for one country over all accepted records with
 // equal per-AS weights. trim follows hegemony.Compute semantics.
-func Compute(ds *sanitize.Dataset, g *topology.Graph, country countries.Code, trim float64) Scores {
-	return ComputeWeighted(ds, g, country, trim, ByASCount)
+func Compute(ds *sanitize.Dataset, ases topology.ASes, country countries.Code, trim float64) Scores {
+	return ComputeWeighted(ds, ases, country, trim, ByASCount)
 }
 
 // originGroup is one qualifying origin AS's record subset and weight.
@@ -56,7 +56,7 @@ type originGroup struct {
 // the origins registered in country (with a positive weight under the
 // chosen weighting), and returns the groups in ascending origin order so
 // every later float accumulation has a fixed order.
-func groupQualifyingOrigins(ds *sanitize.Dataset, g *topology.Graph, country countries.Code, weighting Weighting) []originGroup {
+func groupQualifyingOrigins(ds *sanitize.Dataset, ases topology.ASes, country countries.Code, weighting Weighting) []originGroup {
 	byOrigin := map[asn.ASN][]int32{}
 	for i := 0; i < ds.Len(); i++ {
 		_, pfxIdx, _ := ds.Record(i)
@@ -65,7 +65,7 @@ func groupQualifyingOrigins(ds *sanitize.Dataset, g *topology.Graph, country cou
 	}
 	var groups []originGroup
 	for o, recs := range byOrigin {
-		node, ok := g.ByASN(o)
+		node, ok := ases.ByASN(o)
 		if !ok || node.Registered != country {
 			continue
 		}
@@ -87,8 +87,8 @@ func groupQualifyingOrigins(ds *sanitize.Dataset, g *topology.Graph, country cou
 // merge into one sum per AS in ascending origin order, so the result is
 // deterministic and bit-identical to the sequential map-based
 // reference the property tests keep (reference_test.go).
-func ComputeWeighted(ds *sanitize.Dataset, g *topology.Graph, country countries.Code, trim float64, weighting Weighting) Scores {
-	groups := groupQualifyingOrigins(ds, g, country, weighting)
+func ComputeWeighted(ds *sanitize.Dataset, ases topology.ASes, country countries.Code, trim float64, weighting Weighting) Scores {
+	groups := groupQualifyingOrigins(ds, ases, country, weighting)
 	perOrigin := make([]hegemony.Scores, len(groups))
 	par.ForEach(len(groups), func(i int) {
 		perOrigin[i] = hegemony.Compute(ds, groups[i].recs, trim)

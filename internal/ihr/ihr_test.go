@@ -35,7 +35,7 @@ func TestAHCMeansOverRegisteredOrigins(t *testing.T) {
 		{VP: 1, Prefix: "10.1.0.0/24", PrefixCountry: "AU", Path: []uint32{2, 200}},
 		{VP: 0, Prefix: "10.2.0.0/24", PrefixCountry: "US", Path: []uint32{1, 5, 300}},
 	})
-	s := Compute(ds, g, "AU", 0)
+	s := Compute(ds, g.ASes(), "AU", 0)
 	if s.Origins != 2 {
 		t.Fatalf("origins = %d", s.Origins)
 	}
@@ -63,7 +63,7 @@ func TestAHCRegistrationBlindness(t *testing.T) {
 		{VP: 0, Prefix: "10.9.0.0/24", PrefixCountry: "AU", Path: []uint32{1, 300}},
 		{VP: 0, Prefix: "10.0.0.0/24", PrefixCountry: "AU", Path: []uint32{1, 100}},
 	})
-	s := Compute(ds, g, "AU", 0)
+	s := Compute(ds, g.ASes(), "AU", 0)
 	if _, ok := s.AHC[300]; ok && s.AHC[300] > 0 {
 		// 300 can appear via AU origins' paths, but here it is on none.
 		t.Errorf("AHC should not credit the foreign-registered origin: %v", s.AHC[300])
@@ -84,8 +84,8 @@ func TestAHCUserWeighting(t *testing.T) {
 		{VP: 0, Prefix: "10.0.0.0/24", PrefixCountry: "AU", Path: []uint32{1, 5, 100}},
 		{VP: 0, Prefix: "10.1.0.0/24", PrefixCountry: "AU", Path: []uint32{1, 200}},
 	})
-	equal := ComputeWeighted(ds, g, "AU", 0, ByASCount)
-	users := ComputeWeighted(ds, g, "AU", 0, ByUsers)
+	equal := ComputeWeighted(ds, g.ASes(), "AU", 0, ByASCount)
+	users := ComputeWeighted(ds, g.ASes(), "AU", 0, ByUsers)
 	if math.Abs(equal.AHC[5]-0.5) > 1e-9 {
 		t.Errorf("AS-count AHC(5) = %f, want 0.5", equal.AHC[5])
 	}
@@ -102,7 +102,7 @@ func TestAHCUnknownCountry(t *testing.T) {
 	ds := metrictest.Dataset([]countries.Code{"NL"}, []metrictest.Rec{
 		{VP: 0, Prefix: "10.0.0.0/24", PrefixCountry: "AU", Path: []uint32{1, 100}},
 	})
-	s := Compute(ds, g, "ZZ", 0)
+	s := Compute(ds, g.ASes(), "ZZ", 0)
 	if s.Origins != 0 || len(s.AHC) != 0 {
 		t.Errorf("unknown country should be empty: %+v", s)
 	}

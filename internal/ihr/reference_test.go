@@ -12,8 +12,8 @@ import (
 // retained as the executable specification ComputeWeighted is
 // property-tested against. Origins merge in ascending order, the same
 // fixed float-accumulation order the parallel version uses.
-func computeMapRef(ds *sanitize.Dataset, g *topology.Graph, country countries.Code, trim float64, weighting Weighting) Scores {
-	groups := groupQualifyingOrigins(ds, g, country, weighting)
+func computeMapRef(ds *sanitize.Dataset, ases topology.ASes, country countries.Code, trim float64, weighting Weighting) Scores {
+	groups := groupQualifyingOrigins(ds, ases, country, weighting)
 	sum := map[asn.ASN]float64{}
 	var totalWeight float64
 	for _, grp := range groups {

@@ -7,12 +7,12 @@
 //
 // Because the topology generator keeps ground truth, this package can also
 // score its own inferences (Validate), which the original measurement study
-// could only sample. The simplified variant implemented here labels ≈88% of
-// edges correctly on the synthetic world; the residual errors are peerings
-// between clique members and open-peering networks immediately downstream
-// of the clique, which the full Luckie algorithm disambiguates with vote
-// counting this reproduction omits. The ranking pipeline defaults to
-// ground-truth relationships and uses inference as an ablation.
+// could only sample. The simplified variant labels 94.1 % of 1,583 edges
+// right on the seed-1 world at scales 0.4/0.5 (TestInferenceValidation);
+// the residual errors are peerings between clique members and open-peering
+// networks just below the clique, which the full Luckie algorithm tells
+// apart by vote counting this reproduction omits. The ranking pipeline
+// defaults to ground-truth relationships and uses inference as an ablation.
 package relation
 
 import (

@@ -26,7 +26,7 @@ var (
 
 // Record is one observed (vantage point, prefix, AS path) triple in
 // dense-index form: the unit the paper's Table 1 accounts for and every
-// metric consumes. VP indexes the world's vp.Set, Prefix indexes
+// metric consumes. VP indexes Collection.VPs, Prefix indexes
 // Collection.Prefixes, Path indexes Collection.Paths.
 type Record struct {
 	VP     int32
@@ -38,7 +38,9 @@ type Record struct {
 // points: the synthetic equivalent of the five daily RIB snapshots the paper
 // takes from RouteViews and RIPE RIS.
 type Collection struct {
-	World    *topology.World
+	// VPs are the vantage points the records index, with their collectors
+	// and locations.
+	VPs      *vp.Set
 	Prefixes []netip.Prefix
 	// Origin[i] is the origin AS of Prefixes[i].
 	Origin []asn.ASN
@@ -127,7 +129,7 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 	sp := obs.StartSpan("propagate")
 	defer sp.End()
 
-	col := &Collection{World: w, Days: opt.Days}
+	col := &Collection{VPs: w.VPs, Days: opt.Days}
 
 	// Index prefixes.
 	prefixIdx := map[netip.Prefix]int32{}

@@ -24,11 +24,10 @@ type FailureImpact struct {
 	TotalRecords int
 }
 
-// FailLink rebuilds the collection on a copy of the world with the a–b
-// relationship removed and diffs it against the original collection. The
-// original world and collection are not modified.
-func FailLink(col *Collection, a, b asn.ASN, opt BuildOptions) FailureImpact {
-	w := col.World
+// FailLink rebuilds the collection on a copy of w, the world col was built
+// over, with the a–b relationship removed and diffs it against col. Neither
+// the world nor the collection is modified.
+func FailLink(w *topology.World, col *Collection, a, b asn.ASN, opt BuildOptions) FailureImpact {
 	impact := FailureImpact{A: a, B: b, TotalRecords: len(col.Records)}
 
 	// Pre-failure path index per (VP, prefix), and the pre-failure link set.
@@ -46,16 +45,11 @@ func FailLink(col *Collection, a, b asn.ASN, opt BuildOptions) FailureImpact {
 
 	// Fail the link on a cloned graph and re-propagate. Anomaly injection
 	// is disabled: the diff must reflect routing, not noise.
-	failed := &topology.World{
-		Config: w.Config,
-		Graph:  w.Graph.Clone(),
-		VPs:    w.VPs,
-		Geo:    w.Geo,
-		Clique: w.Clique,
-	}
+	failed := *w
+	failed.Graph = w.Graph.Clone()
 	failed.Graph.RemoveEdge(a, b)
 	opt.LoopFrac, opt.PoisonFrac, opt.UnallocFrac = -1, -1, -1
-	after := BuildCollection(failed, opt)
+	after := BuildCollection(&failed, opt)
 
 	afterIdx := make(map[key]int32, len(after.Records))
 	for _, r := range after.Records {

@@ -20,7 +20,7 @@ func TestFailLinkRevealsBackupPaths(t *testing.T) {
 	// OCN-originated prefixes from outside must change or die, revealing
 	// the Vocus-style backups... here OCN is single-homed, so its prefixes
 	// become unreachable from abroad while domestic peerings may survive.
-	impact := FailLink(col, 2914, 4713, opt)
+	impact := FailLink(w, col, 2914, 4713, opt)
 	if impact.TotalRecords != len(col.Records) {
 		t.Fatalf("total = %d", impact.TotalRecords)
 	}
@@ -30,7 +30,7 @@ func TestFailLinkRevealsBackupPaths(t *testing.T) {
 
 	// Fail one of Rostelecom's three transit links: reachability must be
 	// preserved (multihoming) while many paths shift to the backups.
-	impact2 := FailLink(col, 1299, 12389, opt)
+	impact2 := FailLink(w, col, 1299, 12389, opt)
 	if impact2.LostRecords > impact2.TotalRecords/100 {
 		t.Errorf("multihomed failure lost %d records", impact2.LostRecords)
 	}
@@ -76,7 +76,7 @@ func TestHiddenBackupRevealed(t *testing.T) {
 	mid := primary[1] // 20 or 30, whichever the tie-hash chose
 	backup := asn.ASN(50 - uint32(mid))
 
-	impact := FailLink(col, mid, 99, opt)
+	impact := FailLink(w, col, mid, 99, opt)
 	if impact.ChangedRecords != 1 || impact.LostRecords != 0 {
 		t.Fatalf("impact = %+v", impact)
 	}
@@ -91,7 +91,7 @@ func TestFailAbsentLinkIsNoop(t *testing.T) {
 	w := testWorld(t)
 	opt := BuildOptions{LoopFrac: -1, PoisonFrac: -1, UnallocFrac: -1}
 	col := BuildCollection(w, opt)
-	impact := FailLink(col, 3356, 2516, opt) // no such edge (KDDI buys from 2914/3257)
+	impact := FailLink(w, col, 3356, 2516, opt) // no such edge (KDDI buys from 2914/3257)
 	if w.Graph.Rel(3356, 2516) != topology.RelNone {
 		t.Skip("edge exists in this world; pick another")
 	}

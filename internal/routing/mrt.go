@@ -13,6 +13,7 @@ import (
 	"countryrank/internal/obs"
 	"countryrank/internal/par"
 	"countryrank/internal/topology"
+	"countryrank/internal/vp"
 )
 
 // countingReader tracks bytes consumed from an MRT stream.
@@ -54,19 +55,18 @@ func scatterRecords(src, dst []Record, nKeys int, key func(Record) int32) (start
 // counting pass and the collection keeps the grouping, so each dump after it
 // costs only its own records, whichever goroutine writes it.
 func (c *Collection) collectorRecords(collector string) []Record {
-	set := c.World.VPs
 	c.byVPOnce.Do(func() {
 		c.byVP = make([]Record, len(c.Records))
-		c.vpStart = scatterRecords(c.Records, c.byVP, set.Len(), func(r Record) int32 { return r.VP })
+		c.vpStart = scatterRecords(c.Records, c.byVP, c.VPs.Len(), func(r Record) int32 { return r.VP })
 	})
 	var n int32
-	for i, v := range set.VPs() {
+	for i, v := range c.VPs.VPs() {
 		if v.Collector == collector {
 			n += c.vpStart[i+1] - c.vpStart[i]
 		}
 	}
 	own := make([]Record, 0, n)
-	for i, v := range set.VPs() {
+	for i, v := range c.VPs.VPs() {
 		if v.Collector == collector {
 			own = append(own, c.byVP[c.vpStart[i]:c.vpStart[i+1]]...)
 		}
@@ -78,18 +78,17 @@ func (c *Collection) collectorRecords(collector string) []Record {
 // TABLE_DUMP_V2 stream: the same interchange format RouteViews and RIS
 // publish, so downstream tooling can consume simulated dumps unchanged.
 func ExportMRT(w io.Writer, c *Collection, collector string, timestamp uint32) error {
-	set := c.World.VPs
-	coll, ok := set.Collector(collector)
+	coll, ok := c.VPs.Collector(collector)
 	if !ok {
 		return fmt.Errorf("routing: unknown collector %q", collector)
 	}
 
 	// Peer table: the collector's VPs, in VP-index order. peerOf maps the
 	// dense VP index to its peer index, -1 for other collectors' VPs.
-	peerOf := make([]int32, set.Len())
+	peerOf := make([]int32, c.VPs.Len())
 	var peers []mrt.Peer
-	for i := 0; i < set.Len(); i++ {
-		v := set.VP(i)
+	for i := 0; i < c.VPs.Len(); i++ {
+		v := c.VPs.VP(i)
 		if v.Collector != collector {
 			peerOf[i] = -1
 			continue
@@ -163,8 +162,7 @@ func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, tim
 	if day <= 0 || day >= c.Days {
 		return fmt.Errorf("routing: day %d outside 1..%d", day, c.Days-1)
 	}
-	set := c.World.VPs
-	if _, ok := set.Collector(collector); !ok {
+	if _, ok := c.VPs.Collector(collector); !ok {
 		return fmt.Errorf("routing: unknown collector %q", collector)
 	}
 
@@ -176,7 +174,7 @@ func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, tim
 	order := c.collectorRecords(collector)
 	var raw []byte
 	for _, r := range order {
-		v := set.VP(int(r.VP))
+		v := c.VPs.VP(int(r.VP))
 		was := c.PresentOn(r.Prefix, day-1)
 		is := c.PresentOn(r.Prefix, day)
 		if was == is {
@@ -397,8 +395,8 @@ type ImportStats struct {
 }
 
 // ImportMRT parses TABLE_DUMP_V2 streams (one per collector) back into a
-// Collection attached to the given world. VPs are matched by peering
-// address; entries from unknown peers are dropped. Streams decode
+// Collection over the given world's VPs, the only part of w it reads. VPs
+// are matched by peering address; entries from unknown peers are dropped. Streams decode
 // concurrently and merge in stream order, so the result is identical at any
 // GOMAXPROCS. Paths are hash-consed into a shared table; the origin of each
 // prefix is the first one observed in stream order, with "not yet seen"
@@ -411,7 +409,10 @@ func ImportMRT(w *topology.World, streams []io.Reader, opt ImportOptions) (*Coll
 	defer sp.End()
 	ds := sp.Child("decode")
 	ds.AddItems(0, "bytes")
-	byAddr := vpsByAddr(w)
+	byAddr := make(map[netip.Addr]int32, w.VPs.Len()) // VPs by peering address
+	for i := 0; i < w.VPs.Len(); i++ {
+		byAddr[w.VPs.VP(i).Addr] = int32(i)
+	}
 	parts := make([]importStream, len(streams))
 	par.ForEach(len(streams), func(si int) {
 		parts[si] = importOneStream(streams[si], byAddr, opt)
@@ -420,7 +421,7 @@ func ImportMRT(w *topology.World, streams []io.Reader, opt ImportOptions) (*Coll
 	ds.End()
 	ms := sp.Child("merge")
 	defer ms.End()
-	col, stats, err := mergeImportParts(w, parts)
+	col, stats, err := mergeImportParts(w.VPs, parts)
 	ms.AddItems(stats.Records, "records")
 	sp.AddItems(stats.Records, "records")
 	return col, stats, err
@@ -441,21 +442,12 @@ func ImportMRTFiles(w *topology.World, paths []string, opt ImportOptions) (*Coll
 	return ImportMRT(w, streams, opt)
 }
 
-func vpsByAddr(w *topology.World) map[netip.Addr]int32 {
-	set := w.VPs
-	byAddr := make(map[netip.Addr]int32, set.Len())
-	for i := 0; i < set.Len(); i++ {
-		byAddr[set.VP(i).Addr] = int32(i)
-	}
-	return byAddr
-}
-
 // mergeImportParts folds decoded stream partials into a Collection in part
 // order. Prefixes and paths are numbered serially, part by part — the one
 // step whose order shows in the result — and sized once from what the parts
 // hold; rewriting each part's records from stream-local to global indexes
 // then fans out, every part into its own range of Records.
-func mergeImportParts(w *topology.World, parts []importStream) (*Collection, ImportStats, error) {
+func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportStats, error) {
 	// remap is where a part's records go in Records and what its stream-local
 	// prefix and path indexes become.
 	type remap struct {
@@ -464,7 +456,7 @@ func mergeImportParts(w *topology.World, parts []importStream) (*Collection, Imp
 	}
 	var stats ImportStats
 	var nPaths int
-	named := make([]bool, w.VPs.Len())
+	named := make([]bool, vps.Len())
 	maps := make([]remap, len(parts))
 	for si := range parts {
 		p := &parts[si]
@@ -485,7 +477,7 @@ func mergeImportParts(w *topology.World, parts []importStream) (*Collection, Imp
 		}
 	}
 
-	col := &Collection{World: w, Days: 1}
+	col := &Collection{VPs: vps, Days: 1}
 	prefixIdx := map[netip.Prefix]int32{}
 	it := bgp.NewInterner(nPaths)
 	var originSet []bool

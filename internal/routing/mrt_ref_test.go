@@ -22,7 +22,7 @@ import (
 // exportMRTRef is the original ExportMRT: map-based peer index, group by
 // prefix in a map, two sort.Slice passes.
 func exportMRTRef(w io.Writer, c *Collection, collector string, timestamp uint32) error {
-	set := c.World.VPs
+	set := c.VPs
 	coll, ok := set.Collector(collector)
 	if !ok {
 		return fmt.Errorf("routing: unknown collector %q", collector)
@@ -83,7 +83,7 @@ func exportUpdatesMRTRef(w io.Writer, c *Collection, collector string, day int, 
 	if day <= 0 || day >= c.Days {
 		return fmt.Errorf("routing: day %d outside 1..%d", day, c.Days-1)
 	}
-	set := c.World.VPs
+	set := c.VPs
 	if _, ok := set.Collector(collector); !ok {
 		return fmt.Errorf("routing: unknown collector %q", collector)
 	}
@@ -155,7 +155,7 @@ func importMRTRef(w *topology.World, streams []io.Reader) (*Collection, error) {
 		byAddr[set.VP(i).Addr] = int32(i)
 	}
 
-	col := &Collection{World: w, Days: 1}
+	col := &Collection{VPs: w.VPs, Days: 1}
 	prefixIdx := map[netip.Prefix]int32{}
 	var originSet []bool
 

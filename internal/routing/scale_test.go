@@ -49,7 +49,7 @@ func collectionEqual(t *testing.T, a, b *Collection, label string) {
 func mrtDigest(t *testing.T, c *Collection) [32]byte {
 	t.Helper()
 	h := sha256.New()
-	for _, coll := range c.World.VPs.Collectors() {
+	for _, coll := range c.VPs.Collectors() {
 		var buf bytes.Buffer
 		if err := ExportMRT(&buf, c, coll.Name, 1617235200); err != nil {
 			t.Fatal(err)
@@ -140,7 +140,7 @@ func writeDumps(t testing.TB, col *Collection) []string {
 	t.Helper()
 	dir := t.TempDir()
 	var paths []string
-	for _, coll := range col.World.VPs.Collectors() {
+	for _, coll := range col.VPs.Collectors() {
 		var buf bytes.Buffer
 		if err := ExportMRT(&buf, col, coll.Name, 1617235200); err != nil {
 			t.Fatal(err)

@@ -219,7 +219,7 @@ func (v verdicts) of(r routing.Record) Reason {
 func Run(col *routing.Collection, cfg Config) *Dataset {
 	ds := &Dataset{
 		Col:           col,
-		VPCountry:     make([]countries.Code, col.World.VPs.Len()),
+		VPCountry:     make([]countries.Code, col.VPs.Len()),
 		PrefixCountry: make([]countries.Code, len(col.Prefixes)),
 		Weight:        make([]uint64, len(col.Prefixes)),
 	}
@@ -229,7 +229,7 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 		byVP:     make([]Reason, len(ds.VPCountry)),
 	}
 	for i := range ds.VPCountry {
-		if c, ok := col.World.VPs.Country(i); ok {
+		if c, ok := col.VPs.Country(i); ok {
 			ds.VPCountry[i] = c
 		} else {
 			v.byVP[i] = VPNoLocation
@@ -375,6 +375,22 @@ func (d *Dataset) CleanPath(q int) bgp.Path {
 func (d *Dataset) PathIDs(q int) []int32 {
 	lo, hi := d.pathOff[q], d.pathOff[q+1]
 	return d.idHops[lo:hi:hi]
+}
+
+// DistinctPaths returns the accepted records' clean paths, each once, in
+// order of first appearance: what relationship inference reads. Two
+// collection paths may clean to the same hops, so content tells them apart.
+func (d *Dataset) DistinctPaths() []bgp.Path {
+	seen := map[string]bool{}
+	var paths []bgp.Path
+	for i := 0; i < d.Len(); i++ {
+		_, _, path := d.Record(i)
+		if k := path.Key(); !seen[k] {
+			seen[k] = true
+			paths = append(paths, path)
+		}
+	}
+	return paths
 }
 
 // PrefixOf returns the prefix of accepted record i.

@@ -10,7 +10,6 @@ import (
 	"countryrank/internal/geoloc"
 	"countryrank/internal/netx"
 	"countryrank/internal/routing"
-	"countryrank/internal/topology"
 	"countryrank/internal/vp"
 )
 
@@ -22,7 +21,7 @@ func runPerRecord(col *routing.Collection, cfg Config) (stats Stats, recVP, recP
 	seen := map[asn.ASN]bool{}
 	for _, r := range col.Records {
 		path := judgePath(col.Paths[r.Path], cfg)
-		_, vpLocated := col.World.VPs.Country(int(r.VP))
+		_, vpLocated := col.VPs.Country(int(r.VP))
 		_, prefixLocated := cfg.GeoTable.Country(col.Prefixes[r.Prefix])
 		reason := path.reason
 		switch {
@@ -69,7 +68,7 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 	}
 	cfg := judgeTestConfig()
 	cfg.GeoTable = &geoloc.Table{ByPrefix: map[netip.Prefix]geoloc.PrefixGeo{}}
-	col := &routing.Collection{World: &topology.World{VPs: vps}, Days: 1}
+	col := &routing.Collection{VPs: vps, Days: 1}
 	for _, pfx := range []struct {
 		cidr   string
 		stable bool

@@ -54,7 +54,7 @@ func TestGoldenPipelineOutputs(t *testing.T) {
 	}
 	// One curve per (kernel, view kind) a trial can combine: cone and
 	// hegemony over international, national and global (full == nil) VPs.
-	top := p.World.VPs.Census()[0].Country
+	top := p.VPs.Census()[0].Country
 	for _, s := range []struct {
 		m     core.Metric
 		c     countries.Code

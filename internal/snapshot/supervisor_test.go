@@ -15,8 +15,6 @@ import (
 
 	"countryrank/internal/core"
 	"countryrank/internal/obs"
-	"countryrank/internal/routing"
-	"countryrank/internal/topology"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -295,9 +293,9 @@ func TestSupervisorTimedOutBuildStops(t *testing.T) {
 	cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
 		if attempts.Add(1) == 1 {
 			// The source outlasts the timeout; every stage after it is ahead.
-			slow := func(core.Options, *obs.Span) (*topology.World, *routing.Collection, core.Coverage, error) {
+			slow := func(core.Options, *obs.Span) (core.Inputs, error) {
 				<-ctx.Done()
-				return held.World, held.Col, held.Coverage, nil
+				return held.Inputs, nil
 			}
 			_, err := core.Run(ctx, slow, opt)
 			first <- err

@@ -9,6 +9,7 @@ package topology
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"countryrank/internal/asn"
@@ -180,15 +181,20 @@ func (g *Graph) ByASN(a asn.ASN) (AS, bool) {
 	return g.nodes[i], true
 }
 
-// AllASNs returns every ASN in ascending order.
-func (g *Graph) AllASNs() []asn.ASN {
-	out := make([]asn.ASN, 0, len(g.nodes))
-	for a := range g.idx {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// ASes is a graph's AS table without its edges: each AS's name,
+// registration country, user estimate and class — what AS-name lists, RIR
+// delegations and user-population estimates publish. It lets a reader look
+// ASes up without reaching the ground-truth relationships.
+type ASes struct{ g *Graph }
+
+// ASes returns g's AS table.
+func (g *Graph) ASes() ASes { return ASes{g} }
+
+// ByASN returns the AS record for a.
+func (t ASes) ByASN(a asn.ASN) (AS, bool) { return t.g.ByASN(a) }
+
+// All returns a copy of every AS record, in node order.
+func (t ASes) All() []AS { return slices.Clone(t.g.nodes) }
 
 func (g *Graph) mustIdx(a asn.ASN) int32 {
 	i, ok := g.idx[a]

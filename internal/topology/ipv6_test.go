@@ -86,14 +86,13 @@ func TestAnchorsGetLargerV6Blocks(t *testing.T) {
 	}
 	// A generated stub (ASN ≥ 100000; anchor "stubs" like TW's Ministry of
 	// Education carve by share) with v6 gets a /48.
-	for _, a := range w.Graph.AllASNs() {
-		n, _ := w.Graph.ByASN(a)
-		if n.Class != ClassStub || a < 100000 {
+	for _, n := range w.Graph.ASes().All() {
+		if n.Class != ClassStub || n.ASN < 100000 {
 			continue
 		}
-		for _, p := range w.Graph.Origins(a) {
+		for _, p := range w.Graph.Origins(n.ASN) {
 			if !p.Addr().Is4() && p.Bits() != 48 {
-				t.Fatalf("stub %v v6 block = %v", a, p)
+				t.Fatalf("stub %v v6 block = %v", n.ASN, p)
 			}
 		}
 	}

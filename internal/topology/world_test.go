@@ -67,9 +67,9 @@ func TestBuildSeedsDiffer(t *testing.T) {
 	// Structure (profiles) is fixed; the stochastic parts (stub homing)
 	// should differ somewhere.
 	same := true
-	for _, s := range a.Graph.AllASNs() {
-		pa := a.Graph.Providers(s)
-		pb := b.Graph.Providers(s)
+	for _, n := range a.Graph.ASes().All() {
+		pa := a.Graph.Providers(n.ASN)
+		pb := b.Graph.Providers(n.ASN)
 		if len(pa) != len(pb) {
 			same = false
 			break

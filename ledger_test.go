@@ -16,6 +16,7 @@ import (
 	"countryrank/internal/obs"
 	"countryrank/internal/routing"
 	"countryrank/internal/snapshot"
+	"countryrank/internal/topology"
 )
 
 // A workRow is one span of the ledger's measured pass: its path in the span
@@ -64,7 +65,7 @@ func TestWorkLedger(t *testing.T) {
 		if dumps == nil {
 			dumps = writeDumps(t, p.Col)
 		}
-		if _, _, err := routing.ImportMRTFiles(p.World, dumps, routing.ImportOptions{}); err != nil {
+		if _, _, err := routing.ImportMRTFiles(&topology.World{VPs: p.VPs}, dumps, routing.ImportOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +235,7 @@ func parseLedger(text string) ([]workRow, error) {
 func writeDumps(t *testing.T, col *routing.Collection) []string {
 	dir := t.TempDir()
 	var paths []string
-	for _, c := range col.World.VPs.Collectors() {
+	for _, c := range col.VPs.Collectors() {
 		var buf bytes.Buffer
 		if err := routing.ExportMRT(&buf, col, c.Name, 1617235200); err != nil {
 			t.Fatal(err)
