@@ -85,7 +85,7 @@ func TestCatalogueGolden(t *testing.T) {
 	}
 
 	if len(unread) > 0 {
-		t.Errorf("%d entries have no reader in ci.sh, README, the verify skill, benchmark/, loadgen or any test; delete them with what feeds them:\n%s",
+		t.Errorf("%d entries have no reader in ci.sh, README, the verify skill, benchmark/ or any test; delete them with what feeds them:\n%s",
 			len(unread), strings.Join(unread, "\n"))
 	}
 	const golden = "testdata/catalogue.txt"
@@ -103,7 +103,7 @@ type readerFile struct{ path, text string }
 // readerFiles loads, with paths relative to the repository root and in a
 // fixed order, every file where a use of a flag or series counts as its
 // reader: CI's assertions, the README's runbook sentences, the verify
-// skill, the benchmark's and loadgen's scrapes, and every test but this one.
+// skill, the benchmark's scrapes, and every test but this one.
 func readerFiles(t *testing.T) []readerFile {
 	const root = "../.."
 	paths := []string{"scripts/ci.sh", "README.md", ".claude/skills/verify/SKILL.md"}
@@ -114,7 +114,6 @@ func readerFiles(t *testing.T) []readerFile {
 	for _, p := range bench {
 		paths = append(paths, strings.TrimPrefix(p, root+"/"))
 	}
-	paths = append(paths, "cmd/loadgen/main.go")
 	var tests []string
 	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err == nil && d.IsDir() && p != root && strings.HasPrefix(d.Name(), ".") {

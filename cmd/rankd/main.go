@@ -41,7 +41,7 @@
 // listed in testdata/catalogue.txt with the files that read it. The golden
 // test that renders that ledger from registerFlags and the registry fails on
 // an entry nothing reads, so a flag or series here either has a reader — a
-// CI or test assertion, a benchmark or loadgen scrape, a README runbook
+// CI or test assertion, a benchmark scrape, a README runbook
 // sentence — or is deleted with the code that fed it.
 //
 // Robustness:

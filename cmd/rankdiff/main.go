@@ -70,6 +70,9 @@ func main() {
 // first) optionally pinned to two epochs.
 func resolvePaths(dir, epochs string, args []string) (string, string, error) {
 	if dir == "" {
+		if epochs != "" {
+			return "", "", fmt.Errorf("-epochs %s selects generations in a -snapshot-dir; none given", epochs)
+		}
 		if len(args) != 2 {
 			return "", "", fmt.Errorf("want two .csnap paths (or -snapshot-dir), got %d args", len(args))
 		}

@@ -21,3 +21,27 @@ func TestResolvePathsMissingDir(t *testing.T) {
 		}
 	}
 }
+
+// TestResolvePathsUsageErrors: each way of naming the two generations wrongly
+// is an error that names what is wrong, before any file is opened.
+func TestResolvePathsUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		dir, epochs string
+		args        []string
+		want        string // substring of the error
+	}{
+		{"", "", []string{"a.csnap"}, "got 1 args"},
+		{dir, "", []string{"a.csnap", "b.csnap"}, "mutually exclusive"},
+		{dir, "3", nil, `"3"`},
+		{dir, "3,x", nil, "-epochs"},
+		// -epochs picks generations inside a store; without one it used to be
+		// dropped silently and the positional files diffed instead.
+		{"", "3,4", []string{"a.csnap", "b.csnap"}, "-epochs"},
+	} {
+		_, _, err := resolvePaths(tc.dir, tc.epochs, tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("dir %q, -epochs %q, args %q: err %v, want one naming %s", tc.dir, tc.epochs, tc.args, err, tc.want)
+		}
+	}
+}

@@ -14,7 +14,7 @@ var (
 	mAccessEvents = NewCounter("countryrank_accesslog_events_total",
 		"wide events enqueued for the access-log writer")
 	mAccessDropped = NewCounter("countryrank_accesslog_dropped_total",
-		"wide events dropped because the access-log ring was full")
+		"wide events dropped because the access-log queue was full")
 )
 
 // An AccessEvent is one request's wide event: everything an operator needs

@@ -261,9 +261,11 @@ func CheckName(name string) error {
 	return nil
 }
 
-// formatFloat renders a float the way Prometheus clients do: integral values
-// without an exponent, +Inf spelled literally.
-func formatFloat(f float64) string {
+// FormatFloat renders a float the way Prometheus clients do: integral values
+// below 1e15 without an exponent, +Inf spelled literally. Every float that
+// /metrics prints and another tool must match as a string (rankdiff's churn
+// score) goes through it.
+func FormatFloat(f float64) string {
 	if math.IsInf(f, +1) {
 		return "+Inf"
 	}

@@ -209,10 +209,11 @@ func TestFormatFloat(t *testing.T) {
 		1:    "1",
 		10:   "10",
 		2.25: "2.25",
+		1e15: "1e+15",
 	}
 	for f, want := range cases {
-		if got := formatFloat(f); got != want {
-			t.Errorf("formatFloat(%v) = %q, want %q", f, got, want)
+		if got := FormatFloat(f); got != want {
+			t.Errorf("FormatFloat(%v) = %q, want %q", f, got, want)
 		}
 	}
 }

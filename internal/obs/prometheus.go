@@ -30,15 +30,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s %d\n", m.name, v.Value())
 		case *FloatGauge:
 			fmt.Fprintf(&b, "# TYPE %s gauge\n", m.name)
-			fmt.Fprintf(&b, "%s %s\n", m.name, formatFloat(v.Value()))
+			fmt.Fprintf(&b, "%s %s\n", m.name, FormatFloat(v.Value()))
 		case *Histogram:
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", m.name)
 			cum := v.snapshot()
 			for i, ub := range v.bounds {
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", m.name, formatFloat(ub), cum[i])
+				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", m.name, FormatFloat(ub), cum[i])
 			}
 			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", m.name, cum[len(cum)-1])
-			fmt.Fprintf(&b, "%s_sum %s\n", m.name, formatFloat(v.Sum()))
+			fmt.Fprintf(&b, "%s_sum %s\n", m.name, FormatFloat(v.Sum()))
 			fmt.Fprintf(&b, "%s_count %d\n", m.name, v.Count())
 		}
 	}

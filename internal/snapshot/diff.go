@@ -281,14 +281,14 @@ func (d *Drift) Summary() string {
 	b.WriteString("->")
 	b.WriteString(strconv.FormatInt(d.NewEpoch, 10))
 	b.WriteString(" max_churn=")
-	b.WriteString(fmtScore(d.MaxChurn))
+	b.WriteString(obs.FormatFloat(d.MaxChurn))
 	b.WriteString(" max_rank_delta=")
 	b.WriteString(strconv.Itoa(d.MaxRankDelta))
 	for _, md := range d.Metrics {
 		b.WriteString(" ")
 		b.WriteString(strings.ToLower(md.Metric))
 		b.WriteString("=")
-		b.WriteString(fmtScore(md.Churn))
+		b.WriteString(obs.FormatFloat(md.Churn))
 	}
 	return b.String()
 }
@@ -313,7 +313,7 @@ func (d *Drift) Render(n int) string {
 	b.WriteString("metric  churn         moved  entered  exited  max_delta  countries_moved  hist(1/2-3/4-7/8-15/16+)\n")
 	for _, md := range d.Metrics {
 		writeCell(&b, strings.ToLower(md.Metric), 8)
-		writeCell(&b, fmtScore(md.Churn), 14)
+		writeCell(&b, obs.FormatFloat(md.Churn), 14)
 		writeCell(&b, strconv.Itoa(md.Moved), 7)
 		writeCell(&b, strconv.Itoa(md.Entered), 9)
 		writeCell(&b, strconv.Itoa(md.Exited), 8)
@@ -373,7 +373,7 @@ func (d *Drift) Render(n int) string {
 		b.WriteString("  (none: rankings unchanged)\n")
 	}
 	b.WriteString("\nmax churn ")
-	b.WriteString(fmtScore(d.MaxChurn))
+	b.WriteString(obs.FormatFloat(d.MaxChurn))
 	b.WriteString("\n")
 	return b.String()
 }
@@ -389,15 +389,4 @@ func writeCell(b *strings.Builder, s string, width int) {
 	for i := len(s); i < width; i++ {
 		b.WriteString(" ")
 	}
-}
-
-// fmtScore renders a churn score exactly the way the metrics exposition
-// renders a FloatGauge (integral values without exponent, %g otherwise),
-// so the CI smoke can string-compare the rankdiff report against the live
-// /metrics value.
-func fmtScore(v float64) string {
-	if v == float64(int64(v)) && v >= -1e15 && v <= 1e15 {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"countryrank/internal/asn"
+	"countryrank/internal/obs"
 	"countryrank/internal/rank"
 )
 
@@ -114,14 +115,14 @@ func TestDiffHandChecked(t *testing.T) {
 		"rank 1 -> 2 (-1)",
 		"exited from rank 3",
 		"entered at rank 3",
-		"max churn " + fmtScore(want),
+		"max churn " + obs.FormatFloat(want),
 	} {
 		if !strings.Contains(rep, frag) {
 			t.Errorf("report missing %q:\n%s", frag, rep)
 		}
 	}
 	if sum := d.Summary(); !strings.Contains(sum, "epoch 1->2") ||
-		!strings.Contains(sum, "max_churn="+fmtScore(want)) {
+		!strings.Contains(sum, "max_churn="+obs.FormatFloat(want)) {
 		t.Errorf("summary %q lacks epochs or churn", sum)
 	}
 }

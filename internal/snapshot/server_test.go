@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -125,28 +126,32 @@ func TestHandlerTop(t *testing.T) {
 	}
 }
 
+// handlerErrorPaths maps each path TestHandlerErrors sends to the error
+// status it must get; FuzzServe seeds from them.
+var handlerErrorPaths = map[string]int{
+	"/v1/countries/ZZ":          http.StatusNotFound, // unknown country
+	"/v1/countries/AU/x":        http.StatusNotFound, // no sub-paths
+	"/v1/countries/ZZ/history":  http.StatusNotFound, // unknown country history
+	"/v1/countries/AU/history/": http.StatusNotFound, // no deeper sub-paths
+	"/v1/countries//history":    http.StatusNotFound, // empty country code
+	"/v1/countries/":            http.StatusNotFound,
+	"/v1/countries/TOOLONGCODE": http.StatusNotFound,
+	"/v1/top/bogus":             http.StatusNotFound, // unknown metric
+	"/v1/top/ccg/extra":         http.StatusNotFound,
+	"/v1/other":                 http.StatusNotFound,
+	"/v1/":                      http.StatusNotFound,
+	"/v1/top/ccg?n=abc":         http.StatusBadRequest,
+	"/v1/top/ccg?n=":            http.StatusBadRequest,
+	"/v1/top/ccg?n=0":           http.StatusBadRequest,
+	"/v1/top/ccg?n=-1":          http.StatusBadRequest,
+	"/v1/top/ccg?n=1234567890":  http.StatusBadRequest, // > 9 digits
+}
+
 func TestHandlerErrors(t *testing.T) {
 	s := testSnapshot(t)
 	h := NewHandler(NewStore(s))
 
-	for path, want := range map[string]int{
-		"/v1/countries/ZZ":          http.StatusNotFound, // unknown country
-		"/v1/countries/AU/x":        http.StatusNotFound, // no sub-paths
-		"/v1/countries/ZZ/history":  http.StatusNotFound, // unknown country history
-		"/v1/countries/AU/history/": http.StatusNotFound, // no deeper sub-paths
-		"/v1/countries//history":    http.StatusNotFound, // empty country code
-		"/v1/countries/":            http.StatusNotFound,
-		"/v1/countries/TOOLONGCODE": http.StatusNotFound,
-		"/v1/top/bogus":             http.StatusNotFound, // unknown metric
-		"/v1/top/ccg/extra":         http.StatusNotFound,
-		"/v1/other":                 http.StatusNotFound,
-		"/v1/":                      http.StatusNotFound,
-		"/v1/top/ccg?n=abc":         http.StatusBadRequest,
-		"/v1/top/ccg?n=":            http.StatusBadRequest,
-		"/v1/top/ccg?n=0":           http.StatusBadRequest,
-		"/v1/top/ccg?n=-1":          http.StatusBadRequest,
-		"/v1/top/ccg?n=1234567890":  http.StatusBadRequest, // > 9 digits
-	} {
+	for path, want := range handlerErrorPaths {
 		if w := get(t, h, path, nil); w.Code != want {
 			t.Errorf("GET %s = %d, want %d", path, w.Code, want)
 		}
@@ -429,13 +434,13 @@ func TestShedDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestShedLoadgenDistinguishable pins the contract cmd/loadgen relies on to
+// TestShedLoadgenDistinguishable pins the contract a client relies on to
 // separate designed shedding from failure: the gate's 503 carries
 // Retry-After, the empty-store 503 does not.
 func TestShedLoadgenDistinguishable(t *testing.T) {
 	empty := NewHandler(NewStore(nil))
 	if w := get(t, empty, "/v1/snapshot", nil); w.Header().Get("Retry-After") != "" {
-		t.Error("empty-store 503 carries Retry-After; loadgen would misclassify it as shedding")
+		t.Error("empty-store 503 carries Retry-After; a client would misclassify it as shedding")
 	}
 }
 
@@ -558,4 +563,61 @@ func TestServeZeroAllocs(t *testing.T) {
 	if w.code != http.StatusServiceUnavailable {
 		t.Errorf("shed path status %d, want 503", w.code)
 	}
+}
+
+// FuzzServe drives the handler with any method, path, raw query and
+// If-None-Match: it never panics and answers 200, 304, 400, 404 or 405 (the
+// store is never empty and no gate is armed); a 200 body is one of the
+// snapshot's preserialized bodies byte for byte, and a request answered 200
+// or 304 allocates nothing when replayed, as TestServeZeroAllocs measures.
+func FuzzServe(f *testing.F) {
+	seeds := []string{"/v1/top/ccg?n=2", "/v1/top/CCG?n=2", "/v1/top/ccg", "/v1/top/ccg?n=999", "/v1/top/ccg?foo=bar&n=1&x=2"}
+	for p := range handlerErrorPaths {
+		seeds = append(seeds, p)
+	}
+	sort.Strings(seeds)
+	for _, p := range seeds {
+		path, query, _ := strings.Cut(p, "?")
+		f.Add(http.MethodGet, path, query, "")
+	}
+	f.Add(http.MethodHead, "/v1/countries/au/history", "", "*")
+	f.Add(http.MethodPost, "/v1/snapshot", "", "")
+
+	s := Assemble(testData(1), Config{})
+	h := NewHandler(NewStore(s))
+	bodies := map[string]bool{string(s.index.body): true}
+	for _, pages := range []map[string]*entity{s.countries, s.history} {
+		for _, e := range pages {
+			bodies[string(e.body)] = true
+		}
+	}
+	for _, variants := range s.tops {
+		for _, e := range variants {
+			bodies[string(e.body)] = true
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, method, path, query, inm string) {
+		req := &http.Request{Method: method, URL: &url.URL{Path: path, RawQuery: query}, Header: http.Header{}}
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		switch w.Code {
+		case http.StatusOK:
+			if method == http.MethodHead && w.Body.Len() != 0 || method != http.MethodHead && !bodies[w.Body.String()] {
+				t.Fatalf("%s %s?%s: 200 body is not a preserialized body: %q", method, path, query, w.Body.Bytes())
+			}
+		case http.StatusNotModified:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed:
+			return
+		default:
+			t.Fatalf("%s %s?%s: status %d", method, path, query, w.Code)
+		}
+		nw := &nopWriter{hdr: http.Header{}}
+		if allocs := testing.AllocsPerRun(10, func() { h.ServeHTTP(nw, req) }); allocs != 0 {
+			t.Fatalf("%s %s?%s (If-None-Match %q): %.1f allocs/request on a %d", method, path, query, inm, allocs, w.Code)
+		}
+	})
 }

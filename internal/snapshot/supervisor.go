@@ -159,9 +159,6 @@ type Supervisor struct {
 	publishedAt atomic.Int64 // unix nanos of the served snapshot's data time
 	lastDrift   atomic.Pointer[Drift]
 	closeOnce   sync.Once
-
-	// ageTick is overridable by tests; defaults to 1s.
-	ageTick time.Duration
 }
 
 // NewSupervisor starts the rebuild loop over st. The store may already hold
@@ -182,7 +179,6 @@ func NewSupervisor(st *Store, cfg SupervisorConfig) *Supervisor {
 		ctx:     ctx,
 		cancel:  cancel,
 		done:    make(chan struct{}),
-		ageTick: time.Second,
 		next:    1,
 	}
 	if warm := st.Load(); warm != nil {
@@ -192,8 +188,15 @@ func NewSupervisor(st *Store, cfg SupervisorConfig) *Supervisor {
 			at = time.Now()
 		}
 		s.publishedAt.Store(at.UnixNano())
-		s.refreshAge()
 	}
+	// The age gauge is computed whenever the registry is read, so it keeps
+	// moving while the loop sits in a build or a backoff. The registry keeps
+	// the func for good; once s is closed it does nothing.
+	obs.Default.OnCollect(func() {
+		if s.ctx.Err() == nil {
+			mSnapAge.Set(s.Age().Seconds())
+		}
+	})
 	go s.run()
 	return s
 }
@@ -246,26 +249,24 @@ func (s *Supervisor) Ready() (string, bool) {
 }
 
 // Close cancels any in-flight build and stops the loop; it returns once
-// the loop goroutine has exited. Safe to call more than once.
+// the loop goroutine has exited. Safe to call more than once. The age gauge
+// keeps the age at Close, which rankd's shutdown manifest records.
 func (s *Supervisor) Close() {
-	s.closeOnce.Do(s.cancel)
+	s.closeOnce.Do(func() {
+		mSnapAge.Set(s.Age().Seconds())
+		s.cancel()
+	})
 	<-s.done
 }
-
-func (s *Supervisor) refreshAge() { mSnapAge.Set(s.Age().Seconds()) }
 
 // run is the supervisor loop: waits for triggers, runs builds, publishes,
 // backs off on failure. Exits when the supervisor context is canceled.
 func (s *Supervisor) run() {
 	defer close(s.done)
-	age := time.NewTicker(s.ageTick)
-	defer age.Stop()
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
-		case <-age.C:
-			s.refreshAge()
 		case reason := <-s.trigger:
 			s.buildUntilPublished(reason)
 		}
@@ -390,7 +391,6 @@ func (s *Supervisor) buildOnce(reason string) error {
 	old := s.store.Publish(next, drift)
 	s.next = epoch + 1
 	s.publishedAt.Store(time.Now().UnixNano())
-	s.refreshAge()
 	if drift != nil {
 		drift.Export()
 		s.lastDrift.Store(drift)

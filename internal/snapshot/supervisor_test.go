@@ -400,6 +400,37 @@ func TestSupervisorStaleReadiness(t *testing.T) {
 	})
 }
 
+// TestSupervisorAgeMovesDuringBackoff: the age gauge the readiness runbook
+// points operators at keeps counting while rebuilds fail — exactly when the
+// snapshot is going stale — because the registry read refreshes it, not the
+// loop, which sits in a backoff here for half an hour or more.
+func TestSupervisorAgeMovesDuringBackoff(t *testing.T) {
+	warm := Assemble(testData(1), Config{})
+	warm.Stale = true
+	warm.SavedAt = time.Now().Add(-10 * time.Second)
+	st := NewStore(warm)
+	var attempts atomic.Int64
+	cfg := SupervisorConfig{BaseBackoff: time.Hour, Seed: 3}
+	cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
+		attempts.Add(1)
+		return nil, errors.New("upstream down")
+	}
+	sup := NewSupervisor(st, cfg)
+	defer sup.Close()
+	sup.Trigger("test")
+	waitFor(t, 2*time.Second, "first failed build", func() bool { return attempts.Load() > 0 })
+
+	age := func() float64 {
+		obs.Default.Snapshot() // a scrape of the registry
+		return mSnapAge.Value()
+	}
+	first := age()
+	time.Sleep(1100 * time.Millisecond)
+	if second := age(); second-first < 1 {
+		t.Errorf("age gauge read %.2f then %.2f 1.1s later during a backoff, want it to move by at least 1s", first, second)
+	}
+}
+
 // TestSupervisorChaos drives the supervisor with a seeded schedule of build
 // outcomes — ok, panic, error, hang, degraded — under live HTTP load, then
 // kill-and-restarts from the durable store. The invariants:
