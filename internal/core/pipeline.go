@@ -446,17 +446,25 @@ func (p *Pipeline) computeView(kind ViewKind, country countries.Code) []int32 {
 		slices.Sort(out)
 		return out
 	}
-	for _, i := range p.byPrefixCountry[country] {
-		vc := p.DS.VPCountry[p.DS.VPIndex(int(i))]
-		switch kind {
-		case National:
-			if vc == country {
-				out = append(out, i)
-			}
-		case International:
-			if vc != "" && vc != country {
-				out = append(out, i)
-			}
+	// Two passes over the prefix-country index: count, then fill a view of
+	// its final length (the views are kept for the epoch, so growing them by
+	// append would allocate about four times what they hold). Which VPs the
+	// view keeps is decided once per VP, so a pass compares no country codes.
+	keep := make([]bool, len(p.DS.VPCountry))
+	for v, vc := range p.DS.VPCountry {
+		keep[v] = kind == National && vc == country || kind == International && vc != "" && vc != country
+	}
+	recs := p.byPrefixCountry[country]
+	n := 0
+	for _, i := range recs {
+		if keep[p.DS.VPIndex(int(i))] {
+			n++
+		}
+	}
+	out = make([]int32, 0, n)
+	for _, i := range recs {
+		if keep[p.DS.VPIndex(int(i))] {
+			out = append(out, i)
 		}
 	}
 	return out

@@ -293,15 +293,46 @@ func pathRuns(ds *sanitize.Dataset, view []int32) int {
 	return n
 }
 
+// storedRunsCase: every record, where in stored order VP 0's run on path
+// 1 2 3 is interrupted by VP 1's record and then resumes, and VP 0's path
+// 1 5 comes back after another path — a VP's (VP, path) run the full view's
+// stored-order walk meets twice, and a path it walks twice.
+func storedRunsCase(t *testing.T) *sanitize.Dataset {
+	ds := metrictest.Dataset([]countries.Code{"US", "US", "US"}, []metrictest.Rec{
+		{VP: 0, Prefix: "9.0.0.0/24", PrefixCountry: "US", Path: []uint32{1, 2, 3}},
+		{VP: 0, Prefix: "9.0.1.0/24", PrefixCountry: "US", Path: []uint32{1, 2, 3}},
+		{VP: 1, Prefix: "9.0.2.0/24", PrefixCountry: "US", Path: []uint32{4, 2, 3}},
+		{VP: 0, Prefix: "9.0.2.0/23", PrefixCountry: "US", Path: []uint32{1, 2, 3}},
+		{VP: 0, Prefix: "9.0.4.0/24", PrefixCountry: "US", Path: []uint32{1, 5}},
+		{VP: 1, Prefix: "9.0.0.0/24", PrefixCountry: "US", Path: []uint32{4, 2, 5, 5}},
+		{VP: 0, Prefix: "9.0.5.0/24", PrefixCountry: "US", Path: []uint32{1, 6}},
+		{VP: 0, Prefix: "9.0.8.0/22", PrefixCountry: "US", Path: []uint32{1, 5}},
+		{VP: 2, Prefix: "9.0.4.0/24", PrefixCountry: "US", Path: []uint32{7, 6, 5}},
+	})
+	stored, pairs := 0, map[[2]int32]bool{}
+	for i := 0; i < ds.Len(); i++ {
+		if i == 0 || ds.VPIndex(i) != ds.VPIndex(i-1) || ds.PathIndex(i) != ds.PathIndex(i-1) {
+			stored++
+		}
+		pairs[[2]int32{ds.VPIndex(i), ds.PathIndex(i)}] = true
+	}
+	if byVP := pathRuns(ds, nil); stored <= byVP || len(pairs) >= byVP {
+		t.Fatalf("stored order has %d (VP, path) runs, VP order %d, over %d (VP, path) pairs: no run is interrupted or no path repeats",
+			stored, byVP, len(pairs))
+	}
+	return ds
+}
+
 // TestPathRunsMatchMapReference: accumulate sums the weights of consecutive
 // records on one path and walks the path once, and nothing about how records
 // are ordered may show in the scores. So Compute and Accumulate + Scores
 // equal the per-record map reference where every path's records are
 // adjacent (the generator's order), where they are as an MRT dump lists them
 // (a round trip of the same world), where they are not adjacent at all
-// (views shuffled, with records repeated), and where a run has nothing to
-// walk or nothing to weigh (an empty clean path, weightless prefixes) — from
-// four goroutines at once, leaving the pooled scratch zeroed.
+// (views shuffled, with records repeated; every record as stored with a run
+// interrupted and a path repeated), and where a run has nothing to walk or
+// nothing to weigh (an empty clean path, weightless prefixes) — from four
+// goroutines at once, leaving the pooled scratch zeroed.
 func TestPathRunsMatchMapReference(t *testing.T) {
 	type view struct {
 		name string
@@ -359,6 +390,7 @@ func TestPathRunsMatchMapReference(t *testing.T) {
 	for _, c := range weightlessVPCases(rng) { // an empty clean path; a VP whose prefixes all weigh 0
 		views = append(views, view{c.name, c.ds, c.view})
 	}
+	views = append(views, view{"stored order, a run interrupted and a path repeated", storedRunsCase(t), nil})
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

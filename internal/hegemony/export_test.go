@@ -25,8 +25,9 @@ func (pv *PerVP) WalksRows(pairs int) bool { return pv.walksRows(pairs) }
 
 // CheckPooledScratch draws scratch buffers from the pool and verifies the
 // pool invariant over each one's whole capacity: the per-VP counters, the
-// per-AS weights, markers and counts and the per-VP selection marks are
-// all-zero between calls, and the pooled per-VP runs name no dataset.
+// per-AS weights, markers and counts, the per-VP selection marks and the full
+// view's matrix, marks and totals are all-zero between calls, and the pooled
+// per-VP runs name no dataset.
 func CheckPooledScratch() error {
 	var drawn []*scratch
 	defer func() {
@@ -60,6 +61,18 @@ func CheckPooledScratch() error {
 		for p, m := range sc.picked[:cap(sc.picked)] {
 			if m != 0 {
 				return fmt.Errorf("pooled picked[%d] = %d", p, m)
+			}
+		}
+		for name, s := range map[string][]uint64{"cellW": sc.cellW, "hit": sc.hit, "vpTotal": sc.vpTotal} {
+			for j, x := range s[:cap(s)] {
+				if x != 0 {
+					return fmt.Errorf("pooled %s[%d] = %d", name, j, x)
+				}
+			}
+		}
+		for id, m := range sc.mean[:cap(sc.mean)] {
+			if m != 0 {
+				return fmt.Errorf("pooled mean[%d] = %v", id, m)
 			}
 		}
 		if sc.pv.rowOff != nil {

@@ -7,9 +7,10 @@
 //
 // The definition is the kernel's seam: Accumulate builds the per-VP vectors
 // of a view (PerVP), Each streams every AS's trimmed mean over any subset of
-// its VPs (Scores is Each into a map), and Compute is the two back to back.
-// Callers scoring many VP subsets of one view (core.Pipeline.Stability)
-// accumulate once.
+// its VPs (Scores is Each into a map), and Compute is the two back to back —
+// except over every record, whose dense per-VP state it fills in one pass
+// over the records as stored. Callers scoring many VP subsets of one view
+// (core.Pipeline.Stability) accumulate once.
 package hegemony
 
 import (
@@ -92,7 +93,9 @@ func (pv *PerVP) AppendVP(ids []int32, shares []float64, scored bool) {
 // touched/idsUsed dirty lists or the selection itself. That keeps each call
 // O(records + touched entries) rather than O(total ASes + total VPs), which
 // matters for stability trials over tiny VP subsets. pv.asnOf is nil between
-// calls, so an idle pool pins no dataset.
+// calls, so an idle pool pins no dataset. cellW, hit, vpTotal and mean are
+// all-zero too: the full view is dense, so computeAll clears every row as it
+// reads it, and the marks and totals whole.
 type scratch struct {
 	// byVP groups the record positions by VP, record order kept inside a VP.
 	byVP    sanitize.Groups
@@ -106,6 +109,15 @@ type scratch struct {
 	vals    []float64 // per-AS value lists after counting-sort; one row's picks
 	picked  []uint8   // per VP position: 1 while the VP is selected (rows walk)
 	all     []int32   // 0, 1, 2, …: the selection nil stands for
+
+	// The full view's per-VP state, AS-major (computeAll): cell id·VPs+v is
+	// the weight of VP v's paths containing AS id, and bit id·VPs+v of hit
+	// marks a cell only weightless runs reached.
+	cellW   []uint64
+	hit     []uint64
+	vpTotal []uint64  // per VP: its paths' total weight
+	order   []int32   // the VPs with weight, by descending total
+	mean    []float64 // per AS id: its score, until it is in the result
 }
 
 // allVPs returns the positions of a view's n VPs.
@@ -122,12 +134,16 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // ds (nil means every record). trim is the per-side trim fraction; negative
 // values select DefaultTrim, zero disables trimming (the ablation case).
 //
-// It is Accumulate followed by Scores(nil, trim) with the per-VP runs kept
-// in pooled scratch and no rows built; the result is bit-identical to the
-// map-based reference the property tests keep.
+// A view is Accumulate followed by Scores(nil, trim) with the per-VP runs
+// kept in pooled scratch and no rows built; every record (nil) is
+// computeAll. Either is bit-identical to the map-based reference the
+// property tests keep.
 func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	if recs == nil {
+		return sc.computeAll(ds, trim)
+	}
 	sc.accumulate(ds, recs, &sc.pv)
 	s := sc.pv.scores(sc, nil, trim)
 	sc.pv.Reset(nil)
@@ -227,6 +243,82 @@ func (sc *scratch) accumulate(ds *sanitize.Dataset, recs []int32, pv *PerVP) {
 		}
 		sc.byVP.Cnt[v] = 0 // likewise
 	}
+}
+
+// computeAll is Compute over every record of ds. Records are stored
+// origin-major, so grouping them by VP first (accumulate) sends every path
+// lookup to a cold line; instead the records are walked once in stored order
+// into the AS × VP matrix, summing consecutive records of one VP and one
+// path as accumulate does, and each AS's per-VP values are then read off its
+// row. The full view's matrix is dense (two thirds of the cells at W05), so
+// visiting every row costs little beyond the cells a view would touch anyway.
+func (sc *scratch) computeAll(ds *sanitize.Dataset, trim float64) Scores {
+	if trim < 0 {
+		trim = DefaultTrim
+	}
+	nVP, nAS := len(ds.VPCountry), ds.NumAS()
+	sc.cellW = sanitize.Grow(sc.cellW, nAS*nVP)
+	sc.hit = sanitize.Grow(sc.hit, (nAS*nVP+63)/64)
+	sc.vpTotal = sanitize.Grow(sc.vpTotal, nVP)
+	for i, n := 0, ds.Len(); i < n; {
+		v, q := ds.VPIndex(i), ds.PathIndex(i)
+		var w uint64
+		for ; i < n && ds.VPIndex(i) == v && ds.PathIndex(i) == q; i++ {
+			w += ds.Weight[ds.PrefixIndex(i)]
+		}
+		sc.vpTotal[v] += w
+		// Count each AS once per path even if prepending survived.
+		var last int32 = -1
+		for _, id := range ds.PathIDs(int(q)) {
+			if id != last {
+				c := uint(int(id)*nVP + int(v))
+				sc.cellW[c] += w
+				if w == 0 { // a weightless run still puts the AS in the result
+					sc.hit[c/64] |= 1 << (c % 64)
+				}
+				last = id
+			}
+		}
+	}
+
+	// The mean is over the VPs whose paths carry weight, and each row is read
+	// in their order of descending total: a row with one weight from every VP
+	// that reaches it (a stub's prefixes, which a VP reaches whole or not at
+	// all; two thirds of the rows at W05) then arrives ascending, and the sort
+	// finds it sorted in one pass.
+	sc.order = sanitize.Grow(sc.order, nVP)[:0]
+	for v, t := range sc.vpTotal {
+		if t > 0 {
+			sc.order = append(sc.order, int32(v))
+		}
+	}
+	slices.SortFunc(sc.order, func(a, b int32) int { return cmp.Compare(sc.vpTotal[b], sc.vpTotal[a]) })
+	sc.vals = sanitize.Grow(sc.vals, nVP) // no row is longer
+	sc.mean = sanitize.Grow(sc.mean, nAS)
+	sc.idsUsed = sanitize.Grow(sc.idsUsed, nAS)[:0]
+	for id := 0; id < nAS; id++ {
+		row, vals := sc.cellW[id*nVP:][:nVP], sc.vals[:0]
+		for _, v := range sc.order {
+			c := uint(id*nVP + int(v))
+			if row[v] != 0 || sc.hit[c/64]&(1<<(c%64)) != 0 {
+				vals = append(vals, float64(row[v])/float64(sc.vpTotal[v]))
+			}
+		}
+		clear(row) // restore the pool invariant
+		if len(vals) > 0 {
+			slices.Sort(vals)
+			sc.mean[id] = trimmedMeanSorted(vals, len(sc.order), trim)
+			sc.idsUsed = append(sc.idsUsed, int32(id))
+		}
+	}
+	s := Scores{Hegemony: make(map[asn.ASN]float64, len(sc.idsUsed)), VPCount: len(sc.order)}
+	for _, id := range sc.idsUsed {
+		s.Hegemony[ds.ASNOf[id]] = sc.mean[id]
+		sc.mean[id] = 0 // likewise
+	}
+	clear(sc.hit)
+	clear(sc.vpTotal)
+	return s
 }
 
 // rowsCrossover: a selection is gathered from the presorted rows when its

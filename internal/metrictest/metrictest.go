@@ -23,11 +23,13 @@ type Rec struct {
 	Path          []uint32
 }
 
-// Dataset builds a fully-accepted dataset from explicit records.
-// vpCountries assigns each VP index a country.
+// Dataset builds a fully-accepted dataset from explicit records, stored in
+// the given order. vpCountries assigns each VP index a country. Records with
+// equal paths share one collection path, as in a collector's path table.
 func Dataset(vpCountries []countries.Code, recs []Rec) *sanitize.Dataset {
 	col := &routing.Collection{Days: 1}
 	pfxIdx := map[netip.Prefix]int32{}
+	pathIdx := map[string]int32{}
 	var prefixCountry []countries.Code
 	for _, r := range recs {
 		pfx := netx.MustPrefix(r.Prefix)
@@ -42,12 +44,14 @@ func Dataset(vpCountries []countries.Code, recs []Rec) *sanitize.Dataset {
 			prefixCountry = append(prefixCountry, r.PrefixCountry)
 			col.Stable = append(col.Stable, true)
 		}
-		col.Records = append(col.Records, routing.Record{
-			VP:     int32(r.VP),
-			Prefix: pi,
-			Path:   int32(len(col.Paths)),
-		})
-		col.Paths = append(col.Paths, toPath(r.Path))
+		path := toPath(r.Path)
+		qi, ok := pathIdx[path.Key()]
+		if !ok {
+			qi = int32(len(col.Paths))
+			pathIdx[path.Key()] = qi
+			col.Paths = append(col.Paths, path)
+		}
+		col.Records = append(col.Records, routing.Record{VP: int32(r.VP), Prefix: pi, Path: qi})
 	}
 	return sanitize.NewDataset(col, vpCountries, prefixCountry)
 }

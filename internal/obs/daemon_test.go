@@ -36,7 +36,7 @@ func rankdFlags(t *testing.T, args ...string) *obs.CmdFlags {
 // what a long-lived daemon serves and writes to stop growing once the trace
 // is full: /debug/trace's event count and byte size, Trace.Render's length
 // and the -manifest file's size at 10× the capacity are within one epoch's
-// worth of what they were at 1×, the newest epoch's eight spans are the last
+// worth of what they were at 1×, the newest epoch's eleven spans are the last
 // ones exported, and the export says how many roots it let go. Before the
 // roots sat on a ring, every one of these grew by an epoch's worth per epoch.
 func TestDaemonTraceBounded(t *testing.T) {
@@ -106,8 +106,8 @@ func TestDaemonTraceBounded(t *testing.T) {
 		return s
 	}
 
-	// Two roots an epoch (pipeline, snapshot-build), eight spans between them.
-	const rootsPerEpoch, spansPerEpoch = 2, 8
+	// Two roots an epoch (pipeline, snapshot-build), eleven spans between them.
+	const rootsPerEpoch, spansPerEpoch = 2, 11
 	fill := obs.TraceRoots / rootsPerEpoch
 	epochs(1)
 	one := measure()
@@ -151,7 +151,8 @@ func TestDaemonTraceBounded(t *testing.T) {
 	}
 
 	// The newest epoch is the tail of the export, whole and in start order.
-	want := []string{"pipeline", "topology", "propagate", "geolocate", "sanitize", "index", "precompute", "snapshot-build"}
+	want := []string{"pipeline", "topology", "propagate", "geolocate", "sanitize", "index", "precompute",
+		"snapshot-build", "countries", "global", "assemble"}
 	n := len(late.names)
 	if got := late.names[n-spansPerEpoch:]; !slices.Equal(got, want) {
 		t.Errorf("last %d exported spans = %v, want the newest epoch's %v", spansPerEpoch, got, want)

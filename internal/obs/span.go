@@ -35,7 +35,7 @@ type Trace struct {
 }
 
 // traceRoots is how many root spans a Trace retains. A rankd epoch opens two
-// (the pipeline and the snapshot build, eight spans between them), so this is
+// (the pipeline and the snapshot build, eleven spans between them), so this is
 // the last 16 epochs; the largest batch run, cmd/experiments, opens 19.
 const traceRoots = 32
 

@@ -306,6 +306,7 @@ func Build(p *core.Pipeline, epoch int64, cfg Config) *Snapshot {
 	defer sp.End()
 	list := countries.All()
 	got := make([]*CountryData, len(list))
+	cs := sp.Child("countries")
 	par.ForEach(len(list), func(i int) {
 		c := list[i]
 		cr := p.Country(c)
@@ -323,9 +324,14 @@ func Build(p *core.Pipeline, epoch int64, cfg Config) *Snapshot {
 			d.Countries = append(d.Countries, *cd)
 		}
 	}
+	cs.End()
+	gs := sp.Child("global")
 	ccg, ahg := p.Global()
 	d.Tops = []TopData{{Metric: "ccg", Ranking: ccg}, {Metric: "ahg", Ranking: ahg}}
+	gs.End()
 	sp.AddItems(int64(len(d.Countries)), "countries")
+	as := sp.Child("assemble")
+	defer as.End()
 	return Assemble(d, cfg)
 }
 

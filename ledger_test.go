@@ -191,10 +191,10 @@ const ledgerHeader = `# Work ledger: what each span of one pass hands the heap, 
 func renderLedger(rows []workRow) string {
 	var b strings.Builder
 	b.WriteString(ledgerHeader)
-	fmt.Fprintf(&b, "#\n# %-20s %9s %-9s %8s %11s %8s %11s\n", "span", "items", "unit", "objects", "bytes", "self", "self bytes")
+	fmt.Fprintf(&b, "#\n# %-22s %9s %-9s %8s %11s %8s %11s\n", "span", "items", "unit", "objects", "bytes", "self", "self bytes")
 	for i, r := range rows {
 		objs, nbytes := childSums(rows, i)
-		fmt.Fprintf(&b, "%-22s %9d %-9s %8d %11d %8d %11d\n",
+		fmt.Fprintf(&b, "%-24s %9d %-9s %8d %11d %8d %11d\n",
 			r.path, r.items, cmp.Or(r.unit, "-"), r.objects, r.bytes, r.objects-objs, r.bytes-nbytes)
 	}
 	return b.String()

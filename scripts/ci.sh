@@ -42,9 +42,9 @@ go test -race ./...
 echo '--- bench smoke (Figure4, Figure5, Table9GlobalContrast, PipelineBuild, Propagation, Table1Sanitize, ConeStarts, MRT plane, 1 iteration)'
 # Figure4 and Figure5 combine per-view trial state over VP subsets (national
 # and international views); Table9 drives the full-view Global path and its
-# (VP, path) runs, PipelineBuild the judge's prefilled flag table, the
-# pre-pass and record pass, the table-numbered interner, the counting-sorted
-# prefix-country index and the chain starts,
+# stored-order walk into the AS × VP matrix, PipelineBuild the judge's
+# prefilled flag table, the pre-pass and record pass, the table-numbered
+# interner, the counting-sorted prefix-country index and the chain starts,
 # Propagation the sharded path arenas and the merge's numbering,
 # Table1Sanitize the accounting over a built dataset, ConeStarts the chain
 # rule over every path's dense ids through the id-indexed relationship memo,
@@ -583,12 +583,15 @@ kill "$drift_pid"
 wait "$drift_pid" 2>/dev/null || true
 grep -q '"drift_summary"' "$drift_dir/manifest.json"
 grep -q '"drift_churn_score"' "$drift_dir/manifest.json"
-# Its span tree holds the three epochs (two roots, eight lines each) and can
-# never hold more than the trace's 32 roots' worth, however long the daemon
-# ran (TestDaemonTraceBounded drives it past that).
+# Its span tree holds the three epochs (two roots, lines_per_epoch lines
+# between them: the pipeline and its six stages, snapshot-build and its
+# three) and can never hold more than the trace's 32 roots' worth, however
+# long the daemon ran (TestDaemonTraceBounded drives it past that).
+lines_per_epoch=11
 span_lines=$(grep -o '"span_tree": *"[^"]*"' "$drift_dir/manifest.json" | grep -o '\\n' | wc -l)
-if (( span_lines < 24 || span_lines > 32 / 2 * 8 + 1 )); then
-    echo "shutdown manifest span_tree has $span_lines lines, want 24 (3 epochs) up to 129 (32 roots and the dropped-roots line)" >&2
+span_min=$((3 * lines_per_epoch)) span_max=$((32 / 2 * lines_per_epoch + 1))
+if (( span_lines < span_min || span_lines > span_max )); then
+    echo "shutdown manifest span_tree has $span_lines lines, want $span_min (3 epochs) up to $span_max (32 roots and the dropped-roots line)" >&2
     exit 1
 fi
 
