@@ -274,7 +274,7 @@ func BenchmarkAblationRelationshipSource(b *testing.B) {
 	recs := p.ViewRecords(core.International, "AU")
 	b.Run("ground-truth", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			conepkg.Compute(p.DS, recs, p.Rels)
+			conepkg.ComputeFrom(p.DS, recs, p.Rels, nil)
 		}
 	})
 	var inferred *core.Pipeline
@@ -287,24 +287,7 @@ func BenchmarkAblationRelationshipSource(b *testing.B) {
 		}
 		recs := inferred.ViewRecords(core.International, "AU")
 		for i := 0; i < b.N; i++ {
-			conepkg.Compute(inferred.DS, recs, inferred.Rels)
-		}
-	})
-}
-
-// BenchmarkAblationConeRule compares the observed-path cone rule with the
-// recursive closure §1.1 warns against.
-func BenchmarkAblationConeRule(b *testing.B) {
-	p, _ := benchPipelines(b)
-	recs := p.ViewRecords(core.International, "AU")
-	b.Run("observed-path", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			conepkg.Compute(p.DS, recs, p.Rels)
-		}
-	})
-	b.Run("recursive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			conepkg.ComputeRecursive(p.DS, recs, p.Rels)
+			conepkg.ComputeFrom(inferred.DS, recs, inferred.Rels, nil)
 		}
 	})
 }
@@ -524,9 +507,9 @@ func BenchmarkServeCountry(b *testing.B) {
 // 304, no body.
 func BenchmarkServeCountry304(b *testing.B) {
 	serveBenchSetup(b)
-	req := serveBenchRequest(b, "/v1/countries/"+serveBenchCC,
-		serveBenchSnap.CountryETag(serveBenchCC))
 	w := &serveBenchWriter{hdr: http.Header{}}
+	serveBenchH.ServeHTTP(w, serveBenchRequest(b, "/v1/countries/"+serveBenchCC, ""))
+	req := serveBenchRequest(b, "/v1/countries/"+serveBenchCC, w.hdr.Get("ETag"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,7 +9,7 @@
 // Because the paper's inputs (RouteViews/RIS dumps, commercial geolocation)
 // are not redistributable, the library ships a complete synthetic substrate:
 // a country-modeled Internet topology generator, a valley-free BGP
-// propagation simulator, MRT and BGP wire codecs, a geolocation service,
+// propagation simulator, an MRT TABLE_DUMP_V2 codec, a geolocation service,
 // the Table-1 sanitization pipeline, and relationship inference.
 //
 // Quick start:

@@ -70,15 +70,7 @@ func (r *Registry) Allocate(a ASN) {
 	r.allocated[a] = true
 }
 
-// Allocated reports whether a is assigned and usable in a public path.
-func (r *Registry) Allocated(a ASN) bool {
-	if a.Reserved() {
-		return false
-	}
-	return r != nil && r.allocated[a]
-}
-
-// ForEach calls fn for every ASN Allocated reports true for, in no
+// ForEach calls fn for every allocated ASN that is not reserved, in no
 // particular order.
 func (r *Registry) ForEach(fn func(ASN)) {
 	for a := range r.allocated {

@@ -2,6 +2,15 @@ package asn
 
 import "testing"
 
+// Allocated reports whether a is assigned and usable in a public path: the
+// lookup form of the set ForEach visits.
+func (r *Registry) Allocated(a ASN) bool {
+	if a.Reserved() {
+		return false
+	}
+	return r != nil && r.allocated[a]
+}
+
 func TestString(t *testing.T) {
 	if got := ASN(3356).String(); got != "AS3356" {
 		t.Errorf("String = %q", got)

@@ -38,14 +38,3 @@ func (t *Table[T]) At(a ASN) *T {
 	}
 	return &p[a&(1<<pageBits-1)]
 }
-
-// Pages returns how many pages exist.
-func (t *Table[T]) Pages() int {
-	n := 0
-	for _, p := range t.pages {
-		if p != nil {
-			n++
-		}
-	}
-	return n
-}

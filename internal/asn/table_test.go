@@ -2,6 +2,17 @@ package asn
 
 import "testing"
 
+// Pages returns how many pages exist.
+func (t *Table[T]) Pages() int {
+	n := 0
+	for _, p := range t.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTable(t *testing.T) {
 	var tab Table[int32]
 	edges := []ASN{0, 1, 65535, 65536, 65537, 131071, 131072, 4199999999, 4294967295}

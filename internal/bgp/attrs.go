@@ -10,9 +10,49 @@ import (
 	"countryrank/internal/asn"
 )
 
+// OriginCode is the value of the ORIGIN attribute (RFC 4271 §5.1.1).
+type OriginCode uint8
+
+// OriginIGP is the ORIGIN the MRT export gives every route.
+const OriginIGP OriginCode = 0
+
+// Path attribute type codes and flags used by the codec.
+const (
+	attrOrigin  = 1
+	attrASPath  = 2
+	attrNextHop = 3
+	flagTransit = 0x40
+	flagExtLen  = 0x10
+)
+
+// AS_PATH segment types (RFC 4271 §4.3).
+const (
+	SegmentSet      = 1
+	SegmentSequence = 2
+)
+
+// Segment is one AS_PATH segment.
+type Segment struct {
+	Type uint8
+	ASNs []asn.ASN
+}
+
+// ASPath is the segmented AS_PATH attribute. Paths produced by our simulator
+// are always a single AS_SEQUENCE, but the codec round-trips AS_SETs too.
+type ASPath []Segment
+
+// AppendFlat appends the path's ASNs, AS_SET members in order, to dst and
+// returns it, so a caller can reuse one scratch path across records.
+func (ap ASPath) AppendFlat(dst Path) Path {
+	for _, s := range ap {
+		dst = append(dst, s.ASNs...)
+	}
+	return dst
+}
+
 // AttrSet is the subset of BGP path attributes an MRT RIB entry carries for
-// our pipeline: ORIGIN, AS_PATH, and NEXT_HOP. It reuses the UPDATE codec's
-// attribute wire format so MRT dumps and live messages agree byte-for-byte.
+// our pipeline: ORIGIN, AS_PATH, and NEXT_HOP, in the BGP path-attribute
+// wire format (RFC 4271 §4.3) with 4-octet AS numbers (RFC 6793).
 type AttrSet struct {
 	Origin  OriginCode
 	ASPath  ASPath
@@ -192,6 +232,3 @@ func (d *AttrDecoder) decodeASPath(b []byte) (ASPath, error) {
 	}
 	return d.segs[segStart:len(d.segs):len(d.segs)], nil
 }
-
-// PathOf is a convenience returning the flattened AS path of the set.
-func (a AttrSet) PathOf() Path { return a.ASPath.Flatten() }

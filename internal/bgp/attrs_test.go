@@ -10,7 +10,7 @@ import (
 func TestAttrSetRoundTrip(t *testing.T) {
 	a := AttrSet{
 		Origin:  OriginIGP,
-		ASPath:  SequencePath(path(3356, 1299, 12389)),
+		ASPath:  seq(path(3356, 1299, 12389)),
 		NextHop: netip.MustParseAddr("192.0.2.1"),
 	}
 	raw, err := a.Marshal()
@@ -24,13 +24,13 @@ func TestAttrSetRoundTrip(t *testing.T) {
 	if got.Origin != a.Origin || got.NextHop != a.NextHop {
 		t.Errorf("got %+v", got)
 	}
-	if !got.PathOf().Equal(path(3356, 1299, 12389)) {
-		t.Errorf("path = %v", got.PathOf())
+	if !got.ASPath.AppendFlat(nil).Equal(path(3356, 1299, 12389)) {
+		t.Errorf("path = %v", got.ASPath.AppendFlat(nil))
 	}
 }
 
 func TestAttrSetNoNextHop(t *testing.T) {
-	a := AttrSet{Origin: OriginIncomplete, ASPath: SequencePath(path(1))}
+	a := AttrSet{Origin: OriginIncomplete, ASPath: seq(path(1))}
 	raw, err := a.Marshal()
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
@@ -45,14 +45,14 @@ func TestAttrSetNoNextHop(t *testing.T) {
 }
 
 func TestAttrSetV6NextHopRejected(t *testing.T) {
-	a := AttrSet{ASPath: SequencePath(path(1)), NextHop: netip.MustParseAddr("2001:db8::1")}
+	a := AttrSet{ASPath: seq(path(1)), NextHop: netip.MustParseAddr("2001:db8::1")}
 	if _, err := a.Marshal(); err == nil {
 		t.Error("v6 next hop must be rejected")
 	}
 }
 
 func TestUnmarshalAttrsTruncated(t *testing.T) {
-	a := AttrSet{Origin: OriginIGP, ASPath: SequencePath(path(1, 2, 3))}
+	a := AttrSet{Origin: OriginIGP, ASPath: seq(path(1, 2, 3))}
 	raw, _ := a.Marshal()
 	for cut := 1; cut < len(raw); cut++ {
 		if _, err := UnmarshalAttrs(raw[:cut]); err == nil {
@@ -60,7 +60,7 @@ func TestUnmarshalAttrsTruncated(t *testing.T) {
 			// parse as a shorter attribute list; those must still decode to a
 			// subset, never garbage. Verify the path is a prefix of the input.
 			got, _ := UnmarshalAttrs(raw[:cut])
-			p := got.PathOf()
+			p := got.ASPath.AppendFlat(nil)
 			if len(p) > 3 {
 				t.Fatalf("cut %d produced oversized path %v", cut, p)
 			}
@@ -68,9 +68,8 @@ func TestUnmarshalAttrsTruncated(t *testing.T) {
 	}
 }
 
-// badAttrs are path-attribute byte strings no decoder may accept. Both ways
-// in — UnmarshalAttrs / AttrDecoder.Decode here, UnmarshalUpdate in
-// TestUnmarshalErrors — walk them with the same code and must refuse each.
+// badAttrs are path-attribute byte strings no decoder may accept: both
+// UnmarshalAttrs and AttrDecoder.Decode must refuse each.
 var badAttrs = []struct {
 	name string
 	raw  []byte
@@ -118,7 +117,39 @@ func TestUnmarshalAttrsLongPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if !got.PathOf().Equal(long) {
+	if !got.ASPath.AppendFlat(nil).Equal(long) {
 		t.Error("long path did not round-trip")
+	}
+}
+
+func TestASSetRoundTrip(t *testing.T) {
+	a := AttrSet{
+		Origin: OriginIncomplete,
+		ASPath: ASPath{
+			{Type: SegmentSequence, ASNs: []asn.ASN{100, 200}},
+			{Type: SegmentSet, ASNs: []asn.ASN{300, 400}},
+		},
+		NextHop: netip.MustParseAddr("10.0.0.1"),
+	}
+	raw, err := a.Marshal()
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	got, err := UnmarshalAttrs(raw)
+	if err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	if len(got.ASPath) != 2 || got.ASPath[0].Type != SegmentSequence || got.ASPath[1].Type != SegmentSet {
+		t.Fatalf("segments = %+v", got.ASPath)
+	}
+	if !got.ASPath.AppendFlat(nil).Equal(path(100, 200, 300, 400)) {
+		t.Errorf("flat = %v", got.ASPath.AppendFlat(nil))
+	}
+}
+
+func TestMarshalErrors(t *testing.T) {
+	a := AttrSet{ASPath: ASPath{{Type: SegmentSequence, ASNs: make([]asn.ASN, 256)}}}
+	if _, err := a.Marshal(); err == nil {
+		t.Error("expected error for a segment of 256 ASNs")
 	}
 }

@@ -22,19 +22,9 @@ func NewInterner(n int) *Interner {
 	return &Interner{table: make([]int32, size), paths: make([]Path, 0, n)}
 }
 
-// Intern returns the index of p, copying it into the table on first sight.
-// p may alias reused decode buffers; the table never retains it.
-func (it *Interner) Intern(p Path) int32 {
-	slot, i, ok := it.find(p)
-	if ok {
-		return i
-	}
-	return it.insert(slot, p.Clone())
-}
-
-// InternOwned is Intern for a path the caller hands over: on first sight
-// the table keeps p itself instead of a copy, so freshly built paths are
-// interned with zero extra allocation. The caller must not mutate p after.
+// InternOwned returns the index of p, a path the caller hands over: on
+// first sight the table keeps p itself, so freshly built paths are interned
+// with zero extra allocation. The caller must not mutate p after.
 func (it *Interner) InternOwned(p Path) int32 {
 	slot, i, ok := it.find(p)
 	if ok {
@@ -98,10 +88,7 @@ func (it *Interner) grow() {
 	it.table = next
 }
 
-// Len returns the number of distinct paths interned.
-func (it *Interner) Len() int { return len(it.paths) }
-
-// Paths releases the table's path slice, indexed by the values Intern
+// Paths releases the table's path slice, indexed by the values InternOwned
 // returned. The interner must not be used after.
 func (it *Interner) Paths() []Path {
 	out := it.paths

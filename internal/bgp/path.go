@@ -1,8 +1,8 @@
 // Package bgp implements the BGP-4 structures the ranking pipeline consumes:
-// AS paths with the hygiene helpers the sanitizer needs (adjacent-duplicate
-// removal from prepending, non-adjacent loop detection), and a wire codec
-// for UPDATE messages (RFC 4271) carrying 4-byte AS paths (RFC 6793). The
-// MRT package layers the RouteViews/RIS dump format on top of this codec.
+// AS paths with the loop check the sanitizer needs, a path interner, and
+// the path-attribute wire codec (RFC 4271) with 4-byte AS paths (RFC 6793)
+// that MRT RIB entries carry. The MRT package layers the RouteViews/RIS
+// TABLE_DUMP_V2 format on top of this codec.
 package bgp
 
 import (
@@ -45,32 +45,6 @@ func (p Path) Equal(q Path) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns an independent copy of the path.
-func (p Path) Clone() Path {
-	if p == nil {
-		return nil
-	}
-	out := make(Path, len(p))
-	copy(out, p)
-	return out
-}
-
-// DedupAdjacent collapses runs of the same ASN (BGP path prepending) into a
-// single hop, returning a new path. "A A B B B C" becomes "A B C".
-func (p Path) DedupAdjacent() Path {
-	if len(p) == 0 {
-		return nil
-	}
-	out := make(Path, 0, len(p))
-	out = append(out, p[0])
-	for _, a := range p[1:] {
-		if a != out[len(out)-1] {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // HasNonAdjacentLoop reports whether any ASN reappears after an intervening

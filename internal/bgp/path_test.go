@@ -26,36 +26,13 @@ func TestPathEnds(t *testing.T) {
 	}
 }
 
-func TestContainsEqualClone(t *testing.T) {
+func TestContainsEqual(t *testing.T) {
 	p := path(1, 2, 3)
 	if !p.Contains(2) || p.Contains(9) {
 		t.Error("Contains wrong")
 	}
 	if !p.Equal(path(1, 2, 3)) || p.Equal(path(1, 2)) || p.Equal(path(1, 2, 4)) {
 		t.Error("Equal wrong")
-	}
-	c := p.Clone()
-	c[0] = 99
-	if p[0] != 1 {
-		t.Error("Clone must not alias")
-	}
-	if Path(nil).Clone() != nil {
-		t.Error("Clone of nil is nil")
-	}
-}
-
-func TestDedupAdjacent(t *testing.T) {
-	cases := []struct{ in, want Path }{
-		{path(1, 1, 2, 2, 2, 3), path(1, 2, 3)},
-		{path(1, 2, 3), path(1, 2, 3)},
-		{path(7, 7, 7, 7), path(7)},
-		{path(1, 2, 1), path(1, 2, 1)}, // non-adjacent repeats preserved
-		{nil, nil},
-	}
-	for _, c := range cases {
-		if got := c.in.DedupAdjacent(); !got.Equal(c.want) {
-			t.Errorf("DedupAdjacent(%v) = %v, want %v", c.in, got, c.want)
-		}
 	}
 }
 

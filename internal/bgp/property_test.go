@@ -17,34 +17,6 @@ func fromBytes(bs []byte) Path {
 	return p
 }
 
-func TestDedupAdjacentIdempotent(t *testing.T) {
-	f := func(bs []byte) bool {
-		p := fromBytes(bs)
-		once := p.DedupAdjacent()
-		twice := once.DedupAdjacent()
-		return once.Equal(twice)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDedupAdjacentPreservesEnds(t *testing.T) {
-	f := func(bs []byte) bool {
-		p := fromBytes(bs)
-		if len(p) == 0 {
-			return p.DedupAdjacent() == nil
-		}
-		d := p.DedupAdjacent()
-		do, _ := d.Origin()
-		po, _ := p.Origin()
-		return d[0] == p[0] && do == po && len(d) <= len(p)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLoopInvariantUnderPrepending(t *testing.T) {
 	// Expanding any hop into a run of itself must not change loop-ness.
 	f := func(bs []byte, at, times uint8) bool {
@@ -73,13 +45,13 @@ func TestMarshalRoundTripQuick(t *testing.T) {
 		if len(p) == 0 || len(p) > 200 {
 			return true
 		}
-		a := AttrSet{Origin: OriginIGP, ASPath: SequencePath(p)}
+		a := AttrSet{Origin: OriginIGP, ASPath: seq(p)}
 		raw, err := a.Marshal()
 		if err != nil {
 			return false
 		}
 		got, err := UnmarshalAttrs(raw)
-		return err == nil && got.PathOf().Equal(p)
+		return err == nil && got.ASPath.AppendFlat(nil).Equal(p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,7 +1,7 @@
 package bgp
 
-// The reference marshalers below are the pre-optimization bytes.Buffer +
-// binary.Write implementations, retained as executable specifications of
+// The reference marshaler below is the pre-optimization bytes.Buffer +
+// binary.Write implementation, retained as an executable specification of
 // the wire format. TestAppendWireMatchesReference requires the
 // zero-allocation append codec to reproduce them byte for byte on
 // randomized inputs, the same retained-reference discipline the dense
@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -58,123 +57,6 @@ func writeAttrRef(b *bytes.Buffer, flags, code uint8, val []byte) {
 	b.Write(val)
 }
 
-func encodeNLRIRef(prefixes []netip.Prefix) ([]byte, error) {
-	var b bytes.Buffer
-	for _, p := range prefixes {
-		if !p.IsValid() {
-			return nil, fmt.Errorf("invalid prefix %v", p)
-		}
-		p = p.Masked()
-		b.WriteByte(byte(p.Bits()))
-		nbytes := (p.Bits() + 7) / 8
-		if p.Addr().Is4() {
-			a := p.Addr().As4()
-			b.Write(a[:nbytes])
-		} else {
-			a := p.Addr().As16()
-			b.Write(a[:nbytes])
-		}
-	}
-	return b.Bytes(), nil
-}
-
-func marshalUpdateRef(u *Update) ([]byte, error) {
-	var body bytes.Buffer
-
-	wd, err := encodeNLRIRef(u.Withdrawn)
-	if err != nil {
-		return nil, fmt.Errorf("bgp: withdrawn: %w", err)
-	}
-	binary.Write(&body, binary.BigEndian, uint16(len(wd)))
-	body.Write(wd)
-
-	attrs, err := encodeUpdateAttrsRef(u)
-	if err != nil {
-		return nil, err
-	}
-	binary.Write(&body, binary.BigEndian, uint16(len(attrs)))
-	body.Write(attrs)
-
-	nlri, err := encodeNLRIRef(u.Announced)
-	if err != nil {
-		return nil, fmt.Errorf("bgp: nlri: %w", err)
-	}
-	body.Write(nlri)
-
-	total := 19 + body.Len()
-	if total > 4096 {
-		return nil, fmt.Errorf("bgp: message length %d exceeds 4096", total)
-	}
-	out := make([]byte, 0, total)
-	out = append(out, marker...)
-	out = binary.BigEndian.AppendUint16(out, uint16(total))
-	out = append(out, TypeUpdate)
-	out = append(out, body.Bytes()...)
-	return out, nil
-}
-
-func encodeUpdateAttrsRef(u *Update) ([]byte, error) {
-	var b bytes.Buffer
-	if len(u.V6Withdrawn) > 0 {
-		var mp bytes.Buffer
-		binary.Write(&mp, binary.BigEndian, uint16(2))
-		mp.WriteByte(1)
-		enc, err := encodeNLRIRef(u.V6Withdrawn)
-		if err != nil {
-			return nil, fmt.Errorf("bgp: v6 withdrawn: %w", err)
-		}
-		mp.Write(enc)
-		writeAttrRef(&b, flagOptional|flagExtLen, attrMPUnreach, mp.Bytes())
-	}
-	hasReach := len(u.Announced) > 0 || len(u.V6Announced) > 0
-	if hasReach {
-		b.Write([]byte{flagTransit, attrOrigin, 1, byte(u.Origin)})
-		var pb bytes.Buffer
-		for _, seg := range u.ASPath {
-			if len(seg.ASNs) > 255 {
-				return nil, errors.New("bgp: segment longer than 255 ASNs")
-			}
-			pb.WriteByte(seg.Type)
-			pb.WriteByte(byte(len(seg.ASNs)))
-			for _, a := range seg.ASNs {
-				binary.Write(&pb, binary.BigEndian, uint32(a))
-			}
-		}
-		writeAttrRef(&b, flagTransit, attrASPath, pb.Bytes())
-	}
-	if len(u.Announced) > 0 {
-		if !u.NextHop.Is4() {
-			return nil, errors.New("bgp: IPv4 NLRI requires an IPv4 next hop")
-		}
-		nh := u.NextHop.As4()
-		writeAttrRef(&b, flagTransit, attrNextHop, nh[:])
-	}
-	if u.HasMED {
-		var mb [4]byte
-		binary.BigEndian.PutUint32(mb[:], u.MED)
-		writeAttrRef(&b, flagOptional, attrMED, mb[:])
-	}
-	if len(u.V6Announced) > 0 {
-		if !u.V6NextHop.Is6() || u.V6NextHop.Is4() {
-			return nil, errors.New("bgp: IPv6 NLRI requires an IPv6 next hop")
-		}
-		var mp bytes.Buffer
-		binary.Write(&mp, binary.BigEndian, uint16(2))
-		mp.WriteByte(1)
-		nh := u.V6NextHop.As16()
-		mp.WriteByte(16)
-		mp.Write(nh[:])
-		mp.WriteByte(0)
-		enc, err := encodeNLRIRef(u.V6Announced)
-		if err != nil {
-			return nil, fmt.Errorf("bgp: v6 nlri: %w", err)
-		}
-		mp.Write(enc)
-		writeAttrRef(&b, flagOptional|flagExtLen, attrMPReach, mp.Bytes())
-	}
-	return b.Bytes(), nil
-}
-
 func randPath(rng *rand.Rand, n int) Path {
 	p := make(Path, n)
 	for i := range p {
@@ -183,26 +65,12 @@ func randPath(rng *rand.Rand, n int) Path {
 	return p
 }
 
-func randV4Prefix(rng *rand.Rand) netip.Prefix {
-	a := rng.Uint32()
-	return netip.PrefixFrom(
-		netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}),
-		8+rng.Intn(25)).Masked()
-}
-
-func randV6Prefix(rng *rand.Rand) netip.Prefix {
-	var a [16]byte
-	rng.Read(a[:])
-	a[0], a[1] = 0x20, 0x01
-	return netip.PrefixFrom(netip.AddrFrom16(a), 16+rng.Intn(49)).Masked()
-}
-
 func TestAppendWireMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		a := AttrSet{
 			Origin: OriginCode(rng.Intn(3)),
-			ASPath: SequencePath(randPath(rng, rng.Intn(8))),
+			ASPath: seq(randPath(rng, rng.Intn(8))),
 		}
 		if rng.Intn(2) == 0 {
 			a.NextHop = netip.AddrFrom4([4]byte{192, 0, 2, byte(rng.Intn(256))})
@@ -217,46 +85,6 @@ func TestAppendWireMatchesReference(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("attrs %d: wire mismatch\n got %x\nwant %x", i, got, want)
-		}
-	}
-
-	for i := 0; i < 2000; i++ {
-		u := &Update{}
-		for j := rng.Intn(3); j > 0; j-- {
-			u.Withdrawn = append(u.Withdrawn, randV4Prefix(rng))
-		}
-		if rng.Intn(2) == 0 {
-			u.ASPath = SequencePath(randPath(rng, 1+rng.Intn(6)))
-			u.NextHop = netip.AddrFrom4([4]byte{10, 0, 0, byte(1 + rng.Intn(250))})
-			for j := 1 + rng.Intn(3); j > 0; j-- {
-				u.Announced = append(u.Announced, randV4Prefix(rng))
-			}
-		}
-		if rng.Intn(3) == 0 {
-			u.HasMED = true
-			u.MED = rng.Uint32()
-		}
-		if rng.Intn(3) == 0 {
-			if len(u.ASPath) == 0 {
-				u.ASPath = SequencePath(randPath(rng, 1+rng.Intn(6)))
-			}
-			u.V6NextHop = netip.MustParseAddr("2001:db8::9")
-			for j := 1 + rng.Intn(3); j > 0; j-- {
-				u.V6Announced = append(u.V6Announced, randV6Prefix(rng))
-			}
-		}
-		if rng.Intn(3) == 0 {
-			for j := 1 + rng.Intn(3); j > 0; j-- {
-				u.V6Withdrawn = append(u.V6Withdrawn, randV6Prefix(rng))
-			}
-		}
-		want, werr := marshalUpdateRef(u)
-		got, gerr := u.Marshal()
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("update %d: error mismatch %v vs %v", i, werr, gerr)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("update %d: wire mismatch\n got %x\nwant %x", i, got, want)
 		}
 	}
 }
@@ -278,7 +106,7 @@ func TestAttrDecoderMatchesUnmarshal(t *testing.T) {
 		for j := 0; j < 1+rng.Intn(5); j++ {
 			a := AttrSet{
 				Origin:  OriginCode(rng.Intn(3)),
-				ASPath:  SequencePath(randPath(rng, 1+rng.Intn(7))),
+				ASPath:  seq(randPath(rng, 1+rng.Intn(7))),
 				NextHop: netip.AddrFrom4([4]byte{192, 0, 2, byte(rng.Intn(256))}),
 			}
 			wire, err := a.Marshal()
@@ -302,7 +130,7 @@ func TestAttrDecoderMatchesUnmarshal(t *testing.T) {
 			}
 			g := got[k]
 			if g.Origin != ref.Origin || g.NextHop != ref.NextHop ||
-				!g.PathOf().Equal(ref.PathOf()) {
+				!g.ASPath.AppendFlat(nil).Equal(ref.ASPath.AppendFlat(nil)) {
 				t.Fatalf("cycle %d set %d: %+v vs %+v", i, k, g, ref)
 			}
 		}
@@ -313,38 +141,28 @@ func TestInterner(t *testing.T) {
 	it := NewInterner(4)
 	p1 := Path{3356, 1299, 64500}
 	p2 := Path{3356, 1299, 64501}
-	i1 := it.Intern(p1)
-	i2 := it.Intern(p2)
+	i1 := it.InternOwned(p1)
+	i2 := it.InternOwned(p2)
 	if i1 == i2 {
 		t.Fatal("distinct paths interned to one index")
 	}
-	if got := it.Intern(append(Path(nil), p1...)); got != i1 {
+	if got := it.InternOwned(append(Path(nil), p1...)); got != i1 {
 		t.Fatalf("equal path re-interned: %d vs %d", got, i1)
-	}
-	// Interning must copy: mutating the argument later is harmless.
-	scratch := Path{9, 9, 9}
-	i3 := it.Intern(scratch)
-	scratch[0] = 1
-	if !it.PathAt(i3).Equal(Path{9, 9, 9}) {
-		t.Fatal("Intern aliased caller storage")
 	}
 	// InternOwned adopts the slice itself.
 	owned := Path{7, 8}
-	i4 := it.InternOwned(owned)
-	if &it.PathAt(i4)[0] != &owned[0] {
+	i3 := it.InternOwned(owned)
+	if &it.PathAt(i3)[0] != &owned[0] {
 		t.Fatal("InternOwned copied instead of adopting")
 	}
-	if it.Len() != 4 {
-		t.Fatalf("Len = %d", it.Len())
-	}
 	// Empty and nil paths intern to the same entry.
-	e1 := it.Intern(Path{})
-	e2 := it.Intern(nil)
+	e1 := it.InternOwned(Path{})
+	e2 := it.InternOwned(nil)
 	if e1 != e2 {
 		t.Fatalf("empty-path indexes differ: %d vs %d", e1, e2)
 	}
 	paths := it.Paths()
-	if len(paths) != 5 || !paths[i1].Equal(p1) || !paths[i2].Equal(p2) {
+	if len(paths) != 4 || !paths[i1].Equal(p1) || !paths[i2].Equal(p2) {
 		t.Fatalf("Paths() = %v", paths)
 	}
 }

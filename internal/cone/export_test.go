@@ -1,6 +1,24 @@
 package cone
 
-import "fmt"
+import (
+	"fmt"
+
+	"countryrank/internal/asn"
+	"countryrank/internal/relation"
+	"countryrank/internal/sanitize"
+)
+
+// Compute is ComputeFrom resolving the chain starts itself.
+func Compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Scores {
+	return ComputeFrom(ds, recs, rels, nil)
+}
+
+// Addresses is Each into a map.
+func (ws *Witnesses) Addresses(sel []int32) map[asn.ASN]uint64 {
+	out := map[asn.ASN]uint64{}
+	ws.Each(sel, func(a asn.ASN, size uint64) { out[a] = size })
+	return out
+}
 
 // ComputeMapRef exposes the retained map-based reference implementation to
 // the equivalence property tests.

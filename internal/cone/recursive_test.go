@@ -3,8 +3,12 @@ package cone
 import (
 	"testing"
 
+	"countryrank/internal/asn"
 	"countryrank/internal/countries"
 	"countryrank/internal/metrictest"
+	"countryrank/internal/relation"
+	"countryrank/internal/sanitize"
+	"countryrank/internal/topology"
 )
 
 // TestRecursiveInflates demonstrates the inflation §1.1 describes: a
@@ -63,4 +67,91 @@ func TestRecursiveOnWorldInflation(t *testing.T) {
 	if inflated == 0 {
 		t.Error("expected at least one inflated cone on a real-shaped world")
 	}
+}
+
+// ComputeRecursive is the ablation variant §1.1 warns against: instead of
+// only crediting an AS with prefixes observed downstream of it on actual
+// paths, it collects every observed provider→customer link and takes the
+// transitive closure, so a provider inherits its customers' entire cones
+// even along never-observed combinations. Comparing it with Compute
+// quantifies the cone inflation that motivates the observed-path rule.
+func ComputeRecursive(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Scores {
+	// Observed p2c links and per-AS directly-originated/observed prefixes,
+	// keyed by dense AS id.
+	links := map[int32]map[int32]struct{}{}
+	own := map[int32]map[int32]struct{}{}
+	seenPrefix := map[int32]struct{}{}
+	memo := relation.NewMemo(rels, ds.ASNOf)
+
+	each(ds, recs, func(i int) {
+		_, pfxIdx, path := ds.RecordIDs(i)
+		seenPrefix[pfxIdx] = struct{}{}
+		start := chainStart(path, memo)
+		if start < 0 {
+			return
+		}
+		o := path[len(path)-1]
+		set := own[o]
+		if set == nil {
+			set = map[int32]struct{}{}
+			own[o] = set
+		}
+		set[pfxIdx] = struct{}{}
+		for j := start; j+1 < len(path); j++ {
+			if memo.Rel(path[j], path[j+1]) != topology.RelP2C {
+				break
+			}
+			m := links[path[j]]
+			if m == nil {
+				m = map[int32]struct{}{}
+				links[path[j]] = m
+			}
+			m[path[j+1]] = struct{}{}
+		}
+	})
+
+	// Transitive closure by DFS with memoized prefix sets.
+	memoized := map[int32]map[int32]struct{}{}
+	var visit func(a int32, onPath map[int32]bool) map[int32]struct{}
+	visit = func(a int32, onPath map[int32]bool) map[int32]struct{} {
+		if got, ok := memoized[a]; ok {
+			return got
+		}
+		if onPath[a] {
+			return nil // defensive: inferred relationship cycles
+		}
+		onPath[a] = true
+		out := map[int32]struct{}{}
+		for pfx := range own[a] {
+			out[pfx] = struct{}{}
+		}
+		for c := range links[a] {
+			for pfx := range visit(c, onPath) {
+				out[pfx] = struct{}{}
+			}
+		}
+		delete(onPath, a)
+		memoized[a] = out
+		return out
+	}
+
+	s := Scores{Addresses: map[asn.ASN]uint64{}}
+	for p := range seenPrefix {
+		s.Total += ds.Weight[p]
+	}
+	all := map[int32]bool{}
+	for a := range links {
+		all[a] = true
+	}
+	for a := range own {
+		all[a] = true
+	}
+	for a := range all {
+		var sum uint64
+		for p := range visit(a, map[int32]bool{}) {
+			sum += ds.Weight[p]
+		}
+		s.Addresses[ds.ASNOf[a]] = sum
+	}
+	return s
 }

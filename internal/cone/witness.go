@@ -119,10 +119,3 @@ func (ws *Witnesses) Each(sel []int32, yield func(asn.ASN, uint64)) {
 		yield(ws.asnOf[id], size)
 	}
 }
-
-// Addresses is Each into a map.
-func (ws *Witnesses) Addresses(sel []int32) map[asn.ASN]uint64 {
-	out := map[asn.ASN]uint64{}
-	ws.Each(sel, func(a asn.ASN, size uint64) { out[a] = size })
-	return out
-}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"countryrank/internal/asn"
 	"countryrank/internal/countries"
 	"countryrank/internal/cti"
 	"countryrank/internal/rank"
@@ -193,9 +194,16 @@ func TestCTILazyDepthsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	values := func(r *rank.Ranking) map[asn.ASN]float64 {
+		out := map[asn.ASN]float64{}
+		for _, e := range r.Entries {
+			out[e.ASN] = e.Value
+		}
+		return out
+	}
 	for i, c := range ccs {
-		want := rank.New("", cti.Compute(p.DS, p.ViewRecords(International, c), p.Rels, p.Opt.Trim).CTI, nil, true)
-		if got[i].Len() == 0 || !reflect.DeepEqual(got[i].Values(), want.Values()) {
+		want := rank.New("", cti.ComputeFrom(p.DS, p.ViewRecords(International, c), p.Rels, nil, p.Opt.Trim).CTI, nil, true)
+		if got[i].Len() == 0 || !reflect.DeepEqual(values(got[i]), values(want)) {
 			t.Errorf("CTI %s differs from the kernel run without precomputed depths", c)
 		}
 	}
@@ -224,12 +232,11 @@ func TestInferredRelationshipsPipeline(t *testing.T) {
 	opt := smallOpts()
 	opt.InferRelationships = true
 	p := NewPipeline(opt)
-	inferred, ok := p.Rels.(*relation.Table)
-	if !ok {
+	if _, ok := p.Rels.(*relation.Table); !ok {
 		t.Fatal("inferred relationships not active")
 	}
-	if p.Rels.Rel(3356, 1299) == 0 && inferred.Len() > 0 {
-		// Clique members should at least be labeled peers by inference.
+	// Clique members should at least be labeled peers by inference.
+	if p.Rels.Rel(3356, 1299) == 0 {
 		t.Error("inferred oracle seems inactive")
 	}
 	au := p.Country("AU")

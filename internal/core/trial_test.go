@@ -151,7 +151,8 @@ func TestWindowMatchesSortedReference(t *testing.T) {
 		}
 		for _, sel := range sels {
 			scores := v.pv.Scores(sel, -1).Hegemony
-			addrs := v.ws.Addresses(sel)
+			addrs := map[asn.ASN]uint64{}
+			v.ws.Each(sel, func(a asn.ASN, size uint64) { addrs[a] = size })
 			for _, k := range []int{1, 10, len(scores) + 5} {
 				hw := newTopK[float64](k)
 				v.pv.Each(sel, -1, hw.add)

@@ -63,21 +63,16 @@ func Depths(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
 	return depths
 }
 
-// Compute calculates CTI over the given accepted-record positions (the
+// ComputeFrom calculates CTI over the given accepted-record positions (the
 // caller passes an international view: out-of-country VPs toward in-country
-// prefixes). trim < 0 selects the canonical 10%.
+// prefixes) with precomputed transit depths (see Depths); nil resolves them
+// here. trim < 0 selects the canonical 10%.
 //
 // The dense-id kernel is bit-identical to the map-based reference the
 // property tests keep (reference_test.go): records are processed grouped by
 // VP but in record order inside each group, so every float accumulation
 // happens in the reference's order; the trimmed mean across VPs is
 // hegemony's.
-func Compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, trim float64) Scores {
-	return ComputeFrom(ds, recs, rels, nil, trim)
-}
-
-// ComputeFrom is Compute with precomputed transit depths (see Depths); nil
-// resolves them here.
 func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depths []int32, trim float64) Scores {
 	if depths == nil {
 		depths = Depths(ds, rels)

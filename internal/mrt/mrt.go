@@ -9,9 +9,8 @@
 //
 // The codec is allocation-free in steady state: the Writer assembles every
 // record with direct big-endian puts into one reusable scratch buffer, and
-// the Reader decodes into a reusable body buffer. Next returns freshly
-// allocated records; the opt-in Scan reuses the decoded record and its
-// entries across calls for high-throughput import loops.
+// the Reader's Scan decodes into a reusable body buffer and reuses the
+// decoded record and its entries across calls.
 package mrt
 
 import (
@@ -206,13 +205,12 @@ func (w *Writer) WriteRIB(prefix netip.Prefix, entries []RIBEntry) error {
 // Flush writes any buffered output to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Record is a decoded MRT record: exactly one of PeerIndexTable, RIB or
-// BGP4MP is non-nil.
+// Record is a decoded MRT record: exactly one of PeerIndexTable and RIB is
+// non-nil.
 type Record struct {
 	Timestamp      uint32
 	PeerIndexTable *PeerIndexTable
 	RIB            *RIBRecord
-	BGP4MP         *BGP4MP
 }
 
 // PeerIndexTable is the decoded PEER_INDEX_TABLE.
@@ -249,17 +247,11 @@ type Reader struct {
 // NewReader returns a Reader over r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
-// Next returns the next record, or io.EOF at end of stream. Records of
-// types other than TABLE_DUMP_V2 are rejected. The record is freshly
-// allocated and remains valid across calls; import loops that can tolerate
-// reuse should prefer Scan.
-func (r *Reader) Next() (*Record, error) { return r.next(false) }
-
-// Scan is Next with storage reuse: the returned record, its peer table or
-// RIB entries, and every attribute set within them are owned by the Reader
-// and valid only until the following Scan or Next call. Callers must copy
-// whatever they keep. BGP4MP records are still freshly decoded (update
-// messages are small; the RIB path is the hot one).
+// Scan returns the next record, or io.EOF at end of stream. Records of
+// types other than TABLE_DUMP_V2 are rejected. The returned record, its
+// peer table or RIB entries, and every attribute set within them are owned
+// by the Reader and valid only until the following call. Callers must copy
+// whatever they keep.
 func (r *Reader) Scan() (*Record, error) { return r.next(true) }
 
 // SetResync switches the Reader into skip-and-resync mode: instead of
@@ -318,14 +310,8 @@ func plausibleHeader(b []byte) bool {
 	if length > 1<<26 {
 		return false
 	}
-	switch typ {
-	case TypeTableDumpV2:
-		return sub == SubtypePeerIndexTable || sub == SubtypeRIBIPv4Unicast ||
-			sub == SubtypeRIBIPv6Unicast
-	case TypeBGP4MP:
-		return sub == SubtypeBGP4MPMessageAS4
-	}
-	return false
+	return typ == TypeTableDumpV2 && (sub == SubtypePeerIndexTable ||
+		sub == SubtypeRIBIPv4Unicast || sub == SubtypeRIBIPv6Unicast)
 }
 
 // resyncScan drops the first byte of the failed record and slides forward —
@@ -382,7 +368,7 @@ func (r *Reader) nextOnce(reuse bool) (*Record, error) {
 	typ := binary.BigEndian.Uint16(hdr[4:])
 	sub := binary.BigEndian.Uint16(hdr[6:])
 	length := binary.BigEndian.Uint32(hdr[8:])
-	if typ != TypeTableDumpV2 && typ != TypeBGP4MP {
+	if typ != TypeTableDumpV2 {
 		return nil, fmt.Errorf("mrt: unsupported record type %d", typ)
 	}
 	if length > 1<<26 {
@@ -405,17 +391,6 @@ func (r *Reader) nextOnce(reuse bool) (*Record, error) {
 		rec = &Record{}
 	}
 	rec.Timestamp = ts
-	if typ == TypeBGP4MP {
-		if sub != SubtypeBGP4MPMessageAS4 {
-			return nil, fmt.Errorf("mrt: unsupported BGP4MP subtype %d", sub)
-		}
-		m, err := decodeBGP4MP(body)
-		if err != nil {
-			return nil, err
-		}
-		rec.BGP4MP = m
-		return rec, nil
-	}
 	switch sub {
 	case SubtypePeerIndexTable:
 		if r.sawPIT {

@@ -2,9 +2,11 @@ package mrt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"countryrank/internal/asn"
@@ -19,6 +21,16 @@ func testPeers() []Peer {
 	}
 }
 
+// seq wraps a flat path into one AS_SEQUENCE segment, the shape ExportMRT
+// writes; an empty path has no segment. The bgp, mrt and routing tests each
+// keep this copy: metrictest imports routing, so none of them can import it.
+func seq(p bgp.Path) bgp.ASPath {
+	if len(p) == 0 {
+		return nil
+	}
+	return bgp.ASPath{{Type: bgp.SegmentSequence, ASNs: p}}
+}
+
 func attrs(p ...uint32) bgp.AttrSet {
 	path := make(bgp.Path, len(p))
 	for i, a := range p {
@@ -26,9 +38,28 @@ func attrs(p ...uint32) bgp.AttrSet {
 	}
 	return bgp.AttrSet{
 		Origin:  bgp.OriginIGP,
-		ASPath:  bgp.SequencePath(path),
+		ASPath:  seq(path),
 		NextHop: netip.MustParseAddr("192.0.2.1"),
 	}
+}
+
+// bgp4mpRecord is a BGP4MP_MESSAGE_AS4 record (type 16, subtype 4) carrying
+// an empty UPDATE, as a collector's update archive holds it. No 12-byte
+// window inside it parses as a plausible header.
+func bgp4mpRecord(ts uint32) []byte {
+	body := []byte{
+		0, 0, 0x0d, 0x1c, // peer AS 3356
+		0, 0, 0x19, 0x2f, // local AS 6447
+		0, 0, 0, 1, // interface index, AFI IPv4
+		203, 0, 113, 1, 192, 0, 2, 1, // peer and local address
+	}
+	body = append(body, bytes.Repeat([]byte{0xff}, 16)...) // BGP marker
+	body = append(body, 0, 23, 2, 0, 0, 0, 0)              // length, UPDATE, nothing withdrawn or announced
+	rec := binary.BigEndian.AppendUint32(nil, ts)
+	rec = binary.BigEndian.AppendUint16(rec, 16)
+	rec = binary.BigEndian.AppendUint16(rec, 4)
+	rec = binary.BigEndian.AppendUint32(rec, uint32(len(body)))
+	return append(rec, body...)
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -44,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("WriteRIB v4: %v", err)
 	}
 	if err := w.WriteRIB(netx.MustPrefix("2001:db8:5::/48"), []RIBEntry{
-		{PeerIndex: 1, OriginatedAt: 300, Attrs: bgp.AttrSet{ASPath: bgp.SequencePath(bgp.Path{2914, 4713})}},
+		{PeerIndex: 1, OriginatedAt: 300, Attrs: bgp.AttrSet{ASPath: seq(bgp.Path{2914, 4713})}},
 	}); err != nil {
 		t.Fatalf("WriteRIB v6: %v", err)
 	}
@@ -88,8 +119,8 @@ func TestRoundTrip(t *testing.T) {
 	if len(rib.Entries) != 2 {
 		t.Fatalf("entries = %d", len(rib.Entries))
 	}
-	if !rib.Entries[1].Attrs.PathOf().Equal(bgp.Path{1299, 4826, 1221}) {
-		t.Errorf("entry path = %v", rib.Entries[1].Attrs.PathOf())
+	if !rib.Entries[1].Attrs.ASPath.AppendFlat(nil).Equal(bgp.Path{1299, 4826, 1221}) {
+		t.Errorf("entry path = %v", rib.Entries[1].Attrs.ASPath.AppendFlat(nil))
 	}
 	if rib.Entries[0].OriginatedAt != 100 {
 		t.Errorf("originated = %d", rib.Entries[0].OriginatedAt)
@@ -119,6 +150,43 @@ func TestWriterOrderEnforced(t *testing.T) {
 	}
 	if err := w.WritePeerIndexTable(netip.MustParseAddr("10.0.0.1"), "v", nil); err == nil {
 		t.Error("second PEER_INDEX_TABLE must fail")
+	}
+}
+
+// TestBGP4MPInterleavedWithRIB pins what the reader does with an update
+// record between RIB records: a strict reader stops at it with an error, and
+// a resyncing reader skips it, counts it, and reads the RIB after it.
+func TestBGP4MPInterleavedWithRIB(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, 7)
+	if err := w.WritePeerIndexTable(netip.MustParseAddr("10.9.9.9"), "x", testPeers()); err != nil {
+		t.Fatal(err)
+	}
+	for i, pfx := range []string{"10.1.0.0/16", "10.2.0.0/16"} {
+		if err := w.WriteRIB(netx.MustPrefix(pfx), []RIBEntry{{PeerIndex: 0, Attrs: attrs(3356, 1221)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			buf.Write(bgp4mpRecord(7))
+		}
+	}
+	raw := buf.Bytes()
+
+	pfxs, err := drain(t, NewReader(bytes.NewReader(raw)))
+	if want := "mrt: unsupported record type 16"; err == nil || err.Error() != want || !slices.Equal(pfxs, []string{"10.1.0.0/16"}) {
+		t.Fatalf("strict reader: %v then %v, want 10.1.0.0/16 then %q", pfxs, err, want)
+	}
+	r := NewReader(bytes.NewReader(raw))
+	r.SetResync(true)
+	pfxs, err = drain(t, r)
+	if err != nil || !slices.Equal(pfxs, []string{"10.1.0.0/16", "10.2.0.0/16"}) {
+		t.Fatalf("resyncing reader: %v, %v", pfxs, err)
+	}
+	if r.Resyncs() != 1 || r.SkippedBytes() != int64(len(bgp4mpRecord(7))) {
+		t.Errorf("resyncs %d, skipped %d bytes; want 1 and %d", r.Resyncs(), r.SkippedBytes(), len(bgp4mpRecord(7)))
 	}
 }
 
@@ -178,7 +246,7 @@ func TestRoundTripRandomRIBs(t *testing.T) {
 			es[j] = RIBEntry{
 				PeerIndex:    uint16(rng.Intn(len(peers))),
 				OriginatedAt: rng.Uint32(),
-				Attrs:        bgp.AttrSet{Origin: bgp.OriginCode(rng.Intn(3)), ASPath: bgp.SequencePath(p)},
+				Attrs:        bgp.AttrSet{Origin: bgp.OriginCode(rng.Intn(3)), ASPath: seq(p)},
 			}
 		}
 		want = append(want, wantRIB{pfx, es})
@@ -204,7 +272,7 @@ func TestRoundTripRandomRIBs(t *testing.T) {
 		for j, e := range rib.Entries {
 			we := wr.entries[j]
 			if e.PeerIndex != we.PeerIndex || e.OriginatedAt != we.OriginatedAt ||
-				!e.Attrs.PathOf().Equal(we.Attrs.PathOf()) || e.Attrs.Origin != we.Attrs.Origin {
+				!e.Attrs.ASPath.AppendFlat(nil).Equal(we.Attrs.ASPath.AppendFlat(nil)) || e.Attrs.Origin != we.Attrs.Origin {
 				t.Fatalf("rib %d entry %d mismatch", i, j)
 			}
 		}

@@ -6,68 +6,6 @@ import (
 	"testing"
 )
 
-// TestCoveredByMoreSpecificsMatchesBruteForce cross-checks the trie's
-// coverage query against exhaustive address sampling on random prefix sets.
-func TestCoveredByMoreSpecificsMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 30; trial++ {
-		var tr Trie[int]
-		var pfxs []netip.Prefix
-		for i := 0; i < 14; i++ {
-			// Confined to 10.0.0.0/12 with lengths 14..20 so that nesting is
-			// frequent and exhaustive /20-granule checking is feasible.
-			p := randomV4Prefix(rng, 14)
-			b := p.Addr().As4()
-			b[0], b[1] = 10, b[1]&0x0F
-			bits := 14 + rng.Intn(7)
-			p = netip.PrefixFrom(netip.AddrFrom4(b), bits).Masked()
-			pfxs = append(pfxs, p)
-			tr.Insert(p, i)
-		}
-		for _, p := range pfxs {
-			got := tr.CoveredByMoreSpecifics(p)
-			want := bruteCovered(p, pfxs)
-			if got != want {
-				t.Fatalf("trial %d: CoveredByMoreSpecifics(%v) = %v, brute force %v (set %v)",
-					trial, p, got, want, pfxs)
-			}
-		}
-	}
-}
-
-// bruteCovered checks, /22-granule by granule, whether every part of p is
-// inside some strictly more specific member of pfxs.
-func bruteCovered(p netip.Prefix, pfxs []netip.Prefix) bool {
-	if p.Bits() >= 22 {
-		// Granularity floor: check single addresses.
-		for _, q := range pfxs {
-			if q != p && Covers(q, p) && q.Bits() > p.Bits() {
-				return true
-			}
-		}
-		// A host-level prefix can also be covered by the union of two more
-		// specifics only if it is splittable; recurse when possible.
-		if p.Bits() >= 32 {
-			return false
-		}
-	}
-	lo, hi := Halves(p)
-	return bruteHalf(lo, p, pfxs) && bruteHalf(hi, p, pfxs)
-}
-
-func bruteHalf(h, orig netip.Prefix, pfxs []netip.Prefix) bool {
-	for _, q := range pfxs {
-		if q != orig && q.Bits() > orig.Bits() && Covers(q, h) {
-			return true
-		}
-	}
-	if h.Bits() >= 32 {
-		return false
-	}
-	lo, hi := Halves(h)
-	return bruteHalf(lo, orig, pfxs) && bruteHalf(hi, orig, pfxs)
-}
-
 // TestSplitBlocksLookupAgreement verifies that for random addresses, the
 // block owner equals the longest announced prefix containing the address.
 func TestSplitBlocksLookupAgreement(t *testing.T) {

@@ -147,46 +147,6 @@ func (t *Trie[V]) Descendants(p netip.Prefix) []netip.Prefix {
 	return out
 }
 
-// CoveredByMoreSpecifics reports whether every address of p is covered by
-// stored prefixes strictly more specific than p. The paper filters such
-// prefixes (1.2% of its April 2021 data) before geolocation because no
-// traffic matches them under longest-prefix forwarding.
-func (t *Trie[V]) CoveredByMoreSpecifics(p netip.Prefix) bool {
-	p = p.Masked()
-	n := t.root(p, false)
-	if n == nil {
-		return false
-	}
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bit(p.Addr(), i)]
-		if n == nil {
-			return false
-		}
-	}
-	return coveredBelow(n, p, true)
-}
-
-// coveredBelow reports whether the address space of pfx is fully covered by
-// set nodes at or below n. skipSelf excludes n's own entry (used for the
-// strictly-more-specific semantics at the query root).
-func coveredBelow[V any](n *trieNode[V], pfx netip.Prefix, skipSelf bool) bool {
-	if n == nil {
-		return false
-	}
-	if n.set && !skipSelf {
-		return true
-	}
-	max := 32
-	if !pfx.Addr().Is4() {
-		max = 128
-	}
-	if pfx.Bits() >= max {
-		return false
-	}
-	lo, hi := Halves(pfx)
-	return coveredBelow(n.child[0], lo, false) && coveredBelow(n.child[1], hi, false)
-}
-
 // All returns every stored (prefix, value) pair in canonical order.
 func (t *Trie[V]) All() []PrefixValue[V] {
 	var out []PrefixValue[V]

@@ -91,36 +91,6 @@ func TestTrieDescendants(t *testing.T) {
 	}
 }
 
-func TestCoveredByMoreSpecifics(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert(MustPrefix("10.0.0.0/23"), 0)
-	tr.Insert(MustPrefix("10.0.0.0/24"), 1)
-	if tr.CoveredByMoreSpecifics(MustPrefix("10.0.0.0/23")) {
-		t.Error("/23 with only one /24 child is not fully covered")
-	}
-	tr.Insert(MustPrefix("10.0.1.0/24"), 2)
-	if !tr.CoveredByMoreSpecifics(MustPrefix("10.0.0.0/23")) {
-		t.Error("/23 with both /24 children is fully covered")
-	}
-	// Deeper, uneven coverage: /22 covered by one /23 and two /24s.
-	tr.Insert(MustPrefix("10.0.0.0/22"), 3)
-	if tr.CoveredByMoreSpecifics(MustPrefix("10.0.0.0/22")) {
-		t.Error("/22 only half covered")
-	}
-	tr.Insert(MustPrefix("10.0.2.0/23"), 4)
-	if !tr.CoveredByMoreSpecifics(MustPrefix("10.0.0.0/22")) {
-		t.Error("/22 now fully covered by /23+/24+/24")
-	}
-	// The intermediate /23 is itself an entry; the /22 query must not be
-	// satisfied by the /22's own entry.
-	if tr.CoveredByMoreSpecifics(MustPrefix("10.0.0.0/24")) {
-		t.Error("/24 host-level entry has no more specifics")
-	}
-	if tr.CoveredByMoreSpecifics(MustPrefix("99.0.0.0/8")) {
-		t.Error("absent prefix cannot be covered")
-	}
-}
-
 func TestTrieAllCanonicalOrder(t *testing.T) {
 	var tr Trie[int]
 	in := []string{"11.0.0.0/8", "10.0.0.0/8", "10.0.0.0/16", "2001:db8::/32"}

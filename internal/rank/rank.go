@@ -104,15 +104,6 @@ func (r *Ranking) ValueOf(a asn.ASN) float64 {
 	return 0
 }
 
-// Values returns the ranking as a value map, e.g. for NDCG relevances.
-func (r *Ranking) Values() map[asn.ASN]float64 {
-	out := make(map[asn.ASN]float64, len(r.Entries))
-	for _, e := range r.Entries {
-		out[e.ASN] = e.Value
-	}
-	return out
-}
-
 // DeltaEntry describes one AS's movement between two snapshots, as in
 // Tables 10 and 11.
 type DeltaEntry struct {

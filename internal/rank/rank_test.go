@@ -60,10 +60,6 @@ func TestTopAndTopASNs(t *testing.T) {
 	if got := r.Top(-1); len(got) != 0 {
 		t.Errorf("Top(-1) = %v, want no entries", got)
 	}
-	vals := r.Values()
-	if len(vals) != 3 || vals[1] != 3 {
-		t.Errorf("Values = %v", vals)
-	}
 }
 
 func TestDelta(t *testing.T) {

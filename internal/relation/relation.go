@@ -101,9 +101,6 @@ func (t *Table) Rel(a, b asn.ASN) topology.Rel {
 	return r
 }
 
-// Len returns the number of labeled AS pairs.
-func (t *Table) Len() int { return len(t.rels) }
-
 func key(a, b asn.ASN) ([2]asn.ASN, bool) {
 	if a < b {
 		return [2]asn.ASN{a, b}, false

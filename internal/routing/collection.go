@@ -70,14 +70,6 @@ type Collection struct {
 // NumRecords returns the collection's record count.
 func (c *Collection) NumRecords() int { return len(c.Records) }
 
-// PresentOn reports whether prefix pi was announced on day d.
-func (c *Collection) PresentOn(pi int32, day int) bool {
-	if len(c.DayMask) == 0 {
-		return true // single-RIB collections (e.g. MRT imports)
-	}
-	return c.DayMask[pi]&(1<<day) != 0
-}
-
 // BuildOptions tunes collection assembly. Zero values select the rates that
 // reproduce Table 1's reject-class proportions.
 type BuildOptions struct {

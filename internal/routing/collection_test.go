@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"countryrank/internal/asn"
 	"countryrank/internal/bgp"
 	"countryrank/internal/topology"
 	"countryrank/internal/vp"
@@ -74,16 +75,17 @@ func TestCollectionShape(t *testing.T) {
 func TestAnomalyInjectionRates(t *testing.T) {
 	w := testWorld(t)
 	c := BuildCollection(w, BuildOptions{LoopFrac: 0.01, PoisonFrac: 0.002, UnallocFrac: 0.005})
-	reg := w.Graph.Registry()
+	allocated := map[asn.ASN]bool{}
+	w.Graph.Registry().ForEach(func(a asn.ASN) { allocated[a] = true })
 	loops, unalloc := 0, 0
 	for i := range c.Records {
 		p := c.PathOf(i)
-		if p.DedupAdjacent().HasNonAdjacentLoop() {
+		if p.HasNonAdjacentLoop() {
 			loops++
 			continue
 		}
 		for _, a := range p {
-			if !reg.Allocated(a) {
+			if !allocated[a] {
 				unalloc++
 				break
 			}
@@ -171,5 +173,20 @@ func TestExportMRTUnknownCollector(t *testing.T) {
 	c := BuildCollection(w, BuildOptions{})
 	if err := ExportMRT(io.Discard, c, "no-such-collector", 0); err == nil {
 		t.Error("unknown collector must error")
+	}
+}
+
+func TestDayMaskInvariants(t *testing.T) {
+	w := testWorld(t)
+	c := BuildCollection(w, BuildOptions{})
+	full := uint16(1<<c.Days) - 1
+	for i := range c.Prefixes {
+		mask := c.DayMask[i]
+		if c.Stable[i] != (mask == full) {
+			t.Fatalf("prefix %d: stable=%v mask=%b", i, c.Stable[i], mask)
+		}
+		if mask == 0 {
+			t.Fatalf("prefix %d never announced", i)
+		}
 	}
 }

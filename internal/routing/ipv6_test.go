@@ -53,16 +53,3 @@ func TestDualStackMRTRoundTrip(t *testing.T) {
 		t.Error("IPv6 prefixes lost in the MRT round trip")
 	}
 }
-
-func TestDualStackUpdateStream(t *testing.T) {
-	w := dualStackWorld(t)
-	c := BuildCollection(w, BuildOptions{LoopFrac: -1, PoisonFrac: -1, UnallocFrac: -1, UnstableFrac: 0.4})
-	collector := w.VPs.Collectors()[2].Name
-	var buf bytes.Buffer
-	if err := ExportUpdatesMRT(&buf, c, collector, 1, 99); err != nil {
-		t.Fatalf("export updates: %v", err)
-	}
-	if buf.Len() == 0 {
-		t.Skip("no churn at this collector")
-	}
-}

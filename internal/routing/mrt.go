@@ -152,70 +152,6 @@ func ExportMRT(w io.Writer, c *Collection, collector string, timestamp uint32) e
 	return mw.Flush()
 }
 
-// ExportUpdatesMRT writes the BGP4MP update stream one collector would have
-// recorded during day (1 ≤ day < c.Days): for every VP of the collector, an
-// UPDATE announcing each prefix that appeared relative to day-1 and
-// withdrawing each prefix that vanished. Combined with the day-0 RIB this
-// reconstructs any day's table, the way RouteViews consumers replay
-// rib + updates archives.
-func ExportUpdatesMRT(w io.Writer, c *Collection, collector string, day int, timestamp uint32) error {
-	if day <= 0 || day >= c.Days {
-		return fmt.Errorf("routing: day %d outside 1..%d", day, c.Days-1)
-	}
-	if _, ok := c.VPs.Collector(collector); !ok {
-		return fmt.Errorf("routing: unknown collector %q", collector)
-	}
-
-	mw := mrt.NewWriter(w, timestamp)
-	collectorIP := netip.AddrFrom4([4]byte{192, 0, 2, 1})
-
-	// Each changed prefix of each of the collector's records, by ascending
-	// VP, becomes one UPDATE.
-	order := c.collectorRecords(collector)
-	var raw []byte
-	for _, r := range order {
-		v := c.VPs.VP(int(r.VP))
-		was := c.PresentOn(r.Prefix, day-1)
-		is := c.PresentOn(r.Prefix, day)
-		if was == is {
-			continue
-		}
-		var u bgp.Update
-		pfx := c.Prefixes[r.Prefix]
-		switch {
-		case is && pfx.Addr().Is4():
-			u = bgp.Update{
-				ASPath:    bgp.SequencePath(c.Paths[r.Path]),
-				NextHop:   v.Addr,
-				Announced: []netip.Prefix{pfx},
-			}
-		case is:
-			u = bgp.Update{
-				ASPath:      bgp.SequencePath(c.Paths[r.Path]),
-				V6NextHop:   v6NextHop,
-				V6Announced: []netip.Prefix{pfx},
-			}
-		case pfx.Addr().Is4():
-			u = bgp.Update{Withdrawn: []netip.Prefix{pfx}}
-		default:
-			u = bgp.Update{V6Withdrawn: []netip.Prefix{pfx}}
-		}
-		var err error
-		raw, err = u.AppendWire(raw[:0])
-		if err != nil {
-			return fmt.Errorf("routing: update: %w", err)
-		}
-		if err := mw.WriteBGP4MP(v.AS, 6447, v.Addr, collectorIP, raw); err != nil {
-			return err
-		}
-	}
-	return mw.Flush()
-}
-
-// v6NextHop is the synthetic IPv6 next hop of announced IPv6 routes (VP
-// addresses in the world model are IPv4).
-var v6NextHop = netip.MustParseAddr("2001:db8::1")
-
 // blocks is an append-only sequence that grows without copying. How much a
 // stream holds is unknown until it ends, and a buffer grown by append copies
 // everything already decoded again at every doubling, which was most of what
@@ -328,9 +264,6 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOp
 			continue
 		}
 		rib := rec.RIB
-		if rib == nil {
-			continue
-		}
 		pi := int32(out.prefixes.n)
 		pfx := importPrefix{prefix: rib.Prefix}
 		for _, e := range rib.Entries {

@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net/netip"
+	"strings"
 	"testing"
+
+	"countryrank/internal/bgp"
+	"countryrank/internal/mrt"
 )
 
 // recordOffsets walks a well-formed MRT stream header-by-header and returns
@@ -81,5 +86,58 @@ func TestImportMRTDegraded(t *testing.T) {
 	// The loss is bounded: only the one corrupted record's entries are gone.
 	if len(got.Records) == 0 {
 		t.Fatal("degraded import lost everything")
+	}
+}
+
+// TestImportMRTRejectsBGP4MP pins what import does with an update record
+// between two RIB records: strict import fails on its type, and SkipCorrupt
+// skips it, counts it, and imports the RIBs on both sides of it.
+func TestImportMRTRejectsBGP4MP(t *testing.T) {
+	w := testWorld(t)
+	coll := w.VPs.Collectors()[0]
+	var peer mrt.Peer
+	for i := 0; i < w.VPs.Len(); i++ {
+		if v := w.VPs.VP(i); v.Collector == coll.Name {
+			peer = mrt.Peer{BGPID: v.Addr, Addr: v.Addr, AS: v.AS}
+			break
+		}
+	}
+	// A BGP4MP_MESSAGE_AS4 record: type 16, subtype 4, a zeroed body.
+	update := make([]byte, 12+40)
+	binary.BigEndian.PutUint16(update[4:], 16)
+	binary.BigEndian.PutUint16(update[6:], 4)
+	binary.BigEndian.PutUint32(update[8:], 40)
+
+	var buf bytes.Buffer
+	mw := mrt.NewWriter(&buf, 1617235200)
+	if err := mw.WritePeerIndexTable(coll.ID, coll.Name, []mrt.Peer{peer}); err != nil {
+		t.Fatal(err)
+	}
+	for i, pfx := range []string{"203.0.113.0/24", "198.51.100.0/24"} {
+		entries := []mrt.RIBEntry{{Attrs: bgp.AttrSet{ASPath: seq(bgp.Path{peer.AS, 64500})}}}
+		if err := mw.WriteRIB(netip.MustParsePrefix(pfx), entries); err != nil {
+			t.Fatal(err)
+		}
+		if err := mw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			buf.Write(update)
+		}
+	}
+	streams := func() []io.Reader { return []io.Reader{bytes.NewReader(buf.Bytes())} }
+
+	if _, _, err := ImportMRT(w, streams(), ImportOptions{}); err == nil || !strings.Contains(err.Error(), "mrt: unsupported record type 16") {
+		t.Fatalf("strict import: %v, want the unsupported record type 16", err)
+	}
+	col, stats, err := ImportMRT(w, streams(), ImportOptions{SkipCorrupt: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(col.Prefixes) != 2 || len(col.Records) != 2 {
+		t.Errorf("imported %d prefixes and %d records, want both RIBs' 2 and 2", len(col.Prefixes), len(col.Records))
+	}
+	if stats.Resyncs != 1 || stats.SkippedBytes != int64(len(update)) {
+		t.Errorf("resyncs %d, skipped %d bytes; want 1 and %d", stats.Resyncs, stats.SkippedBytes, len(update))
 	}
 }

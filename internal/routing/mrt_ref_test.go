@@ -19,6 +19,16 @@ import (
 // map+sort.Slice exporters must be byte-identical to the new ones, and the
 // serial importer must produce the same collection as the parallel one.
 
+// seq wraps a flat path into one AS_SEQUENCE segment, the shape ExportMRT
+// writes; an empty path has no segment. The bgp, mrt and routing tests each
+// keep this copy: metrictest imports routing, so none of them can import it.
+func seq(p bgp.Path) bgp.ASPath {
+	if len(p) == 0 {
+		return nil
+	}
+	return bgp.ASPath{{Type: bgp.SegmentSequence, ASNs: p}}
+}
+
 // exportMRTRef is the original ExportMRT: map-based peer index, group by
 // prefix in a map, two sort.Slice passes.
 func exportMRTRef(w io.Writer, c *Collection, collector string, timestamp uint32) error {
@@ -66,7 +76,7 @@ func exportMRTRef(w io.Writer, c *Collection, collector string, timestamp uint32
 				OriginatedAt: timestamp,
 				Attrs: bgp.AttrSet{
 					Origin: bgp.OriginIGP,
-					ASPath: bgp.SequencePath(c.Paths[r.Path]),
+					ASPath: seq(c.Paths[r.Path]),
 				},
 			})
 		}
@@ -77,77 +87,12 @@ func exportMRTRef(w io.Writer, c *Collection, collector string, timestamp uint32
 	return mw.Flush()
 }
 
-// exportUpdatesMRTRef is the original ExportUpdatesMRT: VP grouping in a
-// map plus a sorted VP order, one Marshal per update.
-func exportUpdatesMRTRef(w io.Writer, c *Collection, collector string, day int, timestamp uint32) error {
-	if day <= 0 || day >= c.Days {
-		return fmt.Errorf("routing: day %d outside 1..%d", day, c.Days-1)
-	}
-	set := c.VPs
-	if _, ok := set.Collector(collector); !ok {
-		return fmt.Errorf("routing: unknown collector %q", collector)
-	}
-
-	mw := mrt.NewWriter(w, timestamp)
-	collectorIP := netip.AddrFrom4([4]byte{192, 0, 2, 1})
-
-	byVP := map[int32][]Record{}
-	var vpOrder []int32
-	for _, r := range c.Records {
-		v := set.VP(int(r.VP))
-		if v.Collector != collector {
-			continue
-		}
-		if _, seen := byVP[r.VP]; !seen {
-			vpOrder = append(vpOrder, r.VP)
-		}
-		byVP[r.VP] = append(byVP[r.VP], r)
-	}
-	sort.Slice(vpOrder, func(i, j int) bool { return vpOrder[i] < vpOrder[j] })
-
-	for _, vpIdx := range vpOrder {
-		v := set.VP(int(vpIdx))
-		for _, r := range byVP[vpIdx] {
-			was := c.PresentOn(r.Prefix, day-1)
-			is := c.PresentOn(r.Prefix, day)
-			if was == is {
-				continue
-			}
-			var u bgp.Update
-			pfx := c.Prefixes[r.Prefix]
-			switch {
-			case is && pfx.Addr().Is4():
-				u = bgp.Update{
-					ASPath:    bgp.SequencePath(c.Paths[r.Path]),
-					NextHop:   v.Addr,
-					Announced: []netip.Prefix{pfx},
-				}
-			case is:
-				u = bgp.Update{
-					ASPath:      bgp.SequencePath(c.Paths[r.Path]),
-					V6NextHop:   v6NextHop,
-					V6Announced: []netip.Prefix{pfx},
-				}
-			case pfx.Addr().Is4():
-				u = bgp.Update{Withdrawn: []netip.Prefix{pfx}}
-			default:
-				u = bgp.Update{V6Withdrawn: []netip.Prefix{pfx}}
-			}
-			raw, err := u.Marshal()
-			if err != nil {
-				return fmt.Errorf("routing: update: %w", err)
-			}
-			if err := mw.WriteBGP4MP(v.AS, 6447, v.Addr, collectorIP, raw); err != nil {
-				return err
-			}
-		}
-	}
-	return mw.Flush()
-}
-
 // importMRTRef is the original serial ImportMRT, with the origin sentinel
 // fixed the same way (explicit unset tracking) so only parallelism and
-// interning differ from the production path.
+// interning differ from the production path. It decodes with Scan, the
+// reusing decoder ImportMRT uses, so it does not cross-check the decoders:
+// internal/mrt's TestScanMatchesNext and FuzzReaderNext pin Scan against
+// the allocating Next.
 func importMRTRef(w *topology.World, streams []io.Reader) (*Collection, error) {
 	set := w.VPs
 	byAddr := map[netip.Addr]int32{}
@@ -163,7 +108,9 @@ func importMRTRef(w *topology.World, streams []io.Reader) (*Collection, error) {
 		r := mrt.NewReader(stream)
 		var peers []mrt.Peer
 		for {
-			rec, err := r.Next()
+			// A scanned record is valid until the next Scan: the path is
+			// copied out below, and a stream's one peer table stays put.
+			rec, err := r.Scan()
 			if err == io.EOF {
 				break
 			}
@@ -175,9 +122,6 @@ func importMRTRef(w *topology.World, streams []io.Reader) (*Collection, error) {
 				continue
 			}
 			rib := rec.RIB
-			if rib == nil {
-				continue
-			}
 			pi, ok := prefixIdx[rib.Prefix]
 			if !ok {
 				pi = int32(len(col.Prefixes))
@@ -194,7 +138,7 @@ func importMRTRef(w *topology.World, streams []io.Reader) (*Collection, error) {
 				if !known {
 					continue
 				}
-				path := e.Attrs.PathOf()
+				path := e.Attrs.ASPath.AppendFlat(nil)
 				if o, ok := path.Origin(); ok && !originSet[pi] {
 					col.Origin[pi] = o
 					originSet[pi] = true
@@ -234,24 +178,6 @@ func TestExportMRTMatchesReference(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%s: export differs from reference (%d vs %d bytes)",
 				coll.Name, got.Len(), want.Len())
-		}
-	}
-}
-
-func TestExportUpdatesMRTMatchesReference(t *testing.T) {
-	w, c := refWorldAndCollection(t)
-	for _, coll := range w.VPs.Collectors() {
-		for day := 1; day < c.Days; day++ {
-			var got, want bytes.Buffer
-			if err := ExportUpdatesMRT(&got, c, coll.Name, day, 1617235200); err != nil {
-				t.Fatalf("%s day %d: %v", coll.Name, day, err)
-			}
-			if err := exportUpdatesMRTRef(&want, c, coll.Name, day, 1617235200); err != nil {
-				t.Fatalf("%s day %d ref: %v", coll.Name, day, err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("%s day %d: update export differs from reference", coll.Name, day)
-			}
 		}
 	}
 }
@@ -387,8 +313,8 @@ func TestImportMRTOriginZero(t *testing.T) {
 	pfx := netip.MustParsePrefix("203.0.113.0/24")
 	entries := []mrt.RIBEntry{
 		// The first entry's path terminates at AS0, the second at AS64500.
-		{PeerIndex: 0, Attrs: bgp.AttrSet{ASPath: bgp.SequencePath(bgp.Path{3356, 0})}},
-		{PeerIndex: 1, Attrs: bgp.AttrSet{ASPath: bgp.SequencePath(bgp.Path{1299, 64500})}},
+		{PeerIndex: 0, Attrs: bgp.AttrSet{ASPath: seq(bgp.Path{3356, 0})}},
+		{PeerIndex: 1, Attrs: bgp.AttrSet{ASPath: seq(bgp.Path{1299, 64500})}},
 	}
 	if err := mw.WriteRIB(pfx, entries); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,9 @@ package sanitize
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"countryrank/internal/asn"
@@ -21,12 +24,12 @@ func judgePath(p bgp.Path, cfg Config) struct {
 	}{reason: Accepted}
 
 	for _, a := range p {
-		if cfg.Registry != nil && !cfg.Registry.Allocated(a) {
+		if cfg.Registry != nil && !allocated(cfg.Registry, a) {
 			out.reason = Unallocated
 			return out
 		}
 	}
-	dedup := p.DedupAdjacent()
+	dedup := slices.Compact(slices.Clone(p))
 	if dedup.HasNonAdjacentLoop() {
 		out.reason = Loop
 		return out
@@ -44,7 +47,7 @@ func judgePath(p bgp.Path, cfg Config) struct {
 				filtered = append(filtered, a)
 			}
 		}
-		clean = filtered.DedupAdjacent()
+		clean = slices.Compact(filtered)
 	}
 	out.clean = clean
 	return out
@@ -84,6 +87,34 @@ func judgeTestConfig() Config {
 	}
 }
 
+// allocatedSets holds, per registry, the ASNs its ForEach visits: the
+// reference judge's allocation lookup. A test registry is not changed once
+// a path has been judged against it.
+var allocatedSets sync.Map // *asn.Registry → map[asn.ASN]bool
+
+func allocated(reg *asn.Registry, a asn.ASN) bool {
+	set, ok := allocatedSets.Load(reg)
+	if !ok {
+		m := map[asn.ASN]bool{}
+		reg.ForEach(func(a asn.ASN) { m[a] = true })
+		set, _ = allocatedSets.LoadOrStore(reg, m)
+	}
+	return set.(map[asn.ASN]bool)[a]
+}
+
+// flagPages counts the pages j's flag table holds. The table keeps them in
+// an unexported field; reflect reads its length and nil entries.
+func flagPages(j *judge) int {
+	pages := reflect.ValueOf(&j.flags).Elem().FieldByName("pages")
+	n := 0
+	for i := range pages.Len() {
+		if !pages.Index(i).IsNil() {
+			n++
+		}
+	}
+	return n
+}
+
 // checkJudge compares one verdict of j with the reference's and checks the
 // aliasing contract — the clean form is the judge's own storage, never the
 // input's, which judging leaves as it was — and the trust boundary: judging
@@ -92,10 +123,10 @@ func judgeTestConfig() Config {
 func checkJudge(t testing.TB, j *judge, cfg Config, p bgp.Path) (Reason, bgp.Path) {
 	t.Helper()
 	want := judgePath(p, cfg)
-	in := p.Clone()
-	pages := j.flags.Pages()
+	in := slices.Clone(p)
+	pages := flagPages(j)
 	reason, clean := j.judge(p)
-	if got := j.flags.Pages(); got != pages {
+	if got := flagPages(j); got != pages {
 		t.Fatalf("judge(%v) grew the flag table from %d to %d pages", p, pages, got)
 	}
 	if !p.Equal(in) {
@@ -221,7 +252,7 @@ func TestJudgeMatchesReference(t *testing.T) {
 func TestJudgeLookupsCreateNoPages(t *testing.T) {
 	cfg := judgeTestConfig()
 	j := newJudge(cfg)
-	pages := j.flags.Pages()
+	pages := flagPages(j)
 	if pages != 1 { // every configured ASN is below 65536
 		t.Fatalf("judgeTestConfig fills %d pages, want 1", pages)
 	}
@@ -231,7 +262,7 @@ func TestJudgeLookupsCreateNoPages(t *testing.T) {
 			t.Fatalf("path through %v: %v with clean form %v, want unallocated", a, reason, clean)
 		}
 	}
-	if got := j.flags.Pages(); got != pages {
+	if got := flagPages(j); got != pages {
 		t.Fatalf("judging grew the flag table from %d to %d pages", pages, got)
 	}
 }

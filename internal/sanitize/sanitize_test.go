@@ -86,7 +86,7 @@ func TestAcceptedPathsAreClean(t *testing.T) {
 			if rs[a] {
 				t.Fatalf("accepted path retains route server: %v", p)
 			}
-			if !reg.Allocated(a) {
+			if !allocated(reg, a) {
 				t.Fatalf("accepted path has unallocated ASN: %v", p)
 			}
 			if j > 0 && p[j-1] == a {

@@ -86,8 +86,8 @@ func TestGoldenPipelineOutputs(t *testing.T) {
 }
 
 // TestGoldenMRTBytes pins the absolute bytes of the MRT interchange for the
-// same seed-11 world: the sha256 of every collector's TABLE_DUMP_V2 RIB and
-// of its day-1 BGP4MP update stream. Export is otherwise only ever compared
+// same seed-11 world: the sha256 of every collector's TABLE_DUMP_V2 RIB.
+// Export is otherwise only ever compared
 // between build modes, so a change to the merge or the export group-by is
 // byte-preserving exactly when this golden stays untouched. The dumps are
 // written the way topogen writes them — all collectors at once off one fresh
@@ -111,11 +111,9 @@ func TestGoldenMRTBytes(t *testing.T) {
 		errs := make([]error, len(collectors))
 		par.ForEach(len(collectors), func(i int) {
 			name := collectors[i].Name
-			rib, upd := sha256.New(), sha256.New()
-			if errs[i] = routing.ExportMRT(rib, col, name, ts); errs[i] == nil {
-				errs[i] = routing.ExportUpdatesMRT(upd, col, name, 1, ts+86400)
-			}
-			lines[i] = fmt.Sprintf("rib %s %x\nupdates day 1 %s %x\n", name, rib.Sum(nil), name, upd.Sum(nil))
+			rib := sha256.New()
+			errs[i] = routing.ExportMRT(rib, col, name, ts)
+			lines[i] = fmt.Sprintf("rib %s %x\n", name, rib.Sum(nil))
 		})
 		for _, err := range errs {
 			if err != nil {

@@ -201,15 +201,6 @@ func (s *Snapshot) TopMetrics() []string {
 // MaxTopN reports the snapshot's ?n= cap.
 func (s *Snapshot) MaxTopN() int { return s.maxTopN }
 
-// CountryETag returns the precomputed ETag of cc's page ("" when absent);
-// the CI smoke and the rollover test match responses against it.
-func (s *Snapshot) CountryETag(cc string) string {
-	if e, ok := s.countries[cc]; ok {
-		return e.etag
-	}
-	return ""
-}
-
 // CountryBody returns cc's preserialized page (nil when absent). The result
 // aliases snapshot-internal state and must not be mutated.
 func (s *Snapshot) CountryBody(cc string) []byte {

@@ -13,6 +13,15 @@ import (
 	"countryrank/internal/rank"
 )
 
+// CountryETag returns the precomputed ETag of cc's page ("" when absent),
+// which tests match responses against.
+func (s *Snapshot) CountryETag(cc string) string {
+	if e, ok := s.countries[cc]; ok {
+		return e.etag
+	}
+	return ""
+}
+
 // testInfo resolves presentation metadata for the hand-built rankings, with
 // one name exercising JSON escaping.
 func testInfo(a asn.ASN) rank.ASInfo {

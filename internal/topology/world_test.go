@@ -134,14 +134,29 @@ func TestPrefixesDisjointExceptCoveredPairs(t *testing.T) {
 		}
 		trie.Insert(po.Prefix, 1)
 	}
+	// covered reports whether stored prefixes cover all of p: p itself, or
+	// both its halves.
+	var covered func(p netip.Prefix) bool
+	covered = func(p netip.Prefix) bool {
+		if _, ok := trie.Get(p); ok {
+			return true
+		}
+		if len(trie.Descendants(p)) == 0 {
+			return false
+		}
+		lo, hi := netx.Halves(p)
+		return covered(lo) && covered(hi)
+	}
 	total := 0
 	for _, po := range w.Graph.AllPrefixes() {
 		total++
 		if len(trie.Descendants(po.Prefix)) > 0 {
 			overlaps++
-			// Every nesting parent must be *fully* covered (the deliberate
-			// de-aggregation pattern), never partially overlapped.
-			if !trie.CoveredByMoreSpecifics(po.Prefix) {
+			// Every nesting parent must be *fully* covered by more specifics
+			// (the deliberate de-aggregation pattern), never partially
+			// overlapped.
+			lo, hi := netx.Halves(po.Prefix)
+			if !covered(lo) || !covered(hi) {
 				t.Errorf("parent %v only partially covered", po.Prefix)
 			}
 		}

@@ -21,13 +21,19 @@ import (
 )
 
 // TestReachability is the ledger rule applied to code: every package under
-// internal/ is linked by a cmd/ or benchmark/ main (or is a *test helper),
-// and every exported top-level identifier or method under internal/ is
-// referenced by something other than its own package's tests. References
-// from other packages' tests count, so the reference kernels tests compare
-// against stay; methods that satisfy an interface are exempt. The module is
-// type-checked from source, tests included; the standard library comes from
-// the build cache's export data.
+// internal/ is linked by a main (or is a *test helper), and every top-level
+// func, method and type under internal/ is reached from a root through
+// non-test code. Tests are not readers: a reference that tests compare
+// against lives in its package's _test.go files, and a helper several
+// packages' tests share lives in a *test helper package. The roots are the
+// mains of cmd/, examples/ and benchmark; the init funcs and package-level
+// var initializers of the packages they link; the exported declarations of
+// the root package, with the exported methods of the types it exports or
+// aliases; and every declaration of a *test helper package. A method of a
+// reached type that satisfies an interface is reached. Constants are never
+// flagged, because iota values are used by value. The module's non-test
+// files are type-checked from source; the standard library comes from the
+// build cache's export data.
 func TestReachability(t *testing.T) {
 	findings, err := reachability(".")
 	if err != nil {
@@ -38,16 +44,48 @@ func TestReachability(t *testing.T) {
 	}
 }
 
-// TestReachabilityCatchesPlanted runs the rule over a three-package module
-// with one unlinked package and one exported function only its own test
-// calls, and requires both to be named.
+// TestReachabilityCatchesPlanted runs the rule over a small module and
+// requires exactly the planted dead code to be named: an unlinked package,
+// a func only its own package's tests call, a func only another package's
+// tests call, and a helper only a dead func calls. An interface method of a
+// live type, an iota constant used by value and a func a *test helper calls
+// are live.
 func TestReachabilityCatchesPlanted(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
-		"go.mod":                   "module planted\n\ngo 1.22\n",
-		"cmd/x/main.go":            "package main\n\nimport \"planted/internal/live\"\n\nfunc main() { live.Used() }\n",
-		"internal/live/live.go":    "package live\n\nimport \"fmt\"\n\ntype T struct{}\n\nfunc (T) String() string { return \"\" }\n\nfunc Used() { fmt.Println(T{}) }\n\nfunc Dead() {}\n",
+		"go.mod":             "module planted\n\ngo 1.22\n",
+		"cmd/x/main.go":      "package main\n\nimport \"planted/internal/live\"\n\nfunc main() { live.Used() }\n",
+		"cmd/x/main_test.go": "package main\n\nimport (\n\t\"testing\"\n\n\t\"planted/internal/live\"\n)\n\nfunc TestOther(t *testing.T) { live.OnlyOtherTests() }\n",
+		"internal/live/live.go": `package live
+
+import "fmt"
+
+type T struct{}
+
+func (T) String() string { return "" }
+
+type kind int
+
+const (
+	kindZero kind = iota
+	kindOne
+)
+
+func Used() {
+	var k kind
+	fmt.Println(T{}, k == kindOne)
+}
+
+func Dead() { helper() }
+
+func helper() {}
+
+func OnlyOtherTests() {}
+
+func ForHelpers() {}
+`,
 		"internal/live/x_test.go":  "package live\n\nimport \"testing\"\n\nfunc TestDead(t *testing.T) { Dead() }\n",
+		"internal/livetest/h.go":   "package livetest\n\nimport \"planted/internal/live\"\n\nfunc Helper() { live.ForHelpers() }\n",
 		"internal/island/i.go":     "package island\n\nfunc Lonely() {}\n",
 		"internal/islandtest/h.go": "package islandtest\n\nimport \"planted/internal/island\"\n\nfunc Helper() { island.Lonely() }\n",
 	}
@@ -65,43 +103,24 @@ func TestReachabilityCatchesPlanted(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"package planted/internal/island is linked by no cmd/ or benchmark/ main",
-		"planted/internal/live.Dead is referenced by nothing but its own package's tests",
+		"package planted/internal/island is linked by no main",
+		"planted/internal/live.Dead is reached from no root",
+		"planted/internal/live.OnlyOtherTests is reached from no root",
+		"planted/internal/live.helper is reached from no root",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-// modPkg is one directory of the module: its files split the way go test
-// splits them, and the types of its non-test files.
+// modPkg is one directory of the module: its non-test files, their imports,
+// and their types.
 type modPkg struct {
-	name                 string
-	files, tests, xtests []*ast.File
-	imports              []string // of the non-test files
-	testImports          []string // of both kinds of test file
-	types                *types.Package
-}
-
-// refs records, per object, whether anything but its own package's tests
-// refers to it.
-type refs map[types.Object]bool
-
-func (r refs) collect(fset *token.FileSet, home string, info *types.Info) {
-	for id, obj := range info.Uses {
-		switch o := obj.(type) {
-		case *types.Func:
-			obj = o.Origin()
-		case *types.Var:
-			obj = o.Origin()
-		}
-		if obj.Pkg() == nil {
-			continue
-		}
-		if obj.Pkg().Path() != home || !strings.HasSuffix(fset.Position(id.Pos()).Filename, "_test.go") {
-			r[obj] = true
-		}
-	}
+	name    string
+	files   []*ast.File
+	imports []string
+	types   *types.Package
+	info    *types.Info
 }
 
 // reachability returns the rule's findings for the module rooted at root,
@@ -126,81 +145,138 @@ func reachability(root string) ([]string, error) {
 		}
 		return nil, fmt.Errorf("no export data for %s", path)
 	})
-
-	seen := refs{}
-	var ifaces []*types.Interface
 	var checkErr error
-	check := func(path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info) {
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
-		conf := types.Config{Importer: imp, Error: func(err error) {
-			if checkErr == nil {
-				checkErr = err
-			}
-		}}
-		p, _ := conf.Check(path, fset, files, info)
-		seen.collect(fset, strings.TrimSuffix(path, "_test"), info)
-		return p, info
-	}
-	var canonical importerFunc
-	canonical = func(path string) (*types.Package, error) {
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
 		p, ok := pkgs[path]
 		if !ok {
 			return gc.Import(path)
 		}
 		if p.types == nil {
-			var info *types.Info
-			p.types, info = check(path, p.files, canonical)
-			// Interface types written in non-test code, named or not.
-			for _, f := range p.files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					if it, ok := n.(*ast.InterfaceType); ok {
-						if t, ok := info.TypeOf(it).(*types.Interface); ok {
-							ifaces = append(ifaces, t)
-						}
-					}
-					return true
-				})
-			}
+			p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+			conf := types.Config{Importer: imp, Error: func(err error) {
+				if checkErr == nil {
+					checkErr = err
+				}
+			}}
+			p.types, _ = conf.Check(path, fset, p.files, p.info)
 		}
 		return p.types, nil
 	}
 	paths := make([]string, 0, len(pkgs))
 	for path := range pkgs {
 		paths = append(paths, path)
+		imp(path)
 	}
 	slices.Sort(paths)
-	for _, path := range paths {
-		p := pkgs[path]
-		if _, err := canonical(path); err != nil {
-			return nil, err
-		}
-		if len(p.tests) == 0 && len(p.xtests) == 0 {
-			continue
-		}
-		// In-package tests see the package with its _test.go files; an
-		// external test package imports that variant, and so — as go test
-		// rebuilds them — does every module package on its way there.
-		variant := map[string]*types.Package{path: p.types}
-		if len(p.tests) > 0 {
-			variant[path], _ = check(path, append(slices.Clip(p.files), p.tests...), canonical)
-		}
-		var viaTests importerFunc
-		viaTests = func(q string) (*types.Package, error) {
-			if v, ok := variant[q]; ok {
-				return v, nil
-			}
-			if !dependsOn(pkgs, q, path) {
-				return canonical(q)
-			}
-			variant[q], _ = check(q, pkgs[q].files, viaTests)
-			return variant[q], nil
-		}
-		if len(p.xtests) > 0 {
-			check(path+"_test", p.xtests, viaTests)
-		}
-	}
 	if checkErr != nil {
 		return nil, checkErr
+	}
+
+	linked := map[string]bool{}
+	var link func(string)
+	link = func(path string) {
+		if p, ok := pkgs[path]; ok && !linked[path] {
+			linked[path] = true
+			for _, q := range p.imports {
+				link(q)
+			}
+		}
+	}
+	for _, path := range paths {
+		if pkgs[path].name == "main" && (strings.HasPrefix(path, module+"/cmd/") || strings.HasPrefix(path, module+"/examples/") || path == module+"/benchmark") {
+			link(path)
+		}
+	}
+
+	// edges maps each declared object to the objects its declaration names;
+	// ifaces collects the interface types written in non-test code.
+	edges := map[types.Object][]types.Object{}
+	var ifaces []*types.Interface
+	reached := map[types.Object]bool{}
+	var queue []types.Object
+	reach := func(objs ...types.Object) {
+		for _, obj := range objs {
+			if !reached[obj] {
+				reached[obj] = true
+				queue = append(queue, obj)
+			}
+		}
+	}
+	for _, path := range paths {
+		p := pkgs[path]
+		helper := strings.HasSuffix(p.name, "test")
+		names := func(n ast.Node) []types.Object {
+			var out []types.Object
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if obj := p.info.Uses[n]; obj != nil {
+						out = append(out, origin(obj))
+					}
+				case *ast.InterfaceType:
+					if it, ok := p.info.TypeOf(n).(*types.Interface); ok {
+						ifaces = append(ifaces, it)
+					}
+				}
+				return true
+			})
+			return out
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					obj := p.info.Defs[fd.Name]
+					edges[obj] = names(fd)
+					entry := fd.Name.Name == "init" || fd.Name.Name == "main" && p.name == "main"
+					if helper || fd.Recv == nil && (entry && linked[path] || path == module && obj.Exported()) {
+						reach(obj)
+					}
+					continue
+				}
+				gd := d.(*ast.GenDecl)
+				for _, s := range gd.Specs {
+					var ids []*ast.Ident
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						ids = []*ast.Ident{s.Name}
+					case *ast.ValueSpec:
+						ids = s.Names
+					default:
+						continue
+					}
+					refs := names(s)
+					if helper || gd.Tok == token.VAR && linked[path] {
+						reach(refs...)
+					}
+					for _, id := range ids {
+						obj := p.info.Defs[id]
+						if obj == nil {
+							continue
+						}
+						edges[obj] = refs
+						if helper || path == module && obj.Exported() {
+							reach(obj)
+						}
+					}
+				}
+			}
+		}
+	}
+	// The root package's exported types are public API, methods included.
+	if p, ok := pkgs[module]; ok {
+		for _, name := range p.types.Scope().Names() {
+			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+					ms := types.NewMethodSet(types.NewPointer(named))
+					for i := range ms.Len() {
+						if m := ms.At(i).Obj(); m.Exported() {
+							reach(origin(m))
+						}
+					}
+				}
+			}
+		}
 	}
 
 	// Interfaces a method may satisfy: the universe's error, every named
@@ -240,42 +316,42 @@ func reachability(root string) ([]string, error) {
 		return false
 	}
 
-	linked := map[string]bool{}
-	var link func(string)
-	link = func(path string) {
-		if p, ok := pkgs[path]; ok && !linked[path] {
-			linked[path] = true
-			for _, q := range p.imports {
-				link(q)
+	for len(queue) > 0 {
+		obj := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		reach(edges[obj]...)
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if named, ok := tn.Type().(*types.Named); ok {
+				for i := range named.NumMethods() {
+					if m := named.Method(i); satisfies(named, m) {
+						reach(m)
+					}
+				}
 			}
-		}
-	}
-	for _, path := range paths {
-		if pkgs[path].name == "main" && (strings.HasPrefix(path, module+"/cmd/") || path == module+"/benchmark") {
-			link(path)
 		}
 	}
 
 	var findings []string
 	for _, path := range paths {
 		p := pkgs[path]
-		if !strings.HasPrefix(path, module+"/internal/") {
+		if !strings.HasPrefix(path, module+"/internal/") || strings.HasSuffix(p.name, "test") {
 			continue
 		}
 		if !linked[path] {
-			if !strings.HasSuffix(p.name, "test") {
-				findings = append(findings, fmt.Sprintf("package %s is linked by no cmd/ or benchmark/ main", path))
-			}
-			continue // every export of an unlinked package is dead; the package line says so
+			findings = append(findings, fmt.Sprintf("package %s is linked by no main", path))
+			continue // every declaration of an unlinked package is dead; the package line says so
 		}
 		scope := p.types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if !obj.Exported() {
-				continue
+			switch obj.(type) {
+			case *types.Func, *types.TypeName:
+			default:
+				continue // constants by rule; a variable's initializer is a root
 			}
-			if !seen[obj] {
-				findings = append(findings, fmt.Sprintf("%s.%s is referenced by nothing but its own package's tests", path, name))
+			if !reached[obj] {
+				findings = append(findings, fmt.Sprintf("%s.%s is reached from no root", path, name))
+				continue // so are its methods
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -286,9 +362,8 @@ func reachability(root string) ([]string, error) {
 				continue
 			}
 			for i := range named.NumMethods() {
-				m := named.Method(i)
-				if m.Exported() && !seen[m] && !satisfies(named, m) {
-					findings = append(findings, fmt.Sprintf("%s.%s.%s is referenced by nothing but its own package's tests", path, name, m.Name()))
+				if m := named.Method(i); !reached[m] {
+					findings = append(findings, fmt.Sprintf("%s.%s.%s is reached from no root", path, name, m.Name()))
 				}
 			}
 		}
@@ -297,19 +372,16 @@ func reachability(root string) ([]string, error) {
 	return findings, nil
 }
 
-// dependsOn reports whether module package from imports target, directly or
-// not.
-func dependsOn(pkgs map[string]*modPkg, from, target string) bool {
-	seen := map[string]bool{}
-	var walk func(string) bool
-	walk = func(path string) bool {
-		if seen[path] || pkgs[path] == nil {
-			return false
-		}
-		seen[path] = true
-		return slices.Contains(pkgs[path].imports, target) || slices.ContainsFunc(pkgs[path].imports, walk)
+// origin maps an instantiated generic func, method or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
 	}
-	return walk(from)
+	return obj
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -354,26 +426,13 @@ func loadDirs(fset *token.FileSet, root, module string) (map[string]*modPkg, err
 		if rel != "." {
 			path += "/" + filepath.ToSlash(rel)
 		}
-		p := &modPkg{name: bp.Name, imports: bp.Imports, testImports: slices.Concat(bp.TestImports, bp.XTestImports)}
-		parse := func(names []string) ([]*ast.File, error) {
-			var out []*ast.File
-			for _, n := range names {
-				f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, f)
+		p := &modPkg{name: bp.Name, imports: bp.Imports}
+		for _, n := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
 			}
-			return out, nil
-		}
-		if p.files, err = parse(bp.GoFiles); err != nil {
-			return err
-		}
-		if p.tests, err = parse(bp.TestGoFiles); err != nil {
-			return err
-		}
-		if p.xtests, err = parse(bp.XTestGoFiles); err != nil {
-			return err
+			p.files = append(p.files, f)
 		}
 		pkgs[path] = p
 		return nil
@@ -387,7 +446,7 @@ func loadDirs(fset *token.FileSet, root, module string) (map[string]*modPkg, err
 func stdExports(root, module string, pkgs map[string]*modPkg) (map[string]string, error) {
 	args := []string{"list", "-deps", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}
 	for _, p := range pkgs {
-		for _, path := range slices.Concat(p.imports, p.testImports) {
+		for _, path := range p.imports {
 			if path != module && !strings.HasPrefix(path, module+"/") && !slices.Contains(args, path) {
 				args = append(args, path)
 			}
