@@ -28,15 +28,7 @@ var trims = []float64{-1, 0, 0.10, 0.25}
 func TestDenseMatchesMapReference(t *testing.T) {
 	for _, seed := range []int64{1, 5} {
 		p := core.NewPipeline(core.Options{Seed: seed, StubScale: 0.15, VPScale: 0.2})
-		views := map[string][]int32{
-			"global":          nil,
-			"intl-AU":         p.ViewRecords(core.International, "AU"),
-			"intl-RU":         p.ViewRecords(core.International, "RU"),
-			"natl-AU":         p.ViewRecords(core.National, "AU"),
-			"outbound-JP":     p.ViewRecords(core.Outbound, "JP"),
-			"empty-natl-none": p.ViewRecords(core.National, "ZZ"),
-		}
-		for name, recs := range views {
+		for name, recs := range denseViews(p) {
 			for _, trim := range trims {
 				got := hegemony.Compute(p.DS, recs, trim)
 				want := hegemony.ComputeMapRef(p.DS, recs, trim)
@@ -50,6 +42,46 @@ func TestDenseMatchesMapReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRecordOrderNeverMatters: a view's records are summed in the order the
+// view lists them, and hegemony's sums are exact integers, so Compute over
+// any permutation of a view's records is Compute over the view, bit for bit
+// (every record's permutation is read as a view, not as the full view).
+func TestRecordOrderNeverMatters(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, seed := range []int64{1, 5} {
+		p := core.NewPipeline(core.Options{Seed: seed, StubScale: 0.15, VPScale: 0.2})
+		for name, recs := range denseViews(p) {
+			shuffled := slices.Clone(recs)
+			if recs == nil {
+				shuffled = make([]int32, p.DS.Len())
+				for i := range shuffled {
+					shuffled[i] = int32(i)
+				}
+			}
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			for _, trim := range trims {
+				if got, want := hegemony.Compute(p.DS, shuffled, trim), hegemony.Compute(p.DS, recs, trim); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d %s trim %v: Compute over the shuffled records (%d VPs, %d ASes) diverges from Compute over the view (%d VPs, %d ASes)",
+						seed, name, trim, got.VPCount, len(got.Hegemony), want.VPCount, len(want.Hegemony))
+				}
+			}
+		}
+	}
+}
+
+// denseViews are the views TestDenseMatchesMapReference holds to the
+// reference.
+func denseViews(p *core.Pipeline) map[string][]int32 {
+	return map[string][]int32{
+		"global":          nil,
+		"intl-AU":         p.ViewRecords(core.International, "AU"),
+		"intl-RU":         p.ViewRecords(core.International, "RU"),
+		"natl-AU":         p.ViewRecords(core.National, "AU"),
+		"outbound-JP":     p.ViewRecords(core.Outbound, "JP"),
+		"empty-natl-none": p.ViewRecords(core.National, "ZZ"),
 	}
 }
 
@@ -74,33 +106,69 @@ func newPerVPCase(name string, ds *sanitize.Dataset, view []int32, rng *rand.Ran
 			all[k] = int32(j)
 		}
 		c.sels = append(c.sels, all, all[:1], all[:1+rng.Intn(n)], all[rng.Intn(n):])
-		c.sels = append(c.sels, crossoverSels(c.pv, rng)...)
+		c.sels = append(c.sels, quarterSels(ds, c.runs, rng)...)
+		c.sels = append(c.sels, wordSels(c.pv)...)
 	}
 	return c
 }
 
-// crossoverSels draws the view's VPs in random order and returns the longest
-// prefix of the draw holding less than 1/RowsCrossover of the view's pairs,
-// and that prefix with the next VP: the selections just below the gatherer
-// choice and at or just above it.
-func crossoverSels(pv *hegemony.PerVP, rng *rand.Rand) [][]int32 {
-	order := make([]int32, pv.VPs())
+// quarterSels draws the view's VPs in random order and returns the longest
+// prefix of the draw holding less than a quarter of the view's (AS, VP)
+// shares, and that prefix with the next VP: selections of middling size,
+// neither a few VPs nor nearly all.
+func quarterSels(ds *sanitize.Dataset, runs [][]int32, rng *rand.Rand) [][]int32 {
+	shares := make([]int, len(runs))
+	total := 0
+	for p, run := range runs {
+		shares[p] = sharesOf(ds, run)
+		total += shares[p]
+	}
+	order := make([]int32, len(runs))
 	for k, j := range rng.Perm(len(order)) {
 		order[k] = int32(j)
 	}
-	for k := range order {
-		if ofSel, ofView := pv.Pairs(order[:k+1]); ofSel*hegemony.RowsCrossover >= ofView {
+	held := 0
+	for k, p := range order {
+		if held += shares[p]; held*4 >= total {
 			return [][]int32{order[:k], order[:k+1]}
 		}
 	}
-	panic("the whole view holds less than a part of its pairs")
+	panic("the whole view holds less than a part of its shares")
 }
 
-// walksRows says from the pair counts alone which gatherer sel is due: the
-// presorted rows from 1/RowsCrossover of the view's pairs up.
-func (c perVPCase) walksRows(sel []int32) bool {
-	ofSel, ofView := c.pv.Pairs(sel)
-	return sel == nil || ofSel*hegemony.RowsCrossover >= ofView
+// sharesOf counts the shares a VP's run of records gives: one per distinct
+// AS on its paths, none when its prefixes carry no weight.
+func sharesOf(ds *sanitize.Dataset, run []int32) int {
+	ases, total := map[int32]bool{}, uint64(0)
+	for _, i := range run {
+		_, pfx, ids := ds.RecordIDs(int(i))
+		total += ds.Weight[pfx]
+		for _, id := range ids {
+			ases[id] = true
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return len(ases)
+}
+
+// wordSels selects the VPs owning the shares at positions 63, 64 and 65 of
+// the view's rows, alone and together: Each marks selected shares in 64-bit
+// words, and these straddle the first boundary.
+func wordSels(pv *hegemony.PerVP) [][]int32 {
+	if pv.Pairs() <= 65 {
+		return nil
+	}
+	a, b, c := pv.OwnerOf(63), pv.OwnerOf(64), pv.OwnerOf(65)
+	sels := [][]int32{{a}, {b}, {c}}
+	if a != b {
+		sels = append(sels, []int32{a, b})
+	}
+	if a != b && b != c && a != c {
+		sels = append(sels, []int32{c, a, b})
+	}
+	return sels
 }
 
 // check scores every selection at every trim twice back to back — a count or
@@ -117,10 +185,6 @@ func (c perVPCase) check(report func(format string, args ...any), ref bool) {
 		recs := c.view
 		if sel != nil {
 			recs = metrictest.RecordsOf(c.runs, sel)
-			pairs, _ := c.pv.Pairs(sel)
-			if got, want := c.pv.WalksRows(pairs), c.walksRows(sel); got != want {
-				report("%s sel %v (%d pairs): walks rows %v, want %v", c.name, sel, pairs, got, want)
-			}
 		}
 		for _, trim := range trims {
 			want := hegemony.Compute(c.ds, recs, trim)
@@ -166,22 +230,15 @@ func weightlessVPCases(rng *rand.Rand) []perVPCase {
 	}
 }
 
-// equalVPsCase: RowsCrossover VPs with as many pairs each, so that one VP
-// holds exactly 1/RowsCrossover of the view's pairs — the selection that sits
-// on the gatherer choice, where the rows are walked.
-func equalVPsCase(t *testing.T, rng *rand.Rand) perVPCase {
+// equalVPsCase: four VPs with as many shares each, each selected alone.
+func equalVPsCase(rng *rand.Rand) perVPCase {
 	var recs []metrictest.Rec
-	for v := 0; v < hegemony.RowsCrossover; v++ {
+	for v := 0; v < 4; v++ {
 		recs = append(recs, metrictest.Rec{VP: v, Prefix: fmt.Sprintf("9.0.%d.0/24", v), PrefixCountry: "US",
 			Path: []uint32{uint32(10 + v), 2, uint32(3 + v%2)}})
 	}
 	c := newPerVPCase("equal VPs", metrictest.Dataset(make([]countries.Code, len(recs)), recs), nil, rng)
 	for p := int32(0); int(p) < c.pv.VPs(); p++ {
-		ofVP, ofView := c.pv.Pairs([]int32{p})
-		if ofVP*hegemony.RowsCrossover != ofView || !c.pv.WalksRows(ofVP) || c.pv.WalksRows(ofVP-1) {
-			t.Fatalf("equal VPs: VP %d holds %d of %d pairs (rows walked from %d pairs: %v, from %d: %v); the selection is not on the choice",
-				p, ofVP, ofView, ofVP, c.pv.WalksRows(ofVP), ofVP-1, c.pv.WalksRows(ofVP-1))
-		}
 		c.sels = append(c.sels, []int32{p})
 	}
 	return c
@@ -189,14 +246,13 @@ func equalVPsCase(t *testing.T, rng *rand.Rand) perVPCase {
 
 // TestPerVPScoresMatchCompute: combining a view's per-VP state over a VP
 // selection is Compute over those VPs' records, bit for bit — the property
-// core.Stability's trials rest on — whichever gatherer the selection is due
-// (every view adds the selections just below and just above the choice, one
-// hand-built view the selection on it), through Scores and through Each;
-// serially, then from four goroutines on the shared PerVPs, which under -race
-// also shows scoring only reads them.
+// core.Stability's trials rest on — for empty, single, all, random and
+// middling selections and those straddling a mark word, through Scores and
+// through Each; serially, then from four goroutines on the shared PerVPs,
+// which under -race also shows scoring only reads them.
 func TestPerVPScoresMatchCompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(20230424))
-	cases := append(weightlessVPCases(rng), equalVPsCase(t, rng))
+	cases := append(weightlessVPCases(rng), equalVPsCase(rng))
 	for _, seed := range []int64{1, 5} {
 		p := core.NewPipeline(core.Options{Seed: seed, StubScale: 0.15, VPScale: 0.2})
 		cases = append(cases, newPerVPCase(fmt.Sprintf("seed %d global", seed), p.DS, nil, rng))
@@ -213,20 +269,18 @@ func TestPerVPScoresMatchCompute(t *testing.T) {
 		}
 	}
 
-	gathered := map[bool]int{} // selections of several VPs, by "walks rows"
+	words := 0 // views with selections around the first mark word boundary
 	for _, c := range cases {
 		c.check(t.Fatalf, true)
 		if err := hegemony.CheckPooledScratch(); err != nil {
 			t.Fatalf("after %s: %v", c.name, err)
 		}
-		for _, sel := range c.sels {
-			if len(sel) > 1 {
-				gathered[c.walksRows(sel)]++
-			}
+		if c.pv.Pairs() > 65 {
+			words++
 		}
 	}
-	if gathered[false] < 20 || gathered[true] < 20 {
-		t.Fatalf("%d selections sorted VP-major runs, %d walked rows; a gatherer goes unexercised", gathered[false], gathered[true])
+	if words < 10 {
+		t.Fatalf("only %d views hold more than 65 shares; the mark word boundary goes unexercised", words)
 	}
 
 	var wg sync.WaitGroup

@@ -6,80 +6,57 @@ import "fmt"
 // (reference_test.go) to the equivalence property tests.
 var ComputeMapRef = computeMapRef
 
-// RowsCrossover, Pairs and WalksRows let the equivalence tests place
-// selections on either side of the gatherer choice and see which way it went.
-const RowsCrossover = rowsCrossover
+// Pairs returns the number of shares pv holds.
+func (pv *PerVP) Pairs() int { return len(pv.share) }
 
-// Pairs returns how many (AS, share) pairs the VPs at the given positions
-// hold and how many the whole view does.
-func (pv *PerVP) Pairs(sel []int32) (ofSel, ofView int) {
-	for _, p := range sel {
-		ofSel += int(pv.off[p+1] - pv.off[p])
+// OwnerOf returns the position of the VP whose share sits at pair position
+// j of pv's rows.
+func (pv *PerVP) OwnerOf(j int) int32 {
+	for p := range pv.scored {
+		for _, k := range pv.pairAt[pv.vpOff[p]:pv.vpOff[p+1]] {
+			if int(k) == j {
+				return int32(p)
+			}
+		}
 	}
-	return ofSel, len(pv.ids)
+	panic("no VP owns the pair")
 }
 
-// WalksRows reports whether a selection holding pairs of the view's pairs is
-// gathered from the presorted rows.
-func (pv *PerVP) WalksRows(pairs int) bool { return pv.walksRows(pairs) }
-
-// CheckPooledScratch draws scratch buffers from the pool and verifies the
-// pool invariant over each one's whole capacity: the per-VP counters, the
-// per-AS weights, markers and counts, the per-VP selection marks and the full
-// view's matrix, marks and totals are all-zero between calls, and the pooled
-// per-VP runs name no dataset.
+// CheckPooledScratch draws Sums from the pool and verifies the pool
+// invariant on each: the matrix, its marks, the per-VP totals and columns,
+// the per-AS rows and Each's selection marks are all-zero over their whole
+// capacity, and no dataset's ASN column is kept alive.
 func CheckPooledScratch() error {
-	var drawn []*scratch
+	var drawn []*Sums
 	defer func() {
-		for _, sc := range drawn {
-			scratchPool.Put(sc)
+		for _, s := range drawn {
+			scratchPool.Put(s)
 		}
 	}()
 	for n := 0; n < 8; n++ {
-		sc := scratchPool.Get().(*scratch)
-		drawn = append(drawn, sc)
-		for v, c := range sc.byVP.Cnt[:cap(sc.byVP.Cnt)] {
-			if c != 0 {
-				return fmt.Errorf("pooled byVP.Cnt[%d] = %d", v, c)
+		s := scratchPool.Get().(*Sums)
+		drawn = append(drawn, s)
+		for j, x := range s.cell[:cap(s.cell)] {
+			if x != 0 {
+				return fmt.Errorf("pooled cell[%d] = %v", j, x)
 			}
 		}
-		for id, w := range sc.asW[:cap(sc.asW)] {
-			if w != 0 {
-				return fmt.Errorf("pooled asW[%d] = %d", id, w)
-			}
-		}
-		for id, s := range sc.seen[:cap(sc.seen)] {
-			if s {
-				return fmt.Errorf("pooled seen[%d] is set", id)
-			}
-		}
-		for id, c := range sc.counts[:cap(sc.counts)] {
-			if c != 0 {
-				return fmt.Errorf("pooled counts[%d] = %d", id, c)
-			}
-		}
-		for p, m := range sc.picked[:cap(sc.picked)] {
-			if m != 0 {
-				return fmt.Errorf("pooled picked[%d] = %d", p, m)
-			}
-		}
-		for name, s := range map[string][]uint64{"cellW": sc.cellW, "hit": sc.hit, "vpTotal": sc.vpTotal} {
-			for j, x := range s[:cap(s)] {
+		for name, xs := range map[string][]uint64{"hit": s.hit, "total": s.total, "picked": s.picked} {
+			for j, x := range xs[:cap(xs)] {
 				if x != 0 {
 					return fmt.Errorf("pooled %s[%d] = %d", name, j, x)
 				}
 			}
 		}
-		for id, m := range sc.mean[:cap(sc.mean)] {
-			if m != 0 {
-				return fmt.Errorf("pooled mean[%d] = %v", id, m)
+		for name, xs := range map[string][]int32{"pos": s.pos, "rowOf": s.rowOf} {
+			for j, x := range xs[:cap(xs)] {
+				if x != 0 {
+					return fmt.Errorf("pooled %s[%d] = %d", name, j, x)
+				}
 			}
 		}
-		if sc.pv.rowOff != nil {
-			return fmt.Errorf("pooled per-VP runs carry %d rows; only Accumulate builds them", len(sc.pv.rowID))
-		}
-		if sc.pv.asnOf != nil {
-			return fmt.Errorf("pooled per-VP runs keep a dataset's %d-entry ASN column alive", len(sc.pv.asnOf))
+		if s.asnOf != nil {
+			return fmt.Errorf("pooled Sums keep a dataset's %d-entry ASN column alive", len(s.asnOf))
 		}
 	}
 	return nil

@@ -5,16 +5,17 @@
 // after trimming the top and bottom 10%, which damps the bias of VPs that
 // are topologically very near or very far from the AS.
 //
-// The definition is the kernel's seam: Accumulate builds the per-VP vectors
-// of a view (PerVP), Each streams every AS's trimmed mean over any subset of
-// its VPs (Scores is Each into a map), and Compute is the two back to back —
-// except over every record, whose dense per-VP state it fills in one pass
-// over the records as stored. Callers scoring many VP subsets of one view
-// (core.Pipeline.Stability) accumulate once.
+// The score is a row operation. A view's records are summed, in the order
+// the view lists them, into an AS × VP matrix (Sums); each AS's row is then
+// sorted and trimmed. Compute is exactly that. Accumulate keeps a view's
+// sorted rows (PerVP), so that Each can score any subset of its VPs — the
+// trials of core.Pipeline.Stability — without walking records again. CTI,
+// which borrows the trimmed mean, fills Sums of its own.
 package hegemony
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -34,130 +35,347 @@ type Scores struct {
 	VPCount int
 }
 
-// PerVP is a view's hegemony state before the trimmed mean: for each vantage
-// point of the view, the ASes on its paths with the address-weighted share of
-// its paths containing each. A VP's run depends on nothing but its own
-// records, so one PerVP serves every VP subset of the view (Each). Accumulate
-// builds one; a kernel that weighs paths its own way and borrows only the
-// trimmed mean across VPs (cti) fills one through Reset and AppendVP. It is
-// immutable once built and safe for concurrent use.
-type PerVP struct {
+// Sums is a view's per-(AS, VP) sums while a kernel walks its records: an
+// AS × VP matrix, with each VP's total weight. Start readies it for a view,
+// Run opens a run of one VP's records, Add credits ASes with part of the run,
+// and Scores reads each AS's trimmed mean off its row and empties the Sums.
+// The zero value is ready for use; a Sums is not safe for concurrent use.
+//
+// A view's columns are its VPs in first-appearance order and its rows the
+// ASes it credits, in first-credit order, so its matrix is no larger than
+// the view: 109,326 cells at most over the 102 country views of W05, against
+// 512,478 for every record. Pool invariant: between views every cell, mark,
+// total, column and row number and selection mark is zero over the slices'
+// whole capacity, and no dataset is named. A view undoes its writes through
+// its lists of VPs and ASes and its marks: it costs O(records + touched
+// cells), never O(ASes × VPs).
+type Sums struct {
 	asnOf []asn.ASN // the dataset's dense id → ASN column
-	// VP position p (first-appearance order over the view's records, the
-	// order sanitize.Groups.Used lists) owns ids/shares[off[p]:off[p+1]].
-	off    []int32
-	ids    []int32
-	shares []float64
-	// scored[p]: the VP's prefixes carry weight. Only such VPs count toward
-	// the mean's denominator; the others have empty runs.
+	pos   []int32   // per dataset VP: 1 + its column, 0 if not in the view
+	vps   []int32   // per column: the dataset VP
+	rowOf []int32   // per AS id: 1 + its row, 0 if uncredited
+	ids   []int32   // per row: the AS id
+	// Row r, column p is cell r·stride+p; a view's rows start on a mark word.
+	cell   []float64
+	stride int
+	total  []uint64 // per column
+	hit    []uint64 // one bit per cell: credited (see dense)
+	// dense: the view is every record, which fills most cells (78 % at
+	// W05): rows and columns are the dataset's ASes and VPs as numbered,
+	// rows are read whole, and only a weightless run, which still puts its
+	// ASes in the result with a 0, marks cells.
+	dense      bool
+	col        uint // the open run's column
+	weightless bool // the open run weighs 0
+
+	order  []int32   // the columns with weight; for the full view by descending total
+	vals   []float64 // one row's values
+	pairs  []pair    // with their columns
+	at     []int32   // Accumulate: per share, its column
+	picked []uint64  // Each: one bit per share of a PerVP, set while selected
+	upTo   []int32   // 0, 1, 2, …
+}
+
+type pair struct {
+	share float64
+	p     int32 // the VP's column
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Sums) }}
+
+// record returns the k-th record position of a view (nil: every record).
+func record(recs []int32, k int) int {
+	if recs == nil {
+		return k
+	}
+	return int(recs[k])
+}
+
+// Start readies s to sum the view made of the given accepted-record
+// positions of ds (nil means every record) and returns its record count.
+func (s *Sums) Start(ds *sanitize.Dataset, recs []int32) int { return s.start(ds, recs, false) }
+
+func (s *Sums) start(ds *sanitize.Dataset, recs []int32, dense bool) (n int) {
+	if n = len(recs); recs == nil {
+		n = ds.Len()
+	}
+	s.asnOf, s.dense = ds.ASNOf, dense
+	s.pos = sanitize.Grow(s.pos, len(ds.VPCountry))
+	s.rowOf = sanitize.Grow(s.rowOf, ds.NumAS())
+	s.vps, s.ids = s.vps[:0], s.ids[:0]
+	s.cell, s.hit = s.cell[:cap(s.cell)], s.hit[:cap(s.hit)]
+	if dense {
+		s.vps = append(s.vps, s.count(len(ds.VPCountry))...)
+		s.ids = append(s.ids, s.count(ds.NumAS())...)
+		s.stride = len(s.vps)
+	} else {
+		for k := 0; k < n; k++ {
+			if v := ds.VPIndex(record(recs, k)); s.pos[v] == 0 {
+				s.vps = append(s.vps, v)
+				s.pos[v] = int32(len(s.vps))
+			}
+		}
+		s.stride = (len(s.vps) + 63) &^ 63
+	}
+	s.total = sanitize.Grow(s.total, len(s.vps))
+	s.reserve(len(s.ids))
+	return n
+}
+
+// Run opens a run of the view's VP v's records that weighs w in total.
+func (s *Sums) Run(v int32, w uint64) {
+	s.col, s.weightless = uint(v), w == 0
+	if !s.dense {
+		s.col = uint(s.pos[v] - 1)
+	}
+	s.total[s.col] += w
+}
+
+// Add credits every AS on ids — a path, or a stretch of one — with x of
+// the open run, once where prepending repeats it. An AS credited by a VP
+// that carries weight is in the result, even with a 0.
+func (s *Sums) Add(ids []int32, x float64) {
+	stride, col := uint(s.stride), s.col
+	var last int32 = -1
+	if s.dense { // the hop loop of every epoch's global view: locals only
+		cell, hit, weightless := s.cell, s.hit, s.weightless
+		for _, id := range ids {
+			if id != last {
+				c := uint(id)*stride + col
+				cell[c] += x
+				if weightless {
+					hit[c/64] |= 1 << (c % 64)
+				}
+				last = id
+			}
+		}
+		return
+	}
+	for _, id := range ids {
+		if id == last {
+			continue
+		}
+		last = id
+		r := s.rowOf[id]
+		if r == 0 {
+			s.ids = append(s.ids, id)
+			s.reserve(len(s.ids))
+			r = int32(len(s.ids))
+			s.rowOf[id] = r
+		}
+		c := uint(r-1)*stride + col
+		s.cell[c] += x
+		s.hit[c/64] |= 1 << (c % 64)
+	}
+}
+
+// reserve makes room for rows rows, doubling the matrix when it grows (up to
+// a row for every AS) so that its growth costs O(final size); the marks
+// cover every cell.
+func (s *Sums) reserve(rows int) {
+	if n := rows * s.stride; n > len(s.cell) {
+		n = max(n, min(2*len(s.cell), len(s.rowOf)*s.stride))
+		s.cell = append(s.cell, make([]float64, n-len(s.cell))...)
+	}
+	if words := (len(s.cell) + 63) / 64; words > len(s.hit) {
+		s.hit = append(s.hit, make([]uint64, words-len(s.hit))...)
+	}
+}
+
+// Scores returns every credited AS's trimmed mean over the VPs whose records
+// carry weight, each value its cell over the VP's total, and empties s. trim
+// is as in Compute.
+func (s *Sums) Scores(trim float64) Scores {
+	if trim < 0 {
+		trim = DefaultTrim
+	}
+	n := s.weighted()
+	out := Scores{Hegemony: make(map[asn.ASN]float64, len(s.ids)), VPCount: n}
+	for r, id := range s.ids {
+		if vals, _ := s.row(r); len(vals) > 0 {
+			slices.Sort(vals)
+			out.Hegemony[s.asnOf[id]] = trimmedMeanSorted(vals, n, trim)
+		}
+	}
+	s.finish()
+	return out
+}
+
+// weighted lists the columns that carry weight in s.order and returns how
+// many there are. The full view's go by descending total: a row holding one
+// weight from every VP that reaches it (a stub's prefixes, which a VP
+// reaches whole or not at all) then arrives ascending, sorted in one pass.
+func (s *Sums) weighted() int {
+	s.order = s.order[:0]
+	for p, t := range s.total[:len(s.vps)] {
+		if t > 0 {
+			s.order = append(s.order, int32(p))
+		}
+	}
+	if s.dense {
+		slices.SortFunc(s.order, func(a, b int32) int { return cmp.Compare(s.total[b], s.total[a]) })
+	}
+	return len(s.order)
+}
+
+// row gathers row r's values over the columns that carry weight, in no
+// particular order, also paired with their columns (not for the full view,
+// which only Compute reads), and clears the row. It needs weighted.
+func (s *Sums) row(r int) (vals []float64, pairs []pair) {
+	vals, pairs = s.vals[:0], s.pairs[:0]
+	base := r * s.stride
+	if s.dense {
+		row := s.cell[base : base+s.stride]
+		for _, p := range s.order {
+			if c := base + int(p); row[p] != 0 || s.hit[c/64]&(1<<(c%64)) != 0 {
+				vals = append(vals, row[p]/float64(s.total[p]))
+			}
+		}
+		clear(row)
+	} else {
+		for w := base / 64; w < (base+s.stride)/64; w++ {
+			for word := s.hit[w]; word != 0; word &= word - 1 {
+				c := w*64 + bits.TrailingZeros64(word)
+				if t := s.total[c-base]; t > 0 {
+					vals = append(vals, s.cell[c]/float64(t))
+					pairs = append(pairs, pair{vals[len(vals)-1], int32(c - base)})
+				}
+				s.cell[c] = 0
+			}
+			s.hit[w] = 0
+		}
+	}
+	s.vals, s.pairs = vals, pairs
+	return vals, pairs
+}
+
+// finish restores the pool invariant once every row is read.
+func (s *Sums) finish() {
+	for _, v := range s.vps {
+		s.pos[v] = 0
+	}
+	clear(s.total[:len(s.vps)])
+	for _, id := range s.ids {
+		s.rowOf[id] = 0
+	}
+	if s.dense { // only weightless runs marked, and no row read cleared them
+		clear(s.hit[:(len(s.ids)*s.stride+63)/64])
+	}
+	s.asnOf = nil
+}
+
+// count returns 0, 1, …, n-1.
+func (s *Sums) count(n int) []int32 {
+	for len(s.upTo) < n {
+		s.upTo = append(s.upTo, int32(len(s.upTo)))
+	}
+	return s.upTo[:n]
+}
+
+// addPaths sums the view made of the given accepted-record positions of ds
+// (nil means every record, read dense when dense is set): every AS on a
+// record's path is credited with the record's prefix weight. A route fans
+// out over its origin's prefixes, so consecutive records of one VP mostly
+// share a path: their weights are summed first and the path walked once.
+// The sums are exact integers (a float64 holds every integer below 2^53; a
+// VP's records weigh at most records × 2^32), so how the records happen to
+// be ordered cannot show in a cell.
+func (s *Sums) addPaths(ds *sanitize.Dataset, recs []int32, dense bool) {
+	for k, n := 0, s.start(ds, recs, dense); k < n; {
+		i := record(recs, k)
+		v, q := ds.VPIndex(i), ds.PathIndex(i)
+		var w uint64
+		for ; k < n; k++ {
+			j := record(recs, k)
+			if ds.VPIndex(j) != v || ds.PathIndex(j) != q {
+				break
+			}
+			w += ds.Weight[ds.PrefixIndex(j)]
+		}
+		s.Run(v, w)
+		s.Add(ds.PathIDs(int(q)), float64(w))
+	}
+}
+
+// Compute calculates hegemony over the given accepted-record positions of
+// ds (nil means every record). trim is the per-side trim fraction; negative
+// values select DefaultTrim, zero disables trimming (the ablation case).
+// It is bit-identical to the map-based reference the property tests keep.
+func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
+	s := scratchPool.Get().(*Sums)
+	defer scratchPool.Put(s)
+	s.addPaths(ds, recs, recs == nil)
+	return s.Scores(trim)
+}
+
+// PerVP is a view's hegemony state before the trimmed mean: for each AS on
+// the view's paths, its row of shares — one per vantage point of the view
+// whose paths carry weight and reach it — in ascending order, and for each
+// VP the positions of its shares in those rows. A VP's shares depend on
+// nothing but its own records, so one PerVP serves every VP subset of the
+// view (Each). It is immutable once built and safe for concurrent use.
+type PerVP struct {
+	asnOf []asn.ASN
+	// scored[p]: the prefixes of VP position p (first-appearance order over
+	// the view's records) carry weight. Only such VPs count toward the
+	// mean's denominator; the others have no shares.
 	scored []bool
-	// The same pairs a second time, AS-major: row r is AS rowID[r] with
-	// rowVP/rowShare[rowOff[r]:rowOff[r+1]], ascending by share. Only
-	// Accumulate builds rows (12 bytes a pair); Compute's pooled PerVP scores
-	// once and would only pay for them.
-	rowID    []int32
-	rowOff   []int32
-	rowVP    []int32
-	rowShare []float64
+	// Row r is AS rowID[r] with share[rowOff[r]:rowOff[r+1]]; VP position
+	// p's shares are at the positions pairAt[vpOff[p]:vpOff[p+1]].
+	rowID, rowOff []int32
+	share         []float64
+	vpOff, pairAt []int32
 }
 
 // VPs returns the number of vantage points in the view, scored or not.
 func (pv *PerVP) VPs() int { return len(pv.scored) }
 
-// Reset empties pv, keeping its storage, to hold runs over the dense id →
-// ASN column asnOf (nil releases the dataset). A PerVP filled through
-// AppendVP carries no rows.
-func (pv *PerVP) Reset(asnOf []asn.ASN) {
-	pv.asnOf = asnOf
-	pv.off = append(pv.off[:0], 0)
-	pv.ids, pv.shares, pv.scored = pv.ids[:0], pv.shares[:0], pv.scored[:0]
-}
-
-// AppendVP adds the view's next vantage point: AS ids[i] has shares[i] of
-// its paths. An unscored VP — one whose prefixes carry no weight — brings no
-// pairs and does not count toward the mean's denominator.
-func (pv *PerVP) AppendVP(ids []int32, shares []float64, scored bool) {
-	pv.ids = append(pv.ids, ids...)
-	pv.shares = append(pv.shares, shares...)
-	pv.scored = append(pv.scored, scored)
-	pv.off = append(pv.off, int32(len(pv.ids)))
-}
-
-// scratch is the reusable flat working state of the dense kernel. All
-// slices are indexed by the dataset's dense ids (or VP indexes) and sized
-// lazily; the pool keeps them across calls so steady-state Compute does not
-// allocate per-VP maps. Nothing in it escapes a call.
-//
-// Pool invariant: byVP.Cnt is all-zero, seen all-false, asW, counts and
-// picked all-zero between calls; every write is undone via the byVP.Used/
-// touched/idsUsed dirty lists or the selection itself. That keeps each call
-// O(records + touched entries) rather than O(total ASes + total VPs), which
-// matters for stability trials over tiny VP subsets. pv.asnOf is nil between
-// calls, so an idle pool pins no dataset. cellW, hit, vpTotal and mean are
-// all-zero too: the full view is dense, so computeAll clears every row as it
-// reads it, and the marks and totals whole.
-type scratch struct {
-	// byVP groups the record positions by VP, record order kept inside a VP.
-	byVP    sanitize.Groups
-	asW     []uint64  // per AS id: weight containing it, for the current VP
-	seen    []bool    // per AS id: marker for the current VP
-	touched []int32   // AS ids touched by the current VP
-	pv      PerVP     // Compute's per-VP runs
-	counts  []int32   // per AS id: contributing VPs (then scatter cursor)
-	idsUsed []int32   // AS ids scored by any chosen VP
-	offsets []int32   // per AS id: start into vals (used ids only)
-	vals    []float64 // per-AS value lists after counting-sort; one row's picks
-	picked  []uint8   // per VP position: 1 while the VP is selected (rows walk)
-	all     []int32   // 0, 1, 2, …: the selection nil stands for
-
-	// The full view's per-VP state, AS-major (computeAll): cell id·VPs+v is
-	// the weight of VP v's paths containing AS id, and bit id·VPs+v of hit
-	// marks a cell only weightless runs reached.
-	cellW   []uint64
-	hit     []uint64
-	vpTotal []uint64  // per VP: its paths' total weight
-	order   []int32   // the VPs with weight, by descending total
-	mean    []float64 // per AS id: its score, until it is in the result
-}
-
-// allVPs returns the positions of a view's n VPs.
-func (sc *scratch) allVPs(n int) []int32 {
-	for len(sc.all) < n {
-		sc.all = append(sc.all, int32(len(sc.all)))
-	}
-	return sc.all[:n]
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// Compute calculates hegemony over the given accepted-record positions of
-// ds (nil means every record). trim is the per-side trim fraction; negative
-// values select DefaultTrim, zero disables trimming (the ablation case).
-//
-// A view is Accumulate followed by Scores(nil, trim) with the per-VP runs
-// kept in pooled scratch and no rows built; every record (nil) is
-// computeAll. Either is bit-identical to the map-based reference the
-// property tests keep.
-func Compute(ds *sanitize.Dataset, recs []int32, trim float64) Scores {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	if recs == nil {
-		return sc.computeAll(ds, trim)
-	}
-	sc.accumulate(ds, recs, &sc.pv)
-	s := sc.pv.scores(sc, nil, trim)
-	sc.pv.Reset(nil)
-	return s
-}
-
 // Accumulate builds the per-VP state of the view made of the given
-// accepted-record positions of ds (nil means every record), in both orders.
+// accepted-record positions of ds (nil means every record).
 func Accumulate(ds *sanitize.Dataset, recs []int32) *PerVP {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	pv := new(PerVP)
-	sc.accumulate(ds, recs, pv)
-	pv.buildRows(sc)
+	s := scratchPool.Get().(*Sums)
+	defer scratchPool.Put(s)
+	s.addPaths(ds, recs, false)
+	s.weighted()
+	marked := 0 // a share for each, but those of VPs without weight
+	for _, w := range s.hit[:len(s.ids)*s.stride/64] {
+		marked += bits.OnesCount64(w)
+	}
+	pv := &PerVP{asnOf: ds.ASNOf, scored: make([]bool, len(s.vps)),
+		rowID: make([]int32, 0, len(s.ids)), rowOff: make([]int32, 1, len(s.ids)+1),
+		share: make([]float64, 0, marked), vpOff: make([]int32, len(s.vps)+1)}
+	for p, t := range s.total[:len(s.vps)] {
+		pv.scored[p] = t > 0
+	}
+	s.at = s.at[:0]
+	for r, id := range s.ids {
+		_, row := s.row(r)
+		if len(row) == 0 {
+			continue
+		}
+		slices.SortFunc(row, func(a, b pair) int { return cmp.Compare(a.share, b.share) })
+		for _, pr := range row {
+			pv.share = append(pv.share, pr.share)
+			s.at = append(s.at, pr.p)
+			pv.vpOff[pr.p+1]++
+		}
+		pv.rowID = append(pv.rowID, id)
+		pv.rowOff = append(pv.rowOff, int32(len(pv.share)))
+	}
+	s.finish()
+
+	// Index the shares by VP: offsets from the counts, place each share
+	// (which moves the offsets to the ends), and shift them back.
+	for p := range pv.scored {
+		pv.vpOff[p+1] += pv.vpOff[p]
+	}
+	pv.pairAt = make([]int32, len(s.at))
+	for j, p := range s.at {
+		pv.pairAt[pv.vpOff[p]] = int32(j)
+		pv.vpOff[p]++
+	}
+	copy(pv.vpOff[1:], pv.vpOff)
+	pv.vpOff[0] = 0
 	return pv
 }
 
@@ -166,301 +384,56 @@ func Accumulate(ds *sanitize.Dataset, recs []int32) *PerVP {
 // those VPs' records — exactly what Compute returns for them, in no
 // particular order — and returns the number of VPs the means are taken over.
 // trim is as in Compute.
+//
+// The selected VPs' share positions are marked in a bitset and the set bits
+// walked in order: the rows lie one after another, each ascending, so every
+// row's selected shares arrive sorted for the trimmed mean.
 func (pv *PerVP) Each(sel []int32, trim float64, yield func(asn.ASN, float64)) int {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return pv.each(sc, sel, trim, func(int) {}, yield)
-}
-
-// Scores is Each into a map.
-func (pv *PerVP) Scores(sel []int32, trim float64) Scores {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return pv.scores(sc, sel, trim)
-}
-
-func (pv *PerVP) scores(sc *scratch, sel []int32, trim float64) Scores {
-	var s Scores
-	s.VPCount = pv.each(sc, sel, trim,
-		func(n int) { s.Hegemony = make(map[asn.ASN]float64, n) },
-		func(a asn.ASN, v float64) { s.Hegemony[a] = v })
-	return s
-}
-
-// accumulate fills pv, reusing its slices, with one run per VP of the view.
-func (sc *scratch) accumulate(ds *sanitize.Dataset, recs []int32, pv *PerVP) {
-	ds.GroupByVP(&sc.byVP, recs)
-	sc.asW = sanitize.Grow(sc.asW, ds.NumAS())
-	sc.seen = sanitize.Grow(sc.seen, ds.NumAS())
-
-	pv.Reset(ds.ASNOf)
-	for _, v := range sc.byVP.Used {
-		// asW[id] becomes the weight of the VP's paths containing id. A
-		// route fans out over its origin's prefixes, so consecutive records
-		// of one VP mostly share a path index: their weights are summed
-		// first and the path's hops walked once. The sums are exact
-		// integers, so how the records happen to be ordered — whether equal
-		// paths sit next to each other or not — cannot show in asW.
-		sc.touched = sc.touched[:0]
-		var total uint64
-		for run := sc.byVP.Run(v); len(run) > 0; {
-			first := int(run[0])
-			q := ds.PathIndex(first)
-			var w uint64
-			for len(run) > 0 && ds.PathIndex(int(run[0])) == q {
-				w += ds.Weight[ds.PrefixIndex(int(run[0]))]
-				run = run[1:]
-			}
-			total += w
-			_, _, ids := ds.RecordIDs(first)
-			// Count each AS once per path even if prepending survived.
-			var last int32 = -1
-			for j, id := range ids {
-				if j > 0 && id == last {
-					continue
-				}
-				if !sc.seen[id] {
-					sc.seen[id] = true
-					sc.asW[id] = 0
-					sc.touched = append(sc.touched, id)
-				}
-				sc.asW[id] += w
-				last = id
-			}
-		}
-		if total > 0 {
-			ft := float64(total)
-			for _, id := range sc.touched {
-				pv.ids = append(pv.ids, id)
-				pv.shares = append(pv.shares, float64(sc.asW[id])/ft)
-			}
-		}
-		pv.scored = append(pv.scored, total > 0)
-		pv.off = append(pv.off, int32(len(pv.ids)))
-		for _, id := range sc.touched { // restore the pool invariant
-			sc.seen[id] = false
-			sc.asW[id] = 0
-		}
-		sc.byVP.Cnt[v] = 0 // likewise
-	}
-}
-
-// computeAll is Compute over every record of ds. Records are stored
-// origin-major, so grouping them by VP first (accumulate) sends every path
-// lookup to a cold line; instead the records are walked once in stored order
-// into the AS × VP matrix, summing consecutive records of one VP and one
-// path as accumulate does, and each AS's per-VP values are then read off its
-// row. The full view's matrix is dense (two thirds of the cells at W05), so
-// visiting every row costs little beyond the cells a view would touch anyway.
-func (sc *scratch) computeAll(ds *sanitize.Dataset, trim float64) Scores {
+	s := scratchPool.Get().(*Sums)
+	defer scratchPool.Put(s)
 	if trim < 0 {
 		trim = DefaultTrim
 	}
-	nVP, nAS := len(ds.VPCountry), ds.NumAS()
-	sc.cellW = sanitize.Grow(sc.cellW, nAS*nVP)
-	sc.hit = sanitize.Grow(sc.hit, (nAS*nVP+63)/64)
-	sc.vpTotal = sanitize.Grow(sc.vpTotal, nVP)
-	for i, n := 0, ds.Len(); i < n; {
-		v, q := ds.VPIndex(i), ds.PathIndex(i)
-		var w uint64
-		for ; i < n && ds.VPIndex(i) == v && ds.PathIndex(i) == q; i++ {
-			w += ds.Weight[ds.PrefixIndex(i)]
-		}
-		sc.vpTotal[v] += w
-		// Count each AS once per path even if prepending survived.
-		var last int32 = -1
-		for _, id := range ds.PathIDs(int(q)) {
-			if id != last {
-				c := uint(int(id)*nVP + int(v))
-				sc.cellW[c] += w
-				if w == 0 { // a weightless run still puts the AS in the result
-					sc.hit[c/64] |= 1 << (c % 64)
-				}
-				last = id
-			}
-		}
-	}
-
-	// The mean is over the VPs whose paths carry weight, and each row is read
-	// in their order of descending total: a row with one weight from every VP
-	// that reaches it (a stub's prefixes, which a VP reaches whole or not at
-	// all; two thirds of the rows at W05) then arrives ascending, and the sort
-	// finds it sorted in one pass.
-	sc.order = sanitize.Grow(sc.order, nVP)[:0]
-	for v, t := range sc.vpTotal {
-		if t > 0 {
-			sc.order = append(sc.order, int32(v))
-		}
-	}
-	slices.SortFunc(sc.order, func(a, b int32) int { return cmp.Compare(sc.vpTotal[b], sc.vpTotal[a]) })
-	sc.vals = sanitize.Grow(sc.vals, nVP) // no row is longer
-	sc.mean = sanitize.Grow(sc.mean, nAS)
-	sc.idsUsed = sanitize.Grow(sc.idsUsed, nAS)[:0]
-	for id := 0; id < nAS; id++ {
-		row, vals := sc.cellW[id*nVP:][:nVP], sc.vals[:0]
-		for _, v := range sc.order {
-			c := uint(id*nVP + int(v))
-			if row[v] != 0 || sc.hit[c/64]&(1<<(c%64)) != 0 {
-				vals = append(vals, float64(row[v])/float64(sc.vpTotal[v]))
-			}
-		}
-		clear(row) // restore the pool invariant
-		if len(vals) > 0 {
-			slices.Sort(vals)
-			sc.mean[id] = trimmedMeanSorted(vals, len(sc.order), trim)
-			sc.idsUsed = append(sc.idsUsed, int32(id))
-		}
-	}
-	s := Scores{Hegemony: make(map[asn.ASN]float64, len(sc.idsUsed)), VPCount: len(sc.order)}
-	for _, id := range sc.idsUsed {
-		s.Hegemony[ds.ASNOf[id]] = sc.mean[id]
-		sc.mean[id] = 0 // likewise
-	}
-	clear(sc.hit)
-	clear(sc.vpTotal)
-	return s
-}
-
-// rowsCrossover: a selection is gathered from the presorted rows when its
-// VPs hold at least 1/rowsCrossover of the view's pairs. Walking rows costs
-// the view's pairs whatever is selected and sorts nothing; the VP-major
-// gather costs the selection's pairs and sorts them. DESIGN.md "Per-view
-// trial state" has the sweep (flat from 4 to 16).
-const rowsCrossover = 4
-
-// walksRows decides the gatherer for a selection holding the given number of
-// the view's pairs.
-func (pv *PerVP) walksRows(pairs int) bool {
-	return pv.rowOff != nil && pairs*rowsCrossover >= len(pv.ids)
-}
-
-// each is Each on borrowed scratch. Before the first yield it tells sized
-// how many ASes it is about to yield (at most, when it walks rows). Either
-// gatherer hands visit each seen AS's values over the selected VPs in
-// ascending order, so the sums — and every bit of the result — do not depend
-// on which one ran or on the order VPs are visited in.
-func (pv *PerVP) each(sc *scratch, sel []int32, trim float64, sized func(int), yield func(asn.ASN, float64)) int {
-	if trim < 0 {
-		trim = DefaultTrim
-	}
-	vps, pairs := 0, 0
 	if sel == nil {
-		sel = sc.allVPs(pv.VPs())
+		sel = s.count(pv.VPs())
 	}
+	s.picked = sanitize.Grow(s.picked, (len(pv.share)+63)/64)
+	vps := 0
 	for _, p := range sel {
 		if pv.scored[p] {
 			vps++
 		}
-		pairs += int(pv.off[p+1] - pv.off[p]) // none for an unscored VP
+		for _, j := range pv.pairAt[pv.vpOff[p]:pv.vpOff[p+1]] {
+			s.picked[j/64] |= 1 << (j % 64)
+		}
 	}
-	visit := func(id int32, vals []float64) { yield(pv.asnOf[id], trimmedMeanSorted(vals, vps, trim)) }
-	if pv.walksRows(pairs) {
-		sized(len(pv.rowID))
-		pv.walkRows(sc, sel, visit)
-	} else {
-		pv.sortRuns(sc, sel, pairs, sized, visit)
+	vals, r := s.vals[:0], 0
+	emit := func() {
+		if len(vals) > 0 {
+			yield(pv.asnOf[pv.rowID[r]], trimmedMeanSorted(vals, vps, trim))
+			vals = vals[:0]
+		}
 	}
+	for w, word := range s.picked {
+		s.picked[w] = 0 // restores the pool invariant
+		for ; word != 0; word &= word - 1 {
+			j := int32(w*64 + bits.TrailingZeros64(word))
+			for ; j >= pv.rowOff[r+1]; r++ {
+				emit()
+			}
+			vals = append(vals, pv.share[j])
+		}
+	}
+	emit()
+	s.vals = vals
 	return vps
 }
 
-// sortRuns counting-sorts the chosen VPs' (id, share) pairs into per-AS value
-// runs and sorts each run.
-func (pv *PerVP) sortRuns(sc *scratch, sel []int32, pairs int, sized func(int), visit func(id int32, vals []float64)) {
-	sc.counts = sanitize.Grow(sc.counts, len(pv.asnOf))
-	sc.offsets = sanitize.Grow(sc.offsets, len(pv.asnOf))
-	sc.idsUsed = sc.idsUsed[:0]
-	for _, p := range sel {
-		for _, id := range pv.ids[pv.off[p]:pv.off[p+1]] {
-			if sc.counts[id] == 0 {
-				sc.idsUsed = append(sc.idsUsed, id)
-			}
-			sc.counts[id]++
-		}
-	}
-	var off int32
-	for _, id := range sc.idsUsed {
-		sc.offsets[id] = off
-		off += sc.counts[id]
-		sc.counts[id] = 0 // becomes the scatter cursor
-	}
-	sc.vals = sanitize.Grow(sc.vals, pairs)
-	for _, p := range sel {
-		for j := pv.off[p]; j < pv.off[p+1]; j++ {
-			id := pv.ids[j]
-			sc.vals[sc.offsets[id]+sc.counts[id]] = pv.shares[j]
-			sc.counts[id]++
-		}
-	}
-	sized(len(sc.idsUsed))
-	for _, id := range sc.idsUsed {
-		vs := sc.vals[sc.offsets[id]:][:sc.counts[id]]
-		slices.Sort(vs)
-		sc.counts[id] = 0 // restore the pool invariant
-		visit(id, vs)
-	}
-}
-
-// walkRows marks the chosen VPs and filters each presorted row by the marks:
-// what is left of a row is already ascending.
-func (pv *PerVP) walkRows(sc *scratch, sel []int32, visit func(id int32, vals []float64)) {
-	sc.picked = sanitize.Grow(sc.picked, pv.VPs())
-	sc.vals = sanitize.Grow(sc.vals, pv.VPs()) // no row is longer
-	for _, p := range sel {
-		sc.picked[p] = 1
-	}
-	for r, id := range pv.rowID {
-		n := 0
-		for j := pv.rowOff[r]; j < pv.rowOff[r+1]; j++ {
-			sc.vals[n] = pv.rowShare[j]
-			n += int(sc.picked[pv.rowVP[j]]) // keeps the value when picked, without a branch
-		}
-		if n > 0 {
-			visit(id, sc.vals[:n])
-		}
-	}
-	for _, p := range sel {
-		sc.picked[p] = 0 // restore the pool invariant
-	}
-}
-
-// buildRows lays pv's pairs out AS-major, each row ascending by share.
-func (pv *PerVP) buildRows(sc *scratch) {
-	sc.counts = sanitize.Grow(sc.counts, len(pv.asnOf))
-	sc.offsets = sanitize.Grow(sc.offsets, len(pv.asnOf))
-	for _, id := range pv.ids {
-		if sc.counts[id] == 0 {
-			pv.rowID = append(pv.rowID, id)
-		}
-		sc.counts[id]++
-	}
-	pv.rowOff = make([]int32, len(pv.rowID)+1)
-	for r, id := range pv.rowID {
-		sc.offsets[id] = pv.rowOff[r]
-		pv.rowOff[r+1] = pv.rowOff[r] + sc.counts[id]
-		sc.counts[id] = 0 // becomes the scatter cursor
-	}
-	type pair struct {
-		share float64
-		vp    int32
-	}
-	rows := make([]pair, len(pv.ids))
-	for p := range pv.scored {
-		for j := pv.off[p]; j < pv.off[p+1]; j++ {
-			id := pv.ids[j]
-			rows[sc.offsets[id]+sc.counts[id]] = pair{pv.shares[j], int32(p)}
-			sc.counts[id]++
-		}
-	}
-	pv.rowVP = make([]int32, len(rows))
-	pv.rowShare = make([]float64, len(rows))
-	for r, id := range pv.rowID {
-		sc.counts[id] = 0 // restore the pool invariant
-		lo, hi := pv.rowOff[r], pv.rowOff[r+1]
-		slices.SortFunc(rows[lo:hi], func(a, b pair) int { return cmp.Compare(a.share, b.share) })
-		for j := lo; j < hi; j++ {
-			pv.rowVP[j], pv.rowShare[j] = rows[j].vp, rows[j].share
-		}
-	}
+// Scores is Each into a map.
+func (pv *PerVP) Scores(sel []int32, trim float64) Scores {
+	s := Scores{Hegemony: make(map[asn.ASN]float64, len(pv.rowID))}
+	s.VPCount = pv.Each(sel, trim, func(a asn.ASN, v float64) { s.Hegemony[a] = v })
+	return s
 }
 
 // trimmedMeanSorted pads the sorted vals with zeros up to n (VPs that never
@@ -484,17 +457,11 @@ func trimmedMeanSorted(vals []float64, n int, trim float64) float64 {
 		// Degenerate tiny-VP case: fall back to the plain mean.
 		lo, hi = 0, n
 	}
+	// The kept window, less the implicit zeros in front.
 	zeros := n - len(vals)
-	start := lo - zeros
-	if start < 0 {
-		start = 0
-	}
-	end := hi - zeros
-	if end < start {
-		end = start // the kept window is all implicit zeros
-	}
+	start := max(lo-zeros, 0)
 	var sum float64
-	for _, v := range vals[start:end] {
+	for _, v := range vals[start:max(hi-zeros, start)] {
 		sum += v
 	}
 	return sum / float64(hi-lo)

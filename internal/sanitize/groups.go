@@ -2,7 +2,7 @@ package sanitize
 
 // Groups is the metric kernels' reusable scratch for counting-sorting
 // accepted-record positions by one of the dataset's dense key columns: the
-// hegemony and CTI kernels accumulate per VP, the cone kernel per prefix.
+// cone kernel works per prefix, the Outbound view index per VP.
 // A call costs O(records + keys touched), never O(keys): only touched Cnt
 // entries are written.
 //

@@ -84,16 +84,19 @@ go test -race -count=1 -cpu 1,2,8 ./internal/par
 # layout must leave every served byte where it was: the reference-equivalence
 # tests run from several goroutines, the reusable path judge against its
 # allocating reference, and the fixed-seed golden with its six stability
-# curves, under the detector. With them the record plane's three: no lookup
-# grows the judge's flag table, the record passes equal their per-record
-# reference, and hegemony's (VP, path) runs equal the map reference however
-# the records are ordered. A trial's generator and permutation are pooled
-# too: the pooled draw equals rand.Perm, the kernels' Each streamed into the
-# top-k window equals the sorted map, and the scanning list measures equal
-# their map references.
+# curves, under the detector. Hegemony and CTI sum each view into a pooled
+# AS × VP matrix: both kernels' equivalence tests run back to back and from
+# four goroutines and leave the pool zeroed, their (VP, path) runs and
+# record interleavings equal the map reference however the records are
+# ordered, and one bitset gatherer serves every VP selection. With them the
+# record plane's two: no lookup grows the judge's flag table, and the record
+# passes equal their per-record reference. A trial's generator and
+# permutation are pooled too: the pooled draw equals rand.Perm, the kernels'
+# Each streamed into the top-k window equals the sorted map, and the
+# scanning list measures equal their map references.
 go test -race -count=1 \
-    -run 'TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestPathRunsMatchMapReference|TestInternerInvariants|TestJudgeMatchesReference|TestJudgeLookupsCreateNoPages|TestRunMatchesPerRecordReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs|TestTrialDrawMatchesRandPerm|TestWindowMatchesSortedReference|TestStabilityDeterministic|TestScansMatchMapReferences' \
-    ./internal/cone ./internal/hegemony ./internal/sanitize ./internal/core ./internal/snapshot ./internal/ndcg
+    -run 'TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestPathRunsMatchMapReference|TestDenseMatchesMapReference|TestRecordOrderNeverMatters|TestInternerInvariants|TestJudgeMatchesReference|TestJudgeLookupsCreateNoPages|TestRunMatchesPerRecordReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs|TestTrialDrawMatchesRandPerm|TestWindowMatchesSortedReference|TestStabilityDeterministic|TestScansMatchMapReferences' \
+    ./internal/cone ./internal/hegemony ./internal/cti ./internal/sanitize ./internal/core ./internal/snapshot ./internal/ndcg
 # Beside the golden, the one published form: a generation file holds rank
 # vectors only and loads back serving the built bytes; vectors forged under
 # consistent CRCs die at the digest; a hostile count cannot buy an
