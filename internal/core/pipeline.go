@@ -689,14 +689,19 @@ func (w *topK[V]) asns() []asn.ASN {
 // seeding a generator fills its 607-word state in place, so a fresh 4.9 KB
 // source and an 8-bytes-per-VP permutation per trial buy nothing.
 type trialDraw struct {
-	rng  *rand.Rand
+	src  rngSource
+	rng  *rand.Rand // over src
 	perm []int32
 }
 
-var trialDraws = sync.Pool{New: func() any { return &trialDraw{rng: rand.New(rand.NewSource(0))} }}
+var trialDraws = sync.Pool{New: func() any {
+	d := &trialDraw{}
+	d.rng = rand.New(&d.src)
+	return d
+}}
 
-// first returns rand.New(rand.NewSource(seed)).Perm(vps)[:n]: Seed leaves the
-// source exactly as NewSource(seed) builds it, and the loop is Perm's own
+// first returns rand.New(rand.NewSource(seed)).Perm(vps)[:n]: Seed leaves src
+// drawing exactly as NewSource(seed) would, and the loop is Perm's own
 // inside-out shuffle, Intn call for Intn call (the i = 0 draw included: it
 // moves nothing but advances the stream). The result is d's until its next
 // call.
@@ -809,11 +814,19 @@ func subSeed(seed int64, sizeIdx, trial int) int64 {
 func (p *Pipeline) ViewVPCount(kind ViewKind, c countries.Code) int {
 	seen := make([]bool, len(p.DS.VPCountry))
 	n := 0
-	for _, i := range p.ViewRecords(kind, c) {
-		vpIdx, _, _ := p.DS.Record(int(i))
-		if !seen[vpIdx] {
-			seen[vpIdx] = true
+	count := func(i int) {
+		if vp := p.DS.VPIndex(i); !seen[vp] {
+			seen[vp] = true
 			n++
+		}
+	}
+	if recs := p.ViewRecords(kind, c); recs != nil {
+		for _, i := range recs {
+			count(int(i))
+		}
+	} else { // the global view: every accepted record
+		for i := range p.DS.Len() {
+			count(i)
 		}
 	}
 	return n

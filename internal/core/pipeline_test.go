@@ -255,6 +255,18 @@ func TestViewVPCount(t *testing.T) {
 	if i <= n {
 		t.Errorf("international view should have more VPs: %d vs %d", i, n)
 	}
+	// The global view is nil ("every accepted record"), not empty.
+	distinct := map[int32]bool{}
+	for r := range p.DS.Len() {
+		distinct[p.DS.VPIndex(r)] = true
+	}
+	g := p.ViewVPCount(Global, "")
+	if g != len(distinct) || g == 0 {
+		t.Errorf("global view: %d VPs, want the %d distinct VPIndex values", g, len(distinct))
+	}
+	if vps := p.newSampler(AHG, nil, 10).vps; g != vps {
+		t.Errorf("global view: %d VPs, the global sampler draws from %d", g, vps)
+	}
 }
 
 func TestScenarioDifference(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -49,6 +50,61 @@ func TestTrialDrawMatchesRandPerm(t *testing.T) {
 			if got, want := pooledFirst(seed, 41, 9), fresh(seed, 41, 9); !slices.Equal(got, want) {
 				t.Fatalf("cell (%d, %d): pooled draw %v, rand.Perm %v", si, trial, got, want)
 			}
+		}
+	}
+	// The seed normalisation's edges — seeds ≡ 0 mod 2³¹−1 (math/rand's
+	// 89482311 stand-in), negative seeds, the int64 extremes — over
+	// permutations that wrap the 607-word register twice.
+	const m = 1<<31 - 1
+	for _, seed := range []int64{0, 1, -1, m, -m, 1 << 31, 2 * m, math.MinInt64, math.MaxInt64, 89482311} {
+		for _, vps := range []int{1, 606, 607, 608, 1214, 1300} {
+			want := fresh(seed, vps, vps)
+			if got := used.first(seed, vps, vps); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %d VPs: a used draw differs from rand.Perm", seed, vps)
+			}
+		}
+	}
+}
+
+// FuzzTrialDraw holds the seed contract for any seed: a pooled draw that has
+// served another seed returns rand.Perm's first n of vps.
+func FuzzTrialDraw(f *testing.F) {
+	f.Add(int64(0), uint16(10), uint16(3))
+	f.Add(int64(-1), uint16(1300), uint16(1300))
+	f.Add(int64(math.MinInt64), uint16(607), uint16(600))
+	f.Fuzz(func(t *testing.T, seed int64, vps, n uint16) {
+		v := int(vps % 1400)
+		k := int(n) % (v + 1)
+		want := rand.New(rand.NewSource(seed)).Perm(v)[:k]
+		d := trialDraws.Get().(*trialDraw)
+		defer trialDraws.Put(d)
+		d.first(^seed, 700, 700)
+		got := d.first(seed, v, k)
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("seed %d, %d of %d VPs: draw %v, rand.Perm %v", seed, k, v, got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkTrialDraw is one trial's draw — re-seed and a whole permutation —
+// at NL-national (46 VPs), AU-international (262) and every W05 VP (426), on
+// the pooled source and on math/rand's own source re-seeded the same way.
+func BenchmarkTrialDraw(b *testing.B) {
+	for _, vps := range []int{46, 262, 426} {
+		for _, src := range []struct {
+			name string
+			d    *trialDraw
+		}{
+			{"pooled", trialDraws.Get().(*trialDraw)},
+			{"math-rand", &trialDraw{rng: rand.New(rand.NewSource(0))}},
+		} {
+			b.Run(fmt.Sprintf("vps=%d/%s", vps, src.name), func(b *testing.B) {
+				for i := range b.N {
+					src.d.first(subSeed(1, 0, i), vps, vps)
+				}
+			})
 		}
 	}
 }

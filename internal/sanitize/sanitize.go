@@ -378,19 +378,22 @@ func (d *Dataset) PathIDs(q int) []int32 {
 }
 
 // DistinctPaths returns the accepted records' clean paths, each once, in
-// order of first appearance: what relationship inference reads. Two
-// collection paths may clean to the same hops, so content tells them apart.
+// order of first appearance: what relationship inference reads. A record
+// whose collection path was already met adds nothing; two collection paths
+// may clean to the same hops, so the rest are told apart by content through
+// an interner sized for every collection path. The paths alias the
+// dataset's arena.
 func (d *Dataset) DistinctPaths() []bgp.Path {
-	seen := map[string]bool{}
-	var paths []bgp.Path
-	for i := 0; i < d.Len(); i++ {
-		_, _, path := d.Record(i)
-		if k := path.Key(); !seen[k] {
-			seen[k] = true
-			paths = append(paths, path)
+	seen := make([]uint64, (d.NumPaths()+63)/64)
+	in := bgp.NewInterner(d.NumPaths())
+	for _, q := range d.recPath {
+		if seen[q/64]&(1<<(q%64)) != 0 {
+			continue
 		}
+		seen[q/64] |= 1 << (q % 64)
+		in.InternOwned(d.CleanPath(int(q)))
 	}
-	return paths
+	return in.Paths()
 }
 
 // PrefixOf returns the prefix of accepted record i.

@@ -1,14 +1,18 @@
 package sanitize
 
 import (
+	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
 	"countryrank/internal/asn"
 	"countryrank/internal/bgp"
 	"countryrank/internal/geoloc"
+	"countryrank/internal/netx"
 	"countryrank/internal/routing"
 	"countryrank/internal/topology"
+	"countryrank/internal/vp"
 )
 
 func smallWorld(t *testing.T) (*topology.World, *routing.Collection) {
@@ -200,5 +204,72 @@ func TestRenderPercentages(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// distinctPathsByKey is DistinctPaths' reference: a string key per accepted
+// record, deduplicated through a map.
+func distinctPathsByKey(d *Dataset) []bgp.Path {
+	seen := map[string]bool{}
+	var paths []bgp.Path
+	for i := 0; i < d.Len(); i++ {
+		_, _, path := d.Record(i)
+		if k := path.Key(); !seen[k] {
+			seen[k] = true
+			paths = append(paths, path)
+		}
+	}
+	return paths
+}
+
+func equalPaths(a, b []bgp.Path) bool {
+	return slices.EqualFunc(a, b, func(p, q bgp.Path) bool { return p.Equal(q) })
+}
+
+// TestDistinctPathsMatchesKeyMap: the per-path-index skip and the interner
+// give the keyed map's paths in its first-appearance order, on a hand-built
+// collection whose distinct collection paths clean to the same hops — a
+// route server dropped, prepending collapsed — and on the benchmark's world.
+func TestDistinctPathsMatchesKeyMap(t *testing.T) {
+	vps, err := vp.NewSet([]vp.Collector{{Name: "us", Country: "US"}},
+		[]vp.VP{{Index: 0, Collector: "us"}, {Index: 1, Collector: "us"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := judgeTestConfig()
+	cfg.GeoTable = &geoloc.Table{ByPrefix: map[netip.Prefix]geoloc.PrefixGeo{}}
+	col := &routing.Collection{VPs: vps, Days: 1}
+	for _, cidr := range []string{"9.0.0.0/24", "9.0.1.0/24"} {
+		prefix := netx.MustPrefix(cidr)
+		col.Prefixes = append(col.Prefixes, prefix)
+		col.Origin = append(col.Origin, 30)
+		col.Stable = append(col.Stable, true)
+		cfg.GeoTable.ByPrefix[prefix] = geoloc.PrefixGeo{Prefix: prefix, Country: "US"}
+	}
+	col.Paths = []bgp.Path{
+		{10, 31, 20, 30},     // through route server 31: cleans to path 2's hops
+		{11, 20, 30},         //
+		{10, 20, 30},         //
+		{10, 10, 32, 20, 30}, // prepended, through route server 32: path 2's hops again
+		{12, 30},             // used by no record
+	}
+	for _, q := range []int32{1, 0, 3, 2, 1, 0} {
+		for v := int32(0); v < 2; v++ {
+			for p := range col.Prefixes {
+				col.Records = append(col.Records, routing.Record{VP: v, Prefix: int32(p), Path: q})
+			}
+		}
+	}
+	ds := Run(col, cfg)
+	got, want := ds.DistinctPaths(), distinctPathsByKey(ds)
+	if !equalPaths(got, want) || len(got) != 2 {
+		t.Fatalf("DistinctPaths = %v, the keyed map gives %v", got, want)
+	}
+
+	w := topology.Build(topology.Config{Seed: 1, StubScale: 0.5, VPScale: 0.5})
+	col = routing.BuildCollection(w, routing.BuildOptions{})
+	ds = Run(col, fullConfig(w, col, 0.5))
+	if got, want := ds.DistinctPaths(), distinctPathsByKey(ds); !equalPaths(got, want) {
+		t.Fatalf("W05: DistinctPaths gives %d paths, the keyed map %d (or another order)", len(got), len(want))
 	}
 }

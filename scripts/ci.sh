@@ -4,7 +4,8 @@
 # full views, the per-path interner, parallel stability) are exercised beside
 # the race-enabled tests, determinism and scale smokes, a run of each of the
 # five examples, the fuzz smoke over every byte format read from outside
-# (MRT, BGP messages inside it, AS paths, .csnap, HTTP requests), an
+# (MRT, BGP messages inside it, AS paths, .csnap, HTTP requests) and over the
+# stability trial's draw against math/rand, an
 # observability smoke over the artifacts of a real pipeline run, the rankd
 # daemon smokes (serve, SLO drill, crash recovery, shedding, drift)
 # and the ledger: every rankd flag and series, every internal package and
@@ -188,7 +189,7 @@ for ex in quickstart mrtflow sanctions sovereignty stability; do
     go run "./examples/$ex" >/dev/null
 done
 
-echo '--- fuzz smoke (MRT reader, BGP attributes, path judge, generation loader, HTTP handler, 10s each)'
+echo '--- fuzz smoke (MRT reader, BGP attributes, path judge, generation loader, HTTP handler, trial draw, 10s each)'
 go test -run '^$' -fuzz FuzzReaderNext -fuzztime 10s ./internal/mrt
 # Path attributes on their own: the allocating and the reused decoder agree,
 # also on a second decode without Reset, and re-encoding is a fixed point.
@@ -205,6 +206,9 @@ go test -run '^$' -fuzz FuzzLoadFile -fuzztime 10s ./internal/snapshot
 # only 200/304/400/404/405, a 200 body is a preserialized one, and a 200 or
 # 304 replays at 0 allocations.
 go test -run '^$' -fuzz '^FuzzServe$' -fuzztime 10s ./internal/snapshot
+# Any seed and permutation length: a pooled trial draw, re-seeded by the
+# package's own source, returns rand.New(rand.NewSource(seed)).Perm's head.
+go test -run '^$' -fuzz FuzzTrialDraw -fuzztime 10s ./internal/core
 
 echo '--- obs smoke (crank -metric global: manifest sections and metrics block, trace)'
 # One small foreground crank run, then assert on what it left behind: the
