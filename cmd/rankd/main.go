@@ -41,8 +41,8 @@
 // listed in testdata/catalogue.txt with the files that read it. The golden
 // test that renders that ledger from registerFlags and the registry fails on
 // an entry nothing reads, so a flag or series here either has a reader — a
-// CI or test assertion, a benchmark scrape, a README runbook
-// sentence — or is deleted with the code that fed it.
+// CI assertion, a benchmark scrape, a README runbook sentence (tests are
+// not readers) — or is deleted with the code that fed it.
 //
 // Robustness:
 //
@@ -64,9 +64,8 @@
 //     dropped and counted), head-sampled by -access-log-sample; errors
 //     and requests slower than -access-log-slow are always logged. The file
 //     is opened append-mode, so restarts (a designed-for event) extend the
-//     log instead of truncating it.
-//   - -trace-sample promotes that fraction of requests to full traces,
-//     inspectable at /debug/requests (active, recent, slowest per route).
+//     log instead of truncating it. The access log is the only
+//     per-request record; stage timing lives in spans (/debug/trace).
 //   - -slo (e.g. "availability=99.9,latency=99.9@5ms" or "default") tracks
 //     burn rates at /debug/slo and flips /healthz to 503 degraded while the
 //     fast burn exceeds its trip threshold.
@@ -128,7 +127,6 @@ type options struct {
 	accessLog     string
 	accessSample  int
 	accessSlow    time.Duration
-	traceSample   float64
 	slo           string
 	slowProbe     time.Duration
 }
@@ -156,7 +154,6 @@ func registerFlags(fs *flag.FlagSet) (*options, *obs.CmdFlags) {
 	fs.StringVar(&o.accessLog, "access-log", "", "write wide-event request logs to this file (\"-\" = stderr, empty = off)")
 	fs.IntVar(&o.accessSample, "access-log-sample", 1, "log 1 in N successful responses (0 = none; errors and slow requests always logged)")
 	fs.DurationVar(&o.accessSlow, "access-log-slow", 100*time.Millisecond, "always log requests at least this slow (0 disables the override)")
-	fs.Float64Var(&o.traceSample, "trace-sample", 0, "fraction of requests promoted to /debug/requests traces (0 = off, 1 = all)")
 	fs.StringVar(&o.slo, "slo", "", "serving objectives, e.g. \"availability=99.9,latency=99.9@5ms\" or \"default\" (empty = off)")
 	fs.DurationVar(&o.slowProbe, "slow-probe", 0, "delay requests tagged probe=slow by this much (CI latency-injection hook)")
 	return o, obs.FlagsOn(fs, "rankd")
@@ -284,11 +281,6 @@ func main() {
 			obs.AccessLogConfig{SampleOK: o.accessSample, SlowAfter: o.accessSlow},
 		).Start()
 		defer ins.Log.Close()
-	}
-	if o.traceSample > 0 {
-		ins.Requests = obs.NewReqTracker(o.world.Seed, o.traceSample, 64, 8)
-		ofl.Requests = ins.Requests
-		ofl.Manifest.SetNote("trace_sample", strconv.FormatFloat(o.traceSample, 'g', -1, 64))
 	}
 	if o.slo != "" {
 		cfg, err := obs.ParseSLO(o.slo)

@@ -32,7 +32,6 @@ type AccessEvent struct {
 	Epoch   int64  // snapshot epoch the response was served from
 	Digest  string // snapshot content digest
 	ETagHit bool   // If-None-Match revalidation answered 304
-	Sampled bool   // promoted to a request trace
 	Client  string // client address (RemoteAddr)
 }
 
@@ -166,6 +165,5 @@ func (l *AccessLog) emit(ev AccessEvent) {
 		slog.String("digest", ev.Digest),
 		slog.Duration("latency", ev.Latency),
 		slog.String("client", ev.Client),
-		slog.Bool("sampled", ev.Sampled),
 	)
 }

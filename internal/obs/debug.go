@@ -28,8 +28,6 @@ import (
 //	                 them under otherData
 //	/debug/history   f.History's epoch-aligned rank-drift series (an opaque
 //	                 any, so obs does not depend on the snapshot package)
-//	/debug/requests  f.Requests' sampled requests: active, recent, and
-//	                 slowest-N per route
 //	/debug/slo       f.SLO's objectives, window counts, and burn rates (a
 //	                 disabled marker without one)
 func NewDebugMux(f *CmdFlags) *http.ServeMux {
@@ -71,13 +69,6 @@ func NewDebugMux(f *CmdFlags) *http.ServeMux {
 			return
 		}
 		writeJSON(w, src.SLO.Status())
-	})
-	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		if src.Requests == nil {
-			writeJSON(w, RequestsData{Active: []ReqData{}, Routes: map[string]RouteRequests{}})
-			return
-		}
-		writeJSON(w, src.Requests.Snapshot())
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")

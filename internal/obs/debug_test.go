@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -70,20 +71,16 @@ func TestDebugHistory(t *testing.T) {
 }
 
 // TestDebugVarsRefreshesPullSeries: /debug/vars must show series that are
-// computed when read — here the SLO burn gauges — as of the request, with no
-// /metrics scrape before it. Before the registry ran refresh funcs itself
-// only a scrape refreshed them, so /debug/vars served the values of the last
-// scrape.
+// computed when read — here countryrank_go_goroutines — as of the request,
+// with no /metrics scrape before it. Before the registry ran refresh funcs
+// itself only a scrape refreshed them, so /debug/vars served the values of
+// the last scrape.
 func TestDebugVarsRefreshesPullSeries(t *testing.T) {
-	clk := newFakeClock()
-	slo := NewSLO(testSLOConfig(clk))
 	f := newTestFlags(t, "-debug-addr", "127.0.0.1:0")
-	f.Setup()
-	f.SLO = slo
-	f.Serve()
+	f.Init()
 	t.Cleanup(f.Done)
 
-	burn := func() float64 {
+	goroutines := func() float64 {
 		resp, err := http.Get("http://" + serverAddr(t, f) + "/debug/vars")
 		if err != nil {
 			t.Fatal(err)
@@ -95,19 +92,36 @@ func TestDebugVarsRefreshesPullSeries(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 			t.Fatal(err)
 		}
-		return vars.Countryrank["countryrank_slo_latency_fast_burn"]
+		return vars.Countryrank["countryrank_go_goroutines"]
 	}
-	if got := burn(); got != 0 {
-		t.Fatalf("latency fast burn before any breach = %g, want 0", got)
+	const parked = 64
+	before := goroutines()
+	if before <= 0 {
+		t.Fatalf("countryrank_go_goroutines = %g before parking, want > 0", before)
 	}
-	for i := 0; i < 20; i++ {
-		slo.Record(AccessEvent{Status: 200, Latency: 50 * time.Millisecond}) // latency breaches
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < parked; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+		}()
 	}
-	if got := burn(); got <= 0 {
-		t.Fatalf("/debug/vars latency fast burn = %g after 20 breaches with no /metrics scrape, want > 0", got)
+	during := goroutines()
+	close(release)
+	wg.Wait()
+	// Half the parked count leaves room for goroutines other tests left
+	// behind exiting meanwhile; a stale value shows no rise at all.
+	if during-before < parked/2 {
+		t.Fatalf("/debug/vars goroutines %g → %g with %d parked and no /metrics scrape, want a rise of at least %d",
+			before, during, parked, parked/2)
 	}
-	clk.Advance(6 * time.Second) // past the 5s fast window
-	if got := burn(); got != 0 {
-		t.Fatalf("/debug/vars latency fast burn = %g after the window aged out, want 0", got)
+	deadline := time.Now().Add(5 * time.Second)
+	for goroutines() > during-parked/2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("/debug/vars goroutines still %g after the %d parked exited (%g while parked)", goroutines(), parked, during)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

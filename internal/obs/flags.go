@@ -39,10 +39,9 @@ type CmdFlags struct {
 // is nil in a cmd that has none. main sets them between Setup and Serve;
 // NewDebugMux copies them, so nothing set later is seen.
 type Sources struct {
-	Ready    func() (detail string, ready bool)
-	History  func() any // returns the /debug/history document
-	Requests *ReqTracker
-	SLO      *SLO // Serve also exports its burn gauges
+	Ready   func() (detail string, ready bool)
+	History func() any // returns the /debug/history document
+	SLO     *SLO
 }
 
 // FlagsOn registers the shared observability flags on fs. Call before
@@ -87,9 +86,6 @@ func (f *CmdFlags) Setup() {
 // "ok" until a probe is installed. The mux is returned for a daemon that
 // also mounts the surface on its own listener.
 func (f *CmdFlags) Serve() *http.ServeMux {
-	if f.SLO != nil {
-		Default.OnCollect(f.SLO.refreshMetrics)
-	}
 	mux := NewDebugMux(f)
 	if *f.DebugAddr != "" {
 		ln, err := net.Listen("tcp", *f.DebugAddr) // port 0 picks a free one

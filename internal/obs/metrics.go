@@ -43,7 +43,7 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// A Gauge is a metric that can go up and down (e.g. busy workers).
+// A Gauge is a metric that can go up and down (e.g. goroutines, epoch).
 type Gauge struct {
 	v atomic.Int64
 }
@@ -51,13 +51,10 @@ type Gauge struct {
 // Set replaces the gauge's value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the gauge by n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// A FloatGauge is a float64-valued gauge (burn rates, ratios) stored as
+// A FloatGauge is a float64-valued gauge (scores, ages) stored as
 // atomic bits, so reads and writes stay lock- and allocation-free.
 type FloatGauge struct {
 	bits atomic.Uint64
@@ -167,8 +164,8 @@ func register[T any](r *Registry, name, help string, build func() *T) *T {
 
 // OnCollect registers fn to run at the start of every Snapshot and
 // WritePrometheus. Series that are read from somewhere else rather than
-// written as things happen (the runtime's own numbers, SLO burn rates over
-// sliding windows) refresh in it, so every reader of the registry — /metrics,
+// written as things happen (the runtime's own numbers, the served
+// snapshot's age) refresh in it, so every reader of the registry — /metrics,
 // /debug/vars, the manifest — sees current values and an idle process pays
 // nothing.
 func (r *Registry) OnCollect(fn func()) {

@@ -1,9 +1,9 @@
 package obs
 
 // A Ring keeps the most recent values pushed into it, overwriting the
-// oldest once full and counting what it overwrote: a route's recent
-// sampled requests, the snapshot store's epoch history, the stage trace's
-// roots and the SLO engine's completed buckets. It carries no lock — every
+// oldest once full and counting what it overwrote: the snapshot store's
+// epoch history, the stage trace's roots and the SLO engine's completed
+// buckets. It carries no lock — every
 // holder already has one — and a nil *Ring reads as empty. Hand-offs
 // between goroutines are channels, not Rings.
 type Ring[T any] struct {

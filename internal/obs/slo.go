@@ -9,17 +9,10 @@ import (
 	"time"
 )
 
-// SLO exposition metrics; /debug/slo serves the full report. The burn-rate
-// gauge is computed when the registry is read (CmdFlags.Serve registers the engine's refreshMetrics with
-// Registry.OnCollect), not per request.
-var (
-	mSLOEligible = NewCounter("countryrank_slo_requests_total",
-		"responses examined by the SLO engine")
-	mSLODegraded = NewGauge("countryrank_slo_degraded",
-		"1 while the fast-burn threshold is tripped and /healthz reports degraded")
-	mSLOLatFast = NewFloatGauge("countryrank_slo_latency_fast_burn",
-		"latency burn rate over the fast window")
-)
+// SLO exposition metric; /debug/slo serves the full report (every burn
+// rate, window counts and the degraded flag), and /healthz the flag.
+var mSLOEligible = NewCounter("countryrank_slo_requests_total",
+	"responses examined by the SLO engine")
 
 // SLOConfig declares the serving objectives and the windows burn rates are
 // computed over. Windows are sized in wall time but granular to Bucket, so
@@ -322,15 +315,4 @@ func (s *SLO) Status() SLOStatus {
 	}
 	st.Reason, st.Degraded = s.Degraded()
 	return st
-}
-
-// refreshMetrics pushes the current state into the registry gauges.
-func (s *SLO) refreshMetrics() {
-	_, _, latFast, _ := s.Burns()
-	mSLOLatFast.Set(latFast)
-	if _, bad := s.Degraded(); bad {
-		mSLODegraded.Set(1)
-	} else {
-		mSLODegraded.Set(0)
-	}
 }

@@ -95,13 +95,6 @@ func TestSLOBurnMath(t *testing.T) {
 	if st.Degraded {
 		t.Errorf("degraded at burn %g < trip 2: %s", 2.0/150*100, st.Reason)
 	}
-	s.refreshMetrics()
-	if mSLODegraded.Value() != 0 {
-		t.Error("countryrank_slo_degraded gauge raised below the trip threshold")
-	}
-	if got := mSLOLatFast.Value(); !approx(got, 0.3) {
-		t.Errorf("latency fast burn gauge = %g, want 0.3", got)
-	}
 }
 
 // TestSLOWindowAging checks breaches age out of the fast window before the

@@ -22,12 +22,9 @@ func OrderedMap[T any](n int, window int, produce func(int) T, consume func(int,
 	}
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
-		mBusy.Add(1)
 		for i := 0; i < n; i++ {
 			consume(i, produce(i))
-			mTasks.Inc()
 		}
-		mBusy.Add(-1)
 		return
 	}
 	window = min(max(window, workers+1), n)
@@ -49,8 +46,6 @@ func OrderedMap[T any](n int, window int, produce func(int) T, consume func(int,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mBusy.Add(1)
-			defer mBusy.Add(-1)
 			for {
 				tokens <- struct{}{}
 				i := int(next.Add(1) - 1)
@@ -58,7 +53,6 @@ func OrderedMap[T any](n int, window int, produce func(int) T, consume func(int,
 					return
 				}
 				results[i] <- produce(i)
-				mTasks.Inc()
 			}
 		}()
 	}

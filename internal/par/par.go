@@ -9,15 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"countryrank/internal/obs"
-)
-
-var (
-	mTasks = obs.NewCounter("countryrank_par_tasks_total",
-		"individual tasks executed by the worker pool")
-	mBusy = obs.NewGauge("countryrank_par_workers_busy",
-		"worker goroutines currently executing tasks")
 )
 
 // ForEach runs fn(i) for every i in [0, n), distributing the calls over at
@@ -30,12 +21,9 @@ func ForEach(n int, fn func(i int)) {
 	}
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
-		mBusy.Add(1)
 		for i := 0; i < n; i++ {
 			fn(i)
-			mTasks.Inc()
 		}
-		mBusy.Add(-1)
 		return
 	}
 	var next atomic.Int64
@@ -44,15 +32,12 @@ func ForEach(n int, fn func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mBusy.Add(1)
-			defer mBusy.Add(-1)
 			for {
 				i := next.Add(1) - 1
 				if i >= int64(n) {
 					return
 				}
 				fn(int(i))
-				mTasks.Inc()
 			}
 		}()
 	}

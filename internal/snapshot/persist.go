@@ -123,7 +123,7 @@ func (p *Persister) Generations() ([]string, error) { return Generations(p.dir) 
 
 // Generations lists dir's generation files newest-first (no validation;
 // LoadFile rejects bad ones). It creates nothing: a missing directory is an
-// error. cmd/rankdiff uses it to pick the two most recent epochs of a
+// error. cmd/rankdiff walks it for the two most recent valid epochs of a
 // -snapshot-dir.
 func Generations(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)

@@ -102,8 +102,7 @@ var (
 	hdrShedLength = []string{strconv.Itoa(len(shedBody))}
 )
 
-// routeClass labels the endpoint a request resolved to, for wide events
-// and per-route trace retention.
+// routeClass labels the endpoint a request resolved to, for wide events.
 type routeClass uint8
 
 const (
@@ -119,17 +118,13 @@ var routeNames = [...]string{"other", "country", "top", "snapshot", "shed", "his
 
 // Instrumentation is the handler's optional request-scoped observability:
 // every field nil (or zero) is off and costs one branch per request. The
-// populated hooks are designed so the unsampled hot path stays at exactly
-// zero allocations — the access-log producer sends a value struct into a
-// buffered channel without blocking, the tracker answers nil without
-// allocating when the sampler declines, and SLO accounting bumps one
-// mutex-guarded bucket. All three take the one AccessEvent finish builds.
+// populated hooks keep the hot path at exactly zero allocations — the
+// access-log producer sends a value struct into a buffered channel without
+// blocking, and SLO accounting bumps one mutex-guarded bucket. Both take
+// the one AccessEvent finish builds.
 type Instrumentation struct {
 	// Log receives one wide AccessEvent per request.
 	Log *obs.AccessLog
-	// Requests promotes a sampled subset of requests to full traces
-	// served at /debug/requests.
-	Requests *obs.ReqTracker
 	// SLO accounts every response against availability/latency objectives.
 	SLO *obs.SLO
 	// SlowProbe, when positive, sleeps this long before serving any
@@ -153,10 +148,9 @@ type Instrumentation struct {
 // Every 200 carries a strong ETag (content SHA-256), Content-Length, and
 // Cache-Control; If-None-Match revalidation answers 304 with no body. The
 // 200 and 304 paths perform zero allocations and zero encoding per request
-// — with access logging, SLO accounting, and metrics enabled, as long as
-// trace sampling declines the request: the handler resolves a
-// preserialized entity, assigns precomputed header slices, and writes
-// stored bytes.
+// — with access logging, SLO accounting, and metrics enabled: the handler
+// resolves a preserialized entity, assigns precomputed header slices, and
+// writes stored bytes.
 type Handler struct {
 	store *Store
 	ins   Instrumentation
@@ -195,26 +189,22 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if limit := h.ins.MaxInFlight; limit > 0 {
 		if h.inflight.Add(1) > int64(limit) {
 			h.inflight.Add(-1)
-			h.finish(r, start, h.store.Load(), nil, h.shed(w, r))
+			h.finish(r, start, h.store.Load(), h.shed(w, r))
 			return
 		}
 		defer h.inflight.Add(-1)
-	}
-	var rq *obs.Req
-	if h.ins.Requests != nil {
-		rq = h.ins.Requests.Start(r.URL.Path)
 	}
 	if h.ins.SlowProbe > 0 && strings.Contains(r.URL.RawQuery, "probe=slow") {
 		time.Sleep(h.ins.SlowProbe)
 	}
 	snap := h.store.Load()
-	h.finish(r, start, snap, rq, h.serve(w, r, snap, rq))
+	h.finish(r, start, snap, h.serve(w, r, snap))
 }
 
 // finish builds the request's one wide event — served or shed — and hands
-// it to the SLO, the request tracker (when sampled) and the access log.
-func (h *Handler) finish(r *http.Request, start time.Time, snap *Snapshot, rq *obs.Req, res reqResult) {
-	if h.ins.SLO == nil && h.ins.Log == nil && rq == nil {
+// it to the SLO and the access log.
+func (h *Handler) finish(r *http.Request, start time.Time, snap *Snapshot, res reqResult) {
+	if h.ins.SLO == nil && h.ins.Log == nil {
 		return
 	}
 	ev := obs.AccessEvent{
@@ -226,7 +216,6 @@ func (h *Handler) finish(r *http.Request, start time.Time, snap *Snapshot, rq *o
 		Bytes:   int64(res.bytes),
 		Latency: time.Since(start),
 		ETagHit: res.etagHit,
-		Sampled: rq != nil,
 		Client:  r.RemoteAddr,
 	}
 	if snap != nil {
@@ -234,9 +223,6 @@ func (h *Handler) finish(r *http.Request, start time.Time, snap *Snapshot, rq *o
 	}
 	if h.ins.SLO != nil {
 		h.ins.SLO.Record(ev)
-	}
-	if rq != nil {
-		h.ins.Requests.Finish(rq, ev)
 	}
 	if h.ins.Log != nil {
 		h.ins.Log.Record(ev)
@@ -265,7 +251,7 @@ func (h *Handler) shed(w http.ResponseWriter, r *http.Request) reqResult {
 
 // serve is the zero-alloc serving core; ServeHTTP wraps it with the
 // request-scoped observability in finish.
-func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, rq *obs.Req) reqResult {
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot) reqResult {
 	res := reqResult{}
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
@@ -278,8 +264,6 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 		res.status = http.StatusServiceUnavailable
 		return res
 	}
-	rq.Mark("parse")
-
 	var e *entity
 	path := r.URL.Path
 	switch {
@@ -310,7 +294,6 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 			return res
 		}
 	}
-	rq.Mark("lookup")
 	if e == nil {
 		http.NotFound(w, r)
 		res.status = http.StatusNotFound
@@ -336,7 +319,6 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, snap *Snapshot, 
 		_, _ = w.Write(e.body)
 		res.bytes = len(e.body)
 	}
-	rq.Mark("write")
 	mServed200.Inc()
 	res.status = http.StatusOK
 	return res

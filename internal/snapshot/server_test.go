@@ -217,15 +217,14 @@ func TestInstrumentedWideEvents(t *testing.T) {
 	col := &collectHandler{}
 	log := obs.NewAccessLog(slog.New(col), obs.AccessLogConfig{SampleOK: 1}).Start()
 	h.Instrument(Instrumentation{
-		Log:      log,
-		Requests: obs.NewReqTracker(7, 1, 0, 0), // sample everything
-		SLO:      obs.NewSLO(obs.SLOConfig{Availability: 0.99, LatencyTarget: 0.99, LatencyThreshold: time.Hour}),
+		Log: log,
+		SLO: obs.NewSLO(obs.SLOConfig{Availability: 0.99, LatencyTarget: 0.99, LatencyThreshold: time.Hour}),
 	})
 
 	get(t, h, "/v1/countries/AU", nil)
 	get(t, h, "/v1/countries/AU", map[string]string{"If-None-Match": s.CountryETag("AU")})
 	get(t, h, "/v1/top/ccg?n=2", nil)
-	get(t, h, "/v1/countries/ZZ", nil) // 404: must be logged even unsampled
+	get(t, h, "/v1/countries/ZZ", nil)
 	log.Close()
 
 	col.mu.Lock()
@@ -254,43 +253,6 @@ func TestInstrumentedWideEvents(t *testing.T) {
 		if rec["epoch"] != int64(1) || rec["digest"] != s.Digest {
 			t.Errorf("event %d: epoch/digest = %v/%v", i, rec["epoch"], rec["digest"])
 		}
-		if rec["sampled"] != true {
-			t.Errorf("event %d: sampled = %v, want true (rate-1 tracker)", i, rec["sampled"])
-		}
-	}
-}
-
-// TestInstrumentedRequestTraces checks sampled requests land in the
-// tracker with route, status, and the parse/lookup/write event sequence.
-func TestInstrumentedRequestTraces(t *testing.T) {
-	s := testSnapshot(t)
-	h := NewHandler(NewStore(s))
-	tracker := obs.NewReqTracker(7, 1, 8, 4)
-	h.Instrument(Instrumentation{Requests: tracker})
-
-	get(t, h, "/v1/countries/AU", nil)
-	get(t, h, "/v1/top/ccg?n=2", nil)
-
-	snap := tracker.Snapshot()
-	if snap.Seen != 2 || snap.Sampled != 2 {
-		t.Fatalf("tracker saw %d sampled %d, want 2/2", snap.Seen, snap.Sampled)
-	}
-	if len(snap.Active) != 0 {
-		t.Errorf("%d traces still active after completion", len(snap.Active))
-	}
-	country := snap.Routes["country"]
-	if len(country.Recent) != 1 || country.Recent[0].Status != 200 || country.Recent[0].Path != "/v1/countries/AU" {
-		t.Fatalf("country recent = %+v", country.Recent)
-	}
-	var names []string
-	for _, ev := range country.Recent[0].Events {
-		names = append(names, ev.Name)
-	}
-	if strings.Join(names, ",") != "parse,lookup,write" {
-		t.Errorf("trace events = %v, want parse,lookup,write", names)
-	}
-	if len(country.Slowest) != 1 {
-		t.Errorf("slowest shelf holds %d, want 1", len(country.Slowest))
 	}
 }
 
@@ -477,9 +439,9 @@ func (w *nopWriter) Write(p []byte) (int, error) {
 
 // TestServeZeroAllocs pins the tentpole property: the 200 and 304 paths of
 // every endpoint perform zero heap allocations per request — with access
-// logging, SLO accounting, and serving metrics all enabled, and trace
-// sampling consulted but declining (rate 0). If this fails, the serving
-// hot path regressed — don't loosen the pin, find the alloc.
+// logging, SLO accounting, the admission gate and serving metrics all
+// enabled. If this fails, the serving hot path regressed — don't loosen the
+// pin, find the alloc.
 //
 // The access log is deliberately not Started: AllocsPerRun counts mallocs
 // process-wide, so a concurrent drainer goroutine emitting slog records
@@ -494,7 +456,6 @@ func TestServeZeroAllocs(t *testing.T) {
 	)
 	h.Instrument(Instrumentation{
 		Log:         log,
-		Requests:    obs.NewReqTracker(1, 0, 0, 0), // sampling off
 		SLO:         obs.NewSLO(obs.SLOConfig{Availability: 0.999, LatencyTarget: 0.999, LatencyThreshold: 5 * time.Millisecond}),
 		MaxInFlight: 64, // admission gate armed; everything below admits
 	})
