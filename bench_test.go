@@ -388,7 +388,7 @@ func BenchmarkMRTImport(b *testing.B) {
 		for j, d := range mrtBenchDumps {
 			streams[j] = bytes.NewReader(d)
 		}
-		if _, _, err := routing.ImportMRT(mrtBenchWorld, streams, routing.ImportOptions{}); err != nil {
+		if _, _, err := routing.ImportMRT(mrtBenchWorld, streams); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -434,7 +434,7 @@ func BenchmarkMRTRoundTrip(b *testing.B) {
 			}
 			streams[j] = &bufs[j]
 		}
-		if _, _, err := routing.ImportMRT(mrtBenchWorld, streams, routing.ImportOptions{}); err != nil {
+		if _, _, err := routing.ImportMRT(mrtBenchWorld, streams); err != nil {
 			b.Fatal(err)
 		}
 	}

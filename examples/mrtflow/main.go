@@ -37,7 +37,7 @@ func main() {
 		len(w.VPs.Collectors()), float64(totalBytes)/(1<<20))
 
 	// Re-import and rebuild the pipeline from the dumps.
-	imported, _, err := routing.ImportMRT(w, streams, routing.ImportOptions{})
+	imported, _, err := routing.ImportMRT(w, streams)
 	if err != nil {
 		log.Fatal(err)
 	}

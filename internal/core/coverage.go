@@ -18,18 +18,15 @@ type Coverage struct {
 	// VPs its peer index tables list: a covered VP may own no record).
 	VPsExpected  int
 	VPsDelivered int
-	// RecordsLost counts records dropped during ingest (rejected entries,
-	// truncated feeds); Resyncs and SkippedBytes account corrupt MRT
-	// records skipped by the reader's resync scan.
-	RecordsLost  int64
-	Resyncs      int64
-	SkippedBytes int64
+	// RecordsLost counts records dropped during ingest (for MRT, the
+	// entries of peers outside the world).
+	RecordsLost int64
 }
 
-// Degraded reports whether any data was lost: missing VPs, dropped records,
-// or skipped corrupt input.
+// Degraded reports whether any data was lost: missing VPs or dropped
+// records.
 func (c Coverage) Degraded() bool {
-	return c.VPsDelivered < c.VPsExpected || c.RecordsLost > 0 || c.Resyncs > 0
+	return c.VPsDelivered < c.VPsExpected || c.RecordsLost > 0
 }
 
 // Fraction is the delivered share of expected VPs (1 when none were
@@ -43,8 +40,8 @@ func (c Coverage) Fraction() float64 {
 
 // String renders the report for labels and errors.
 func (c Coverage) String() string {
-	return fmt.Sprintf("%d/%d VPs, %d records lost, %d resyncs",
-		c.VPsDelivered, c.VPsExpected, c.RecordsLost, c.Resyncs)
+	return fmt.Sprintf("%d/%d VPs, %d records lost",
+		c.VPsDelivered, c.VPsExpected, c.RecordsLost)
 }
 
 // Info converts the report to its run-manifest form.
@@ -53,8 +50,6 @@ func (c Coverage) Info() obs.CoverageInfo {
 		VPsExpected:  c.VPsExpected,
 		VPsDelivered: c.VPsDelivered,
 		RecordsLost:  c.RecordsLost,
-		Resyncs:      c.Resyncs,
-		SkippedBytes: c.SkippedBytes,
 		Degraded:     c.Degraded(),
 	}
 }

@@ -43,7 +43,6 @@ func TestCoverageSemantics(t *testing.T) {
 	for _, c := range []Coverage{
 		{VPsExpected: 5, VPsDelivered: 3},
 		{VPsExpected: 5, VPsDelivered: 5, RecordsLost: 1},
-		{VPsExpected: 5, VPsDelivered: 5, Resyncs: 1},
 	} {
 		if !c.Degraded() {
 			t.Fatalf("coverage %+v must read degraded", c)
@@ -204,43 +203,39 @@ func TestMRTSourceCoverage(t *testing.T) {
 	}
 }
 
-// TestDegradedIngestEndToEnd drives the whole degraded path: export a
-// collection to MRT, corrupt a record, re-import it through the MRT source
-// with SkipCorrupt, and check coverage, manifest and ranking labels carry
-// the resync accounting.
+// TestDegradedIngestEndToEnd drives a strict but partial MRT import
+// through the pipeline: the first dump's peer table lists its first peer
+// under an address outside the world, so that VP is not delivered and its
+// entries are lost. Coverage, manifest and ranking labels must say so.
 func TestDegradedIngestEndToEnd(t *testing.T) {
 	paths := exportDumps(t)
 	first, err := os.ReadFile(paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the second record's length field in the first dump.
-	if len(first) < 24 {
-		t.Skip("first dump too small")
+	// Peer 0 of the PEER_INDEX_TABLE: after the 12-byte header, collector
+	// ID, view name length, view name and peer count, a type byte and the
+	// BGP ID precede its address.
+	at := 12 + 4 + 2 + int(binary.BigEndian.Uint16(first[16:])) + 2
+	if first[at]&0x01 != 0 {
+		t.Fatal("first peer has an IPv6 address")
 	}
-	second := 12 + int(binary.BigEndian.Uint32(first[8:]))
-	if second+12 > len(first) {
-		t.Skip("first dump has one record")
-	}
-	binary.BigEndian.PutUint32(first[second+8:], 1<<30)
+	copy(first[at+5:], []byte{198, 51, 100, 77})
 	if err := os.WriteFile(paths[0], first, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := Run(context.Background(), MRTFiles(paths), smallOpts()); err == nil {
-		t.Fatal("strict import accepted a corrupt dump")
-	}
-	p, err := Run(context.Background(), mrtFiles(paths, routing.ImportOptions{SkipCorrupt: true}), smallOpts())
+	p, err := Run(context.Background(), MRTFiles(paths), smallOpts())
 	if err != nil {
-		t.Fatalf("pipeline from degraded import: %v", err)
+		t.Fatalf("pipeline from partial import: %v", err)
 	}
 	info := p.Coverage.Info()
-	if info.Resyncs == 0 || !info.Degraded || info.VPsDelivered != info.VPsExpected {
-		t.Fatalf("coverage %+v does not report the skipped record over a full VP set", info)
+	if info.RecordsLost == 0 || !info.Degraded || info.VPsDelivered != info.VPsExpected-1 {
+		t.Fatalf("coverage %+v does not report one VP and its records lost", info)
 	}
 	ccg, _ := p.Global()
-	if !strings.Contains(ccg.Metric, "[degraded: ") || !strings.Contains(ccg.Metric, "1 resyncs") {
-		t.Fatalf("degraded-import ranking %q not labelled", ccg.Metric)
+	if want := "CCG [degraded: " + p.Coverage.String() + "]"; ccg.Metric != want {
+		t.Fatalf("partial-import ranking %q, want %q", ccg.Metric, want)
 	}
 
 	// A partial dataset keeps the per-path layout: records on one collection

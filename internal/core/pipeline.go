@@ -198,13 +198,11 @@ func Generated(opt Options, sp *obs.Span) (Inputs, error) {
 // against the world the options describe. A VP is delivered when a peer
 // index table the import read lists it, so a missing dump costs coverage (no
 // dumps at all: 0/e, below any quorum) and a complete directory reads e/e; a
-// corrupt record fails the import.
-func MRTFiles(paths []string) Source { return mrtFiles(paths, routing.ImportOptions{}) }
-
-func mrtFiles(paths []string, imp routing.ImportOptions) Source {
+// corrupt record fails the import, naming its dump.
+func MRTFiles(paths []string) Source {
 	return func(opt Options, sp *obs.Span) (Inputs, error) {
 		w := buildWorld(opt, sp)
-		col, stats, err := routing.ImportMRTFiles(w, paths, imp)
+		col, stats, err := routing.ImportMRTFiles(w, paths, routing.ImportOptions{})
 		if err != nil {
 			return Inputs{}, err
 		}
@@ -225,7 +223,7 @@ func observe(w *topology.World, col *routing.Collection, imp *routing.ImportStat
 	cov := Coverage{VPsExpected: w.VPs.Len(), VPsDelivered: w.VPs.Len()}
 	if imp != nil {
 		cov.VPsDelivered = imp.VPsNamed
-		cov.RecordsLost, cov.Resyncs, cov.SkippedBytes = imp.Rejects, imp.Resyncs, imp.SkippedBytes
+		cov.RecordsLost = imp.Rejects
 	}
 	return Inputs{
 		Col:          col,

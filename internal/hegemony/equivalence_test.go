@@ -406,7 +406,7 @@ func TestPathRunsMatchMapReference(t *testing.T) {
 		}
 		streams = append(streams, &b)
 	}
-	imported, _, err := routing.ImportMRT(w, streams, routing.ImportOptions{})
+	imported, _, err := routing.ImportMRT(w, streams)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,16 +54,14 @@ func FuzzReaderNext(f *testing.F) {
 	mut2 := append([]byte(nil), valid...)
 	mut2[7] = 9
 	f.Add(mut2)
-	// Truncated mid-record: cut inside the second record's body, so the
-	// resync path sees a tail that ends before a plausible header.
+	// Truncated mid-record: cut inside the second record's body.
 	f.Add(valid[: len(valid)*3/4 : len(valid)*3/4])
-	// Mid-stream garbage: a run of non-header bytes wedged between records,
-	// exercising the forward scan over bytes that never align.
+	// Mid-stream garbage: a run of non-header bytes wedged between records.
 	garbage := bytes.Repeat([]byte{0xA5, 0x5A, 0x00, 0xFF}, 16)
 	spliced := append(append(append([]byte(nil), valid[:40]...), garbage...), valid[40:]...)
 	f.Add(spliced)
 	// Garbage that embeds a plausible-but-lying header (type 13, subtype 2,
-	// huge length), forcing a second resync after the first lands badly.
+	// huge length).
 	lying := make([]byte, 12)
 	lying[5] = TypeTableDumpV2
 	lying[7] = SubtypeRIBIPv4Unicast
@@ -73,23 +71,6 @@ func FuzzReaderNext(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh := NewReader(bytes.NewReader(data))
 		reuse := NewReader(bytes.NewReader(data))
-		// The resync reader must terminate on any input without panicking,
-		// surface nothing but EOF, and never recover fewer records than the
-		// strict reader (it reads the same prefix, then keeps going).
-		resil := NewReader(bytes.NewReader(data))
-		resil.SetResync(true)
-		resilRecords := 0
-		for {
-			_, err := resil.Scan()
-			if err != nil {
-				if err != io.EOF {
-					t.Fatalf("resync reader returned non-EOF error: %v", err)
-				}
-				break
-			}
-			resilRecords++
-		}
-		strictRecords := 0
 		for {
 			a, errA := fresh.Next()
 			b, errB := reuse.Scan()
@@ -100,13 +81,8 @@ func FuzzReaderNext(f *testing.F) {
 				if errA != io.EOF && errA.Error() != errB.Error() {
 					t.Fatalf("error text diverged: %q vs %q", errA, errB)
 				}
-				if resilRecords < strictRecords {
-					t.Fatalf("resync reader recovered %d records, strict reader %d",
-						resilRecords, strictRecords)
-				}
 				return
 			}
-			strictRecords++
 			if (a.RIB == nil) != (b.RIB == nil) ||
 				(a.PeerIndexTable == nil) != (b.PeerIndexTable == nil) {
 				t.Fatal("record kind diverged between Next and Scan")

@@ -24,16 +24,6 @@ import (
 
 	"countryrank/internal/asn"
 	"countryrank/internal/bgp"
-	"countryrank/internal/obs"
-)
-
-// Resync accounting: real collector archives contain the occasional mangled
-// record, and an import that survives one must say so.
-var (
-	mResyncs = obs.NewCounter("countryrank_mrt_resyncs_total",
-		"corrupt MRT records skipped by scanning forward to the next plausible header")
-	mSkippedBytes = obs.NewCounter("countryrank_mrt_skipped_bytes_total",
-		"bytes discarded while resynchronizing MRT streams")
 )
 
 // MRT record types and TABLE_DUMP_V2 subtypes (RFC 6396 §4, §4.3).
@@ -227,16 +217,6 @@ type Reader struct {
 	hdr    [recordHeaderLen]byte
 	body   []byte // reusable record body buffer
 
-	// Skip-and-resync state (see SetResync). pending holds bytes the resync
-	// scanner read past the next plausible header; reads drain it before the
-	// stream. consumed accumulates the failed record's bytes so the scanner
-	// can rescan them.
-	resync       bool
-	pending      []byte
-	consumed     []byte
-	resyncs      int64
-	skippedBytes int64
-
 	// Scan-mode storage, reused across Scan calls.
 	scanRec Record
 	scanPIT PeerIndexTable
@@ -254,116 +234,18 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 // whatever they keep.
 func (r *Reader) Scan() (*Record, error) { return r.next(true) }
 
-// SetResync switches the Reader into skip-and-resync mode: instead of
-// aborting on a corrupt record, it scans forward to the next byte position
-// that looks like a plausible MRT header and resumes decoding there,
-// counting the discarded records and bytes (Resyncs, SkippedBytes, and the
-// countryrank_mrt_* metrics). A truncated tail then reads as a clean EOF.
-func (r *Reader) SetResync(on bool) { r.resync = on }
-
-// Resyncs returns how many corrupt records have been skipped.
-func (r *Reader) Resyncs() int64 { return r.resyncs }
-
-// SkippedBytes returns how many bytes resynchronization has discarded.
-func (r *Reader) SkippedBytes() int64 { return r.skippedBytes }
-
-// readFull fills p from the pending resync buffer first, then the stream.
-func (r *Reader) readFull(p []byte) (int, error) {
-	n := 0
-	if len(r.pending) > 0 {
-		n = copy(p, r.pending)
-		r.pending = r.pending[n:]
-	}
-	if n == len(p) {
-		return n, nil
-	}
-	m, err := io.ReadFull(r.r, p[n:])
-	if n > 0 && errors.Is(err, io.EOF) {
-		err = io.ErrUnexpectedEOF
-	}
-	return n + m, err
-}
-
+// next decodes the next record; with reuse it decodes into the Reader's
+// storage (Scan), without into fresh allocations. Only a stream that ends
+// cleanly between records yields the bare io.EOF; any other short read or
+// malformed record is an error, and the stream is not read past it.
 func (r *Reader) next(reuse bool) (*Record, error) {
-	for {
-		rec, err := r.nextOnce(reuse)
-		// Only the bare io.EOF sentinel is a clean end of stream; a wrapped
-		// EOF (header or body cut short) is corruption the resync path owns.
-		if err == nil || err == io.EOF || !r.resync {
-			return rec, err
-		}
-		mResyncs.Inc()
-		r.resyncs++
-		if !r.resyncScan() {
-			return nil, io.EOF
-		}
-	}
-}
-
-// plausibleHeader reports whether b (>= 12 bytes) parses as a record header
-// this Reader could decode: a supported type/subtype pair with a sane
-// length. Resynchronization resumes at the first such position.
-func plausibleHeader(b []byte) bool {
-	typ := binary.BigEndian.Uint16(b[4:])
-	sub := binary.BigEndian.Uint16(b[6:])
-	length := binary.BigEndian.Uint32(b[8:])
-	if length > 1<<26 {
-		return false
-	}
-	return typ == TypeTableDumpV2 && (sub == SubtypePeerIndexTable ||
-		sub == SubtypeRIBIPv4Unicast || sub == SubtypeRIBIPv6Unicast)
-}
-
-// resyncScan drops the first byte of the failed record and slides forward —
-// over the already-consumed bytes, then the stream — until a plausible
-// header lines up. Bytes past that header go back into pending. Returns
-// false when the stream ends first (the truncated-tail case).
-func (r *Reader) resyncScan() bool {
-	// Own the consumed bytes: hdr/body are reused arrays the next decode
-	// will overwrite.
-	buf := append([]byte(nil), r.consumed...)
-	r.consumed = r.consumed[:0]
-	skipped := int64(0)
-	defer func() {
-		r.skippedBytes += skipped
-		mSkippedBytes.Add(skipped)
-	}()
-	if len(buf) == 0 {
-		return false
-	}
-	buf = buf[1:]
-	skipped++
-	var one [1]byte
-	for {
-		for len(buf) < recordHeaderLen {
-			n, err := r.readFull(one[:])
-			if n > 0 {
-				buf = append(buf, one[0])
-			}
-			if err != nil {
-				skipped += int64(len(buf))
-				return false
-			}
-		}
-		if plausibleHeader(buf) {
-			r.pending = append(buf, r.pending...)
-			return true
-		}
-		buf = buf[1:]
-		skipped++
-	}
-}
-
-func (r *Reader) nextOnce(reuse bool) (*Record, error) {
 	hdr := r.hdr[:]
-	if n, err := r.readFull(hdr); err != nil {
-		if n == 0 && errors.Is(err, io.EOF) {
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
+		if err == io.EOF {
 			return nil, io.EOF
 		}
-		r.consumed = append(r.consumed[:0], hdr[:n]...)
 		return nil, fmt.Errorf("mrt: header: %w", err)
 	}
-	r.consumed = append(r.consumed[:0], hdr...)
 	ts := binary.BigEndian.Uint32(hdr[0:])
 	typ := binary.BigEndian.Uint16(hdr[4:])
 	sub := binary.BigEndian.Uint16(hdr[6:])
@@ -378,9 +260,7 @@ func (r *Reader) nextOnce(reuse bool) (*Record, error) {
 		r.body = make([]byte, length)
 	}
 	body := r.body[:length]
-	n, err := r.readFull(body)
-	r.consumed = append(r.consumed, body[:n]...)
-	if err != nil {
+	if _, err := io.ReadFull(r.r, body); err != nil {
 		return nil, fmt.Errorf("mrt: body: %w", err)
 	}
 	var rec *Record

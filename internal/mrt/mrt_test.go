@@ -44,8 +44,7 @@ func attrs(p ...uint32) bgp.AttrSet {
 }
 
 // bgp4mpRecord is a BGP4MP_MESSAGE_AS4 record (type 16, subtype 4) carrying
-// an empty UPDATE, as a collector's update archive holds it. No 12-byte
-// window inside it parses as a plausible header.
+// an empty UPDATE, as a collector's update archive holds it.
 func bgp4mpRecord(ts uint32) []byte {
 	body := []byte{
 		0, 0, 0x0d, 0x1c, // peer AS 3356
@@ -153,9 +152,61 @@ func TestWriterOrderEnforced(t *testing.T) {
 	}
 }
 
+// recordedStream builds a dump of a peer table and three RIB records and
+// returns both the bytes and the offset of each record, so tests can corrupt
+// precise positions.
+func recordedStream(t *testing.T) ([]byte, []int) {
+	t.Helper()
+	var buf bytes.Buffer
+	var offsets []int
+	w := NewWriter(&buf, 1617235200)
+	flush := func() {
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offsets = append(offsets, buf.Len())
+	if err := w.WritePeerIndexTable(netip.MustParseAddr("198.51.100.1"), "rv.errors", testPeers()); err != nil {
+		t.Fatal(err)
+	}
+	flush()
+	for i, pfx := range []string{"10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16"} {
+		offsets = append(offsets, buf.Len())
+		if err := w.WriteRIB(netx.MustPrefix(pfx), []RIBEntry{
+			{PeerIndex: uint16(i % 2), OriginatedAt: 100, Attrs: attrs(3356, 1221)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		flush()
+	}
+	return buf.Bytes(), offsets
+}
+
+// drain reads records until the stream ends or fails, naming each one read:
+// "PIT" for a peer table, the prefix for a RIB. A clean end returns a nil
+// error.
+func drain(t *testing.T, r *Reader) ([]string, error) {
+	t.Helper()
+	var read []string
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return read, nil
+		}
+		if err != nil {
+			return read, err
+		}
+		if rec.RIB != nil {
+			read = append(read, rec.RIB.Prefix.String())
+		} else {
+			read = append(read, "PIT")
+		}
+	}
+}
+
 // TestBGP4MPInterleavedWithRIB pins what the reader does with an update
-// record between RIB records: a strict reader stops at it with an error, and
-// a resyncing reader skips it, counts it, and reads the RIB after it.
+// record between RIB records: it stops at it with an error, after the RIB
+// before it.
 func TestBGP4MPInterleavedWithRIB(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, 7)
@@ -173,42 +224,52 @@ func TestBGP4MPInterleavedWithRIB(t *testing.T) {
 			buf.Write(bgp4mpRecord(7))
 		}
 	}
-	raw := buf.Bytes()
-
-	pfxs, err := drain(t, NewReader(bytes.NewReader(raw)))
-	if want := "mrt: unsupported record type 16"; err == nil || err.Error() != want || !slices.Equal(pfxs, []string{"10.1.0.0/16"}) {
-		t.Fatalf("strict reader: %v then %v, want 10.1.0.0/16 then %q", pfxs, err, want)
-	}
-	r := NewReader(bytes.NewReader(raw))
-	r.SetResync(true)
-	pfxs, err = drain(t, r)
-	if err != nil || !slices.Equal(pfxs, []string{"10.1.0.0/16", "10.2.0.0/16"}) {
-		t.Fatalf("resyncing reader: %v, %v", pfxs, err)
-	}
-	if r.Resyncs() != 1 || r.SkippedBytes() != int64(len(bgp4mpRecord(7))) {
-		t.Errorf("resyncs %d, skipped %d bytes; want 1 and %d", r.Resyncs(), r.SkippedBytes(), len(bgp4mpRecord(7)))
+	read, err := drain(t, NewReader(bytes.NewReader(buf.Bytes())))
+	if want := "mrt: unsupported record type 16"; err == nil || err.Error() != want || !slices.Equal(read, []string{"PIT", "10.1.0.0/16"}) {
+		t.Fatalf("read %v then %v, want PIT, 10.1.0.0/16 then %q", read, err, want)
 	}
 }
 
+// TestReaderErrors pins, for each malformed input, the error the reader
+// stops with and the records it read before it. A damaged dump has no
+// partial reading: the error is the whole answer.
 func TestReaderErrors(t *testing.T) {
-	// Unsupported type.
-	raw := make([]byte, 12)
-	raw[5] = 12 // TABLE_DUMP (v1)
-	if _, err := NewReader(bytes.NewReader(raw)).Next(); err == nil {
-		t.Error("v1 TABLE_DUMP should be rejected")
+	stream, offsets := recordedStream(t)
+	splice := func(at int, b []byte) []byte {
+		return append(append(append([]byte(nil), stream[:at]...), b...), stream[at:]...)
 	}
-	// Truncated header.
-	if _, err := NewReader(bytes.NewReader(raw[:5])).Next(); err == nil {
-		t.Error("truncated header should fail")
-	}
-	// Truncated body.
-	var buf bytes.Buffer
-	w := NewWriter(&buf, 0)
-	w.WritePeerIndexTable(netip.MustParseAddr("10.0.0.1"), "v", testPeers())
-	w.Flush()
-	all := buf.Bytes()
-	if _, err := NewReader(bytes.NewReader(all[:len(all)-3])).Next(); err == nil {
-		t.Error("truncated body should fail")
+	lying := bytes.Clone(stream)
+	binary.BigEndian.PutUint32(lying[offsets[2]+8:], 1<<30)
+	v1 := make([]byte, 12)
+	v1[5] = 12 // TABLE_DUMP (v1)
+
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		read []string
+		err  string
+	}{
+		{"TABLE_DUMP v1", v1, nil, "mrt: unsupported record type 12"},
+		{"truncated header", stream[:5], nil, "mrt: header: unexpected EOF"},
+		{"truncated peer table", stream[:offsets[1]-3], nil, "mrt: body: unexpected EOF"},
+		{"header without body", stream[:offsets[1]+12], []string{"PIT"}, "mrt: body: EOF"},
+		// 100 bytes wedged between the first and second RIB record read as a
+		// header of type 0xAAAA.
+		{"mid-stream garbage", splice(offsets[2], bytes.Repeat([]byte{0xAA}, 100)),
+			[]string{"PIT", "10.1.0.0/16"}, "mrt: unsupported record type 43690"},
+		{"lying record length", lying,
+			[]string{"PIT", "10.1.0.0/16"}, "mrt: implausible record length 1073741824"},
+		{"truncated tail", stream[:offsets[3]+(len(stream)-offsets[3])/2],
+			[]string{"PIT", "10.1.0.0/16", "10.2.0.0/16"}, "mrt: body: unexpected EOF"},
+		{"BGP4MP between RIBs", splice(offsets[2], bgp4mpRecord(1617235200)),
+			[]string{"PIT", "10.1.0.0/16"}, "mrt: unsupported record type 16"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			read, err := drain(t, NewReader(bytes.NewReader(tc.in)))
+			if err == nil || err.Error() != tc.err || !slices.Equal(read, tc.read) {
+				t.Fatalf("read %v then %v, want %v then %q", read, err, tc.read, tc.err)
+			}
+		})
 	}
 }
 

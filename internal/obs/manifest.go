@@ -14,7 +14,7 @@ import (
 
 // ManifestSchema versions the manifest JSON layout. Bump it on any
 // field rename or semantic change; the golden test pins the rendering.
-const ManifestSchema = 2
+const ManifestSchema = 3
 
 // RunEnv captures the toolchain and machine shape a run executed under.
 type RunEnv struct {
@@ -40,8 +40,6 @@ type CoverageInfo struct {
 	VPsExpected  int   `json:"vps_expected"`
 	VPsDelivered int   `json:"vps_delivered"`
 	RecordsLost  int64 `json:"records_lost"`
-	Resyncs      int64 `json:"resyncs"`
-	SkippedBytes int64 `json:"skipped_bytes"`
 	Degraded     bool  `json:"degraded"`
 }
 

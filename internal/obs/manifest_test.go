@@ -40,8 +40,6 @@ func TestManifestGolden(t *testing.T) {
 			VPsExpected:  40,
 			VPsDelivered: 38,
 			RecordsLost:  12,
-			Resyncs:      1,
-			SkippedBytes: 512,
 			Degraded:     true,
 		},
 		SanitizeDrops: &DropStats{

@@ -142,7 +142,7 @@ func TestMRTRoundTrip(t *testing.T) {
 		}
 		bufs = append(bufs, &b)
 	}
-	got, _, err := ImportMRT(w, bufs, ImportOptions{})
+	got, _, err := ImportMRT(w, bufs)
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}

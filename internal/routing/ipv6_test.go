@@ -36,7 +36,7 @@ func TestDualStackMRTRoundTrip(t *testing.T) {
 		}
 		bufs = append(bufs, &b)
 	}
-	got, _, err := ImportMRT(w, bufs, ImportOptions{})
+	got, _, err := ImportMRT(w, bufs)
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}

@@ -193,15 +193,13 @@ type importStream struct {
 	paths    blocks[bgp.Path]
 	// named is the world VP index of each known peer of each peer table read.
 	named []int32
-	// rejects counts entries dropped during decode (unknown peers, bad peer
-	// indexes); bytes is the stream's wire size. Both fold into the obs
-	// counters once per stream during the merge. resyncs / skippedBytes
-	// account the reader's skip-and-resync recoveries in degraded mode.
-	rejects      int64
-	bytes        int64
-	resyncs      int64
-	skippedBytes int64
-	err          error
+	// rejects counts entries of peers outside the world, dropped during
+	// decode, and folds into ImportStats in the merge; bytes is the stream's
+	// wire size. err is the error that stopped the stream, which fails the
+	// import.
+	rejects int64
+	bytes   int64
+	err     error
 }
 
 // importPrefix is a RIB record's prefix and the origin of its first entry
@@ -212,17 +210,10 @@ type importPrefix struct {
 	originSet bool
 }
 
-func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOptions) (out importStream) {
+func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32) (out importStream) {
 	cr := &countingReader{r: stream}
 	defer func() { out.bytes = cr.n }()
 	r := mrt.NewReader(cr)
-	if opt.SkipCorrupt {
-		r.SetResync(true)
-		defer func() {
-			out.resyncs = r.Resyncs()
-			out.skippedBytes = r.SkippedBytes()
-		}()
-	}
 	// vpOf resolves a stream peer index to the world VP index (-1 unknown);
 	// it is built once per peer table so the hot loop never hashes peering
 	// addresses. last memoizes each peer's most recent path: exports emit
@@ -243,7 +234,6 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOp
 			return out
 		}
 		if err != nil {
-			out.rejects++
 			out.err = err
 			return out
 		}
@@ -268,12 +258,6 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOp
 		pfx := importPrefix{prefix: rib.Prefix}
 		for _, e := range rib.Entries {
 			if int(e.PeerIndex) >= len(vpOf) {
-				// In degraded mode a bad peer index (e.g. the PIT itself was
-				// corrupt and skipped) drops the entry, not the stream.
-				out.rejects++
-				if opt.SkipCorrupt {
-					continue
-				}
 				out.err = fmt.Errorf("routing: peer index %d out of range", e.PeerIndex)
 				return out
 			}
@@ -302,29 +286,22 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, opt ImportOp
 	}
 }
 
-// ImportOptions tunes MRT ingest. The zero value is strict: any corrupt
-// record aborts the import.
-type ImportOptions struct {
-	// SkipCorrupt turns on degraded-mode ingest: corrupt records are skipped
-	// via the reader's resync scan, entries referencing unknown peer indexes
-	// are dropped, and the import completes with the losses accounted in
-	// ImportStats instead of returning an error.
-	SkipCorrupt bool
-}
+// ImportOptions is empty: MRT ingest has one mode, strict, in which any
+// corrupt record fails the import. The type stays only because the
+// benchmark's traced import passes it to ImportMRTFiles.
+type ImportOptions struct{}
 
-// ImportStats accounts what a degraded import lost: the coverage report a
-// partial collection is labelled with.
+// ImportStats accounts what an import delivered and dropped: the coverage
+// report a partial collection is labelled with.
 type ImportStats struct {
 	// Records is the number of RIB entries imported.
 	Records int64
 	// VPsNamed is how many of the world's VPs the PEER_INDEX_TABLEs read
 	// listed: the VPs the dumps cover, whether or not one owns a record.
 	VPsNamed int
-	// Rejects is entries dropped during decode (unknown peers, bad indexes).
+	// Rejects is entries dropped during decode: those of peers outside the
+	// world.
 	Rejects int64
-	// Resyncs is corrupt records skipped; SkippedBytes the bytes discarded.
-	Resyncs      int64
-	SkippedBytes int64
 }
 
 // ImportMRT parses TABLE_DUMP_V2 streams (one per collector) back into a
@@ -335,9 +312,30 @@ type ImportStats struct {
 // prefix is the first one observed in stream order, with "not yet seen"
 // tracked explicitly so an AS0 origin is preserved rather than overwritten.
 // Stability defaults to true for every prefix (MRT carries a single day).
-// With opt.SkipCorrupt set it is the degraded-mode ingest path: corrupt
-// records cost coverage, not the run, and ImportStats accounts the loss.
-func ImportMRT(w *topology.World, streams []io.Reader, opt ImportOptions) (*Collection, ImportStats, error) {
+// A stream that fails to decode fails the import, and the error names it by
+// index.
+func ImportMRT(w *topology.World, streams []io.Reader) (*Collection, ImportStats, error) {
+	return importMRT(w, streams, nil)
+}
+
+// ImportMRTFiles is ImportMRT over dump files: each file is one stream,
+// read once, front to back, and a failing stream's error names its file.
+func ImportMRTFiles(w *topology.World, paths []string, _ ImportOptions) (*Collection, ImportStats, error) {
+	streams := make([]io.Reader, 0, len(paths))
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, ImportStats{}, err
+		}
+		defer f.Close()
+		streams = append(streams, f)
+	}
+	return importMRT(w, streams, paths)
+}
+
+// importMRT is ImportMRT with names[i] naming stream i in errors (nil: by
+// index).
+func importMRT(w *topology.World, streams []io.Reader, names []string) (*Collection, ImportStats, error) {
 	sp := obs.StartSpan("mrt-import")
 	defer sp.End()
 	ds := sp.Child("decode")
@@ -348,31 +346,25 @@ func ImportMRT(w *topology.World, streams []io.Reader, opt ImportOptions) (*Coll
 	}
 	parts := make([]importStream, len(streams))
 	par.ForEach(len(streams), func(si int) {
-		parts[si] = importOneStream(streams[si], byAddr, opt)
+		parts[si] = importOneStream(streams[si], byAddr)
 		ds.AddItems(parts[si].bytes, "")
 	})
 	ds.End()
+	for si := range parts {
+		if err := parts[si].err; err != nil {
+			name := fmt.Sprintf("stream %d", si)
+			if names != nil {
+				name = names[si]
+			}
+			return nil, ImportStats{}, fmt.Errorf("%s: %w", name, err)
+		}
+	}
 	ms := sp.Child("merge")
 	defer ms.End()
-	col, stats, err := mergeImportParts(w.VPs, parts)
+	col, stats := mergeImportParts(w.VPs, parts)
 	ms.AddItems(stats.Records, "records")
 	sp.AddItems(stats.Records, "records")
-	return col, stats, err
-}
-
-// ImportMRTFiles is ImportMRT over dump files: each file is one stream,
-// read once, front to back.
-func ImportMRTFiles(w *topology.World, paths []string, opt ImportOptions) (*Collection, ImportStats, error) {
-	streams := make([]io.Reader, 0, len(paths))
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, ImportStats{}, err
-		}
-		defer f.Close()
-		streams = append(streams, f)
-	}
-	return ImportMRT(w, streams, opt)
+	return col, stats, nil
 }
 
 // mergeImportParts folds decoded stream partials into a Collection in part
@@ -380,7 +372,7 @@ func ImportMRTFiles(w *topology.World, paths []string, opt ImportOptions) (*Coll
 // step whose order shows in the result — and sized once from what the parts
 // hold; rewriting each part's records from stream-local to global indexes
 // then fans out, every part into its own range of Records.
-func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportStats, error) {
+func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportStats) {
 	// remap is where a part's records go in Records and what its stream-local
 	// prefix and path indexes become.
 	type remap struct {
@@ -402,12 +394,7 @@ func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportSta
 		maps[si].start = stats.Records
 		stats.Records += int64(p.records.n)
 		stats.Rejects += p.rejects
-		stats.Resyncs += p.resyncs
-		stats.SkippedBytes += p.skippedBytes
 		nPaths += p.paths.n
-		if p.err != nil {
-			return nil, stats, p.err
-		}
 	}
 
 	col := &Collection{VPs: vps, Days: 1}
@@ -461,5 +448,5 @@ func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportSta
 	for i := range col.Stable {
 		col.Stable[i] = true
 	}
-	return col, stats, nil
+	return col, stats
 }

@@ -239,7 +239,7 @@ func TestImportMRTMatchesReference(t *testing.T) {
 	w, c := refWorldAndCollection(t)
 	dumps := exportAll(t, w, c)
 
-	got, _, err := ImportMRT(w, readersFor(dumps), ImportOptions{})
+	got, _, err := ImportMRT(w, readersFor(dumps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +259,12 @@ func TestImportMRTDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	dumps := exportAll(t, w, c)
 
 	old := runtime.GOMAXPROCS(1)
-	serial, _, err := ImportMRT(w, readersFor(dumps), ImportOptions{})
+	serial, _, err := ImportMRT(w, readersFor(dumps))
 	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := ImportMRT(w, readersFor(dumps), ImportOptions{})
+	parallel, _, err := ImportMRT(w, readersFor(dumps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestImportMRTOriginZero(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	col, _, err := ImportMRT(w, []io.Reader{bytes.NewReader(buf.Bytes())}, ImportOptions{})
+	col, _, err := ImportMRT(w, []io.Reader{bytes.NewReader(buf.Bytes())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func TestImportForeignPeerAndRepeatedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	col, stats, err := ImportMRT(w, []io.Reader{bytes.NewReader(buf.Bytes())}, ImportOptions{})
+	col, stats, err := ImportMRT(w, []io.Reader{bytes.NewReader(buf.Bytes())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func importViaStreams(t *testing.T, w *topology.World, paths []string) (*Collect
 		files = append(files, f)
 		readers = append(readers, f)
 	}
-	col, stats, err := ImportMRT(w, readers, ImportOptions{})
+	col, stats, err := ImportMRT(w, readers)
 	if err != nil {
 		t.Fatal(err)
 	}

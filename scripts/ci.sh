@@ -69,10 +69,11 @@ echo '--- shard determinism under -race'
 # plane's own seams ride along: dumps written concurrently off one fresh
 # collection equal the golden bytes and the map+sort reference, the import's
 # parallel remap equals the stream import with its stats, rejected entries
-# leave Records exactly sized, and crank's concurrently hashed manifest inputs
+# leave Records exactly sized, a corrupt or truncated stream fails the
+# import under its own name, and crank's concurrently hashed manifest inputs
 # keep path order.
 go test -race -count=1 \
-    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestImportMRTFilesMatchesStreams|TestImportForeignPeerAndRepeatedPrefix|TestImportMRTDegraded|TestExportMRTMatchesReference|TestGoldenMRTBytes|TestAddInputsOrderAndDigests' \
+    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestImportMRTFilesMatchesStreams|TestImportForeignPeerAndRepeatedPrefix|TestImportMRTCorruptRecordFails|TestImportMRTFilesNamesFailingDump|TestExportMRTMatchesReference|TestGoldenMRTBytes|TestAddInputsOrderAndDigests' \
     ./internal/routing ./internal/snapshot ./cmd/crank
 # The ordered fan-out's token and result channels at one proc (inline), two
 # and eight: strict index order and the bounded window however many workers
@@ -135,7 +136,7 @@ cmp "$stab_dir/a.out" "$stab_dir/b.out"
 cmp "$stab_dir/a.out" "$stab_dir/c.out"
 rm -rf "$stab_dir"
 
-echo '--- scale smoke (topogen -shards 8 vs -shards 1 vs one proc -> crank -mrt, complete and partial)'
+echo '--- scale smoke (topogen -shards 8 vs -shards 1 vs one proc -> crank -mrt, complete, damaged and partial)'
 # A medium world generated three times — sharded, sequential, and with the
 # concurrent dump writers confined to one proc: the dump directories must be
 # byte-identical file for file, and crank must rank off them, one decode
@@ -162,6 +163,23 @@ if grep -q 'degraded' "$scale_dir/crank.out"; then
     echo "crank labelled a complete dump directory as degraded" >&2
     exit 1
 fi
+# A dump cut off mid-record fails the import: exit 1, no ranking, and the
+# error names the damaged file. There is no mode that ranks around it.
+cp -r "$scale_dir/mrt" "$scale_dir/mrt-cut"
+cut_dumps=("$scale_dir"/mrt-cut/*.mrt)
+cut="${cut_dumps[1]}"
+truncate -s $(( $(stat -c %s "$cut") / 2 )) "$cut"
+set +e
+"$scale_dir/crank" -scale 0.5 -vpscale 0.5 -mrt "$scale_dir/mrt-cut" \
+    -top 3 AU >"$scale_dir/cut.out" 2>"$scale_dir/cut.err"
+cut_status=$?
+set -e
+if [[ $cut_status -ne 1 ]]; then
+    echo "crank -mrt on a truncated dump exited $cut_status, want 1" >&2
+    exit 1
+fi
+[[ ! -s "$scale_dir/cut.out" ]]
+grep -qF "$cut: mrt: " "$scale_dir/cut.err"
 # A directory missing one collector's dump still ranks, but says so in every
 # ranking name and in the manifest; one dump alone is below quorum and must
 # print no ranking at all.
