@@ -135,7 +135,7 @@ func main() {
 		slog.Error("pipeline failed", "mrt", cfg.mrtDir, "err", err)
 		os.Exit(1)
 	}
-	slog.Info("pipeline ready", "records", p.Col.NumRecords(), "coverage", p.Coverage.String())
+	slog.Info("pipeline ready", "records", p.DS.Stats.Total, "coverage", p.Coverage.String())
 	ofl.Manifest.SetCoverage(p.Coverage.Info())
 	ofl.Manifest.SetDrops(p.DS.Stats.Drops())
 

@@ -74,13 +74,15 @@ func writeArtifacts(p *core.Pipeline, dir string) error {
 	return nil
 }
 
-// env is what an experiment reads: the checked command line, the pipelines
-// and w21, the world p21's collection was generated over, which only the
-// experiments that validate against ground truth read. p23 is built only
-// when a selected experiment asks for it.
+// env is what an experiment reads: the checked command line, the pipelines,
+// and w21 and col21, the world p21's collection was generated over and that
+// collection, which only the experiments that validate against ground truth
+// or re-propagate read. p23 is built only when a selected experiment asks
+// for it.
 type env struct {
 	cfg      config
 	w21      *topology.World
+	col21    *routing.Collection
 	p21, p23 *core.Pipeline
 }
 
@@ -134,7 +136,7 @@ var catalogue = []struct {
 			section("Extension: dependence matrix") +
 			experiments.RunDependenceMatrix(e.p21, nil).Render() +
 			section("Extension: resilience (backup paths)") +
-			experiments.RunResilience(e.p21, e.w21, "JP", 3).Render() +
+			experiments.RunResilience(e.p21, e.w21, e.col21, "JP", 3).Render() +
 			section("Extension: inference validation") +
 			experiments.RunInferenceValidation(e.p21, e.w21).Render()
 	}},
@@ -253,7 +255,7 @@ func main() {
 	ofl.Manifest.SetCoverage(p21.Coverage.Info())
 	ofl.Manifest.SetDrops(p21.DS.Stats.Drops())
 
-	e := &env{cfg: cfg, w21: w21, p21: p21}
+	e := &env{cfg: cfg, w21: w21, col21: col21, p21: p21}
 	for _, x := range catalogue {
 		if len(cfg.only) > 0 && !slices.ContainsFunc(x.names, func(n string) bool { return cfg.only[n] }) {
 			continue

@@ -21,18 +21,18 @@ func partialWorld() (*topology.World, *routing.Collection) {
 	return w, routing.BuildCollection(w, routing.BuildOptions{})
 }
 
-// given is a source handing over in, as NewPipelineFrom's does.
-func given(in Inputs) Source {
-	return func(Options, *obs.Span) (Inputs, error) { return in, nil }
+// given is a source handing over col and in, as NewPipelineFrom's does.
+func given(col *routing.Collection, in Inputs) Source {
+	return func(Options, *obs.Span) (*routing.Collection, Inputs, error) { return col, in, nil }
 }
 
 // runPartial runs the pipeline over an in-hand collection with a stated
 // coverage: what a source that lost vantage points would hand over.
 func runPartial(cov Coverage, opt Options) (*Pipeline, error) {
 	w, col := partialWorld()
-	in := observe(w, col, nil)
+	in := observe(w, nil)
 	in.Coverage = cov
-	return Run(context.Background(), given(in), opt)
+	return Run(context.Background(), given(col, in), opt)
 }
 
 func TestCoverageSemantics(t *testing.T) {

@@ -117,11 +117,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Inputs is everything a pipeline reads: the collection, how complete it is,
-// and stand-ins for what the paper downloads beside it. Ground truth is not
-// here; an experiment validating against it takes the world as an argument.
+// Inputs is what a pipeline reads beside the collection and keeps: how
+// complete the collection is, and stand-ins for what the paper downloads
+// with it. Ground truth is not here; an experiment validating against it
+// takes the world as an argument.
 type Inputs struct {
-	Col      *routing.Collection
 	Coverage Coverage
 	Geo      *geoloc.DB // the address geolocation database
 	VPs      *vp.Set    // vantage points, their collectors and locations
@@ -139,11 +139,13 @@ type Inputs struct {
 	Clique []asn.ASN
 }
 
-// Pipeline holds one fully-processed snapshot.
+// Pipeline holds one fully-processed snapshot. It does not hold the
+// collection: every stage after sanitize reads the Dataset, so the records
+// and paths are garbage once sanitize returns.
 type Pipeline struct {
 	Opt Options
-	// Inputs is what the run read. Rels is what the cone and CTI metrics
-	// label relationships with.
+	// Inputs is what the run read beside the collection. Rels is what the
+	// cone and CTI metrics label relationships with.
 	Inputs
 	DS *sanitize.Dataset
 	// Geo is the announced prefixes geolocated against Inputs.Geo, which it
@@ -182,16 +184,16 @@ type viewKey struct {
 	country countries.Code
 }
 
-// A Source is the pipeline's first stage: it hands Run its Inputs, opening
-// its own spans under sp. Generated and MRTFiles are the two that build a
-// world; NewPipelineFrom takes one in hand.
-type Source func(opt Options, sp *obs.Span) (Inputs, error)
+// A Source is the pipeline's first stage: it hands Run the collection and
+// the Inputs beside it, opening its own spans under sp. Generated and
+// MRTFiles are the two that build a world; NewPipelineFrom takes one in hand.
+type Source func(opt Options, sp *obs.Span) (*routing.Collection, Inputs, error)
 
 // Generated builds the synthetic world for the options and propagates
 // routes over it; its coverage is complete by construction.
-func Generated(opt Options, sp *obs.Span) (Inputs, error) {
+func Generated(opt Options, sp *obs.Span) (*routing.Collection, Inputs, error) {
 	w := buildWorld(opt, sp)
-	return observe(w, routing.BuildCollection(w, opt.Routing), nil), nil
+	return routing.BuildCollection(w, opt.Routing), observe(w, nil), nil
 }
 
 // MRTFiles imports TABLE_DUMP_V2 dumps (topogen's, same seed and scales)
@@ -200,13 +202,13 @@ func Generated(opt Options, sp *obs.Span) (Inputs, error) {
 // dumps at all: 0/e, below any quorum) and a complete directory reads e/e; a
 // corrupt record fails the import, naming its dump.
 func MRTFiles(paths []string) Source {
-	return func(opt Options, sp *obs.Span) (Inputs, error) {
+	return func(opt Options, sp *obs.Span) (*routing.Collection, Inputs, error) {
 		w := buildWorld(opt, sp)
 		col, stats, err := routing.ImportMRTFiles(w, paths, routing.ImportOptions{})
 		if err != nil {
-			return Inputs{}, err
+			return nil, Inputs{}, err
 		}
-		return observe(w, col, &stats), nil
+		return col, observe(w, &stats), nil
 	}
 }
 
@@ -216,17 +218,17 @@ func buildWorld(opt Options, sp *obs.Span) *topology.World {
 	return topology.Build(topology.Config{Seed: opt.Seed, Scenario: opt.Scenario, StubScale: opt.StubScale, VPScale: opt.VPScale, IPv6: opt.IPv6})
 }
 
-// observe is where a generated world becomes pipeline input: col, observed
-// over w, and what of w a researcher could download. imp is the import that
-// read col, whose losses are its coverage; nil means every VP delivered.
-func observe(w *topology.World, col *routing.Collection, imp *routing.ImportStats) Inputs {
+// observe is where a generated world becomes pipeline input: what of w a
+// researcher could download beside a collection observed over it. imp is the
+// import that read the collection, whose losses are its coverage; nil means
+// every VP delivered.
+func observe(w *topology.World, imp *routing.ImportStats) Inputs {
 	cov := Coverage{VPsExpected: w.VPs.Len(), VPsDelivered: w.VPs.Len()}
 	if imp != nil {
 		cov.VPsDelivered = imp.VPsNamed
 		cov.RecordsLost = imp.Rejects
 	}
 	return Inputs{
-		Col:          col,
 		Coverage:     cov,
 		Geo:          w.Geo,
 		VPs:          w.VPs,
@@ -244,7 +246,7 @@ func NewPipeline(opt Options) *Pipeline { return mustRun(Generated, opt) }
 // NewPipelineFrom processes a collection the caller built over w, taken as
 // complete.
 func NewPipelineFrom(w *topology.World, col *routing.Collection, opt Options) *Pipeline {
-	return mustRun(func(Options, *obs.Span) (Inputs, error) { return observe(w, col, nil), nil }, opt)
+	return mustRun(func(Options, *obs.Span) (*routing.Collection, Inputs, error) { return col, observe(w, nil), nil }, opt)
 }
 
 // mustRun runs a source that does no I/O and reports complete coverage,
@@ -262,11 +264,12 @@ func mustRun(src Source, opt Options) *Pipeline {
 // live here and nowhere else. Coverage below Options.Quorum is an error, not
 // a quietly wrong ranking; above it, lost data labels every ranking name. A
 // cancelled ctx stops the run at the next stage boundary with ctx.Err().
+// Sanitize is the collection's last reader, and Run lets go of it there.
 func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
 	opt = opt.withDefaults()
 	sp := obs.StartSpan("pipeline")
 	defer sp.End()
-	in, err := src(opt, sp)
+	col, in, err := src(opt, sp)
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -288,19 +291,20 @@ func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
 		run  func(*obs.Span)
 	}{
 		{"geolocate", false, func(*obs.Span) {
-			p.Geo = geoloc.GeolocatePrefixes(in.Geo, in.Col.AnnouncedPrefixes(), opt.Threshold)
+			p.Geo = geoloc.GeolocatePrefixes(in.Geo, col.AnnouncedPrefixes(), opt.Threshold)
 		}},
 		{"sanitize", false, func(s *obs.Span) {
 			clique := map[asn.ASN]bool{}
 			for _, a := range in.Clique {
 				clique[a] = true
 			}
-			p.DS = sanitize.Run(in.Col, sanitize.Config{
+			p.DS = sanitize.Run(col, sanitize.Config{
 				Clique:       clique,
 				Registry:     in.Registry,
 				RouteServers: in.RouteServers,
 				GeoTable:     p.Geo,
 			})
+			col = nil // the records and paths die with this span
 			s.AddItems(int64(p.DS.Len()), "accepted")
 		}},
 		{"infer-relationships", !opt.InferRelationships, func(*obs.Span) {

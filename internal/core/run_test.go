@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"countryrank/internal/obs"
+	"countryrank/internal/routing"
 )
 
 // stageSpans runs f and returns, in start order, the names of the spans it
@@ -54,7 +57,7 @@ func TestStageOrderPinned(t *testing.T) {
 	}{
 		{"generated", Generated, []string{"topology", "propagate"}},
 		{"MRT files", MRTFiles(paths), []string{"topology", "mrt-import", "/decode", "/merge"}},
-		{"in hand", given(observe(w, col, nil)), nil},
+		{"in hand", given(col, observe(w, nil)), nil},
 	} {
 		if got, want := run(tc.src), append(tc.head, body...); !slices.Equal(got, want) {
 			t.Errorf("%s: stages %v, want %v", tc.name, got, want)
@@ -82,7 +85,7 @@ func TestCancelledRunStops(t *testing.T) {
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
-	src := func(opt Options, sp *obs.Span) (Inputs, error) {
+	src := func(opt Options, sp *obs.Span) (*routing.Collection, Inputs, error) {
 		defer cancel()
 		return Generated(opt, sp)
 	}
@@ -90,4 +93,33 @@ func TestCancelledRunStops(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || slices.Contains(got, "geolocate") {
 		t.Fatalf("cancelled in the source: err %v, stages %v", err, got)
 	}
+}
+
+// TestRunReleasesCollection: sanitize is the collection's last reader, so
+// nothing a finished pipeline holds leads back to the collection its source
+// built. A finalizer set on that collection runs while the pipeline is
+// still alive.
+func TestRunReleasesCollection(t *testing.T) {
+	freed := make(chan struct{})
+	src := func(opt Options, sp *obs.Span) (*routing.Collection, Inputs, error) {
+		col, in, err := Generated(opt, sp)
+		runtime.SetFinalizer(col, func(*routing.Collection) { close(freed) })
+		return col, in, err
+	}
+	p, err := Run(context.Background(), src, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(10 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-freed:
+			done = true
+		case <-deadline:
+			t.Fatal("the collection is still reachable after Run returned")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(p)
 }

@@ -184,9 +184,8 @@ type Figure8 struct {
 // RunFigure8 computes the threshold sweep.
 func RunFigure8(p *core.Pipeline) Figure8 {
 	f := Figure8{Thresholds: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}}
-	announced := p.Col.AnnouncedPrefixes()
 	for _, th := range f.Thresholds {
-		tbl := geoloc.GeolocatePrefixes(p.Inputs.Geo, announced, th)
+		tbl := geoloc.GeolocatePrefixes(p.Inputs.Geo, p.DS.Prefixes, th)
 		pass := map[countries.Code][2]int{} // [passed, total]
 		for _, g := range tbl.ByPrefix {
 			c := g.Country

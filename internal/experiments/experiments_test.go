@@ -13,11 +13,12 @@ import (
 )
 
 // Shared pipelines: experiments only read them, so building once keeps the
-// test package fast. w21 is the world p21's collection was generated over,
-// for the experiments that validate against ground truth.
+// test package fast. w21 is the world p21's collection col21 was generated
+// over, for the experiments that validate against ground truth.
 var (
 	pipeOnce sync.Once
 	w21      *topology.World
+	col21    *routing.Collection
 	p21      *core.Pipeline
 	p23      *core.Pipeline
 )
@@ -27,7 +28,8 @@ func pipelines(t *testing.T) (*core.Pipeline, *core.Pipeline) {
 	pipeOnce.Do(func() {
 		opt := core.Options{Seed: 1, StubScale: 0.4, VPScale: 0.5}
 		w21 = topology.Build(topology.Config{Seed: opt.Seed, StubScale: opt.StubScale, VPScale: opt.VPScale})
-		p21 = core.NewPipelineFrom(w21, routing.BuildCollection(w21, opt.Routing), opt)
+		col21 = routing.BuildCollection(w21, opt.Routing)
+		p21 = core.NewPipelineFrom(w21, col21, opt)
 		p23 = core.NewPipeline(core.Options{
 			Seed: 1, Scenario: topology.Mar2023, StubScale: 0.4, VPScale: 0.5,
 		})

@@ -185,16 +185,17 @@ type Resilience struct {
 }
 
 // RunResilience fails the links between the country's top-AHI transit AS
-// and its customers among the country's top origins, re-propagating over w,
-// the world the pipeline's collection was generated over.
-func RunResilience(p *core.Pipeline, w *topology.World, c countries.Code, maxLinks int) Resilience {
+// and its customers among the country's top origins, re-propagating over w.
+// col is the collection the pipeline was built from, generated over w; the
+// pipeline does not keep it.
+func RunResilience(p *core.Pipeline, w *topology.World, col *routing.Collection, c countries.Code, maxLinks int) Resilience {
 	out := Resilience{Country: c}
 	cr := p.Country(c)
 	// Candidate links: edges from the top-5 AHI ASes to their customers, each
 	// pair once (a ranking lists an AS once, a graph a customer once).
 	for _, e := range cr.AHI.Top(5) {
 		for _, cust := range w.Graph.Customers(e.ASN) {
-			out.Impacts = append(out.Impacts, routing.FailLink(w, p.Col, e.ASN, cust, p.Opt.Routing))
+			out.Impacts = append(out.Impacts, routing.FailLink(w, col, e.ASN, cust, p.Opt.Routing))
 			if len(out.Impacts) >= maxLinks {
 				return out
 			}

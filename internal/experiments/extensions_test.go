@@ -56,7 +56,7 @@ func TestDependenceMatrix(t *testing.T) {
 
 func TestResilience(t *testing.T) {
 	p, _ := pipelines(t)
-	r := RunResilience(p, w21, "JP", 2)
+	r := RunResilience(p, w21, col21, "JP", 2)
 	if len(r.Impacts) == 0 {
 		t.Fatal("no failure impacts")
 	}

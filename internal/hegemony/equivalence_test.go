@@ -396,12 +396,13 @@ func TestPathRunsMatchMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	opt := core.Options{Seed: 5, StubScale: 0.1, VPScale: 0.15}
 	w := topology.Build(topology.Config{Seed: opt.Seed, StubScale: opt.StubScale, VPScale: opt.VPScale})
-	p := core.NewPipelineFrom(w, routing.BuildCollection(w, opt.Routing), opt)
+	col := routing.BuildCollection(w, opt.Routing)
+	p := core.NewPipelineFrom(w, col, opt)
 
 	var streams []io.Reader
 	for _, coll := range p.VPs.Collectors() {
 		var b bytes.Buffer
-		if err := routing.ExportMRT(&b, p.Col, coll.Name, 1617235200); err != nil {
+		if err := routing.ExportMRT(&b, col, coll.Name, 1617235200); err != nil {
 			t.Fatalf("export %s: %v", coll.Name, err)
 		}
 		streams = append(streams, &b)

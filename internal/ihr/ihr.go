@@ -60,7 +60,7 @@ func groupQualifyingOrigins(ds *sanitize.Dataset, ases topology.ASes, country co
 	byOrigin := map[asn.ASN][]int32{}
 	for i := 0; i < ds.Len(); i++ {
 		_, pfxIdx, _ := ds.Record(i)
-		o := ds.Col.Origin[pfxIdx]
+		o := ds.Origin[pfxIdx]
 		byOrigin[o] = append(byOrigin[o], int32(i))
 	}
 	var groups []originGroup

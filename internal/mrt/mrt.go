@@ -309,6 +309,11 @@ func (r *Reader) next(reuse bool) (*Record, error) {
 	return rec, nil
 }
 
+// The shortest encodings of a peer entry (type, BGP ID, IPv4 address and a
+// 2-byte AS) and of a RIB entry (peer index, originated time and attribute
+// length, no attributes): what bounds the entries a body can hold.
+const minPeerLen, minEntryLen = 1 + 4 + 4 + 2, 2 + 4 + 2
+
 func decodePeerIndexTable(b []byte, pit *PeerIndexTable) error {
 	if len(b) < 8 {
 		return errors.New("mrt: truncated PEER_INDEX_TABLE")
@@ -324,7 +329,9 @@ func decodePeerIndexTable(b []byte, pit *PeerIndexTable) error {
 	n := int(binary.BigEndian.Uint16(b[:2]))
 	b = b[2:]
 	if pit.Peers == nil {
-		pit.Peers = make([]Peer, 0, n)
+		// The count is the wire's claim; the body holds at most one peer per
+		// minPeerLen bytes.
+		pit.Peers = make([]Peer, 0, min(n, len(b)/minPeerLen))
 	}
 	for i := 0; i < n; i++ {
 		if len(b) < 5 {
@@ -399,7 +406,7 @@ func decodeRIB(b []byte, v6 bool, rib *RIBRecord, dec *bgp.AttrDecoder) error {
 	n := int(binary.BigEndian.Uint16(b[:2]))
 	b = b[2:]
 	if rib.Entries == nil {
-		rib.Entries = make([]RIBEntry, 0, n)
+		rib.Entries = make([]RIBEntry, 0, min(n, len(b)/minEntryLen))
 	}
 	for i := 0; i < n; i++ {
 		if len(b) < 8 {

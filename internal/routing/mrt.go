@@ -1,11 +1,13 @@
 package routing
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
 	"os"
 	"slices"
+	"sync/atomic"
 
 	"countryrank/internal/asn"
 	"countryrank/internal/bgp"
@@ -210,7 +212,12 @@ type importPrefix struct {
 	originSet bool
 }
 
-func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32) (out importStream) {
+// errStopped ends a stream that a lower-numbered stream's failure made moot.
+var errStopped = errors.New("routing: stopped after an earlier stream failed")
+
+// importOneStream decodes one stream into its partial. It asks stop before
+// every record and ends with errStopped once stop says yes.
+func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, stop func() bool) (out importStream) {
 	cr := &countingReader{r: stream}
 	defer func() { out.bytes = cr.n }()
 	r := mrt.NewReader(cr)
@@ -229,6 +236,10 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32) (out importS
 	var last []memo
 	var flat, arena bgp.Path
 	for {
+		if stop() {
+			out.err = errStopped
+			return out
+		}
 		rec, err := r.Scan()
 		if err == io.EOF {
 			return out
@@ -313,7 +324,7 @@ type ImportStats struct {
 // tracked explicitly so an AS0 origin is preserved rather than overwritten.
 // Stability defaults to true for every prefix (MRT carries a single day).
 // A stream that fails to decode fails the import, and the error names it by
-// index.
+// index; the streams after it stop at their next record.
 func ImportMRT(w *topology.World, streams []io.Reader) (*Collection, ImportStats, error) {
 	return importMRT(w, streams, nil)
 }
@@ -344,9 +355,21 @@ func importMRT(w *topology.World, streams []io.Reader, names []string) (*Collect
 	for i := 0; i < w.VPs.Len(); i++ {
 		byAddr[w.VPs.VP(i).Addr] = int32(i)
 	}
+	// failed is the lowest index of a stream that has failed so far. Only
+	// the lowest failing stream's error is reported, so a stream after it
+	// stops at its next record, or never starts; one before it runs on.
+	var failed atomic.Int64
+	failed.Store(int64(len(streams)))
 	parts := make([]importStream, len(streams))
 	par.ForEach(len(streams), func(si int) {
-		parts[si] = importOneStream(streams[si], byAddr)
+		parts[si] = importOneStream(streams[si], byAddr, func() bool { return failed.Load() < int64(si) })
+		if parts[si].err != nil {
+			for f := failed.Load(); int64(si) < f; f = failed.Load() {
+				if failed.CompareAndSwap(f, int64(si)) {
+					break
+				}
+			}
+		}
 		ds.AddItems(parts[si].bytes, "")
 	})
 	ds.End()

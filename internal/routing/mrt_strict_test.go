@@ -7,8 +7,10 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"countryrank/internal/bgp"
 	"countryrank/internal/mrt"
@@ -116,5 +118,86 @@ func TestImportMRTRejectsBGP4MP(t *testing.T) {
 	_, _, err := ImportMRT(w, []io.Reader{bytes.NewReader(buf.Bytes())})
 	if want := "stream 0: mrt: unsupported record type 16"; err == nil || err.Error() != want {
 		t.Fatalf("import: %v, want %q", err, want)
+	}
+}
+
+// byteCounter counts the bytes read through it. Its first read waits for
+// gate to close, then a little longer: time for the stream that closed it to
+// fail.
+type byteCounter struct {
+	r    io.Reader
+	gate <-chan struct{}
+	n    int
+}
+
+func (c *byteCounter) Read(p []byte) (int, error) {
+	if c.gate != nil {
+		select {
+		case <-c.gate:
+			time.Sleep(10 * time.Millisecond)
+		case <-time.After(5 * time.Second):
+		}
+		c.gate = nil
+	}
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// eofCloser closes done when its reader reports io.EOF.
+type eofCloser struct {
+	r    io.Reader
+	done chan struct{}
+}
+
+func (e *eofCloser) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err == io.EOF && e.done != nil {
+		close(e.done)
+		e.done = nil
+	}
+	return n, err
+}
+
+// TestImportMRTStopsAfterFailingDump truncates the first stream inside its
+// first RIB record and counts what the import reads of the others. With one
+// decode worker they are never read. With two, the other worker starts on
+// the second stream beside the failing one; its reads wait until the first
+// stream has been read to its end, and it stops at its next record, so less
+// than one stream is read in all. The error is the first stream's either way.
+func TestImportMRTStopsAfterFailingDump(t *testing.T) {
+	w := testWorld(t)
+	clean := cleanStreams(t, w, BuildCollection(w, BuildOptions{}))
+	first := 12 + int(binary.BigEndian.Uint32(clean[0][8:])) // the peer index table
+	cut := clean[0][:first+20]
+	largest := 0
+	for _, b := range clean[1:] {
+		largest = max(largest, len(b))
+	}
+	if largest < 1<<14 {
+		t.Fatalf("the largest stream is %d bytes, too few to tell a stop from a buffered read", largest)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		gate := make(chan struct{})
+		streams := []io.Reader{&eofCloser{r: bytes.NewReader(cut), done: gate}}
+		var rest []*byteCounter
+		for _, b := range clean[1:] {
+			c := &byteCounter{r: bytes.NewReader(b), gate: gate}
+			rest = append(rest, c)
+			streams = append(streams, c)
+		}
+		_, _, err := ImportMRT(w, streams)
+		if want := "stream 0: mrt: body: unexpected EOF"; err == nil || err.Error() != want {
+			t.Fatalf("GOMAXPROCS=%d: import: %v, want %q", procs, err, want)
+		}
+		read := 0
+		for _, c := range rest {
+			read += c.n
+		}
+		if procs == 1 && read != 0 || read >= largest {
+			t.Errorf("GOMAXPROCS=%d: read %d bytes of streams 1..%d (the largest is %d bytes)", procs, read, len(rest), largest)
+		}
 	}
 }

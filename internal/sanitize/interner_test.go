@@ -17,8 +17,9 @@ import (
 // over the accepted records, resolve through a duplicate-free ASNOf, and mirror the
 // clean path hop for hop; records sharing a collection path index alias one
 // clean path and one id slice; and the clean path is the pure function of
-// the collection path that clean computes.
-func checkLayout(t *testing.T, ds *Dataset, clean func(bgp.Path) bgp.Path) {
+// the collection path that clean computes. paths are the collection's paths,
+// which the dataset does not keep.
+func checkLayout(t *testing.T, ds *Dataset, paths []bgp.Path, clean func(bgp.Path) bgp.Path) {
 	t.Helper()
 	if ds.Len() == 0 || ds.NumAS() == 0 {
 		t.Fatal("empty dataset")
@@ -30,8 +31,8 @@ func checkLayout(t *testing.T, ds *Dataset, clean func(bgp.Path) bgp.Path) {
 		}
 		idOf[a] = id
 	}
-	if ds.NumPaths() != len(ds.Col.Paths) {
-		t.Fatalf("NumPaths = %d, collection has %d paths", ds.NumPaths(), len(ds.Col.Paths))
+	if ds.NumPaths() != len(paths) {
+		t.Fatalf("NumPaths = %d, collection has %d paths", ds.NumPaths(), len(paths))
 	}
 
 	next := int32(0)            // first-appearance order: ids never skip ahead
@@ -48,7 +49,7 @@ func checkLayout(t *testing.T, ds *Dataset, clean func(bgp.Path) bgp.Path) {
 		if int(q) < 0 || int(q) >= ds.NumPaths() {
 			t.Fatalf("record %d: path index %d out of range", i, q)
 		}
-		if want := clean(ds.Col.Paths[q]); !path.Equal(want) {
+		if want := clean(paths[q]); !path.Equal(want) {
 			t.Fatalf("record %d: clean path %v, want %v", i, path, want)
 		}
 		if !path.Equal(ds.CleanPath(int(q))) {
@@ -122,11 +123,11 @@ func TestInternerInvariants(t *testing.T) {
 	judged := func(p bgp.Path) bgp.Path { return judgePath(p, cfg).clean }
 	asIs := func(p bgp.Path) bgp.Path { return p }
 
-	t.Run("Run", func(t *testing.T) { checkLayout(t, Run(col, cfg), judged) })
+	t.Run("Run", func(t *testing.T) { checkLayout(t, Run(col, cfg), col.Paths, judged) })
 
 	t.Run("NewDataset", func(t *testing.T) {
 		ran := Run(col, cfg)
-		checkLayout(t, NewDataset(col, ran.VPCountry, ran.PrefixCountry), asIs)
+		checkLayout(t, NewDataset(col, ran.VPCountry, ran.PrefixCountry), col.Paths, asIs)
 	})
 
 	streams := exportStreams(t, w, col)
@@ -135,7 +136,7 @@ func TestInternerInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkLayout(t, Run(imported, cfg), judged)
+		checkLayout(t, Run(imported, cfg), imported.Paths, judged)
 	})
 
 	// The collection the MRT source hands Run from a strict but partial
@@ -157,6 +158,6 @@ func TestInternerInvariants(t *testing.T) {
 		if stats.Rejects == 0 || partial.NumRecords() >= col.NumRecords() {
 			t.Fatal("the foreign peer lost nothing")
 		}
-		checkLayout(t, Run(partial, cfg), judged)
+		checkLayout(t, Run(partial, cfg), partial.Paths, judged)
 	})
 }

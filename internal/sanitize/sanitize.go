@@ -138,9 +138,14 @@ type Config struct {
 
 // Dataset is the sanitized view of a collection: the accepted records with
 // cleaned paths and resolved countries, plus the Table 1 accounting. It is
-// the input to every ranking metric.
+// the input to every ranking metric. It keeps the collection's prefix table
+// and no more: the records and paths it was built from are not reachable
+// through it.
 type Dataset struct {
-	Col *routing.Collection
+	// Prefixes and Origin are the collection's prefix table: Prefixes[p] is
+	// prefix p, announced by Origin[p].
+	Prefixes []netip.Prefix
+	Origin   []asn.ASN
 	// recVP / recPrefix / recPath are the accepted records' VP, prefix and
 	// collection-path columns in canonical record order. The three share
 	// one allocation, each capped at the accepted count.
@@ -167,7 +172,7 @@ type Dataset struct {
 	// pathOff[q]:pathOff[q+1] bounds path q's clean form (after route-server
 	// removal and prepend collapsing) in cleanHops and, hop for hop, its
 	// dense ids in idHops. A path no accepted record uses has an empty range.
-	// The clean form is a pure function of (Col.Paths[q], Config), so
+	// The clean form is a pure function of (collection path q, Config), so
 	// anything derived from it alone can be computed once per path index (see
 	// PathIndex).
 	pathOff   []int32
@@ -181,7 +186,8 @@ type Dataset struct {
 // prefixCountry must be indexed like the collection's VPs and prefixes.
 func NewDataset(col *routing.Collection, vpCountry, prefixCountry []countries.Code) *Dataset {
 	ds := &Dataset{
-		Col:           col,
+		Prefixes:      col.Prefixes,
+		Origin:        col.Origin,
 		VPCountry:     vpCountry,
 		PrefixCountry: prefixCountry,
 		Weight:        make([]uint64, len(col.Prefixes)),
@@ -189,7 +195,7 @@ func NewDataset(col *routing.Collection, vpCountry, prefixCountry []countries.Co
 	for p, pfx := range col.Prefixes {
 		ds.Weight[p] = netx.AddressWeight(pfx)
 	}
-	ds.fill(verdicts{ // all zero: Accepted
+	ds.fill(col, verdicts{ // all zero: Accepted
 		byPrefix: make([]Reason, len(col.Prefixes)),
 		byPath:   make([]Reason, len(col.Paths)),
 		byVP:     make([]Reason, len(vpCountry)),
@@ -218,7 +224,8 @@ func (v verdicts) of(r routing.Record) Reason {
 // Run sanitizes the collection.
 func Run(col *routing.Collection, cfg Config) *Dataset {
 	ds := &Dataset{
-		Col:           col,
+		Prefixes:      col.Prefixes,
+		Origin:        col.Origin,
 		VPCountry:     make([]countries.Code, col.VPs.Len()),
 		PrefixCountry: make([]countries.Code, len(col.Prefixes)),
 		Weight:        make([]uint64, len(col.Prefixes)),
@@ -250,15 +257,15 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 		}
 	}
 
-	ds.fill(v, newJudge(cfg))
+	ds.fill(col, v, newJudge(cfg))
 	mRecords.Add(int64(ds.Stats.Total))
 	mAccepted.Add(int64(ds.Stats.Counts[Accepted]))
 	return ds
 }
 
-// fill reads the collection's records twice and its paths once. A pre-pass
-// marks the paths some record with a clean prefix and a clean VP names — the
-// only ones whose clean form anything can read — and bounds the accepted
+// fill reads col's records twice and its paths once. A pre-pass marks the
+// paths some record with a clean prefix and a clean VP names — the only ones
+// whose clean form anything can read — and bounds the accepted
 // count and the arena. Each collection path is then judged once (j nil:
 // accepted as it is), however many records it backs, and a marked path's
 // clean form appended to the arena while the judge still holds it; a
@@ -269,8 +276,8 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 // collection; a path index met again contributes no new ASN, so resolving
 // each path only at its first record gives the ids resolving every record
 // would.
-func (d *Dataset) fill(v verdicts, j *judge) {
-	recs, paths := d.Col.Records, d.Col.Paths
+func (d *Dataset) fill(col *routing.Collection, v verdicts, j *judge) {
+	recs, paths := col.Records, col.Paths
 	pending := make([]bool, len(paths)) // marked, ids not yet resolved
 	bound, hops := 0, 0
 	for _, r := range recs {
@@ -398,7 +405,7 @@ func (d *Dataset) DistinctPaths() []bgp.Path {
 
 // PrefixOf returns the prefix of accepted record i.
 func (d *Dataset) PrefixOf(i int) netip.Prefix {
-	return d.Col.Prefixes[d.recPrefix[i]]
+	return d.Prefixes[d.recPrefix[i]]
 }
 
 // CountriesWithPrefixes returns every country that has at least one

@@ -15,6 +15,8 @@ import (
 
 	"countryrank/internal/core"
 	"countryrank/internal/obs"
+	"countryrank/internal/routing"
+	"countryrank/internal/topology"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -274,7 +276,9 @@ func TestSupervisorAbandonsHungBuild(t *testing.T) {
 // beside the retry, when the retry begins.
 func TestSupervisorTimedOutBuildStops(t *testing.T) {
 	opt := core.Options{Seed: 3, StubScale: 0.15, VPScale: 0.2}
-	held := core.NewPipeline(opt)
+	w := topology.Build(topology.Config{Seed: opt.Seed, StubScale: opt.StubScale, VPScale: opt.VPScale})
+	col := routing.BuildCollection(w, opt.Routing)
+	held := core.NewPipelineFrom(w, col, opt)
 
 	var mu sync.Mutex
 	var stages []string
@@ -293,9 +297,9 @@ func TestSupervisorTimedOutBuildStops(t *testing.T) {
 	cfg.Build = func(ctx context.Context, epoch int64) (*Snapshot, error) {
 		if attempts.Add(1) == 1 {
 			// The source outlasts the timeout; every stage after it is ahead.
-			slow := func(core.Options, *obs.Span) (core.Inputs, error) {
+			slow := func(core.Options, *obs.Span) (*routing.Collection, core.Inputs, error) {
 				<-ctx.Done()
-				return held.Inputs, nil
+				return col, held.Inputs, nil
 			}
 			_, err := core.Run(ctx, slow, opt)
 			first <- err

@@ -20,13 +20,14 @@ import (
 )
 
 // A workRow is one span of the ledger's measured pass: its path in the span
-// tree, the items it reported, and the objects and bytes the heap handed out
-// between its start and its end.
+// tree, the items it reported, the objects and bytes the heap handed out
+// between its start and its end, and the heap still live at its end.
 type workRow struct {
 	path           string
 	items          int64
 	unit           string
 	objects, bytes int64
+	live           int64
 	parent         int // row index, -1 for a root
 }
 
@@ -38,10 +39,15 @@ const workGolden = "testdata/work.txt"
 func objectBand(n int64) int64 { return max(n*2/100, 16) }
 func byteBand(n int64) int64   { return n / 100 }
 
+// liveBand is the live column's: a forced collection leaves the same heap to
+// within a few KiB.
+func liveBand(n int64) int64 { return max(n/100, 256<<10) }
+
 // TestWorkLedger is the host-independent half of every performance claim:
 // for each span the pipeline, the snapshot build, two stability sweeps and
-// an MRT import open, the items it reports and the objects and bytes it
-// allocates, at GOMAXPROCS=1 where all of them are deterministic. It renders
+// an MRT import open, the items it reports, the objects and bytes it
+// allocates and the heap live once it ends, at GOMAXPROCS=1 where all of
+// them are deterministic. It renders
 // testdata/work.txt (UPDATE_GOLDEN=1 rewrites it), requires items and units
 // to match it exactly and allocations to stay within their bands, and
 // requires the ledger to be additive: no span's children allocate more than
@@ -52,7 +58,9 @@ func TestWorkLedger(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
-	var dumps []string
+	// The dumps come from a collection of their own: the pipeline keeps none.
+	world := topology.Build(topology.Config{Seed: 1, StubScale: 0.5, VPScale: 0.5})
+	dumps := writeDumps(t, routing.BuildCollection(world, routing.BuildOptions{}))
 	pass := func() {
 		p, err := core.Run(context.Background(), core.Generated, core.Options{Seed: 1, StubScale: 0.5, VPScale: 0.5})
 		if err != nil {
@@ -62,16 +70,21 @@ func TestWorkLedger(t *testing.T) {
 		for _, m := range []core.Metric{core.CCI, core.AHI} {
 			p.Stability(m, "AU", []int{2, 4}, 100, 7)
 		}
-		if dumps == nil {
-			dumps = writeDumps(t, p.Col)
-		}
 		if _, _, err := routing.ImportMRTFiles(&topology.World{VPs: p.VPs}, dumps, routing.ImportOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pass() // warm: pools, lazily built tables and the dumps are not the pass's
+	pass() // warm: pools and lazily built tables are not the pass's
 	runtime.GC()
-	rows := measureSpans(pass)
+	rows := measureSpans(pass, false)
+	// A second pass reads the live heap: its forced collections empty the
+	// pools the first pass's spans reuse, which would show as allocations.
+	for i, r := range measureSpans(pass, true) {
+		if i >= len(rows) || r.path != rows[i].path {
+			t.Fatalf("the live pass opened %s as span %d, the measured pass did not", r.path, i)
+		}
+		rows[i].live = r.live
+	}
 	got := renderLedger(rows)
 
 	if os.Getenv("UPDATE_GOLDEN") != "" {
@@ -111,6 +124,9 @@ func TestWorkLedger(t *testing.T) {
 		if d := g.bytes - w.bytes; d > byteBand(w.bytes) || -d > byteBand(w.bytes) {
 			t.Errorf("%s: %d bytes, want %d ± %d", g.path, g.bytes, w.bytes, byteBand(w.bytes))
 		}
+		if d := g.live - w.live; d > liveBand(w.live) || -d > liveBand(w.live) {
+			t.Errorf("%s: %d bytes live, want %d ± %d", g.path, g.live, w.live, liveBand(w.live))
+		}
 	}
 	for _, w := range want {
 		if _, ok := wantOf[w.path]; ok {
@@ -133,8 +149,9 @@ func TestWorkLedger(t *testing.T) {
 // measureSpans runs f with the default trace's hooks reading the heap's
 // counters as every span opens and closes, and returns one row per span f
 // opened, in start order. A span's row includes the spans it contains;
-// childSums gives their share.
-func measureSpans(f func()) []workRow {
+// childSums gives their share. With live, the hook also forces a collection
+// as a span closes and reads what survived it; production spans have no hook.
+func measureSpans(f func(), live bool) []workRow {
 	var rows []workRow
 	var open []int // the newest row at each depth
 	rowOf := map[*obs.Span]int{}
@@ -159,6 +176,11 @@ func measureSpans(f func()) []workRow {
 			rows[i].objects += int64(ms.Mallocs)
 			rows[i].bytes += int64(ms.TotalAlloc)
 			rows[i].items, rows[i].unit = s.Items()
+			if live {
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				rows[i].live = int64(ms.HeapAlloc)
+			}
 		}
 	}
 	defer func() { tr.OnStart, tr.OnEnd = nil, nil }()
@@ -184,18 +206,20 @@ const ledgerHeader = `# Work ledger: what each span of one pass hands the heap, 
 # Stability of CCI and AHI in AU over {2, 4} VPs × 100 trials, and
 # ImportMRTFiles of the world's dumps. items and unit are exact; objects hold
 # to ±max(2 %, 16) and bytes to ±1 %. self is the span minus its children.
+# live is the heap after a runtime.GC() at the span's end, to ±max(1 %, 256 KiB):
+# what the process still holds, where the other columns count what it handed out.
 `
 
 // renderLedger formats the rows, one per line: the span's path, then items,
-// unit ("-" for none), objects, bytes, self objects and self bytes.
+// unit ("-" for none), objects, bytes, self objects, self bytes and live.
 func renderLedger(rows []workRow) string {
 	var b strings.Builder
 	b.WriteString(ledgerHeader)
-	fmt.Fprintf(&b, "#\n# %-22s %9s %-9s %8s %11s %8s %11s\n", "span", "items", "unit", "objects", "bytes", "self", "self bytes")
+	fmt.Fprintf(&b, "#\n# %-22s %9s %-9s %8s %11s %8s %11s %10s\n", "span", "items", "unit", "objects", "bytes", "self", "self bytes", "live")
 	for i, r := range rows {
 		objs, nbytes := childSums(rows, i)
-		fmt.Fprintf(&b, "%-24s %9d %-9s %8d %11d %8d %11d\n",
-			r.path, r.items, cmp.Or(r.unit, "-"), r.objects, r.bytes, r.objects-objs, r.bytes-nbytes)
+		fmt.Fprintf(&b, "%-24s %9d %-9s %8d %11d %8d %11d %10d\n",
+			r.path, r.items, cmp.Or(r.unit, "-"), r.objects, r.bytes, r.objects-objs, r.bytes-nbytes, r.live)
 	}
 	return b.String()
 }
@@ -209,10 +233,10 @@ func parseLedger(text string) ([]workRow, error) {
 			continue
 		}
 		f := strings.Fields(line)
-		if len(f) < 7 {
+		if len(f) < 8 {
 			return nil, fmt.Errorf("short row %q", line)
 		}
-		f, nums := f[:len(f)-6], f[len(f)-6:]
+		f, nums := f[:len(f)-7], f[len(f)-7:]
 		r := workRow{path: strings.Join(f, " "), unit: nums[1]}
 		if r.unit == "-" {
 			r.unit = ""
@@ -221,7 +245,7 @@ func parseLedger(text string) ([]workRow, error) {
 		for _, v := range []struct {
 			dst *int64
 			s   string
-		}{{&r.items, nums[0]}, {&r.objects, nums[2]}, {&r.bytes, nums[3]}} {
+		}{{&r.items, nums[0]}, {&r.objects, nums[2]}, {&r.bytes, nums[3]}, {&r.live, nums[6]}} {
 			if *v.dst, err = strconv.ParseInt(v.s, 10, 64); err != nil {
 				return nil, fmt.Errorf("row %q: %v", line, err)
 			}

@@ -70,10 +70,11 @@ echo '--- shard determinism under -race'
 # collection equal the golden bytes and the map+sort reference, the import's
 # parallel remap equals the stream import with its stats, rejected entries
 # leave Records exactly sized, a corrupt or truncated stream fails the
-# import under its own name, and crank's concurrently hashed manifest inputs
-# keep path order.
+# import under its own name, the streams after a failed one stop (the decode
+# workers share the lowest failed index), and crank's concurrently hashed
+# manifest inputs keep path order.
 go test -race -count=1 \
-    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestImportMRTFilesMatchesStreams|TestImportForeignPeerAndRepeatedPrefix|TestImportMRTCorruptRecordFails|TestImportMRTFilesNamesFailingDump|TestExportMRTMatchesReference|TestGoldenMRTBytes|TestAddInputsOrderAndDigests' \
+    -run 'TestShardedBuildDeterministic|TestPropagateFrontierOrderFree|TestPathNumberingEqualsHashConsing|TestImportMRTFilesMatchesStreams|TestImportForeignPeerAndRepeatedPrefix|TestImportMRTCorruptRecordFails|TestImportMRTFilesNamesFailingDump|TestImportMRTStopsAfterFailingDump|TestExportMRTMatchesReference|TestGoldenMRTBytes|TestAddInputsOrderAndDigests' \
     ./internal/routing ./internal/snapshot ./cmd/crank
 # The ordered fan-out's token and result channels at one proc (inline), two
 # and eight: strict index order and the bounded window however many workers
@@ -95,9 +96,10 @@ go test -race -count=1 -cpu 1,2,8 ./internal/par
 # passes equal their per-record reference. A trial's generator and
 # permutation are pooled too: the pooled draw equals rand.Perm, the kernels'
 # Each streamed into the top-k window equals the sorted map, and the
-# scanning list measures equal their map references.
+# scanning list measures equal their map references. A finished pipeline
+# holds nothing that leads back to its collection.
 go test -race -count=1 \
-    -run 'TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestPathRunsMatchMapReference|TestDenseMatchesMapReference|TestRecordOrderNeverMatters|TestInternerInvariants|TestJudgeMatchesReference|TestJudgeLookupsCreateNoPages|TestRunMatchesPerRecordReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs|TestTrialDrawMatchesRandPerm|TestWindowMatchesSortedReference|TestStabilityDeterministic|TestScansMatchMapReferences' \
+    -run 'TestRunReleasesCollection|TestKernelMatchesMapReference|TestWitnessesAddressesMatchComputeFrom|TestPerVPScoresMatchCompute|TestPathRunsMatchMapReference|TestDenseMatchesMapReference|TestRecordOrderNeverMatters|TestInternerInvariants|TestJudgeMatchesReference|TestJudgeLookupsCreateNoPages|TestRunMatchesPerRecordReference|TestCTILazyDepthsConcurrent|TestGoldenPipelineOutputs|TestTrialDrawMatchesRandPerm|TestWindowMatchesSortedReference|TestStabilityDeterministic|TestScansMatchMapReferences' \
     ./internal/cone ./internal/hegemony ./internal/cti ./internal/sanitize ./internal/core ./internal/snapshot ./internal/ndcg
 # Beside the golden, the one published form: a generation file holds rank
 # vectors only and loads back serving the built bytes; vectors forged under
