@@ -55,6 +55,7 @@ func BenchmarkPipelineBuild(b *testing.B) {
 // BenchmarkPropagation measures valley-free route propagation alone.
 func BenchmarkPropagation(b *testing.B) {
 	w := topology.Build(topology.Config{Seed: 1, StubScale: 0.3, VPScale: 0.3})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		routing.BuildCollection(w, routing.BuildOptions{})
@@ -65,6 +66,7 @@ func BenchmarkPropagation(b *testing.B) {
 // single-threaded baseline the sharded numbers are compared against.
 func BenchmarkPropagationSequential(b *testing.B) {
 	w := topology.Build(topology.Config{Seed: 1, StubScale: 0.3, VPScale: 0.3})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		routing.BuildCollection(w, routing.BuildOptions{Shards: 1})
@@ -76,6 +78,7 @@ func BenchmarkPropagationSequential(b *testing.B) {
 // sharding overhead floor; with more cores it shows the speedup.
 func BenchmarkPropagationSharded(b *testing.B) {
 	w := topology.Build(topology.Config{Seed: 1, StubScale: 0.3, VPScale: 0.3})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		routing.BuildCollection(w, routing.BuildOptions{})
@@ -407,6 +410,7 @@ func BenchmarkMRTImportFiles(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.SetBytes(mrtDumpBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

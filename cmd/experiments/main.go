@@ -77,8 +77,8 @@ func writeArtifacts(p *core.Pipeline, dir string) error {
 // env is what an experiment reads: the checked command line, the pipelines,
 // and w21 and col21, the world p21's collection was generated over and that
 // collection, which only the experiments that validate against ground truth
-// or re-propagate read. p23 is built only when a selected experiment asks
-// for it.
+// or re-propagate read. col21 is set only when extensions, its one reader,
+// is selected, and p23 only when a selected experiment asks for it.
 type env struct {
 	cfg      config
 	w21      *topology.World
@@ -255,9 +255,15 @@ func main() {
 	ofl.Manifest.SetCoverage(p21.Coverage.Info())
 	ofl.Manifest.SetDrops(p21.DS.Stats.Drops())
 
-	e := &env{cfg: cfg, w21: w21, col21: col21, p21: p21}
+	selected := func(names []string) bool {
+		return len(cfg.only) == 0 || slices.ContainsFunc(names, func(n string) bool { return cfg.only[n] })
+	}
+	e := &env{cfg: cfg, w21: w21, p21: p21}
+	if selected([]string{"extensions"}) {
+		e.col21 = col21 // otherwise nothing reads it, and it dies here
+	}
 	for _, x := range catalogue {
-		if len(cfg.only) > 0 && !slices.ContainsFunc(x.names, func(n string) bool { return cfg.only[n] }) {
+		if !selected(x.names) {
 			continue
 		}
 		if x.mar23 && e.p23 == nil {

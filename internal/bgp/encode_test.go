@@ -21,6 +21,3 @@ func seq(p Path) ASPath {
 	}
 	return ASPath{{Type: SegmentSequence, ASNs: p}}
 }
-
-// PathAt returns the interned path with index i.
-func (it *Interner) PathAt(i int32) Path { return it.paths[i] }

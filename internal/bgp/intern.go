@@ -1,36 +1,50 @@
 package bgp
 
-// Interner hash-conses AS paths: equal paths map to one index and share a
-// single backing array. Collection assembly and MRT import both run it over
-// their record streams, so the millions of duplicate paths observed across
-// prefixes collapse to one allocation each. The index is an open-addressing
-// table hashed directly over the ASNs — no per-lookup key rendering, no
-// retained key strings, and deterministic iteration because identity lives
-// in the paths slice, not the table. Not safe for concurrent use; parallel
-// importers collect locally and intern during the merge.
+import "countryrank/internal/asn"
+
+// Interner hash-conses AS paths: equal paths map to one number and one
+// copy of their hops. MRT import runs it over its record streams, so the
+// millions of duplicate paths observed across prefixes collapse to one copy
+// each. The copies sit back to back in one pointer-free arena, the layout a
+// Collection keeps, so the arena can be handed over whole. The index is an
+// open-addressing table hashed directly over the ASNs — no per-lookup key
+// rendering, no retained key strings, and deterministic iteration because
+// identity lives in the arena's order, not the table. Not safe for
+// concurrent use; parallel importers collect locally and intern during the
+// merge.
 type Interner struct {
-	table []int32 // 1-based indexes into paths; 0 marks an empty slot
-	paths []Path
+	table []int32 // 1-based path numbers; 0 marks an empty slot
+	hops  []asn.ASN
+	off   []int32 // path i is hops[off[i]:off[i+1]]
 }
 
-// NewInterner returns an empty interner sized for at least n distinct paths.
-func NewInterner(n int) *Interner {
+// NewInterner returns an empty interner sized for at least n distinct paths
+// of h hops in all.
+func NewInterner(n, h int) *Interner {
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	return &Interner{table: make([]int32, size), paths: make([]Path, 0, n)}
+	return &Interner{
+		table: make([]int32, size),
+		hops:  make([]asn.ASN, 0, h),
+		off:   append(make([]int32, 0, n+1), 0),
+	}
 }
 
-// InternOwned returns the index of p, a path the caller hands over: on
-// first sight the table keeps p itself, so freshly built paths are interned
-// with zero extra allocation. The caller must not mutate p after.
-func (it *Interner) InternOwned(p Path) int32 {
+// Intern returns the number of p, copying p into the arena on first sight;
+// the caller keeps p.
+func (it *Interner) Intern(p Path) int32 {
 	slot, i, ok := it.find(p)
 	if ok {
 		return i
 	}
 	return it.insert(slot, p)
+}
+
+// path returns interned path i, aliasing the arena.
+func (it *Interner) path(i int32) Path {
+	return Path(it.hops[it.off[i]:it.off[i+1]])
 }
 
 func hashPath(p Path) uint64 {
@@ -55,7 +69,7 @@ func (it *Interner) find(p Path) (slot int, id int32, ok bool) {
 		if v == 0 {
 			return int(i), 0, false
 		}
-		if it.paths[v-1].Equal(p) {
+		if it.path(v - 1).Equal(p) {
 			return int(i), v - 1, true
 		}
 		i = (i + 1) & mask
@@ -63,10 +77,11 @@ func (it *Interner) find(p Path) (slot int, id int32, ok bool) {
 }
 
 func (it *Interner) insert(slot int, p Path) int32 {
-	i := int32(len(it.paths))
-	it.paths = append(it.paths, p)
+	i := int32(len(it.off) - 1)
+	it.hops = append(it.hops, p...)
+	it.off = append(it.off, int32(len(it.hops)))
 	it.table[slot] = i + 1
-	if 4*len(it.paths) >= 3*len(it.table) {
+	if 4*int(i+1) >= 3*len(it.table) {
 		it.grow()
 	}
 	return i
@@ -79,7 +94,7 @@ func (it *Interner) grow() {
 		if v == 0 {
 			continue
 		}
-		i := hashPath(it.paths[v-1]) & mask
+		i := hashPath(it.path(v-1)) & mask
 		for next[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -88,13 +103,12 @@ func (it *Interner) grow() {
 	it.table = next
 }
 
-// Paths releases the table's path slice, indexed by the values InternOwned
-// returned. The interner must not be used after.
-func (it *Interner) Paths() []Path {
-	out := it.paths
-	it.paths = nil
-	it.table = nil
-	return out
+// Arena releases the interned paths: path i, numbered as Intern returned
+// it, is hops[off[i]:off[i+1]]. The interner must not be used after.
+func (it *Interner) Arena() (hops []asn.ASN, off []int32) {
+	hops, off = it.hops, it.off
+	*it = Interner{}
+	return hops, off
 }
 
 // appendPathKey appends the big-endian byte rendering of p, the comparable

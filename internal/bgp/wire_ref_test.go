@@ -138,31 +138,47 @@ func TestAttrDecoderMatchesUnmarshal(t *testing.T) {
 }
 
 func TestInterner(t *testing.T) {
-	it := NewInterner(4)
+	it := NewInterner(4, 0)
 	p1 := Path{3356, 1299, 64500}
 	p2 := Path{3356, 1299, 64501}
-	i1 := it.InternOwned(p1)
-	i2 := it.InternOwned(p2)
+	i1 := it.Intern(p1)
+	i2 := it.Intern(p2)
 	if i1 == i2 {
 		t.Fatal("distinct paths interned to one index")
 	}
-	if got := it.InternOwned(append(Path(nil), p1...)); got != i1 {
+	if got := it.Intern(append(Path(nil), p1...)); got != i1 {
 		t.Fatalf("equal path re-interned: %d vs %d", got, i1)
 	}
-	// InternOwned adopts the slice itself.
-	owned := Path{7, 8}
-	i3 := it.InternOwned(owned)
-	if &it.PathAt(i3)[0] != &owned[0] {
-		t.Fatal("InternOwned copied instead of adopting")
+	// Intern copies: the caller may overwrite its slice afterwards.
+	mine := Path{7, 8}
+	i3 := it.Intern(mine)
+	mine[0], mine[1] = 9, 9
+	if got := it.path(i3); !got.Equal(Path{7, 8}) {
+		t.Fatalf("interned path changed with the caller's slice: %v", got)
+	}
+	if got := it.Intern(Path{7, 8}); got != i3 {
+		t.Fatalf("path re-interned after the caller's overwrite: %d vs %d", got, i3)
 	}
 	// Empty and nil paths intern to the same entry.
-	e1 := it.InternOwned(Path{})
-	e2 := it.InternOwned(nil)
+	e1 := it.Intern(Path{})
+	e2 := it.Intern(nil)
 	if e1 != e2 {
 		t.Fatalf("empty-path indexes differ: %d vs %d", e1, e2)
 	}
-	paths := it.Paths()
-	if len(paths) != 4 || !paths[i1].Equal(p1) || !paths[i2].Equal(p2) {
-		t.Fatalf("Paths() = %v", paths)
+	// Enough paths to grow the table past its first size keep their
+	// numbers.
+	var more []int32
+	for a := range asn.ASN(100) {
+		more = append(more, it.Intern(Path{a, a + 1, 65000}))
+	}
+	for a := range asn.ASN(100) {
+		if got := it.Intern(Path{a, a + 1, 65000}); got != more[a] {
+			t.Fatalf("after growth, path %d re-interned as %d, want %d", a, got, more[a])
+		}
+	}
+	hops, off := it.Arena()
+	at := func(i int32) Path { return Path(hops[off[i]:off[i+1]]) }
+	if len(off) != 5+100 || !at(i1).Equal(p1) || !at(i2).Equal(p2) || !at(i3).Equal(Path{7, 8}) || len(at(e1)) != 0 {
+		t.Fatalf("Arena() = %v, %v", hops, off)
 	}
 }

@@ -47,9 +47,8 @@ func Dataset(vpCountries []countries.Code, recs []Rec) *sanitize.Dataset {
 		path := toPath(r.Path)
 		qi, ok := pathIdx[path.Key()]
 		if !ok {
-			qi = int32(len(col.Paths))
+			qi = col.AppendPath(path)
 			pathIdx[path.Key()] = qi
-			col.Paths = append(col.Paths, path)
 		}
 		col.Records = append(col.Records, routing.Record{VP: int32(r.VP), Prefix: pi, Path: qi})
 	}

@@ -1,6 +1,7 @@
 package mrt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"testing"
@@ -103,31 +104,41 @@ func decodeBody(b []byte, rib, v6 bool) error {
 	return decodePeerIndexTable(b, &PeerIndexTable{})
 }
 
-// TestCountsDoNotSizeAllocations: an entry count is the wire's claim, so a
-// body that claims 65,535 entries and holds none fails as it always did,
-// without first allocating room for them.
+// TestCountsDoNotSizeAllocations: a count or a length is the wire's claim,
+// so a body that claims 65,535 entries and holds none, or a 12-byte stream
+// whose header claims a body of 1<<26 bytes, fails as it always did without
+// first allocating room for what it claims.
 func TestCountsDoNotSizeAllocations(t *testing.T) {
+	var lying [recordHeaderLen]byte
+	binary.BigEndian.PutUint16(lying[4:], TypeTableDumpV2)
+	binary.BigEndian.PutUint16(lying[6:], SubtypeRIBIPv4Unicast)
+	binary.BigEndian.PutUint32(lying[8:], 1<<26)
 	for _, tc := range []struct {
-		name string
-		body []byte
-		rib  bool
-		err  string
+		name  string
+		run   func() error
+		err   string
+		limit uint64 // bytes a run may allocate
 	}{
-		{"RIB entries", ribBody(0, nil, 0xffff), true, "mrt: truncated RIB entry"},
-		{"peers", pitBody("", 0xffff), false, "mrt: truncated peer entry"},
+		{"RIB entries", func() error { return decodeBody(ribBody(0, nil, 0xffff), true, false) }, "mrt: truncated RIB entry", 1 << 10},
+		{"peers", func() error { return decodeBody(pitBody("", 0xffff), false, false) }, "mrt: truncated peer entry", 1 << 10},
+		// The reader's own buffers count here, so the bound is looser.
+		{"record length", func() error {
+			_, err := NewReader(bytes.NewReader(lying[:])).Scan()
+			return err
+		}, "mrt: body: EOF", 1 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const runs = 100
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for range runs {
-				if err := decodeBody(tc.body, tc.rib, false); err == nil || err.Error() != tc.err {
-					t.Fatalf("decode of %d bytes: %v, want %q", len(tc.body), err, tc.err)
+				if err := tc.run(); err == nil || err.Error() != tc.err {
+					t.Fatalf("%v, want %q", err, tc.err)
 				}
 			}
 			runtime.ReadMemStats(&after)
-			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<10 {
-				t.Errorf("%d bytes allocated per decode of %d bytes, want under 1 KiB", per, len(tc.body))
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= tc.limit {
+				t.Errorf("%d bytes allocated per run, want under %d", per, tc.limit)
 			}
 		})
 	}

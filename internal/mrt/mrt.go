@@ -234,6 +234,36 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 // whatever they keep.
 func (r *Reader) Scan() (*Record, error) { return r.next(true) }
 
+// readBody reads a body of n bytes into the reused buffer. n is the
+// header's claim, not what the stream holds, so a buffer too small for it
+// grows as bytes arrive, doubling from minBodyChunk: a stream that lies
+// about its length costs at most twice what it holds. Like io.ReadFull it
+// returns io.EOF if the stream ends before the body's first byte and
+// io.ErrUnexpectedEOF if it ends inside the body.
+func (r *Reader) readBody(n int) ([]byte, error) {
+	body := r.body[:0]
+	for len(body) < n {
+		if len(body) == cap(body) {
+			grown := make([]byte, len(body), min(n, max(2*cap(body), minBodyChunk)))
+			copy(grown, body)
+			body = grown
+		}
+		k, err := io.ReadFull(r.r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+k]
+		if err == io.EOF && len(body) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	r.body = body
+	return body, nil
+}
+
+// minBodyChunk is the first size a record body buffer grows to.
+const minBodyChunk = 4 << 10
+
 // next decodes the next record; with reuse it decodes into the Reader's
 // storage (Scan), without into fresh allocations. Only a stream that ends
 // cleanly between records yields the bare io.EOF; any other short read or
@@ -256,11 +286,8 @@ func (r *Reader) next(reuse bool) (*Record, error) {
 	if length > 1<<26 {
 		return nil, fmt.Errorf("mrt: implausible record length %d", length)
 	}
-	if uint32(cap(r.body)) < length {
-		r.body = make([]byte, length)
-	}
-	body := r.body[:length]
-	if _, err := io.ReadFull(r.r, body); err != nil {
+	body, err := r.readBody(int(length))
+	if err != nil {
 		return nil, fmt.Errorf("mrt: body: %w", err)
 	}
 	var rec *Record

@@ -27,7 +27,7 @@ var (
 // Record is one observed (vantage point, prefix, AS path) triple in
 // dense-index form: the unit the paper's Table 1 accounts for and every
 // metric consumes. VP indexes Collection.VPs, Prefix indexes
-// Collection.Prefixes, Path indexes Collection.Paths.
+// Collection.Prefixes, Path is a path number for Collection.Path.
 type Record struct {
 	VP     int32
 	Prefix int32
@@ -44,7 +44,10 @@ type Collection struct {
 	Prefixes []netip.Prefix
 	// Origin[i] is the origin AS of Prefixes[i].
 	Origin []asn.ASN
-	Paths  []bgp.Path
+	// Hops holds every path's ASNs back to back in one pointer-free arena:
+	// path q is Hops[PathOff[q]:PathOff[q+1]] (see Path).
+	Hops    []asn.ASN
+	PathOff []int32
 	// Records holds every (VP, prefix, path) observation of the base day in
 	// canonical order: by origin, VP, then prefix for a built collection,
 	// stream order for an imported one.
@@ -69,6 +72,28 @@ type Collection struct {
 
 // NumRecords returns the collection's record count.
 func (c *Collection) NumRecords() int { return len(c.Records) }
+
+// NumPaths returns the number of paths, the bound of Record.Path.
+func (c *Collection) NumPaths() int { return max(len(c.PathOff)-1, 0) }
+
+// Path returns path q. It aliases the arena, capped so that an append by
+// the caller copies instead of reaching the next path; callers must not
+// write through it.
+func (c *Collection) Path(q int32) bgp.Path {
+	lo, hi := c.PathOff[q], c.PathOff[q+1]
+	return bgp.Path(c.Hops[lo:hi:hi])
+}
+
+// AppendPath copies p into the arena as the next path and returns its
+// number.
+func (c *Collection) AppendPath(p bgp.Path) int32 {
+	if len(c.PathOff) == 0 {
+		c.PathOff = append(c.PathOff, 0)
+	}
+	c.Hops = append(c.Hops, p...)
+	c.PathOff = append(c.PathOff, int32(len(c.Hops)))
+	return int32(len(c.PathOff) - 2)
+}
 
 // BuildOptions tunes collection assembly. Zero values select the rates that
 // reproduce Table 1's reject-class proportions.
@@ -208,39 +233,21 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 		shards = 1
 	}
 
-	// Size the output up front: repeated append-doubling of
-	// multi-megabyte slices dominates the profile otherwise. Nearly
-	// every full-feed VP has a route to every origin, so records ≈
-	// VPs × prefixes; customer feeds make this a mild overestimate.
-	est := len(vps) * len(col.Prefixes)
-	const maxEst = 64 << 20
-	if est > maxEst {
-		est = maxEst
-	}
-	col.Records = make([]Record, 0, est)
-
-	// Per-shard propagation states are pooled: OrderedMap runs at most
-	// GOMAXPROCS producers, so the pool holds that many states at peak no
-	// matter how many shards the run splits into.
+	// Per-shard propagation states and route buffers go back on a free
+	// list once used: OrderedMap keeps at most window shards in flight, so
+	// the list holds that many of each at peak, however many shards the run
+	// splits into. It is local to the call, unlike a sync.Pool, whose victim
+	// cache would keep the buffers alive past the next collection.
 	g.ASNs() // warm the cache once; workers then only read it
-	statePool := sync.Pool{New: func() any { return newPropState(g) }}
+	states := freeList[*propState]{new: func() *propState { return newPropState(g) }}
+	buffers := freeList[*shardRoutes]{new: func() *shardRoutes { return new(shardRoutes) }}
 
-	// One shard's routes, grouped by origin: counts[k] routes belong to the
-	// k-th origin of the shard, flattened into vpIdxs/pathOf. pathOf numbers
-	// the shard's distinct paths in first-appearance order; path l is
-	// hops[off[l]:off[l+1]] in the shard's arena.
-	type shardRoutes struct {
-		counts []int32
-		vpIdxs []int32
-		pathOf []int32
-		hops   []asn.ASN
-		off    []int32
-	}
-	produce := func(si int) shardRoutes {
+	produce := func(si int) *shardRoutes {
 		lo, hi := si*len(active)/shards, (si+1)*len(active)/shards
-		st := statePool.Get().(*propState)
-		defer statePool.Put(st)
-		out := shardRoutes{off: []int32{0}}
+		st := states.get()
+		defer states.put(st)
+		out := buffers.get()
+		out.reset()
 		for _, origin := range active[lo:hi] {
 			propagate(g, origin, st)
 			n0 := len(out.vpIdxs)
@@ -270,9 +277,10 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 	}
 
 	// The merge runs on this goroutine in strict shard order: number each
-	// path at its first route, fan the route out across the origin's
-	// prefixes, inject the per-record anomalies (rng draws stay in record
-	// order), and append each record straight onto col.Records.
+	// path at its first route and copy it into col.Hops, fan the route out
+	// across the origin's prefixes, inject the per-record anomalies (rng
+	// draws stay in record order), and append each record straight onto
+	// col.Records.
 	//
 	// Numbering needs no hashing: a routing tree holds one path per node and
 	// every path ends in its origin, so tree paths are pairwise distinct
@@ -282,17 +290,24 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 	// they are rare and deduplicated through mutated.
 	an := newAnomalizer(w, rng, opt)
 	mutated := map[string]int32{}
+	var scratch bgp.Path // a mutated path, before it is numbered
 	var nRoutes int64
-	var global []int32 // shard-local path number → index in col.Paths
-	consume := func(si int, rt shardRoutes) {
+	var global []int32 // shard-local path number → collection path number
+	consume := func(si int, rt *shardRoutes) {
 		lo, hi := si*len(active)/shards, (si+1)*len(active)/shards
 		if si == 0 {
 			// The shards hold equal shares of the origins and every origin
 			// is seen from much the same vantage points, so the first
-			// shard's path count sizes the table, mutated paths included,
-			// to within a few percent; append covers the rest.
-			n := len(rt.off) - 1
-			col.Paths = make([]bgp.Path, 0, shards*(n+n/32))
+			// shard's paths and hops size the arena, mutated paths
+			// included, to within a few percent; append covers the rest.
+			// Records scale with prefixes rather than origins, since
+			// low-numbered origins announce more of them than the rest.
+			n, h := len(rt.off)-1, len(rt.hops)
+			col.Hops = make([]asn.ASN, 0, shards*(h+h/32))
+			col.PathOff = make([]int32, 1, shards*(n+n/32)+1)
+			const maxEst = 64 << 20
+			est := len(rt.vpIdxs) * len(col.Prefixes) / max(hi-lo, 1)
+			col.Records = make([]Record, 0, min(est+est/16, maxEst))
 		}
 		global = global[:0]
 		recs := col.Records
@@ -303,23 +318,19 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 				vpIdx, l := rt.vpIdxs[k], rt.pathOf[k]
 				k++
 				if int(l) == len(global) {
-					// The header aliases the shard's arena, capped so an
-					// append by a consumer cannot reach the next path.
-					a, b := rt.off[l], rt.off[l+1]
-					global = append(global, int32(len(col.Paths)))
-					col.Paths = append(col.Paths, bgp.Path(rt.hops[a:b:b]))
+					global = append(global, col.AppendPath(rt.hops[rt.off[l]:rt.off[l+1]]))
 				}
 				pi := global[l]
-				path := col.Paths[pi]
+				path := col.Path(pi)
 				for _, pfx := range pfxs {
 					rec := Record{VP: vpIdx, Prefix: pfx, Path: pi}
-					if m := an.maybeMutate(path); m != nil {
-						key := m.Key()
+					var ok bool
+					if scratch, ok = an.maybeMutate(scratch[:0], path); ok {
+						key := scratch.Key()
 						mi, seen := mutated[key]
 						if !seen {
-							mi = int32(len(col.Paths))
+							mi = col.AppendPath(scratch)
 							mutated[key] = mi
-							col.Paths = append(col.Paths, m)
 						}
 						rec.Path = mi
 					}
@@ -329,6 +340,7 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 		}
 		col.Records = recs
 		nRoutes += int64(len(rt.vpIdxs))
+		buffers.put(rt)
 		mShardsDone.Inc()
 	}
 	par.OrderedMap(shards, 0, produce, consume)
@@ -337,6 +349,49 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 	mRecordsBuilt.Add(int64(len(col.Records)))
 	sp.AddItems(int64(len(col.Records)), "records")
 	return col
+}
+
+// shardRoutes is one shard's routes, grouped by origin: counts[k] routes
+// belong to the k-th origin of the shard, flattened into vpIdxs/pathOf.
+// pathOf numbers the shard's distinct paths in first-appearance order; path
+// l is hops[off[l]:off[l+1]] in the shard's arena.
+type shardRoutes struct {
+	counts []int32
+	vpIdxs []int32
+	pathOf []int32
+	hops   []asn.ASN
+	off    []int32
+}
+
+// reset empties the buffers for the next shard, keeping their capacity.
+func (rt *shardRoutes) reset() {
+	rt.counts, rt.vpIdxs, rt.pathOf = rt.counts[:0], rt.vpIdxs[:0], rt.pathOf[:0]
+	rt.hops, rt.off = rt.hops[:0], append(rt.off[:0], 0)
+}
+
+// freeList hands out values put back earlier, or new ones. It is safe for
+// concurrent use and holds nothing once its owner drops it.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []T
+	new  func() T
+}
+
+func (f *freeList[T]) get() T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		v := f.free[n-1]
+		f.free = f.free[:n-1]
+		return v
+	}
+	return f.new()
+}
+
+func (f *freeList[T]) put(v T) {
+	f.mu.Lock()
+	f.free = append(f.free, v)
+	f.mu.Unlock()
 }
 
 // anomalizer corrupts a small fraction of records the way public BGP data
@@ -369,49 +424,42 @@ func newAnomalizer(w *topology.World, rng *rand.Rand, opt BuildOptions) *anomali
 	return a
 }
 
-// maybeMutate draws one record's anomaly verdict and returns the corrupted
-// path, or nil to keep the original.
-func (a *anomalizer) maybeMutate(p bgp.Path) bgp.Path {
+// maybeMutate draws one record's anomaly verdict and, for a corrupted
+// record, appends the corrupted path to dst and returns it with true; dst
+// must not share storage with p.
+func (a *anomalizer) maybeMutate(dst, p bgp.Path) (bgp.Path, bool) {
 	r := a.rng.Float64()
 	switch opt := a.opt; {
 	case r < opt.LoopFrac:
 		if len(p) < 3 {
-			return nil
+			return dst, false
 		}
 		// Re-insert the first hop later in the path: A B A B C.
-		out := make(bgp.Path, 0, len(p)+2)
-		out = append(out, p[0], p[1], p[0])
-		out = append(out, p[1:]...)
-		return out
+		dst = append(dst, p[0], p[1], p[0])
+		return append(dst, p[1:]...), true
 	case r < opt.LoopFrac+opt.PoisonFrac:
 		if len(a.stubPool) == 0 {
-			return nil
+			return dst, false
 		}
 		// Insert a stub between two adjacent clique ASes.
 		for j := 0; j+1 < len(p); j++ {
 			if a.cliqueSet[p[j]] && a.cliqueSet[p[j+1]] && !p.Contains(a.stubPool[0]) {
-				out := make(bgp.Path, 0, len(p)+1)
-				out = append(out, p[:j+1]...)
-				out = append(out, a.stubPool[a.rng.Intn(len(a.stubPool))])
-				out = append(out, p[j+1:]...)
-				if out.HasNonAdjacentLoop() {
-					return nil
-				}
-				return out
+				dst = append(dst, p[:j+1]...)
+				dst = append(dst, a.stubPool[a.rng.Intn(len(a.stubPool))])
+				dst = append(dst, p[j+1:]...)
+				return dst, !dst.HasNonAdjacentLoop()
 			}
 		}
-		return nil
+		return dst, false
 	case r < opt.LoopFrac+opt.PoisonFrac+opt.UnallocFrac:
 		if len(p) < 2 {
-			return nil
+			return dst, false
 		}
 		// Leak a private-use ASN mid-path.
-		out := make(bgp.Path, 0, len(p)+1)
-		out = append(out, p[0], asn.ASN(64512+a.rng.Intn(1000)))
-		out = append(out, p[1:]...)
-		return out
+		dst = append(dst, p[0], asn.ASN(64512+a.rng.Intn(1000)))
+		return append(dst, p[1:]...), true
 	}
-	return nil
+	return dst, false
 }
 
 // AnnouncedPrefixes returns the distinct announced prefixes.

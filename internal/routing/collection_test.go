@@ -3,6 +3,7 @@ package routing
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // PathOf returns the path of record i.
-func (c *Collection) PathOf(i int) bgp.Path { return c.Paths[c.Records[i].Path] }
+func (c *Collection) PathOf(i int) bgp.Path { return c.Path(c.Records[i].Path) }
 
 func testWorld(t *testing.T) *topology.World {
 	t.Helper()
@@ -24,8 +25,8 @@ func TestBuildCollectionDeterministic(t *testing.T) {
 	w := testWorld(t)
 	a := BuildCollection(w, BuildOptions{})
 	b := BuildCollection(w, BuildOptions{})
-	if len(a.Records) != len(b.Records) || len(a.Paths) != len(b.Paths) {
-		t.Fatalf("sizes differ: %d/%d vs %d/%d", len(a.Records), len(a.Paths), len(b.Records), len(b.Paths))
+	if len(a.Records) != len(b.Records) || a.NumPaths() != b.NumPaths() {
+		t.Fatalf("sizes differ: %d/%d vs %d/%d", len(a.Records), a.NumPaths(), len(b.Records), b.NumPaths())
 	}
 	for i := range a.Records {
 		if a.Records[i] != b.Records[i] {
@@ -187,6 +188,46 @@ func TestDayMaskInvariants(t *testing.T) {
 		}
 		if mask == 0 {
 			t.Fatalf("prefix %d never announced", i)
+		}
+	}
+}
+
+// TestCollectionPathsArePointerFree: the records and the paths are most of
+// a collection's heap, so they are held in slices whose elements the
+// garbage collector never scans. Only VPs (one pointer) and Prefixes (whose
+// netip.Addr carries a zone handle) may hold pointers, and a path stored as
+// a []bgp.Path, 24 scanned bytes a path, fails here.
+func TestCollectionPathsArePointerFree(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+			reflect.Interface, reflect.String, reflect.UnsafePointer:
+			return true
+		case reflect.Array:
+			return hasPointers(t.Elem())
+		case reflect.Struct:
+			for i := range t.NumField() {
+				if hasPointers(t.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	exempt := map[string]bool{"VPs": true, "Prefixes": true}
+	typ := reflect.TypeOf(Collection{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		if exempt[f.Name] {
+			continue
+		}
+		elem := f.Type
+		if elem.Kind() == reflect.Slice {
+			elem = elem.Elem() // the header itself is one pointer per field
+		}
+		if hasPointers(elem) {
+			t.Errorf("Collection.%s (%s) holds pointers", f.Name, f.Type)
 		}
 	}
 }

@@ -37,7 +37,8 @@ func FailLink(w *topology.World, col *Collection, a, b asn.ASN, opt BuildOptions
 		before[key{r.VP, r.Prefix}] = r.Path
 	}
 	links := map[[2]asn.ASN]bool{}
-	for _, p := range col.Paths {
+	for q := range int32(col.NumPaths()) {
+		p := col.Path(q)
 		for i := 0; i+1 < len(p); i++ {
 			links[linkKey(p[i], p[i+1])] = true
 		}
@@ -63,9 +64,8 @@ func FailLink(w *topology.World, col *Collection, a, b asn.ASN, opt BuildOptions
 			impact.LostRecords++
 			continue
 		}
-		if !col.Paths[beforePath].Equal(after.Paths[afterPath]) {
+		if p := after.Path(afterPath); !col.Path(beforePath).Equal(p) {
 			impact.ChangedRecords++
-			p := after.Paths[afterPath]
 			for i := 0; i+1 < len(p); i++ {
 				lk := linkKey(p[i], p[i+1])
 				if !links[lk] {

@@ -72,7 +72,7 @@ func TestHiddenBackupRevealed(t *testing.T) {
 	if len(col.Records) != 1 {
 		t.Fatalf("records = %d", len(col.Records))
 	}
-	primary := col.Paths[col.Records[0].Path]
+	primary := col.Path(col.Records[0].Path)
 	mid := primary[1] // 20 or 30, whichever the tie-hash chose
 	backup := asn.ASN(50 - uint32(mid))
 

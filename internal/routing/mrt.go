@@ -128,7 +128,7 @@ func ExportMRT(w io.Writer, c *Collection, collector string, timestamp uint32) e
 		for _, r := range keep[s:e] {
 			segScratch = append(segScratch, bgp.Segment{
 				Type: bgp.SegmentSequence,
-				ASNs: c.Paths[r.Path],
+				ASNs: c.Path(r.Path),
 			})
 		}
 		entries = entries[:0]
@@ -197,10 +197,12 @@ type importStream struct {
 	named []int32
 	// rejects counts entries of peers outside the world, dropped during
 	// decode, and folds into ImportStats in the merge; bytes is the stream's
-	// wire size. err is the error that stopped the stream, which fails the
+	// wire size, hops the summed length of paths, which bounds the merged
+	// arena. err is the error that stopped the stream, which fails the
 	// import.
 	rejects int64
 	bytes   int64
+	hops    int
 	err     error
 }
 
@@ -290,6 +292,7 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, stop func() 
 				arena = append(arena, flat...)
 				lp.id, lp.path = int32(out.paths.n), arena[start:len(arena):len(arena)]
 				out.paths.push(lp.path)
+				out.hops += len(flat)
 			}
 			out.records.push(Record{VP: vpIdx, Prefix: pi, Path: lp.id})
 		}
@@ -403,7 +406,7 @@ func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportSta
 		prefix, path []int32
 	}
 	var stats ImportStats
-	var nPaths int
+	var nPaths, nHops int
 	named := make([]bool, vps.Len())
 	maps := make([]remap, len(parts))
 	for si := range parts {
@@ -418,11 +421,12 @@ func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportSta
 		stats.Records += int64(p.records.n)
 		stats.Rejects += p.rejects
 		nPaths += p.paths.n
+		nHops += p.hops
 	}
 
 	col := &Collection{VPs: vps, Days: 1}
 	prefixIdx := map[netip.Prefix]int32{}
-	it := bgp.NewInterner(nPaths)
+	it := bgp.NewInterner(nPaths, nHops)
 	var originSet []bool
 	for si := range parts {
 		p := &parts[si]
@@ -444,12 +448,12 @@ func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportSta
 				pfxMap = append(pfxMap, gi)
 			}
 		}
-		// Stream-local paths are already owned copies, so the global table
-		// can adopt them without recopying.
+		// The table copies each distinct path into its arena, which becomes
+		// the collection's, so the stream arenas die with the merge.
 		pathMap := make([]int32, 0, p.paths.n)
 		for _, blk := range p.paths.blks {
 			for _, path := range blk {
-				pathMap = append(pathMap, it.InternOwned(path))
+				pathMap = append(pathMap, it.Intern(path))
 			}
 		}
 		p.prefixes, p.paths = blocks[importPrefix]{}, blocks[bgp.Path]{} // numbered: let them go before Records is allocated
@@ -466,7 +470,7 @@ func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportSta
 			out = out[len(blk):]
 		}
 	})
-	col.Paths = it.Paths()
+	col.Hops, col.PathOff = it.Arena()
 	col.Stable = make([]bool, len(col.Prefixes))
 	for i := range col.Stable {
 		col.Stable[i] = true

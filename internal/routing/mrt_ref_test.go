@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -76,7 +77,7 @@ func exportMRTRef(w io.Writer, c *Collection, collector string, timestamp uint32
 				OriginatedAt: timestamp,
 				Attrs: bgp.AttrSet{
 					Origin: bgp.OriginIGP,
-					ASPath: seq(c.Paths[r.Path]),
+					ASPath: seq(c.Path(r.Path)),
 				},
 			})
 		}
@@ -146,9 +147,8 @@ func importMRTRef(w *topology.World, streams []io.Reader) (*Collection, error) {
 				col.Records = append(col.Records, Record{
 					VP:     vpIdx,
 					Prefix: pi,
-					Path:   int32(len(col.Paths)),
+					Path:   col.AppendPath(path),
 				})
-				col.Paths = append(col.Paths, path)
 			}
 		}
 	}
@@ -248,9 +248,9 @@ func TestImportMRTMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameCollection(t, got, want)
-	if len(got.Paths) >= len(want.Paths) {
+	if got.NumPaths() >= want.NumPaths() {
 		t.Errorf("interning did not shrink the path table: %d vs %d",
-			len(got.Paths), len(want.Paths))
+			got.NumPaths(), want.NumPaths())
 	}
 }
 
@@ -270,13 +270,8 @@ func TestImportMRTDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	requireSameCollection(t, serial, parallel)
 	// With interning the path tables must match index for index too.
-	if len(serial.Paths) != len(parallel.Paths) {
-		t.Fatalf("path tables differ: %d vs %d", len(serial.Paths), len(parallel.Paths))
-	}
-	for i := range serial.Paths {
-		if !serial.Paths[i].Equal(parallel.Paths[i]) {
-			t.Fatalf("path %d differs", i)
-		}
+	if !reflect.DeepEqual(serial.Hops, parallel.Hops) || !reflect.DeepEqual(serial.PathOff, parallel.PathOff) {
+		t.Fatalf("path arenas differ: %d vs %d paths", serial.NumPaths(), parallel.NumPaths())
 	}
 	for i := range serial.Records {
 		if serial.Records[i] != parallel.Records[i] {

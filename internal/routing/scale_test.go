@@ -39,7 +39,7 @@ func collectionEqual(t *testing.T, a, b *Collection, label string) {
 		if ra[i].VP != rb[i].VP || ra[i].Prefix != rb[i].Prefix {
 			t.Fatalf("%s: record %d = %+v vs %+v", label, i, ra[i], rb[i])
 		}
-		if !a.Paths[ra[i].Path].Equal(b.Paths[rb[i].Path]) {
+		if !a.Path(ra[i].Path).Equal(b.Path(rb[i].Path)) {
 			t.Fatalf("%s: record %d path differs", label, i)
 		}
 	}
@@ -73,10 +73,15 @@ func TestShardedBuildDeterministic(t *testing.T) {
 		for _, shards := range []int{2, 7, 64} {
 			col := BuildCollection(w, BuildOptions{Shards: shards})
 			collectionEqual(t, base, col, "sequential vs sharded")
-			// The sharded interner assigns the same IDs too: records and
-			// path tables match exactly, not just observably.
+			// The sharded merge numbers paths the same way too: records,
+			// hop arena and offsets match exactly, not just observably. The
+			// shards reuse their route buffers, so a stale tail carried
+			// from one shard into the next would show here.
 			if !reflect.DeepEqual(base.Records, col.Records) {
 				t.Fatalf("procs=%d shards=%d: record slices differ", procs, shards)
+			}
+			if !reflect.DeepEqual(base.Hops, col.Hops) || !reflect.DeepEqual(base.PathOff, col.PathOff) {
+				t.Fatalf("procs=%d shards=%d: path arenas differ", procs, shards)
 			}
 			if d := mrtDigest(t, col); d != baseDigest {
 				t.Fatalf("procs=%d shards=%d: MRT digest differs", procs, shards)
@@ -89,10 +94,10 @@ func TestShardedBuildDeterministic(t *testing.T) {
 // TestPathNumberingEqualsHashConsing states what BuildCollection's merge
 // must do without hashing tree paths: hand out path indexes exactly as
 // hash-consing every route's path, then every mutated record's path, in
-// record order would. Re-interning col.Paths over the record stream into a
+// record order would. Re-interning the paths over the record stream into a
 // fresh interner must therefore give each record its own index back. One
 // allowance: a route is numbered before its records are corrupted, so a path
-// whose every record was mutated is in col.Paths with no record naming it;
+// whose every record was mutated is in the collection with no record naming it;
 // such paths are interned when the stream steps over their index, and must be
 // new there too. Corruption is cranked up so mutated paths (the only ones
 // that can repeat) and fully mutated routes are both common.
@@ -101,10 +106,10 @@ func TestPathNumberingEqualsHashConsing(t *testing.T) {
 		w := topology.Build(topology.Config{Seed: seed, StubScale: 0.1, VPScale: 0.1})
 		for _, shards := range []int{1, 3, 4 * runtime.GOMAXPROCS(0)} {
 			col := BuildCollection(w, BuildOptions{Shards: shards, LoopFrac: 0.05, PoisonFrac: 0.05, UnallocFrac: 0.05})
-			it := bgp.NewInterner(0)
+			it := bgp.NewInterner(0, 0)
 			distinct := int32(0) // the interner numbers new paths 0, 1, …
 			intern := func(p int32) int32 {
-				got := it.InternOwned(col.Paths[p])
+				got := it.Intern(col.Path(p))
 				distinct = max(distinct, got+1)
 				return got
 			}
@@ -127,14 +132,15 @@ func TestPathNumberingEqualsHashConsing(t *testing.T) {
 						seed, shards, i, r.Path, got)
 				}
 			}
-			internBelow(int32(len(col.Paths)))
-			if n := len(it.Paths()); n != len(col.Paths) {
+			nPaths := col.NumPaths()
+			internBelow(int32(nPaths))
+			if _, off := it.Arena(); len(off)-1 != nPaths {
 				t.Fatalf("seed %d shards %d: %d paths, %d distinct",
-					seed, shards, len(col.Paths), n)
+					seed, shards, nPaths, len(off)-1)
 			}
-			if len(col.Paths) < len(col.Records)/10 || unnamed == 0 || unnamed > len(col.Paths)/5 {
+			if nPaths < len(col.Records)/10 || unnamed == 0 || unnamed > nPaths/5 {
 				t.Fatalf("implausible build: %d records, %d paths, %d named by no record",
-					len(col.Records), len(col.Paths), unnamed)
+					len(col.Records), nPaths, unnamed)
 			}
 		}
 	}
@@ -176,7 +182,7 @@ func TestImportMRTFilesMatchesStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		collectionEqual(t, seq, files, "streams vs files import")
-		if !reflect.DeepEqual(seq.Records, files.Records) || !reflect.DeepEqual(seq.Paths, files.Paths) {
+		if !reflect.DeepEqual(seq.Records, files.Records) || !reflect.DeepEqual(seq.Hops, files.Hops) || !reflect.DeepEqual(seq.PathOff, files.PathOff) {
 			t.Fatalf("procs=%d: record or path tables differ", procs)
 		}
 		if stats != seqStats {

@@ -17,9 +17,9 @@ import (
 // over the accepted records, resolve through a duplicate-free ASNOf, and mirror the
 // clean path hop for hop; records sharing a collection path index alias one
 // clean path and one id slice; and the clean path is the pure function of
-// the collection path that clean computes. paths are the collection's paths,
-// which the dataset does not keep.
-func checkLayout(t *testing.T, ds *Dataset, paths []bgp.Path, clean func(bgp.Path) bgp.Path) {
+// the collection path that clean computes. col is the collection ds was
+// made from, whose paths the dataset does not keep.
+func checkLayout(t *testing.T, ds *Dataset, col *routing.Collection, clean func(bgp.Path) bgp.Path) {
 	t.Helper()
 	if ds.Len() == 0 || ds.NumAS() == 0 {
 		t.Fatal("empty dataset")
@@ -31,8 +31,8 @@ func checkLayout(t *testing.T, ds *Dataset, paths []bgp.Path, clean func(bgp.Pat
 		}
 		idOf[a] = id
 	}
-	if ds.NumPaths() != len(paths) {
-		t.Fatalf("NumPaths = %d, collection has %d paths", ds.NumPaths(), len(paths))
+	if ds.NumPaths() != col.NumPaths() {
+		t.Fatalf("NumPaths = %d, collection has %d paths", ds.NumPaths(), col.NumPaths())
 	}
 
 	next := int32(0)            // first-appearance order: ids never skip ahead
@@ -49,7 +49,7 @@ func checkLayout(t *testing.T, ds *Dataset, paths []bgp.Path, clean func(bgp.Pat
 		if int(q) < 0 || int(q) >= ds.NumPaths() {
 			t.Fatalf("record %d: path index %d out of range", i, q)
 		}
-		if want := clean(paths[q]); !path.Equal(want) {
+		if want := clean(col.Path(q)); !path.Equal(want) {
 			t.Fatalf("record %d: clean path %v, want %v", i, path, want)
 		}
 		if !path.Equal(ds.CleanPath(int(q))) {
@@ -123,11 +123,11 @@ func TestInternerInvariants(t *testing.T) {
 	judged := func(p bgp.Path) bgp.Path { return judgePath(p, cfg).clean }
 	asIs := func(p bgp.Path) bgp.Path { return p }
 
-	t.Run("Run", func(t *testing.T) { checkLayout(t, Run(col, cfg), col.Paths, judged) })
+	t.Run("Run", func(t *testing.T) { checkLayout(t, Run(col, cfg), col, judged) })
 
 	t.Run("NewDataset", func(t *testing.T) {
 		ran := Run(col, cfg)
-		checkLayout(t, NewDataset(col, ran.VPCountry, ran.PrefixCountry), col.Paths, asIs)
+		checkLayout(t, NewDataset(col, ran.VPCountry, ran.PrefixCountry), col, asIs)
 	})
 
 	streams := exportStreams(t, w, col)
@@ -136,7 +136,7 @@ func TestInternerInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkLayout(t, Run(imported, cfg), imported.Paths, judged)
+		checkLayout(t, Run(imported, cfg), imported, judged)
 	})
 
 	// The collection the MRT source hands Run from a strict but partial
@@ -158,6 +158,6 @@ func TestInternerInvariants(t *testing.T) {
 		if stats.Rejects == 0 || partial.NumRecords() >= col.NumRecords() {
 			t.Fatal("the foreign peer lost nothing")
 		}
-		checkLayout(t, Run(partial, cfg), partial.Paths, judged)
+		checkLayout(t, Run(partial, cfg), partial, judged)
 	})
 }

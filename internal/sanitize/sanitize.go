@@ -197,7 +197,7 @@ func NewDataset(col *routing.Collection, vpCountry, prefixCountry []countries.Co
 	}
 	ds.fill(col, verdicts{ // all zero: Accepted
 		byPrefix: make([]Reason, len(col.Prefixes)),
-		byPath:   make([]Reason, len(col.Paths)),
+		byPath:   make([]Reason, col.NumPaths()),
 		byVP:     make([]Reason, len(vpCountry)),
 	}, nil)
 	return ds
@@ -232,7 +232,7 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 	}
 	v := verdicts{
 		byPrefix: make([]Reason, len(col.Prefixes)),
-		byPath:   make([]Reason, len(col.Paths)),
+		byPath:   make([]Reason, col.NumPaths()),
 		byVP:     make([]Reason, len(ds.VPCountry)),
 	}
 	for i := range ds.VPCountry {
@@ -277,8 +277,8 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 // each path only at its first record gives the ids resolving every record
 // would.
 func (d *Dataset) fill(col *routing.Collection, v verdicts, j *judge) {
-	recs, paths := col.Records, col.Paths
-	pending := make([]bool, len(paths)) // marked, ids not yet resolved
+	recs, nPaths := col.Records, col.NumPaths()
+	pending := make([]bool, nPaths) // marked, ids not yet resolved
 	bound, hops := 0, 0
 	for _, r := range recs {
 		if v.byPrefix[r.Prefix]|v.byVP[r.VP] != Accepted {
@@ -287,13 +287,14 @@ func (d *Dataset) fill(col *routing.Collection, v verdicts, j *judge) {
 		bound++
 		if !pending[r.Path] {
 			pending[r.Path] = true
-			hops += len(paths[r.Path]) // cleaning only shortens
+			hops += len(col.Path(r.Path)) // cleaning only shortens
 		}
 	}
 
 	d.cleanHops = make([]asn.ASN, 0, hops)
-	d.pathOff = make([]int32, 1, len(paths)+1)
-	for q, p := range paths {
+	d.pathOff = make([]int32, 1, nPaths+1)
+	for q := range nPaths {
+		p := col.Path(int32(q))
 		if j != nil {
 			v.byPath[q], p = j.judge(p)
 		}
@@ -388,19 +389,22 @@ func (d *Dataset) PathIDs(q int) []int32 {
 // order of first appearance: what relationship inference reads. A record
 // whose collection path was already met adds nothing; two collection paths
 // may clean to the same hops, so the rest are told apart by content through
-// an interner sized for every collection path. The paths alias the
-// dataset's arena.
+// an interner sized for every collection path: a path it numbers anew is
+// one not met before. The paths alias the dataset's arena.
 func (d *Dataset) DistinctPaths() []bgp.Path {
 	seen := make([]uint64, (d.NumPaths()+63)/64)
-	in := bgp.NewInterner(d.NumPaths())
+	in := bgp.NewInterner(d.NumPaths(), len(d.cleanHops))
+	var paths []bgp.Path
 	for _, q := range d.recPath {
 		if seen[q/64]&(1<<(q%64)) != 0 {
 			continue
 		}
 		seen[q/64] |= 1 << (q % 64)
-		in.InternOwned(d.CleanPath(int(q)))
+		if p := d.CleanPath(int(q)); int(in.Intern(p)) == len(paths) {
+			paths = append(paths, p)
+		}
 	}
-	return in.Paths()
+	return paths
 }
 
 // PrefixOf returns the prefix of accepted record i.

@@ -246,12 +246,14 @@ func TestDistinctPathsMatchesKeyMap(t *testing.T) {
 		col.Stable = append(col.Stable, true)
 		cfg.GeoTable.ByPrefix[prefix] = geoloc.PrefixGeo{Prefix: prefix, Country: "US"}
 	}
-	col.Paths = []bgp.Path{
+	for _, p := range []bgp.Path{
 		{10, 31, 20, 30},     // through route server 31: cleans to path 2's hops
 		{11, 20, 30},         //
 		{10, 20, 30},         //
 		{10, 10, 32, 20, 30}, // prepended, through route server 32: path 2's hops again
 		{12, 30},             // used by no record
+	} {
+		col.AppendPath(p)
 	}
 	for _, q := range []int32{1, 0, 3, 2, 1, 0} {
 		for v := int32(0); v < 2; v++ {

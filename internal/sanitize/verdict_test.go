@@ -20,7 +20,7 @@ import (
 func runPerRecord(col *routing.Collection, cfg Config) (stats Stats, recVP, recPrefix, recPath []int32, asnOf []asn.ASN) {
 	seen := map[asn.ASN]bool{}
 	for _, r := range col.Records {
-		path := judgePath(col.Paths[r.Path], cfg)
+		path := judgePath(col.Path(r.Path), cfg)
 		_, vpLocated := col.VPs.Country(int(r.VP))
 		_, prefixLocated := cfg.GeoTable.Country(col.Prefixes[r.Prefix])
 		reason := path.reason
@@ -90,7 +90,7 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 			cfg.GeoTable.ByPrefix[prefix] = geoloc.PrefixGeo{Prefix: prefix, Country: "JP", Reason: pfx.geo}
 		}
 	}
-	col.Paths = []bgp.Path{
+	for _, p := range []bgp.Path{
 		{10, 20, 30},             // accepted as it is
 		{10, 64512, 30},          // unallocated
 		{10, 20, 10, 30},         // loop
@@ -102,6 +102,8 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 		{13, 20, 30},             // accepted, new ASN first seen late
 		{15, 20, 15, 30},         // loop, named only from the unlocated VP
 		{14, 20, 30},             // accepted, named only on unstable prefixes
+	} {
+		col.AppendPath(p)
 	}
 	for _, q := range []int32{4, 0, 1, 2, 3, 5, 6, 8, 0} { // path 0 twice: repeats share its storage
 		for v := int32(0); v < 3; v++ {
@@ -138,7 +140,7 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 	for _, q := range recPath {
 		if !named[q] {
 			named[q] = true
-			hops += len(judgePath(col.Paths[q], cfg).clean)
+			hops += len(judgePath(col.Path(q), cfg).clean)
 		}
 	}
 	if !named[6] || named[7] || named[9] || named[10] {
@@ -147,8 +149,8 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 	if len(ds.cleanHops) != hops || len(ds.idHops) != hops {
 		t.Errorf("arenas hold %d/%d hops, the accepted records' paths clean to %d", len(ds.cleanHops), len(ds.idHops), hops)
 	}
-	for q := range col.Paths {
-		if want := judgePath(col.Paths[q], cfg).clean; named[int32(q)] && !ds.CleanPath(q).Equal(want) {
+	for q := range col.NumPaths() {
+		if want := judgePath(col.Path(int32(q)), cfg).clean; named[int32(q)] && !ds.CleanPath(q).Equal(want) {
 			t.Errorf("CleanPath(%d) = %v, want %v", q, ds.CleanPath(q), want)
 		} else if !named[int32(q)] && len(ds.CleanPath(q)) != 0 {
 			t.Errorf("CleanPath(%d) = %v for a path no accepted record names", q, ds.CleanPath(q))
