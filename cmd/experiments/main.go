@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -206,6 +207,49 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) 
 	return c, ofl, nil
 }
 
+// run builds the April 2021 pipeline, prints every selected experiment to
+// out in catalogue order and returns the pipeline it ranked.
+func run(cfg config, out io.Writer) *core.Pipeline {
+	start := time.Now()
+	slog.Info("building April 2021 pipeline", "seed", cfg.seed, "scale", cfg.scale, "vpscale", cfg.vpscale)
+	// The world is built here, not inside the pipeline's source, because the
+	// inference-validation and resilience extensions read its ground truth.
+	gs := obs.StartSpan("generate")
+	w21 := topology.Build(topology.Config{Seed: cfg.seed, StubScale: cfg.scale, VPScale: cfg.vpscale})
+	col21 := routing.BuildCollection(w21, routing.BuildOptions{})
+	gs.End()
+	p21 := core.NewPipelineFrom(w21, col21, core.Options{Seed: cfg.seed, StubScale: cfg.scale, VPScale: cfg.vpscale})
+	slog.Info("pipeline ready", "elapsed", time.Since(start).Round(time.Millisecond), "accepted", p21.DS.Len())
+
+	selected := func(names []string) bool {
+		return len(cfg.only) == 0 || slices.ContainsFunc(names, func(n string) bool { return cfg.only[n] })
+	}
+	e := &env{cfg: cfg, w21: w21, p21: p21}
+	if selected([]string{"extensions"}) {
+		e.col21 = col21 // otherwise nothing reads it, and it dies here
+	}
+	for _, x := range catalogue {
+		if !selected(x.names) {
+			continue
+		}
+		if x.mar23 && e.p23 == nil {
+			slog.Info("building March 2023 pipeline")
+			e.p23 = core.NewPipeline(core.Options{
+				Seed: cfg.seed, Scenario: topology.Mar2023, StubScale: cfg.scale, VPScale: cfg.vpscale,
+			})
+		}
+		// One span per experiment, so -progress, -v stage logs and the final
+		// stage tree all see it.
+		sp := obs.StartSpan(x.names[0])
+		if x.title != "" {
+			fmt.Fprint(out, section(x.title))
+		}
+		fmt.Fprint(out, x.run(e))
+		sp.End()
+	}
+	return p21
+}
+
 func main() {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	cfg, ofl, err := parseFlags(fs, os.Args[1:])
@@ -240,47 +284,12 @@ func main() {
 	}
 
 	start := time.Now()
-	slog.Info("building April 2021 pipeline", "seed", cfg.seed, "scale", cfg.scale, "vpscale", cfg.vpscale)
-	// The world is built here, not inside the pipeline's source, because the
-	// inference-validation and resilience extensions read its ground truth.
-	gs := obs.StartSpan("generate")
-	w21 := topology.Build(topology.Config{Seed: cfg.seed, StubScale: cfg.scale, VPScale: cfg.vpscale})
-	col21 := routing.BuildCollection(w21, routing.BuildOptions{})
-	gs.End()
-	p21 := core.NewPipelineFrom(w21, col21, core.Options{Seed: cfg.seed, StubScale: cfg.scale, VPScale: cfg.vpscale})
-	slog.Info("pipeline ready", "elapsed", time.Since(start).Round(time.Millisecond), "accepted", p21.DS.Len())
+	p21 := run(cfg, os.Stdout)
 	ofl.Manifest.Seed("world", cfg.seed)
 	ofl.Manifest.Seed("figure4_trials", cfg.seed+100)
 	ofl.Manifest.Seed("figure5_trials", cfg.seed+200)
 	ofl.Manifest.SetCoverage(p21.Coverage.Info())
 	ofl.Manifest.SetDrops(p21.DS.Stats.Drops())
-
-	selected := func(names []string) bool {
-		return len(cfg.only) == 0 || slices.ContainsFunc(names, func(n string) bool { return cfg.only[n] })
-	}
-	e := &env{cfg: cfg, w21: w21, p21: p21}
-	if selected([]string{"extensions"}) {
-		e.col21 = col21 // otherwise nothing reads it, and it dies here
-	}
-	for _, x := range catalogue {
-		if !selected(x.names) {
-			continue
-		}
-		if x.mar23 && e.p23 == nil {
-			slog.Info("building March 2023 pipeline")
-			e.p23 = core.NewPipeline(core.Options{
-				Seed: cfg.seed, Scenario: topology.Mar2023, StubScale: cfg.scale, VPScale: cfg.vpscale,
-			})
-		}
-		// One span per experiment, so -progress, -v stage logs and the final
-		// stage tree all see it.
-		sp := obs.StartSpan(x.names[0])
-		if x.title != "" {
-			fmt.Print(section(x.title))
-		}
-		fmt.Print(x.run(e))
-		sp.End()
-	}
 	if cfg.artifacts != "" {
 		sp := obs.StartSpan("artifacts")
 		if err := writeArtifacts(p21, cfg.artifacts); err != nil {

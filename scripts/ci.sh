@@ -127,6 +127,8 @@ echo '--- stability determinism (experiments -quick in full, twice and on one pr
 # before it would differ between one worker and several. Every other table
 # and figure rides along: a Render that read its rows out of a map without
 # ordering ties (Figure 7's 0.0 % rows once did) differs between two runs.
+# The bytes must also be the ones the oracle pins (TestOracle renders the
+# same stdout in-process).
 stab_dir=$(mktemp -d)
 go build -o "$stab_dir/experiments" ./cmd/experiments
 "$stab_dir/experiments" -quick >"$stab_dir/a.out" 2>/dev/null
@@ -136,6 +138,12 @@ grep -q '^Figure 5' "$stab_dir/a.out"
 grep -q '^Figure 7' "$stab_dir/a.out"
 cmp "$stab_dir/a.out" "$stab_dir/b.out"
 cmp "$stab_dir/a.out" "$stab_dir/c.out"
+oracle_sum=$(awk -F'\t' '$1 == "experiments-quick" { print $4 }' cmd/experiments/testdata/oracle.txt)
+quick_sum=$(sha256sum "$stab_dir/a.out" | cut -d' ' -f1)
+if [[ -z "$oracle_sum" || "$quick_sum" != "$oracle_sum" ]]; then
+    echo "experiments -quick stdout sha256 $quick_sum, oracle pins '$oracle_sum'" >&2
+    exit 1
+fi
 rm -rf "$stab_dir"
 
 echo '--- scale smoke (topogen -shards 8 vs -shards 1 vs one proc -> crank -mrt, complete, damaged and partial)'
