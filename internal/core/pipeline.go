@@ -152,17 +152,9 @@ type Pipeline struct {
 	// shadows.
 	Geo *geoloc.Table
 
-	// byPrefixCountry indexes accepted-record positions (ascending) by the
-	// destination prefix's country, the common slicing key of all views; the
-	// per-country slices partition one array.
-	byPrefixCountry map[countries.Code][]int32
-	// byVP groups accepted-record positions by vantage point (ascending
-	// inside a VP), and vpsByCountry groups located VP indexes by country;
-	// together they serve the Outbound view without scanning the full
-	// dataset. Only that view reads byVP, so it is grouped on first use.
-	byVPOnce     sync.Once
-	byVP         sanitize.Groups
-	vpsByCountry map[countries.Code][]int32
+	// views is the accepted records partitioned into every country's
+	// national and international view (see indexViews).
+	views viewIndex
 	// coneStarts / ctiDepths hold each collection path's precomputed chain
 	// resolution against Rels (view-independent), so per-trial kernel runs
 	// skip the relationship oracle entirely. Only CTI reads ctiDepths, and
@@ -170,18 +162,6 @@ type Pipeline struct {
 	coneStarts []int32
 	ctiOnce    sync.Once
 	ctiDepths  []int32
-
-	// viewCache memoizes ViewRecords per (kind, country): the experiment
-	// fan-out recomputes the same views for hundreds of trials. Guarded by
-	// viewMu because experiment loops run across a worker pool.
-	viewMu    sync.RWMutex
-	viewCache map[viewKey][]int32
-}
-
-// viewKey identifies one cached country view.
-type viewKey struct {
-	kind    ViewKind
-	country countries.Code
 }
 
 // A Source is the pipeline's first stage: it hands Run the collection and
@@ -279,12 +259,7 @@ func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
 	if in.Coverage.Fraction() < opt.Quorum {
 		return nil, fmt.Errorf("core: coverage %s below quorum %.0f%%", in.Coverage, opt.Quorum*100)
 	}
-	p := &Pipeline{
-		Opt:          opt,
-		Inputs:       in,
-		vpsByCountry: map[countries.Code][]int32{},
-		viewCache:    map[viewKey][]int32{},
-	}
+	p := &Pipeline{Opt: opt, Inputs: in}
 	for _, st := range []struct {
 		name string
 		skip bool
@@ -311,14 +286,7 @@ func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
 			paths := p.DS.DistinctPaths()
 			p.Rels = relation.Infer(paths, relation.InferClique(paths, 25))
 		}},
-		{"index", false, func(*obs.Span) {
-			p.byPrefixCountry = indexByPrefixCountry(p.DS)
-			for v, c := range p.DS.VPCountry {
-				if c != "" {
-					p.vpsByCountry[c] = append(p.vpsByCountry[c], int32(v))
-				}
-			}
-		}},
+		{"index", false, func(*obs.Span) { p.views = indexViews(p.DS) }},
 		{"precompute", false, func(*obs.Span) { p.coneStarts = cone.Starts(p.DS, p.Rels) }},
 	} {
 		if st.skip {
@@ -334,43 +302,62 @@ func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
 	return p, nil
 }
 
-// indexByPrefixCountry counting-sorts the accepted-record positions by the
-// country of their prefix: the country is resolved once per prefix into a
-// small slot number, the records are counted per slot, and one array of
-// positions is filled and sliced per country — no map access and no slice
-// growth per record. Positions stay ascending inside a country.
-func indexByPrefixCountry(ds *sanitize.Dataset) map[countries.Code][]int32 {
-	slotOf := map[countries.Code]int32{}
-	prefixSlot := make([]int32, len(ds.PrefixCountry))
+// viewIndex partitions the accepted-record positions by view: slot 2k is
+// the national view of prefix country k, slot 2k+1 its international view,
+// and slot s holds order[off[s]:off[s+1]], ascending.
+type viewIndex struct {
+	country map[countries.Code]int32 // prefix country → k
+	order   []int32
+	off     []int32
+}
+
+// indexViews counting-sorts the accepted-record positions into their views.
+// Sanitize accepts only records whose VP and prefix both have a country, so
+// each lies in exactly one: its prefix country's national view when the VP's
+// country is the same, its international view otherwise. Countries are
+// resolved once per prefix and once per VP into slot numbers, so the two
+// record passes compare no country codes and grow no slice.
+func indexViews(ds *sanitize.Dataset) viewIndex {
+	x := viewIndex{country: map[countries.Code]int32{}}
+	prefixSlot := make([]int32, len(ds.PrefixCountry)) // the prefix country's national slot
 	for p, c := range ds.PrefixCountry {
-		slot, ok := slotOf[c]
+		k, ok := x.country[c]
 		if !ok {
-			slot = int32(len(slotOf))
-			slotOf[c] = slot
+			k = int32(len(x.country))
+			x.country[c] = k
 		}
-		prefixSlot[p] = slot
+		prefixSlot[p] = 2 * k
 	}
-	off := make([]int32, len(slotOf)+1) // slot's run is order[off[slot]:off[slot+1]]
-	for i := 0; i < ds.Len(); i++ {
-		off[prefixSlot[ds.PrefixIndex(i)]+1]++
-	}
-	for slot := range len(slotOf) {
-		off[slot+1] += off[slot]
-	}
-	order := make([]int32, ds.Len())
-	next := slices.Clone(off)
-	for i := range order {
-		slot := prefixSlot[ds.PrefixIndex(i)]
-		order[next[slot]] = int32(i)
-		next[slot]++
-	}
-	index := make(map[countries.Code][]int32, len(slotOf))
-	for c, slot := range slotOf {
-		if off[slot] < off[slot+1] { // a country is listed for its records, not for its prefixes
-			index[c] = order[off[slot]:off[slot+1]]
+	vpSlot := make([]int32, len(ds.VPCountry)) // the VP country's national slot, -1 if it has no prefix
+	for v, c := range ds.VPCountry {
+		vpSlot[v] = -1
+		if k, ok := x.country[c]; ok {
+			vpSlot[v] = 2 * k
 		}
 	}
-	return index
+	slotOf := func(i int) int32 {
+		s := prefixSlot[ds.PrefixIndex(i)]
+		if vpSlot[ds.VPIndex(i)] != s {
+			s++ // international
+		}
+		return s
+	}
+	slots := 2 * len(x.country)
+	x.off = make([]int32, slots+1)
+	for i := range ds.Len() {
+		x.off[slotOf(i)+1]++
+	}
+	for s := range slots {
+		x.off[s+1] += x.off[s]
+	}
+	x.order = make([]int32, ds.Len())
+	next := slices.Clone(x.off[:slots])
+	for i := range x.order {
+		s := slotOf(i)
+		x.order[next[s]] = int32(i)
+		next[s]++
+	}
+	return x
 }
 
 // ViewKind selects which VPs a country view uses (§3.2, Table 2).
@@ -403,70 +390,40 @@ func (v ViewKind) String() string {
 }
 
 // ViewRecords returns the accepted-record positions of the (kind, country)
-// view. The country is ignored for Global. Results are cached per
-// (kind, country) and alias internal state; callers must not mutate them.
-// Safe for concurrent use.
+// view, ascending. The country is ignored for Global, whose nil means "every
+// accepted record" to the metric packages; every other view is non-nil, even
+// when empty, so an absent country or an unknown kind never reads as global.
+// A national or international view aliases the index and must not be
+// mutated; an outbound view is scanned afresh. Safe for concurrent use.
 func (p *Pipeline) ViewRecords(kind ViewKind, country countries.Code) []int32 {
-	if kind == Global {
-		return nil // nil means "all accepted records" to the metric packages
+	switch kind {
+	case Global:
+		return nil
+	case National, International:
+		if k, ok := p.views.country[country]; ok {
+			s := 2*k + int32(kind) // National is 0, International 1
+			lo, hi := p.views.off[s], p.views.off[s+1]
+			return p.views.order[lo:hi:hi]
+		}
+	case Outbound:
+		return p.outbound(country)
 	}
-	k := viewKey{kind, country}
-	p.viewMu.RLock()
-	out, ok := p.viewCache[k]
-	p.viewMu.RUnlock()
-	if ok {
-		return out
-	}
-	out = p.computeView(kind, country)
-	p.viewMu.Lock()
-	if prior, ok := p.viewCache[k]; ok {
-		out = prior // another worker won the race; keep one canonical slice
-	} else {
-		p.viewCache[k] = out
-	}
-	p.viewMu.Unlock()
-	return out
+	return []int32{}
 }
 
-func (p *Pipeline) computeView(kind ViewKind, country countries.Code) []int32 {
-	// Country views are never nil, even when empty: the metric packages
-	// treat nil as "every record", which would silently turn a
-	// no-in-country-VP national view into a global computation.
-	out := []int32{}
-	if kind == Outbound {
-		// In-country VPs toward everyone else's prefixes, served by the
-		// VP index (the prefix-country index cannot serve this view);
-		// sorted back to record order, the order a full scan would give.
-		p.byVPOnce.Do(func() { p.DS.GroupByVP(&p.byVP, nil) })
-		for _, vpIdx := range p.vpsByCountry[country] {
-			for _, i := range p.byVP.Run(vpIdx) {
-				if p.DS.PrefixCountry[p.DS.PrefixIndex(int(i))] != country {
-					out = append(out, i)
-				}
-			}
-		}
-		slices.Sort(out)
-		return out
-	}
-	// Two passes over the prefix-country index: count, then fill a view of
-	// its final length (the views are kept for the epoch, so growing them by
-	// append would allocate about four times what they hold). Which VPs the
-	// view keeps is decided once per VP, so a pass compares no country codes.
-	keep := make([]bool, len(p.DS.VPCountry))
+// outbound is the view of c's VPs toward every other country's prefixes. It
+// is not a slot of the index, because its records also lie in the other
+// countries' international views, so it is one scan in record order, with
+// the VP side decided once per VP.
+func (p *Pipeline) outbound(c countries.Code) []int32 {
+	inC := make([]bool, len(p.DS.VPCountry))
 	for v, vc := range p.DS.VPCountry {
-		keep[v] = kind == National && vc == country || kind == International && vc != "" && vc != country
+		inC[v] = vc == c
 	}
-	recs := p.byPrefixCountry[country]
-	n := 0
-	for _, i := range recs {
-		if keep[p.DS.VPIndex(int(i))] {
-			n++
-		}
-	}
-	out = make([]int32, 0, n)
-	for _, i := range recs {
-		if keep[p.DS.VPIndex(int(i))] {
-			out = append(out, i)
+	out := []int32{}
+	for i := range p.DS.Len() {
+		if inC[p.DS.VPIndex(i)] && p.DS.PrefixCountry[p.DS.PrefixIndex(i)] != c {
+			out = append(out, int32(i))
 		}
 	}
 	return out

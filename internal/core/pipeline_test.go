@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -41,27 +42,61 @@ func TestPipelineDeterministic(t *testing.T) {
 	}
 }
 
+// TestViewPartition pins the index: its slots cover every accepted record
+// exactly once, each slot is ascending (the order the kernels' walks rely
+// on), and the national, international and outbound views each equal a
+// record-by-record classification. Global is nil ("every record"); an absent
+// country or an unknown kind is empty and non-nil, never another view.
 func TestViewPartition(t *testing.T) {
 	p := NewPipeline(smallOpts())
+	seen := make([]int, p.DS.Len())
+	for s := 0; s+1 < len(p.views.off); s++ {
+		run := p.views.order[p.views.off[s]:p.views.off[s+1]]
+		for j, i := range run {
+			if j > 0 && run[j-1] >= i {
+				t.Fatalf("slot %d is not ascending at %d: %d then %d", s, j, run[j-1], i)
+			}
+			seen[i]++
+		}
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("accepted record %d lies in %d slots, want 1", i, n)
+		}
+	}
+
 	for _, c := range p.DS.CountriesWithPrefixes() {
-		nat := p.ViewRecords(National, c)
-		intl := p.ViewRecords(International, c)
-		if len(nat)+len(intl) != len(p.byPrefixCountry[c]) {
-			t.Fatalf("%s: views do not partition: %d + %d != %d",
-				c, len(nat), len(intl), len(p.byPrefixCountry[c]))
-		}
-		// Spot-check membership invariants.
-		for _, i := range nat {
-			vpIdx, pfxIdx, _ := p.DS.Record(int(i))
-			if p.DS.VPCountry[vpIdx] != c || p.DS.PrefixCountry[pfxIdx] != c {
-				t.Fatalf("%s national view violation", c)
+		for _, kind := range []ViewKind{National, International, Outbound} {
+			want := []int32{}
+			for i := 0; i < p.DS.Len(); i++ {
+				vpIdx, pfxIdx, _ := p.DS.Record(i)
+				vc, pc := p.DS.VPCountry[vpIdx], p.DS.PrefixCountry[pfxIdx]
+				in := false
+				switch kind {
+				case National:
+					in = pc == c && vc == c
+				case International:
+					in = pc == c && vc != "" && vc != c
+				case Outbound:
+					in = vc == c && pc != c
+				}
+				if in {
+					want = append(want, int32(i))
+				}
+			}
+			if got := p.ViewRecords(kind, c); got == nil || !slices.Equal(got, want) {
+				t.Fatalf("%s/%s: view (%d recs, nil %v) != classification (%d recs)",
+					kind, c, len(got), got == nil, len(want))
 			}
 		}
-		for _, i := range intl {
-			vpIdx, pfxIdx, _ := p.DS.Record(int(i))
-			if p.DS.VPCountry[vpIdx] == c || p.DS.PrefixCountry[pfxIdx] != c {
-				t.Fatalf("%s international view violation", c)
-			}
+	}
+
+	for _, tc := range []struct {
+		kind ViewKind
+		c    countries.Code
+	}{{ViewKind(99), "AU"}, {National, "ZZ"}, {International, "ZZ"}, {Outbound, "ZZ"}} {
+		if got := p.ViewRecords(tc.kind, tc.c); got == nil || len(got) != 0 {
+			t.Errorf("ViewRecords(%s, %s) = %d recs (nil %v), want empty and non-nil", tc.kind, tc.c, len(got), got == nil)
 		}
 	}
 	if p.ViewRecords(Global, "") != nil {

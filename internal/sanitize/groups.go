@@ -1,8 +1,7 @@
 package sanitize
 
-// Groups is the metric kernels' reusable scratch for counting-sorting
-// accepted-record positions by one of the dataset's dense key columns: the
-// cone kernel works per prefix, the Outbound view index per VP.
+// Groups is the cone kernel's reusable scratch for counting-sorting
+// accepted-record positions by prefix, the dataset's dense key it works per.
 // A call costs O(records + keys touched), never O(keys): only touched Cnt
 // entries are written.
 //
@@ -15,17 +14,10 @@ type Groups struct {
 	Order []int32 // record positions grouped by key, request order kept inside a run
 }
 
-// GroupByVP groups the requested accepted-record positions (nil means every
-// record) by vantage point.
-func (d *Dataset) GroupByVP(g *Groups, recs []int32) { g.group(d.recVP, len(d.VPCountry), recs) }
-
-// GroupByPrefix groups them by prefix.
-func (d *Dataset) GroupByPrefix(g *Groups, recs []int32) { g.group(d.recPrefix, len(d.Weight), recs) }
-
-// Run returns key k's record positions.
-func (g *Groups) Run(k int32) []int32 { return g.Order[g.Off[k]:][:g.Cnt[k]] }
-
-func (g *Groups) group(col []int32, keys int, recs []int32) {
+// GroupByPrefix groups the requested accepted-record positions (nil means
+// every record) by prefix.
+func (d *Dataset) GroupByPrefix(g *Groups, recs []int32) {
+	col, keys := d.recPrefix, len(d.Weight)
 	n := len(recs)
 	if recs == nil {
 		n = len(col)
@@ -57,6 +49,9 @@ func (g *Groups) group(col []int32, keys int, recs []int32) {
 		g.Cnt[k]++
 	}
 }
+
+// Run returns key k's record positions.
+func (g *Groups) Run(k int32) []int32 { return g.Order[g.Off[k]:][:g.Cnt[k]] }
 
 // Grow returns pooled scratch slice s resized to n. A reallocation is zeroed
 // by make; a resize within capacity exposes only entries the kernels' reset
