@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
@@ -43,10 +42,9 @@ func TestPipelineDeterministic(t *testing.T) {
 }
 
 // TestViewPartition pins the index: its slots cover every accepted record
-// exactly once, each slot is ascending (the order the kernels' walks rely
-// on), and the national, international and outbound views each equal a
-// record-by-record classification. Global is nil ("every record"); an absent
-// country or an unknown kind is empty and non-nil, never another view.
+// exactly once and each slot is ascending (the order the kernels' walks rely
+// on). Global is nil ("every record"); an absent country or an unknown kind
+// is empty and non-nil, never another view.
 func TestViewPartition(t *testing.T) {
 	p := NewPipeline(smallOpts())
 	seen := make([]int, p.DS.Len())
@@ -62,32 +60,6 @@ func TestViewPartition(t *testing.T) {
 	for i, n := range seen {
 		if n != 1 {
 			t.Fatalf("accepted record %d lies in %d slots, want 1", i, n)
-		}
-	}
-
-	for _, c := range p.DS.CountriesWithPrefixes() {
-		for _, kind := range []ViewKind{National, International, Outbound} {
-			want := []int32{}
-			for i := 0; i < p.DS.Len(); i++ {
-				vpIdx, pfxIdx, _ := p.DS.Record(i)
-				vc, pc := p.DS.VPCountry[vpIdx], p.DS.PrefixCountry[pfxIdx]
-				in := false
-				switch kind {
-				case National:
-					in = pc == c && vc == c
-				case International:
-					in = pc == c && vc != "" && vc != c
-				case Outbound:
-					in = vc == c && pc != c
-				}
-				if in {
-					want = append(want, int32(i))
-				}
-			}
-			if got := p.ViewRecords(kind, c); got == nil || !slices.Equal(got, want) {
-				t.Fatalf("%s/%s: view (%d recs, nil %v) != classification (%d recs)",
-					kind, c, len(got), got == nil, len(want))
-			}
 		}
 	}
 
