@@ -122,13 +122,9 @@ func main() {
 	ofl.Init()
 
 	ofl.Manifest.Seed("world", cfg.opt.Seed)
-	src := core.Generated
-	if cfg.mrtDir != "" {
-		paths, _ := filepath.Glob(filepath.Join(cfg.mrtDir, "*.mrt")) // a bad pattern lists nothing: 0 VPs, below quorum
-		src = core.MRTFiles(paths)
-		if *ofl.ManifestOut != "" {
-			addInputs(ofl.Manifest, paths)
-		}
+	src, paths := source(cfg)
+	if *ofl.ManifestOut != "" {
+		addInputs(ofl.Manifest, paths)
 	}
 	p, err := core.Run(context.Background(), src, cfg.opt)
 	if err != nil {
@@ -144,6 +140,16 @@ func main() {
 		os.Exit(1)
 	}
 	ofl.Done()
+}
+
+// source is the pipeline source cfg selects and, with -mrt, the dumps it
+// reads in path order.
+func source(cfg config) (core.Source, []string) {
+	if cfg.mrtDir == "" {
+		return core.Generated, nil
+	}
+	paths, _ := filepath.Glob(filepath.Join(cfg.mrtDir, "*.mrt")) // a bad pattern lists nothing: 0 VPs, below quorum
+	return core.MRTFiles(paths), paths
 }
 
 // render writes the rankings cfg selects: as tables under a header per

@@ -169,6 +169,14 @@ grep -q 'CCI' "$scale_dir/crank.out"
 GOMAXPROCS=1 "$scale_dir/crank" -scale 0.5 -vpscale 0.5 -mrt "$scale_dir/mrt" \
     -top 3 AU >"$scale_dir/crank-1p.out"
 cmp "$scale_dir/crank.out" "$scale_dir/crank-1p.out"
+# The bytes must also be the ones the oracle pins (cmd/crank's TestOracle
+# renders the same command in-process over the same dumps).
+oracle_sum=$(awk -F'\t' '$1 == "crank-mrt" { print $4 }' cmd/crank/testdata/oracle.txt)
+mrt_sum=$(sha256sum "$scale_dir/crank.out" | cut -d' ' -f1)
+if [[ -z "$oracle_sum" || "$mrt_sum" != "$oracle_sum" ]]; then
+    echo "crank -mrt stdout sha256 $mrt_sum, oracle pins '$oracle_sum'" >&2
+    exit 1
+fi
 if grep -q 'degraded' "$scale_dir/crank.out"; then
     echo "crank labelled a complete dump directory as degraded" >&2
     exit 1
