@@ -101,8 +101,81 @@ func (p Path) String() string {
 	return b.String()
 }
 
-// Key returns a compact comparable key for map indexing of paths: the same
-// big-endian rendering the Interner hashes.
+// Key returns a compact comparable key for map indexing of paths: the hops'
+// big-endian bytes.
 func (p Path) Key() string {
-	return string(appendPathKey(make([]byte, 0, len(p)*4), p))
+	b := make([]byte, 0, len(p)*4)
+	for _, a := range p {
+		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	}
+	return string(b)
+}
+
+// Paths holds AS paths back to back in one pointer-free arena: path q is
+// Hops[Off[q]:Off[q+1]]. It is the one path store of the pipeline —
+// propagation shards, MRT decode streams, the Interner, the Collection and
+// the sanitized Dataset each keep one — and the only code that knows the
+// layout. The zero value holds no path.
+type Paths struct {
+	Hops []asn.ASN
+	Off  []int32
+}
+
+// NumPaths returns the number of paths.
+func (ps *Paths) NumPaths() int { return max(len(ps.Off)-1, 0) }
+
+// Path returns path q. It aliases the arena, capped so that an append by
+// the caller copies instead of reaching the next path; callers must not
+// write through it.
+func (ps *Paths) Path(q int32) Path {
+	lo, hi := ps.Off[q], ps.Off[q+1]
+	return Path(ps.Hops[lo:hi:hi])
+}
+
+// AppendPath copies p in as the next path and returns its number. A full
+// arena doubles, so N appends reallocate it O(log N) times.
+func (ps *Paths) AppendPath(p Path) int32 {
+	if len(ps.Off) == 0 {
+		ps.Off = append(ps.Off, 0)
+	}
+	ps.Hops = append(grow(ps.Hops, len(p), max(cap(ps.Hops), 16)), p...)
+	ps.Off = append(grow(ps.Off, 1, cap(ps.Off)), int32(len(ps.Hops)))
+	return int32(len(ps.Off) - 2)
+}
+
+// Grow makes room for n more paths of h more hops in all, reallocating to
+// exactly that when it must: the presize for callers that know their size.
+func (ps *Paths) Grow(n, h int) {
+	ps.Hops = grow(ps.Hops, h, 0)
+	ps.Off = grow(ps.Off, n+1, 0)
+	if len(ps.Off) == 0 {
+		ps.Off = append(ps.Off, 0)
+	}
+}
+
+// Reserve makes room for n more paths of h more hops, and 1/32 to spare,
+// for a producer that has done done of its total work, these paths
+// included. When the room runs out it extrapolates the store to the whole
+// work, so a short estimate is replaced by one read from more of the work
+// instead of doubling.
+func (ps *Paths) Reserve(n, h int, done, total int64) {
+	if cap(ps.Hops)-len(ps.Hops) >= h+h/32 && cap(ps.Off)-len(ps.Off) >= n+n/32+1 {
+		return
+	}
+	wantN, wantH := int64(ps.NumPaths()+n)*total/done, int64(len(ps.Hops)+h)*total/done
+	ps.Grow(int(wantN+wantN/32)-ps.NumPaths(), int(wantH+wantH/32)-len(ps.Hops))
+}
+
+// Reset empties ps, keeping its capacity.
+func (ps *Paths) Reset() {
+	ps.Hops, ps.Off = ps.Hops[:0], ps.Off[:min(len(ps.Off), 1)]
+}
+
+// grow returns s with room for n more elements, reallocating to room for
+// extra more beyond those when it must.
+func grow[T any](s []T, n, extra int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n+extra), s...)
 }

@@ -124,3 +124,68 @@ func TestKeyInjectiveRandom(t *testing.T) {
 		seen[k] = p.String()
 	}
 }
+
+// TestPaths: a Paths returns every appended path whole and in order — the
+// zero value and an empty path included — hands each out capped, so that a
+// caller's append copies instead of overwriting the next path, and
+// reallocates its arena O(log N) times over N appends, never when presized.
+func TestPaths(t *testing.T) {
+	const n = 1 << 15
+	many := make([]Path, n)
+	for i := range many {
+		many[i] = Path{asn.ASN(i), 3356, 64500}
+	}
+	for _, tc := range []struct {
+		name  string
+		grow  [2]int // paths and hops presized with Grow
+		paths []Path
+		// maxReallocs bounds how often appending paths replaces Hops.
+		maxReallocs int
+	}{
+		{name: "zero value"},
+		{name: "empty path", paths: []Path{{}}, maxReallocs: 0},
+		{name: "empty between", paths: []Path{{1, 2}, nil, {3}}, maxReallocs: 1},
+		{name: "one path", paths: []Path{path(3356, 1299, 64500)}, maxReallocs: 1},
+		// 3·2^15 hops from a first arena of 19: a doubling arena reallocates
+		// at most log2(3·2^15) < 17 times; append's 1.25× steps would take
+		// about twice as many.
+		{name: "doubling", paths: many, maxReallocs: 17},
+		{name: "presized", grow: [2]int{n, 3 * n}, paths: many, maxReallocs: 0},
+	} {
+		var ps Paths
+		if tc.grow != [2]int{} {
+			ps.Grow(tc.grow[0], tc.grow[1])
+		}
+		reallocs, c := 0, cap(ps.Hops)
+		for i, p := range tc.paths {
+			if q := ps.AppendPath(p); q != int32(i) {
+				t.Fatalf("%s: path %d numbered %d", tc.name, i, q)
+			}
+			if cap(ps.Hops) != c {
+				reallocs, c = reallocs+1, cap(ps.Hops)
+			}
+		}
+		if ps.NumPaths() != len(tc.paths) {
+			t.Fatalf("%s: NumPaths() = %d, want %d", tc.name, ps.NumPaths(), len(tc.paths))
+		}
+		if reallocs > tc.maxReallocs {
+			t.Errorf("%s: %d appends reallocated Hops %d times, want at most %d", tc.name, len(tc.paths), reallocs, tc.maxReallocs)
+		}
+		for i, p := range tc.paths {
+			got := ps.Path(int32(i))
+			if !got.Equal(p) || cap(got) != len(got) {
+				t.Fatalf("%s: Path(%d) = %v (cap %d), want %v capped", tc.name, i, got, cap(got), p)
+			}
+			if i+1 < len(tc.paths) {
+				_ = append(got, 65535)
+				if next := ps.Path(int32(i + 1)); !next.Equal(tc.paths[i+1]) {
+					t.Fatalf("%s: appending to Path(%d) changed Path(%d) to %v", tc.name, i, i+1, next)
+				}
+			}
+		}
+		ps.Reset()
+		if ps.NumPaths() != 0 || len(ps.Hops) != 0 {
+			t.Errorf("%s: Reset left %d paths, %d hops", tc.name, ps.NumPaths(), len(ps.Hops))
+		}
+	}
+}

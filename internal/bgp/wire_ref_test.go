@@ -153,7 +153,7 @@ func TestInterner(t *testing.T) {
 	mine := Path{7, 8}
 	i3 := it.Intern(mine)
 	mine[0], mine[1] = 9, 9
-	if got := it.path(i3); !got.Equal(Path{7, 8}) {
+	if got := it.paths.Path(i3); !got.Equal(Path{7, 8}) {
 		t.Fatalf("interned path changed with the caller's slice: %v", got)
 	}
 	if got := it.Intern(Path{7, 8}); got != i3 {
@@ -176,9 +176,8 @@ func TestInterner(t *testing.T) {
 			t.Fatalf("after growth, path %d re-interned as %d, want %d", a, got, more[a])
 		}
 	}
-	hops, off := it.Arena()
-	at := func(i int32) Path { return Path(hops[off[i]:off[i+1]]) }
-	if len(off) != 5+100 || !at(i1).Equal(p1) || !at(i2).Equal(p2) || !at(i3).Equal(Path{7, 8}) || len(at(e1)) != 0 {
-		t.Fatalf("Arena() = %v, %v", hops, off)
+	ps := it.Arena()
+	if ps.NumPaths() != 4+100 || !ps.Path(i1).Equal(p1) || !ps.Path(i2).Equal(p2) || !ps.Path(i3).Equal(Path{7, 8}) || len(ps.Path(e1)) != 0 {
+		t.Fatalf("Arena() = %v, %v", ps.Hops, ps.Off)
 	}
 }

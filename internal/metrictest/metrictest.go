@@ -29,7 +29,7 @@ type Rec struct {
 func Dataset(vpCountries []countries.Code, recs []Rec) *sanitize.Dataset {
 	col := &routing.Collection{Days: 1}
 	pfxIdx := map[netip.Prefix]int32{}
-	pathIdx := map[string]int32{}
+	paths := bgp.NewInterner(0, 0) // equal paths share one number
 	var prefixCountry []countries.Code
 	for _, r := range recs {
 		pfx := netx.MustPrefix(r.Prefix)
@@ -44,14 +44,10 @@ func Dataset(vpCountries []countries.Code, recs []Rec) *sanitize.Dataset {
 			prefixCountry = append(prefixCountry, r.PrefixCountry)
 			col.Stable = append(col.Stable, true)
 		}
-		path := toPath(r.Path)
-		qi, ok := pathIdx[path.Key()]
-		if !ok {
-			qi = col.AppendPath(path)
-			pathIdx[path.Key()] = qi
-		}
+		qi := paths.Intern(toPath(r.Path))
 		col.Records = append(col.Records, routing.Record{VP: int32(r.VP), Prefix: pi, Path: qi})
 	}
+	col.Paths = paths.Arena()
 	return sanitize.NewDataset(col, vpCountries, prefixCountry)
 }
 

@@ -214,6 +214,7 @@ type PeerIndexTable struct {
 type Reader struct {
 	r      *bufio.Reader
 	sawPIT bool
+	off    int64
 	hdr    [recordHeaderLen]byte
 	body   []byte // reusable record body buffer
 
@@ -226,6 +227,9 @@ type Reader struct {
 
 // NewReader returns a Reader over r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
+
+// Offset returns the stream bytes of the records returned so far.
+func (r *Reader) Offset() int64 { return r.off }
 
 // Scan returns the next record, or io.EOF at end of stream. Records of
 // types other than TABLE_DUMP_V2 are rejected. The returned record, its
@@ -290,6 +294,7 @@ func (r *Reader) next(reuse bool) (*Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mrt: body: %w", err)
 	}
+	r.off += recordHeaderLen + int64(length)
 	var rec *Record
 	if reuse {
 		rec = &r.scanRec

@@ -44,10 +44,9 @@ type Collection struct {
 	Prefixes []netip.Prefix
 	// Origin[i] is the origin AS of Prefixes[i].
 	Origin []asn.ASN
-	// Hops holds every path's ASNs back to back in one pointer-free arena:
-	// path q is Hops[PathOff[q]:PathOff[q+1]] (see Path).
-	Hops    []asn.ASN
-	PathOff []int32
+	// Paths holds every path a Record numbers (see bgp.Paths); its Path,
+	// NumPaths and AppendPath are the collection's.
+	bgp.Paths
 	// Records holds every (VP, prefix, path) observation of the base day in
 	// canonical order: by origin, VP, then prefix for a built collection,
 	// stream order for an imported one.
@@ -72,28 +71,6 @@ type Collection struct {
 
 // NumRecords returns the collection's record count.
 func (c *Collection) NumRecords() int { return len(c.Records) }
-
-// NumPaths returns the number of paths, the bound of Record.Path.
-func (c *Collection) NumPaths() int { return max(len(c.PathOff)-1, 0) }
-
-// Path returns path q. It aliases the arena, capped so that an append by
-// the caller copies instead of reaching the next path; callers must not
-// write through it.
-func (c *Collection) Path(q int32) bgp.Path {
-	lo, hi := c.PathOff[q], c.PathOff[q+1]
-	return bgp.Path(c.Hops[lo:hi:hi])
-}
-
-// AppendPath copies p into the arena as the next path and returns its
-// number.
-func (c *Collection) AppendPath(p bgp.Path) int32 {
-	if len(c.PathOff) == 0 {
-		c.PathOff = append(c.PathOff, 0)
-	}
-	c.Hops = append(c.Hops, p...)
-	c.PathOff = append(c.PathOff, int32(len(c.Hops)))
-	return int32(len(c.PathOff) - 2)
-}
 
 // BuildOptions tunes collection assembly. Zero values select the rates that
 // reproduce Table 1's reject-class proportions.
@@ -248,6 +225,7 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 		defer states.put(st)
 		out := buffers.get()
 		out.reset()
+		var hops bgp.Path // one path, before it is stored
 		for _, origin := range active[lo:hi] {
 			propagate(g, origin, st)
 			n0 := len(out.vpIdxs)
@@ -263,10 +241,9 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 				}
 				l := st.pathAt[v.node]
 				if l < 0 {
-					l = int32(len(out.off) - 1)
+					hops = appendPath(g, st, v.node, hops[:0])
+					l = out.paths.AppendPath(hops)
 					st.pathAt[v.node] = l
-					out.hops = appendPath(g, st, v.node, out.hops)
-					out.off = append(out.off, int32(len(out.hops)))
 				}
 				out.vpIdxs = append(out.vpIdxs, v.vpIdx)
 				out.pathOf = append(out.pathOf, l)
@@ -277,7 +254,7 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 	}
 
 	// The merge runs on this goroutine in strict shard order: number each
-	// path at its first route and copy it into col.Hops, fan the route out
+	// path at its first route and copy it into col.Paths, fan the route out
 	// across the origin's prefixes, inject the per-record anomalies (rng
 	// draws stay in record order), and append each record straight onto
 	// col.Records.
@@ -295,16 +272,14 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 	var global []int32 // shard-local path number → collection path number
 	consume := func(si int, rt *shardRoutes) {
 		lo, hi := si*len(active)/shards, (si+1)*len(active)/shards
+		// The shards hold equal shares of the origins, seen from much the
+		// same vantage points, so the shards merged so far extrapolate to
+		// the store's size, mutated paths included. Low-numbered origins
+		// have shorter paths: at 4 shards the last one resizes it, once.
+		col.Reserve(rt.paths.NumPaths(), len(rt.paths.Hops), int64(si+1), int64(shards))
 		if si == 0 {
-			// The shards hold equal shares of the origins and every origin
-			// is seen from much the same vantage points, so the first
-			// shard's paths and hops size the arena, mutated paths
-			// included, to within a few percent; append covers the rest.
 			// Records scale with prefixes rather than origins, since
 			// low-numbered origins announce more of them than the rest.
-			n, h := len(rt.off)-1, len(rt.hops)
-			col.Hops = make([]asn.ASN, 0, shards*(h+h/32))
-			col.PathOff = make([]int32, 1, shards*(n+n/32)+1)
 			const maxEst = 64 << 20
 			est := len(rt.vpIdxs) * len(col.Prefixes) / max(hi-lo, 1)
 			col.Records = make([]Record, 0, min(est+est/16, maxEst))
@@ -318,7 +293,7 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 				vpIdx, l := rt.vpIdxs[k], rt.pathOf[k]
 				k++
 				if int(l) == len(global) {
-					global = append(global, col.AppendPath(rt.hops[rt.off[l]:rt.off[l+1]]))
+					global = append(global, col.AppendPath(rt.paths.Path(l)))
 				}
 				pi := global[l]
 				path := col.Path(pi)
@@ -353,20 +328,19 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 
 // shardRoutes is one shard's routes, grouped by origin: counts[k] routes
 // belong to the k-th origin of the shard, flattened into vpIdxs/pathOf.
-// pathOf numbers the shard's distinct paths in first-appearance order; path
-// l is hops[off[l]:off[l+1]] in the shard's arena.
+// pathOf numbers the shard's distinct paths in first-appearance order, as
+// paths stores them.
 type shardRoutes struct {
 	counts []int32
 	vpIdxs []int32
 	pathOf []int32
-	hops   []asn.ASN
-	off    []int32
+	paths  bgp.Paths
 }
 
 // reset empties the buffers for the next shard, keeping their capacity.
 func (rt *shardRoutes) reset() {
 	rt.counts, rt.vpIdxs, rt.pathOf = rt.counts[:0], rt.vpIdxs[:0], rt.pathOf[:0]
-	rt.hops, rt.off = rt.hops[:0], append(rt.off[:0], 0)
+	rt.paths.Reset()
 }
 
 // freeList hands out values put back earlier, or new ones. It is safe for

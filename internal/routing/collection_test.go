@@ -196,7 +196,8 @@ func TestDayMaskInvariants(t *testing.T) {
 // a collection's heap, so they are held in slices whose elements the
 // garbage collector never scans. Only VPs (one pointer) and Prefixes (whose
 // netip.Addr carries a zone handle) may hold pointers, and a path stored as
-// a []bgp.Path, 24 scanned bytes a path, fails here.
+// a []bgp.Path, 24 scanned bytes a path, fails here. The same holds for the
+// path store a decode stream fills before the merge interns it.
 func TestCollectionPathsArePointerFree(t *testing.T) {
 	var hasPointers func(reflect.Type) bool
 	hasPointers = func(t reflect.Type) bool {
@@ -215,19 +216,32 @@ func TestCollectionPathsArePointerFree(t *testing.T) {
 		}
 		return false
 	}
+	// elemsHavePointers looks through slice headers, one pointer per field,
+	// and through the fields of a struct of them, such as bgp.Paths.
+	var elemsHavePointers func(reflect.Type) bool
+	elemsHavePointers = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Slice:
+			return hasPointers(t.Elem())
+		case reflect.Struct:
+			for i := range t.NumField() {
+				if elemsHavePointers(t.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		}
+		return hasPointers(t)
+	}
 	exempt := map[string]bool{"VPs": true, "Prefixes": true}
 	typ := reflect.TypeOf(Collection{})
 	for i := range typ.NumField() {
 		f := typ.Field(i)
-		if exempt[f.Name] {
-			continue
-		}
-		elem := f.Type
-		if elem.Kind() == reflect.Slice {
-			elem = elem.Elem() // the header itself is one pointer per field
-		}
-		if hasPointers(elem) {
+		if !exempt[f.Name] && elemsHavePointers(f.Type) {
 			t.Errorf("Collection.%s (%s) holds pointers", f.Name, f.Type)
 		}
+	}
+	if f, _ := reflect.TypeOf(importStream{}).FieldByName("paths"); elemsHavePointers(f.Type) {
+		t.Errorf("importStream.paths (%s) holds pointers", f.Type)
 	}
 }

@@ -18,18 +18,6 @@ import (
 	"countryrank/internal/vp"
 )
 
-// countingReader tracks bytes consumed from an MRT stream.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // scatterRecords stably distributes src into dst grouped by ascending
 // key(r), with nKeys bounding the key space, and returns the group offsets:
 // key k's records are dst[start[k]:start[k+1]]. Two chained passes implement
@@ -182,27 +170,25 @@ func (b *blocks[T]) push(v T) {
 }
 
 // importStream is the per-stream partial of a parallel ImportMRT. Records
-// carry the global VP index but stream-local prefix and path indexes; the
+// carry the global VP index but stream-local prefix and path numbers; the
 // merge remaps them in stream order, which keeps the result independent of
-// worker scheduling. paths is run-length deduplicated per peer, not fully
-// interned — full hash-consing happens once, in the merge — so the hot
-// decode loop stays free of intern-table hashing.
+// worker scheduling. paths holds one path per run of records a peer
+// repeats it over, not fully interned — full hash-consing happens once, in
+// the merge — so the hot decode loop stays free of intern-table hashing.
 type importStream struct {
 	// prefixes holds one entry per RIB record read, in stream order; a prefix
 	// a stream repeats is deduplicated with every other in the merge.
 	prefixes blocks[importPrefix]
 	records  blocks[Record]
-	paths    blocks[bgp.Path]
+	paths    bgp.Paths
 	// named is the world VP index of each known peer of each peer table read.
 	named []int32
 	// rejects counts entries of peers outside the world, dropped during
 	// decode, and folds into ImportStats in the merge; bytes is the stream's
-	// wire size, hops the summed length of paths, which bounds the merged
-	// arena. err is the error that stopped the stream, which fails the
+	// wire size. err is the error that stopped the stream, which fails the
 	// import.
 	rejects int64
 	bytes   int64
-	hops    int
 	err     error
 }
 
@@ -220,23 +206,17 @@ var errStopped = errors.New("routing: stopped after an earlier stream failed")
 // importOneStream decodes one stream into its partial. It asks stop before
 // every record and ends with errStopped once stop says yes.
 func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, stop func() bool) (out importStream) {
-	cr := &countingReader{r: stream}
-	defer func() { out.bytes = cr.n }()
-	r := mrt.NewReader(cr)
+	size := streamSize(stream)
+	r := mrt.NewReader(stream)
+	defer func() { out.bytes = r.Offset() }()
 	// vpOf resolves a stream peer index to the world VP index (-1 unknown);
 	// it is built once per peer table so the hot loop never hashes peering
-	// addresses. last memoizes each peer's most recent path: exports emit
-	// prefixes of one origin back to back, so consecutive RIB records usually
-	// repeat the previous path per peer, and a slice compare collapses the
-	// run. Retained paths are sliced out of an arena block; a path that does
-	// not fit starts a new block, and the headers keep the old ones alive.
-	type memo struct {
-		id   int32
-		path bgp.Path
-	}
-	var vpOf []int32
-	var last []memo
-	var flat, arena bgp.Path
+	// addresses. last holds each peer's most recent path number (-1 none):
+	// exports emit prefixes of one origin back to back, so consecutive RIB
+	// records usually repeat the previous path per peer, and comparing with
+	// that stored path collapses the run into one.
+	var vpOf, last []int32
+	var flat bgp.Path
 	for {
 		if stop() {
 			out.err = errStopped
@@ -262,7 +242,7 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, stop func() 
 					out.named = append(out.named, gi)
 				}
 				vpOf = append(vpOf, gi)
-				last = append(last, memo{id: -1})
+				last = append(last, -1)
 			}
 			continue
 		}
@@ -284,20 +264,28 @@ func importOneStream(stream io.Reader, byAddr map[netip.Addr]int32, stop func() 
 				pfx.origin, pfx.originSet = o, true
 			}
 			lp := &last[e.PeerIndex]
-			if lp.id < 0 || !flat.Equal(lp.path) {
-				if len(arena)+len(flat) > cap(arena) {
-					arena = make(bgp.Path, 0, max(min(2*cap(arena), 8*maxBlock), minBlock, len(flat)))
+			if *lp < 0 || !flat.Equal(out.paths.Path(*lp)) {
+				if size > 0 { // else the store doubles
+					out.paths.Reserve(1, len(flat), r.Offset(), size)
 				}
-				start := len(arena)
-				arena = append(arena, flat...)
-				lp.id, lp.path = int32(out.paths.n), arena[start:len(arena):len(arena)]
-				out.paths.push(lp.path)
-				out.hops += len(flat)
+				*lp = out.paths.AppendPath(flat)
 			}
-			out.records.push(Record{VP: vpIdx, Prefix: pi, Path: lp.id})
+			out.records.push(Record{VP: vpIdx, Prefix: pi, Path: *lp})
 		}
 		out.prefixes.push(pfx)
 	}
+}
+
+// streamSize returns the length of s when s can tell it, else 0.
+func streamSize(s io.Reader) int64 {
+	if f, ok := s.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil {
+			return fi.Size()
+		}
+	} else if b, ok := s.(interface{ Len() int }); ok { // bytes.Reader, bytes.Buffer
+		return int64(b.Len())
+	}
+	return 0
 }
 
 // ImportOptions is empty: MRT ingest has one mode, strict, in which any
@@ -420,8 +408,8 @@ func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportSta
 		maps[si].start = stats.Records
 		stats.Records += int64(p.records.n)
 		stats.Rejects += p.rejects
-		nPaths += p.paths.n
-		nHops += p.hops
+		nPaths += p.paths.NumPaths()
+		nHops += len(p.paths.Hops)
 	}
 
 	col := &Collection{VPs: vps, Days: 1}
@@ -448,15 +436,13 @@ func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportSta
 				pfxMap = append(pfxMap, gi)
 			}
 		}
-		// The table copies each distinct path into its arena, which becomes
-		// the collection's, so the stream arenas die with the merge.
-		pathMap := make([]int32, 0, p.paths.n)
-		for _, blk := range p.paths.blks {
-			for _, path := range blk {
-				pathMap = append(pathMap, it.Intern(path))
-			}
+		// The table copies each distinct path into its store, which becomes
+		// the collection's, so the streams' stores die with the merge.
+		pathMap := make([]int32, p.paths.NumPaths())
+		for q := range pathMap {
+			pathMap[q] = it.Intern(p.paths.Path(int32(q)))
 		}
-		p.prefixes, p.paths = blocks[importPrefix]{}, blocks[bgp.Path]{} // numbered: let them go before Records is allocated
+		p.prefixes, p.paths = blocks[importPrefix]{}, bgp.Paths{} // numbered: let them go before Records is allocated
 		maps[si].prefix, maps[si].path = pfxMap, pathMap
 	}
 	col.Records = make([]Record, stats.Records)
@@ -470,7 +456,7 @@ func mergeImportParts(vps *vp.Set, parts []importStream) (*Collection, ImportSta
 			out = out[len(blk):]
 		}
 	})
-	col.Hops, col.PathOff = it.Arena()
+	col.Paths = it.Arena()
 	col.Stable = make([]bool, len(col.Prefixes))
 	for i := range col.Stable {
 		col.Stable[i] = true

@@ -270,7 +270,7 @@ func TestImportMRTDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	requireSameCollection(t, serial, parallel)
 	// With interning the path tables must match index for index too.
-	if !reflect.DeepEqual(serial.Hops, parallel.Hops) || !reflect.DeepEqual(serial.PathOff, parallel.PathOff) {
+	if !reflect.DeepEqual(serial.Paths, parallel.Paths) {
 		t.Fatalf("path arenas differ: %d vs %d paths", serial.NumPaths(), parallel.NumPaths())
 	}
 	for i := range serial.Records {

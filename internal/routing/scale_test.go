@@ -80,7 +80,7 @@ func TestShardedBuildDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(base.Records, col.Records) {
 				t.Fatalf("procs=%d shards=%d: record slices differ", procs, shards)
 			}
-			if !reflect.DeepEqual(base.Hops, col.Hops) || !reflect.DeepEqual(base.PathOff, col.PathOff) {
+			if !reflect.DeepEqual(base.Paths, col.Paths) {
 				t.Fatalf("procs=%d shards=%d: path arenas differ", procs, shards)
 			}
 			if d := mrtDigest(t, col); d != baseDigest {
@@ -134,9 +134,9 @@ func TestPathNumberingEqualsHashConsing(t *testing.T) {
 			}
 			nPaths := col.NumPaths()
 			internBelow(int32(nPaths))
-			if _, off := it.Arena(); len(off)-1 != nPaths {
+			if ps := it.Arena(); ps.NumPaths() != nPaths {
 				t.Fatalf("seed %d shards %d: %d paths, %d distinct",
-					seed, shards, nPaths, len(off)-1)
+					seed, shards, nPaths, ps.NumPaths())
 			}
 			if nPaths < len(col.Records)/10 || unnamed == 0 || unnamed > nPaths/5 {
 				t.Fatalf("implausible build: %d records, %d paths, %d named by no record",
@@ -182,7 +182,7 @@ func TestImportMRTFilesMatchesStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		collectionEqual(t, seq, files, "streams vs files import")
-		if !reflect.DeepEqual(seq.Records, files.Records) || !reflect.DeepEqual(seq.Hops, files.Hops) || !reflect.DeepEqual(seq.PathOff, files.PathOff) {
+		if !reflect.DeepEqual(seq.Records, files.Records) || !reflect.DeepEqual(seq.Paths, files.Paths) {
 			t.Fatalf("procs=%d: record or path tables differ", procs)
 		}
 		if stats != seqStats {

@@ -90,8 +90,8 @@ func checkLayout(t *testing.T, ds *Dataset, col *routing.Collection, clean func(
 		t.Fatal("no two records share a path index; the aliasing contract went unexercised")
 	}
 	// Once per distinct path, and nothing for paths no accepted record uses.
-	if len(ds.cleanHops) != usedHops || len(ds.idHops) != usedHops {
-		t.Fatalf("arenas hold %d/%d hops, accepted records use %d", len(ds.cleanHops), len(ds.idHops), usedHops)
+	if len(ds.clean.Hops) != usedHops || len(ds.idHops) != usedHops {
+		t.Fatalf("arenas hold %d/%d hops, accepted records use %d", len(ds.clean.Hops), len(ds.idHops), usedHops)
 	}
 }
 

@@ -169,15 +169,14 @@ type Dataset struct {
 	ASNOf []asn.ASN
 
 	// Clean paths are stored once per collection path, not per record:
-	// pathOff[q]:pathOff[q+1] bounds path q's clean form (after route-server
-	// removal and prepend collapsing) in cleanHops and, hop for hop, its
-	// dense ids in idHops. A path no accepted record uses has an empty range.
+	// clean's path q is collection path q's clean form (after route-server
+	// removal and prepend collapsing), empty when no accepted record uses
+	// it, and idHops holds its dense ids hop for hop, at the same offsets.
 	// The clean form is a pure function of (collection path q, Config), so
 	// anything derived from it alone can be computed once per path index (see
 	// PathIndex).
-	pathOff   []int32
-	cleanHops []asn.ASN
-	idHops    []int32
+	clean  bgp.Paths
+	idHops []int32
 }
 
 // NewDataset wraps a collection directly into a Dataset without filtering:
@@ -291,17 +290,16 @@ func (d *Dataset) fill(col *routing.Collection, v verdicts, j *judge) {
 		}
 	}
 
-	d.cleanHops = make([]asn.ASN, 0, hops)
-	d.pathOff = make([]int32, 1, nPaths+1)
+	d.clean.Grow(nPaths, hops)
 	for q := range nPaths {
 		p := col.Path(int32(q))
 		if j != nil {
 			v.byPath[q], p = j.judge(p)
 		}
-		if pending[q] {
-			d.cleanHops = append(d.cleanHops, p...)
+		if !pending[q] {
+			p = nil
 		}
-		d.pathOff = append(d.pathOff, int32(len(d.cleanHops)))
+		d.clean.AppendPath(p)
 	}
 
 	cols := make([]int32, 3*bound)
@@ -322,20 +320,20 @@ func (d *Dataset) fill(col *routing.Collection, v verdicts, j *judge) {
 	// on accepted paths, which under a Config with a registry are allocated
 	// ones: input cannot size it beyond the registry's pages.
 	var idOf asn.Table[int32]
-	d.idHops = make([]int32, len(d.cleanHops))
+	d.idHops = make([]int32, len(d.clean.Hops))
 	for _, q := range d.recPath {
 		if !pending[q] {
 			continue
 		}
 		pending[q] = false
-		for k := d.pathOff[q]; k < d.pathOff[q+1]; k++ {
-			a := d.cleanHops[k]
+		ids := d.PathIDs(int(q))
+		for k, a := range d.CleanPath(int(q)) {
 			id := idOf.At(a)
 			if *id == 0 {
 				d.ASNOf = append(d.ASNOf, a)
 				*id = int32(len(d.ASNOf))
 			}
-			d.idHops[k] = *id - 1
+			ids[k] = *id - 1
 		}
 	}
 }
@@ -370,18 +368,16 @@ func (d *Dataset) PrefixIndex(i int) int32 { return d.recPrefix[i] }
 func (d *Dataset) PathIndex(i int) int32 { return d.recPath[i] }
 
 // NumPaths returns the number of collection paths, the bound of PathIndex.
-func (d *Dataset) NumPaths() int { return len(d.pathOff) - 1 }
+func (d *Dataset) NumPaths() int { return d.clean.NumPaths() }
 
 // CleanPath returns collection path q's clean form; empty when no accepted
 // record uses it.
-func (d *Dataset) CleanPath(q int) bgp.Path {
-	lo, hi := d.pathOff[q], d.pathOff[q+1]
-	return bgp.Path(d.cleanHops[lo:hi:hi])
-}
+func (d *Dataset) CleanPath(q int) bgp.Path { return d.clean.Path(int32(q)) }
 
-// PathIDs is CleanPath resolved to dense ids, hop for hop.
+// PathIDs is CleanPath resolved to dense ids, hop for hop: the id column
+// beside the clean store, read at its offsets.
 func (d *Dataset) PathIDs(q int) []int32 {
-	lo, hi := d.pathOff[q], d.pathOff[q+1]
+	lo, hi := d.clean.Off[q], d.clean.Off[q+1]
 	return d.idHops[lo:hi:hi]
 }
 
@@ -393,7 +389,7 @@ func (d *Dataset) PathIDs(q int) []int32 {
 // one not met before. The paths alias the dataset's arena.
 func (d *Dataset) DistinctPaths() []bgp.Path {
 	seen := make([]uint64, (d.NumPaths()+63)/64)
-	in := bgp.NewInterner(d.NumPaths(), len(d.cleanHops))
+	in := bgp.NewInterner(d.NumPaths(), len(d.clean.Hops))
 	var paths []bgp.Path
 	for _, q := range d.recPath {
 		if seen[q/64]&(1<<(q%64)) != 0 {

@@ -146,8 +146,8 @@ func TestRunMatchesPerRecordReference(t *testing.T) {
 	if !named[6] || named[7] || named[9] || named[10] {
 		t.Fatalf("the reference's accepted records name paths %v", named)
 	}
-	if len(ds.cleanHops) != hops || len(ds.idHops) != hops {
-		t.Errorf("arenas hold %d/%d hops, the accepted records' paths clean to %d", len(ds.cleanHops), len(ds.idHops), hops)
+	if len(ds.clean.Hops) != hops || len(ds.idHops) != hops {
+		t.Errorf("arenas hold %d/%d hops, the accepted records' paths clean to %d", len(ds.clean.Hops), len(ds.idHops), hops)
 	}
 	for q := range col.NumPaths() {
 		if want := judgePath(col.Path(int32(q)), cfg).clean; named[int32(q)] && !ds.CleanPath(q).Equal(want) {
