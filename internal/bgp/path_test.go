@@ -128,7 +128,8 @@ func TestKeyInjectiveRandom(t *testing.T) {
 // TestPaths: a Paths returns every appended path whole and in order — the
 // zero value and an empty path included — hands each out capped, so that a
 // caller's append copies instead of overwriting the next path, and
-// reallocates its arena O(log N) times over N appends, never when presized.
+// reallocates its arena O(log N) times over N appends, never when presized,
+// and once when a producer reserves from the share of its paths appended.
 func TestPaths(t *testing.T) {
 	const n = 1 << 15
 	many := make([]Path, n)
@@ -136,9 +137,10 @@ func TestPaths(t *testing.T) {
 		many[i] = Path{asn.ASN(i), 3356, 64500}
 	}
 	for _, tc := range []struct {
-		name  string
-		grow  [2]int // paths and hops presized with Grow
-		paths []Path
+		name    string
+		grow    [2]int // paths and hops presized with Grow
+		reserve bool   // Reserve before each append, as path i of len(paths)
+		paths   []Path
 		// maxReallocs bounds how often appending paths replaces Hops.
 		maxReallocs int
 	}{
@@ -151,6 +153,7 @@ func TestPaths(t *testing.T) {
 		// about twice as many.
 		{name: "doubling", paths: many, maxReallocs: 17},
 		{name: "presized", grow: [2]int{n, 3 * n}, paths: many, maxReallocs: 0},
+		{name: "reserved", reserve: true, paths: many, maxReallocs: 1},
 	} {
 		var ps Paths
 		if tc.grow != [2]int{} {
@@ -158,6 +161,9 @@ func TestPaths(t *testing.T) {
 		}
 		reallocs, c := 0, cap(ps.Hops)
 		for i, p := range tc.paths {
+			if tc.reserve {
+				ps.Reserve(1, len(p), int64(i+1), int64(len(tc.paths)))
+			}
 			if q := ps.AppendPath(p); q != int32(i) {
 				t.Fatalf("%s: path %d numbered %d", tc.name, i, q)
 			}

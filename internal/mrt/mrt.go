@@ -294,7 +294,6 @@ func (r *Reader) next(reuse bool) (*Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mrt: body: %w", err)
 	}
-	r.off += recordHeaderLen + int64(length)
 	var rec *Record
 	if reuse {
 		rec = &r.scanRec
@@ -338,6 +337,7 @@ func (r *Reader) next(reuse bool) (*Record, error) {
 	default:
 		return nil, fmt.Errorf("mrt: unsupported TABLE_DUMP_V2 subtype %d", sub)
 	}
+	r.off += recordHeaderLen + int64(length)
 	return rec, nil
 }
 

@@ -2,6 +2,7 @@ package mrt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net/netip"
 	"strings"
@@ -68,6 +69,15 @@ func TestScanMatchesNext(t *testing.T) {
 			}
 		}
 		n++
+		// Offset is the end of the last record returned: the sum of the
+		// records' header and body lengths, however far the reader buffered.
+		end := 0
+		for range n {
+			end += recordHeaderLen + int(binary.BigEndian.Uint32(raw[end+8:]))
+		}
+		if got := reuse.Offset(); got != int64(end) {
+			t.Fatalf("after record %d: Offset %d, want %d", n-1, got, end)
+		}
 	}
 	if n != 3 {
 		t.Fatalf("decoded %d records, want 3", n)

@@ -184,9 +184,9 @@ type importStream struct {
 	// named is the world VP index of each known peer of each peer table read.
 	named []int32
 	// rejects counts entries of peers outside the world, dropped during
-	// decode, and folds into ImportStats in the merge; bytes is the stream's
-	// wire size. err is the error that stopped the stream, which fails the
-	// import.
+	// decode, and folds into ImportStats in the merge; bytes is the wire
+	// size of the records decoded. err is the error that stopped the
+	// stream, which fails the import.
 	rejects int64
 	bytes   int64
 	err     error
