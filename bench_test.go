@@ -62,29 +62,6 @@ func BenchmarkPropagation(b *testing.B) {
 	}
 }
 
-// BenchmarkPropagationSequential pins the sharded build to one shard: the
-// single-threaded baseline the sharded numbers are compared against.
-func BenchmarkPropagationSequential(b *testing.B) {
-	w := topology.Build(topology.Config{Seed: 1, StubScale: 0.3, VPScale: 0.3})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		routing.BuildCollection(w, routing.BuildOptions{Shards: 1})
-	}
-}
-
-// BenchmarkPropagationSharded runs the default shard fan-out (4×GOMAXPROCS
-// origin shards merged in order). On a single-core host it documents the
-// sharding overhead floor; with more cores it shows the speedup.
-func BenchmarkPropagationSharded(b *testing.B) {
-	w := topology.Build(topology.Config{Seed: 1, StubScale: 0.3, VPScale: 0.3})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		routing.BuildCollection(w, routing.BuildOptions{})
-	}
-}
-
 func BenchmarkTable1Sanitize(b *testing.B) {
 	p, _ := benchPipelines(b)
 	b.ResetTimer()

@@ -68,7 +68,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, *obs.CmdFlags, error) 
 	fs.StringVar(&c.metric, "metric", "all", "metric to print: "+strings.Join(metrics, "|"))
 	fs.IntVar(&c.top, "top", 10, "entries per ranking")
 	fs.BoolVar(&c.json, "json", false, "emit machine-readable JSON (the snapshot wire encoding rankd serves) instead of tables")
-	fs.IntVar(&c.opt.Routing.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
 	ofl := obs.FlagsOn(fs, "crank")
 	if err := fs.Parse(args); err != nil {
 		return c, ofl, err

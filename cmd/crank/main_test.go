@@ -40,9 +40,10 @@ func TestParseFlags(t *testing.T) {
 				c.opt.Seed, c.opt.StubScale, c.opt.VPScale = 101, 0.5, 0.5
 				c.mrtDir, c.codes = "DIR", []countries.Code{"AU", "JP", "RU", "US"}
 			}), ""},
-		{"-metric CTI -top 3 -shards 8 au", with(func(c *config) {
-			c.metric, c.top, c.opt.Routing.Shards, c.codes = "cti", 3, 8, []countries.Code{"AU"}
+		{"-metric CTI -top 3 au", with(func(c *config) {
+			c.metric, c.top, c.codes = "cti", 3, []countries.Code{"AU"}
 		}), ""},
+		{"-shards 8 au", def, "flag provided but not defined: -shards"},
 		{"-metric global -json", with(func(c *config) { c.metric, c.json = "global", true }), ""},
 		{"-metric global AU", def, "takes no country code"},
 		{"AU ZZ", def, `unknown country code "ZZ"`}, // before any work, not a warning after it

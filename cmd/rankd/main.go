@@ -112,7 +112,7 @@ import (
 // obs.CmdFlags).
 type options struct {
 	addr          string
-	world         core.Options // -seed, -scale, -vpscale, -shards
+	world         core.Options // -seed, -scale, -vpscale
 	topn          int
 	refresh       time.Duration
 	snapshotDir   string
@@ -141,7 +141,6 @@ func registerFlags(fs *flag.FlagSet) (*options, *obs.CmdFlags) {
 	fs.Float64Var(&o.world.VPScale, "vpscale", 1, "VP-count scale factor")
 	fs.IntVar(&o.topn, "topn", snapshot.DefaultMaxTopN, "max entries per ranking and /v1/top ?n= cap")
 	fs.DurationVar(&o.refresh, "refresh", 0, "recompute and atomically swap the snapshot at this interval (0 = only on SIGHUP)")
-	fs.IntVar(&o.world.Routing.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
 	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "durably persist published snapshots here and warm-start from the newest valid generation (empty = off)")
 	fs.IntVar(&o.snapshotKeep, "snapshot-keep", snapshot.DefaultKeepGenerations, "on-disk snapshot generations to retain")
 	fs.BoolVar(&o.allowDegraded, "allow-degraded", false, "let a quorum-degraded rebuild replace a healthy snapshot")

@@ -32,13 +32,11 @@ import (
 
 func main() {
 	var cfg topology.Config
-	var bopt routing.BuildOptions
 	flag.Int64Var(&cfg.Seed, "seed", 1, "world seed")
 	flag.Float64Var(&cfg.StubScale, "scale", 1, "stub-count scale factor")
 	flag.Float64Var(&cfg.VPScale, "vpscale", 1, "VP-count scale factor")
 	scenario := flag.String("scenario", string(topology.Apr2021), "snapshot scenario: 20210401 or 20230301")
 	out := flag.String("out", "", "output directory for MRT files (required)")
-	flag.IntVar(&bopt.Shards, "shards", 0, "propagation shards (0 = 4×GOMAXPROCS)")
 	ofl := obs.FlagsOn(flag.CommandLine, "topogen")
 	flag.Parse()
 	var err error
@@ -57,7 +55,7 @@ func main() {
 	ts := sp.Child("topology")
 	w := topology.Build(cfg)
 	ts.End()
-	col := routing.BuildCollection(w, bopt)
+	col := routing.BuildCollection(w, routing.BuildOptions{})
 	sp.End()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {

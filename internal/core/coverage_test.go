@@ -54,16 +54,18 @@ func TestCoverageSemantics(t *testing.T) {
 }
 
 func TestQuorumFailsLoudly(t *testing.T) {
-	cov := Coverage{VPsExpected: 10, VPsDelivered: 3}
-	if _, err := runPartial(cov, Options{}); err == nil {
-		t.Fatal("3/10 coverage passed the default 50% quorum")
-	} else if !strings.Contains(err.Error(), "quorum") {
-		t.Fatalf("quorum failure unclear: %v", err)
+	for _, delivered := range []int{3, 4} {
+		cov := Coverage{VPsExpected: 10, VPsDelivered: delivered}
+		if _, err := runPartial(cov, Options{}); err == nil {
+			t.Fatalf("%d/10 coverage passed the 50%% quorum", delivered)
+		} else if !strings.Contains(err.Error(), "quorum") {
+			t.Fatalf("quorum failure unclear: %v", err)
+		}
 	}
-	// A negative quorum disables the gate; the run proceeds, labelled.
-	p, err := runPartial(cov, Options{Quorum: -1})
+	// Exactly half is enough; the run proceeds, labelled.
+	p, err := runPartial(Coverage{VPsExpected: 10, VPsDelivered: 5}, Options{})
 	if err != nil {
-		t.Fatalf("negative quorum still gated: %v", err)
+		t.Fatalf("5/10 coverage failed the 50%% quorum: %v", err)
 	}
 	if !p.Coverage.Info().Degraded {
 		t.Fatal("partial pipeline lost its coverage report")

@@ -2,12 +2,15 @@ package core
 
 import (
 	"testing"
+
+	"countryrank/internal/routing"
+	"countryrank/internal/topology"
 )
 
 func TestDualStackPipeline(t *testing.T) {
 	opt := smallOpts()
-	opt.IPv6 = true
-	p := NewPipeline(opt)
+	w := topology.Build(topology.Config{Seed: opt.Seed, StubScale: opt.StubScale, VPScale: opt.VPScale, IPv6: true})
+	p := NewPipelineFrom(w, routing.BuildCollection(w, routing.BuildOptions{}), opt)
 
 	// Dual stack: both families survive sanitization.
 	v4, v6 := 0, 0

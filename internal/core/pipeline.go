@@ -71,8 +71,6 @@ type Options struct {
 	Scenario  topology.Scenario
 	StubScale float64
 	VPScale   float64
-	// IPv6 builds a dual-stack world (see topology.Config.IPv6).
-	IPv6 bool
 	// Threshold is the prefix-geolocation majority threshold. Zero selects
 	// the paper's 0.5; PluralityThreshold (or any negative value) selects
 	// an actual 0 threshold.
@@ -84,13 +82,11 @@ type Options struct {
 	// relationships inferred from the accepted paths (the ablation of
 	// DESIGN.md).
 	InferRelationships bool
-	// Quorum is the minimum delivered fraction of expected VPs a source's
-	// collection must reach; below it Run fails loudly. Zero selects the
-	// default 0.5; any negative value disables the gate.
-	Quorum float64
-	// Routing tunes collection assembly (days, anomaly rates).
-	Routing routing.BuildOptions
 }
+
+// quorum is the minimum delivered fraction of expected VPs a source's
+// collection must reach; below it Run fails loudly.
+const quorum = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.Scenario == "" {
@@ -107,12 +103,6 @@ func (o Options) withDefaults() Options {
 		o.Trim = hegemony.DefaultTrim
 	case o.Trim < 0:
 		o.Trim = 0
-	}
-	switch {
-	case o.Quorum == 0:
-		o.Quorum = 0.5
-	case o.Quorum < 0:
-		o.Quorum = 0
 	}
 	return o
 }
@@ -173,7 +163,7 @@ type Source func(opt Options, sp *obs.Span) (*routing.Collection, Inputs, error)
 // routes over it; its coverage is complete by construction.
 func Generated(opt Options, sp *obs.Span) (*routing.Collection, Inputs, error) {
 	w := buildWorld(opt, sp)
-	return routing.BuildCollection(w, opt.Routing), observe(w, nil), nil
+	return routing.BuildCollection(w, routing.BuildOptions{}), observe(w, nil), nil
 }
 
 // MRTFiles imports TABLE_DUMP_V2 dumps (topogen's, same seed and scales)
@@ -195,7 +185,7 @@ func MRTFiles(paths []string) Source {
 func buildWorld(opt Options, sp *obs.Span) *topology.World {
 	ts := sp.Child("topology")
 	defer ts.End()
-	return topology.Build(topology.Config{Seed: opt.Seed, Scenario: opt.Scenario, StubScale: opt.StubScale, VPScale: opt.VPScale, IPv6: opt.IPv6})
+	return topology.Build(topology.Config{Seed: opt.Seed, Scenario: opt.Scenario, StubScale: opt.StubScale, VPScale: opt.VPScale})
 }
 
 // observe is where a generated world becomes pipeline input: what of w a
@@ -241,7 +231,7 @@ func mustRun(src Source, opt Options) *Pipeline {
 
 // Run is the pipeline: source → geolocate → sanitize → (infer) → index →
 // precompute. The stage order, its spans, the quorum gate and cancellation
-// live here and nowhere else. Coverage below Options.Quorum is an error, not
+// live here and nowhere else. Coverage below the 50% quorum is an error, not
 // a quietly wrong ranking; above it, lost data labels every ranking name. A
 // cancelled ctx stops the run at the next stage boundary with ctx.Err().
 // Sanitize is the collection's last reader, and Run lets go of it there.
@@ -256,8 +246,8 @@ func Run(ctx context.Context, src Source, opt Options) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	if in.Coverage.Fraction() < opt.Quorum {
-		return nil, fmt.Errorf("core: coverage %s below quorum %.0f%%", in.Coverage, opt.Quorum*100)
+	if in.Coverage.Fraction() < quorum {
+		return nil, fmt.Errorf("core: coverage %s below quorum %.0f%%", in.Coverage, quorum*100)
 	}
 	p := &Pipeline{Opt: opt, Inputs: in}
 	for _, st := range []struct {

@@ -28,7 +28,7 @@ func pipelines(t *testing.T) (*core.Pipeline, *core.Pipeline) {
 	pipeOnce.Do(func() {
 		opt := core.Options{Seed: 1, StubScale: 0.4, VPScale: 0.5}
 		w21 = topology.Build(topology.Config{Seed: opt.Seed, StubScale: opt.StubScale, VPScale: opt.VPScale})
-		col21 = routing.BuildCollection(w21, opt.Routing)
+		col21 = routing.BuildCollection(w21, routing.BuildOptions{})
 		p21 = core.NewPipelineFrom(w21, col21, opt)
 		p23 = core.NewPipeline(core.Options{
 			Seed: 1, Scenario: topology.Mar2023, StubScale: 0.4, VPScale: 0.5,

@@ -195,7 +195,7 @@ func RunResilience(p *core.Pipeline, w *topology.World, col *routing.Collection,
 	// pair once (a ranking lists an AS once, a graph a customer once).
 	for _, e := range cr.AHI.Top(5) {
 		for _, cust := range w.Graph.Customers(e.ASN) {
-			out.Impacts = append(out.Impacts, routing.FailLink(w, col, e.ASN, cust, p.Opt.Routing))
+			out.Impacts = append(out.Impacts, routing.FailLink(w, col, e.ASN, cust))
 			if len(out.Impacts) >= maxLinks {
 				return out
 			}

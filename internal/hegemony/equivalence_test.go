@@ -396,7 +396,7 @@ func TestPathRunsMatchMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	opt := core.Options{Seed: 5, StubScale: 0.1, VPScale: 0.15}
 	w := topology.Build(topology.Config{Seed: opt.Seed, StubScale: opt.StubScale, VPScale: opt.VPScale})
-	col := routing.BuildCollection(w, opt.Routing)
+	col := routing.BuildCollection(w, routing.BuildOptions{})
 	p := core.NewPipelineFrom(w, col, opt)
 
 	var streams []io.Reader

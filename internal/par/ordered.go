@@ -10,13 +10,13 @@ import (
 // min(n, GOMAXPROCS) goroutines and feeds each result to consume(i, v) in
 // strict index order on the caller's goroutine. It is the pipelined variant
 // of ForEach for fan-outs whose merge must be deterministic AND must not
-// hold every partial result at once: at most window indexes (default
-// workers+1) are claimed but not yet consumed, so a worker that runs far
-// ahead of the merge blocks instead of accumulating memory.
+// hold every partial result at once: at most workers+1 indexes are claimed
+// but not yet consumed, so a worker that runs far ahead of the merge blocks
+// instead of accumulating memory.
 //
 // With GOMAXPROCS=1 the calls run inline, strictly alternating
 // produce(i), consume(i), in index order.
-func OrderedMap[T any](n int, window int, produce func(int) T, consume func(int, T)) {
+func OrderedMap[T any](n int, produce func(int) T, consume func(int, T)) {
 	if n <= 0 {
 		return
 	}
@@ -27,7 +27,7 @@ func OrderedMap[T any](n int, window int, produce func(int) T, consume func(int,
 		}
 		return
 	}
-	window = min(max(window, workers+1), n)
+	window := min(workers+1, n)
 
 	// A worker sends a token before it claims an index and the merge takes
 	// one back after it consumes an index, so at most window indexes are in

@@ -9,7 +9,7 @@ import (
 func TestOrderedMapConsumesInOrder(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
 		var seen []int
-		OrderedMap(n, 0, func(i int) int { return i * i }, func(i, v int) {
+		OrderedMap(n, func(i int) int { return i * i }, func(i, v int) {
 			if v != i*i {
 				t.Fatalf("n=%d: consume(%d) got %d, want %d", n, i, v, i*i)
 			}
@@ -30,7 +30,7 @@ func TestOrderedMapProducesEachOnce(t *testing.T) {
 	const n = 500
 	var produced [n]int32
 	var consumed int32
-	OrderedMap(n, 3, func(i int) int {
+	OrderedMap(n, func(i int) int {
 		atomic.AddInt32(&produced[i], 1)
 		return i
 	}, func(i, v int) {
@@ -47,7 +47,7 @@ func TestOrderedMapProducesEachOnce(t *testing.T) {
 }
 
 // TestOrderedMapBoundedWindow proves backpressure: with a slow consumer, a
-// producer can never run more than the window ahead of the merge point.
+// producer can never run more than workers+1 indexes ahead of the merge point.
 func TestOrderedMapBoundedWindow(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 {
@@ -57,7 +57,7 @@ func TestOrderedMapBoundedWindow(t *testing.T) {
 	window := workers + 1
 	var done int64 // consumer progress, read by producers
 	var maxAhead int64
-	OrderedMap(n, window, func(i int) int {
+	OrderedMap(n, func(i int) int {
 		if ahead := int64(i) - atomic.LoadInt64(&done); ahead > atomic.LoadInt64(&maxAhead) {
 			atomic.StoreInt64(&maxAhead, ahead)
 		}
@@ -77,7 +77,7 @@ func TestOrderedMapInlineAtOneProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	// With one proc the calls must strictly alternate produce(i), consume(i).
 	var trace []int
-	OrderedMap(5, 0, func(i int) int {
+	OrderedMap(5, func(i int) int {
 		trace = append(trace, i)
 		return i
 	}, func(i, v int) {

@@ -75,25 +75,18 @@ func (c *Collection) NumRecords() int { return len(c.Records) }
 // BuildOptions tunes collection assembly. Zero values select the rates that
 // reproduce Table 1's reject-class proportions.
 type BuildOptions struct {
-	Days int
 	// UnstableFrac is the fraction of prefixes missing from ≥1 daily RIB.
 	UnstableFrac float64
 	// LoopFrac / PoisonFrac / UnallocFrac are per-record corruption rates.
 	LoopFrac    float64
 	PoisonFrac  float64
 	UnallocFrac float64
-	Seed        int64
-	// Shards splits propagation into this many contiguous origin ranges,
-	// propagated in parallel and merged in shard order; the output is
-	// byte-identical for every shard count and GOMAXPROCS. 0 picks
-	// 4×GOMAXPROCS. 1 is the sequential baseline.
-	Shards int
 }
 
-func (o BuildOptions) withDefaults(w *topology.World) BuildOptions {
-	if o.Days == 0 {
-		o.Days = 5
-	}
+// days is the number of daily RIBs a built collection spans: the paper's five.
+const days = 5
+
+func (o BuildOptions) withDefaults() BuildOptions {
 	if o.UnstableFrac == 0 {
 		o.UnstableFrac = 0.08
 	}
@@ -106,24 +99,31 @@ func (o BuildOptions) withDefaults(w *topology.World) BuildOptions {
 	if o.UnallocFrac == 0 {
 		o.UnallocFrac = 0.0009
 	}
-	if o.Seed == 0 {
-		o.Seed = w.Config.Seed + 7
-	}
 	return o
 }
 
 // BuildCollection propagates every origin's routes across the world and
 // records the best path each vantage point exports, then injects the
 // real-world dirt (loops, poisoned paths, unallocated ASNs, day-to-day
-// instability) the sanitizer must handle.
+// instability) the sanitizer must handle. The draws are seeded from the
+// world's seed, offset so they do not repeat the generator's.
 func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
-	opt = opt.withDefaults(w)
+	return buildCollection(w, opt, 4*runtime.GOMAXPROCS(0))
+}
+
+// buildCollection is BuildCollection with propagation split into the given
+// number of contiguous origin ranges (capped at the origins that announce
+// anything), propagated in parallel and merged in shard order. The output is
+// byte-identical for every shard count and GOMAXPROCS; one shard is the
+// sequential baseline.
+func buildCollection(w *topology.World, opt BuildOptions, shards int) *Collection {
+	opt = opt.withDefaults()
 	g := w.Graph
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(w.Config.Seed + 7))
 	sp := obs.StartSpan("propagate")
 	defer sp.End()
 
-	col := &Collection{VPs: w.VPs, Days: opt.Days}
+	col := &Collection{VPs: w.VPs, Days: days}
 
 	// Index prefixes.
 	prefixIdx := map[netip.Prefix]int32{}
@@ -167,7 +167,7 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 	// whose per-record anomaly draws continue the same rng sequence.
 	col.Stable = make([]bool, len(col.Prefixes))
 	col.DayMask = make([]uint16, len(col.Prefixes))
-	full := uint16(1<<opt.Days) - 1
+	full := uint16(1<<days) - 1
 	for i := range col.Stable {
 		if rng.Float64() >= opt.UnstableFrac {
 			col.Stable[i] = true
@@ -175,7 +175,7 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 			continue
 		}
 		mask := uint16(0)
-		for d := 0; d < opt.Days; d++ {
+		for d := 0; d < days; d++ {
 			if rng.Float64() < 0.7 {
 				mask |= 1 << d
 			}
@@ -185,7 +185,7 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 			mask = 1
 		}
 		if mask == full {
-			mask &^= 1 << uint(rng.Intn(opt.Days))
+			mask &^= 1 << uint(rng.Intn(days))
 		}
 		col.DayMask[i] = mask
 	}
@@ -199,25 +199,25 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 			active = append(active, origin)
 		}
 	}
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = 4 * runtime.GOMAXPROCS(0)
-	}
-	if shards > len(active) {
-		shards = len(active)
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards = max(min(shards, len(active)), 1)
 
 	// Per-shard propagation states and route buffers go back on a free
-	// list once used: OrderedMap keeps at most window shards in flight, so
-	// the list holds that many of each at peak, however many shards the run
-	// splits into. It is local to the call, unlike a sync.Pool, whose victim
-	// cache would keep the buffers alive past the next collection.
+	// list once used: OrderedMap keeps at most workers+1 shards in flight,
+	// so the list holds that many of each at peak, however many shards the
+	// run splits into. It is local to the call, unlike a sync.Pool, whose
+	// victim cache would keep the buffers alive past the next collection.
 	g.ASNs() // warm the cache once; workers then only read it
 	states := freeList[*propState]{new: func() *propState { return newPropState(g) }}
-	buffers := freeList[*shardRoutes]{new: func() *shardRoutes { return new(shardRoutes) }}
+	// An origin exports at most one route per VP, so a buffer sized for the
+	// largest shard's origins × VPs never grows by append.
+	most := (len(active) + shards - 1) / shards
+	buffers := freeList[*shardRoutes]{new: func() *shardRoutes {
+		return &shardRoutes{
+			counts: make([]int32, 0, most),
+			vpIdxs: make([]int32, 0, most*len(vps)),
+			pathOf: make([]int32, 0, most*len(vps)),
+		}
+	}}
 
 	produce := func(si int) *shardRoutes {
 		lo, hi := si*len(active)/shards, (si+1)*len(active)/shards
@@ -318,7 +318,7 @@ func BuildCollection(w *topology.World, opt BuildOptions) *Collection {
 		buffers.put(rt)
 		mShardsDone.Inc()
 	}
-	par.OrderedMap(shards, 0, produce, consume)
+	par.OrderedMap(shards, produce, consume)
 
 	mPathsPropagated.Add(nRoutes)
 	mRecordsBuilt.Add(int64(len(col.Records)))

@@ -27,7 +27,7 @@ type FailureImpact struct {
 // FailLink rebuilds the collection on a copy of w, the world col was built
 // over, with the a–b relationship removed and diffs it against col. Neither
 // the world nor the collection is modified.
-func FailLink(w *topology.World, col *Collection, a, b asn.ASN, opt BuildOptions) FailureImpact {
+func FailLink(w *topology.World, col *Collection, a, b asn.ASN) FailureImpact {
 	impact := FailureImpact{A: a, B: b, TotalRecords: len(col.Records)}
 
 	// Pre-failure path index per (VP, prefix), and the pre-failure link set.
@@ -49,8 +49,7 @@ func FailLink(w *topology.World, col *Collection, a, b asn.ASN, opt BuildOptions
 	failed := *w
 	failed.Graph = w.Graph.Clone()
 	failed.Graph.RemoveEdge(a, b)
-	opt.LoopFrac, opt.PoisonFrac, opt.UnallocFrac = -1, -1, -1
-	after := BuildCollection(&failed, opt)
+	after := BuildCollection(&failed, BuildOptions{LoopFrac: -1, PoisonFrac: -1, UnallocFrac: -1})
 
 	afterIdx := make(map[key]int32, len(after.Records))
 	for _, r := range after.Records {

@@ -13,14 +13,13 @@ import (
 
 func TestFailLinkRevealsBackupPaths(t *testing.T) {
 	w := testWorld(t)
-	opt := BuildOptions{LoopFrac: -1, PoisonFrac: -1, UnallocFrac: -1}
-	col := BuildCollection(w, opt)
+	col := BuildCollection(w, BuildOptions{LoopFrac: -1, PoisonFrac: -1, UnallocFrac: -1})
 
 	// Fail NTT OCN's sole transit link (2914 → 4713): every observation of
 	// OCN-originated prefixes from outside must change or die, revealing
 	// the Vocus-style backups... here OCN is single-homed, so its prefixes
 	// become unreachable from abroad while domestic peerings may survive.
-	impact := FailLink(w, col, 2914, 4713, opt)
+	impact := FailLink(w, col, 2914, 4713)
 	if impact.TotalRecords != len(col.Records) {
 		t.Fatalf("total = %d", impact.TotalRecords)
 	}
@@ -30,7 +29,7 @@ func TestFailLinkRevealsBackupPaths(t *testing.T) {
 
 	// Fail one of Rostelecom's three transit links: reachability must be
 	// preserved (multihoming) while many paths shift to the backups.
-	impact2 := FailLink(w, col, 1299, 12389, opt)
+	impact2 := FailLink(w, col, 1299, 12389)
 	if impact2.LostRecords > impact2.TotalRecords/100 {
 		t.Errorf("multihomed failure lost %d records", impact2.LostRecords)
 	}
@@ -67,8 +66,7 @@ func TestHiddenBackupRevealed(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &topology.World{Graph: g, VPs: set, Geo: &geoloc.DB{}}
-	opt := BuildOptions{LoopFrac: -1, PoisonFrac: -1, UnallocFrac: -1, UnstableFrac: -1, Seed: 7}
-	col := BuildCollection(w, opt)
+	col := BuildCollection(w, BuildOptions{LoopFrac: -1, PoisonFrac: -1, UnallocFrac: -1, UnstableFrac: -1})
 	if len(col.Records) != 1 {
 		t.Fatalf("records = %d", len(col.Records))
 	}
@@ -76,7 +74,7 @@ func TestHiddenBackupRevealed(t *testing.T) {
 	mid := primary[1] // 20 or 30, whichever the tie-hash chose
 	backup := asn.ASN(50 - uint32(mid))
 
-	impact := FailLink(w, col, mid, 99, opt)
+	impact := FailLink(w, col, mid, 99)
 	if impact.ChangedRecords != 1 || impact.LostRecords != 0 {
 		t.Fatalf("impact = %+v", impact)
 	}
@@ -89,9 +87,8 @@ func TestHiddenBackupRevealed(t *testing.T) {
 
 func TestFailAbsentLinkIsNoop(t *testing.T) {
 	w := testWorld(t)
-	opt := BuildOptions{LoopFrac: -1, PoisonFrac: -1, UnallocFrac: -1}
-	col := BuildCollection(w, opt)
-	impact := FailLink(w, col, 3356, 2516, opt) // no such edge (KDDI buys from 2914/3257)
+	col := BuildCollection(w, BuildOptions{LoopFrac: -1, PoisonFrac: -1, UnallocFrac: -1})
+	impact := FailLink(w, col, 3356, 2516) // no such edge (KDDI buys from 2914/3257)
 	if w.Graph.Rel(3356, 2516) != topology.RelNone {
 		t.Skip("edge exists in this world; pick another")
 	}

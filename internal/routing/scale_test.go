@@ -66,12 +66,12 @@ func mrtDigest(t *testing.T, c *Collection) [32]byte {
 // for every shard count at every GOMAXPROCS.
 func TestShardedBuildDeterministic(t *testing.T) {
 	w := testWorld(t)
-	base := BuildCollection(w, BuildOptions{Shards: 1})
+	base := buildCollection(w, BuildOptions{}, 1)
 	baseDigest := mrtDigest(t, base)
 	for _, procs := range []int{1, 4, 16} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{2, 7, 64} {
-			col := BuildCollection(w, BuildOptions{Shards: shards})
+			col := buildCollection(w, BuildOptions{}, shards)
 			collectionEqual(t, base, col, "sequential vs sharded")
 			// The sharded merge numbers paths the same way too: records,
 			// hop arena and offsets match exactly, not just observably. The
@@ -105,7 +105,7 @@ func TestPathNumberingEqualsHashConsing(t *testing.T) {
 	for _, seed := range []int64{5, 23} {
 		w := topology.Build(topology.Config{Seed: seed, StubScale: 0.1, VPScale: 0.1})
 		for _, shards := range []int{1, 3, 4 * runtime.GOMAXPROCS(0)} {
-			col := BuildCollection(w, BuildOptions{Shards: shards, LoopFrac: 0.05, PoisonFrac: 0.05, UnallocFrac: 0.05})
+			col := buildCollection(w, BuildOptions{LoopFrac: 0.05, PoisonFrac: 0.05, UnallocFrac: 0.05}, shards)
 			it := bgp.NewInterner(0, 0)
 			distinct := int32(0) // the interner numbers new paths 0, 1, …
 			intern := func(p int32) int32 {
@@ -273,4 +273,16 @@ func importViaStreams(t *testing.T, w *topology.World, paths []string) (*Collect
 		t.Fatal(err)
 	}
 	return col, stats
+}
+
+// BenchmarkPropagationSequential builds BenchmarkPropagation's collection
+// (the root package's, same world) in one shard: the single-threaded baseline
+// the default 4×GOMAXPROCS shards are compared against.
+func BenchmarkPropagationSequential(b *testing.B) {
+	w := topology.Build(topology.Config{Seed: 1, StubScale: 0.3, VPScale: 0.3})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildCollection(w, BuildOptions{}, 1)
+	}
 }

@@ -277,7 +277,7 @@ func TestSupervisorAbandonsHungBuild(t *testing.T) {
 func TestSupervisorTimedOutBuildStops(t *testing.T) {
 	opt := core.Options{Seed: 3, StubScale: 0.15, VPScale: 0.2}
 	w := topology.Build(topology.Config{Seed: opt.Seed, StubScale: opt.StubScale, VPScale: opt.VPScale})
-	col := routing.BuildCollection(w, opt.Routing)
+	col := routing.BuildCollection(w, routing.BuildOptions{})
 	held := core.NewPipelineFrom(w, col, opt)
 
 	var mu sync.Mutex

@@ -146,23 +146,26 @@ if [[ -z "$oracle_sum" || "$quick_sum" != "$oracle_sum" ]]; then
 fi
 rm -rf "$stab_dir"
 
-echo '--- scale smoke (topogen -shards 8 vs -shards 1 vs one proc -> crank -mrt, complete, damaged and partial)'
-# A medium world generated three times — sharded, sequential, and with the
-# concurrent dump writers confined to one proc: the dump directories must be
-# byte-identical file for file, and crank must rank off them, one decode
-# worker per dump, unlabelled, printing the same bytes on one proc as on all.
+echo '--- scale smoke (topogen by default vs GOMAXPROCS=4 vs one proc -> crank -mrt, complete, damaged and partial)'
+# A medium world generated three times — by default, with GOMAXPROCS=4 and
+# with GOMAXPROCS=1: three propagation shard counts (4×GOMAXPROCS, so 8, 16
+# and 4 on a 2-core host), the last with the concurrent dump writers confined
+# to one proc. The dump directories must be byte-identical file for file, and
+# crank must rank off them, one decode worker per dump, unlabelled, printing
+# the same bytes on one proc as on all. One shard is compared in-process only,
+# as TestShardedBuildDeterministic's base.
 scale_dir=$(mktemp -d)
 go build -o "$scale_dir/topogen" ./cmd/topogen
 go build -o "$scale_dir/crank" ./cmd/crank
-"$scale_dir/topogen" -scale 0.5 -vpscale 0.5 -shards 8 -out "$scale_dir/mrt"
-"$scale_dir/topogen" -scale 0.5 -vpscale 0.5 -shards 1 -out "$scale_dir/mrt-seq"
-(cd "$scale_dir/mrt" && sha256sum -- *.mrt) >"$scale_dir/sharded.sha256"
-(cd "$scale_dir/mrt-seq" && sha256sum -- *.mrt) >"$scale_dir/sequential.sha256"
-[[ -s "$scale_dir/sharded.sha256" ]]
-cmp "$scale_dir/sharded.sha256" "$scale_dir/sequential.sha256"
+"$scale_dir/topogen" -scale 0.5 -vpscale 0.5 -out "$scale_dir/mrt"
+GOMAXPROCS=4 "$scale_dir/topogen" -scale 0.5 -vpscale 0.5 -out "$scale_dir/mrt-4p"
+(cd "$scale_dir/mrt" && sha256sum -- *.mrt) >"$scale_dir/default.sha256"
+(cd "$scale_dir/mrt-4p" && sha256sum -- *.mrt) >"$scale_dir/fourproc.sha256"
+[[ -s "$scale_dir/default.sha256" ]]
+cmp "$scale_dir/default.sha256" "$scale_dir/fourproc.sha256"
 GOMAXPROCS=1 "$scale_dir/topogen" -scale 0.5 -vpscale 0.5 -out "$scale_dir/mrt-1p"
 (cd "$scale_dir/mrt-1p" && sha256sum -- *.mrt) >"$scale_dir/oneproc.sha256"
-cmp "$scale_dir/sharded.sha256" "$scale_dir/oneproc.sha256"
+cmp "$scale_dir/default.sha256" "$scale_dir/oneproc.sha256"
 "$scale_dir/crank" -scale 0.5 -vpscale 0.5 -mrt "$scale_dir/mrt" \
     -top 3 AU >"$scale_dir/crank.out"
 grep -q 'CCI' "$scale_dir/crank.out"
@@ -253,7 +256,7 @@ echo '--- obs smoke (crank -metric global: manifest sections and metrics block, 
 # by TestFlagsArtifacts, TestManifestGolden and TestChromeTraceExport.
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$obs_dir"' EXIT
-go run ./cmd/crank -scale 0.15 -vpscale 0.2 -top 3 -shards 4 -metric global \
+go run ./cmd/crank -scale 0.15 -vpscale 0.2 -top 3 -metric global \
     -trace-out "$obs_dir/trace.json" -manifest "$obs_dir/manifest.json" >"$obs_dir/crank.out"
 grep -q '^CCG' "$obs_dir/crank.out"
 grep -q '^AHG' "$obs_dir/crank.out"
